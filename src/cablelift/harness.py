@@ -117,8 +117,16 @@ class ReferenceSpec:
 
 
 def default_weights() -> CostWeights:
+    """Tracking weights shared by every preset.
+
+    The cables produce a moment only once the vehicles have moved to tilt
+    them, far slower than one 50 ms stage.  The moment weight keeps a plan
+    from closing the body-rate error with a one-stage moment impulse; such
+    impulses go mostly unrealized, and replanning every sigma steps then
+    pumps the payload's rotation into an event storm.
+    """
     Q_X = np.diag([60.0] * 3 + [8.0] * 3 + [30.0] * 3 + [2.0] * 3)
-    return CostWeights(Q_X=Q_X, Q_U=np.diag([0.8] * 3 + [4.0] * 3), Q_XN=4.0 * Q_X)
+    return CostWeights(Q_X=Q_X, Q_U=np.diag([0.8] * 3 + [40.0] * 3), Q_XN=4.0 * Q_X)
 
 
 def default_system(n: int = 4) -> SystemParams:
@@ -827,10 +835,15 @@ _SYSTEM_KEYS = {
 }
 _TRIGGER_KEYS = {"preset", "alpha", "beta", "sigma", "terminal_epsilon"}
 _NMPC_KEYS = {"horizon", "dt_s", "funnel_epsilon_m", "funnel_weight"}
-_SOLVER_KEYS = {"max_sqp_iters", "kkt_tol", "feas_tol"}
+# config key -> SolverConfig field type
+_SOLVER_KEYS = {"max_sqp_iters": int, "kkt_tol": float, "feas_tol": float}
 _DISTURBANCE_KEYS = {"eta", "kind"}
-_WEIGHT_KEYS = {"position", "velocity", "attitude", "rate", "force", "moment", "terminal_scale"}
-_GAIN_KEYS = {"attitude", "attitude_rate", "cable", "cable_rate"}
+# config key -> first index of its 3-block on the diagonal of Q_X (state) or Q_U (input)
+_STATE_WEIGHT_BLOCKS = {"position": 0, "velocity": 3, "attitude": 6, "rate": 9}
+_INPUT_WEIGHT_BLOCKS = {"force": 0, "moment": 3}
+_WEIGHT_KEYS = {*_STATE_WEIGHT_BLOCKS, *_INPUT_WEIGHT_BLOCKS, "terminal_scale"}
+# config key -> GainSet field
+_GAIN_KEYS = {"attitude": "K_R", "attitude_rate": "K_Omega", "cable": "K_xi", "cable_rate": "K_omega"}
 _OBSTACLE_KEYS = {"center_m", "clearance_m"}
 _SWEEP_KEYS = {"alphas", "betas"}
 
@@ -838,9 +851,29 @@ _SWEEP_KEYS = {"alphas", "betas"}
 def _check_keys(section: dict, allowed: set, where: str) -> None:
     if not isinstance(section, dict):
         raise ConfigError(f"section {where!r} must be a mapping")
-    unknown = set(section) - allowed
+    unknown = set(section).difference(allowed)
     if unknown:
         raise ConfigError(f"unknown key {sorted(unknown)[0]!r} in section {where!r}")
+
+
+def _override_weights(base: CostWeights, section: dict) -> CostWeights:
+    """The preset's weights with the blocks named in `section` replaced.
+
+    Preset weights are diagonal with one value per 3-block, and the terminal
+    weight is Q_XN = terminal_scale * Q_X; every block the section leaves
+    out, and the terminal scale, keep the preset's values.
+    """
+    diag_x = np.diag(base.Q_X).copy()
+    diag_u = np.diag(base.Q_U).copy()
+    scale = float(section.get("terminal_scale", base.Q_XN[0, 0] / base.Q_X[0, 0]))
+    for key, start in _STATE_WEIGHT_BLOCKS.items():
+        if key in section:
+            diag_x[start : start + 3] = float(section[key])
+    for key, start in _INPUT_WEIGHT_BLOCKS.items():
+        if key in section:
+            diag_u[start : start + 3] = float(section[key])
+    Q_X = np.diag(diag_x)
+    return CostWeights(Q_X=Q_X, Q_U=np.diag(diag_u), Q_XN=scale * Q_X)
 
 
 def load_config(path):
@@ -921,18 +954,7 @@ def build_scenario(data: dict):
     _check_keys(weights_sec, _WEIGHT_KEYS, "weights")
     weights = config.ocp.weights
     if weights_sec:
-        diag_x = (
-            [float(weights_sec.get("position", 60.0))] * 3
-            + [float(weights_sec.get("velocity", 8.0))] * 3
-            + [float(weights_sec.get("attitude", 30.0))] * 3
-            + [float(weights_sec.get("rate", 2.0))] * 3
-        )
-        Q_X = np.diag(diag_x)
-        Q_U = np.diag(
-            [float(weights_sec.get("force", 0.8))] * 3
-            + [float(weights_sec.get("moment", 4.0))] * 3
-        )
-        weights = CostWeights(Q_X=Q_X, Q_U=Q_U, Q_XN=float(weights_sec.get("terminal_scale", 4.0)) * Q_X)
+        weights = _override_weights(weights, weights_sec)
     obstacle = data.get("obstacle", {})
     _check_keys(obstacle, _OBSTACLE_KEYS, "obstacle")
     funnel_eps = float(nmpc.get("funnel_epsilon_m", config.ocp.funnel.value(0.0)))
@@ -955,22 +977,17 @@ def build_scenario(data: dict):
 
     solver = data.get("solver", {})
     _check_keys(solver, _SOLVER_KEYS, "solver")
-    if solver:
-        config.solver = SolverConfig(
-            max_sqp_iters=int(solver.get("max_sqp_iters", config.solver.max_sqp_iters)),
-            kkt_tol=float(solver.get("kkt_tol", config.solver.kkt_tol)),
-            feas_tol=float(solver.get("feas_tol", config.solver.feas_tol)),
-        )
+    config.solver = dataclasses.replace(
+        config.solver,
+        **{key: _SOLVER_KEYS[key](value) for key, value in solver.items()},
+    )
 
     gains_sec = data.get("gains", {})
     _check_keys(gains_sec, _GAIN_KEYS, "gains")
-    if gains_sec:
-        config.gains = GainSet(
-            K_R=float(gains_sec.get("attitude", 8.0)) * np.eye(3),
-            K_Omega=float(gains_sec.get("attitude_rate", 1.2)) * np.eye(3),
-            K_xi=float(gains_sec.get("cable", 30.0)) * np.eye(3),
-            K_omega=float(gains_sec.get("cable_rate", 8.0)) * np.eye(3),
-        )
+    config.gains = dataclasses.replace(
+        config.gains,
+        **{_GAIN_KEYS[key]: float(value) * np.eye(3) for key, value in gains_sec.items()},
+    )
 
     dist = data.get("disturbance", {})
     _check_keys(dist, _DISTURBANCE_KEYS, "disturbance")

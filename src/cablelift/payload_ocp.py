@@ -9,6 +9,11 @@ per stage.
 States live on R^3 x S^3 x R^6; all derivatives are taken in the 12-d tangent
 (position, velocity, attitude rotation-vector, body rate) around a nominal
 trajectory, with right-multiplicative quaternion retraction.
+
+Stage quantities are computed on stacked arrays, one numpy call for all
+stages: a trajectory is a (K, 13) array of state rows [p, v, q, omega] and a
+(K, 6) array of wrench rows [F, M].  The per-state functions (state_error,
+discretize, retract, local_coords) are the one-row case of the same code.
 """
 
 from __future__ import annotations
@@ -134,9 +139,18 @@ class OcpProblem:
     funnel: Optional[FunnelSpec]
     funnel_weight: float
     _J_L_inv: np.ndarray = field(init=False, repr=False)
+    ref_x: np.ndarray = field(init=False, repr=False)  # (N+1, 13) reference state rows
+    ref_u: np.ndarray = field(init=False, repr=False)  # (N+1, 6) reference wrench rows
+    funnel_eps: np.ndarray = field(init=False, repr=False)  # (N+1,) radius at i * dt
 
     def __post_init__(self):
         self._J_L_inv = np.linalg.inv(self.J_L)
+        self.ref_x = np.array([_reference_row(r) for r in self.references])
+        self.ref_u = np.array([r.wrench_des.as_vector() for r in self.references])
+        self.funnel_eps = np.array(
+            [0.0 if self.funnel is None else self.funnel.value(i * self.dt)
+             for i in range(len(self.references))]
+        )
 
     @property
     def g_vec(self) -> np.ndarray:
@@ -188,7 +202,34 @@ def build_ocp(x0: OcpState, references: Sequence[ReferencePoint], config: OcpCon
 
 
 # ---------------------------------------------------------------------------
+# stacked rows
+
+
+def _reference_row(ref: ReferencePoint) -> np.ndarray:
+    return np.concatenate([ref.p_des, ref.v_des, ref.q_des, ref.omega_des])
+
+
+def stack_states(states: Sequence[OcpState]) -> np.ndarray:
+    """(K, 13) state rows [p, v, q, omega] of a list of OcpState."""
+    return np.array([s.as_vector() for s in states])
+
+
+def stack_inputs(inputs: Sequence[Wrench]) -> np.ndarray:
+    """(K, 6) wrench rows [F, M] of a list of Wrench."""
+    return np.array([u.as_vector() for u in inputs])
+
+
+# ---------------------------------------------------------------------------
 # errors and dynamics
+
+
+def _state_errors(X: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """state_error of every state row X against the matching reference row R."""
+    E = np.empty(X.shape[:-1] + (NX,))
+    E[..., 0:6] = R[..., 0:6] - X[..., 0:6]
+    E[..., 6:9] = so3.attitude_error_log(X[..., 6:10], R[..., 6:10])
+    E[..., 9:12] = R[..., 10:13] - X[..., 10:13]
+    return E
 
 
 def state_error(x: OcpState, ref: ReferencePoint) -> np.ndarray:
@@ -197,14 +238,7 @@ def state_error(x: OcpState, ref: ReferencePoint) -> np.ndarray:
     Position, velocity, and rate blocks are plain differences; the attitude
     block is the rotation-vector of actual relative to desired.
     """
-    return np.concatenate(
-        [
-            ref.p_des - x.p,
-            ref.v_des - x.v,
-            so3.attitude_error_log(x.q, ref.q_des),
-            ref.omega_des - x.omega,
-        ]
-    )
+    return _state_errors(x.as_vector(), _reference_row(ref))
 
 
 def wrench_error(u: Wrench, ref: ReferencePoint) -> np.ndarray:
@@ -223,7 +257,6 @@ def payload_dynamics(x: OcpState, u: Wrench, problem) -> OcpState:
 
 def _dynamics_flat_batch(Y: np.ndarray, U: np.ndarray, problem) -> np.ndarray:
     """Vectorized derivative of (B, 13) payload states under (B, 6) wrenches."""
-    p = Y[:, 0:3]
     v = Y[:, 3:6]
     q = Y[:, 6:10]
     w = Y[:, 10:13]
@@ -236,17 +269,25 @@ def _dynamics_flat_batch(Y: np.ndarray, U: np.ndarray, problem) -> np.ndarray:
     return out
 
 
-def discretize(x: OcpState, u: Wrench, dt: float, problem) -> OcpState:
-    """One Runge-Kutta step of the payload dynamics, attitude renormalized."""
-    uv = u.as_vector()[None, :]
-    y = plant.rk4_step(
-        lambda yv, _: _dynamics_flat_batch(yv[None, :], uv, problem)[0],
-        x.as_vector(),
-        None,
-        dt,
-    )
-    y[6:10] = so3.quat_normalize(y[6:10])
-    return OcpState.from_vector(y)
+def _dynamics_tangent(Y: np.ndarray, dY: np.ndarray, dU: np.ndarray, problem) -> np.ndarray:
+    """Directional derivatives of _dynamics_flat_batch at the (B, 13) rows Y
+    along the (B, T, 13) state tangents dY and the (T, 6) wrench tangents dU.
+
+    The derivative is linear in (v, F, M), bilinear in (q, omega) and
+    quadratic in omega, so the product rule below is exact.
+    """
+    q = Y[:, None, 6:10]
+    w = Y[:, None, 10:13]
+    dw = dY[..., 10:13]
+    out = np.empty_like(dY)
+    out[..., 0:3] = dY[..., 3:6]
+    out[..., 3:6] = dU[:, 0:3] / problem.m_L
+    out[..., 6:10] = so3.omega_to_quat_dot(dY[..., 6:10], w) + so3.omega_to_quat_dot(q, dw)
+    J = problem.J_L.T
+    out[..., 10:13] = (
+        dU[:, 3:6] - so3.cross3_rows(dw, w @ J) - so3.cross3_rows(w, dw @ J)
+    ) @ problem._J_L_inv.T
+    return out
 
 
 def _discretize_batch(Y: np.ndarray, U: np.ndarray, dt: float, problem) -> np.ndarray:
@@ -261,177 +302,187 @@ def _discretize_batch(Y: np.ndarray, U: np.ndarray, dt: float, problem) -> np.nd
     return out
 
 
+def discretize(x: OcpState, u: Wrench, dt: float, problem) -> OcpState:
+    """One Runge-Kutta step of the payload dynamics, attitude renormalized."""
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    y = _discretize_batch(x.as_vector()[None, :], u.as_vector()[None, :], dt, problem)
+    return OcpState.from_vector(y[0])
+
+
 # ---------------------------------------------------------------------------
 # tangent-space plumbing
 
 
+def retract_rows(X: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """retract of every state row X by the matching 12-d tangent row D."""
+    out = np.empty(X.shape)
+    out[..., 0:6] = X[..., 0:6] + D[..., 0:6]
+    out[..., 6:10] = so3.quat_normalize(so3.quat_mul(X[..., 6:10], so3.quat_exp(D[..., 6:9])))
+    out[..., 10:13] = X[..., 10:13] + D[..., 9:12]
+    return out
+
+
+def _local_coords_rows(base: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """local_coords of every state row Y around the matching base row."""
+    out = np.empty(Y.shape[:-1] + (NX,))
+    out[..., 0:6] = Y[..., 0:6] - base[..., 0:6]
+    out[..., 6:9] = so3.quat_log(so3.quat_mul(so3.quat_conj(base[..., 6:10]), Y[..., 6:10]))
+    out[..., 9:12] = Y[..., 10:13] - base[..., 10:13]
+    return out
+
+
 def retract(x: OcpState, delta: np.ndarray) -> OcpState:
     """Move a state by a 12-d tangent step (attitude via right perturbation)."""
-    return OcpState(
-        p=x.p + delta[0:3],
-        q=so3.quat_normalize(so3.quat_mul(x.q, so3.quat_exp(delta[6:9]))),
-        v=x.v + delta[3:6],
-        omega=x.omega + delta[9:12],
-    )
+    return OcpState.from_vector(retract_rows(x.as_vector(), np.asarray(delta, dtype=np.float64)))
 
 
 def local_coords(base: OcpState, x: OcpState) -> np.ndarray:
     """Tangent coordinates of x around base; inverse of retract at base."""
-    return np.concatenate(
-        [
-            x.p - base.p,
-            x.v - base.v,
-            so3.quat_log(so3.quat_mul(so3.quat_conj(base.q), x.q)),
-            x.omega - base.omega,
-        ]
-    )
-
-
-def _retract_flat_batch(x: OcpState, deltas: np.ndarray) -> np.ndarray:
-    B = len(deltas)
-    out = np.empty((B, 13))
-    out[:, 0:3] = x.p + deltas[:, 0:3]
-    out[:, 3:6] = x.v + deltas[:, 3:6]
-    out[:, 6:10] = so3.quat_normalize(
-        so3.quat_mul(np.broadcast_to(x.q, (B, 4)), so3.quat_exp(deltas[:, 6:9]))
-    )
-    out[:, 10:13] = x.omega + deltas[:, 9:12]
-    return out
-
-
-def _local_coords_flat_batch(base_flat: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    B = len(Y)
-    out = np.empty((B, NX))
-    out[:, 0:3] = Y[:, 0:3] - base_flat[0:3]
-    out[:, 3:6] = Y[:, 3:6] - base_flat[3:6]
-    out[:, 6:9] = so3.quat_log(
-        so3.quat_mul(so3.quat_conj(np.broadcast_to(base_flat[6:10], (B, 4))), Y[:, 6:10])
-    )
-    out[:, 9:12] = Y[:, 10:13] - base_flat[10:13]
-    return out
+    return _local_coords_rows(base.as_vector(), x.as_vector())
 
 
 def linearize_dynamics(
-    x: OcpState, u: Wrench, dt: float, problem, fd_step: float = 1e-6
+    X: np.ndarray, U: np.ndarray, dt: float, problem
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Tangent-space Jacobians (A, B) of the discrete step by central differences.
+    """Exact tangent-space Jacobians of the discrete step at every stage.
 
-    All 36 perturbed rollouts are evaluated as one vectorized batch.
+    X holds (K, 13) state rows and U (K, 6) wrench rows.  Returns A (K, 12, 12)
+    and B (K, 12, 6): the derivatives of
+    local_coords(x_next, discretize(retract(x, dx), u + du)) in dx and du at
+    zero, with x_next = discretize(x, u).  Forward mode: 18 tangent columns
+    (12 state, 6 wrench directions) are carried through the retraction, the
+    four RK4 stages, the quaternion renormalization and local_coords, for all
+    K stages at once.
     """
-    x_next = discretize(x, u, dt, problem)
-    x_next_flat = x_next.as_vector()
+    X = np.asarray(X, dtype=np.float64)
+    U = np.asarray(U, dtype=np.float64)
+    K = len(X)
+    eye3 = np.eye(3)
+    dX = np.zeros((K, NX + NU, 13))
+    dX[:, 0:3, 0:3] = eye3
+    dX[:, 3:6, 3:6] = eye3
+    dX[:, 6:9, 6:10] = so3.omega_to_quat_dot(X[:, None, 6:10], eye3)  # d retract / d dtheta
+    dX[:, 9:12, 10:13] = eye3
+    dU = np.zeros((NX + NU, NU))
+    dU[NX:] = np.eye(NU)
 
-    dx = fd_step * np.eye(NX)
-    deltas = np.vstack([dx, -dx])  # (24, 12)
-    Y0 = _retract_flat_batch(x, deltas)
-    uv = np.broadcast_to(u.as_vector(), (2 * NX, NU))
-    Yx = _discretize_batch(Y0, uv, dt, problem)
-    phi_x = _local_coords_flat_batch(x_next_flat, Yx)
-    A = (phi_x[:NX] - phi_x[NX:]).T / (2.0 * fd_step)
+    k1 = _dynamics_flat_batch(X, U, problem)
+    t1 = _dynamics_tangent(X, dX, dU, problem)
+    Y2 = X + 0.5 * dt * k1
+    k2 = _dynamics_flat_batch(Y2, U, problem)
+    t2 = _dynamics_tangent(Y2, dX + 0.5 * dt * t1, dU, problem)
+    Y3 = X + 0.5 * dt * k2
+    k3 = _dynamics_flat_batch(Y3, U, problem)
+    t3 = _dynamics_tangent(Y3, dX + 0.5 * dt * t2, dU, problem)
+    Y4 = X + dt * k3
+    k4 = _dynamics_flat_batch(Y4, U, problem)
+    t4 = _dynamics_tangent(Y4, dX + dt * t3, dU, problem)
+    q = (X + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))[:, 6:10]
+    dY = dX + (dt / 6.0) * (t1 + 2 * t2 + 2 * t3 + t4)
+    if not (np.all(np.isfinite(q)) and np.all(np.isfinite(dY))):
+        raise plant.NonFiniteState("payload linearization produced non-finite values")
 
-    du = fd_step * np.eye(NU)
-    Uu = np.vstack([u.as_vector() + du, u.as_vector() - du])  # (12, 6)
-    Y0u = np.broadcast_to(x.as_vector(), (2 * NU, 13)).copy()
-    Yu = _discretize_batch(Y0u, Uu, dt, problem)
-    phi_u = _local_coords_flat_batch(x_next_flat, Yu)
-    B = (phi_u[:NU] - phi_u[NU:]).T / (2.0 * fd_step)
-    return A, B
+    # renormalization q -> q/|q|; the hemisphere sign multiplies the base and
+    # its tangent alike and cancels in local_coords, whose attitude block at
+    # the base is 2 * vec(conj(q_next) * dq_next)
+    norm = np.linalg.norm(q, axis=-1)[:, None, None]
+    qh = q[:, None, :] / norm
+    dq = dY[..., 6:10]
+    dqh = (dq - qh * np.sum(qh * dq, axis=-1, keepdims=True)) / norm
+    D = np.empty((K, NX + NU, NX))
+    D[..., 0:6] = dY[..., 0:6]
+    D[..., 6:9] = 2.0 * so3.quat_mul(so3.quat_conj(qh), dqh)[..., 1:4]
+    D[..., 9:12] = dY[..., 10:13]
+    D = D.transpose(0, 2, 1)
+    return np.ascontiguousarray(D[:, :, :NX]), np.ascontiguousarray(D[:, :, NX:])
 
 
-def dynamics_defects(
-    states: Sequence[OcpState], inputs: Sequence[Wrench], problem
-) -> List[np.ndarray]:
-    """Per-stage gap between the rolled-out step and the stored next state."""
-    return [
-        local_coords(states[i + 1], discretize(states[i], inputs[i], problem.dt, problem))
-        for i in range(problem.N)
-    ]
+def dynamics_defects(X: np.ndarray, U: np.ndarray, problem) -> np.ndarray:
+    """(N, 12) gap between each rolled-out step of the stacked state rows X
+    under the wrench rows U and the stored next state."""
+    return _local_coords_rows(X[1:], _discretize_batch(X[:-1], U, problem.dt, problem))
 
 
 # ---------------------------------------------------------------------------
 # cost
 
 
-def _funnel_violation(p_err: np.ndarray, eps: float) -> float:
-    return max(0.0, float(np.linalg.norm(p_err)) - eps)
+def _check_rows(X: np.ndarray, U: np.ndarray, problem) -> None:
+    if len(X) != problem.N + 1 or len(U) != problem.N:
+        raise DimensionMismatch(
+            f"expected {problem.N + 1} states and {problem.N} inputs, "
+            f"got {len(X)} and {len(U)}"
+        )
 
 
-def total_cost(states: Sequence[OcpState], inputs: Sequence[Wrench], problem) -> float:
+def total_cost(X: np.ndarray, U: np.ndarray, problem) -> float:
     """Quadratic tracking cost plus the soft funnel penalty.
 
     The funnel penalizes position deviation beyond its radius at every stage
-    the optimizer can influence (1..N).
+    the optimizer can influence (1..N).  X holds the N + 1 stacked state
+    rows, U the N wrench rows.
     """
-    if len(states) != problem.N + 1 or len(inputs) != problem.N:
-        raise DimensionMismatch(
-            f"expected {problem.N + 1} states and {problem.N} inputs, "
-            f"got {len(states)} and {len(inputs)}"
-        )
+    _check_rows(X, U, problem)
     W = problem.weights
-    cost = 0.0
-    for i in range(problem.N):
-        e_x = state_error(states[i], problem.references[i])
-        e_u = wrench_error(inputs[i], problem.references[i])
-        cost += float(e_x @ W.Q_X @ e_x) + float(e_u @ W.Q_U @ e_u)
-    e_N = state_error(states[problem.N], problem.references[problem.N])
-    cost += float(e_N @ W.Q_XN @ e_N)
+    E = _state_errors(X, problem.ref_x)
+    E_u = problem.ref_u[:-1] - U
+    cost = float(np.sum((E[:-1] @ W.Q_X) * E[:-1]) + np.sum((E_u @ W.Q_U) * E_u))
+    cost += float(E[-1] @ W.Q_XN @ E[-1])
     if problem.funnel is not None:
-        for i in range(1, problem.N + 1):
-            eps = problem.funnel.value(i * problem.dt)
-            v = _funnel_violation(problem.references[i].p_des - states[i].p, eps)
-            cost += problem.funnel_weight * v * v
+        gap = np.linalg.norm(E[1:, 0:3], axis=-1) - problem.funnel_eps[1:]
+        over = np.maximum(gap, 0.0)
+        cost += problem.funnel_weight * float(over @ over)
     return cost
 
 
-def _error_jacobian(x: OcpState, ref: ReferencePoint) -> np.ndarray:
-    """Exact tangent Jacobian of state_error at x (12 x 12, block diagonal)."""
-    J = np.zeros((NX, NX))
-    J[0:3, 0:3] = -np.eye(3)
-    J[3:6, 3:6] = -np.eye(3)
-    e_att = so3.attitude_error_log(x.q, ref.q_des)
-    J[6:9, 6:9] = so3.left_jacobian_inverse(e_att) @ so3.quat_to_rotation(x.q)
-    J[9:12, 9:12] = -np.eye(3)
+def _error_jacobians(X: np.ndarray, E: np.ndarray) -> np.ndarray:
+    """Exact tangent Jacobians of state_error at the rows X (K x 12 x 12,
+    block diagonal); E holds the errors themselves."""
+    J = np.zeros((len(X), NX, NX))
+    for block in (0, 3, 9):
+        for j in range(block, block + 3):
+            J[:, j, j] = -1.0
+    J[:, 6:9, 6:9] = so3.left_jacobian_inverse(E[:, 6:9]) @ so3.quat_to_rotation(X[:, 6:10])
     return J
 
 
-def cost_expansion(states: Sequence[OcpState], inputs: Sequence[Wrench], problem):
+def cost_expansion(X: np.ndarray, U: np.ndarray, problem):
     """Per-stage gradients and Gauss-Newton Hessians of total_cost.
 
     Gradients are exact (up to the funnel hinge kink); Hessians drop the
     second-derivative curvature of the error maps, which keeps them PSD.
-    Returns (H_x, g_x) over stages 0..N and (H_u, g_u) over 0..N-1.
+    Returns stacked (H_x, g_x) over stages 0..N and (H_u, g_u) over 0..N-1.
     """
+    _check_rows(X, U, problem)
     W = problem.weights
-    H_x, g_x, H_u, g_u = [], [], [], []
-    for i in range(problem.N + 1):
-        Q = W.Q_XN if i == problem.N else W.Q_X
-        ref = problem.references[i]
-        e = state_error(states[i], ref)
-        J = _error_jacobian(states[i], ref)
-        H = 2.0 * J.T @ Q @ J
-        g = 2.0 * J.T @ (Q @ e)
-        if problem.funnel is not None and i >= 1:
-            eps = problem.funnel.value(i * problem.dt)
-            p_err = ref.p_des - states[i].p
-            rho = float(np.linalg.norm(p_err))
-            v = rho - eps
-            if v > 0.0 and rho > 1e-12:
-                d_rho = np.zeros(NX)
-                d_rho[0:3] = -p_err / rho  # d|p_des - p|/d(delta p)
-                g = g + 2.0 * problem.funnel_weight * v * d_rho
-                H = H + 2.0 * problem.funnel_weight * np.outer(d_rho, d_rho)
-                # curvature of the norm itself; convex since v > 0, and
-                # without it the solver crawls once the hinge residual is big
-                phat = p_err / rho
-                H[0:3, 0:3] += (2.0 * problem.funnel_weight * v / rho) * (
-                    np.eye(3) - np.outer(phat, phat)
-                )
-        H_x.append(H)
-        g_x.append(g)
-        if i < problem.N:
-            e_u = wrench_error(inputs[i], problem.references[i])
-            H_u.append(2.0 * W.Q_U)
-            g_u.append(-2.0 * W.Q_U @ e_u)
+    N = problem.N
+    E = _state_errors(X, problem.ref_x)
+    J = _error_jacobians(X, E)
+    Q = np.empty((N + 1, NX, NX))
+    Q[:N] = W.Q_X
+    Q[N] = W.Q_XN
+    JtQ = J.transpose(0, 2, 1) @ Q
+    H_x = 2.0 * JtQ @ J
+    g_x = 2.0 * np.einsum("kij,kj->ki", JtQ, E)
+    if problem.funnel is not None:
+        p_err = E[1:, 0:3]
+        rho = np.linalg.norm(p_err, axis=-1)
+        v = rho - problem.funnel_eps[1:]
+        on = np.nonzero((v > 0.0) & (rho > 1e-12))[0]
+        if len(on):
+            fw = problem.funnel_weight
+            phat = p_err[on] / rho[on, None]
+            outer = phat[:, :, None] * phat[:, None, :]
+            # d|p_des - p|/d(delta p) = -phat
+            g_x[on + 1, 0:3] -= (2.0 * fw * v[on])[:, None] * phat
+            # curvature of the norm itself; convex since v > 0, and
+            # without it the solver crawls once the hinge residual is big
+            H_x[on + 1, 0:3, 0:3] += 2.0 * fw * outer + (2.0 * fw * v[on] / rho[on])[
+                :, None, None
+            ] * (np.eye(3) - outer)
+    H_u = np.broadcast_to(2.0 * W.Q_U, (N, NU, NU)).copy()
+    g_u = -2.0 * (problem.ref_u[:-1] - U) @ W.Q_U.T
     return H_x, g_x, H_u, g_u
 
 
@@ -439,75 +490,72 @@ def cost_expansion(states: Sequence[OcpState], inputs: Sequence[Wrench], problem
 # inequality rows
 
 
-def tension_rows(u: Wrench, ref: ReferencePoint, problem) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-cable tension-norm rows linearized at the nominal input.
+def _tension_shares(U: np.ndarray, q_ref: np.ndarray, problem):
+    """Each cable's minimal-norm share of every wrench row at the reference
+    attitude: shares y (K, n, 3), their norms (K, n) and the share maps
+    d y / d u (K, n, 3, 6)."""
+    R_t = so3.quat_to_rotation(q_ref).transpose(0, 2, 1)
+    T = np.zeros((len(U), NU, NU))
+    T[:, 0:3, 0:3] = R_t
+    T[:, 3:6, 3:6] = np.eye(3)
+    G = problem.amap.P_pinv.reshape(problem.amap.n, 3, NU)
+    GT = G[None] @ T[:, None]
+    y = GT @ U[:, None, :, None]
+    y = y[..., 0]
+    return y, np.linalg.norm(y, axis=-1), GT
 
-    Row k reads c_k + J_k @ delta_u <= 0 with c_k = |mu_k| - f_max, where
-    mu_k is cable k's minimal-norm share of the wrench at the reference
-    attitude.  Rows with vanishing share are omitted (inactive by a margin
-    of f_max), and an infinite bound produces no rows at all.
+
+def tension_rows(U: np.ndarray, q_ref: np.ndarray, problem) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-cable tension-norm rows at every stage, linearized at the inputs.
+
+    U holds (K, 6) wrench rows and q_ref the (K, 4) reference attitudes.
+    Row k of stage i reads c[i, k] + J[i, k] @ delta_u_i <= 0 with
+    c[i, k] = |mu_ik| - f_max, where mu_ik is cable k's minimal-norm share
+    of the wrench at the reference attitude.  Returns J (K, n, 6) and
+    c (K, n).  A row with vanishing share gets a zero gradient (it sits at
+    -f_max, inactive by that margin); an infinite bound gives n = 0 rows.
     """
+    K = len(U)
     if not np.isfinite(problem.f_max):
-        return np.zeros((0, NU)), np.zeros(0)
-    R_ref = so3.quat_to_rotation(ref.q_des)
-    T = np.zeros((NU, NU))
-    T[0:3, 0:3] = R_ref.T
-    T[3:6, 3:6] = np.eye(3)
-    t = T @ u.as_vector()
-    vals, jacs = [], []
-    for k in range(problem.amap.n):
-        G = problem.amap.P_pinv[3 * k : 3 * k + 3, :]
-        y = G @ t
-        ny = float(np.linalg.norm(y))
-        if ny < 1e-9:
-            continue
-        vals.append(ny - problem.f_max)
-        jacs.append((y / ny) @ G @ T)
-    if not vals:
-        return np.zeros((0, NU)), np.zeros(0)
-    return np.array(jacs), np.array(vals)
+        return np.zeros((K, 0, NU)), np.zeros((K, 0))
+    y, ny, GT = _tension_shares(U, q_ref, problem)
+    unit = np.where(ny[..., None] < 1e-9, 0.0, y / np.maximum(ny, 1e-9)[..., None])
+    J = np.einsum("kni,knij->knj", unit, GT)
+    return J, ny - problem.f_max
 
 
-def tension_row_hessians(u: Wrench, ref: ReferencePoint, problem) -> np.ndarray:
-    """Second derivatives of the tension-norm rows, one 6x6 block per row.
+def tension_row_hessians(U: np.ndarray, q_ref: np.ndarray, problem) -> np.ndarray:
+    """Second derivatives of the tension-norm rows, (K, n, 6, 6).
 
-    Same row order and omission rule as tension_rows.  Each block is the
-    positive semidefinite curvature of |mu_k| in the wrench variable, used by
-    the solver to weight active-constraint curvature into its Hessian.
+    Same rows as tension_rows.  Each block is the positive semidefinite
+    curvature of |mu_ik| in the wrench variable, used by the solver to weight
+    active-constraint curvature into its Hessian; zero for a vanishing share.
     """
+    K = len(U)
     if not np.isfinite(problem.f_max):
-        return np.zeros((0, NU, NU))
-    R_ref = so3.quat_to_rotation(ref.q_des)
-    T = np.zeros((NU, NU))
-    T[0:3, 0:3] = R_ref.T
-    T[3:6, 3:6] = np.eye(3)
-    t = T @ u.as_vector()
-    blocks = []
-    for k in range(problem.amap.n):
-        G = problem.amap.P_pinv[3 * k : 3 * k + 3, :]
-        y = G @ t
-        ny = float(np.linalg.norm(y))
-        if ny < 1e-9:
-            continue
-        yh = y / ny
-        GT = G @ T
-        blocks.append(GT.T @ ((np.eye(3) - np.outer(yh, yh)) / ny) @ GT)
-    if not blocks:
-        return np.zeros((0, NU, NU))
-    return np.array(blocks)
+        return np.zeros((K, 0, NU, NU))
+    y, ny, GT = _tension_shares(U, q_ref, problem)
+    live = ny >= 1e-9
+    safe = np.where(live, ny, 1.0)
+    yh = y / safe[..., None]
+    P = (np.eye(3) - yh[..., :, None] * yh[..., None, :]) * (live / safe)[..., None, None]
+    return GT.transpose(0, 1, 3, 2) @ P @ GT
 
 
-def obstacle_rows(x: OcpState, problem) -> Tuple[np.ndarray, np.ndarray]:
-    """Clearance row eps - |p - p_O| <= 0 linearized at the nominal state."""
+def obstacle_rows(X: np.ndarray, problem) -> Tuple[np.ndarray, np.ndarray]:
+    """Clearance rows eps - |p - p_O| <= 0 linearized at the state rows X.
+
+    Returns J (K, r, 12) and c (K, r), with r = 1 when an obstacle is set
+    and r = 0 otherwise.
+    """
+    K = len(X)
     if problem.obstacle_center is None:
-        return np.zeros((0, NX)), np.zeros(0)
-    d = x.p - problem.obstacle_center
-    dist = float(np.linalg.norm(d))
-    if dist < 1e-12:
-        # sitting exactly on the obstacle: push out along an arbitrary axis
-        J = np.zeros((1, NX))
-        J[0, 0] = -1.0
-        return J, np.array([problem.obstacle_clearance])
-    J = np.zeros((1, NX))
-    J[0, 0:3] = -d / dist
-    return J, np.array([problem.obstacle_clearance - dist])
+        return np.zeros((K, 0, NX)), np.zeros((K, 0))
+    d = X[:, 0:3] - problem.obstacle_center
+    dist = np.linalg.norm(d, axis=-1)
+    away = d / np.maximum(dist, 1e-12)[:, None]
+    # sitting exactly on the obstacle: push out along an arbitrary axis
+    away[dist < 1e-12] = [1.0, 0.0, 0.0]
+    J = np.zeros((K, 1, NX))
+    J[:, 0, 0:3] = -away
+    return J, (problem.obstacle_clearance - dist)[:, None]

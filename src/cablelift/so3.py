@@ -259,11 +259,18 @@ def left_jacobian_inverse(rotvec: np.ndarray) -> np.ndarray:
     """Inverse left Jacobian of the rotation exponential at the given vector.
 
     Satisfies d/da log(Exp(a) Exp(b)) |_(a=0) = left_jacobian_inverse(b).
+    Broadcasts over leading axes: (..., 3) vectors give (..., 3, 3) matrices.
     """
     rotvec = np.asarray(rotvec, dtype=np.float64)
-    theta = np.linalg.norm(rotvec)
-    S = hat(rotvec)
-    if theta < 1e-6:
-        return np.eye(3) - 0.5 * S + (1.0 / 12.0) * (S @ S)
-    coeff = (1.0 - 0.5 * theta * math.sin(theta) / (1.0 - math.cos(theta))) / (theta * theta)
-    return np.eye(3) - 0.5 * S + coeff * (S @ S)
+    theta = np.linalg.norm(rotvec, axis=-1)
+    x, y, z = rotvec[..., 0], rotvec[..., 1], rotvec[..., 2]
+    S = np.zeros(rotvec.shape[:-1] + (3, 3))
+    S[..., 0, 1], S[..., 0, 2] = -z, y
+    S[..., 1, 0], S[..., 1, 2] = z, -x
+    S[..., 2, 0], S[..., 2, 1] = -y, x
+    small = theta < 1e-6
+    safe = np.where(small, 1.0, theta)
+    coeff = np.where(
+        small, 1.0 / 12.0, (1.0 - 0.5 * safe * np.sin(safe) / (1.0 - np.cos(safe))) / (safe * safe)
+    )
+    return np.eye(3) - 0.5 * S + coeff[..., None, None] * (S @ S)

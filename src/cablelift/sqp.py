@@ -4,9 +4,15 @@ Transcription is multiple shooting in the 12-d tangent around a nominal
 trajectory: states and wrenches are both decision variables, dynamics enter
 as defect equalities, and each iteration solves one structured convex QP
 (Gauss-Newton Hessian, linearized constraint rows) followed by an L1 merit
-line search.  The QP itself is solved in-repo: a primal-dual interior point
-loop whose every Newton step is an equality-constrained problem handled by a
-Riccati sweep, so the cost per iteration stays linear in the horizon length.
+line search.  Every stage quantity of an iteration (exact dynamics
+Jacobians, defects, cost expansion, constraint rows, merit) is computed on
+stage-stacked arrays.
+
+The QP itself is solved in-repo by a Mehrotra predictor-corrector interior
+point method (Rao, Wright & Rawlings, JOTA 1998).  Each iteration factors
+one Riccati recursion of the condensed Newton matrix and back-solves it
+twice, once for the affine predictor and once for the centred corrector,
+so the cost per iteration stays linear in the horizon length.
 
 The stagewise QP data layout is dimension-generic on purpose; the unit tests
 drive it with scalar problems whose KKT systems are solved by hand.
@@ -42,7 +48,6 @@ class SolverConfig:
     qp_max_iters: int = 100
     qp_tol: float = 1e-9
     reg: float = 1e-8
-    fd_step: float = 1e-6
 
     def __post_init__(self):
         if not (0.0 < self.backtrack < 1.0):
@@ -89,20 +94,29 @@ class QpData:
     min sum_i 1/2 z H_x z + g_x z + 1/2 w H_u w + g_u w  (+ terminal z-term)
     s.t. z_0 = z0,  z_{i+1} = A_i z_i + B_i w_i + c_i,
          Cx_i z_i + cx_i <= 0,  Cu_i w_i + cu_i <= 0.
+
+    Stage data are stacked arrays, H_x (N+1, nx, nx), g_x (N+1, nx),
+    H_u (N, nu, nu), g_u (N, nu), A (N, nx, nx), B (N, nx, nu), c (N, nx);
+    lists of per-stage blocks are stacked on construction.  The inequality
+    rows are per-stage lists, since their count may differ between stages.
     """
 
-    H_x: List[np.ndarray]
-    g_x: List[np.ndarray]
-    H_u: List[np.ndarray]
-    g_u: List[np.ndarray]
-    A: List[np.ndarray]
-    B: List[np.ndarray]
-    c: List[np.ndarray]
+    H_x: np.ndarray
+    g_x: np.ndarray
+    H_u: np.ndarray
+    g_u: np.ndarray
+    A: np.ndarray
+    B: np.ndarray
+    c: np.ndarray
     Cx: List[np.ndarray]
     cx: List[np.ndarray]
     Cu: List[np.ndarray]
     cu: List[np.ndarray]
     z0: np.ndarray
+
+    def __post_init__(self):
+        for name in ("H_x", "g_x", "H_u", "g_u", "A", "B", "c"):
+            setattr(self, name, np.asarray(getattr(self, name), dtype=np.float64))
 
     @property
     def N(self) -> int:
@@ -114,98 +128,157 @@ class QpData:
 
 @dataclass
 class QpResult:
-    z: List[np.ndarray]
-    w: List[np.ndarray]
-    nu: List[np.ndarray]
+    z: np.ndarray  # (N+1, nx)
+    w: np.ndarray  # (N, nu)
+    nu: np.ndarray  # (N, nx) dynamics multipliers
     lam_x: List[np.ndarray]
     lam_u: List[np.ndarray]
     iterations: int
-    status: str
+    status: str  # optimal | max_iter
+    reg: float  # Hessian regularization the factorizations succeeded at
 
 
-def _riccati(
-    data: QpData,
-    H_x: List[np.ndarray],
-    g_x: List[np.ndarray],
-    H_u: List[np.ndarray],
-    g_u: List[np.ndarray],
-    c: List[np.ndarray],
-    z0: np.ndarray,
-):
-    """Equality-constrained stage QP by backward value recursion.
+def _mv(M: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Stage-wise matrix-vector products M_i @ x_i."""
+    return np.einsum("kij,kj->ki", M, x)
 
-    Returns (z, w, nu) with nu the dynamics multipliers (costates).
+
+def _mtv(M: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Stage-wise transposed products M_i.T @ x_i."""
+    return np.einsum("kji,kj->ki", M, x)
+
+
+@dataclass
+class _Riccati:
+    """Backward sweep of one Newton matrix: value Hessians P (N+1, nx, nx),
+    feedback gains K (N, nu, nx), inverse Cholesky factors L_inv (N, nu, nu)
+    of the input Hessians Q_uu = L L^T, cross terms Q_xu = A^T P B
+    (N, nx, nu) and closed-loop dynamics Acl = A + B K (N, nx, nx)."""
+
+    A: np.ndarray
+    B: np.ndarray
+    P: np.ndarray
+    K: np.ndarray
+    L_inv: np.ndarray
+    Q_xu: np.ndarray
+    Acl: np.ndarray
+
+    def solve_uu(self, r: np.ndarray) -> np.ndarray:
+        """Q_uu^{-1} r_i at every stage, through the triangular factors.
+
+        The interior point condenses rows with weights up to lam^2 / mu into
+        Q_uu; applying the factors in turn keeps those directions accurate
+        where a formed inverse L_inv^T L_inv loses them.
+        """
+        return _mtv(self.L_inv, _mv(self.L_inv, r))
+
+
+def _riccati_factor(A: np.ndarray, B: np.ndarray, H_x: np.ndarray, H_u: np.ndarray) -> _Riccati:
+    """Factor the equality-constrained stage QP by backward value recursion.
+
     Raises numpy.linalg.LinAlgError when an input Hessian block is not
     positive definite; the caller escalates regularization.
     """
-    N = data.N
-    V = H_x[N].copy()
-    v = g_x[N].copy()
-    K, k = [None] * N, [None] * N
-    Vs, vs = [None] * (N + 1), [None] * (N + 1)
-    Vs[N], vs[N] = V, v
+    N, nx = A.shape[0], A.shape[1]
+    nu = B.shape[2]
+    AB = np.concatenate([A, B], axis=2)
+    ABt = AB.transpose(0, 2, 1)
+    P = np.empty((N + 1, nx, nx))
+    K = np.empty((N, nu, nx))
+    L_inv = np.empty((N, nu, nu))
+    Q_xu = np.empty((N, nx, nu))
+    P[N] = H_x[N]
     for i in range(N - 1, -1, -1):
-        A, B = data.A[i], data.B[i]
-        Vc = V @ c[i] + v
-        Q_xx = H_x[i] + A.T @ V @ A
-        Q_uu = H_u[i] + B.T @ V @ B
-        Q_xu = A.T @ V @ B
-        q_x = g_x[i] + A.T @ Vc
-        q_u = g_u[i] + B.T @ Vc
-        L = np.linalg.cholesky(0.5 * (Q_uu + Q_uu.T))
-        rhs = np.column_stack([Q_xu.T, q_u])
-        sol = np.linalg.solve(L.T, np.linalg.solve(L, rhs))
-        K[i] = -sol[:, :-1]
-        k[i] = -sol[:, -1]
-        V = Q_xx + Q_xu @ K[i]
-        V = 0.5 * (V + V.T)
-        v = q_x + Q_xu @ k[i]
-        Vs[i], vs[i] = V, v
-    z = [z0.copy()]
-    w = []
-    nu = []
+        M = ABt[i] @ P[i + 1] @ AB[i]
+        Li = np.linalg.inv(np.linalg.cholesky(H_u[i] + M[nx:, nx:]))
+        Q_ux = M[nx:, :nx]
+        K[i] = -Li.T @ (Li @ Q_ux)
+        V = H_x[i] + M[:nx, :nx] + Q_ux.T @ K[i]
+        P[i] = 0.5 * (V + V.T)
+        L_inv[i] = Li
+        Q_xu[i] = M[:nx, nx:]
+    return _Riccati(A=A, B=B, P=P, K=K, L_inv=L_inv, Q_xu=Q_xu, Acl=A + B @ K)
+
+
+def _riccati_solve(fac: _Riccati, g_x, g_u, c, z0):
+    """Back-solve a factored stage QP for one right-hand side.
+
+    Returns (z, w, nu) with nu the dynamics multipliers (costates).  With
+    value gradients p and k_i = -Q_uu^{-1} (g_u_i + B_i^T (P_{i+1} c_i + p_{i+1})),
+    the recursion p_i = g_x_i + A_i^T (P_{i+1} c_i + p_{i+1}) + Q_xu_i k_i
+    reduces to p_i = b_i + Acl_i^T p_{i+1}, with every part of b stacked.
+    """
+    N = len(fac.K)
+    Pc = _mv(fac.P[1:], c)
+    k_c = -fac.solve_uu(g_u + _mtv(fac.B, Pc))
+    b = g_x[:N] + _mtv(fac.A, Pc) + _mv(fac.Q_xu, k_c)
+    p = np.empty_like(g_x)
+    p[N] = g_x[N]
+    for i in range(N - 1, -1, -1):
+        p[i] = b[i] + fac.Acl[i].T @ p[i + 1]
+    k = k_c - fac.solve_uu(_mtv(fac.B, p[1:]))
+    d = _mv(fac.B, k) + c
+    z = np.empty_like(g_x)
+    z[0] = z0
     for i in range(N):
-        w.append(K[i] @ z[i] + k[i])
-        z.append(data.A[i] @ z[i] + data.B[i] @ w[i] + c[i])
-        nu.append(Vs[i + 1] @ z[i + 1] + vs[i + 1])
+        z[i + 1] = fac.Acl[i] @ z[i] + d[i]
+    w = _mv(fac.K, z[:N]) + k
+    nu = _mv(fac.P[1:], z[1:]) + p[1:]
     return z, w, nu
 
 
-def _qp_residuals(data: QpData, z, w, nu, lam_x, lam_u, s_x, s_u, sigma_mu):
-    """Stationarity, equality, inequality, and complementarity residuals."""
-    N = data.N
-    r_stat = []
-    for i in range(N + 1):
-        r = data.H_x[i] @ z[i] + data.g_x[i]
-        if i < N:
-            r = r + data.A[i].T @ nu[i]
-        if i > 0:
-            r = r - nu[i - 1]
-        if len(data.cx[i]):
-            r = r + data.Cx[i].T @ lam_x[i]
-        if i > 0:  # stage 0 is pinned; its stationarity is absorbed by the pin
-            r_stat.append(r)
-    for i in range(N):
-        r = data.H_u[i] @ w[i] + data.g_u[i] + data.B[i].T @ nu[i]
-        if len(data.cu[i]):
-            r = r + data.Cu[i].T @ lam_u[i]
-        r_stat.append(r)
-    r_eq = [data.A[i] @ z[i] + data.B[i] @ w[i] + data.c[i] - z[i + 1] for i in range(N)]
-    r_ineq, r_comp = [], []
-    for i in range(N + 1):
-        if len(data.cx[i]):
-            r_ineq.append(data.Cx[i] @ z[i] + data.cx[i] + s_x[i])
-            r_comp.append(lam_x[i] * s_x[i] - sigma_mu)
-    for i in range(N):
-        if len(data.cu[i]):
-            r_ineq.append(data.Cu[i] @ w[i] + data.cu[i] + s_u[i])
-            r_comp.append(lam_u[i] * s_u[i] - sigma_mu)
-    return r_stat, r_eq, r_ineq, r_comp
+class _Rows:
+    """One kind of inequality row (on states or on inputs), every stage's
+    rows stacked: C (m, dim), c (m,), and a one-hot stage map (S, m)."""
+
+    def __init__(self, C_list, c_list, dim: int):
+        counts = [len(v) for v in c_list]
+        self.C = np.concatenate([np.reshape(C, (-1, dim)) for C in C_list])
+        self.c = np.concatenate([np.ravel(v) for v in c_list])
+        self.stage = np.repeat(np.arange(len(counts)), counts)
+        self.onehot = (np.arange(len(counts))[:, None] == self.stage[None, :]).astype(np.float64)
+        self.outer = (self.C[:, :, None] * self.C[:, None, :]).reshape(len(self.c), dim * dim)
+        self.bounds = np.cumsum(counts)[:-1]
+        self.dim = dim
+
+    @property
+    def m(self) -> int:
+        return len(self.c)
+
+    def apply(self, y: np.ndarray) -> np.ndarray:
+        """C_r @ y_{stage(r)} for every row."""
+        return np.einsum("rj,rj->r", self.C, y[self.stage])
+
+    def scatter(self, v: np.ndarray) -> np.ndarray:
+        """sum over a stage's rows of C_r^T v_r, per stage."""
+        return self.onehot @ (self.C * v[:, None])
+
+    def curvature(self, weight: np.ndarray) -> np.ndarray:
+        """sum over a stage's rows of weight_r C_r^T C_r, per stage."""
+        return (self.onehot @ (weight[:, None] * self.outer)).reshape(-1, self.dim, self.dim)
+
+    def split(self, v: np.ndarray) -> List[np.ndarray]:
+        return np.split(v, self.bounds)
 
 
-def _max_norm(blocks) -> float:
-    vals = [np.max(np.abs(b)) for b in blocks if len(b)]
-    return float(max(vals)) if vals else 0.0
+def _stationarity(data: QpData, z, w, nu, Cx_lam, Cu_lam):
+    """Lagrangian gradients in z (N+1, nx) and w (N, nu); the C^T lambda
+    terms come in already summed per stage."""
+    r_x = _mv(data.H_x, z) + data.g_x + Cx_lam
+    r_x[:-1] += _mtv(data.A, nu)
+    r_x[1:] -= nu
+    r_u = _mv(data.H_u, w) + data.g_u + _mtv(data.B, nu) + Cu_lam
+    return r_x, r_u
+
+
+def _max_abs(*arrays) -> float:
+    return max((float(np.max(np.abs(a))) for a in arrays if np.size(a)), default=0.0)
+
+
+def _max_step(value: np.ndarray, step: np.ndarray) -> float:
+    """Largest a with value + a * step >= 0 (inf when nothing decreases)."""
+    neg = step < 0
+    return float(np.min(-value[neg] / step[neg])) if np.any(neg) else np.inf
 
 
 def qp_subproblem(data: QpData, config: Optional[SolverConfig] = None) -> QpResult:
@@ -217,238 +290,204 @@ def qp_subproblem(data: QpData, config: Optional[SolverConfig] = None) -> QpResu
     """
     config = config or SolverConfig()
     levels = [0.0, config.reg, 1e-6, 1e-4, 1e-2]
+    nx, nu = data.H_x.shape[-1], data.H_u.shape[-1]
     last_error: Optional[Exception] = None
     for reg in levels:
-        H_x = [H + reg * np.eye(len(H)) for H in data.H_x]
-        H_u = [H + reg * np.eye(len(H)) for H in data.H_u]
+        H_x = data.H_x + reg * np.eye(nx)
+        H_u = data.H_u + reg * np.eye(nu)
         try:
             if data.row_count() == 0:
-                z, w, nu = _riccati(data, H_x, data.g_x, H_u, data.g_u, data.c, data.z0)
+                fac = _riccati_factor(data.A, data.B, H_x, H_u)
+                z, w, nu_ = _riccati_solve(fac, data.g_x, data.g_u, data.c, data.z0)
                 lam_x = [np.zeros(0)] * (data.N + 1)
                 lam_u = [np.zeros(0)] * data.N
-                return QpResult(z, w, nu, lam_x, lam_u, 1, "optimal")
-            return _qp_interior_point(data, H_x, H_u, config)
+                return QpResult(z, w, nu_, lam_x, lam_u, 1, "optimal", reg)
+            return _qp_interior_point(data, H_x, H_u, config, reg)
         except np.linalg.LinAlgError as err:
             last_error = err
             continue
     raise QpNumericalFailure(f"Riccati factorization failed at reg {levels[-1]}: {last_error}")
 
 
-def _qp_interior_point(data: QpData, H_x, H_u, config: SolverConfig) -> QpResult:
+def _qp_interior_point(data: QpData, H_x, H_u, config: SolverConfig, reg: float) -> QpResult:
+    """Mehrotra predictor-corrector on C y + c + s = 0, s >= 0, lam >= 0.
+
+    Each iteration condenses the rows into the stage Hessians with weights
+    lam / s, factors the Riccati recursion once, and solves it for the
+    affine direction (sigma = 0) and then for the corrector, centred at
+    sigma = (mu_aff / mu)^3 and carrying the second-order term
+    ds_aff * dlam_aff.
+    """
     N = data.N
     nx = len(data.z0)
-    z = [np.zeros(nx) for _ in range(N + 1)]
-    z[0] = data.z0.copy()
-    w = [np.zeros(len(g)) for g in data.g_u]
-    nu = [np.zeros(nx) for _ in range(N)]
-    lam_x = [np.ones(len(v)) for v in data.cx]
-    lam_u = [np.ones(len(v)) for v in data.cu]
-    s_x = [np.maximum(1.0, np.abs(v)) for v in data.cx]
-    s_u = [np.maximum(1.0, np.abs(v)) for v in data.cu]
-    m = data.row_count()
-    sigma = 0.1
+    rows_x = _Rows(data.Cx, data.cx, nx)
+    rows_u = _Rows(data.Cu, data.cu, data.H_u.shape[-1])
+    mx = rows_x.m
+    m = mx + rows_u.m
+    z = np.zeros((N + 1, nx))
+    z[0] = data.z0
+    w = np.zeros_like(data.g_u)
+    nu = np.zeros((N, nx))
+    c_rows = np.concatenate([rows_x.c, rows_u.c])
+    lam = np.ones(m)
+    s = np.maximum(1.0, np.abs(c_rows))
     ftb = 0.995
 
+    def residuals():
+        r_x, r_u = _stationarity(
+            data, z, w, nu, rows_x.scatter(lam[:mx]), rows_u.scatter(lam[mx:])
+        )
+        r_eq = _mv(data.A, z[:N]) + _mv(data.B, w) + data.c - z[1:]
+        r_in = np.concatenate([rows_x.apply(z), rows_u.apply(w)]) + c_rows + s
+        return r_x, r_u, r_eq, r_in
+
     for it in range(1, config.qp_max_iters + 1):
-        gap = sum(float(lam_x[i] @ s_x[i]) for i in range(N + 1)) + sum(
-            float(lam_u[i] @ s_u[i]) for i in range(N)
-        )
-        mu = gap / m
-        r_stat, r_eq, r_ineq, r_comp = _qp_residuals(
-            data, z, w, nu, lam_x, lam_u, s_x, s_u, 0.0
-        )
+        r_x, r_u, r_eq, r_in = residuals()
+        mu = float(lam @ s) / m
         if (
-            _max_norm(r_stat) <= config.qp_tol * 10
-            and _max_norm(r_eq) <= config.qp_tol
-            and _max_norm(r_ineq) <= config.qp_tol
+            _max_abs(r_x[1:], r_u) <= config.qp_tol * 10  # stage 0 is pinned
+            and _max_abs(r_eq) <= config.qp_tol
+            and _max_abs(r_in) <= config.qp_tol
             and mu <= config.qp_tol
         ):
-            return QpResult(z, w, nu, lam_x, lam_u, it, "optimal")
-        lam_max = max(_max_norm(lam_x), _max_norm(lam_u))
-        if lam_max > 1e8 and _max_norm(r_ineq) > 1e-6:
+            return QpResult(
+                z, w, nu, rows_x.split(lam[:mx]), rows_u.split(lam[mx:]), it, "optimal", reg
+            )
+        if np.max(lam) > 1e8 and _max_abs(r_in) > 1e-6:
             raise Infeasible("inequality rows inconsistent: duals diverged")
 
-        # condensed Newton step: absorb each row block into the stage Hessian
-        sig_mu = sigma * mu
-        Hx_eff, gx_eff = [], []
-        for i in range(N + 1):
-            H = H_x[i]
-            g = data.H_x[i] @ z[i] + data.g_x[i]
-            if i < N:
-                g = g + data.A[i].T @ nu[i]
-            if i > 0:
-                g = g - nu[i - 1]
-            if len(data.cx[i]):
-                W = lam_x[i] / s_x[i]
-                riq = data.Cx[i] @ z[i] + data.cx[i] + s_x[i]
-                rc = lam_x[i] * s_x[i] - sig_mu
-                H = H + data.Cx[i].T @ (W[:, None] * data.Cx[i])
-                g = g + data.Cx[i].T @ (lam_x[i] + (lam_x[i] * riq - rc) / s_x[i])
-            Hx_eff.append(H)
-            gx_eff.append(g)
-        Hu_eff, gu_eff = [], []
-        for i in range(N):
-            H = H_u[i]
-            g = data.H_u[i] @ w[i] + data.g_u[i] + data.B[i].T @ nu[i]
-            if len(data.cu[i]):
-                W = lam_u[i] / s_u[i]
-                riq = data.Cu[i] @ w[i] + data.cu[i] + s_u[i]
-                rc = lam_u[i] * s_u[i] - sig_mu
-                H = H + data.Cu[i].T @ (W[:, None] * data.Cu[i])
-                g = g + data.Cu[i].T @ (lam_u[i] + (lam_u[i] * riq - rc) / s_u[i])
-            Hu_eff.append(H)
-            gu_eff.append(g)
-        # new iterate must close the equality residual: dz_+ = A dz + B dw + r_eq
-        dz, dw, dnu = _riccati(data, Hx_eff, gx_eff, Hu_eff, gu_eff, r_eq, np.zeros(nx))
+        # condensed Newton matrix: absorb each row block into its stage Hessian
+        weight = lam / s
+        fac = _riccati_factor(
+            data.A, data.B, H_x + rows_x.curvature(weight[:mx]), H_u + rows_u.curvature(weight[mx:])
+        )
 
-        # recover slack/multiplier steps and the fraction-to-boundary step size
-        alpha = 1.0
-        ds_x, dl_x, ds_u, dl_u = [], [], [], []
-        for i in range(N + 1):
-            if len(data.cx[i]):
-                riq = data.Cx[i] @ z[i] + data.cx[i] + s_x[i]
-                rc = lam_x[i] * s_x[i] - sig_mu
-                ds = -riq - data.Cx[i] @ dz[i]
-                dl = -(rc + lam_x[i] * ds) / s_x[i]
-                ds_x.append(ds)
-                dl_x.append(dl)
-                for val, step in ((s_x[i], ds), (lam_x[i], dl)):
-                    neg = step < 0
-                    if np.any(neg):
-                        alpha = min(alpha, ftb * np.min(-val[neg] / step[neg]))
-            else:
-                ds_x.append(np.zeros(0))
-                dl_x.append(np.zeros(0))
-        for i in range(N):
-            if len(data.cu[i]):
-                riq = data.Cu[i] @ w[i] + data.cu[i] + s_u[i]
-                rc = lam_u[i] * s_u[i] - sig_mu
-                ds = -riq - data.Cu[i] @ dw[i]
-                dl = -(rc + lam_u[i] * ds) / s_u[i]
-                ds_u.append(ds)
-                dl_u.append(dl)
-                for val, step in ((s_u[i], ds), (lam_u[i], dl)):
-                    neg = step < 0
-                    if np.any(neg):
-                        alpha = min(alpha, ftb * np.min(-val[neg] / step[neg]))
-            else:
-                ds_u.append(np.zeros(0))
-                dl_u.append(np.zeros(0))
+        def direction(r_comp):
+            # slack and multiplier steps eliminated; the new iterate must
+            # close the equality residual: dz_+ = A dz + B dw + r_eq
+            v = (lam * r_in - r_comp) / s
+            dz, dw, dnu = _riccati_solve(
+                fac, r_x + rows_x.scatter(v[:mx]), r_u + rows_u.scatter(v[mx:]), r_eq, np.zeros(nx)
+            )
+            ds = -r_in - np.concatenate([rows_x.apply(dz), rows_u.apply(dw)])
+            dlam = -(r_comp + lam * ds) / s
+            return dz, dw, dnu, ds, dlam
 
-        for i in range(N + 1):
-            z[i] = z[i] + alpha * dz[i]
-            s_x[i] = s_x[i] + alpha * ds_x[i]
-            lam_x[i] = lam_x[i] + alpha * dl_x[i]
-        for i in range(N):
-            w[i] = w[i] + alpha * dw[i]
-            nu[i] = nu[i] + alpha * dnu[i]
-            s_u[i] = s_u[i] + alpha * ds_u[i]
-            lam_u[i] = lam_u[i] + alpha * dl_u[i]
+        _, _, _, ds, dlam = direction(lam * s)
+        alpha = min(1.0, _max_step(s, ds), _max_step(lam, dlam))
+        mu_aff = float((s + alpha * ds) @ (lam + alpha * dlam)) / m
+        sigma = (mu_aff / mu) ** 3
+        dz, dw, dnu, ds, dlam = direction(lam * s + ds * dlam - sigma * mu)
+        alpha = min(1.0, ftb * _max_step(s, ds), ftb * _max_step(lam, dlam))
+        z = z + alpha * dz
+        w = w + alpha * dw
+        nu = nu + alpha * dnu
+        s = s + alpha * ds
+        lam = lam + alpha * dlam
 
     # out of iterations: distinguish infeasibility from slow convergence
-    r_stat, r_eq, r_ineq, _ = _qp_residuals(data, z, w, nu, lam_x, lam_u, s_x, s_u, 0.0)
-    if _max_norm(r_ineq) > 1e-6 and max(_max_norm(lam_x), _max_norm(lam_u)) > 1e6:
+    _, _, _, r_in = residuals()
+    if _max_abs(r_in) > 1e-6 and np.max(lam) > 1e6:
         raise Infeasible("inequality rows inconsistent: primal residual stalled")
-    return QpResult(z, w, nu, lam_x, lam_u, config.qp_max_iters, "max_iter")
+    return QpResult(
+        z, w, nu, rows_x.split(lam[:mx]), rows_u.split(lam[mx:]),
+        config.qp_max_iters, "max_iter", reg,
+    )
 
 
 # ---------------------------------------------------------------------------
 # SQP driver
 
 
-def _cold_start(problem) -> WarmStart:
+@dataclass
+class _Iterate:
+    """A stacked trajectory with what the merit and the next QP need at it."""
+
+    X: np.ndarray  # (N+1, 13) state rows
+    U: np.ndarray  # (N, 6) wrench rows
+    cost: float
+    defects: np.ndarray  # (N, 12)
+    tension: tuple  # tension_rows (J, c)
+    obstacle: tuple  # obstacle_rows (J, c) over stages 0..N
+    defect_l1: float = field(init=False)
+    defect_max: float = field(init=False)
+    viol_l1: float = field(init=False)  # hard-row violations, positive parts
+    viol_max: float = field(init=False)
+
+    def __post_init__(self):
+        viol = np.concatenate([self.tension[1].ravel(), self.obstacle[1].ravel()])
+        viol = viol[viol > 0]
+        self.defect_l1 = float(np.sum(np.abs(self.defects)))
+        self.defect_max = _max_abs(self.defects)
+        self.viol_l1 = float(np.sum(viol))
+        self.viol_max = _max_abs(viol)
+
+    def merit(self, mu_merit: float) -> float:
+        return self.cost + mu_merit * (self.defect_l1 + self.viol_l1)
+
+
+def _evaluate(X: np.ndarray, U: np.ndarray, problem) -> _Iterate:
+    return _Iterate(
+        X=X,
+        U=U,
+        cost=ocp.total_cost(X, U, problem),
+        defects=ocp.dynamics_defects(X, U, problem),
+        tension=ocp.tension_rows(U, problem.ref_x[:-1, 6:10], problem),
+        obstacle=ocp.obstacle_rows(X, problem),
+    )
+
+
+def _cold_start(problem):
     """Roll the reference feedforward wrench out from the initial state."""
     states = [problem.x0.copy()]
-    inputs = []
-    for i in range(problem.N):
-        wd = problem.references[i].wrench_des
-        u = ocp.Wrench(wd.F.copy(), wd.M.copy())
-        inputs.append(u)
-        states.append(ocp.discretize(states[-1], u, problem.dt, problem))
-    return WarmStart(states=states, inputs=inputs)
+    U = problem.ref_u[:-1].copy()
+    for u in U:
+        states.append(ocp.discretize(states[-1], ocp.Wrench.from_vector(u), problem.dt, problem))
+    return ocp.stack_states(states), U
 
 
-def _constraint_violations(states, inputs, problem):
-    """Nonlinear hard-constraint violations: (sum of positives, max positive)."""
-    l1, mx = 0.0, 0.0
-    for i in range(problem.N):
-        _, vals = ocp.tension_rows(inputs[i], problem.references[i], problem)
-        for v in vals:
-            if v > 0:
-                l1 += v
-                mx = max(mx, v)
-    for i in range(problem.N + 1):
-        _, vals = ocp.obstacle_rows(states[i], problem)
-        for v in vals:
-            if v > 0:
-                l1 += v
-                mx = max(mx, v)
-    return l1, mx
-
-
-def _merit(states, inputs, problem, mu_merit):
-    cost = ocp.total_cost(states, inputs, problem)
-    defects = ocp.dynamics_defects(states, inputs, problem)
-    d1 = sum(float(np.sum(np.abs(d))) for d in defects)
-    v1, _ = _constraint_violations(states, inputs, problem)
-    return cost + mu_merit * (d1 + v1), cost, d1, v1
-
-
-def _build_qp_data(states, inputs, problem, config, lam_u_prev=None) -> QpData:
-    N = problem.N
-    H_x, g_x, H_u, g_u = ocp.cost_expansion(states, inputs, problem)
-    A, B, c = [], [], []
-    for i in range(N):
-        Ai, Bi = ocp.linearize_dynamics(
-            states[i], inputs[i], problem.dt, problem, fd_step=config.fd_step
-        )
-        A.append(Ai)
-        B.append(Bi)
-        c.append(
-            ocp.local_coords(
-                states[i + 1], ocp.discretize(states[i], inputs[i], problem.dt, problem)
-            )
-        )
-    Cx, cx = [], []
-    for i in range(N + 1):
-        if i == 0:
-            # stage 0 is pinned to the measured state; constant rows there are
-            # either trivially satisfied or a genuine infeasibility
-            Cx.append(np.zeros((0, ocp.NX)))
-            cx.append(np.zeros(0))
-            continue
-        J, v = ocp.obstacle_rows(states[i], problem)
-        Cx.append(J)
-        cx.append(v)
-    Cu, cu = [], []
-    for i in range(N):
-        J, v = ocp.tension_rows(inputs[i], problem.references[i], problem)
-        Cu.append(J)
-        cu.append(v)
-        if lam_u_prev is not None and i < len(lam_u_prev) and len(lam_u_prev[i]) == len(v):
-            # lagged-multiplier curvature of the active rows keeps the outer
-            # loop from stalling at the Gauss-Newton accuracy floor
-            blocks = ocp.tension_row_hessians(inputs[i], problem.references[i], problem)
-            for lam, Hc in zip(lam_u_prev[i], blocks):
-                if lam > 1e-12:
-                    H_u[i] = H_u[i] + lam * Hc
+def _build_qp_data(point: _Iterate, problem, lam_u_prev=None) -> QpData:
+    H_x, g_x, H_u, g_u = ocp.cost_expansion(point.X, point.U, problem)
+    A, B = ocp.linearize_dynamics(point.X[:-1], point.U, problem.dt, problem)
+    J_u, c_u = point.tension
+    if lam_u_prev is not None and c_u.size:
+        # lagged-multiplier curvature of the active rows keeps the outer
+        # loop from stalling at the Gauss-Newton accuracy floor
+        lam = np.array(lam_u_prev)
+        blocks = ocp.tension_row_hessians(point.U, problem.ref_x[:-1, 6:10], problem)
+        H_u = H_u + np.einsum("kr,krij->kij", np.where(lam > 1e-12, lam, 0.0), blocks)
+    J_x, c_x = point.obstacle
+    # stage 0 is pinned to the measured state; constant rows there are
+    # either trivially satisfied or a genuine infeasibility
+    Cx = [np.zeros((0, ocp.NX))] + list(J_x[1:])
+    cx = [np.zeros(0)] + list(c_x[1:])
     return QpData(
-        H_x=H_x, g_x=g_x, H_u=H_u, g_u=g_u, A=A, B=B, c=c,
-        Cx=Cx, cx=cx, Cu=Cu, cu=cu, z0=np.zeros(ocp.NX),
+        H_x=H_x, g_x=g_x, H_u=H_u, g_u=g_u, A=A, B=B, c=point.defects,
+        Cx=Cx, cx=cx, Cu=list(J_u), cu=list(c_u), z0=np.zeros(ocp.NX),
     )
 
 
 def _nonlinear_kkt(data: QpData, result: QpResult) -> float:
     """Stationarity of the nonlinear problem at the current nominal, using
     the freshest QP duals (all primal steps evaluated at zero)."""
-    N = data.N
-    zeros_z = [np.zeros(len(data.z0)) for _ in range(N + 1)]
-    zeros_w = [np.zeros(len(g)) for g in data.g_u]
-    r_stat, _, _, _ = _qp_residuals(
-        data, zeros_z, zeros_w, result.nu, result.lam_x, result.lam_u,
-        [np.zeros(len(v)) for v in data.cx], [np.zeros(len(v)) for v in data.cu], 0.0
+    nx = len(data.z0)
+    r_x, r_u = _stationarity(
+        data,
+        np.zeros_like(data.g_x),
+        np.zeros_like(data.g_u),
+        result.nu,
+        _Rows(data.Cx, data.cx, nx).scatter(np.concatenate(result.lam_x)),
+        _Rows(data.Cu, data.cu, data.H_u.shape[-1]).scatter(np.concatenate(result.lam_u)),
     )
-    return _max_norm(r_stat)
+    return _max_abs(r_x[1:], r_u)
+
+
+def _solution(point: _Iterate, kkt: float, iterations: int, status: str) -> ocp.OcpSolution:
+    return ocp.OcpSolution(
+        states=[ocp.OcpState.from_vector(x) for x in point.X],
+        inputs=[ocp.Wrench.from_vector(u) for u in point.U],
+        cost=point.cost, kkt_residual=kkt, iterations=iterations, status=status,
+    )
 
 
 def solve(
@@ -463,95 +502,95 @@ def solve(
     hard constraints inside feas_tol, otherwise "max_iter".  Raises
     Infeasible when the constraint rows are inconsistent (including an
     initial state already violating a hard row, which no control can undo).
-    When trace is a list, one dict per outer iteration is appended with the
-    incumbent merit, cost, stationarity, and accepted step length.
+    When trace is a list, one dict per outer iteration is appended: the
+    incumbent merit, cost and stationarity, the accepted step length, the
+    QP's iteration count, status ("optimal" or "max_iter") and Hessian
+    regularization, and whether the line search stalled (no step accepted
+    down to min_step, which ends the solve).
     """
     config = config or SolverConfig()
-    _, v0 = ocp.obstacle_rows(problem.x0, problem)
-    if len(v0) and np.max(v0) > config.feas_tol:
+    x0 = problem.x0.as_vector()
+    _, v0 = ocp.obstacle_rows(x0[None, :], problem)
+    if v0.size and np.max(v0) > config.feas_tol:
         raise Infeasible(
             f"initial state violates obstacle clearance by {float(np.max(v0)):.3g} m"
         )
 
-    start = warm or _cold_start(problem)
-    states = [s.copy() for s in start.states]
-    inputs = [ocp.Wrench(u.F.copy(), u.M.copy()) for u in start.inputs]
-    if len(states) != problem.N + 1 or len(inputs) != problem.N:
-        raise ocp.DimensionMismatch("warm start does not match the horizon")
-    states[0] = problem.x0.copy()
+    if warm is None:
+        X, U = _cold_start(problem)
+    else:
+        if len(warm.states) != problem.N + 1 or len(warm.inputs) != problem.N:
+            raise ocp.DimensionMismatch("warm start does not match the horizon")
+        X, U = ocp.stack_states(warm.states), ocp.stack_inputs(warm.inputs)
+    X[0] = x0
+    point = _evaluate(X, U, problem)
 
     mu_merit = config.merit_weight
     best = None
     it = 0
     lam_u_prev = None
     for it in range(1, config.max_sqp_iters + 1):
-        data = _build_qp_data(states, inputs, problem, config, lam_u_prev)
+        data = _build_qp_data(point, problem, lam_u_prev)
         result = qp_subproblem(data, config)
         lam_u_prev = result.lam_u
         mu_merit = max(
             mu_merit,
-            1.1 * max(_max_norm(result.nu), _max_norm(result.lam_x), _max_norm(result.lam_u)),
+            1.1 * _max_abs(result.nu, *result.lam_x, *result.lam_u),
         )
 
         kkt = _nonlinear_kkt(data, result)
-        defect_max = _max_norm(data.c)
-        _, viol_max = _constraint_violations(states, inputs, problem)
-        phi0, cost0, d0, v0l1 = _merit(states, inputs, problem, mu_merit)
+        phi0 = point.merit(mu_merit)
         if best is None or phi0 < best[0]:
-            best = (phi0, [s.copy() for s in states],
-                    [ocp.Wrench(u.F.copy(), u.M.copy()) for u in inputs], kkt)
+            best = (phi0, point, kkt)
+        record = {
+            "merit": phi0, "cost": point.cost, "kkt": kkt, "alpha": 0.0,
+            "qp_iters": result.iterations, "qp_status": result.status,
+            "reg": result.reg, "stalled": False,
+        }
         if trace is not None:
-            trace.append({"merit": phi0, "cost": cost0, "kkt": kkt, "alpha": 0.0})
-        if kkt <= config.kkt_tol and defect_max <= config.feas_tol and viol_max <= config.feas_tol:
-            return ocp.OcpSolution(
-                states=states, inputs=inputs, cost=cost0,
-                kkt_residual=kkt, iterations=it, status="converged",
-            )
+            trace.append(record)
+        if (
+            kkt <= config.kkt_tol
+            and point.defect_max <= config.feas_tol
+            and point.viol_max <= config.feas_tol
+        ):
+            return _solution(point, kkt, it, "converged")
 
         # L1 merit line search along the QP step.  From an exactly feasible
         # iterate the step is a descent direction for the cost model, so cost
         # decrease is additionally enforced there; while closing defects or
         # constraint violations the merit alone governs acceptance.
-        dgrad = sum(float(data.g_x[i] @ result.z[i]) for i in range(problem.N + 1))
-        dgrad += sum(float(data.g_u[i] @ result.w[i]) for i in range(problem.N))
-        dphi = dgrad - mu_merit * (d0 + v0l1)
-        feasible_now = (d0 + v0l1) <= 1e-12
+        infeasibility = point.defect_l1 + point.viol_l1
+        dgrad = float(np.sum(data.g_x * result.z) + np.sum(data.g_u * result.w))
+        dphi = dgrad - mu_merit * infeasibility
+        feasible_now = infeasibility <= 1e-12
         slack = 1e-12 * max(1.0, abs(phi0))
         alpha = 1.0
         accepted = False
         while alpha >= config.min_step:
-            cand_states = [states[0].copy()] + [
-                ocp.retract(states[i], alpha * result.z[i]) for i in range(1, problem.N + 1)
-            ]
-            cand_inputs = [
-                ocp.Wrench.from_vector(inputs[i].as_vector() + alpha * result.w[i])
-                for i in range(problem.N)
-            ]
-            phi, cand_cost, _, _ = _merit(cand_states, cand_inputs, problem, mu_merit)
+            cand_X = point.X.copy()
+            cand_X[1:] = ocp.retract_rows(point.X[1:], alpha * result.z[1:])
+            cand = _evaluate(cand_X, point.U + alpha * result.w, problem)
+            phi = cand.merit(mu_merit)
             target = phi0 + config.armijo * alpha * min(dphi, 0.0)
             ok = phi <= target and phi <= phi0 + slack
             if ok and feasible_now:
-                ok = cand_cost <= cost0 + slack
+                ok = cand.cost <= point.cost + slack
             if ok:
-                states, inputs = cand_states, cand_inputs
+                point = cand
                 if phi < best[0]:
-                    best = (phi, [s.copy() for s in states],
-                            [ocp.Wrench(u.F.copy(), u.M.copy()) for u in inputs], None)
+                    best = (phi, point, None)
                 accepted = True
                 break
             alpha *= config.backtrack
-        if trace is not None:
-            trace[-1]["alpha"] = alpha if accepted else 0.0
+        record["alpha"] = alpha if accepted else 0.0
+        record["stalled"] = not accepted
         if not accepted:
             break  # stalled: no descent at the minimum step
 
-    _, best_states, best_inputs, best_kkt = best
+    _, best_point, best_kkt = best
     if best_kkt is None:
         # best iterate was accepted on the final pass; price its stationarity
-        data = _build_qp_data(best_states, best_inputs, problem, config)
+        data = _build_qp_data(best_point, problem)
         best_kkt = _nonlinear_kkt(data, qp_subproblem(data, config))
-    return ocp.OcpSolution(
-        states=best_states, inputs=best_inputs,
-        cost=ocp.total_cost(best_states, best_inputs, problem),
-        kkt_residual=best_kkt, iterations=it, status="max_iter",
-    )
+    return _solution(best_point, best_kkt, it, "max_iter")

@@ -268,7 +268,7 @@ def test_criterion_08_optimizer_matches_independent_oracles():
             u = po.Wrench.from_vector(uvec[6 * i : 6 * i + 6])
             inputs.append(u)
             states.append(po.discretize(states[-1], u, problem.dt, problem))
-        return po.total_cost(states, inputs, problem)
+        return po.total_cost(po.stack_states(states), po.stack_inputs(inputs), problem)
 
     def fd_gradient(uvec, h=1e-6):
         g = np.zeros_like(uvec)
@@ -299,6 +299,9 @@ def test_criterion_08_optimizer_matches_independent_oracles():
 
     # part 2: analytic cost gradients against central differences on 50
     # random problems (random initial state, references, and trajectories)
+    def cost(states, inputs, prob):
+        return po.total_cost(po.stack_states(states), po.stack_inputs(inputs), prob)
+
     rng = np.random.default_rng(7)
     worst = 0.0
     for _ in range(50):
@@ -320,7 +323,7 @@ def test_criterion_08_optimizer_matches_independent_oracles():
             inputs.append(w)
             states.append(po.discretize(states[-1], w, prob.dt, prob))
         states = [po.retract(s, 0.2 * rng.standard_normal(12)) for s in states]
-        _Hx, gx, _Hu, gu = po.cost_expansion(states, inputs, prob)
+        _Hx, gx, _Hu, gu = po.cost_expansion(po.stack_states(states), po.stack_inputs(inputs), prob)
         h = 1e-6
         for i in range(N + 1):
             fd = np.zeros(12)
@@ -330,7 +333,7 @@ def test_criterion_08_optimizer_matches_independent_oracles():
                 sp, sm = list(states), list(states)
                 sp[i] = po.retract(states[i], d)
                 sm[i] = po.retract(states[i], -d)
-                fd[j] = (po.total_cost(sp, inputs, prob) - po.total_cost(sm, inputs, prob)) / (2 * h)
+                fd[j] = (cost(sp, inputs, prob) - cost(sm, inputs, prob)) / (2 * h)
             worst = max(worst, float(np.linalg.norm(gx[i] - fd) / max(1.0, np.linalg.norm(fd))))
         for i in range(N):
             fd = np.zeros(6)
@@ -340,7 +343,7 @@ def test_criterion_08_optimizer_matches_independent_oracles():
                 up, dn = list(inputs), list(inputs)
                 up[i] = po.Wrench.from_vector(inputs[i].as_vector() + d)
                 dn[i] = po.Wrench.from_vector(inputs[i].as_vector() - d)
-                fd[j] = (po.total_cost(states, up, prob) - po.total_cost(states, dn, prob)) / (2 * h)
+                fd[j] = (cost(states, up, prob) - cost(states, dn, prob)) / (2 * h)
             worst = max(worst, float(np.linalg.norm(gu[i] - fd) / max(1.0, np.linalg.norm(fd))))
 
     ok = gap <= 1e-4 and worst <= 1e-4

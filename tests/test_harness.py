@@ -7,6 +7,7 @@ force balance, aggregate statistics by hand on two-tick logs.
 
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -679,6 +680,42 @@ class TestLoadConfig:
         assert config.ocp.dt == 0.1
         assert config.ocp.weights.Q_X[0, 0] == 10.0
         assert config.ocp.weights.Q_U[0, 0] == 2.0
+
+    def test_partial_gains_keep_the_preset_gains(self, tmp_path):
+        text = "schema_version: 1\npreset: circle-medium\ngains:\n  attitude: 15\n"
+        config, _ = harness.load_config(write_config(tmp_path, text))
+        np.testing.assert_array_equal(config.gains.K_R, 15.0 * np.eye(3))
+        np.testing.assert_array_equal(config.gains.K_Omega, 0.37 * np.eye(3))
+        np.testing.assert_array_equal(config.gains.K_xi, 150.0 * np.eye(3))
+        np.testing.assert_array_equal(config.gains.K_omega, 30.0 * np.eye(3))
+
+    def test_partial_weights_and_solver_keep_the_preset_values(self, tmp_path):
+        # a preset whose weights and solver settings all differ from the
+        # library defaults
+        preset = harness.scenario_preset("hover-recovery")
+        Q_X = np.diag([20.0] * 3 + [5.0] * 3 + [10.0] * 3 + [1.0] * 3)
+        preset.ocp = dataclasses.replace(
+            preset.ocp,
+            weights=payload_ocp.CostWeights(
+                Q_X=Q_X, Q_U=np.diag([1.0] * 3 + [2.0] * 3), Q_XN=2.0 * Q_X
+            ),
+        )
+        preset.solver = dataclasses.replace(preset.solver, max_sqp_iters=12, min_step=1e-3)
+        text = (
+            "schema_version: 1\npreset: hover-recovery\n"
+            "weights:\n  velocity: 3.0\n"
+            "solver:\n  kkt_tol: 1.0e-7\n"
+        )
+        with mock.patch.object(harness, "scenario_preset", return_value=preset):
+            config, _ = harness.load_config(write_config(tmp_path, text))
+        expected_x = np.diag(preset.ocp.weights.Q_X).copy()
+        expected_x[3:6] = 3.0
+        np.testing.assert_array_equal(np.diag(config.ocp.weights.Q_X), expected_x)
+        np.testing.assert_array_equal(config.ocp.weights.Q_U, preset.ocp.weights.Q_U)
+        np.testing.assert_array_equal(config.ocp.weights.Q_XN, 2.0 * config.ocp.weights.Q_X)
+        assert config.solver.kkt_tol == 1e-7
+        assert config.solver.max_sqp_iters == 12
+        assert config.solver.min_step == 1e-3  # a field the section cannot name
 
     def test_bad_disturbance_kind_rejected(self, tmp_path):
         text = "schema_version: 1\ndisturbance:\n  kind: gusts\n"

@@ -64,6 +64,41 @@ def on_reference_trajectory(problem):
     return states, inputs
 
 
+def rows(states, inputs):
+    """Stacked state and wrench rows of lists of OcpState / Wrench."""
+    return po.stack_states(states), po.stack_inputs(inputs)
+
+
+def linearize_one(x, u, dt, prob):
+    """linearize_dynamics for a single stage."""
+    A, B = po.linearize_dynamics(x.as_vector()[None], u.as_vector()[None], dt, prob)
+    return A[0], B[0]
+
+
+def central_difference_jacobians(x, u, dt, prob, h=1e-6):
+    """Oracle for linearize_dynamics: per-coordinate central differences of
+    local_coords(x_next, discretize(retract(x, d), u + e)) through the
+    per-state functions."""
+    x_next = po.discretize(x, u, dt, prob)
+    A = np.zeros((12, 12))
+    for j in range(12):
+        d = np.zeros(12)
+        d[j] = h
+        fp = po.local_coords(x_next, po.discretize(po.retract(x, d), u, dt, prob))
+        fm = po.local_coords(x_next, po.discretize(po.retract(x, -d), u, dt, prob))
+        A[:, j] = (fp - fm) / (2 * h)
+    B = np.zeros((12, 6))
+    for j in range(6):
+        d = np.zeros(6)
+        d[j] = h
+        up = po.Wrench.from_vector(u.as_vector() + d)
+        um = po.Wrench.from_vector(u.as_vector() - d)
+        fp = po.local_coords(x_next, po.discretize(x, up, dt, prob))
+        fm = po.local_coords(x_next, po.discretize(x, um, dt, prob))
+        B[:, j] = (fp - fm) / (2 * h)
+    return A, B
+
+
 class TestStateError:
     def test_on_reference_zero(self):
         ref = hover_ref()
@@ -198,7 +233,7 @@ class TestTotalCost:
     def test_on_reference_zero(self):
         prob = make_problem()
         states, inputs = on_reference_trajectory(prob)
-        assert po.total_cost(states, inputs, prob) == 0.0
+        assert po.total_cost(*rows(states, inputs), prob) == 0.0
 
     def test_single_state_error_quadratic(self):
         prob = make_problem(N=1)
@@ -208,13 +243,13 @@ class TestTotalCost:
             states[1].p + np.array([0.05, 0, 0]), states[1].q, states[1].v, states[1].omega
         )
         e = po.state_error(states[1], prob.references[1])
-        assert po.total_cost(states, inputs, prob) == pytest.approx(float(e @ e) * 2.0)
+        assert po.total_cost(*rows(states, inputs), prob) == pytest.approx(float(e @ e) * 2.0)
 
     def test_single_input_error_quadratic(self):
         prob = make_problem(N=1)
         states, inputs = on_reference_trajectory(prob)
         inputs[0] = po.Wrench(inputs[0].F + np.array([0.3, 0, 0]), inputs[0].M.copy())
-        assert po.total_cost(states, inputs, prob) == pytest.approx(0.3**2)
+        assert po.total_cost(*rows(states, inputs), prob) == pytest.approx(0.3**2)
 
     def test_summation_oracle(self):
         """Stage-by-stage recomputation with independent loop code."""
@@ -237,21 +272,21 @@ class TestTotalCost:
             gap = np.linalg.norm(prob.references[i].p_des - states[i].p)
             over = max(0.0, gap - prob.funnel.value(i * prob.dt))
             expected += prob.funnel_weight * over**2
-        assert po.total_cost(states, inputs, prob) == pytest.approx(expected, rel=1e-12)
+        assert po.total_cost(*rows(states, inputs), prob) == pytest.approx(expected, rel=1e-12)
 
     def test_dimension_mismatch(self):
         prob = make_problem(N=3)
         states, inputs = on_reference_trajectory(prob)
         with pytest.raises(po.DimensionMismatch):
-            po.total_cost(states[:-1], inputs, prob)
+            po.total_cost(*rows(states[:-1], inputs), prob)
         with pytest.raises(po.DimensionMismatch):
-            po.total_cost(states, inputs[:-1], prob)
+            po.total_cost(*rows(states, inputs[:-1]), prob)
 
     def test_positive_when_any_error(self):
         prob = make_problem(N=2)
         states, inputs = on_reference_trajectory(prob)
         states[2] = po.retract(states[2], 0.01 * np.ones(12))
-        assert po.total_cost(states, inputs, prob) > 0.0
+        assert po.total_cost(*rows(states, inputs), prob) > 0.0
 
 
 class TestBuildOcp:
@@ -270,14 +305,16 @@ class TestBuildOcp:
     def test_no_obstacle_means_no_rows(self):
         prob = make_problem()
         x = po.OcpState(np.zeros(3), so3.quat_identity(), np.zeros(3), np.zeros(3))
-        J, c = po.obstacle_rows(x, prob)
-        assert J.shape == (0, 12) and c.shape == (0,)
+        J, c = po.obstacle_rows(x.as_vector()[None], prob)
+        assert J.shape == (1, 0, 12) and c.shape == (1, 0)
 
     def test_hover_tension_margin(self):
         prob = make_problem()
-        J, c = po.tension_rows(hover_wrench(), prob.references[0], prob)
-        assert c.shape == (4,)
-        np.testing.assert_allclose(c, -(1.2 - M_L * G / 4), atol=1e-12)
+        J, c = po.tension_rows(
+            hover_wrench().as_vector()[None], prob.references[0].q_des[None], prob
+        )
+        assert c.shape == (1, 4)
+        np.testing.assert_allclose(c[0], -(1.2 - M_L * G / 4), atol=1e-12)
 
     def test_bad_weights_rejected(self):
         asym = np.eye(12)
@@ -295,16 +332,16 @@ class TestObstacleRows:
         for _ in range(20):
             p = rng.uniform(-2, 2, 3)
             x = po.OcpState(p, so3.quat_identity(), np.zeros(3), np.zeros(3))
-            J, c = po.obstacle_rows(x, prob)
+            J, c = po.obstacle_rows(x.as_vector()[None], prob)
             dist = np.linalg.norm(p - np.array([1.0, 0.0, 0.5]))
-            assert abs(c[0] - (0.4 - dist)) < 1e-12
+            assert abs(c[0, 0] - (0.4 - dist)) < 1e-12
 
     def test_gradient_points_away(self):
         prob = make_problem(obstacle_center=np.array([0.0, 0.0, 0.5]), obstacle_clearance=0.4)
         x = po.OcpState(np.array([0.3, 0, 0.5]), so3.quat_identity(), np.zeros(3), np.zeros(3))
-        J, c = po.obstacle_rows(x, prob)
+        J, c = po.obstacle_rows(x.as_vector()[None], prob)
         # moving +x (away) must decrease the constraint value
-        np.testing.assert_allclose(J[0, 0:3], [-1.0, 0.0, 0.0], atol=1e-12)
+        np.testing.assert_allclose(J[0, 0, 0:3], [-1.0, 0.0, 0.0], atol=1e-12)
 
 
 class TestDerivatives:
@@ -319,7 +356,7 @@ class TestDerivatives:
             inputs[i] = po.Wrench.from_vector(
                 inputs[i].as_vector() + 0.5 * rng.standard_normal(6)
             )
-        Hx, gx, Hu, gu = po.cost_expansion(states, inputs, prob)
+        Hx, gx, Hu, gu = po.cost_expansion(*rows(states, inputs), prob)
         h = 1e-6
         for i in range(4):
             fd = np.zeros(12)
@@ -330,9 +367,9 @@ class TestDerivatives:
                 sp[i] = po.retract(states[i], d)
                 sm = list(states)
                 sm[i] = po.retract(states[i], -d)
-                fd[j] = (po.total_cost(sp, inputs, prob) - po.total_cost(sm, inputs, prob)) / (
-                    2 * h
-                )
+                fp = po.total_cost(*rows(sp, inputs), prob)
+                fm = po.total_cost(*rows(sm, inputs), prob)
+                fd[j] = (fp - fm) / (2 * h)
             rel = np.linalg.norm(gx[i] - fd) / max(1.0, np.linalg.norm(fd))
             assert rel < 1e-4
         for i in range(3):
@@ -344,9 +381,9 @@ class TestDerivatives:
                 ip[i] = po.Wrench.from_vector(inputs[i].as_vector() + d)
                 im = list(inputs)
                 im[i] = po.Wrench.from_vector(inputs[i].as_vector() - d)
-                fd[j] = (po.total_cost(states, ip, prob) - po.total_cost(states, im, prob)) / (
-                    2 * h
-                )
+                fp = po.total_cost(*rows(states, ip), prob)
+                fm = po.total_cost(*rows(states, im), prob)
+                fd[j] = (fp - fm) / (2 * h)
             rel = np.linalg.norm(gu[i] - fd) / max(1.0, np.linalg.norm(fd))
             assert rel < 1e-4
 
@@ -360,29 +397,69 @@ class TestDerivatives:
             rng.standard_normal(3),
         )
         u = po.Wrench(HOVER_F + rng.standard_normal(3), 0.01 * rng.standard_normal(3))
-        A, B = po.linearize_dynamics(x, u, 0.05, prob)
-        x_next = po.discretize(x, u, 0.05, prob)
-        h = 1e-6
-        for j in range(12):
-            d = np.zeros(12)
-            d[j] = h
-            fp = po.local_coords(x_next, po.discretize(po.retract(x, d), u, 0.05, prob))
-            fm = po.local_coords(x_next, po.discretize(po.retract(x, -d), u, 0.05, prob))
-            np.testing.assert_allclose(A[:, j], (fp - fm) / (2 * h), atol=1e-9)
-        for j in range(6):
-            d = np.zeros(6)
-            d[j] = h
-            up = po.Wrench.from_vector(u.as_vector() + d)
-            um = po.Wrench.from_vector(u.as_vector() - d)
-            fp = po.local_coords(x_next, po.discretize(x, up, 0.05, prob))
-            fm = po.local_coords(x_next, po.discretize(x, um, 0.05, prob))
-            np.testing.assert_allclose(B[:, j], (fp - fm) / (2 * h), atol=1e-9)
+        A, B = linearize_one(x, u, 0.05, prob)
+        A_fd, B_fd = central_difference_jacobians(x, u, 0.05, prob)
+        np.testing.assert_allclose(A, A_fd, atol=1e-9)
+        np.testing.assert_allclose(B, B_fd, atol=1e-9)
+
+    def test_exact_jacobians_match_central_differences_on_hard_states(self):
+        """Fast tumbling (|omega| up to 40 rad/s, 2 rad per step) and attitudes
+        within 1e-3 rad of a half turn, where the renormalized quaternion sits
+        next to the hemisphere flip."""
+        prob = make_problem()
+        rng = np.random.default_rng(31)
+        for trial in range(12):
+            axis = rng.standard_normal(3)
+            angle = np.pi - rng.uniform(0.0, 1e-3)
+            omega = rng.standard_normal(3)
+            omega *= rng.uniform(5.0, 40.0) / np.linalg.norm(omega)
+            x = po.OcpState(
+                rng.standard_normal(3),
+                so3.quat_normalize(so3.quat_from_axis_angle(axis, angle)),
+                rng.standard_normal(3),
+                omega,
+            )
+            u = po.Wrench(HOVER_F + rng.standard_normal(3), 0.02 * rng.standard_normal(3))
+            A, B = linearize_one(x, u, 0.05, prob)
+            A_fd, B_fd = central_difference_jacobians(x, u, 0.05, prob)
+            assert np.linalg.norm(A - A_fd) <= 1e-7 * np.linalg.norm(A_fd), trial
+            assert np.linalg.norm(B - B_fd) <= 1e-7 * np.linalg.norm(B_fd), trial
+
+    def test_batched_stages_equal_per_stage_loop(self):
+        prob = make_problem(N=6)
+        rng = np.random.default_rng(12)
+        X = np.array([
+            po.OcpState(
+                rng.standard_normal(3),
+                so3.quat_normalize(rng.standard_normal(4)),
+                rng.standard_normal(3),
+                3.0 * rng.standard_normal(3),
+            ).as_vector()
+            for _ in range(7)
+        ])
+        U = np.array([
+            np.concatenate([HOVER_F + rng.standard_normal(3), 0.01 * rng.standard_normal(3)])
+            for _ in range(6)
+        ])
+        A, B = po.linearize_dynamics(X[:-1], U, prob.dt, prob)
+        defects = po.dynamics_defects(X, U, prob)
+        assert A.shape == (6, 12, 12) and B.shape == (6, 12, 6)
+        for i in range(6):
+            A_i, B_i = po.linearize_dynamics(X[i : i + 1], U[i : i + 1], prob.dt, prob)
+            np.testing.assert_allclose(A[i], A_i[0], rtol=0, atol=1e-14)
+            np.testing.assert_allclose(B[i], B_i[0], rtol=0, atol=1e-14)
+            x_i = po.OcpState.from_vector(X[i])
+            u_i = po.Wrench.from_vector(U[i])
+            gap = po.local_coords(
+                po.OcpState.from_vector(X[i + 1]), po.discretize(x_i, u_i, prob.dt, prob)
+            )
+            np.testing.assert_allclose(defects[i], gap, rtol=0, atol=1e-14)
 
     def test_hover_jacobian_structure(self):
         """Near hover, position picks up dt * velocity to leading order."""
         prob = make_problem()
         x = po.OcpState(np.array([0, 0, 0.5]), so3.quat_identity(), np.zeros(3), np.zeros(3))
-        A, B = po.linearize_dynamics(x, hover_wrench(), 0.05, prob)
+        A, B = linearize_one(x, hover_wrench(), 0.05, prob)
         np.testing.assert_allclose(A[0:3, 3:6], 0.05 * np.eye(3), atol=1e-6)
         np.testing.assert_allclose(B[3:6, 0:3], (0.05 / M_L) * np.eye(3), atol=1e-6)
 
@@ -410,5 +487,5 @@ class TestRetraction:
             u = po.Wrench(HOVER_F + 0.2 * rng.standard_normal(3), 0.01 * rng.standard_normal(3))
             inputs.append(u)
             states.append(po.discretize(states[-1], u, prob.dt, prob))
-        for d in po.dynamics_defects(states, inputs, prob):
+        for d in po.dynamics_defects(*rows(states, inputs), prob):
             assert np.linalg.norm(d) < 1e-12

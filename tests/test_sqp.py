@@ -1,7 +1,11 @@
 """Solver tests: hand-KKT QP oracles, full solves against independent references."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cablelift import payload_ocp as ocp
 from cablelift import so3, sqp
@@ -55,12 +59,10 @@ def make_problem(p0, N=20, f_max=1.2, obstacle=None, funnel_eps=0.2, v0=None):
 
 
 def peak_tension_excess(solution, problem):
-    worst = -np.inf
-    for i in range(problem.N):
-        _, vals = ocp.tension_rows(solution.inputs[i], problem.references[i], problem)
-        if len(vals):
-            worst = max(worst, float(np.max(vals)))
-    return worst
+    _, vals = ocp.tension_rows(
+        ocp.stack_inputs(solution.inputs), problem.ref_x[:-1, 6:10], problem
+    )
+    return float(np.max(vals)) if vals.size else -np.inf
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +283,205 @@ class TestQpSubproblem:
 
 
 # ---------------------------------------------------------------------------
+# interior point against dense oracles
+
+
+def _dense_form(data):
+    """The stagewise QP over y = (z_1..z_N, w_0..w_{N-1}) as dense arrays:
+    min 1/2 y H y + g y  s.t.  E y = d,  G y + h <= 0, with the rows of G
+    ordered as the flattened (lam_x[1:], lam_u) of a QpResult."""
+    N, nx, nu = data.N, len(data.z0), data.H_u.shape[-1]
+    n = N * (nx + nu)
+
+    def zi(i):
+        return slice((i - 1) * nx, i * nx)
+
+    def wi(i):
+        return slice(N * nx + i * nu, N * nx + (i + 1) * nu)
+
+    H = np.zeros((n, n))
+    g = np.zeros(n)
+    for i in range(1, N + 1):
+        H[zi(i), zi(i)] = data.H_x[i]
+        g[zi(i)] = data.g_x[i]
+    for i in range(N):
+        H[wi(i), wi(i)] = data.H_u[i]
+        g[wi(i)] = data.g_u[i]
+    E = np.zeros((N * nx, n))
+    d = np.zeros(N * nx)
+    for i in range(N):
+        rows = slice(i * nx, (i + 1) * nx)
+        E[rows, zi(i + 1)] = -np.eye(nx)
+        E[rows, wi(i)] = data.B[i]
+        d[rows] = -data.c[i]
+        if i == 0:
+            d[rows] -= data.A[0] @ data.z0
+        else:
+            E[rows, zi(i)] = data.A[i]
+    G_rows, h = [], []
+    for i in range(1, N + 1):
+        for C_r, c_r in zip(np.reshape(data.Cx[i], (-1, nx)), data.cx[i]):
+            row = np.zeros(n)
+            row[zi(i)] = C_r
+            G_rows.append(row)
+            h.append(c_r)
+    for i in range(N):
+        for C_r, c_r in zip(np.reshape(data.Cu[i], (-1, nu)), data.cu[i]):
+            row = np.zeros(n)
+            row[wi(i)] = C_r
+            G_rows.append(row)
+            h.append(c_r)
+    return H, g, E, d, np.reshape(G_rows, (-1, n)), np.array(h)
+
+
+def _dense_active_set_solution(H, g, E, d, G, h):
+    """Exact optimum by enumerating active sets: the first set whose
+    equality-constrained KKT point is primal and dual feasible."""
+    n, p = len(g), len(d)
+    for size in range(len(h) + 1):
+        for active in itertools.combinations(range(len(h)), size):
+            S = list(active)
+            M = np.vstack([E, G[S]])
+            KKT = np.block([[H, M.T], [M, np.zeros((len(M), len(M)))]])
+            try:
+                sol = np.linalg.solve(KKT, np.concatenate([-g, d, -h[S]]))
+            except np.linalg.LinAlgError:
+                continue  # dependent rows: a smaller set carries the optimum
+            y, lam_S = sol[:n], sol[n + p :]
+            if np.all(G @ y + h <= 1e-9) and np.all(lam_S >= -1e-9):
+                lam = np.zeros(len(h))
+                lam[S] = lam_S
+                return y, sol[n : n + p], lam
+    raise AssertionError("no active set satisfies the KKT conditions")
+
+
+def _fixed_sigma_iterations(H, g, E, d, G, h, tol=1e-9, sigma=0.1, max_iter=100):
+    """Iteration count of the primal-dual interior point with fixed
+    centring sigma = 0.1, on the dense form, from the start point and with
+    the stopping rule of sqp.qp_subproblem."""
+    n, p, m = len(g), len(d), len(h)
+    y, nu, lam, s = np.zeros(n), np.zeros(p), np.ones(m), np.maximum(1.0, np.abs(h))
+    for it in range(1, max_iter + 1):
+        r_stat = H @ y + g + E.T @ nu + G.T @ lam
+        r_eq = E @ y - d
+        r_in = G @ y + h + s
+        mu = lam @ s / m
+        if (
+            np.max(np.abs(r_stat)) <= 10 * tol
+            and np.max(np.abs(r_eq)) <= tol
+            and np.max(np.abs(r_in)) <= tol
+            and mu <= tol
+        ):
+            return it
+        r_comp = lam * s - sigma * mu
+        W = lam / s
+        KKT = np.block([[H + G.T @ (W[:, None] * G), E.T], [E, np.zeros((p, p))]])
+        rhs = np.concatenate([-(r_stat + G.T @ ((lam * r_in - r_comp) / s)), -r_eq])
+        sol = np.linalg.solve(KKT, rhs)
+        dy, dnu = sol[:n], sol[n:]
+        ds = -r_in - G @ dy
+        dlam = -(r_comp + lam * ds) / s
+        alpha = 1.0
+        for v, dv in ((s, ds), (lam, dlam)):
+            neg = dv < 0
+            if np.any(neg):
+                alpha = min(alpha, 0.995 * np.min(-v[neg] / dv[neg]))
+        y, nu, s, lam = y + alpha * dy, nu + alpha * dnu, s + alpha * ds, lam + alpha * dlam
+    return max_iter
+
+
+def _random_qp_with_cut_rows(seed, N, nx, nu):
+    """A strictly convex stagewise QP with one row on every input and, when
+    there are two inputs per stage, on some states: rows are placed between
+    a dynamically feasible point, which satisfies them strictly, and the
+    unconstrained optimum, which violates all of them.  At most N * nu rows,
+    so generic data keep the active rows linearly independent and the
+    multipliers unique."""
+    rng = np.random.default_rng(seed)
+
+    def spd(k):
+        S = rng.standard_normal((k, k))
+        return S @ S.T + np.eye(k)
+
+    data = sqp.QpData(
+        H_x=[spd(nx) for _ in range(N + 1)],
+        g_x=[rng.standard_normal(nx) for _ in range(N + 1)],
+        H_u=[spd(nu) for _ in range(N)],
+        g_u=[rng.standard_normal(nu) for _ in range(N)],
+        A=[0.7 * rng.standard_normal((nx, nx)) for _ in range(N)],
+        B=[rng.standard_normal((nx, nu)) for _ in range(N)],
+        c=[rng.standard_normal(nx) for _ in range(N)],
+        Cx=[np.zeros((0, nx))] * (N + 1), cx=[np.zeros(0)] * (N + 1),
+        Cu=[np.zeros((0, nu))] * N, cu=[np.zeros(0)] * N,
+        z0=rng.standard_normal(nx),
+    )
+    free = sqp.qp_subproblem(data)
+    w_feas = rng.standard_normal((N, nu))
+    z_feas = [data.z0]
+    for i in range(N):
+        z_feas.append(data.A[i] @ z_feas[-1] + data.B[i] @ w_feas[i] + data.c[i])
+
+    def cut(y_opt, y_feas):
+        a = y_opt - y_feas + 0.3 * np.linalg.norm(y_opt - y_feas) * rng.standard_normal(len(y_opt))
+        if a @ (y_opt - y_feas) <= 1e-3 * np.linalg.norm(a) * np.linalg.norm(y_opt - y_feas):
+            a = y_opt - y_feas
+        a = a / np.linalg.norm(a)  # unit rows keep the multipliers on the scale of the cost
+        gap = a @ (y_opt - y_feas)
+        return a[None, :], np.array([-(a @ y_feas) - rng.uniform(0.2, 0.8) * gap])
+
+    Cx, cx = [np.zeros((0, nx))], [np.zeros(0)]
+    for i in range(1, N + 1):
+        if nu > 1 and rng.random() < 0.5:
+            C_r, c_r = cut(free.z[i], z_feas[i])
+        else:
+            C_r, c_r = np.zeros((0, nx)), np.zeros(0)
+        Cx.append(C_r)
+        cx.append(c_r)
+    data.Cx, data.cx = Cx, cx
+    data.Cu, data.cu = zip(*[cut(free.w[i], w_feas[i]) for i in range(N)])
+    data.Cu, data.cu = list(data.Cu), list(data.cu)
+    return data
+
+
+class TestInteriorPointOracles:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        N=st.integers(1, 3),
+        nx=st.integers(1, 3),
+        nu=st.integers(1, 2),
+    )
+    def test_matches_dense_kkt_with_active_rows(self, seed, N, nx, nu):
+        data = _random_qp_with_cut_rows(seed, N, nx, nu)
+        y, nu_dense, lam_dense = _dense_active_set_solution(*_dense_form(data))
+        assert np.any(lam_dense > 1e-6)  # some row binds
+        result = sqp.qp_subproblem(data)
+        assert result.status == "optimal"
+        y_ipm = np.concatenate([result.z[1:].ravel(), result.w.ravel()])
+        lam_ipm = np.concatenate([*result.lam_x[1:], *result.lam_u])
+        np.testing.assert_allclose(result.z[0], data.z0)
+        np.testing.assert_allclose(y_ipm, y, rtol=1e-6, atol=1e-6)
+        np.testing.assert_allclose(result.nu.ravel(), nu_dense, rtol=1e-6, atol=1e-6)
+        np.testing.assert_allclose(lam_ipm, lam_dense, rtol=1e-6, atol=1e-6)
+
+    def test_no_more_iterations_than_fixed_centring(self):
+        # a QP of a tension-bound solve after two SQP iterations: 40 wrench
+        # rows, several of them active at the QP optimum
+        problem = make_problem((1.0, 0.0, 1.0), N=10, f_max=1.2, funnel_eps=10.0)
+        early = sqp.solve(problem, config=sqp.SolverConfig(max_sqp_iters=2))
+        point = sqp._evaluate(
+            ocp.stack_states(early.states), ocp.stack_inputs(early.inputs), problem
+        )
+        data = sqp._build_qp_data(point, problem)
+        result = sqp.qp_subproblem(data)
+        assert result.status == "optimal"
+        assert np.sum(np.concatenate(result.lam_u) > 1e-6) >= 4
+        fixed = _fixed_sigma_iterations(*_dense_form(data))
+        assert fixed < 100
+        assert result.iterations <= fixed
+
+
+# ---------------------------------------------------------------------------
 
 
 class TestSolve:
@@ -307,7 +508,7 @@ class TestSolve:
                 u = ocp.Wrench.from_vector(uvec[6 * i : 6 * i + 6])
                 inputs.append(u)
                 states.append(ocp.discretize(states[-1], u, problem.dt, problem))
-            return ocp.total_cost(states, inputs, problem)
+            return ocp.total_cost(ocp.stack_states(states), ocp.stack_inputs(inputs), problem)
 
         def gradient(uvec, h=1e-6):
             grad = np.zeros_like(uvec)
@@ -452,7 +653,9 @@ class TestSolve:
         problem = make_problem((0.7, 0.3, 1.2), N=12)
         solution = sqp.solve(problem)
         assert solution.status == "converged"
-        defects = ocp.dynamics_defects(solution.states, solution.inputs, problem)
+        defects = ocp.dynamics_defects(
+            ocp.stack_states(solution.states), ocp.stack_inputs(solution.inputs), problem
+        )
         assert max(float(np.max(np.abs(d))) for d in defects) <= 1e-6
 
     def test_wrong_warm_start_length_rejected(self):
@@ -461,3 +664,20 @@ class TestSolve:
         warm = sqp.shift_warm_start(other, 1, 3)
         with pytest.raises(ocp.DimensionMismatch):
             sqp.solve(problem, warm=warm)
+
+    def test_trace_marks_qp_max_iter_and_reports_the_qp(self):
+        problem = make_problem((1.0, 0.0, 1.0), funnel_eps=10.0)
+        trace = []
+        sqp.solve(problem, config=sqp.SolverConfig(qp_max_iters=2, max_sqp_iters=3), trace=trace)
+        assert trace
+        for entry in trace:
+            assert entry["qp_status"] == "max_iter"
+            assert entry["qp_iters"] == 2
+        full = []
+        solution = sqp.solve(problem, trace=full)
+        assert solution.status == "converged"
+        for entry in full:
+            assert entry["qp_status"] == "optimal"
+            assert 1 <= entry["qp_iters"] < 100
+            assert entry["reg"] == 0.0
+            assert entry["stalled"] is False
