@@ -47,16 +47,6 @@ class AllocationMap:
     Z: np.ndarray  # (3n, 3n - 6)
 
 
-@dataclass
-class CableCommand:
-    """Per-cable output of one allocation tick."""
-
-    mu_des: np.ndarray  # desired force on the payload, world frame, N
-    mu: np.ndarray  # projection onto the actual cable line, N
-    xi_des: np.ndarray  # desired cable direction (unit, vehicle toward attachment)
-    omega_des: np.ndarray  # desired cable angular velocity, rad/s
-
-
 def build_allocation(r_i: np.ndarray) -> AllocationMap:
     """Build the stacked-force map for attachment offsets r_i (payload frame).
 

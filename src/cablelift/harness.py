@@ -1,15 +1,19 @@
-"""Scenario harness: wires the full closed loop and logs every tick.
+"""Scenario harness: scenarios, the closed-loop runner, and the run's files.
 
-One run owns the whole chain: at each NMPC tick the event trigger decides
-whether to re-solve the payload OCP (warm-started, horizon shrunk via the
-terminal-region rule); between solves the stored open-loop wrench plan is
-consumed index by index.  Every low-level tick allocates the wrench to
-per-cable force demands, runs the geometric cable and attitude controllers,
-and steps the physical plant.  The log captures enough per tick to rebuild
-the tracking, separation, and trigger figures offline, and everything is
-deterministic for a fixed config and seed (wall-clock solve times are kept
-out of the CSV for that reason).
-"""
+`run_closed_loop` is the one tick loop for both plant models; the world state
+it carries from tick to tick is the plant's (n+1, 13) row array, payload row
+first.  On NMPC ticks the event trigger decides whether to re-solve the
+payload OCP (warm-started, horizon shrunk via the terminal-region rule);
+between solves the stored open-loop wrench plan is consumed index by index.
+Every tick the plant model turns the held wrench into cable tensions and
+vehicle positions and advances the state one tick, and the bounded payload
+disturbance is added after the step.  The full model (2 ms ticks) allocates
+the wrench to per-cable force demands, runs the geometric cable and attitude
+controllers and steps the multi-body plant; the payload-only model (one tick
+per NMPC period) steps the payload row with the predictor's own integrator.
+The log captures enough per tick to rebuild the tracking, separation, and
+trigger figures offline, and everything is deterministic for a fixed config
+and seed (wall-clock solve times are kept out of the CSV for that reason)."""
 
 from __future__ import annotations
 
@@ -26,7 +30,7 @@ from . import allocation, cable_control, event_trigger, metrics, payload_ocp, pl
 from .cable_control import CableTrackingState, GainSet
 from .event_trigger import TerminalRegion, TriggerConfig
 from .payload_ocp import CostWeights, OcpConfig, OcpState, ReferencePoint, Wrench
-from .plant import DisturbanceModel, FullState, MavState, PayloadState, SystemParams
+from .plant import DisturbanceModel, SystemParams
 from .sqp import SolverConfig
 
 
@@ -208,27 +212,28 @@ class ScenarioConfig:
         return self.reference.at(t, self.params.m_L, self.params.g)
 
 
-def equilibrium_state(config: ScenarioConfig) -> FullState:
-    """All vehicles parked above their attachments with the hover spring
-    stretch, payload at the t=0 reference plus the configured offset.
+def equilibrium_state(config: ScenarioConfig) -> np.ndarray:
+    """The (n+1, 13) world state at t=0, rows [p, v, q, omega], payload first.
 
-    The whole formation starts with the reference velocity so a moving
-    reference does not open the run with a step in velocity error; the
-    cable vehicles cannot absorb a near-saturation lateral command from
-    rest without the cables going slack.
+    All vehicles park above their attachments with the hover spring stretch,
+    the payload sits at the t=0 reference plus the configured offset, and
+    every body is level.  The whole formation starts with the reference
+    velocity so a moving reference does not open the run with a step in
+    velocity error; the cable vehicles cannot absorb a near-saturation
+    lateral command from rest without the cables going slack.
     """
     params = config.params
     ref0 = config.reference_at(0.0)
     p0 = ref0.p_des + config.initial_offset
-    v0 = ref0.v_des.copy()
     tension = params.m_L * params.g / params.n
-    payload = PayloadState(p=p0, q=so3.quat_identity(), v=v0, omega=np.zeros(3))
-    mavs = []
+    Y = np.zeros((params.n + 1, 13))
+    Y[0, 0:3] = p0
+    Y[:, 3:6] = ref0.v_des
+    Y[:, 6:10] = so3.quat_identity()
     for k in range(params.n):
         stretch = tension / params.cable_stiffness
-        post = p0 + params.r_i[k] + np.array([0.0, 0.0, params.l_i[k] + stretch])
-        mavs.append(MavState(p=post, q=so3.quat_identity(), v=v0.copy(), omega=np.zeros(3)))
-    return FullState(payload, mavs)
+        Y[1 + k, 0:3] = p0 + params.r_i[k] + np.array([0.0, 0.0, params.l_i[k] + stretch])
+    return Y
 
 
 def scenario_preset(name: str) -> ScenarioConfig:
@@ -474,66 +479,36 @@ def _pair_extremes(mav_p: np.ndarray):
     return lo, hi
 
 
-def run_closed_loop(config: ScenarioConfig) -> RunLog:
-    """Simulate one scenario end to end and return the complete log."""
-    if config.plant_model == "full":
-        return _run_full(config)
-    return _run_payload_only(config)
+class _FullPlant:
+    """The held wrench realized by the cable and attitude controllers of every
+    vehicle and applied to the multi-body plant."""
 
+    def __init__(self, config: ScenarioConfig):
+        self.config = config
+        self.amap = allocation.build_allocation(config.params.r_i)
+        self.mu_prev = [None] * config.params.n
 
-def _run_full(config: ScenarioConfig) -> RunLog:
-    params = config.params
-    amap = allocation.build_allocation(params.r_i)
-    trigger = _TriggerLoop(config)
-    disturbance = DisturbanceModel(
-        eta=config.disturbance_eta, seed=config.seed, kind=config.disturbance_kind
-    )
-    bounds = metrics.default_bounds(
-        _formation_targets(config, config.reference_at(0.0)),
-        params.f_max,
-        payload_radius=config.ocp.funnel.value(0.0) if config.ocp.funnel else 0.2,
-        obstacle_center=config.ocp.obstacle_center,
-        obstacle_clearance=config.ocp.obstacle_clearance,
-    )
-    full = equilibrium_state(config)
-    log = RunLog(config)
-
-    dt = config.dt_lowlevel
-    ratio = int(round(config.ocp.dt / dt))
-    n_ticks = math.ceil(config.duration / dt - 1e-12)
-    mu_prev = [None] * params.n
-    decision, wrench_cmd, idx = "", None, 0
-
-    for tick in range(n_ticks):
-        t = tick * dt
-        if tick % ratio == 0:
-            k = tick // ratio
-            payload = full.payload
-            x_now = OcpState(payload.p.copy(), payload.q.copy(), payload.v.copy(), payload.omega.copy())
-            decision, wrench_cmd, idx = trigger.step(k, t, x_now)
+    def realize(self, Y: np.ndarray, wrench_cmd: Wrench, new_stage: bool):
+        """(tensions, directions, vehicle positions, vehicle commands) this tick."""
+        config, params = self.config, self.config.params
+        dt = config.dt_lowlevel
+        if new_stage:
             # the held wrench just changed, so differencing the allocated
             # tensions across this tick would read the jump as a physical
             # cable rotation; restart the direction-rate estimate instead
-            mu_prev = [None] * params.n
-        else:
-            decision = ""
-
-        if not np.all(np.isfinite(full.payload.p)):
-            raise HarnessAbort(f"non-finite payload state at t={t:.3f} s")
-        try:
-            readings = plant.cable_closure(full, params)
-        except (plant.CableOverload, plant.DegenerateGeometry) as exc:
-            raise HarnessAbort(f"cable failure at t={t:.3f} s: {exc}") from exc
-        R_L = so3.quat_to_rotation(full.payload.q)
-        mu = allocation.allocate(wrench_cmd, R_L, amap)
-        attachments = full.payload.p + (R_L @ params.r_i.T).T
-        mu = allocation.nullspace_redistribute(mu, attachments, R_L, amap, params.l_i)
+            self.mu_prev = [None] * params.n
+        mu_prev = self.mu_prev
+        readings = plant.cable_closure(Y, params)
+        p_L, v_L, omega_l = Y[0, 0:3], Y[0, 3:6], Y[0, 10:13]
+        R_L = so3.quat_to_rotation(Y[0, 6:10])
+        mu = allocation.allocate(wrench_cmd, R_L, self.amap)
+        attachments = p_L + (R_L @ params.r_i.T).T
+        mu = allocation.nullspace_redistribute(mu, attachments, R_L, self.amap, params.l_i)
 
         # the commanded wrench implies the payload acceleration the cables
         # must realize; feeding it forward keeps the vehicles moving with the
         # payload instead of trailing it on feedback alone
         accel_des = wrench_cmd.F / params.m_L + np.array([0.0, 0.0, -params.g])
-        omega_l = full.payload.omega
         omega_dot_des = np.linalg.solve(
             params.J_L, wrench_cmd.M - so3.cross3(omega_l, params.J_L @ omega_l)
         )
@@ -542,6 +517,7 @@ def _run_full(config: ScenarioConfig) -> RunLog:
         tensions = np.zeros(params.n)
         directions = np.zeros((params.n, 3))
         for k_v in range(params.n):
+            v_k, q_k, omega_k = Y[1 + k_v, 3:6], Y[1 + k_v, 6:10], Y[1 + k_v, 10:13]
             xi_des, om_des = allocation.desired_cable_direction(mu[k_v], mu_prev[k_v], dt)
             mu_prev[k_v] = mu[k_v]
             # guard against direction flips when an allocated tension passes
@@ -552,11 +528,7 @@ def _run_full(config: ScenarioConfig) -> RunLog:
                 om_des = om_des * (OMEGA_DES_LIMIT / om_norm)
             if readings[k_v].taut:
                 xi = readings[k_v].direction
-                rel_v = (
-                    full.payload.v
-                    + R_L @ so3.cross3(omega_l, params.r_i[k_v])
-                    - full.mavs[k_v].v
-                )
+                rel_v = v_L + R_L @ so3.cross3(omega_l, params.r_i[k_v]) - v_k
                 dist = params.l_i[k_v] + readings[k_v].stretch
                 xi_dot = (rel_v - xi * float(xi @ rel_v)) / dist
                 om_c = so3.cross3(xi, xi_dot)
@@ -578,32 +550,101 @@ def _run_full(config: ScenarioConfig) -> RunLog:
                 config.gains,
             )
             u = u_par + u_perp
-            R_k = so3.quat_to_rotation(full.mavs[k_v].q)
+            R_k = so3.quat_to_rotation(q_k)
             thrust = cable_control.thrust_command(u, R_k)
             R_des = cable_control.desired_attitude(u, 0.0)
-            errors = cable_control.attitude_errors(R_k, R_des, full.mavs[k_v].omega, np.zeros(3))
+            errors = cable_control.attitude_errors(R_k, R_des, omega_k, np.zeros(3))
             moment = cable_control.moment_command(
-                errors, full.mavs[k_v].omega, R_k, R_des,
+                errors, omega_k, R_k, R_des,
                 np.zeros(3), np.zeros(3), params.J_i[k_v], config.gains,
             )
             commands.append((thrust, moment))
             tensions[k_v] = readings[k_v].tension
             directions[k_v] = readings[k_v].direction
+        return tensions, directions, Y[1:, 0:3].copy(), commands
+
+    def advance(self, Y: np.ndarray, commands, wrench_cmd: Wrench, problem) -> np.ndarray:
+        return plant.step_world(Y, commands, self.config.dt_lowlevel, self.config.params)
+
+
+class _PayloadOnly:
+    """Nominal-model run: only the payload row of the world state moves, stepped
+    directly with the NMPC wrench by the predictor's own integrator, so
+    predictions and plant agree up to the solver's feasibility tolerance."""
+
+    def __init__(self, config: ScenarioConfig):
+        self.config = config
+        self.amap = allocation.build_allocation(config.params.r_i)
+
+    def realize(self, Y: np.ndarray, wrench_cmd: Wrench, new_stage: bool):
+        """(tensions, directions, vehicle positions, None) of the minimal-norm
+        allocation, vehicles placed one cable length along each tension."""
+        params = self.config.params
+        R_L = so3.quat_to_rotation(Y[0, 6:10])
+        mu = allocation.allocate(wrench_cmd, R_L, self.amap)
+        tensions = np.linalg.norm(mu, axis=1)
+        directions = np.where(tensions[:, None] > 1e-12, -mu / np.maximum(tensions, 1e-12)[:, None], 0.0)
+        attachments = Y[0, 0:3] + (R_L @ params.r_i.T).T
+        mav_p = attachments + params.l_i[:, None] * np.where(
+            tensions[:, None] > 1e-12, mu / np.maximum(tensions, 1e-12)[:, None], [[0.0, 0.0, 1.0]]
+        )
+        return tensions, directions, mav_p, None
+
+    def advance(self, Y: np.ndarray, commands, wrench_cmd: Wrench, problem) -> np.ndarray:
+        x = payload_ocp.discretize(OcpState.from_vector(Y[0]), wrench_cmd, self.config.ocp.dt, problem)
+        Y = Y.copy()
+        Y[0] = x.as_vector()
+        return Y
+
+
+def run_closed_loop(config: ScenarioConfig) -> RunLog:
+    """Simulate one scenario end to end and return the complete log."""
+    params = config.params
+    model = _FullPlant(config) if config.plant_model == "full" else _PayloadOnly(config)
+    trigger = _TriggerLoop(config)
+    disturbance = DisturbanceModel(
+        eta=config.disturbance_eta, seed=config.seed, kind=config.disturbance_kind
+    )
+    bounds = metrics.default_bounds(
+        _formation_targets(config, config.reference_at(0.0)),
+        params.f_max,
+        payload_radius=config.ocp.funnel.value(0.0) if config.ocp.funnel else 0.2,
+        obstacle_center=config.ocp.obstacle_center,
+        obstacle_clearance=config.ocp.obstacle_clearance,
+    )
+    Y = equilibrium_state(config)
+    log = RunLog(config)
+
+    dt = config.dt_tick
+    ratio = int(round(config.ocp.dt / dt))
+    n_ticks = math.ceil(config.duration / dt - 1e-12)
+    decision, wrench_cmd, idx = "", None, 0
+
+    for tick in range(n_ticks):
+        t = tick * dt
+        if not np.all(np.isfinite(Y[0])):
+            raise HarnessAbort(f"non-finite payload state at t={t:.3f} s")
+        x_now = OcpState.from_vector(Y[0])
+        new_stage = tick % ratio == 0
+        if new_stage:
+            decision, wrench_cmd, idx = trigger.step(tick // ratio, t, x_now)
+        else:
+            decision = ""
+        try:
+            tensions, directions, mav_p, commands = model.realize(Y, wrench_cmd, new_stage)
+        except (plant.CableOverload, plant.DegenerateGeometry) as exc:
+            raise HarnessAbort(f"cable failure at t={t:.3f} s: {exc}") from exc
 
         ref = config.reference_at(t)
-        mav_p = np.array([m.p for m in full.mavs])
         lo, hi = _pair_extremes(mav_p)
         report = metrics.check_all(
-            t, full.payload.p, ref.p_des, mav_p, _formation_targets(config, ref), tensions, bounds
-        )
-        payload_state = OcpState(
-            full.payload.p.copy(), full.payload.q.copy(), full.payload.v.copy(), full.payload.omega.copy()
+            t, x_now.p, ref.p_des, mav_p, _formation_targets(config, ref), tensions, bounds
         )
         event = trigger.events[-1] if decision in ("forced", "event") else None
         log.ticks.append(
             TickRecord(
                 t=t,
-                payload=payload_state,
+                payload=x_now,
                 mav_p=mav_p,
                 reference=ref,
                 wrench=wrench_cmd.as_vector(),
@@ -612,7 +653,7 @@ def _run_full(config: ScenarioConfig) -> RunLog:
                 decision=decision,
                 horizon=trigger.state.N_kj,
                 pred_index=idx,
-                payload_err=metrics.payload_los_error(full.payload.p, ref.p_des),
+                payload_err=metrics.payload_los_error(x_now.p, ref.p_des),
                 min_sep=lo,
                 max_sep=hi,
                 report=report,
@@ -622,79 +663,11 @@ def _run_full(config: ScenarioConfig) -> RunLog:
             )
         )
         try:
-            full, _ = plant.step_world(full, commands, disturbance, dt, params)
+            Y = model.advance(Y, commands, wrench_cmd, trigger.problem)
         except (plant.NonFiniteState, plant.CableOverload, plant.DegenerateGeometry) as exc:
             raise HarnessAbort(f"plant failure at t={t:.3f} s: {exc}") from exc
-
-    log.events = trigger.events
-    log.solver_failures = trigger.failures
-    return log
-
-
-def _run_payload_only(config: ScenarioConfig) -> RunLog:
-    """Nominal-model run: the payload rigid body is stepped directly with the
-    NMPC wrench using the predictor's own integrator, so predictions and
-    plant agree up to the solver's feasibility tolerance."""
-    params = config.params
-    amap = allocation.build_allocation(params.r_i)
-    trigger = _TriggerLoop(config)
-    disturbance = DisturbanceModel(
-        eta=config.disturbance_eta, seed=config.seed, kind=config.disturbance_kind
-    )
-    bounds = metrics.default_bounds(
-        _formation_targets(config, config.reference_at(0.0)),
-        params.f_max,
-        payload_radius=config.ocp.funnel.value(0.0) if config.ocp.funnel else 0.2,
-    )
-    log = RunLog(config)
-    dt = config.ocp.dt
-    n_ticks = math.ceil(config.duration / dt - 1e-12)
-    p0 = config.reference_at(0.0).p_des + config.initial_offset
-    x = OcpState(p=p0, q=so3.quat_identity(), v=np.zeros(3), omega=np.zeros(3))
-
-    for k in range(n_ticks):
-        t = k * dt
-        decision, wrench_cmd, idx = trigger.step(k, t, x)
-        ref = config.reference_at(t)
-        R_L = so3.quat_to_rotation(x.q)
-        mu = allocation.allocate(wrench_cmd, R_L, amap)
-        tensions = np.linalg.norm(mu, axis=1)
-        directions = np.where(tensions[:, None] > 1e-12, -mu / np.maximum(tensions, 1e-12)[:, None], 0.0)
-        attachments = x.p + (R_L @ params.r_i.T).T
-        mav_p = attachments + params.l_i[:, None] * np.where(
-            tensions[:, None] > 1e-12, mu / np.maximum(tensions, 1e-12)[:, None], [[0.0, 0.0, 1.0]]
-        )
-        lo, hi = _pair_extremes(mav_p)
-        report = metrics.check_all(
-            t, x.p, ref.p_des, mav_p, _formation_targets(config, ref), tensions, bounds
-        )
-        event = trigger.events[-1] if decision in ("forced", "event") else None
-        log.ticks.append(
-            TickRecord(
-                t=t,
-                payload=x.copy(),
-                mav_p=mav_p,
-                reference=ref,
-                wrench=wrench_cmd.as_vector(),
-                tensions=tensions,
-                directions=directions,
-                decision=decision,
-                horizon=trigger.state.N_kj,
-                pred_index=idx,
-                payload_err=metrics.payload_los_error(x.p, ref.p_des),
-                min_sep=lo,
-                max_sep=hi,
-                report=report,
-                solver_status="" if event is None else event.status,
-                solver_iterations=0 if event is None else event.iterations,
-                cost=float("nan") if event is None else event.cost,
-            )
-        )
-        x = payload_ocp.discretize(x, wrench_cmd, dt, trigger.problem)
         if disturbance.kind != "none" and disturbance.eta > 0.0:
-            x = payload_ocp.retract(x, disturbance.sample())
-        if not np.all(np.isfinite(x.as_vector())):
-            raise HarnessAbort(f"non-finite payload state at t={t + dt:.3f} s")
+            Y[0] = payload_ocp.retract_rows(Y[0], disturbance.sample())
 
     log.events = trigger.events
     log.solver_failures = trigger.failures
@@ -856,6 +829,35 @@ def _check_keys(section: dict, allowed: set, where: str) -> None:
         raise ConfigError(f"unknown key {sorted(unknown)[0]!r} in section {where!r}")
 
 
+def _number(section: dict, key: str, default=None, kind=float):
+    """section[key] as a finite float, an integer (kind=int), a list of three
+    finite floats (kind=np.ndarray) or a list of finite floats (kind=list);
+    default when the key is absent.  Anything else is a ConfigError naming
+    the key."""
+    if key not in section:
+        return default
+    value = section[key]
+    if kind is np.ndarray or kind is list:
+        if not isinstance(value, list) or (kind is np.ndarray and len(value) != 3):
+            size = "3 " if kind is np.ndarray else ""
+            raise ConfigError(f"{key!r} must be a list of {size}numbers, got {value!r}")
+        items = [_number({key: v}, key) for v in value]
+        return np.array(items) if kind is np.ndarray else items
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{key!r} must be a number, got {value!r}")
+    if kind is int:
+        if isinstance(value, float) and not value.is_integer():
+            raise ConfigError(f"{key!r} must be an integer, got {value!r}")
+        return int(value)
+    try:
+        value = float(value)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ConfigError(f"{key!r} must be finite, got {value!r}")
+    return value
+
+
 def _override_weights(base: CostWeights, section: dict) -> CostWeights:
     """The preset's weights with the blocks named in `section` replaced.
 
@@ -865,13 +867,13 @@ def _override_weights(base: CostWeights, section: dict) -> CostWeights:
     """
     diag_x = np.diag(base.Q_X).copy()
     diag_u = np.diag(base.Q_U).copy()
-    scale = float(section.get("terminal_scale", base.Q_XN[0, 0] / base.Q_X[0, 0]))
+    scale = _number(section, "terminal_scale", float(base.Q_XN[0, 0] / base.Q_X[0, 0]))
     for key, start in _STATE_WEIGHT_BLOCKS.items():
         if key in section:
-            diag_x[start : start + 3] = float(section[key])
+            diag_x[start : start + 3] = _number(section, key)
     for key, start in _INPUT_WEIGHT_BLOCKS.items():
         if key in section:
-            diag_u[start : start + 3] = float(section[key])
+            diag_u[start : start + 3] = _number(section, key)
     Q_X = np.diag(diag_x)
     return CostWeights(Q_X=Q_X, Q_U=np.diag(diag_u), Q_XN=scale * Q_X)
 
@@ -896,22 +898,21 @@ def build_scenario(data: dict):
 
     sc = data.get("scenario", {})
     _check_keys(sc, _SCENARIO_KEYS, "scenario")
-    config.duration = float(sc.get("duration_s", config.duration))
-    config.seed = int(sc.get("seed", config.seed))
+    config.duration = _number(sc, "duration_s", config.duration)
+    config.seed = _number(sc, "seed", config.seed, int)
     config.plant_model = sc.get("plant_model", config.plant_model)
-    config.dt_lowlevel = float(sc.get("dt_lowlevel_s", config.dt_lowlevel))
-    if "initial_offset_m" in sc:
-        config.initial_offset = np.asarray(sc["initial_offset_m"], dtype=np.float64)
+    config.dt_lowlevel = _number(sc, "dt_lowlevel_s", config.dt_lowlevel)
+    config.initial_offset = _number(sc, "initial_offset_m", config.initial_offset, np.ndarray)
 
     ref = data.get("reference", {})
     _check_keys(ref, _REFERENCE_KEYS, "reference")
     if ref:
         config.reference = ReferenceSpec(
             kind=ref.get("kind", config.reference.kind),
-            radius=float(ref.get("radius_m", config.reference.radius)),
-            period=float(ref.get("period_s", config.reference.period)),
-            height=float(ref.get("height_m", config.reference.height)),
-            position=np.asarray(ref.get("position_m", config.reference.position), dtype=np.float64),
+            radius=_number(ref, "radius_m", config.reference.radius),
+            period=_number(ref, "period_s", config.reference.period),
+            height=_number(ref, "height_m", config.reference.height),
+            position=_number(ref, "position_m", config.reference.position, np.ndarray),
         )
 
     sys_sec = data.get("system", {})
@@ -920,17 +921,17 @@ def build_scenario(data: dict):
         base = config.params
         config.params = SystemParams(
             n=base.n,
-            m_i=float(sys_sec.get("mav_mass_kg", base.m_i[0])),
+            m_i=_number(sys_sec, "mav_mass_kg", float(base.m_i[0])),
             J_i=base.J_i[0],
-            m_L=float(sys_sec.get("payload_mass_kg", base.m_L)),
+            m_L=_number(sys_sec, "payload_mass_kg", base.m_L),
             J_L=base.J_L,
             r_i=base.r_i,
-            l_i=float(sys_sec.get("cable_length_m", base.l_i[0])),
-            F_max=float(sys_sec.get("thrust_max_N", base.F_max)),
-            f_max=float(sys_sec.get("tension_max_N", base.f_max)),
+            l_i=_number(sys_sec, "cable_length_m", float(base.l_i[0])),
+            F_max=_number(sys_sec, "thrust_max_N", base.F_max),
+            f_max=_number(sys_sec, "tension_max_N", base.f_max),
             g=base.g,
-            cable_stiffness=float(sys_sec.get("cable_stiffness_Npm", base.cable_stiffness)),
-            cable_damping=float(sys_sec.get("cable_damping_Nspm", base.cable_damping)),
+            cable_stiffness=_number(sys_sec, "cable_stiffness_Npm", base.cable_stiffness),
+            cable_damping=_number(sys_sec, "cable_damping_Nspm", base.cable_damping),
         )
 
     trig = data.get("trigger", {})
@@ -940,13 +941,13 @@ def build_scenario(data: dict):
         if trig["preset"] not in TRIGGER_PRESETS:
             raise ConfigError(f"unknown trigger preset {trig['preset']!r}")
         alpha, beta = TRIGGER_PRESETS[trig["preset"]]
-    alpha = float(trig.get("alpha", alpha))
-    beta = float(trig.get("beta", beta))
     config.trigger = TriggerConfig(
-        alpha=alpha, beta=beta, sigma=int(trig.get("sigma", config.trigger.sigma))
+        alpha=_number(trig, "alpha", alpha),
+        beta=_number(trig, "beta", beta),
+        sigma=_number(trig, "sigma", config.trigger.sigma, int),
     )
     eps = trig.get("terminal_epsilon", config.terminal_epsilon)
-    config.terminal_epsilon = None if eps is None else float(eps)
+    config.terminal_epsilon = None if eps is None else _number(trig, "terminal_epsilon", eps)
 
     nmpc = data.get("nmpc", {})
     _check_keys(nmpc, _NMPC_KEYS, "nmpc")
@@ -957,41 +958,41 @@ def build_scenario(data: dict):
         weights = _override_weights(weights, weights_sec)
     obstacle = data.get("obstacle", {})
     _check_keys(obstacle, _OBSTACLE_KEYS, "obstacle")
-    funnel_eps = float(nmpc.get("funnel_epsilon_m", config.ocp.funnel.value(0.0)))
+    if obstacle and "center_m" not in obstacle:
+        raise ConfigError("section 'obstacle' needs center_m")
+    funnel_eps = _number(nmpc, "funnel_epsilon_m", config.ocp.funnel.value(0.0))
     config.ocp = OcpConfig(
         weights=weights,
         m_L=config.params.m_L,
         J_L=config.params.J_L,
         r_i=config.params.r_i,
         f_max=config.params.f_max,
-        N=int(nmpc.get("horizon", config.ocp.N)),
-        dt=float(nmpc.get("dt_s", config.ocp.dt)),
+        N=_number(nmpc, "horizon", config.ocp.N, int),
+        dt=_number(nmpc, "dt_s", config.ocp.dt),
         g=config.params.g,
-        obstacle_center=(
-            np.asarray(obstacle["center_m"], dtype=np.float64) if obstacle else None
-        ),
-        obstacle_clearance=float(obstacle.get("clearance_m", 0.0)),
+        obstacle_center=_number(obstacle, "center_m", None, np.ndarray) if obstacle else None,
+        obstacle_clearance=_number(obstacle, "clearance_m", 0.0),
         funnel=metrics.FunnelSpec.constant(funnel_eps),
-        funnel_weight=float(nmpc.get("funnel_weight", config.ocp.funnel_weight)),
+        funnel_weight=_number(nmpc, "funnel_weight", config.ocp.funnel_weight),
     )
 
     solver = data.get("solver", {})
     _check_keys(solver, _SOLVER_KEYS, "solver")
     config.solver = dataclasses.replace(
         config.solver,
-        **{key: _SOLVER_KEYS[key](value) for key, value in solver.items()},
+        **{key: _number(solver, key, kind=_SOLVER_KEYS[key]) for key in solver},
     )
 
     gains_sec = data.get("gains", {})
     _check_keys(gains_sec, _GAIN_KEYS, "gains")
     config.gains = dataclasses.replace(
         config.gains,
-        **{_GAIN_KEYS[key]: float(value) * np.eye(3) for key, value in gains_sec.items()},
+        **{_GAIN_KEYS[key]: _number(gains_sec, key) * np.eye(3) for key in gains_sec},
     )
 
     dist = data.get("disturbance", {})
     _check_keys(dist, _DISTURBANCE_KEYS, "disturbance")
-    config.disturbance_eta = float(dist.get("eta", config.disturbance_eta))
+    config.disturbance_eta = _number(dist, "eta", config.disturbance_eta)
     config.disturbance_kind = dist.get("kind", config.disturbance_kind)
     if config.disturbance_kind not in ("none", "uniform-bounded"):
         raise ConfigError(f"unknown disturbance kind {config.disturbance_kind!r}")
@@ -999,8 +1000,8 @@ def build_scenario(data: dict):
     sweep = data.get("sweep")
     if sweep is not None:
         _check_keys(sweep, _SWEEP_KEYS, "sweep")
-        alphas = [float(a) for a in sweep.get("alphas", [])]
-        betas = [float(b) for b in sweep.get("betas", [])]
+        alphas = _number(sweep, "alphas", [], list)
+        betas = _number(sweep, "betas", [], list)
         if not alphas or not betas:
             raise ConfigError("sweep needs non-empty alphas and betas lists")
         sweep = (alphas, betas)

@@ -5,12 +5,11 @@ the +z body axis of each vehicle.  Cables are modeled as stiff unilateral
 spring-dampers: a cable transmits force only while stretched past its rest
 length, so slackness falls out of the model without constraint solving.
 
-The hot path integrates one flat state vector (payload first, then each MAV;
-13 numbers per body: position, velocity, quaternion, body rates) with a single
-shared Runge-Kutta step.  The per-body derivative operations below are the
-reference formulas; `step_world` uses a fused equivalent and a test pins the
-two against each other.
-"""
+The world state is one (n+1, 13) array: the payload row first, then one row
+per vehicle, each row [p, v, q, omega] (position, velocity, unit quaternion
+scalar first, body rates).  `cable_closure` reads the cables off that array
+and `step_world` advances it with one Runge-Kutta step of a derivative fused
+over all bodies."""
 
 from __future__ import annotations
 
@@ -84,53 +83,6 @@ class SystemParams:
 
 
 @dataclass
-class MavState:
-    p: np.ndarray
-    v: np.ndarray
-    q: np.ndarray  # unit quaternion, scalar first
-    omega: np.ndarray  # body frame rad/s
-
-    def as_vector(self) -> np.ndarray:
-        return np.concatenate([self.p, self.v, self.q, self.omega])
-
-    @classmethod
-    def from_vector(cls, y: np.ndarray) -> "MavState":
-        return cls(y[0:3].copy(), y[3:6].copy(), y[6:10].copy(), y[10:13].copy())
-
-
-@dataclass
-class PayloadState:
-    p: np.ndarray
-    v: np.ndarray
-    q: np.ndarray
-    omega: np.ndarray
-
-    def as_vector(self) -> np.ndarray:
-        return np.concatenate([self.p, self.v, self.q, self.omega])
-
-    @classmethod
-    def from_vector(cls, y: np.ndarray) -> "PayloadState":
-        return cls(y[0:3].copy(), y[3:6].copy(), y[6:10].copy(), y[10:13].copy())
-
-
-@dataclass
-class FullState:
-    payload: PayloadState
-    mavs: list
-
-    def as_vector(self) -> np.ndarray:
-        return np.concatenate([self.payload.as_vector()] + [m.as_vector() for m in self.mavs])
-
-    @classmethod
-    def from_vector(cls, y: np.ndarray, n: int) -> "FullState":
-        rows = y.reshape(n + 1, _BODY_DIM)
-        return cls(
-            PayloadState.from_vector(rows[0]),
-            [MavState.from_vector(rows[1 + k]) for k in range(n)],
-        )
-
-
-@dataclass
 class CableReading:
     """Geometry and tension of one cable.
 
@@ -181,16 +133,6 @@ class DisturbanceModel:
         return self.eta * u
 
 
-def apply_payload_disturbance(payload: PayloadState, d: np.ndarray) -> PayloadState:
-    """Add a 12-dim tangent disturbance to a payload state (attitude via exp)."""
-    return PayloadState(
-        payload.p + d[0:3],
-        payload.v + d[3:6],
-        so3.quat_normalize(so3.quat_mul(payload.q, so3.quat_exp(d[6:9]))),
-        payload.omega + d[9:12],
-    )
-
-
 def saturate_thrust(F: float, F_max: float) -> float:
     """Clamp a thrust command into [0, F_max]."""
     if F_max <= 0:
@@ -198,21 +140,23 @@ def saturate_thrust(F: float, F_max: float) -> float:
     return float(min(max(F, 0.0), F_max))
 
 
-def cable_closure(full: FullState, params: SystemParams) -> list:
-    """Compute per-cable taut/slack status, direction, and spring-damper tension."""
+def cable_closure(Y: np.ndarray, params: SystemParams) -> list:
+    """Per-cable taut/slack status, direction, and spring-damper tension of
+    the (n+1, 13) world state Y."""
     readings = []
-    R_L = so3.quat_to_rotation(full.payload.q)
+    p_L, v_L, q_L, omega_L = Y[0, 0:3], Y[0, 3:6], Y[0, 6:10], Y[0, 10:13]
+    R_L = so3.quat_to_rotation(q_L)
     for k in range(params.n):
-        attach = full.payload.p + R_L @ params.r_i[k]
-        v_attach = full.payload.v + R_L @ so3.cross3(full.payload.omega, params.r_i[k])
-        d = attach - full.mavs[k].p
+        attach = p_L + R_L @ params.r_i[k]
+        v_attach = v_L + R_L @ so3.cross3(omega_L, params.r_i[k])
+        d = attach - Y[1 + k, 0:3]
         dist = float(np.linalg.norm(d))
         if dist < 1e-9:
             raise DegenerateGeometry(f"MAV {k} coincides with its attachment point")
         stretch = dist - params.l_i[k]
         if stretch > 0.0:
             e = d / dist
-            sdot = float(e @ (v_attach - full.mavs[k].v))
+            sdot = float(e @ (v_attach - Y[1 + k, 3:6]))
             tension = params.cable_stiffness * stretch + params.cable_damping * max(0.0, sdot)
             if tension > 10.0 * params.f_max:
                 raise CableOverload(f"cable {k} tension {tension:.3f} N past sanity ceiling")
@@ -220,48 +164,6 @@ def cable_closure(full: FullState, params: SystemParams) -> list:
         else:
             readings.append(CableReading(np.zeros(3), 0.0, False, stretch))
     return readings
-
-
-def mav_derivative(
-    state: MavState,
-    thrust: float,
-    torque: np.ndarray,
-    cable: CableReading,
-    params: SystemParams,
-    i: int,
-) -> MavState:
-    """Time derivative of one vehicle state; thrust must already be saturated.
-
-    The cable pulls the vehicle toward the attachment point with the cable
-    tension, thrust acts along the body z axis.
-    """
-    R = so3.quat_to_rotation(state.q)
-    force = thrust * R[:, 2] + params.m_i[i] * params.g_vec
-    if cable.taut:
-        force = force + cable.tension * cable.direction
-    omega = state.omega
-    omega_dot = params._J_i_inv[i] @ (torque - so3.cross3(omega, params.J_i[i] @ omega))
-    return MavState(state.v.copy(), force / params.m_i[i], so3.omega_to_quat_dot(state.q, omega), omega_dot)
-
-
-def payload_derivative(state: PayloadState, cables: list, params: SystemParams) -> PayloadState:
-    """Time derivative of the payload state under the given cable readings.
-
-    Each taut cable pulls the payload toward its MAV (the reaction to the pull
-    on the vehicle), applied at the attachment offset.
-    """
-    R_L = so3.quat_to_rotation(state.q)
-    force = params.m_L * params.g_vec
-    moment = np.zeros(3)
-    for k, cable in enumerate(cables):
-        if not cable.taut:
-            continue
-        f_world = -cable.tension * cable.direction
-        force = force + f_world
-        moment = moment + so3.cross3(params.r_i[k], R_L.T @ f_world)
-    omega = state.omega
-    omega_dot = params._J_L_inv @ (moment - so3.cross3(omega, params.J_L @ omega))
-    return PayloadState(state.v.copy(), force / params.m_L, so3.omega_to_quat_dot(state.q, omega), omega_dot)
 
 
 def rk4_step(derivative_fn, state, inputs, dt: float):
@@ -284,7 +186,8 @@ def rk4_step(derivative_fn, state, inputs, dt: float):
 
 
 def _world_derivative_flat(y: np.ndarray, inputs, params: SystemParams) -> np.ndarray:
-    """Fused derivative of the flat world vector. inputs = (thrusts, torques)."""
+    """Fused derivative of the world state, flat or (n+1, 13), returned in the
+    shape of y.  inputs = (thrusts, torques)."""
     thrusts, torques = inputs
     n = params.n
     rows = y.reshape(n + 1, _BODY_DIM)
@@ -337,35 +240,19 @@ def _world_derivative_flat(y: np.ndarray, inputs, params: SystemParams) -> np.nd
     out[:, 3:6] = acc
     out[:, 6:10] = qdot
     out[:, 10:13] = wdot
-    return out.reshape(-1)
+    return out.reshape(y.shape)
 
 
-def step_world(
-    full: FullState,
-    commands,
-    disturbance: DisturbanceModel,
-    dt: float,
-    params: SystemParams,
-):
-    """Advance the whole system one step with held commands.
+def step_world(Y: np.ndarray, commands, dt: float, params: SystemParams) -> np.ndarray:
+    """The (n+1, 13) world state one step later under held commands.
 
     commands: list of (thrust, torque) per MAV; thrust is saturated here.
-    Returns (new FullState, CableReadings evaluated at the incoming state).
-    The disturbance adds one bounded sample to the payload state after the step.
     """
-    if len(commands) != params.n or len(full.mavs) != params.n:
+    if len(commands) != params.n or len(Y) != params.n + 1:
         raise ValueError("need one (thrust, torque) command per MAV")
-    readings = cable_closure(full, params)
     thrusts = np.array([saturate_thrust(float(c[0]), params.F_max) for c in commands])
     torques = np.array([np.asarray(c[1], dtype=np.float64) for c in commands])
     deriv = lambda yv, u: _world_derivative_flat(yv, u, params)
-    y = rk4_step(deriv, full.as_vector(), (thrusts, torques), dt)
-    rows = y.reshape(params.n + 1, _BODY_DIM)
-    rows[:, 6:10] = so3.quat_normalize(rows[:, 6:10])
-    new_state = FullState.from_vector(rows.reshape(-1), params.n)
-    if disturbance is not None and disturbance.kind != "none" and disturbance.eta > 0.0:
-        new_state = FullState(
-            apply_payload_disturbance(new_state.payload, disturbance.sample()),
-            new_state.mavs,
-        )
-    return new_state, readings
+    Y = rk4_step(deriv, Y, (thrusts, torques), dt)
+    Y[:, 6:10] = so3.quat_normalize(Y[:, 6:10])
+    return Y

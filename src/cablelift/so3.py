@@ -2,9 +2,7 @@
 
 Conventions used across the stack:
   * world frame is z-up, rotation matrices map body coordinates to world,
-  * quaternions are scalar-first [w, x, y, z] with the Hamilton product,
-  * Euler angles (phi, theta, psi) follow the single fixed convention below
-    and appear only at the config/log boundary.
+  * quaternions are scalar-first [w, x, y, z] with the Hamilton product.
 
 Quaternion helpers broadcast over leading axes so trajectory batches can be
 processed in one call.
@@ -12,82 +10,15 @@ processed in one call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 import math
 
 import numpy as np
 
 EPS = 1e-12
-_GAMMA_GUARD = 1e-6  # singularity guard band around |theta| = pi/2
-
-
-class DomainError(ValueError):
-    """Angles outside the invertibility domain of the Euler-rate transform."""
 
 
 class NotSkew(ValueError):
     """vee() received a matrix that is not skew-symmetric."""
-
-
-@dataclass(frozen=True)
-class EulerAngles:
-    """Roll, pitch, yaw in radians."""
-
-    phi: float
-    theta: float
-    psi: float
-
-    @property
-    def in_domain(self) -> bool:
-        """True iff the Euler-rate transform is well defined and invertible."""
-        return abs(self.phi) < math.pi / 2 and abs(self.theta) < math.pi / 2
-
-
-def rotation_from_euler(angles: EulerAngles) -> np.ndarray:
-    """Rotation matrix for the fixed Euler convention (defined for all angles).
-
-    Equals the product of elementary rotations about z (phi), y (theta) and
-    x (psi), written out entrywise.
-    """
-    cf, sf = math.cos(angles.phi), math.sin(angles.phi)
-    ct, st = math.cos(angles.theta), math.sin(angles.theta)
-    cp, sp = math.cos(angles.psi), math.sin(angles.psi)
-    return np.array(
-        [
-            [cf * ct, cf * st * sp - cp * sf, cp * cf * st + sf * sp],
-            [ct * sf, cf * cp + sf * st * sp, cp * sf * st - cf * sp],
-            [-st, ct * sp, ct * cp],
-        ]
-    )
-
-
-def euler_from_rotation(R: np.ndarray) -> EulerAngles:
-    """Extract Euler angles from a rotation matrix; inverse of rotation_from_euler
-    on the in-domain branch (|theta| < pi/2)."""
-    theta = math.asin(-max(-1.0, min(1.0, R[2, 0])))
-    phi = math.atan2(R[1, 0], R[0, 0])
-    psi = math.atan2(R[2, 1], R[2, 2])
-    return EulerAngles(phi, theta, psi)
-
-
-def euler_rate_matrix(angles: EulerAngles) -> np.ndarray:
-    """Matrix mapping body angular velocity to Euler-angle rates.
-
-    Raises DomainError inside the guard band around the |theta| = pi/2
-    singularity.
-    """
-    if abs(angles.theta) >= math.pi / 2 - _GAMMA_GUARD:
-        raise DomainError(f"euler_rate_matrix singular near |theta|=pi/2: theta={angles.theta}")
-    cf, sf = math.cos(angles.phi), math.sin(angles.phi)
-    ct = math.cos(angles.theta)
-    tt = math.tan(angles.theta)
-    return np.array(
-        [
-            [1.0, sf * tt, cf * tt],
-            [0.0, cf, -sf],
-            [0.0, sf / ct, cf / ct],
-        ]
-    )
 
 
 def hat(v: np.ndarray) -> np.ndarray:
@@ -181,14 +112,6 @@ def quat_from_axis_angle(axis: np.ndarray, angle: float) -> np.ndarray:
     axis = axis / np.linalg.norm(axis)
     half = 0.5 * angle
     return np.concatenate([[math.cos(half)], math.sin(half) * axis])
-
-
-def quat_from_euler(angles: EulerAngles) -> np.ndarray:
-    """Quaternion for the same convention as rotation_from_euler."""
-    qz = quat_from_axis_angle(np.array([0.0, 0.0, 1.0]), angles.phi)
-    qy = quat_from_axis_angle(np.array([0.0, 1.0, 0.0]), angles.theta)
-    qx = quat_from_axis_angle(np.array([1.0, 0.0, 0.0]), angles.psi)
-    return quat_normalize(quat_mul(quat_mul(qz, qy), qx))
 
 
 def quat_to_rotation(q: np.ndarray) -> np.ndarray:

@@ -205,23 +205,24 @@ def test_criterion_07_integrator_order():
     """Whole-rig convergence ratio against a dt=1e-6 forward-Euler reference
     on a slack-cable tumble; an ideal fourth-order pair would give 16."""
     params = harness.default_system()
-    payload = plant.PayloadState(
+    # world rows [p, v, q, omega], payload first
+    payload = np.concatenate([
         np.array([0.0, 0.0, 2.0]),
         np.array([0.2, -0.1, 0.1]),
         so3.quat_identity(),
         np.array([12.0, 8.0, 5.0]),
-    )
+    ])
     rng = np.random.default_rng(1)
     mavs = [
-        plant.MavState(
-            payload.p + params.r_i[k] + np.array([0.0, 0.0, 0.5]),
+        np.concatenate([
+            payload[0:3] + params.r_i[k] + np.array([0.0, 0.0, 0.5]),
             0.1 * rng.standard_normal(3),
             so3.quat_normalize(rng.standard_normal(4)),
             np.array([6.0, -4.0, 9.0]),
-        )
+        ])
         for k in range(params.n)
     ]
-    y0 = plant.FullState(payload, mavs).as_vector()
+    y0 = np.concatenate([payload] + mavs)
     inputs = (np.full(4, 1.0), np.zeros((4, 3)))
     deriv = lambda y, u: plant._world_derivative_flat(y, u, params)
 

@@ -342,19 +342,13 @@ def hover_rig():
         g=G,
     )
     stretch = HOVER_TENSION / params.cable_stiffness
-    payload = plant.PayloadState(
-        p=np.array([0.0, 0.0, 1.0]), q=so3.quat_identity(), v=np.zeros(3), omega=np.zeros(3)
-    )
-    mavs = [
-        plant.MavState(
-            p=payload.p + R_ATTACH[k] + np.array([0.0, 0.0, LEN + stretch]),
-            q=so3.quat_identity(),
-            v=np.zeros(3),
-            omega=np.zeros(3),
-        )
-        for k in range(4)
-    ]
-    return plant.FullState(payload, mavs), params
+    # world rows [p, v, q, omega], payload first, everything level and at rest
+    full = np.zeros((5, 13))
+    full[:, 6:10] = so3.quat_identity()
+    full[0, 0:3] = [0.0, 0.0, 1.0]
+    for k in range(4):
+        full[1 + k, 0:3] = full[0, 0:3] + R_ATTACH[k] + np.array([0.0, 0.0, LEN + stretch])
+    return full, params
 
 
 def run_hover_loop(n_steps, dt=0.002):
@@ -365,14 +359,14 @@ def run_hover_loop(n_steps, dt=0.002):
     amap = allocation.build_allocation(R_ATTACH)
     gains = GainSet()
     wrench = (np.array([0.0, 0.0, M_L * G]), np.zeros(3))
-    target = full.payload.p.copy()
+    target = full[0, 0:3].copy()
     xi_prev = [None] * 4
     mu_prev = [None] * 4
     first_commands = None
     worst = 0.0
     for step in range(n_steps):
         readings = plant.cable_closure(full, params)
-        R_L = so3.quat_to_rotation(full.payload.q)
+        R_L = so3.quat_to_rotation(full[0, 6:10])
         mu = allocation.allocate(wrench, R_L, amap)
         commands = []
         for k in range(4):
@@ -384,25 +378,25 @@ def run_hover_loop(n_steps, dt=0.002):
             xi_prev[k] = xi
             state = CableTrackingState(xi, om_c, xi_des, om_des)
             a_kc = cc.attachment_accel(
-                np.zeros(3), R_L, full.payload.omega, np.zeros(3), R_ATTACH[k]
+                np.zeros(3), R_L, full[0, 10:13], np.zeros(3), R_ATTACH[k]
             )
             u_par, u_perp = cc.control_components(
                 allocation.project_tension(mu[k], xi), state, a_kc, M_I, LEN, gains
             )
             u = u_par + u_perp
-            R_k = so3.quat_to_rotation(full.mavs[k].q)
+            R_k = so3.quat_to_rotation(full[1 + k, 6:10])
             f = cc.thrust_command(u, R_k)
             R_des = cc.desired_attitude(u, 0.0)
-            errors = cc.attitude_errors(R_k, R_des, full.mavs[k].omega, np.zeros(3))
+            errors = cc.attitude_errors(R_k, R_des, full[1 + k, 10:13], np.zeros(3))
             M = cc.moment_command(
-                errors, full.mavs[k].omega, R_k, R_des,
+                errors, full[1 + k, 10:13], R_k, R_des,
                 np.zeros(3), np.zeros(3), params.J_i[k], gains,
             )
             commands.append((f, M))
         if first_commands is None:
             first_commands = commands
-        full, _ = plant.step_world(full, commands, None, dt, params)
-        worst = max(worst, float(np.linalg.norm(full.payload.p - target)))
+        full = plant.step_world(full, commands, dt, params)
+        worst = max(worst, float(np.linalg.norm(full[0, 0:3] - target)))
     return worst, first_commands
 
 

@@ -84,6 +84,23 @@ class TestRun:
         config = write(tmp_path, "schema_version: 1\nwind: strong\n")
         assert cli.main(["run", "--config", config, "--out-dir", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize(
+        "preset, section, key, value",
+        [
+            ("hover-nominal", "scenario", "duration_s", ".nan"),
+            ("hover-nominal", "scenario", "duration_s", "abc"),
+            ("hover-nominal", "scenario", "initial_offset_m", "[.nan, 0, 0]"),
+            ("hover", "scenario", "initial_offset_m", "[.nan, 0, 0]"),
+            ("hover-nominal", "scenario", "initial_offset_m", "[1, 2]"),
+            ("hover-nominal", "nmpc", "horizon", "2.7"),
+        ],
+    )
+    def test_malformed_number_is_a_config_error(self, tmp_path, capsys, preset, section, key, value):
+        text = f"schema_version: 1\npreset: {preset}\n{section}:\n  {key}: {value}\n"
+        config = write(tmp_path, text)
+        assert cli.main(["run", "--config", config, "--out-dir", str(tmp_path)]) == 2
+        assert repr(key) in capsys.readouterr().err
+
     def test_aborted_run_exits_one(self, tmp_path, capsys):
         config = write(tmp_path, ABORT_CONFIG)
         assert cli.main(["run", "--config", config, "--out-dir", str(tmp_path)]) == 1

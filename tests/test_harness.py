@@ -12,7 +12,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from cablelift import harness, metrics, payload_ocp, so3
+from cablelift import harness, metrics, payload_ocp, plant, so3
 from cablelift.harness import (
     ConfigError,
     EmptyLog,
@@ -163,31 +163,32 @@ class TestScenarioConfig:
 class TestEquilibriumState:
     def test_hover_geometry(self):
         config = harness.scenario_preset("hover")
-        full = harness.equilibrium_state(config)
-        np.testing.assert_allclose(full.payload.p, [0.0, 0.0, 1.0])
-        assert np.all(full.payload.v == 0.0)
+        Y = harness.equilibrium_state(config)
+        assert Y.shape == (5, 13)
+        np.testing.assert_allclose(Y[0, 0:3], [0.0, 0.0, 1.0])
+        assert np.all(Y[0, 3:6] == 0.0)
         # each vehicle parks one cable length plus the hover spring stretch
         # above its attachment: f = m_L g / 4, stretch = f / k
         stretch = 0.232 * 9.81 / 4.0 / config.params.cable_stiffness
         assert abs(stretch - 0.000113796) < 1e-9
         for k in range(4):
-            expect = full.payload.p + config.params.r_i[k] + [0.0, 0.0, 1.0 + stretch]
-            np.testing.assert_allclose(full.mavs[k].p, expect, atol=1e-12)
-            assert np.all(full.mavs[k].v == 0.0)
+            expect = Y[0, 0:3] + config.params.r_i[k] + [0.0, 0.0, 1.0 + stretch]
+            np.testing.assert_allclose(Y[1 + k, 0:3], expect, atol=1e-12)
+            assert np.all(Y[1 + k, 3:6] == 0.0)
 
     def test_moving_reference_velocity_matched(self):
         """A circle start must not open with a velocity-error step."""
         config = harness.scenario_preset("circle-medium")
-        full = harness.equilibrium_state(config)
-        np.testing.assert_allclose(full.payload.v, [0.0, TWO_PI_OVER_15, 0.0], atol=1e-15)
-        for mav in full.mavs:
-            np.testing.assert_allclose(mav.v, full.payload.v)
+        Y = harness.equilibrium_state(config)
+        np.testing.assert_allclose(Y[0, 3:6], [0.0, TWO_PI_OVER_15, 0.0], atol=1e-15)
+        for row in Y[1:]:
+            np.testing.assert_allclose(row[3:6], Y[0, 3:6])
 
     def test_initial_offset_shifts_formation(self):
         config = harness.scenario_preset("hover-recovery")
-        full = harness.equilibrium_state(config)
-        np.testing.assert_allclose(full.payload.p, [0.3, 0.0, 1.0])
-        np.testing.assert_allclose(full.mavs[0].p[:2], [0.3 + 0.3, 0.3])
+        Y = harness.equilibrium_state(config)
+        np.testing.assert_allclose(Y[0, 0:3], [0.3, 0.0, 1.0])
+        np.testing.assert_allclose(Y[1, 0:2], [0.3 + 0.3, 0.3])
 
 
 class TestPresets:
@@ -334,6 +335,33 @@ class TestRunPayloadOnly:
         log = harness.run_closed_loop(config)
         assert harness.invariant_counters(log) == {"m_bounds": 0, "horizon_chain": 0}
 
+    def test_obstacle_in_constraint_report(self):
+        config, _ = harness.build_scenario(
+            {
+                "schema_version": 1,
+                "preset": "hover-nominal",
+                "scenario": {"duration_s": 0.1},
+                "obstacle": {"center_m": [2.0, 0.0, 1.0], "clearance_m": 0.3},
+            }
+        )
+        log = harness.run_closed_loop(config)
+        entry = log.ticks[0].report["obstacle"]
+        assert entry.value == pytest.approx(2.0)
+        assert entry.margin == pytest.approx(1.7)
+
+    def test_moving_reference_starts_at_reference_velocity(self, tmp_path):
+        config = dataclasses.replace(
+            harness.scenario_preset("circle-medium"), plant_model="payload_only", duration=0.1
+        )
+        log = harness.run_closed_loop(config)
+        path = tmp_path / "run.csv"
+        harness.emit_csv(log, path)
+        header, first = path.read_text().splitlines()[:2]
+        row = dict(zip(header.split(","), first.split(",")))
+        assert float(row["vx_mps"]) == 0.0
+        assert float(row["vy_mps"]) == pytest.approx(TWO_PI_OVER_15, abs=1e-15)
+        assert float(row["vz_mps"]) == 0.0
+
     def test_disturbed_run_reproducible(self):
         config = dataclasses.replace(
             harness.scenario_preset("hover-recovery"),
@@ -370,6 +398,44 @@ class TestRunFull:
         config = dataclasses.replace(harness.scenario_preset("hover"), duration=0.5)
         log = harness.run_closed_loop(config)
         assert max(r.payload_err for r in log.ticks) < 1e-3
+
+    def test_one_cable_closure_per_tick(self):
+        config = dataclasses.replace(harness.scenario_preset("hover"), duration=0.1)
+        with mock.patch.object(plant, "cable_closure", wraps=plant.cable_closure) as closure:
+            log = harness.run_closed_loop(config)
+        assert len(log.ticks) == 50
+        assert closure.call_count == len(log.ticks)
+
+
+def _short_hover(duration, **disturbance):
+    return dataclasses.replace(harness.scenario_preset("hover"), duration=duration, **disturbance)
+
+
+class TestDisturbance:
+    def test_disturbance_off_is_bit_exact(self):
+        none = harness.run_closed_loop(_short_hover(0.02))
+        zero = harness.run_closed_loop(
+            _short_hover(0.02, disturbance_eta=0.0, disturbance_kind="uniform-bounded")
+        )
+        for a, b in zip(none.ticks, zero.ticks):
+            np.testing.assert_array_equal(a.payload.as_vector(), b.payload.as_vector())
+            np.testing.assert_array_equal(a.mav_p, b.mav_p)
+
+    def test_disturbance_bound(self):
+        """The one sample added after the first step moves the payload by at
+        most eta from the undisturbed step, in the 12-d tangent."""
+        eta = 0.01
+        clean = harness.run_closed_loop(_short_hover(0.004)).ticks[1].payload
+        noisy = harness.run_closed_loop(
+            _short_hover(0.004, disturbance_eta=eta, disturbance_kind="uniform-bounded")
+        ).ticks[1].payload
+        dp = noisy.p - clean.p
+        dv = noisy.v - clean.v
+        dw = noisy.omega - clean.omega
+        datt = so3.quat_log(so3.quat_mul(so3.quat_conj(clean.q), noisy.q))
+        dev = np.linalg.norm(np.concatenate([dp, dv, datt, dw]))
+        assert dev <= eta + 1e-9
+        assert dev > 0.0  # the sample actually fired
 
 
 # ---------------------------------------------------------------------------
@@ -720,6 +786,11 @@ class TestLoadConfig:
     def test_bad_disturbance_kind_rejected(self, tmp_path):
         text = "schema_version: 1\ndisturbance:\n  kind: gusts\n"
         with pytest.raises(ConfigError):
+            harness.load_config(write_config(tmp_path, text))
+
+    def test_obstacle_needs_a_center(self, tmp_path):
+        text = "schema_version: 1\nobstacle:\n  clearance_m: 0.3\n"
+        with pytest.raises(ConfigError, match="center_m"):
             harness.load_config(write_config(tmp_path, text))
 
     def test_sweep_grid_parsed(self, tmp_path):

@@ -2,7 +2,8 @@
 
 Order-of-accuracy checks compare against independent references (forward
 Euler at dt=1e-6, closed-form exponentials); expected digits were computed
-with those oracles first and then frozen here.
+with those oracles first and then frozen here.  The per-body derivative
+formulas below are the reference the fused world derivative is pinned to.
 """
 
 import numpy as np
@@ -16,15 +17,62 @@ from cablelift.plant import (
     CableReading,
     DegenerateGeometry,
     DisturbanceModel,
-    FullState,
-    MavState,
     NonFiniteState,
-    PayloadState,
     SystemParams,
 )
 
 G = 9.81
 SIDE = 0.6
+
+# blocks of one 13-number body row [p, v, q, omega]
+P, V, Q, W = slice(0, 3), slice(3, 6), slice(6, 10), slice(10, 13)
+
+
+def body(p, v, q, omega) -> np.ndarray:
+    return np.concatenate([p, v, q, omega])
+
+
+def resting_world(mav_positions, mav_v=np.zeros(3)) -> np.ndarray:
+    """Level payload at rest at the origin, level vehicles at the given
+    positions moving with velocity mav_v."""
+    rows = [body(np.zeros(3), np.zeros(3), so3.quat_identity(), np.zeros(3))]
+    rows += [body(p, mav_v, so3.quat_identity(), np.zeros(3)) for p in mav_positions]
+    return np.array(rows)
+
+
+def mav_derivative(y, thrust, torque, cable, params, i):
+    """Time derivative of one vehicle row; thrust must already be saturated.
+
+    The cable pulls the vehicle toward the attachment point with the cable
+    tension, thrust acts along the body z axis.
+    """
+    R = so3.quat_to_rotation(y[Q])
+    force = thrust * R[:, 2] + params.m_i[i] * params.g_vec
+    if cable.taut:
+        force = force + cable.tension * cable.direction
+    omega = y[W]
+    omega_dot = params._J_i_inv[i] @ (torque - so3.cross3(omega, params.J_i[i] @ omega))
+    return body(y[V], force / params.m_i[i], so3.omega_to_quat_dot(y[Q], omega), omega_dot)
+
+
+def payload_derivative(y, cables, params):
+    """Time derivative of the payload row under the given cable readings.
+
+    Each taut cable pulls the payload toward its MAV (the reaction to the pull
+    on the vehicle), applied at the attachment offset.
+    """
+    R_L = so3.quat_to_rotation(y[Q])
+    force = params.m_L * params.g_vec
+    moment = np.zeros(3)
+    for k, cable in enumerate(cables):
+        if not cable.taut:
+            continue
+        f_world = -cable.tension * cable.direction
+        force = force + f_world
+        moment = moment + so3.cross3(params.r_i[k], R_L.T @ f_world)
+    omega = y[W]
+    omega_dot = params._J_L_inv @ (moment - so3.cross3(omega, params.J_L @ omega))
+    return body(y[V], force / params.m_L, so3.omega_to_quat_dot(y[Q], omega), omega_dot)
 
 
 def make_params(**over) -> SystemParams:
@@ -51,24 +99,22 @@ def make_params(**over) -> SystemParams:
     return SystemParams(**base)
 
 
-def hover_state(params: SystemParams) -> FullState:
+def hover_state(params: SystemParams) -> np.ndarray:
     """Static equilibrium: MAVs straight above their attachments, cables
     stretched exactly enough to carry m_L g / n each."""
     tension = params.m_L * params.g / params.n
     stretch = tension / params.cable_stiffness
-    payload = PayloadState(
-        np.array([0.0, 0.0, 0.5]), np.zeros(3), so3.quat_identity(), np.zeros(3)
-    )
+    payload = body(np.array([0.0, 0.0, 0.5]), np.zeros(3), so3.quat_identity(), np.zeros(3))
     mavs = [
-        MavState(
-            payload.p + params.r_i[k] + np.array([0.0, 0.0, params.l_i[k] + stretch]),
+        body(
+            payload[P] + params.r_i[k] + np.array([0.0, 0.0, params.l_i[k] + stretch]),
             np.zeros(3),
             so3.quat_identity(),
             np.zeros(3),
         )
         for k in range(params.n)
     ]
-    return FullState(payload, mavs)
+    return np.array([payload] + mavs)
 
 
 def hover_commands(params: SystemParams):
@@ -76,8 +122,8 @@ def hover_commands(params: SystemParams):
     return [(thrust, np.zeros(3)) for _ in range(params.n)]
 
 
-def random_full_state(rng, params: SystemParams, spread: float = 0.3) -> FullState:
-    payload = PayloadState(
+def random_full_state(rng, params: SystemParams, spread: float = 0.3) -> np.ndarray:
+    payload = body(
         rng.uniform(-1, 1, 3),
         spread * rng.standard_normal(3),
         so3.quat_normalize(rng.standard_normal(4)),
@@ -86,14 +132,14 @@ def random_full_state(rng, params: SystemParams, spread: float = 0.3) -> FullSta
     mavs = []
     for k in range(params.n):
         mavs.append(
-            MavState(
-                payload.p + params.r_i[k] + np.array([0, 0, 1.0]) + 0.1 * rng.standard_normal(3),
+            body(
+                payload[P] + params.r_i[k] + np.array([0, 0, 1.0]) + 0.1 * rng.standard_normal(3),
                 spread * rng.standard_normal(3),
                 so3.quat_normalize(rng.standard_normal(4)),
                 spread * rng.standard_normal(3),
             )
         )
-    return FullState(payload, mavs)
+    return np.array([payload] + mavs)
 
 
 class TestSystemParams:
@@ -129,21 +175,18 @@ class TestSystemParams:
 
 
 class TestStateVectors:
-    def test_round_trip(self):
-        rng = np.random.default_rng(7)
-        params = make_params()
-        full = random_full_state(rng, params)
-        y = full.as_vector()
-        assert y.shape == (13 * 5,)
-        back = FullState.from_vector(y, params.n)
-        np.testing.assert_array_equal(back.as_vector(), y)
-
     def test_payload_is_first_block(self):
+        """Row 0 is read as the payload and row 1 + k as vehicle k: moving
+        vehicle 0 sideways tilts cable 0 alone, toward the attachment."""
         params = make_params()
-        full = hover_state(params)
-        y = full.as_vector()
-        np.testing.assert_array_equal(y[0:3], full.payload.p)
-        np.testing.assert_array_equal(y[13:16], full.mavs[0].p)
+        Y = hover_state(params)
+        Y[1, P] += np.array([0.01, 0.0, 0.0])
+        readings = plant.cable_closure(Y, params)
+        attach = Y[0, P] + params.r_i[0]
+        d = attach - Y[1, P]
+        np.testing.assert_allclose(readings[0].direction, d / np.linalg.norm(d), atol=1e-15)
+        for r in readings[1:]:
+            np.testing.assert_allclose(r.direction, [0.0, 0.0, -1.0], atol=1e-12)
 
 
 class TestSaturateThrust:
@@ -176,17 +219,8 @@ class TestCableClosure:
     def test_zero_stretch_is_slack(self):
         """A cable at exactly its rest length transmits nothing."""
         params = make_params()
-        payload = PayloadState(np.zeros(3), np.zeros(3), so3.quat_identity(), np.zeros(3))
-        mavs = [
-            MavState(
-                params.r_i[k] + np.array([0, 0, params.l_i[k]]),
-                np.zeros(3),
-                so3.quat_identity(),
-                np.zeros(3),
-            )
-            for k in range(4)
-        ]
-        readings = plant.cable_closure(FullState(payload, mavs), params)
+        Y = resting_world([params.r_i[k] + np.array([0, 0, params.l_i[k]]) for k in range(4)])
+        readings = plant.cable_closure(Y, params)
         for r in readings:
             assert not r.taut
             assert r.tension == 0.0
@@ -194,17 +228,8 @@ class TestCableClosure:
     def test_one_millimeter_stretch(self):
         # k * s = 10000 * 0.001 = 10 N, direction straight down toward the load
         params = make_params(cable_stiffness=10000.0, f_max=2.0)
-        payload = PayloadState(np.zeros(3), np.zeros(3), so3.quat_identity(), np.zeros(3))
-        mavs = [
-            MavState(
-                params.r_i[k] + np.array([0, 0, params.l_i[k] + 1e-3]),
-                np.zeros(3),
-                so3.quat_identity(),
-                np.zeros(3),
-            )
-            for k in range(4)
-        ]
-        readings = plant.cable_closure(FullState(payload, mavs), params)
+        Y = resting_world([params.r_i[k] + np.array([0, 0, params.l_i[k] + 1e-3]) for k in range(4)])
+        readings = plant.cable_closure(Y, params)
         for r in readings:
             assert r.taut
             assert r.tension == pytest.approx(10.0, abs=1e-9)
@@ -213,17 +238,8 @@ class TestCableClosure:
 
     def test_slack_cable(self):
         params = make_params()
-        payload = PayloadState(np.zeros(3), np.zeros(3), so3.quat_identity(), np.zeros(3))
-        mavs = [
-            MavState(
-                params.r_i[k] + np.array([0, 0, 0.5 * params.l_i[k]]),
-                np.zeros(3),
-                so3.quat_identity(),
-                np.zeros(3),
-            )
-            for k in range(4)
-        ]
-        for r in plant.cable_closure(FullState(payload, mavs), params):
+        Y = resting_world([params.r_i[k] + np.array([0, 0, 0.5 * params.l_i[k]]) for k in range(4)])
+        for r in plant.cable_closure(Y, params):
             assert not r.taut and r.tension == 0.0
 
     def test_damping_only_resists_further_stretch(self):
@@ -232,17 +248,10 @@ class TestCableClosure:
         stretch = 1e-4
 
         def rig(mav_vz):
-            payload = PayloadState(np.zeros(3), np.zeros(3), so3.quat_identity(), np.zeros(3))
-            mavs = [
-                MavState(
-                    params.r_i[k] + np.array([0, 0, params.l_i[k] + stretch]),
-                    np.array([0.0, 0.0, mav_vz]),
-                    so3.quat_identity(),
-                    np.zeros(3),
-                )
-                for k in range(4)
-            ]
-            return FullState(payload, mavs)
+            return resting_world(
+                [params.r_i[k] + np.array([0, 0, params.l_i[k] + stretch]) for k in range(4)],
+                np.array([0.0, 0.0, mav_vz]),
+            )
 
         # MAV rising at 0.01 m/s: sdot = e . (v_attach - v_mav) = (0,0,-1).(0,0,-0.01) = 0.01
         taut = plant.cable_closure(rig(0.01), params)[0]
@@ -255,28 +264,15 @@ class TestCableClosure:
 
     def test_degenerate_geometry_raises(self):
         params = make_params()
-        payload = PayloadState(np.zeros(3), np.zeros(3), so3.quat_identity(), np.zeros(3))
-        mavs = [
-            MavState(params.r_i[k].copy(), np.zeros(3), so3.quat_identity(), np.zeros(3))
-            for k in range(4)
-        ]
+        Y = resting_world([params.r_i[k].copy() for k in range(4)])
         with pytest.raises(DegenerateGeometry):
-            plant.cable_closure(FullState(payload, mavs), params)
+            plant.cable_closure(Y, params)
 
     def test_overload_raises(self):
         params = make_params()
-        payload = PayloadState(np.zeros(3), np.zeros(3), so3.quat_identity(), np.zeros(3))
-        mavs = [
-            MavState(
-                params.r_i[k] + np.array([0, 0, params.l_i[k] + 1.0]),
-                np.zeros(3),
-                so3.quat_identity(),
-                np.zeros(3),
-            )
-            for k in range(4)
-        ]
+        Y = resting_world([params.r_i[k] + np.array([0, 0, params.l_i[k] + 1.0]) for k in range(4)])
         with pytest.raises(CableOverload):
-            plant.cable_closure(FullState(payload, mavs), params)
+            plant.cable_closure(Y, params)
 
     def test_reading_invariants_random_states(self):
         """Tension nonnegative, slack means zero force, taut directions unit."""
@@ -299,97 +295,95 @@ class TestCableClosure:
 class TestMavDerivative:
     def test_free_fall(self):
         params = make_params()
-        state = MavState(np.zeros(3), np.zeros(3), so3.quat_identity(), np.zeros(3))
+        state = body(np.zeros(3), np.zeros(3), so3.quat_identity(), np.zeros(3))
         slack = CableReading(np.zeros(3), 0.0, False)
-        d = plant.mav_derivative(state, 0.0, np.zeros(3), slack, params, 0)
-        np.testing.assert_array_equal(d.v, params.g_vec)
-        np.testing.assert_array_equal(d.p, np.zeros(3))
+        d = mav_derivative(state, 0.0, np.zeros(3), slack, params, 0)
+        np.testing.assert_array_equal(d[V], params.g_vec)
+        np.testing.assert_array_equal(d[P], np.zeros(3))
 
     def test_hover_balance(self):
         """Thrust = weight + cable pull (cable hangs the load below the MAV)."""
         params = make_params()
         tension = params.m_L * G / 4
         thrust = params.m_i[0] * G + tension
-        state = MavState(np.array([0, 0, 1.5]), np.zeros(3), so3.quat_identity(), np.zeros(3))
+        state = body(np.array([0, 0, 1.5]), np.zeros(3), so3.quat_identity(), np.zeros(3))
         cable = CableReading(np.array([0.0, 0.0, -1.0]), tension, True)
-        d = plant.mav_derivative(state, thrust, np.zeros(3), cable, params, 0)
-        np.testing.assert_allclose(d.v, np.zeros(3), atol=1e-12)
+        d = mav_derivative(state, thrust, np.zeros(3), cable, params, 0)
+        np.testing.assert_allclose(d[V], np.zeros(3), atol=1e-12)
 
     def test_principal_axis_spin(self):
         params = make_params()
-        state = MavState(
-            np.zeros(3), np.zeros(3), so3.quat_identity(), np.array([1.0, 0.0, 0.0])
-        )
+        state = body(np.zeros(3), np.zeros(3), so3.quat_identity(), np.array([1.0, 0.0, 0.0]))
         slack = CableReading(np.zeros(3), 0.0, False)
-        d = plant.mav_derivative(state, 0.0, np.zeros(3), slack, params, 0)
-        np.testing.assert_allclose(d.omega, np.zeros(3), atol=1e-15)
+        d = mav_derivative(state, 0.0, np.zeros(3), slack, params, 0)
+        np.testing.assert_allclose(d[W], np.zeros(3), atol=1e-15)
 
     def test_gyroscopic_term_oracle(self):
         params = make_params()
         w = np.array([2.0, -1.0, 3.0])
-        state = MavState(np.zeros(3), np.zeros(3), so3.quat_identity(), w)
+        state = body(np.zeros(3), np.zeros(3), so3.quat_identity(), w)
         slack = CableReading(np.zeros(3), 0.0, False)
         tau = np.array([0.01, -0.02, 0.005])
-        d = plant.mav_derivative(state, 0.0, tau, slack, params, 0)
+        d = mav_derivative(state, 0.0, tau, slack, params, 0)
         expected = np.linalg.solve(params.J_i[0], tau - np.cross(w, params.J_i[0] @ w))
-        np.testing.assert_allclose(d.omega, expected, atol=1e-14)
+        np.testing.assert_allclose(d[W], expected, atol=1e-14)
 
     def test_attitude_rate_is_quaternion_kinematics(self):
         params = make_params()
         rng = np.random.default_rng(3)
         q = so3.quat_normalize(rng.standard_normal(4))
         w = rng.standard_normal(3)
-        state = MavState(np.zeros(3), np.zeros(3), q, w)
+        state = body(np.zeros(3), np.zeros(3), q, w)
         slack = CableReading(np.zeros(3), 0.0, False)
-        d = plant.mav_derivative(state, 0.0, np.zeros(3), slack, params, 0)
-        np.testing.assert_allclose(d.q, so3.omega_to_quat_dot(q, w), atol=1e-15)
+        d = mav_derivative(state, 0.0, np.zeros(3), slack, params, 0)
+        np.testing.assert_allclose(d[Q], so3.omega_to_quat_dot(q, w), atol=1e-15)
 
 
 class TestPayloadDerivative:
     def test_ballistic(self):
         params = make_params()
         w = np.array([0.4, -0.2, 0.9])
-        state = PayloadState(np.zeros(3), np.zeros(3), so3.quat_identity(), w)
+        state = body(np.zeros(3), np.zeros(3), so3.quat_identity(), w)
         slack = [CableReading(np.zeros(3), 0.0, False)] * 4
-        d = plant.payload_derivative(state, slack, params)
-        np.testing.assert_array_equal(d.v, params.g_vec)
+        d = payload_derivative(state, slack, params)
+        np.testing.assert_array_equal(d[V], params.g_vec)
         expected = -np.linalg.solve(params.J_L, np.cross(w, params.J_L @ w))
-        np.testing.assert_allclose(d.omega, expected, atol=1e-14)
+        np.testing.assert_allclose(d[W], expected, atol=1e-14)
 
     def test_four_symmetric_cables_balance(self):
         params = make_params()
         tension = params.m_L * G / 4
-        state = PayloadState(np.zeros(3), np.zeros(3), so3.quat_identity(), np.zeros(3))
+        state = body(np.zeros(3), np.zeros(3), so3.quat_identity(), np.zeros(3))
         down = np.array([0.0, 0.0, -1.0])  # MAVs above: direction points down at the load
         cables = [CableReading(down.copy(), tension, True) for _ in range(4)]
-        d = plant.payload_derivative(state, cables, params)
-        np.testing.assert_allclose(d.v, np.zeros(3), atol=1e-12)
-        np.testing.assert_allclose(d.omega, np.zeros(3), atol=1e-12)
+        d = payload_derivative(state, cables, params)
+        np.testing.assert_allclose(d[V], np.zeros(3), atol=1e-12)
+        np.testing.assert_allclose(d[W], np.zeros(3), atol=1e-12)
 
     def test_single_offset_cable_torque(self):
         """One taut cable at r1 = (0.1, 0, 0), 1 N straight up on the payload."""
         params = make_params(r_i=np.array([[0.1, 0, 0], [-0.1, 0, 0], [0, 0.1, 0], [0, -0.1, 0]]))
-        state = PayloadState(np.zeros(3), np.zeros(3), so3.quat_identity(), np.zeros(3))
+        state = body(np.zeros(3), np.zeros(3), so3.quat_identity(), np.zeros(3))
         down = np.array([0.0, 0.0, -1.0])
         cables = [CableReading(down, 1.0, True)] + [
             CableReading(np.zeros(3), 0.0, False) for _ in range(3)
         ]
-        d = plant.payload_derivative(state, cables, params)
+        d = payload_derivative(state, cables, params)
         torque = np.cross(np.array([0.1, 0, 0]), -1.0 * down)
-        np.testing.assert_allclose(params.J_L @ d.omega, torque, atol=1e-14)
+        np.testing.assert_allclose(params.J_L @ d[W], torque, atol=1e-14)
 
     def test_tilted_payload_uses_body_frame_moment_arm(self):
         params = make_params()
         q = so3.quat_from_axis_angle(np.array([1.0, 0, 0]), 0.4)
         R = so3.quat_to_rotation(q)
-        state = PayloadState(np.zeros(3), np.zeros(3), q, np.zeros(3))
+        state = body(np.zeros(3), np.zeros(3), q, np.zeros(3))
         e_world = np.array([0.0, 0.0, -1.0])
         cables = [CableReading(e_world, 0.8, True)] + [
             CableReading(np.zeros(3), 0.0, False) for _ in range(3)
         ]
-        d = plant.payload_derivative(state, cables, params)
+        d = payload_derivative(state, cables, params)
         moment = np.cross(params.r_i[0], R.T @ (-0.8 * e_world))
-        np.testing.assert_allclose(params.J_L @ d.omega, moment, atol=1e-14)
+        np.testing.assert_allclose(params.J_L @ d[W], moment, atol=1e-14)
 
 
 class TestRk4Step:
@@ -434,13 +428,13 @@ class TestRk4Step:
             plant.rk4_step(lambda s, u: s, np.array([1.0]), None, 0.0)
 
 
-def tumble_state(params: SystemParams) -> FullState:
+def tumble_state(params: SystemParams) -> np.ndarray:
     """Slack-cable tumbling configuration for smooth-dynamics convergence tests.
 
     All cables stay slack over the window so the derivative field has no
     taut/slack switches or damping kinks to spoil the measured order.
     """
-    payload = PayloadState(
+    payload = body(
         np.array([0.0, 0.0, 2.0]),
         np.array([0.2, -0.1, 0.1]),
         so3.quat_identity(),
@@ -451,14 +445,14 @@ def tumble_state(params: SystemParams) -> FullState:
     for k in range(params.n):
         q = so3.quat_normalize(rng.standard_normal(4))
         mavs.append(
-            MavState(
-                payload.p + params.r_i[k] + np.array([0.0, 0.0, 0.5]),
+            body(
+                payload[P] + params.r_i[k] + np.array([0.0, 0.0, 0.5]),
                 0.1 * rng.standard_normal(3),
                 q,
                 np.array([6.0, -4.0, 9.0]),
             )
         )
-    return FullState(payload, mavs)
+    return np.array([payload] + mavs)
 
 
 class TestFullSystemOrder:
@@ -470,7 +464,7 @@ class TestFullSystemOrder:
         ideal fourth-order pair would give 16.
         """
         params = make_params()
-        y0 = tumble_state(params).as_vector()
+        y0 = tumble_state(params).reshape(-1)
         inputs = (np.full(4, 1.0), np.zeros((4, 3)))
         deriv = lambda y, u: plant._world_derivative_flat(y, u, params)
 
@@ -503,18 +497,14 @@ class TestFusedDerivative:
             thrusts = rng.uniform(0.0, params.F_max, 4)
             torques = 0.01 * rng.standard_normal((4, 3))
 
-            fused = plant._world_derivative_flat(
-                full.as_vector(), (thrusts, torques), params
-            )
+            fused = plant._world_derivative_flat(full, (thrusts, torques), params)
 
-            d_payload = plant.payload_derivative(full.payload, readings, params)
-            typed = [d_payload.as_vector()]
+            typed = [payload_derivative(full[0], readings, params)]
             for k in range(4):
-                d_mav = plant.mav_derivative(
-                    full.mavs[k], thrusts[k], torques[k], readings[k], params, k
+                typed.append(
+                    mav_derivative(full[1 + k], thrusts[k], torques[k], readings[k], params, k)
                 )
-                typed.append(d_mav.as_vector())
-            np.testing.assert_allclose(fused, np.concatenate(typed), atol=1e-12)
+            np.testing.assert_allclose(fused, np.array(typed), atol=1e-12)
 
 
 class TestMomentumBalance:
@@ -527,7 +517,7 @@ class TestMomentumBalance:
             full = random_full_state(rng, params, spread=0.4)
             try:
                 d = plant._world_derivative_flat(
-                    full.as_vector(), (np.zeros(4), np.zeros((4, 3))), params
+                    full, (np.zeros(4), np.zeros((4, 3))), params
                 )
             except DegenerateGeometry:
                 continue
@@ -543,8 +533,8 @@ class TestStepWorld:
         params = make_params()
         full = hover_state(params)
         cmds = hover_commands(params)
-        nxt, _ = plant.step_world(full, cmds, DisturbanceModel(), 0.002, params)
-        drift = np.linalg.norm(nxt.payload.p - full.payload.p)
+        nxt = plant.step_world(full, cmds, 0.002, params)
+        drift = np.linalg.norm(nxt[0, P] - full[0, P])
         assert drift < 1e-6
 
     def test_equilibrium_holds_over_many_steps(self):
@@ -552,71 +542,32 @@ class TestStepWorld:
         full = hover_state(params)
         cmds = hover_commands(params)
         for _ in range(250):  # 0.5 s at 500 Hz
-            full, _ = plant.step_world(full, cmds, DisturbanceModel(), 0.002, params)
-        assert np.linalg.norm(full.payload.p - np.array([0, 0, 0.5])) < 1e-6
-        assert np.linalg.norm(full.payload.v) < 1e-6
-
-    def test_disturbance_off_is_bit_exact(self):
-        params = make_params()
-        full = hover_state(params)
-        cmds = hover_commands(params)
-        none = DisturbanceModel()
-        zero = DisturbanceModel(eta=0.0, seed=9, kind="uniform-bounded")
-        a, _ = plant.step_world(full, cmds, none, 0.002, params)
-        b, _ = plant.step_world(full, cmds, zero, 0.002, params)
-        np.testing.assert_array_equal(a.as_vector(), b.as_vector())
-
-    def test_disturbance_bound(self):
-        """Per-step deviation from the undisturbed step stays within eta."""
-        params = make_params()
-        full = hover_state(params)
-        cmds = hover_commands(params)
-        eta = 0.01
-        clean, _ = plant.step_world(full, cmds, DisturbanceModel(), 0.002, params)
-        noisy, _ = plant.step_world(
-            full, cmds, DisturbanceModel(eta=eta, seed=3, kind="uniform-bounded"), 0.002, params
-        )
-        dp = noisy.payload.p - clean.payload.p
-        dv = noisy.payload.v - clean.payload.v
-        dw = noisy.payload.omega - clean.payload.omega
-        datt = so3.quat_log(so3.quat_mul(so3.quat_conj(clean.payload.q), noisy.payload.q))
-        dev = np.linalg.norm(np.concatenate([dp, dv, datt, dw]))
-        assert dev <= eta + 1e-9
-        assert dev > 0.0  # the sample actually fired
+            full = plant.step_world(full, cmds, 0.002, params)
+        assert np.linalg.norm(full[0, P] - np.array([0, 0, 0.5])) < 1e-6
+        assert np.linalg.norm(full[0, V]) < 1e-6
 
     def test_saturation_applied_inside_step(self):
         params = make_params()
         full = hover_state(params)
         over = [(params.F_max + 5.0, np.zeros(3)) for _ in range(4)]
         at_max = [(params.F_max, np.zeros(3)) for _ in range(4)]
-        a, _ = plant.step_world(full, over, DisturbanceModel(), 0.002, params)
-        b, _ = plant.step_world(full, at_max, DisturbanceModel(), 0.002, params)
-        np.testing.assert_array_equal(a.as_vector(), b.as_vector())
-
-    def test_returned_readings_match_incoming_state(self):
-        params = make_params()
-        full = hover_state(params)
-        _, readings = plant.step_world(full, hover_commands(params), DisturbanceModel(), 0.002, params)
-        direct = plant.cable_closure(full, params)
-        for got, want in zip(readings, direct):
-            assert got.taut == want.taut
-            assert got.tension == want.tension
-            np.testing.assert_array_equal(got.direction, want.direction)
+        a = plant.step_world(full, over, 0.002, params)
+        b = plant.step_world(full, at_max, 0.002, params)
+        np.testing.assert_array_equal(a, b)
 
     def test_command_count_mismatch_rejected(self):
         params = make_params()
         with pytest.raises(ValueError):
-            plant.step_world(hover_state(params), [(1.0, np.zeros(3))], DisturbanceModel(), 0.002, params)
+            plant.step_world(hover_state(params), [(1.0, np.zeros(3))], 0.002, params)
 
     def test_quaternions_stay_unit(self):
         params = make_params()
         full = tumble_state(params)
         cmds = [(1.0, np.zeros(3))] * 4
         for _ in range(50):
-            full, _ = plant.step_world(full, cmds, DisturbanceModel(), 0.002, params)
-        assert abs(np.linalg.norm(full.payload.q) - 1.0) < 1e-12
-        for m in full.mavs:
-            assert abs(np.linalg.norm(m.q) - 1.0) < 1e-12
+            full = plant.step_world(full, cmds, 0.002, params)
+        for row in full:
+            assert abs(np.linalg.norm(row[Q]) - 1.0) < 1e-12
 
 
 class TestDisturbanceModel:

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cablelift import so3
-from cablelift.so3 import EulerAngles
 
 
 def _Rz(a):
@@ -24,28 +23,41 @@ def _Rx(a):
     return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
 
 
+def _quat_zyx(phi, theta, psi):
+    """Quaternion of _Rz(phi) @ _Ry(theta) @ _Rx(psi), composed from axis-angle factors."""
+    qz = so3.quat_from_axis_angle(np.array([0.0, 0.0, 1.0]), phi)
+    qy = so3.quat_from_axis_angle(np.array([0.0, 1.0, 0.0]), theta)
+    qx = so3.quat_from_axis_angle(np.array([1.0, 0.0, 0.0]), psi)
+    return so3.quat_mul(so3.quat_mul(qz, qy), qx)
+
+
 class TestRotationFromEuler:
+    """quat_to_rotation of quaternions built from Euler triples, against the
+    product of elementary rotation matrices."""
+
     def test_zero_angles_identity(self):
-        R = so3.rotation_from_euler(EulerAngles(0.0, 0.0, 0.0))
+        R = so3.quat_to_rotation(_quat_zyx(0.0, 0.0, 0.0))
         np.testing.assert_allclose(R, np.eye(3), atol=1e-15)
 
     def test_matches_elementary_rotation_product(self):
-        # oracle: explicit product of the three axis rotations
-        ang = EulerAngles(math.pi / 2, 0.0, 0.0)
-        R = so3.rotation_from_euler(ang)
-        np.testing.assert_allclose(R, _Rz(ang.phi) @ _Ry(ang.theta) @ _Rx(ang.psi), atol=1e-14)
+        # oracle: each axis-angle quaternion against its elementary rotation
+        rng = np.random.default_rng(6)
+        for axis, elementary in [([0.0, 0.0, 1.0], _Rz), ([0.0, 1.0, 0.0], _Ry), ([1.0, 0.0, 0.0], _Rx)]:
+            for angle in [math.pi / 2, *rng.uniform(-math.pi, math.pi, 10)]:
+                R = so3.quat_to_rotation(so3.quat_from_axis_angle(np.array(axis), angle))
+                np.testing.assert_allclose(R, elementary(angle), atol=1e-14)
 
     def test_matches_elementary_product_on_random_angles(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
             phi, theta, psi = rng.uniform(-math.pi, math.pi, 3)
-            R = so3.rotation_from_euler(EulerAngles(phi, theta, psi))
+            R = so3.quat_to_rotation(_quat_zyx(phi, theta, psi))
             np.testing.assert_allclose(R, _Rz(phi) @ _Ry(theta) @ _Rx(psi), atol=1e-13)
 
     def test_orthonormality_100_random_triples(self):
         rng = np.random.default_rng(1)
         for _ in range(100):
-            R = so3.rotation_from_euler(EulerAngles(*rng.uniform(-2 * math.pi, 2 * math.pi, 3)))
+            R = so3.quat_to_rotation(_quat_zyx(*rng.uniform(-2 * math.pi, 2 * math.pi, 3)))
             np.testing.assert_allclose(R.T @ R, np.eye(3), atol=1e-12)
 
     @given(
@@ -55,47 +67,8 @@ class TestRotationFromEuler:
     )
     @settings(max_examples=60)
     def test_determinant_is_one(self, phi, theta, psi):
-        R = so3.rotation_from_euler(EulerAngles(phi, theta, psi))
+        R = so3.quat_to_rotation(_quat_zyx(phi, theta, psi))
         assert abs(np.linalg.det(R) - 1.0) < 1e-12
-
-    def test_euler_round_trip_in_domain(self):
-        rng = np.random.default_rng(2)
-        for _ in range(100):
-            ang = EulerAngles(
-                rng.uniform(-math.pi / 2 + 0.01, math.pi / 2 - 0.01),
-                rng.uniform(-math.pi / 2 + 0.01, math.pi / 2 - 0.01),
-                rng.uniform(-math.pi, math.pi),
-            )
-            back = so3.euler_from_rotation(so3.rotation_from_euler(ang))
-            assert abs(back.phi - ang.phi) < 1e-9
-            assert abs(back.theta - ang.theta) < 1e-9
-            assert abs(back.psi - ang.psi) < 1e-9
-
-
-class TestEulerRateMatrix:
-    def test_zero_angles_identity(self):
-        np.testing.assert_allclose(
-            so3.euler_rate_matrix(EulerAngles(0.0, 0.0, 0.0)), np.eye(3), atol=1e-15
-        )
-
-    def test_singularity_guard(self):
-        with pytest.raises(so3.DomainError):
-            so3.euler_rate_matrix(EulerAngles(0.0, math.pi / 2 - 1e-12, 0.0))
-
-    def test_invertible_in_domain(self):
-        # oracle: numpy matrix inverse
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            ang = EulerAngles(
-                rng.uniform(-1.4, 1.4), rng.uniform(-1.4, 1.4), rng.uniform(-math.pi, math.pi)
-            )
-            G = so3.euler_rate_matrix(ang)
-            np.testing.assert_allclose(G @ np.linalg.inv(G), np.eye(3), atol=1e-9)
-
-    def test_domain_flag(self):
-        assert EulerAngles(0.3, -0.2, 3.0).in_domain
-        assert not EulerAngles(1.6, 0.0, 0.0).in_domain
-        assert not EulerAngles(0.0, -1.6, 0.0).in_domain
 
 
 class TestHatVee:
@@ -143,16 +116,6 @@ class TestQuaternions:
             R = so3.quat_to_rotation(so3.quat_mul(q1, q2))
             np.testing.assert_allclose(
                 R, so3.quat_to_rotation(q1) @ so3.quat_to_rotation(q2), atol=1e-12
-            )
-
-    def test_quat_from_euler_matches_rotation_from_euler(self):
-        rng = np.random.default_rng(6)
-        for _ in range(30):
-            ang = EulerAngles(*rng.uniform(-math.pi, math.pi, 3))
-            np.testing.assert_allclose(
-                so3.quat_to_rotation(so3.quat_from_euler(ang)),
-                so3.rotation_from_euler(ang),
-                atol=1e-12,
             )
 
     def test_exp_log_round_trip(self):
