@@ -118,6 +118,29 @@ class TestQuaternions:
                 R, so3.quat_to_rotation(q1) @ so3.quat_to_rotation(q2), atol=1e-12
             )
 
+    def test_quat_from_euler_matches_rotation_from_euler(self):
+        # oracle: the closed-form ZYX Euler quaternion, and its rotation
+        # against the elementary rotation product
+        rng = np.random.default_rng(6)
+        for _ in range(30):
+            phi, theta, psi = rng.uniform(-math.pi, math.pi, 3)
+            cz, sz = math.cos(phi / 2), math.sin(phi / 2)
+            cy, sy = math.cos(theta / 2), math.sin(theta / 2)
+            cx, sx = math.cos(psi / 2), math.sin(psi / 2)
+            closed_form = np.array(
+                [
+                    cx * cy * cz + sx * sy * sz,
+                    sx * cy * cz - cx * sy * sz,
+                    cx * sy * cz + sx * cy * sz,
+                    cx * cy * sz - sx * sy * cz,
+                ]
+            )
+            q = _quat_zyx(phi, theta, psi)
+            np.testing.assert_allclose(q, closed_form, atol=1e-12)
+            np.testing.assert_allclose(
+                so3.quat_to_rotation(q), _Rz(phi) @ _Ry(theta) @ _Rx(psi), atol=1e-12
+            )
+
     def test_exp_log_round_trip(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
