@@ -19,7 +19,7 @@ from typing import Optional, Tuple
 import numpy as np
 import scipy.linalg
 
-from . import so3
+from . import metrics, so3
 
 TENSION_FLOOR = 1e-6  # N; below this a cable direction is undefined
 
@@ -102,7 +102,7 @@ def _predicted_positions(
     """
     mu_world = stacked_body.reshape(-1, 3) @ R_L.T
     norms = np.linalg.norm(mu_world, axis=1)
-    if np.any(norms <= TENSION_FLOOR):
+    if (norms <= TENSION_FLOOR).any():
         return None
     xi = -mu_world / norms[:, None]
     return attachments_world - l_i[:, None] * xi
@@ -120,13 +120,8 @@ def _separation_surrogate(
     pos = _predicted_positions(stacked_body, attachments_world, R_L, l_i)
     if pos is None:
         return None
-    n = len(pos)
-    res = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            gap = d_safe - float(np.linalg.norm(pos[i] - pos[j]))
-            res.append(np.sqrt(lam_sep) * max(0.0, gap))
-    return np.array(res)
+    gap = d_safe - metrics.pair_separations(pos)
+    return np.sqrt(lam_sep) * np.maximum(0.0, gap)
 
 
 def nullspace_redistribute(
@@ -149,7 +144,7 @@ def nullspace_redistribute(
     l_i = np.broadcast_to(np.asarray(l_i, dtype=np.float64), (amap.n,))
     stacked0 = stack_body(mu_des, R_L)
     r0 = _separation_surrogate(stacked0, attachments_world, R_L, l_i, d_safe, lam_sep)
-    if r0 is None or not np.any(r0 > 0.0):
+    if r0 is None or not (r0 > 0.0).any():
         return mu_des
 
     m = amap.Z.shape[1]
@@ -180,9 +175,9 @@ def nullspace_redistribute(
 
 
 def project_tension(mu_des: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """Component of the desired force along the actual cable line."""
+    """Component of the desired force along the actual cable line, per row."""
     xi = np.asarray(xi, dtype=np.float64)
-    return xi * float(xi @ np.asarray(mu_des, dtype=np.float64))
+    return xi * so3.dot_rows(xi, mu_des)[..., None]
 
 
 def desired_cable_direction(
@@ -191,22 +186,25 @@ def desired_cable_direction(
     dt: float,
     tension_floor: float = TENSION_FLOOR,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Desired cable direction and its angular velocity from consecutive ticks.
+    """Desired cable direction and its angular velocity from consecutive ticks,
+    for one force or for rows of them.
 
     The direction rate comes from a backward difference of the unit
-    directions; the first tick (no previous force) gets zero rate.
-    Raises ZeroTension when the current force cannot define a direction.
+    directions; the first tick (no previous force) and a previous force at
+    or below the floor give zero rate.  Raises ZeroTension when a current
+    force cannot define a direction.
     """
     mu_now = np.asarray(mu_des_now, dtype=np.float64)
-    norm_now = float(np.linalg.norm(mu_now))
-    if norm_now <= tension_floor:
-        raise ZeroTension(f"desired tension {norm_now:.2e} N below floor")
-    xi_des = -mu_now / norm_now
-    xi_dot = np.zeros(3)
+    norm_now = so3.norm_rows(mu_now)
+    if (norm_now <= tension_floor).any():
+        raise ZeroTension(f"desired tension {np.min(norm_now):.2e} N below floor")
+    xi_des = -mu_now / norm_now[..., None]
+    xi_dot = np.zeros(mu_now.shape)
     if mu_des_prev is not None:
         mu_prev = np.asarray(mu_des_prev, dtype=np.float64)
-        norm_prev = float(np.linalg.norm(mu_prev))
-        if norm_prev > tension_floor:
-            xi_dot = (xi_des - (-mu_prev / norm_prev)) / dt
-    omega_des = so3.cross3(xi_des, xi_dot)
+        norm_prev = so3.norm_rows(mu_prev)
+        defined = (norm_prev > tension_floor)[..., None]
+        prev_dir = -mu_prev / np.where(defined, norm_prev[..., None], 1.0)
+        xi_dot = np.where(defined, (xi_des - prev_dir) / dt, 0.0)
+    omega_des = so3.cross3_rows(xi_des, xi_dot)
     return xi_des, omega_des

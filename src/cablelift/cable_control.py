@@ -6,6 +6,12 @@ directly on the unit sphere: the commanded force decomposes into a component
 along the cable (delivering tension plus the centripetal share) and one
 perpendicular to it (turning the cable), and the attitude loop then realizes
 that force with thrust along the body z-axis plus a moment command.
+
+Every function works on one vehicle's 3-vectors and 3x3 matrices or on rows
+of them, one per vehicle along a leading axis, so a control tick for the
+whole rig is one call of each.  Products keep the grouping of the
+one-vehicle formulas (`so3.dot_rows`, `so3.matvec`), so a row rounds exactly
+as the same vehicle computed alone.
 """
 
 from __future__ import annotations
@@ -34,6 +40,9 @@ def _diagonal_positive(name: str, M: np.ndarray) -> np.ndarray:
 
 @dataclass
 class GainSet:
+    """Diagonal gain matrices; K @ e is applied as the row product
+    diagonal(K) * e, which rounds the same."""
+
     K_R: np.ndarray = field(default_factory=lambda: 8.0 * np.eye(3))
     K_Omega: np.ndarray = field(default_factory=lambda: 1.2 * np.eye(3))
     K_xi: np.ndarray = field(default_factory=lambda: 30.0 * np.eye(3))
@@ -48,7 +57,8 @@ class GainSet:
 
 @dataclass
 class CableTrackingState:
-    """Measured and desired cable direction/rate for one vehicle."""
+    """Measured and desired cable direction/rate, (3,) for one vehicle or
+    (n, 3) rows for n."""
 
     xi: np.ndarray
     omega_cable: np.ndarray
@@ -60,16 +70,23 @@ class CableTrackingState:
         self.omega_cable = np.asarray(self.omega_cable, dtype=np.float64)
         self.xi_des = np.asarray(self.xi_des, dtype=np.float64)
         self.omega_des = np.asarray(self.omega_des, dtype=np.float64)
-        if abs(float(np.linalg.norm(self.xi)) - 1.0) > 1e-6:
+        if (np.abs(so3.norm_rows(self.xi) - 1.0) > 1e-6).any():
             raise ValueError("cable direction must be a unit vector")
-        if abs(float(self.omega_cable @ self.xi)) > 1e-6:
+        if (np.abs(so3.dot_rows(self.omega_cable, self.xi)) > 1e-6).any():
             raise ValueError("cable angular velocity must be perpendicular to xi")
+
+
+def _column(x) -> np.ndarray:
+    """Per-vehicle scalars (or one scalar) as a column against (..., 3) rows."""
+    return np.asarray(x, dtype=np.float64)[..., None]
 
 
 def cable_errors(state: CableTrackingState):
     """Direction error xi_des x xi and rate error on the tangent plane."""
-    e_xi = so3.cross3(state.xi_des, state.xi)
-    e_omega = state.omega_cable + so3.cross3(state.xi, so3.cross3(state.xi, state.omega_des))
+    e_xi = so3.cross3_rows(state.xi_des, state.xi)
+    e_omega = state.omega_cable + so3.cross3_rows(
+        state.xi, so3.cross3_rows(state.xi, state.omega_des)
+    )
     return e_xi, e_omega
 
 
@@ -81,17 +98,19 @@ def attachment_accel(
     r_k: np.ndarray,
     g: float = 9.81,
 ) -> np.ndarray:
-    """World acceleration the attachment point must realize.
+    """World acceleration the attachment point (or each of the rows of r_k)
+    must realize.
 
     Combines the desired payload acceleration, gravity compensation, the
     tangential share of the desired angular acceleration, and the centripetal
     term from the current payload rate.
     """
+    hat_Omega = so3.hat(Omega_L)
     return (
         np.asarray(accel_des, dtype=np.float64)
         + np.array([0.0, 0.0, g])
-        - R_L @ so3.hat(r_k) @ Omega_dot_des
-        + R_L @ so3.hat(Omega_L) @ so3.hat(Omega_L) @ r_k
+        - so3.matvec(R_L @ so3.hat(r_k), Omega_dot_des)
+        + so3.matvec(R_L @ hat_Omega @ hat_Omega, r_k)
     )
 
 
@@ -99,8 +118,8 @@ def control_components(
     mu_k: np.ndarray,
     state: CableTrackingState,
     a_kc: np.ndarray,
-    mass: float,
-    length: float,
+    mass,
+    length,
     gains: GainSet,
     xi_dot_des=None,
     omega_dot_des=None,
@@ -110,57 +129,64 @@ def control_components(
     mu_k acts through its component along the actual cable, so passing
     either the raw allocation or its projection gives the same result.  The
     perpendicular part keeps every term inside hat(xi), which pins the
-    output to the tangent plane regardless of operand alignment.
+    output to the tangent plane regardless of operand alignment.  mass and
+    length are scalars or one entry per row.
     """
     xi = state.xi
     if xi_dot_des is None:
         xi_dot_des = np.zeros(3)
     if omega_dot_des is None:
         omega_dot_des = np.zeros(3)
+    mass = _column(mass)
+    length = _column(length)
     e_xi, e_omega = cable_errors(state)
-    rate_sq = float(state.omega_cable @ state.omega_cable)
+    rate_sq = _column(so3.dot_rows(state.omega_cable, state.omega_cable))
     u_parallel = (
-        xi * float(xi @ mu_k)
+        xi * _column(so3.dot_rows(xi, mu_k))
         + mass * length * rate_sq * xi
-        + mass * xi * float(xi @ a_kc)
+        + mass * xi * _column(so3.dot_rows(xi, a_kc))
     )
     hat_xi = so3.hat(xi)
+    hat_xi_sq = hat_xi @ hat_xi
     bracket = (
-        -gains.K_xi @ e_xi
-        - gains.K_omega @ e_omega
-        - float(xi @ state.omega_des) * np.asarray(xi_dot_des, dtype=np.float64)
-        - hat_xi @ hat_xi @ np.asarray(omega_dot_des, dtype=np.float64)
+        -np.diagonal(gains.K_xi) * e_xi
+        - np.diagonal(gains.K_omega) * e_omega
+        - _column(so3.dot_rows(xi, state.omega_des)) * np.asarray(xi_dot_des, dtype=np.float64)
+        - so3.matvec(hat_xi_sq, omega_dot_des)
     )
-    u_perp = mass * length * hat_xi @ bracket - mass * hat_xi @ hat_xi @ a_kc
+    u_perp = so3.matvec((mass * length)[..., None] * hat_xi, bracket) - so3.matvec(
+        mass[..., None] * hat_xi @ hat_xi, a_kc
+    )
     return u_parallel, u_perp
 
 
-def thrust_command(u_k: np.ndarray, R_k: np.ndarray) -> float:
+def thrust_command(u_k: np.ndarray, R_k: np.ndarray):
     """Scalar thrust: commanded force resolved onto the body z-axis."""
-    return float(np.asarray(u_k, dtype=np.float64) @ R_k[:, 2])
+    return so3.dot_rows(u_k, R_k[..., :, 2])
 
 
 def desired_attitude(u_k: np.ndarray, yaw_des: float) -> np.ndarray:
     """Rotation whose z-column carries the commanded force at the given yaw."""
     u_k = np.asarray(u_k, dtype=np.float64)
-    norm_u = float(np.linalg.norm(u_k))
-    if norm_u <= 1e-6:
-        raise DegenerateThrust(f"commanded force {norm_u:.2e} N is too small")
-    b3 = u_k / norm_u
+    norm_u = so3.norm_rows(u_k)
+    if (norm_u <= 1e-6).any():
+        raise DegenerateThrust(f"commanded force {np.min(norm_u):.2e} N is too small")
+    b3 = u_k / norm_u[..., None]
     heading = np.array([np.cos(yaw_des), np.sin(yaw_des), 0.0])
-    if float(np.linalg.norm(so3.cross3(b3, heading))) <= 1e-6:
+    if (so3.norm_rows(so3.cross3_rows(b3, heading)) <= 1e-6).any():
         raise DegenerateThrust("commanded force is collinear with the heading")
-    b1 = heading - float(heading @ b3) * b3
-    b1 = b1 / float(np.linalg.norm(b1))
-    b2 = so3.cross3(b3, b1)
-    return np.column_stack([b1, b2, b3])
+    b1 = heading - _column(so3.dot_rows(heading, b3)) * b3
+    b1 = b1 / _column(so3.norm_rows(b1))
+    b2 = so3.cross3_rows(b3, b1)
+    return np.stack([b1, b2, b3], axis=-1)
 
 
 def attitude_errors(R_k, R_des, omega_k, omega_des_body):
     """Rotation error (vee form) and body-rate error against the transported
     desired rate."""
-    e_R = 0.5 * so3.vee(R_des.T @ R_k - R_k.T @ R_des)
-    e_Omega = omega_k - R_k.T @ R_des @ omega_des_body
+    R_k_T = np.swapaxes(R_k, -1, -2)
+    e_R = 0.5 * so3.vee(np.swapaxes(R_des, -1, -2) @ R_k - R_k_T @ R_des)
+    e_Omega = omega_k - so3.matvec(R_k_T @ R_des, omega_des_body)
     return e_R, e_Omega
 
 
@@ -181,10 +207,14 @@ def moment_command(
     transports the desired rate and its derivative into the body frame.
     """
     e_R, e_Omega = errors
-    transport = R_k.T @ R_des
+    transport = np.swapaxes(R_k, -1, -2) @ R_des
     return (
-        -gains.K_R @ e_R
-        - gains.K_Omega @ e_Omega
-        + so3.cross3(omega_k, J_k @ omega_k)
-        - J_k @ (so3.hat(omega_k) @ transport @ omega_des - transport @ omega_dot_des)
+        -np.diagonal(gains.K_R) * e_R
+        - np.diagonal(gains.K_Omega) * e_Omega
+        + so3.cross3_rows(omega_k, so3.matvec(J_k, omega_k))
+        - so3.matvec(
+            J_k,
+            so3.matvec(so3.hat(omega_k) @ transport, omega_des)
+            - so3.matvec(transport, omega_dot_des),
+        )
     )

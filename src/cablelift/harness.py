@@ -362,6 +362,11 @@ class RunLog:
     ticks: List[TickRecord] = field(default_factory=list)
     events: List[TriggerEvent] = field(default_factory=list)
     solver_failures: int = 0
+    # vehicle-ticks with the thrust command outside [0, F_max], with the
+    # desired cable rate clipped to OMEGA_DES_LIMIT, and cable-ticks slack
+    thrust_clamps: int = 0
+    omega_des_clips: int = 0
+    slack_cable_ticks: int = 0
 
     @property
     def nmpc_executions(self) -> int:
@@ -463,44 +468,45 @@ class _TriggerLoop:
 def _formation_targets(config: ScenarioConfig, ref: ReferencePoint) -> np.ndarray:
     """Desired vehicle positions: level formation above the attachments."""
     params = config.params
-    lift = np.array([0.0, 0.0, 1.0])
-    return np.array(
-        [ref.p_des + params.r_i[k] + params.l_i[k] * lift for k in range(params.n)]
-    )
+    return ref.p_des + params.r_i + params.l_i[:, None] * np.array([0.0, 0.0, 1.0])
 
 
 def _pair_extremes(mav_p: np.ndarray):
-    n = len(mav_p)
-    lo, hi = math.inf, 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = metrics.pair_separation(mav_p[i], mav_p[j])
-            lo, hi = min(lo, d), max(hi, d)
-    return lo, hi
+    separations = metrics.pair_separations(mav_p)
+    return float(separations.min()), float(separations.max())
 
 
 class _FullPlant:
     """The held wrench realized by the cable and attitude controllers of every
-    vehicle and applied to the multi-body plant."""
+    vehicle and applied to the multi-body plant.
+
+    Each tick is one pass over (n, 3) rows, one call per controller stage for
+    all vehicles.  It also counts, in vehicle-ticks, the clamps that act
+    without an error: thrust commands outside [0, F_max] (the plant clamps
+    them), desired cable rates clipped to OMEGA_DES_LIMIT, and slack cables.
+    """
 
     def __init__(self, config: ScenarioConfig):
         self.config = config
         self.amap = allocation.build_allocation(config.params.r_i)
-        self.mu_prev = [None] * config.params.n
+        self.mu_prev: Optional[np.ndarray] = None
+        self.thrust_clamps = 0
+        self.omega_des_clips = 0
+        self.slack_cable_ticks = 0
 
     def realize(self, Y: np.ndarray, wrench_cmd: Wrench, new_stage: bool):
-        """(tensions, directions, vehicle positions, vehicle commands) this tick."""
-        config, params = self.config, self.config.params
-        dt = config.dt_lowlevel
+        """(tensions, directions, vehicle positions, (thrusts, moments)) this tick."""
+        config, params, gains = self.config, self.config.params, self.config.gains
         if new_stage:
             # the held wrench just changed, so differencing the allocated
             # tensions across this tick would read the jump as a physical
             # cable rotation; restart the direction-rate estimate instead
-            self.mu_prev = [None] * params.n
-        mu_prev = self.mu_prev
-        readings = plant.cable_closure(Y, params)
+            self.mu_prev = None
+        cables = plant.cable_closure(Y, params)
         p_L, v_L, omega_l = Y[0, 0:3], Y[0, 3:6], Y[0, 10:13]
-        R_L = so3.quat_to_rotation(Y[0, 6:10])
+        v_k, omega_k = Y[1:, 3:6], Y[1:, 10:13]
+        R = so3.quat_to_rotation(Y[:, 6:10])
+        R_L, R_k = R[0], R[1:]
         mu = allocation.allocate(wrench_cmd, R_L, self.amap)
         attachments = p_L + (R_L @ params.r_i.T).T
         mu = allocation.nullspace_redistribute(mu, attachments, R_L, self.amap, params.l_i)
@@ -513,55 +519,44 @@ class _FullPlant:
             params.J_L, wrench_cmd.M - so3.cross3(omega_l, params.J_L @ omega_l)
         )
 
-        commands = []
-        tensions = np.zeros(params.n)
-        directions = np.zeros((params.n, 3))
-        for k_v in range(params.n):
-            v_k, q_k, omega_k = Y[1 + k_v, 3:6], Y[1 + k_v, 6:10], Y[1 + k_v, 10:13]
-            xi_des, om_des = allocation.desired_cable_direction(mu[k_v], mu_prev[k_v], dt)
-            mu_prev[k_v] = mu[k_v]
-            # guard against direction flips when an allocated tension passes
-            # near zero: the backward difference then reports a rotation rate
-            # far beyond anything the vehicles could follow
-            om_norm = float(np.linalg.norm(om_des))
-            if om_norm > OMEGA_DES_LIMIT:
-                om_des = om_des * (OMEGA_DES_LIMIT / om_norm)
-            if readings[k_v].taut:
-                xi = readings[k_v].direction
-                rel_v = v_L + R_L @ so3.cross3(omega_l, params.r_i[k_v]) - v_k
-                dist = params.l_i[k_v] + readings[k_v].stretch
-                xi_dot = (rel_v - xi * float(xi @ rel_v)) / dist
-                om_c = so3.cross3(xi, xi_dot)
-            else:
-                # slack cable: steer toward the commanded direction with zero
-                # tracking error, feedforward only
-                xi = xi_des
-                om_c = om_des
-            state = CableTrackingState(xi, om_c, xi_des, om_des)
-            a_kc = cable_control.attachment_accel(
-                accel_des, R_L, omega_l, omega_dot_des, params.r_i[k_v], params.g
-            )
-            u_par, u_perp = cable_control.control_components(
-                allocation.project_tension(mu[k_v], xi),
-                state,
-                a_kc,
-                params.m_i[k_v],
-                params.l_i[k_v],
-                config.gains,
-            )
-            u = u_par + u_perp
-            R_k = so3.quat_to_rotation(q_k)
-            thrust = cable_control.thrust_command(u, R_k)
-            R_des = cable_control.desired_attitude(u, 0.0)
-            errors = cable_control.attitude_errors(R_k, R_des, omega_k, np.zeros(3))
-            moment = cable_control.moment_command(
-                errors, omega_k, R_k, R_des,
-                np.zeros(3), np.zeros(3), params.J_i[k_v], config.gains,
-            )
-            commands.append((thrust, moment))
-            tensions[k_v] = readings[k_v].tension
-            directions[k_v] = readings[k_v].direction
-        return tensions, directions, Y[1:, 0:3].copy(), commands
+        xi_des, om_des = allocation.desired_cable_direction(mu, self.mu_prev, config.dt_lowlevel)
+        self.mu_prev = mu
+        # guard against direction flips when an allocated tension passes
+        # near zero: the backward difference then reports a rotation rate
+        # far beyond anything the vehicles could follow
+        om_norm = so3.norm_rows(om_des)
+        om_des = om_des * (OMEGA_DES_LIMIT / np.maximum(om_norm, OMEGA_DES_LIMIT))[:, None]
+
+        # taut cables are measured; a slack cable is steered toward the
+        # commanded direction with zero tracking error, feedforward only
+        rel_v = v_L + so3.matvec(R_L, so3.cross3_rows(omega_l, params.r_i)) - v_k
+        dist = params.l_i + cables.stretch
+        xi_m = cables.direction
+        xi_dot = (rel_v - xi_m * so3.dot_rows(xi_m, rel_v)[:, None]) / dist[:, None]
+        taut = cables.taut[:, None]
+        xi = np.where(taut, xi_m, xi_des)
+        om_c = np.where(taut, so3.cross3_rows(xi_m, xi_dot), om_des)
+        state = CableTrackingState(xi, om_c, xi_des, om_des)
+
+        a_kc = cable_control.attachment_accel(
+            accel_des, R_L, omega_l, omega_dot_des, params.r_i, params.g
+        )
+        u_par, u_perp = cable_control.control_components(
+            allocation.project_tension(mu, xi), state, a_kc, params.m_i, params.l_i, gains
+        )
+        u = u_par + u_perp
+        thrust = cable_control.thrust_command(u, R_k)
+        R_des = cable_control.desired_attitude(u, 0.0)
+        zeros = np.zeros(3)
+        errors = cable_control.attitude_errors(R_k, R_des, omega_k, zeros)
+        moment = cable_control.moment_command(
+            errors, omega_k, R_k, R_des, zeros, zeros, params.J_i, gains
+        )
+
+        self.thrust_clamps += int(np.count_nonzero((thrust < 0.0) | (thrust > params.F_max)))
+        self.omega_des_clips += int(np.count_nonzero(om_norm > OMEGA_DES_LIMIT))
+        self.slack_cable_ticks += params.n - int(np.count_nonzero(cables.taut))
+        return cables.tension, cables.direction, Y[1:, 0:3].copy(), (thrust, moment)
 
     def advance(self, Y: np.ndarray, commands, wrench_cmd: Wrench, problem) -> np.ndarray:
         return plant.step_world(Y, commands, self.config.dt_lowlevel, self.config.params)
@@ -571,6 +566,9 @@ class _PayloadOnly:
     """Nominal-model run: only the payload row of the world state moves, stepped
     directly with the NMPC wrench by the predictor's own integrator, so
     predictions and plant agree up to the solver's feasibility tolerance."""
+
+    # no controllers, so no clamps
+    thrust_clamps = omega_des_clips = slack_cable_ticks = 0
 
     def __init__(self, config: ScenarioConfig):
         self.config = config
@@ -671,6 +669,9 @@ def run_closed_loop(config: ScenarioConfig) -> RunLog:
 
     log.events = trigger.events
     log.solver_failures = trigger.failures
+    log.thrust_clamps = model.thrust_clamps
+    log.omega_des_clips = model.omega_des_clips
+    log.slack_cable_ticks = model.slack_cable_ticks
     return log
 
 
@@ -698,6 +699,9 @@ def summarize(log: RunLog) -> dict:
         "mean_inter_execution_steps": float(np.mean(inter)) if inter else 0.0,
         "horizon_trace": [e.horizon for e in log.events],
         "solver_failures": log.solver_failures,
+        "thrust_clamps": log.thrust_clamps,
+        "omega_des_clips": log.omega_des_clips,
+        "slack_cable_ticks": log.slack_cable_ticks,
         "mean_solve_time_ms": 1e3 * float(np.mean(solve_times)) if solve_times else 0.0,
     }
 
@@ -772,6 +776,9 @@ SUMMARY_ORDER = [
     "mean_inter_execution_steps",
     "horizon_trace",
     "solver_failures",
+    "thrust_clamps",
+    "omega_des_clips",
+    "slack_cable_ticks",
     "mean_solve_time_ms",
 ]
 
@@ -829,11 +836,14 @@ def _check_keys(section: dict, allowed: set, where: str) -> None:
         raise ConfigError(f"unknown key {sorted(unknown)[0]!r} in section {where!r}")
 
 
-def _number(section: dict, key: str, default=None, kind=float):
+def _number(
+    section: dict, key: str, default=None, kind=float, positive=False, nonnegative=False
+):
     """section[key] as a finite float, an integer (kind=int), a list of three
     finite floats (kind=np.ndarray) or a list of finite floats (kind=list);
-    default when the key is absent.  Anything else is a ConfigError naming
-    the key."""
+    default when the key is absent.  With positive=True a number must also
+    be > 0, with nonnegative=True >= 0.  Anything else is a ConfigError
+    naming the key."""
     if key not in section:
         return default
     value = section[key]
@@ -848,13 +858,18 @@ def _number(section: dict, key: str, default=None, kind=float):
     if kind is int:
         if isinstance(value, float) and not value.is_integer():
             raise ConfigError(f"{key!r} must be an integer, got {value!r}")
-        return int(value)
-    try:
-        value = float(value)
-    except OverflowError:
-        value = math.inf
-    if not math.isfinite(value):
-        raise ConfigError(f"{key!r} must be finite, got {value!r}")
+        value = int(value)
+    else:
+        try:
+            value = float(value)
+        except OverflowError:
+            value = math.inf
+        if not math.isfinite(value):
+            raise ConfigError(f"{key!r} must be finite, got {value!r}")
+    if positive and value <= 0:
+        raise ConfigError(f"{key!r} must be positive, got {value!r}")
+    if nonnegative and value < 0:
+        raise ConfigError(f"{key!r} must be nonnegative, got {value!r}")
     return value
 
 
@@ -898,10 +913,10 @@ def build_scenario(data: dict):
 
     sc = data.get("scenario", {})
     _check_keys(sc, _SCENARIO_KEYS, "scenario")
-    config.duration = _number(sc, "duration_s", config.duration)
+    config.duration = _number(sc, "duration_s", config.duration, positive=True)
     config.seed = _number(sc, "seed", config.seed, int)
     config.plant_model = sc.get("plant_model", config.plant_model)
-    config.dt_lowlevel = _number(sc, "dt_lowlevel_s", config.dt_lowlevel)
+    config.dt_lowlevel = _number(sc, "dt_lowlevel_s", config.dt_lowlevel, positive=True)
     config.initial_offset = _number(sc, "initial_offset_m", config.initial_offset, np.ndarray)
 
     ref = data.get("reference", {})
@@ -921,17 +936,21 @@ def build_scenario(data: dict):
         base = config.params
         config.params = SystemParams(
             n=base.n,
-            m_i=_number(sys_sec, "mav_mass_kg", float(base.m_i[0])),
+            m_i=_number(sys_sec, "mav_mass_kg", float(base.m_i[0]), positive=True),
             J_i=base.J_i[0],
-            m_L=_number(sys_sec, "payload_mass_kg", base.m_L),
+            m_L=_number(sys_sec, "payload_mass_kg", base.m_L, positive=True),
             J_L=base.J_L,
             r_i=base.r_i,
-            l_i=_number(sys_sec, "cable_length_m", float(base.l_i[0])),
-            F_max=_number(sys_sec, "thrust_max_N", base.F_max),
-            f_max=_number(sys_sec, "tension_max_N", base.f_max),
+            l_i=_number(sys_sec, "cable_length_m", float(base.l_i[0]), positive=True),
+            F_max=_number(sys_sec, "thrust_max_N", base.F_max, positive=True),
+            f_max=_number(sys_sec, "tension_max_N", base.f_max, positive=True),
             g=base.g,
-            cable_stiffness=_number(sys_sec, "cable_stiffness_Npm", base.cable_stiffness),
-            cable_damping=_number(sys_sec, "cable_damping_Nspm", base.cable_damping),
+            cable_stiffness=_number(
+                sys_sec, "cable_stiffness_Npm", base.cable_stiffness, positive=True
+            ),
+            cable_damping=_number(
+                sys_sec, "cable_damping_Nspm", base.cable_damping, nonnegative=True
+            ),
         )
 
     trig = data.get("trigger", {})
@@ -942,9 +961,9 @@ def build_scenario(data: dict):
             raise ConfigError(f"unknown trigger preset {trig['preset']!r}")
         alpha, beta = TRIGGER_PRESETS[trig["preset"]]
     config.trigger = TriggerConfig(
-        alpha=_number(trig, "alpha", alpha),
-        beta=_number(trig, "beta", beta),
-        sigma=_number(trig, "sigma", config.trigger.sigma, int),
+        alpha=_number(trig, "alpha", alpha, nonnegative=True),
+        beta=_number(trig, "beta", beta, positive=True),
+        sigma=_number(trig, "sigma", config.trigger.sigma, int, positive=True),
     )
     eps = trig.get("terminal_epsilon", config.terminal_epsilon)
     config.terminal_epsilon = None if eps is None else _number(trig, "terminal_epsilon", eps)
@@ -960,27 +979,27 @@ def build_scenario(data: dict):
     _check_keys(obstacle, _OBSTACLE_KEYS, "obstacle")
     if obstacle and "center_m" not in obstacle:
         raise ConfigError("section 'obstacle' needs center_m")
-    funnel_eps = _number(nmpc, "funnel_epsilon_m", config.ocp.funnel.value(0.0))
+    funnel_eps = _number(nmpc, "funnel_epsilon_m", config.ocp.funnel.value(0.0), positive=True)
     config.ocp = OcpConfig(
         weights=weights,
         m_L=config.params.m_L,
         J_L=config.params.J_L,
         r_i=config.params.r_i,
         f_max=config.params.f_max,
-        N=_number(nmpc, "horizon", config.ocp.N, int),
-        dt=_number(nmpc, "dt_s", config.ocp.dt),
+        N=_number(nmpc, "horizon", config.ocp.N, int, positive=True),
+        dt=_number(nmpc, "dt_s", config.ocp.dt, positive=True),
         g=config.params.g,
         obstacle_center=_number(obstacle, "center_m", None, np.ndarray) if obstacle else None,
-        obstacle_clearance=_number(obstacle, "clearance_m", 0.0),
+        obstacle_clearance=_number(obstacle, "clearance_m", 0.0, nonnegative=True),
         funnel=metrics.FunnelSpec.constant(funnel_eps),
-        funnel_weight=_number(nmpc, "funnel_weight", config.ocp.funnel_weight),
+        funnel_weight=_number(nmpc, "funnel_weight", config.ocp.funnel_weight, nonnegative=True),
     )
 
     solver = data.get("solver", {})
     _check_keys(solver, _SOLVER_KEYS, "solver")
     config.solver = dataclasses.replace(
         config.solver,
-        **{key: _number(solver, key, kind=_SOLVER_KEYS[key]) for key in solver},
+        **{key: _number(solver, key, kind=_SOLVER_KEYS[key], positive=True) for key in solver},
     )
 
     gains_sec = data.get("gains", {})
@@ -992,7 +1011,7 @@ def build_scenario(data: dict):
 
     dist = data.get("disturbance", {})
     _check_keys(dist, _DISTURBANCE_KEYS, "disturbance")
-    config.disturbance_eta = _number(dist, "eta", config.disturbance_eta)
+    config.disturbance_eta = _number(dist, "eta", config.disturbance_eta, nonnegative=True)
     config.disturbance_kind = dist.get("kind", config.disturbance_kind)
     if config.disturbance_kind not in ("none", "uniform-bounded"):
         raise ConfigError(f"unknown disturbance kind {config.disturbance_kind!r}")

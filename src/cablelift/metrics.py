@@ -8,10 +8,13 @@ signed margins, never raised.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
+
+from . import so3
 
 
 @dataclass(frozen=True)
@@ -33,15 +36,18 @@ class FunnelSpec:
             raise ValueError("funnel values must be strictly positive")
         if len(times) > 1 and np.any(np.diff(times) <= 0.0):
             raise ValueError("funnel times must be strictly increasing")
+        object.__setattr__(self, "_times", times)
+        object.__setattr__(self, "_values", values)
 
     @classmethod
     def constant(cls, value: float) -> "FunnelSpec":
         return cls(((0.0, float(value)),))
 
     def value(self, t: float) -> float:
-        times = [p[0] for p in self.table]
-        values = [p[1] for p in self.table]
-        return float(np.interp(t, times, values))
+        if len(self._values) == 1:
+            # np.interp on a one-entry table returns that entry at every t
+            return float(self._values[0])
+        return float(np.interp(t, self._times, self._values))
 
 
 @dataclass(frozen=True)
@@ -88,6 +94,22 @@ def mav_los_error(p_i: np.ndarray, p_des_i: np.ndarray) -> float:
 
 def pair_separation(p_i: np.ndarray, p_j: np.ndarray) -> float:
     return float(np.linalg.norm(np.asarray(p_i) - np.asarray(p_j)))
+
+
+@functools.lru_cache(maxsize=None)
+def _pairs(n: int):
+    """Row indices (i, j) of every pair i < j, in row-major pair order."""
+    i, j = np.triu_indices(n, 1)
+    i.setflags(write=False)
+    j.setflags(write=False)
+    return i, j
+
+
+def pair_separations(P: np.ndarray) -> np.ndarray:
+    """pair_separation of every pair i < j of the rows of P, in row-major
+    pair order (0-1, 0-2, ..., 1-2, ...)."""
+    i, j = _pairs(len(P))
+    return so3.norm_rows(P[i] - P[j])
 
 
 def desired_pair_separation(p_des_i: np.ndarray, p_des_j: np.ndarray) -> float:
@@ -174,43 +196,46 @@ def check_all(
     Margins are signed distances to the nearest bound; a violated constraint
     shows up with margin < 0, nothing raises.
     """
-    report = ConstraintReport()
     n = len(mav_p)
+    entries = []
 
     e_L = payload_los_error(payload_p, payload_p_des)
     eps = bounds.payload_funnel.value(t)
-    report.entries.append(ConstraintEntry("payload_funnel", e_L, None, eps, eps - e_L))
+    entries.append(ConstraintEntry("payload_funnel", e_L, None, eps, eps - e_L))
 
-    for i in range(n):
-        e_i = mav_los_error(mav_p[i], mav_p_des[i])
-        eps_i = bounds.mav_funnel.value(t)
-        report.entries.append(
-            ConstraintEntry(f"mav{i}_funnel", e_i, None, eps_i, eps_i - e_i)
+    e_i = so3.norm_rows(np.asarray(mav_p) - np.asarray(mav_p_des))
+    eps_i = bounds.mav_funnel.value(t)
+    entries += [
+        ConstraintEntry(f"mav{i}_funnel", e, None, eps_i, m)
+        for i, (e, m) in enumerate(zip(e_i.tolist(), (eps_i - e_i).tolist()))
+    ]
+
+    pairs = [
+        (i, j, bounds.pair_tighten.get((i, j)), bounds.pair_widen.get((i, j)))
+        for i in range(n)
+        for j in range(i + 1, n)
+    ]
+    e_ij = pair_separations(mav_p_des) - pair_separations(mav_p)
+    eps_h = np.array([np.inf if hi is None else hi.value(t) for _, _, hi, _ in pairs])
+    eps_w = np.array([np.inf if lo is None else lo.value(t) for _, _, _, lo in pairs])
+    margin = np.minimum(eps_h - e_ij, e_ij + eps_w)
+    entries += [
+        ConstraintEntry(f"separation_{i}_{j}", e, -w, h, m)
+        for (i, j, hi, lo), e, h, w, m in zip(
+            pairs, e_ij.tolist(), eps_h.tolist(), eps_w.tolist(), margin.tolist()
         )
+        if hi is not None or lo is not None
+    ]
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            e_ij = separation_error(mav_p_des[i], mav_p_des[j], mav_p[i], mav_p[j])
-            hi = bounds.pair_tighten.get((i, j))
-            lo = bounds.pair_widen.get((i, j))
-            if hi is None and lo is None:
-                continue
-            eps_h = hi.value(t) if hi is not None else np.inf
-            eps_w = lo.value(t) if lo is not None else np.inf
-            margin = min(eps_h - e_ij, e_ij + eps_w)
-            report.entries.append(
-                ConstraintEntry(f"separation_{i}_{j}", e_ij, -eps_w, eps_h, margin)
-            )
-
-    for i in range(n):
-        T = float(tensions[i])
-        report.entries.append(
-            ConstraintEntry(f"tension_{i}", T, None, bounds.f_max, bounds.f_max - T)
-        )
+    T = np.asarray(tensions, dtype=np.float64)[:n]
+    entries += [
+        ConstraintEntry(f"tension_{i}", T_i, None, bounds.f_max, m)
+        for i, (T_i, m) in enumerate(zip(T.tolist(), (bounds.f_max - T).tolist()))
+    ]
 
     if bounds.obstacle_center is not None:
         e_LO = obstacle_distance(payload_p, bounds.obstacle_center)
-        report.entries.append(
+        entries.append(
             ConstraintEntry(
                 "obstacle",
                 e_LO,
@@ -220,4 +245,4 @@ def check_all(
             )
         )
 
-    return report
+    return ConstraintReport(entries)

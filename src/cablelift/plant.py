@@ -9,7 +9,8 @@ The world state is one (n+1, 13) array: the payload row first, then one row
 per vehicle, each row [p, v, q, omega] (position, velocity, unit quaternion
 scalar first, body rates).  `cable_closure` reads the cables off that array
 and `step_world` advances it with one Runge-Kutta step of a derivative fused
-over all bodies."""
+over all bodies; both take the cables from one spring-damper law evaluated
+on all cables at once (`_cable_rows`)."""
 
 from __future__ import annotations
 
@@ -76,6 +77,7 @@ class SystemParams:
                 raise ValueError(f"{name} must be symmetric positive definite")
         self._J_i_inv = np.linalg.inv(self.J_i)
         self._J_L_inv = np.linalg.inv(self.J_L)
+        self._g_vec = self.g_vec
 
     @property
     def g_vec(self) -> np.ndarray:
@@ -84,16 +86,21 @@ class SystemParams:
 
 @dataclass
 class CableReading:
-    """Geometry and tension of one cable.
+    """Geometry and tension of the cables: arrays with one entry (row) per
+    cable as `cable_closure` returns them, or the scalars and 3-vector of
+    one cable, which indexing with the cable number gives.
 
     direction is the world-frame unit vector from the MAV mass center toward
-    its attachment point (defined only while taut).
+    its attachment point (zero while the cable is slack).
     """
 
     direction: np.ndarray
     tension: float
     taut: bool
     stretch: float = 0.0
+
+    def __getitem__(self, k) -> "CableReading":
+        return CableReading(self.direction[k], self.tension[k], self.taut[k], self.stretch[k])
 
 
 @dataclass
@@ -133,37 +140,47 @@ class DisturbanceModel:
         return self.eta * u
 
 
-def saturate_thrust(F: float, F_max: float) -> float:
-    """Clamp a thrust command into [0, F_max]."""
+def saturate_thrust(F, F_max: float):
+    """Clamp a thrust command, or each of an array of them, into [0, F_max]."""
     if F_max <= 0:
         raise ValueError("F_max must be positive")
-    return float(min(max(F, 0.0), F_max))
+    return np.clip(F, 0.0, F_max)
 
 
-def cable_closure(Y: np.ndarray, params: SystemParams) -> list:
+def _cable_rows(Y: np.ndarray, R_L: np.ndarray, params: SystemParams):
+    """The spring-damper law of every cable of the (n+1, 13) rows Y, whose
+    payload rotation is R_L: (unit directions e from each MAV toward its
+    attachment, stretch past rest length, taut mask, tension)."""
+    p_L, v_L, omega_L = Y[0, 0:3], Y[0, 3:6], Y[0, 10:13]
+    attach = p_L + params.r_i @ R_L.T
+    v_attach = v_L + so3.cross3_rows(omega_L, params.r_i) @ R_L.T
+    d = attach - Y[1:, 0:3]
+    dist = np.linalg.norm(d, axis=1)
+    near = dist < 1e-9
+    if near.any():
+        k = int(np.argmax(near))
+        raise DegenerateGeometry(f"MAV {k} coincides with its attachment point")
+    stretch = dist - params.l_i
+    taut = stretch > 0.0
+    e = d / dist[:, None]
+    sdot = np.einsum("ij,ij->i", e, v_attach - Y[1:, 3:6])
+    tension = np.where(
+        taut,
+        params.cable_stiffness * stretch + params.cable_damping * np.maximum(0.0, sdot),
+        0.0,
+    )
+    return e, stretch, taut, tension
+
+
+def cable_closure(Y: np.ndarray, params: SystemParams) -> CableReading:
     """Per-cable taut/slack status, direction, and spring-damper tension of
-    the (n+1, 13) world state Y."""
-    readings = []
-    p_L, v_L, q_L, omega_L = Y[0, 0:3], Y[0, 3:6], Y[0, 6:10], Y[0, 10:13]
-    R_L = so3.quat_to_rotation(q_L)
-    for k in range(params.n):
-        attach = p_L + R_L @ params.r_i[k]
-        v_attach = v_L + R_L @ so3.cross3(omega_L, params.r_i[k])
-        d = attach - Y[1 + k, 0:3]
-        dist = float(np.linalg.norm(d))
-        if dist < 1e-9:
-            raise DegenerateGeometry(f"MAV {k} coincides with its attachment point")
-        stretch = dist - params.l_i[k]
-        if stretch > 0.0:
-            e = d / dist
-            sdot = float(e @ (v_attach - Y[1 + k, 3:6]))
-            tension = params.cable_stiffness * stretch + params.cable_damping * max(0.0, sdot)
-            if tension > 10.0 * params.f_max:
-                raise CableOverload(f"cable {k} tension {tension:.3f} N past sanity ceiling")
-            readings.append(CableReading(e, tension, True, stretch))
-        else:
-            readings.append(CableReading(np.zeros(3), 0.0, False, stretch))
-    return readings
+    the (n+1, 13) world state Y, as rows."""
+    e, stretch, taut, tension = _cable_rows(Y, so3.quat_to_rotation(Y[0, 6:10]), params)
+    over = tension > 10.0 * params.f_max
+    if over.any():
+        k = int(np.argmax(over))
+        raise CableOverload(f"cable {k} tension {tension[k]:.3f} N past sanity ceiling")
+    return CableReading(np.where(taut[:, None], e, 0.0), tension, taut, stretch)
 
 
 def rk4_step(derivative_fn, state, inputs, dt: float):
@@ -191,37 +208,20 @@ def _world_derivative_flat(y: np.ndarray, inputs, params: SystemParams) -> np.nd
     thrusts, torques = inputs
     n = params.n
     rows = y.reshape(n + 1, _BODY_DIM)
-    p = rows[:, 0:3]
     v = rows[:, 3:6]
     q = rows[:, 6:10]
     w = rows[:, 10:13]
 
-    R_L = so3.quat_to_rotation(q[0])
-    attach = p[0] + params.r_i @ R_L.T
-    v_attach = v[0] + so3.cross3_rows(w[0], params.r_i) @ R_L.T
-    d = attach - p[1:]
-    dist = np.linalg.norm(d, axis=1)
-    if np.any(dist < 1e-9):
-        raise DegenerateGeometry("a MAV coincides with its attachment point")
-    stretch = dist - params.l_i
-    taut = stretch > 0.0
-    e = d / dist[:, None]
-    sdot = np.einsum("ij,ij->i", e, v_attach - v[1:])
-    tension = np.where(
-        taut,
-        params.cable_stiffness * stretch + params.cable_damping * np.maximum(0.0, sdot),
-        0.0,
-    )
+    R = so3.quat_to_rotation(q)
+    R_L = R[0]
+    e, _, _, tension = _cable_rows(rows, R_L, params)
     cable_force = tension[:, None] * e  # on each MAV, world frame
-
-    R_mavs = so3.quat_to_rotation(q[1:])
-    thrust_force = R_mavs[:, :, 2] * thrusts[:, None]
-    g_vec = params.g_vec
+    thrust_force = R[1:, :, 2] * thrusts[:, None]
 
     acc = np.empty((n + 1, 3))
-    acc[1:] = (thrust_force + cable_force) / params.m_i[:, None] + g_vec
+    acc[1:] = (thrust_force + cable_force) / params.m_i[:, None] + params._g_vec
     payload_force = -cable_force.sum(axis=0)
-    acc[0] = payload_force / params.m_L + g_vec
+    acc[0] = payload_force / params.m_L + params._g_vec
 
     e_body = e @ R_L  # world -> payload frame (rows of e times R_L columns)
     payload_moment = so3.cross3_rows(params.r_i, -tension[:, None] * e_body).sum(axis=0)
@@ -246,12 +246,14 @@ def _world_derivative_flat(y: np.ndarray, inputs, params: SystemParams) -> np.nd
 def step_world(Y: np.ndarray, commands, dt: float, params: SystemParams) -> np.ndarray:
     """The (n+1, 13) world state one step later under held commands.
 
-    commands: list of (thrust, torque) per MAV; thrust is saturated here.
+    commands: (thrusts (n,), torques (n, 3)), one row per MAV; thrust is
+    saturated here.
     """
-    if len(commands) != params.n or len(Y) != params.n + 1:
-        raise ValueError("need one (thrust, torque) command per MAV")
-    thrusts = np.array([saturate_thrust(float(c[0]), params.F_max) for c in commands])
-    torques = np.array([np.asarray(c[1], dtype=np.float64) for c in commands])
+    thrusts, torques = commands
+    thrusts = saturate_thrust(np.asarray(thrusts, dtype=np.float64), params.F_max)
+    torques = np.asarray(torques, dtype=np.float64)
+    if thrusts.shape != (params.n,) or torques.shape != (params.n, 3) or len(Y) != params.n + 1:
+        raise ValueError("need one thrust and one torque row per MAV")
     deriv = lambda yv, u: _world_derivative_flat(yv, u, params)
     Y = rk4_step(deriv, Y, (thrusts, torques), dt)
     Y[:, 6:10] = so3.quat_normalize(Y[:, 6:10])

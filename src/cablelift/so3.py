@@ -22,23 +22,29 @@ class NotSkew(ValueError):
 
 
 def hat(v: np.ndarray) -> np.ndarray:
-    """Skew-symmetric cross-product matrix: hat(v) @ w == cross(v, w)."""
+    """Skew-symmetric cross-product matrix: hat(v) @ w == cross(v, w).
+
+    Broadcasts over leading axes: (..., 3) vectors give (..., 3, 3) matrices.
+    """
     v = np.asarray(v, dtype=np.float64)
-    return np.array(
-        [
-            [0.0, -v[2], v[1]],
-            [v[2], 0.0, -v[0]],
-            [-v[1], v[0], 0.0],
-        ]
-    )
+    out = np.zeros(v.shape[:-1] + (3, 3))
+    out[..., 0, 1], out[..., 0, 2] = -v[..., 2], v[..., 1]
+    out[..., 1, 0], out[..., 1, 2] = v[..., 2], -v[..., 0]
+    out[..., 2, 0], out[..., 2, 1] = -v[..., 1], v[..., 0]
+    return out
+
+
+_VEE_INDEX = np.array([7, 2, 3])  # S[2, 1], S[0, 2], S[1, 0] of the flattened matrix
 
 
 def vee(S: np.ndarray) -> np.ndarray:
-    """Inverse of hat. Requires ||S + S^T|| <= 1e-9."""
+    """Inverse of hat, over leading axes. Requires ||S + S^T|| <= 1e-9 for
+    every matrix."""
     S = np.asarray(S, dtype=np.float64)
-    if np.linalg.norm(S + S.T) > 1e-9:
+    A = S + np.swapaxes(S, -1, -2)
+    if ((A * A).sum(axis=(-2, -1)) > 1e-18).any():
         raise NotSkew("vee() input is not skew-symmetric")
-    return np.array([S[2, 1], S[0, 2], S[1, 0]])
+    return S.reshape(S.shape[:-2] + (9,)).take(_VEE_INDEX, axis=-1)
 
 
 def cross3(a, b) -> np.ndarray:
@@ -56,15 +62,40 @@ def cross3(a, b) -> np.ndarray:
     )
 
 
+_NEXT = np.array([1, 2, 0])
+_PREV = np.array([2, 0, 1])
+
+
 def cross3_rows(A, B) -> np.ndarray:
     """Row-wise cross product over trailing-3 arrays (broadcasts like np.cross)."""
-    a0, a1, a2 = A[..., 0], A[..., 1], A[..., 2]
-    b0, b1, b2 = B[..., 0], B[..., 1], B[..., 2]
-    out = np.empty(np.broadcast(a0, b0).shape + (3,))
-    out[..., 0] = a1 * b2 - a2 * b1
-    out[..., 1] = a2 * b0 - a0 * b2
-    out[..., 2] = a0 * b1 - a1 * b0
-    return out
+    A = np.asarray(A, dtype=np.float64)
+    B = np.asarray(B, dtype=np.float64)
+    return A.take(_NEXT, axis=-1) * B.take(_PREV, axis=-1) - A.take(_PREV, axis=-1) * B.take(
+        _NEXT, axis=-1
+    )
+
+
+def dot_rows(a, b) -> np.ndarray:
+    """Row-wise dot product over trailing-3 arrays (broadcasts).
+
+    Taken as stacked (1, 3) @ (3, 1) products, so each row rounds exactly as
+    the 1-D `a @ b` of that row does; a sum of elementwise products rounds
+    differently.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def norm_rows(a) -> np.ndarray:
+    """Row-wise Euclidean norm, rounding as the 1-D np.linalg.norm does."""
+    return np.sqrt(dot_rows(a, a))
+
+
+def matvec(M, v) -> np.ndarray:
+    """M @ v over leading axes: (..., 3, 3) matrices times (..., 3) vectors,
+    each row rounding as the 2-D by 1-D product does."""
+    return (M @ np.asarray(v, dtype=np.float64)[..., None])[..., 0]
 
 
 # ---------------------------------------------------------------------------
@@ -81,16 +112,13 @@ def quat_mul(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
     q2 = np.asarray(q2, dtype=np.float64)
     w1, x1, y1, z1 = q1[..., 0], q1[..., 1], q1[..., 2], q1[..., 3]
     w2, x2, y2, z2 = q2[..., 0], q2[..., 1], q2[..., 2], q2[..., 3]
+    out = np.empty(np.broadcast(w1, w2).shape + (4,))
     # grouping chosen so q * conj(q) has an exactly-zero vector part
-    return np.stack(
-        [
-            w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-            (w1 * x2 + x1 * w2) + (y1 * z2 - z1 * y2),
-            (w1 * y2 + y1 * w2) + (z1 * x2 - x1 * z2),
-            (w1 * z2 + z1 * w2) + (x1 * y2 - y1 * x2),
-        ],
-        axis=-1,
-    )
+    out[..., 0] = w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2
+    out[..., 1] = (w1 * x2 + x1 * w2) + (y1 * z2 - z1 * y2)
+    out[..., 2] = (w1 * y2 + y1 * w2) + (z1 * x2 - x1 * z2)
+    out[..., 3] = (w1 * z2 + z1 * w2) + (x1 * y2 - y1 * x2)
+    return out
 
 
 def quat_conj(q: np.ndarray) -> np.ndarray:
@@ -114,6 +142,14 @@ def quat_from_axis_angle(axis: np.ndarray, angle: float) -> np.ndarray:
     return np.concatenate([[math.cos(half)], math.sin(half) * axis])
 
 
+# rotation matrix entry (r, c) is 1 - 2 s on the diagonal and 2 s off it,
+# where s = q[a] q[b] + sign * q[a'] q[b'] with the pairs below
+_ROT_A = np.array([10, 6, 7, 6, 5, 11, 7, 11, 5])  # 4 a + b
+_ROT_B = np.array([15, 3, 2, 3, 15, 1, 2, 1, 10])  # 4 a' + b'
+_ROT_SIGN = np.array([1.0, -1.0, 1.0, 1.0, 1.0, -1.0, -1.0, 1.0, 1.0])
+_ROT_DIAG = np.eye(3, dtype=bool).reshape(9)
+
+
 def quat_to_rotation(q: np.ndarray) -> np.ndarray:
     """Rotation matrix of a unit quaternion; shape (..., 3, 3)."""
     q = np.asarray(q, dtype=np.float64)
@@ -130,11 +166,11 @@ def quat_to_rotation(q: np.ndarray) -> np.ndarray:
         out[2, 1] = 2 * (y * z + w * x)
         out[2, 2] = 1 - 2 * (x * x + y * y)
         return out
-    w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
-    row0 = np.stack([1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)], axis=-1)
-    row1 = np.stack([2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)], axis=-1)
-    row2 = np.stack([2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)], axis=-1)
-    return np.stack([row0, row1, row2], axis=-2)
+    # the same sums as the single-quaternion branch, entry by entry, taken
+    # from the outer product q q^T in a few array operations
+    outer = (q[..., :, None] * q[..., None, :]).reshape(q.shape[:-1] + (16,))
+    s = outer.take(_ROT_A, axis=-1) + _ROT_SIGN * outer.take(_ROT_B, axis=-1)
+    return np.where(_ROT_DIAG, 1.0 - 2.0 * s, 2.0 * s).reshape(q.shape[:-1] + (3, 3))
 
 
 def quat_exp(rotvec: np.ndarray) -> np.ndarray:
@@ -186,11 +222,7 @@ def left_jacobian_inverse(rotvec: np.ndarray) -> np.ndarray:
     """
     rotvec = np.asarray(rotvec, dtype=np.float64)
     theta = np.linalg.norm(rotvec, axis=-1)
-    x, y, z = rotvec[..., 0], rotvec[..., 1], rotvec[..., 2]
-    S = np.zeros(rotvec.shape[:-1] + (3, 3))
-    S[..., 0, 1], S[..., 0, 2] = -z, y
-    S[..., 1, 0], S[..., 1, 2] = z, -x
-    S[..., 2, 0], S[..., 2, 1] = -y, x
+    S = hat(rotvec)
     small = theta < 1e-6
     safe = np.where(small, 1.0, theta)
     coeff = np.where(

@@ -180,6 +180,14 @@ def test_criterion_05_full_stack_holds_hover(hover_run):
     )
 
 
+def test_hover_clamps_nothing(hover_run):
+    """The hover never asks for thrust outside [0, F_max], never clips the
+    desired cable rate and never lets a cable go slack."""
+    assert hover_run.thrust_clamps == 0
+    assert hover_run.omega_des_clips == 0
+    assert hover_run.slack_cable_ticks == 0
+
+
 def test_criterion_06_allocation_exact_and_minimal():
     params = harness.default_system()
     amap = allocation.build_allocation(params.r_i)

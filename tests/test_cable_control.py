@@ -9,9 +9,12 @@ differences on the actual controller rather than a hand-derived matrix.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cablelift import allocation, cable_control as cc, plant, so3
+from cablelift import allocation, cable_control as cc, harness, plant, so3
 from cablelift.cable_control import CableTrackingState, DegenerateThrust, GainSet
+from cablelift.payload_ocp import Wrench
 
 G = 9.81
 M_I = 0.12
@@ -395,7 +398,8 @@ def run_hover_loop(n_steps, dt=0.002):
             commands.append((f, M))
         if first_commands is None:
             first_commands = commands
-        full = plant.step_world(full, commands, dt, params)
+        thrusts, moments = (np.array(rows) for rows in zip(*commands))
+        full = plant.step_world(full, (thrusts, moments), dt, params)
         worst = max(worst, float(np.linalg.norm(full[0, 0:3] - target)))
     return worst, first_commands
 
@@ -410,3 +414,233 @@ class TestFullStackHover:
         for f, M in commands:
             assert f == pytest.approx(HOVER_THRUST, abs=1e-9)
             np.testing.assert_allclose(M, np.zeros(3), atol=1e-9)
+
+
+def per_vehicle_tick(config, Y, wrench_cmd, mu_prev):
+    """The controller tick of the full plant written vehicle by vehicle, one
+    loop over 3-vectors: the reference the row tick of
+    `harness._FullPlant.realize` is pinned to.
+
+    mu_prev is None (first tick of a stage) or the previous tick's (n, 3)
+    allocated forces.  Returns (thrusts, moments, allocated forces).
+    """
+    params = config.params
+    dt = config.dt_lowlevel
+    readings = plant.cable_closure(Y, params)
+    p_L, v_L, omega_l = Y[0, 0:3], Y[0, 3:6], Y[0, 10:13]
+    R_L = so3.quat_to_rotation(Y[0, 6:10])
+    amap = allocation.build_allocation(params.r_i)
+    mu = allocation.allocate(wrench_cmd, R_L, amap)
+    attachments = p_L + (R_L @ params.r_i.T).T
+    mu = allocation.nullspace_redistribute(mu, attachments, R_L, amap, params.l_i)
+    accel_des = wrench_cmd.F / params.m_L + np.array([0.0, 0.0, -params.g])
+    omega_dot_des = np.linalg.solve(
+        params.J_L, wrench_cmd.M - so3.cross3(omega_l, params.J_L @ omega_l)
+    )
+    thrusts, moments = [], []
+    for k in range(params.n):
+        v_k, q_k, omega_k = Y[1 + k, 3:6], Y[1 + k, 6:10], Y[1 + k, 10:13]
+        prev = None if mu_prev is None else mu_prev[k]
+        xi_des, om_des = allocation.desired_cable_direction(mu[k], prev, dt)
+        om_norm = float(np.linalg.norm(om_des))
+        if om_norm > harness.OMEGA_DES_LIMIT:
+            om_des = om_des * (harness.OMEGA_DES_LIMIT / om_norm)
+        if readings[k].taut:
+            xi = readings[k].direction
+            rel_v = v_L + R_L @ so3.cross3(omega_l, params.r_i[k]) - v_k
+            dist = params.l_i[k] + readings[k].stretch
+            xi_dot = (rel_v - xi * float(xi @ rel_v)) / dist
+            om_c = so3.cross3(xi, xi_dot)
+        else:
+            xi = xi_des
+            om_c = om_des
+        state = CableTrackingState(xi, om_c, xi_des, om_des)
+        a_kc = cc.attachment_accel(accel_des, R_L, omega_l, omega_dot_des, params.r_i[k], params.g)
+        u_par, u_perp = cc.control_components(
+            allocation.project_tension(mu[k], xi),
+            state,
+            a_kc,
+            params.m_i[k],
+            params.l_i[k],
+            config.gains,
+        )
+        u = u_par + u_perp
+        R_k = so3.quat_to_rotation(q_k)
+        thrusts.append(float(cc.thrust_command(u, R_k)))
+        R_des = cc.desired_attitude(u, 0.0)
+        errors = cc.attitude_errors(R_k, R_des, omega_k, np.zeros(3))
+        moments.append(
+            cc.moment_command(
+                errors, omega_k, R_k, R_des, np.zeros(3), np.zeros(3), params.J_i[k], config.gains
+            )
+        )
+    return np.array(thrusts), np.array(moments), mu
+
+
+@st.composite
+def rig_ticks(draw):
+    """A random rig state around hover with each cable taut or slack, a held
+    wrench, and the previous tick's forces: none, nearby (small desired
+    cable rates) or far off (rates past OMEGA_DES_LIMIT)."""
+    config = harness.scenario_preset("circle-medium")
+    params = config.params
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    slack = np.array(draw(st.lists(st.booleans(), min_size=4, max_size=4)))
+    Y = np.zeros((5, 13))
+    Y[0, 0:3] = rng.uniform(-1.0, 1.0, 3)
+    Y[0, 3:6] = 0.3 * rng.standard_normal(3)
+    Y[:, 6:10] = so3.quat_normalize([1.0, 0.0, 0.0, 0.0] + 0.1 * rng.standard_normal((5, 4)))
+    Y[:, 10:13] = 0.3 * rng.standard_normal((5, 3))
+    R_L = so3.quat_to_rotation(Y[0, 6:10])
+    for k in range(4):
+        up = np.array([0.0, 0.0, 1.0]) + 0.2 * rng.standard_normal(3)
+        # taut cables stretch 0.1 mm and separate slowly, so the tension
+        # stays far below the overload ceiling
+        length = params.l_i[k] * (0.95 if slack[k] else 1.0001)
+        Y[1 + k, 0:3] = Y[0, 0:3] + R_L @ params.r_i[k] + length * up / np.linalg.norm(up)
+        v_attach = Y[0, 3:6] + R_L @ np.cross(Y[0, 10:13], params.r_i[k])
+        Y[1 + k, 3:6] = v_attach + 0.01 * rng.standard_normal(3)
+    wrench = Wrench(
+        np.array([0.0, 0.0, params.m_L * params.g]) + 0.5 * rng.standard_normal(3),
+        0.01 * rng.standard_normal(3),
+    )
+    R_now = so3.quat_to_rotation(Y[0, 6:10])
+    mu = allocation.allocate(wrench, R_now, allocation.build_allocation(params.r_i))
+    prev = draw(st.sampled_from(["none", "near", "far"]))
+    mu_prev = {
+        "none": None,
+        "near": mu + 1e-4 * rng.standard_normal(mu.shape),
+        "far": mu + 0.2 * rng.standard_normal(mu.shape),
+    }[prev]
+    new_stage = draw(st.booleans())
+    return config, Y, wrench, slack, mu_prev, prev, new_stage
+
+
+class TestRowTick:
+    """The one-pass row tick against the per-vehicle loop."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(rig_ticks())
+    def test_matches_per_vehicle_loop(self, tick):
+        config, Y, wrench, slack, mu_prev, prev, new_stage = tick
+        model = harness._FullPlant(config)
+        model.mu_prev = mu_prev
+        tensions, directions, mav_p, (thrusts, moments) = model.realize(Y, wrench, new_stage)
+
+        ref_thrusts, ref_moments, ref_mu = per_vehicle_tick(
+            config, Y, wrench, None if new_stage else mu_prev
+        )
+        np.testing.assert_allclose(thrusts, ref_thrusts, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(moments, ref_moments, rtol=1e-12, atol=1e-12)
+        np.testing.assert_array_equal(model.mu_prev, ref_mu)
+
+        readings = plant.cable_closure(Y, config.params)
+        np.testing.assert_array_equal(readings.taut, ~slack)
+        for k in range(4):
+            assert tensions[k] == readings[k].tension
+            np.testing.assert_array_equal(directions[k], readings[k].direction)
+        np.testing.assert_array_equal(mav_p, Y[1:, 0:3])
+        assert model.slack_cable_ticks == int(np.count_nonzero(slack))
+        clipped = prev == "far" and not new_stage
+        assert (model.omega_des_clips > 0) == clipped
+
+
+def _hover_rig():
+    config = harness.scenario_preset("hover")
+    return config, harness.equilibrium_state(config)
+
+
+def _hover_wrench(config):
+    return Wrench(np.array([0.0, 0.0, config.params.m_L * config.params.g]), np.zeros(3))
+
+
+def _realize_with(mutate=None, wrench=None):
+    config, Y = _hover_rig()
+    if mutate is not None:
+        mutate(config, Y)
+    model = harness._FullPlant(config)
+    model.realize(Y, _hover_wrench(config) if wrench is None else wrench, True)
+
+
+def _rows(bad, good, k=2):
+    """Four rows of `good` with row k replaced by `bad`."""
+    rows = np.repeat(np.asarray(good, dtype=float)[None], 4, axis=0)
+    rows[k] = bad
+    return rows
+
+
+def _coincident_mav(config, Y):
+    Y[3, 0:3] = Y[0, 0:3] + config.params.r_i[2]
+
+
+def _overstretched_cable(config, Y):
+    Y[2, 0:3] += np.array([0.0, 0.0, 1.0])
+
+
+def _nonfinite_step():
+    config, Y = _hover_rig()
+    thrusts = np.full(4, 1.7)
+    torques = _rows([0.0, np.inf, 0.0], np.zeros(3), k=3)
+    harness._FullPlant(config).advance(Y, (thrusts, torques), _hover_wrench(config), None)
+
+
+def _non_skew_rows():
+    rows = so3.hat(np.arange(12.0).reshape(4, 3))
+    rows[1, 0, 0] = 1.0
+    so3.vee(rows)
+
+
+SAFETY_CASES = {
+    "zero-tension": (
+        allocation.ZeroTension,
+        None,
+        lambda: _realize_with(wrench=Wrench(np.zeros(3), np.zeros(3))),
+    ),
+    "unit-direction": (
+        ValueError,
+        "unit vector",
+        lambda: CableTrackingState(
+            _rows([0.0, 0.0, -1.1], DOWN), np.zeros((4, 3)), _rows(DOWN, DOWN), np.zeros((4, 3))
+        ),
+    ),
+    "perpendicular-rate": (
+        ValueError,
+        "perpendicular",
+        lambda: CableTrackingState(
+            _rows(DOWN, DOWN),
+            _rows([0.0, 0.0, 0.2], np.zeros(3)),
+            _rows(DOWN, DOWN),
+            np.zeros((4, 3)),
+        ),
+    ),
+    "thrust-too-small": (
+        DegenerateThrust,
+        "too small",
+        lambda: cc.desired_attitude(_rows(np.zeros(3), [0.0, 0.0, HOVER_THRUST]), 0.0),
+    ),
+    "thrust-along-heading": (
+        DegenerateThrust,
+        "collinear",
+        lambda: cc.desired_attitude(_rows([2.0, 0.0, 0.0], [0.0, 0.0, HOVER_THRUST]), 0.0),
+    ),
+    "not-skew": (so3.NotSkew, None, _non_skew_rows),
+    "degenerate-geometry": (
+        plant.DegenerateGeometry,
+        "MAV 2",
+        lambda: _realize_with(_coincident_mav),
+    ),
+    "cable-overload": (
+        plant.CableOverload,
+        "cable 1",
+        lambda: _realize_with(_overstretched_cable),
+    ),
+    "non-finite-state": (plant.NonFiniteState, None, _nonfinite_step),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SAFETY_CASES))
+def test_safety_checks_raise_from_rows(case):
+    """One bad vehicle among good ones still trips each check on the row path."""
+    exc, match, call = SAFETY_CASES[case]
+    with np.errstate(all="ignore"), pytest.raises(exc, match=match):
+        call()

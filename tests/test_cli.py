@@ -93,6 +93,17 @@ class TestRun:
             ("hover", "scenario", "initial_offset_m", "[.nan, 0, 0]"),
             ("hover-nominal", "scenario", "initial_offset_m", "[1, 2]"),
             ("hover-nominal", "nmpc", "horizon", "2.7"),
+            ("hover", "system", "mav_mass_kg", "-1"),
+            ("hover", "system", "cable_length_m", "0"),
+            ("hover", "nmpc", "horizon", "0"),
+            ("hover", "scenario", "dt_lowlevel_s", "0"),
+            ("hover", "trigger", "sigma", "0"),
+            ("hover", "trigger", "alpha", "-1"),
+            ("hover", "system", "cable_stiffness_Npm", "0"),
+            ("hover", "nmpc", "funnel_epsilon_m", "0"),
+            ("hover", "solver", "max_sqp_iters", "0"),
+            ("hover", "nmpc", "funnel_weight", "-1"),
+            ("hover", "disturbance", "eta", "-1"),
         ],
     )
     def test_malformed_number_is_a_config_error(self, tmp_path, capsys, preset, section, key, value):

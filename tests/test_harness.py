@@ -407,6 +407,32 @@ class TestRunFull:
         assert closure.call_count == len(log.ticks)
 
 
+class TestClampCounters:
+    def test_low_thrust_ceiling_is_counted(self):
+        """Below the hover thrust (1.746 N) every vehicle saturates; the count
+        reaches the run log and the summary."""
+        config, _ = harness.build_scenario(
+            {
+                "schema_version": 1,
+                "preset": "hover",
+                "scenario": {"duration_s": 0.1},
+                "system": {"thrust_max_N": 1.7},
+            }
+        )
+        log = harness.run_closed_loop(config)
+        assert log.thrust_clamps > 0
+        assert log.thrust_clamps <= config.params.n * len(log.ticks)
+        assert harness.summarize(log)["thrust_clamps"] == log.thrust_clamps
+
+    def test_payload_only_counts_nothing(self):
+        log = harness.run_closed_loop(
+            dataclasses.replace(harness.scenario_preset("hover-recovery"), duration=0.5)
+        )
+        summary = harness.summarize(log)
+        counts = [summary[k] for k in ("thrust_clamps", "omega_des_clips", "slack_cable_ticks")]
+        assert counts == [0, 0, 0]
+
+
 def _short_hover(duration, **disturbance):
     return dataclasses.replace(harness.scenario_preset("hover"), duration=duration, **disturbance)
 

@@ -118,8 +118,9 @@ def hover_state(params: SystemParams) -> np.ndarray:
 
 
 def hover_commands(params: SystemParams):
+    """(thrusts, torques) rows: every vehicle carries itself and its share."""
     thrust = params.m_i[0] * params.g + params.m_L * params.g / params.n
-    return [(thrust, np.zeros(3)) for _ in range(params.n)]
+    return np.full(params.n, thrust), np.zeros((params.n, 3))
 
 
 def random_full_state(rng, params: SystemParams, spread: float = 0.3) -> np.ndarray:
@@ -549,8 +550,8 @@ class TestStepWorld:
     def test_saturation_applied_inside_step(self):
         params = make_params()
         full = hover_state(params)
-        over = [(params.F_max + 5.0, np.zeros(3)) for _ in range(4)]
-        at_max = [(params.F_max, np.zeros(3)) for _ in range(4)]
+        over = (np.full(4, params.F_max + 5.0), np.zeros((4, 3)))
+        at_max = (np.full(4, params.F_max), np.zeros((4, 3)))
         a = plant.step_world(full, over, 0.002, params)
         b = plant.step_world(full, at_max, 0.002, params)
         np.testing.assert_array_equal(a, b)
@@ -558,12 +559,12 @@ class TestStepWorld:
     def test_command_count_mismatch_rejected(self):
         params = make_params()
         with pytest.raises(ValueError):
-            plant.step_world(hover_state(params), [(1.0, np.zeros(3))], 0.002, params)
+            plant.step_world(hover_state(params), (np.ones(1), np.zeros((1, 3))), 0.002, params)
 
     def test_quaternions_stay_unit(self):
         params = make_params()
         full = tumble_state(params)
-        cmds = [(1.0, np.zeros(3))] * 4
+        cmds = (np.ones(4), np.zeros((4, 3)))
         for _ in range(50):
             full = plant.step_world(full, cmds, 0.002, params)
         for row in full:
