@@ -1,4 +1,4 @@
-"""Wrench-to-cable tension allocation.
+"""Allocation of the payload wrench to cable tensions.
 
 The payload wrench commanded by the optimizer is split across cables by a
 minimal-norm pseudo-inverse of the attachment geometry, optionally shifted
@@ -68,21 +68,15 @@ def build_allocation(r_i: np.ndarray) -> AllocationMap:
     return AllocationMap(n=n, P=P, P_pinv=P_pinv, Z=Z)
 
 
-def _wrench_parts(wrench) -> Tuple[np.ndarray, np.ndarray]:
-    if hasattr(wrench, "F"):
-        return np.asarray(wrench.F, dtype=np.float64), np.asarray(wrench.M, dtype=np.float64)
-    F, M = wrench
-    return np.asarray(F, dtype=np.float64), np.asarray(M, dtype=np.float64)
-
-
-def allocate(wrench, R_L: np.ndarray, amap: AllocationMap) -> np.ndarray:
-    """Minimal-norm per-cable forces realizing the wrench; rows world frame.
+def allocate(wrench: np.ndarray, R_L: np.ndarray, amap: AllocationMap) -> np.ndarray:
+    """Minimal-norm per-cable forces realizing the wrench row [F, M]; rows
+    world frame.
 
     F is taken in the world frame and M in the payload frame; the stacked
     payload-frame solution is rotated back out block by block.
     """
-    F, M = _wrench_parts(wrench)
-    target = np.concatenate([R_L.T @ F, M])
+    wrench = np.asarray(wrench, dtype=np.float64)
+    target = np.concatenate([R_L.T @ wrench[0:3], wrench[3:6]])
     stacked = amap.P_pinv @ target
     return (stacked.reshape(amap.n, 3) @ R_L.T).copy()
 
@@ -196,7 +190,7 @@ def desired_cable_direction(
     """
     mu_now = np.asarray(mu_des_now, dtype=np.float64)
     norm_now = so3.norm_rows(mu_now)
-    if (norm_now <= tension_floor).any():
+    if not (norm_now > tension_floor).all():
         raise ZeroTension(f"desired tension {np.min(norm_now):.2e} N below floor")
     xi_des = -mu_now / norm_now[..., None]
     xi_dot = np.zeros(mu_now.shape)

@@ -70,9 +70,9 @@ class CableTrackingState:
         self.omega_cable = np.asarray(self.omega_cable, dtype=np.float64)
         self.xi_des = np.asarray(self.xi_des, dtype=np.float64)
         self.omega_des = np.asarray(self.omega_des, dtype=np.float64)
-        if (np.abs(so3.norm_rows(self.xi) - 1.0) > 1e-6).any():
+        if not (np.abs(so3.norm_rows(self.xi) - 1.0) <= 1e-6).all():
             raise ValueError("cable direction must be a unit vector")
-        if (np.abs(so3.dot_rows(self.omega_cable, self.xi)) > 1e-6).any():
+        if not (np.abs(so3.dot_rows(self.omega_cable, self.xi)) <= 1e-6).all():
             raise ValueError("cable angular velocity must be perpendicular to xi")
 
 
@@ -169,11 +169,11 @@ def desired_attitude(u_k: np.ndarray, yaw_des: float) -> np.ndarray:
     """Rotation whose z-column carries the commanded force at the given yaw."""
     u_k = np.asarray(u_k, dtype=np.float64)
     norm_u = so3.norm_rows(u_k)
-    if (norm_u <= 1e-6).any():
+    if not (norm_u > 1e-6).all():
         raise DegenerateThrust(f"commanded force {np.min(norm_u):.2e} N is too small")
     b3 = u_k / norm_u[..., None]
     heading = np.array([np.cos(yaw_des), np.sin(yaw_des), 0.0])
-    if (so3.norm_rows(so3.cross3_rows(b3, heading)) <= 1e-6).any():
+    if not (so3.norm_rows(so3.cross3_rows(b3, heading)) > 1e-6).all():
         raise DegenerateThrust("commanded force is collinear with the heading")
     b1 = heading - _column(so3.dot_rows(heading, b3)) * b3
     b1 = b1 / _column(so3.norm_rows(b1))

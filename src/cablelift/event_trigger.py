@@ -33,35 +33,19 @@ class InvariantViolation(RuntimeError):
     """The horizon-chain guarantee failed; indicates a programming error."""
 
 
-def lipschitz_constant(a: float, b: float, rho: float) -> float:
-    """Growth bound sqrt(2 (a^2 + rho^2 b^2)) of the prediction dynamics."""
-    if a < 0 or b < 0 or rho < 0:
-        raise ValueError("Lipschitz parameters must be nonnegative")
-    return math.sqrt(2.0 * (a * a + rho * rho * b * b))
-
-
 @dataclass
 class TriggerConfig:
     alpha: float = 0.10
     beta: float = 0.05
     sigma: int = 2
-    eta: float = 0.0
-    lipschitz: tuple = (1.0, 0.0, 0.0)
-    delta: float = 0.05
-    mode: str = "relative"
 
     def __post_init__(self):
-        if self.alpha < 0:
+        if not self.alpha >= 0:
             raise ValueError("alpha must be nonnegative")
-        if self.beta <= 0:
+        if not self.beta > 0:
             raise ValueError("beta must be positive")
         if self.sigma < 1:
             raise ValueError("sigma must be at least one step")
-        if self.eta < 0:
-            raise ValueError("eta must be nonnegative")
-        if self.mode not in ("relative", "theoretical"):
-            raise ValueError(f"unknown trigger mode {self.mode!r}")
-        self.L_P = lipschitz_constant(*self.lipschitz)
 
 
 @dataclass
@@ -69,7 +53,6 @@ class TriggerState:
     k_j: int
     predicted: ocp.OcpSolution
     N_kj: int
-    trigger_count: int
 
 
 @dataclass
@@ -86,28 +69,15 @@ class TerminalRegion:
         return math.sqrt(float(error @ self.weight @ error)) <= self.epsilon
 
 
-def theoretical_threshold(m: int, config: TriggerConfig) -> float:
-    """Disturbance-accumulation threshold sigma eta e^{L_P delta (sigma-1)}.
-
-    Constant in m (the bound caps the comparison at m = sigma); m is
-    validated because callers index the elapsed-step count with it.
-    """
-    if m < 1:
-        raise ValueError("elapsed step count must be at least 1")
-    return config.sigma * config.eta * math.exp(
-        config.L_P * config.delta * (config.sigma - 1)
-    )
-
-
-def state_embedding(x: ocp.OcpState) -> np.ndarray:
-    """12-d vector (p, v, log q, omega) used for trigger norms."""
-    return np.concatenate([x.p, x.v, so3.quat_log(x.q), x.omega])
+def state_embedding(x: np.ndarray) -> np.ndarray:
+    """12-d vector (p, v, log q, omega) of a state row, used for trigger norms."""
+    return np.concatenate([x[0:6], so3.quat_log(x[6:10]), x[10:13]])
 
 
 def should_trigger(
-    k: int, current: ocp.OcpState, trigger_state: TriggerState, config: TriggerConfig
+    k: int, current: np.ndarray, trigger_state: TriggerState, config: TriggerConfig
 ) -> str:
-    """Decide "none", "event", or "forced" at step k.
+    """Decide "none", "event", or "forced" at step k for the state row current.
 
     Forced exactly when the prediction is exhausted (k = k_j + N_kj).  An
     event needs at least sigma elapsed steps and a deviation strictly above
@@ -116,31 +86,27 @@ def should_trigger(
     idx = k - trigger_state.k_j
     if idx < 0:
         raise ValueError("step precedes the last trigger")
-    if idx > len(trigger_state.predicted.states) - 1:
+    if idx > len(trigger_state.predicted.X) - 1:
         raise PredictionGap(
             f"step {k} is {idx} past trigger {trigger_state.k_j}, prediction "
-            f"holds {len(trigger_state.predicted.states)} states"
+            f"holds {len(trigger_state.predicted.X)} states"
         )
     if idx == trigger_state.N_kj:
         return "forced"
     if idx < config.sigma:
         return "none"
-    deviation = float(
-        np.linalg.norm(ocp.local_coords(trigger_state.predicted.states[idx], current))
-    )
-    if config.mode == "relative":
-        threshold = config.alpha * float(np.linalg.norm(state_embedding(current))) + config.beta
-    else:
-        threshold = theoretical_threshold(idx, config)
+    deviation = float(np.linalg.norm(ocp.local_coords(trigger_state.predicted.X[idx], current)))
+    threshold = config.alpha * float(np.linalg.norm(state_embedding(current))) + config.beta
     return "event" if deviation > threshold else "none"
 
 
 def first_entry_index(
-    predicted: ocp.OcpSolution, region: TerminalRegion, references
+    predicted: ocp.OcpSolution, region: TerminalRegion, ref_x: np.ndarray
 ) -> Optional[int]:
-    """Smallest index in [0, N_kj - 1] whose error sits inside the region."""
-    for i in range(len(predicted.states) - 1):
-        if region.contains(ocp.state_error(predicted.states[i], references[i])):
+    """Smallest index in [0, N_kj - 1] whose error against the reference rows
+    ref_x sits inside the region."""
+    for i in range(len(predicted.X) - 1):
+        if region.contains(ocp.state_error(predicted.X[i], ref_x[i])):
             return i
     return None
 
@@ -180,9 +146,8 @@ def record_trigger(
     new_horizon: int,
 ) -> TriggerState:
     """Bookkeeping after a solve at step k; pass None at initialization."""
-    if len(solution.states) - 1 != new_horizon:
+    if len(solution.X) - 1 != new_horizon:
         raise ValueError(
-            f"solution spans {len(solution.states) - 1} steps, expected {new_horizon}"
+            f"solution spans {len(solution.X) - 1} steps, expected {new_horizon}"
         )
-    count = 1 if trigger_state is None else trigger_state.trigger_count + 1
-    return TriggerState(k_j=k, predicted=solution, N_kj=new_horizon, trigger_count=count)
+    return TriggerState(k_j=k, predicted=solution, N_kj=new_horizon)

@@ -29,7 +29,7 @@ import yaml
 from . import allocation, cable_control, event_trigger, metrics, payload_ocp, plant, so3, sqp
 from .cable_control import CableTrackingState, GainSet
 from .event_trigger import TerminalRegion, TriggerConfig
-from .payload_ocp import CostWeights, OcpConfig, OcpState, ReferencePoint, Wrench
+from .payload_ocp import CostWeights, OcpConfig
 from .plant import DisturbanceModel, SystemParams
 from .sqp import SolverConfig
 
@@ -67,30 +67,31 @@ TRIGGER_PRESETS = {
 # references
 
 
-def reference_circle(t: float, r: float, T_c: float, h: float, m_L: float, g: float = 9.81) -> ReferencePoint:
-    """Point on the circular trajectory at time t: level attitude, analytic
-    velocity, hover wrench feedforward."""
+def _level_reference(p, v, m_L: float, g: float):
+    """(x_ref, u_ref): the state row [p, v, q, omega] with level attitude and
+    zero rate, and the hover wrench row [F, M]."""
+    x_ref = np.zeros(13)
+    x_ref[0:3] = p
+    x_ref[3:6] = v
+    x_ref[6:10] = so3.quat_identity()
+    u_ref = np.zeros(6)
+    u_ref[2] = m_L * g
+    return x_ref, u_ref
+
+
+def reference_circle(t: float, r: float, T_c: float, h: float, m_L: float, g: float = 9.81):
+    """(x_ref, u_ref) on the circular trajectory at time t: level attitude,
+    analytic velocity, hover wrench feedforward."""
     if T_c <= 0:
         raise ValueError("circle period must be positive")
     w = 2.0 * np.pi / T_c
     c, s = np.cos(w * t), np.sin(w * t)
-    return ReferencePoint(
-        p_des=np.array([r * c, r * s, h]),
-        q_des=so3.quat_identity(),
-        v_des=np.array([-r * w * s, r * w * c, 0.0]),
-        omega_des=np.zeros(3),
-        wrench_des=Wrench(np.array([0.0, 0.0, m_L * g]), np.zeros(3)),
-    )
+    return _level_reference([r * c, r * s, h], [-r * w * s, r * w * c, 0.0], m_L, g)
 
 
-def reference_hover(p: np.ndarray, m_L: float, g: float = 9.81) -> ReferencePoint:
-    return ReferencePoint(
-        p_des=np.asarray(p, dtype=np.float64).copy(),
-        q_des=so3.quat_identity(),
-        v_des=np.zeros(3),
-        omega_des=np.zeros(3),
-        wrench_des=Wrench(np.array([0.0, 0.0, m_L * g]), np.zeros(3)),
-    )
+def reference_hover(p: np.ndarray, m_L: float, g: float = 9.81):
+    """(x_ref, u_ref) at rest at p with the hover wrench."""
+    return _level_reference(p, 0.0, m_L, g)
 
 
 @dataclass
@@ -110,7 +111,8 @@ class ReferenceSpec:
             raise ConfigError("circle radius and period must be positive")
         self.position = np.asarray(self.position, dtype=np.float64)
 
-    def at(self, t: float, m_L: float, g: float) -> ReferencePoint:
+    def at(self, t: float, m_L: float, g: float):
+        """(x_ref (13,), u_ref (6,)) at time t."""
         if self.kind == "circle":
             return reference_circle(t, self.radius, self.period, self.height, m_L, g)
         return reference_hover(self.position, m_L, g)
@@ -208,7 +210,7 @@ class ScenarioConfig:
         only the payload rigid body is simulated."""
         return self.dt_lowlevel if self.plant_model == "full" else self.ocp.dt
 
-    def reference_at(self, t: float) -> ReferencePoint:
+    def reference_at(self, t: float):
         return self.reference.at(t, self.params.m_L, self.params.g)
 
 
@@ -223,12 +225,12 @@ def equilibrium_state(config: ScenarioConfig) -> np.ndarray:
     lateral command from rest without the cables going slack.
     """
     params = config.params
-    ref0 = config.reference_at(0.0)
-    p0 = ref0.p_des + config.initial_offset
+    x_ref, _ = config.reference_at(0.0)
+    p0 = x_ref[0:3] + config.initial_offset
     tension = params.m_L * params.g / params.n
     Y = np.zeros((params.n + 1, 13))
     Y[0, 0:3] = p0
-    Y[:, 3:6] = ref0.v_des
+    Y[:, 3:6] = x_ref[3:6]
     Y[:, 6:10] = so3.quat_identity()
     for k in range(params.n):
         stretch = tension / params.cable_stiffness
@@ -322,9 +324,9 @@ def _preset_builders():
 @dataclass
 class TickRecord:
     t: float
-    payload: OcpState
+    payload: np.ndarray  # (13,) state row [p, v, q, omega]
     mav_p: np.ndarray  # (n, 3) vehicle positions (synthesized in payload-only mode)
-    reference: ReferencePoint
+    reference: np.ndarray  # (13,) reference state row
     wrench: np.ndarray  # (6,) applied force/moment
     tensions: np.ndarray  # (n,)
     directions: np.ndarray  # (n, 3)
@@ -404,13 +406,14 @@ class _TriggerLoop:
             else TerminalRegion(config.terminal_epsilon, config.ocp.weights.Q_XN)
         )
         self.state: Optional[event_trigger.TriggerState] = None
-        self.refs: Optional[List[ReferencePoint]] = None
+        self.ref_x: Optional[np.ndarray] = None
         self.problem = None
         self.events: List[TriggerEvent] = []
         self.failures = 0
 
-    def step(self, k: int, t: float, x_now: OcpState):
-        """Run the trigger at NMPC step k; returns (decision, wrench, idx)."""
+    def step(self, k: int, t: float, x_now: np.ndarray):
+        """Run the trigger at NMPC step k with the state row x_now; returns
+        (decision, wrench row, idx)."""
         cfg = self.config
         if self.state is None:
             decision, m_k, N_new = "forced", None, cfg.ocp.N
@@ -420,11 +423,12 @@ class _TriggerLoop:
                 m_k = k - self.state.k_j
                 N_hat = None
                 if self.region is not None:
-                    N_hat = event_trigger.first_entry_index(self.state.predicted, self.region, self.refs)
+                    N_hat = event_trigger.first_entry_index(self.state.predicted, self.region, self.ref_x)
                 N_new = event_trigger.shrink_horizon(self.state, m_k, N_hat, cfg.trigger)
         if decision != "none":
             refs = [cfg.reference_at(t + i * cfg.ocp.dt) for i in range(N_new + 1)]
-            problem = payload_ocp.build_ocp(x_now, refs, dataclasses.replace(cfg.ocp, N=N_new))
+            ref_x, ref_u = (np.array(rows) for rows in zip(*refs))
+            problem = payload_ocp.build_ocp(x_now, ref_x, ref_u, dataclasses.replace(cfg.ocp, N=N_new))
             warm = None
             if self.state is not None:
                 warm = sqp.shift_warm_start(self.state.predicted, m_k, N_new)
@@ -440,7 +444,7 @@ class _TriggerLoop:
                 decision = "event-failed"
             else:
                 outside = self.region is None or not self.region.contains(
-                    payload_ocp.state_error(x_now, refs[0])
+                    payload_ocp.state_error(x_now, ref_x[0])
                 )
                 self.events.append(
                     TriggerEvent(
@@ -459,16 +463,17 @@ class _TriggerLoop:
                     )
                 )
                 self.state = event_trigger.record_trigger(self.state, k, solution, N_new)
-                self.refs = refs
+                self.ref_x = ref_x
                 self.problem = problem
         idx = k - self.state.k_j
-        return decision, self.state.predicted.inputs[idx], idx
+        return decision, self.state.predicted.U[idx], idx
 
 
-def _formation_targets(config: ScenarioConfig, ref: ReferencePoint) -> np.ndarray:
-    """Desired vehicle positions: level formation above the attachments."""
+def _formation_targets(config: ScenarioConfig, x_ref: np.ndarray) -> np.ndarray:
+    """Desired vehicle positions: level formation above the attachments, at
+    the reference state row x_ref."""
     params = config.params
-    return ref.p_des + params.r_i + params.l_i[:, None] * np.array([0.0, 0.0, 1.0])
+    return x_ref[0:3] + params.r_i + params.l_i[:, None] * np.array([0.0, 0.0, 1.0])
 
 
 def _pair_extremes(mav_p: np.ndarray):
@@ -494,7 +499,7 @@ class _FullPlant:
         self.omega_des_clips = 0
         self.slack_cable_ticks = 0
 
-    def realize(self, Y: np.ndarray, wrench_cmd: Wrench, new_stage: bool):
+    def realize(self, Y: np.ndarray, wrench_cmd: np.ndarray, new_stage: bool):
         """(tensions, directions, vehicle positions, (thrusts, moments)) this tick."""
         config, params, gains = self.config, self.config.params, self.config.gains
         if new_stage:
@@ -514,9 +519,9 @@ class _FullPlant:
         # the commanded wrench implies the payload acceleration the cables
         # must realize; feeding it forward keeps the vehicles moving with the
         # payload instead of trailing it on feedback alone
-        accel_des = wrench_cmd.F / params.m_L + np.array([0.0, 0.0, -params.g])
+        accel_des = wrench_cmd[0:3] / params.m_L + np.array([0.0, 0.0, -params.g])
         omega_dot_des = np.linalg.solve(
-            params.J_L, wrench_cmd.M - so3.cross3(omega_l, params.J_L @ omega_l)
+            params.J_L, wrench_cmd[3:6] - so3.cross3(omega_l, params.J_L @ omega_l)
         )
 
         xi_des, om_des = allocation.desired_cable_direction(mu, self.mu_prev, config.dt_lowlevel)
@@ -558,7 +563,7 @@ class _FullPlant:
         self.slack_cable_ticks += params.n - int(np.count_nonzero(cables.taut))
         return cables.tension, cables.direction, Y[1:, 0:3].copy(), (thrust, moment)
 
-    def advance(self, Y: np.ndarray, commands, wrench_cmd: Wrench, problem) -> np.ndarray:
+    def advance(self, Y: np.ndarray, commands, wrench_cmd: np.ndarray, problem) -> np.ndarray:
         return plant.step_world(Y, commands, self.config.dt_lowlevel, self.config.params)
 
 
@@ -574,7 +579,7 @@ class _PayloadOnly:
         self.config = config
         self.amap = allocation.build_allocation(config.params.r_i)
 
-    def realize(self, Y: np.ndarray, wrench_cmd: Wrench, new_stage: bool):
+    def realize(self, Y: np.ndarray, wrench_cmd: np.ndarray, new_stage: bool):
         """(tensions, directions, vehicle positions, None) of the minimal-norm
         allocation, vehicles placed one cable length along each tension."""
         params = self.config.params
@@ -588,10 +593,9 @@ class _PayloadOnly:
         )
         return tensions, directions, mav_p, None
 
-    def advance(self, Y: np.ndarray, commands, wrench_cmd: Wrench, problem) -> np.ndarray:
-        x = payload_ocp.discretize(OcpState.from_vector(Y[0]), wrench_cmd, self.config.ocp.dt, problem)
+    def advance(self, Y: np.ndarray, commands, wrench_cmd: np.ndarray, problem) -> np.ndarray:
         Y = Y.copy()
-        Y[0] = x.as_vector()
+        Y[:1] = payload_ocp.discretize(Y[:1], wrench_cmd, self.config.ocp.dt, problem)
         return Y
 
 
@@ -604,7 +608,7 @@ def run_closed_loop(config: ScenarioConfig) -> RunLog:
         eta=config.disturbance_eta, seed=config.seed, kind=config.disturbance_kind
     )
     bounds = metrics.default_bounds(
-        _formation_targets(config, config.reference_at(0.0)),
+        _formation_targets(config, config.reference_at(0.0)[0]),
         params.f_max,
         payload_radius=config.ocp.funnel.value(0.0) if config.ocp.funnel else 0.2,
         obstacle_center=config.ocp.obstacle_center,
@@ -622,7 +626,7 @@ def run_closed_loop(config: ScenarioConfig) -> RunLog:
         t = tick * dt
         if not np.all(np.isfinite(Y[0])):
             raise HarnessAbort(f"non-finite payload state at t={t:.3f} s")
-        x_now = OcpState.from_vector(Y[0])
+        x_now = Y[0].copy()
         new_stage = tick % ratio == 0
         if new_stage:
             decision, wrench_cmd, idx = trigger.step(tick // ratio, t, x_now)
@@ -633,10 +637,10 @@ def run_closed_loop(config: ScenarioConfig) -> RunLog:
         except (plant.CableOverload, plant.DegenerateGeometry) as exc:
             raise HarnessAbort(f"cable failure at t={t:.3f} s: {exc}") from exc
 
-        ref = config.reference_at(t)
+        x_ref, _ = config.reference_at(t)
         lo, hi = _pair_extremes(mav_p)
         report = metrics.check_all(
-            t, x_now.p, ref.p_des, mav_p, _formation_targets(config, ref), tensions, bounds
+            t, x_now[0:3], x_ref[0:3], mav_p, _formation_targets(config, x_ref), tensions, bounds
         )
         event = trigger.events[-1] if decision in ("forced", "event") else None
         log.ticks.append(
@@ -644,14 +648,14 @@ def run_closed_loop(config: ScenarioConfig) -> RunLog:
                 t=t,
                 payload=x_now,
                 mav_p=mav_p,
-                reference=ref,
-                wrench=wrench_cmd.as_vector(),
+                reference=x_ref,
+                wrench=wrench_cmd,
                 tensions=tensions,
                 directions=directions,
                 decision=decision,
                 horizon=trigger.state.N_kj,
                 pred_index=idx,
-                payload_err=metrics.payload_los_error(x_now.p, ref.p_des),
+                payload_err=metrics.payload_los_error(x_now[0:3], x_ref[0:3]),
                 min_sep=lo,
                 max_sep=hi,
                 report=report,
@@ -665,7 +669,7 @@ def run_closed_loop(config: ScenarioConfig) -> RunLog:
         except (plant.NonFiniteState, plant.CableOverload, plant.DegenerateGeometry) as exc:
             raise HarnessAbort(f"plant failure at t={t:.3f} s: {exc}") from exc
         if disturbance.kind != "none" and disturbance.eta > 0.0:
-            Y[0] = payload_ocp.retract_rows(Y[0], disturbance.sample())
+            Y[0] = payload_ocp.retract(Y[0], disturbance.sample())
 
     log.events = trigger.events
     log.solver_failures = trigger.failures
@@ -745,13 +749,9 @@ def emit_csv(log: RunLog, path) -> None:
     n = log.config.params.n
     lines = [",".join(_csv_header(n))]
     for r in log.ticks:
-        y = r.payload
         row = [_fmt(r.t), r.decision, str(r.horizon), str(r.pred_index)]
-        row += [_fmt(float(v)) for v in y.p]
-        row += [_fmt(float(v)) for v in y.v]
-        row += [_fmt(float(v)) for v in y.q]
-        row += [_fmt(float(v)) for v in y.omega]
-        row += [_fmt(float(v)) for v in r.reference.p_des]
+        row += [_fmt(float(v)) for v in r.payload]
+        row += [_fmt(float(v)) for v in r.reference[0:3]]
         row.append(_fmt(r.payload_err))
         row += [_fmt(float(v)) for v in r.wrench]
         row += [_fmt(float(v)) for v in r.tensions]

@@ -88,10 +88,6 @@ def payload_los_error(p_L: np.ndarray, p_des: np.ndarray) -> float:
     return float(np.linalg.norm(np.asarray(p_L) - np.asarray(p_des)))
 
 
-def mav_los_error(p_i: np.ndarray, p_des_i: np.ndarray) -> float:
-    return float(np.linalg.norm(np.asarray(p_i) - np.asarray(p_des_i)))
-
-
 def pair_separation(p_i: np.ndarray, p_j: np.ndarray) -> float:
     return float(np.linalg.norm(np.asarray(p_i) - np.asarray(p_j)))
 
@@ -114,18 +110,6 @@ def pair_separations(P: np.ndarray) -> np.ndarray:
 
 def desired_pair_separation(p_des_i: np.ndarray, p_des_j: np.ndarray) -> float:
     return float(np.linalg.norm(np.asarray(p_des_i) - np.asarray(p_des_j)))
-
-
-def separation_error(
-    p_des_i: np.ndarray, p_des_j: np.ndarray, p_i: np.ndarray, p_j: np.ndarray
-) -> float:
-    """Desired minus actual inter-vehicle distance.
-
-    Positive means the pair is closer than intended, negative means the
-    formation is overstretched; the two-sided bound in check_all treats the
-    directions separately.
-    """
-    return desired_pair_separation(p_des_i, p_des_j) - pair_separation(p_i, p_j)
 
 
 def obstacle_distance(p_L: np.ndarray, p_O: np.ndarray) -> float:

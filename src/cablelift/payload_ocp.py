@@ -10,16 +10,17 @@ States live on R^3 x S^3 x R^6; all derivatives are taken in the 12-d tangent
 (position, velocity, attitude rotation-vector, body rate) around a nominal
 trajectory, with right-multiplicative quaternion retraction.
 
-Stage quantities are computed on stacked arrays, one numpy call for all
-stages: a trajectory is a (K, 13) array of state rows [p, v, q, omega] and a
-(K, 6) array of wrench rows [F, M].  The per-state functions (state_error,
-discretize, retract, local_coords) are the one-row case of the same code.
+A state is one row [p, v, q, omega] of 13 numbers and a wrench one row
+[F, M] of 6; a trajectory is a (K, 13) array of state rows and a (K, 6)
+array of wrench rows.  The per-state functions (state_error,
+payload_dynamics, discretize, retract, local_coords) take rows with any
+leading shape: all stages are one numpy call, and one state is the 1-D case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -36,41 +37,6 @@ class ConfigError(ValueError):
 
 class DimensionMismatch(ValueError):
     """Trajectory lengths do not match the horizon."""
-
-
-@dataclass
-class OcpState:
-    """Payload pose and twist: position, attitude, velocity, body rate."""
-
-    p: np.ndarray
-    q: np.ndarray
-    v: np.ndarray
-    omega: np.ndarray
-
-    def as_vector(self) -> np.ndarray:
-        return np.concatenate([self.p, self.v, self.q, self.omega])
-
-    @classmethod
-    def from_vector(cls, y: np.ndarray) -> "OcpState":
-        return cls(y[0:3].copy(), y[6:10].copy(), y[3:6].copy(), y[10:13].copy())
-
-    def copy(self) -> "OcpState":
-        return OcpState(self.p.copy(), self.q.copy(), self.v.copy(), self.omega.copy())
-
-
-@dataclass
-class Wrench:
-    """Total cable wrench: force in the world frame, moment in the payload frame."""
-
-    F: np.ndarray
-    M: np.ndarray
-
-    def as_vector(self) -> np.ndarray:
-        return np.concatenate([self.F, self.M])
-
-    @classmethod
-    def from_vector(cls, u: np.ndarray) -> "Wrench":
-        return cls(u[0:3].copy(), u[3:6].copy())
 
 
 @dataclass
@@ -96,15 +62,6 @@ class CostWeights:
 
 
 @dataclass
-class ReferencePoint:
-    p_des: np.ndarray
-    q_des: np.ndarray
-    v_des: np.ndarray
-    omega_des: np.ndarray
-    wrench_des: Wrench
-
-
-@dataclass
 class OcpConfig:
     """Everything needed to assemble a problem around one reference window."""
 
@@ -124,10 +81,11 @@ class OcpConfig:
 
 @dataclass
 class OcpProblem:
-    x0: OcpState
+    x0: np.ndarray  # (13,) measured state row
     N: int
     dt: float
-    references: List[ReferencePoint]
+    ref_x: np.ndarray  # (N+1, 13) reference state rows
+    ref_u: np.ndarray  # (N+1, 6) reference wrench rows
     weights: CostWeights
     m_L: float
     J_L: np.ndarray
@@ -139,17 +97,13 @@ class OcpProblem:
     funnel: Optional[FunnelSpec]
     funnel_weight: float
     _J_L_inv: np.ndarray = field(init=False, repr=False)
-    ref_x: np.ndarray = field(init=False, repr=False)  # (N+1, 13) reference state rows
-    ref_u: np.ndarray = field(init=False, repr=False)  # (N+1, 6) reference wrench rows
     funnel_eps: np.ndarray = field(init=False, repr=False)  # (N+1,) radius at i * dt
 
     def __post_init__(self):
         self._J_L_inv = np.linalg.inv(self.J_L)
-        self.ref_x = np.array([_reference_row(r) for r in self.references])
-        self.ref_u = np.array([r.wrench_des.as_vector() for r in self.references])
         self.funnel_eps = np.array(
             [0.0 if self.funnel is None else self.funnel.value(i * self.dt)
-             for i in range(len(self.references))]
+             for i in range(self.N + 1)]
         )
 
     @property
@@ -159,33 +113,36 @@ class OcpProblem:
 
 @dataclass
 class OcpSolution:
-    states: List[OcpState]
-    inputs: List[Wrench]
+    X: np.ndarray  # (N+1, 13) state rows
+    U: np.ndarray  # (N, 6) wrench rows
     cost: float
     kkt_residual: float
     iterations: int
     status: str  # converged | max_iter | infeasible
 
 
-def build_ocp(x0: OcpState, references: Sequence[ReferencePoint], config: OcpConfig) -> OcpProblem:
+def build_ocp(x0: np.ndarray, ref_x: np.ndarray, ref_u: np.ndarray, config: OcpConfig) -> OcpProblem:
     """Assemble the tracking problem for one reference window.
 
-    The window must hold exactly N+1 points at the problem's step spacing.
+    x0 is the (13,) start row; the window ref_x (N+1, 13) / ref_u (N+1, 6)
+    must hold exactly N+1 rows at the problem's step spacing.
     """
     if config.N < 1:
         raise ConfigError("horizon must be at least 1")
     if config.dt <= 0:
         raise ConfigError("dt must be positive")
-    if len(references) != config.N + 1:
+    if len(ref_x) != config.N + 1 or len(ref_u) != config.N + 1:
         raise ConfigError(
-            f"need {config.N + 1} reference points for horizon {config.N}, got {len(references)}"
+            f"need {config.N + 1} reference rows for horizon {config.N}, "
+            f"got {len(ref_x)} states and {len(ref_u)} wrenches"
         )
     amap = allocation.build_allocation(config.r_i)
     return OcpProblem(
-        x0=x0.copy(),
+        x0=np.array(x0, dtype=np.float64),
         N=config.N,
         dt=config.dt,
-        references=list(references),
+        ref_x=np.asarray(ref_x, dtype=np.float64),
+        ref_u=np.asarray(ref_u, dtype=np.float64),
         weights=config.weights,
         m_L=config.m_L,
         J_L=np.asarray(config.J_L, dtype=np.float64).reshape(3, 3),
@@ -202,29 +159,16 @@ def build_ocp(x0: OcpState, references: Sequence[ReferencePoint], config: OcpCon
 
 
 # ---------------------------------------------------------------------------
-# stacked rows
-
-
-def _reference_row(ref: ReferencePoint) -> np.ndarray:
-    return np.concatenate([ref.p_des, ref.v_des, ref.q_des, ref.omega_des])
-
-
-def stack_states(states: Sequence[OcpState]) -> np.ndarray:
-    """(K, 13) state rows [p, v, q, omega] of a list of OcpState."""
-    return np.array([s.as_vector() for s in states])
-
-
-def stack_inputs(inputs: Sequence[Wrench]) -> np.ndarray:
-    """(K, 6) wrench rows [F, M] of a list of Wrench."""
-    return np.array([u.as_vector() for u in inputs])
-
-
-# ---------------------------------------------------------------------------
 # errors and dynamics
 
 
-def _state_errors(X: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """state_error of every state row X against the matching reference row R."""
+def state_error(X: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """Reference-minus-actual in the 12-d tangent, of every state row X
+    against the matching reference row R.
+
+    Position, velocity, and rate blocks are plain differences; the attitude
+    block is the rotation-vector of actual relative to desired.
+    """
     E = np.empty(X.shape[:-1] + (NX,))
     E[..., 0:6] = R[..., 0:6] - X[..., 0:6]
     E[..., 6:9] = so3.attitude_error_log(X[..., 6:10], R[..., 6:10])
@@ -232,45 +176,21 @@ def _state_errors(X: np.ndarray, R: np.ndarray) -> np.ndarray:
     return E
 
 
-def state_error(x: OcpState, ref: ReferencePoint) -> np.ndarray:
-    """Reference-minus-actual in the 12-d tangent.
-
-    Position, velocity, and rate blocks are plain differences; the attitude
-    block is the rotation-vector of actual relative to desired.
-    """
-    return _state_errors(x.as_vector(), _reference_row(ref))
-
-
-def wrench_error(u: Wrench, ref: ReferencePoint) -> np.ndarray:
-    return np.concatenate([ref.wrench_des.F - u.F, ref.wrench_des.M - u.M])
-
-
-def payload_dynamics(x: OcpState, u: Wrench, problem) -> OcpState:
-    """Continuous-time rigid-body derivative under a total wrench."""
-    J_L = problem.J_L
-    dv = u.F / problem.m_L + problem.g_vec
-    dw = np.linalg.solve(J_L, u.M - so3.cross3(x.omega, J_L @ x.omega))
-    return OcpState(
-        p=x.v.copy(), q=so3.omega_to_quat_dot(x.q, x.omega), v=dv, omega=dw
-    )
-
-
-def _dynamics_flat_batch(Y: np.ndarray, U: np.ndarray, problem) -> np.ndarray:
-    """Vectorized derivative of (B, 13) payload states under (B, 6) wrenches."""
-    v = Y[:, 3:6]
-    q = Y[:, 6:10]
-    w = Y[:, 10:13]
+def payload_dynamics(Y: np.ndarray, U: np.ndarray, problem) -> np.ndarray:
+    """Continuous-time rigid-body derivative of the state rows Y under the
+    wrench rows U."""
+    w = Y[..., 10:13]
     out = np.empty_like(Y)
-    out[:, 0:3] = v
-    out[:, 3:6] = U[:, 0:3] / problem.m_L + problem.g_vec
-    out[:, 6:10] = so3.omega_to_quat_dot(q, w)
+    out[..., 0:3] = Y[..., 3:6]
+    out[..., 3:6] = U[..., 0:3] / problem.m_L + problem.g_vec
+    out[..., 6:10] = so3.omega_to_quat_dot(Y[..., 6:10], w)
     Jw = w @ problem.J_L.T
-    out[:, 10:13] = (U[:, 3:6] - so3.cross3_rows(w, Jw)) @ problem._J_L_inv.T
+    out[..., 10:13] = (U[..., 3:6] - so3.cross3_rows(w, Jw)) @ problem._J_L_inv.T
     return out
 
 
 def _dynamics_tangent(Y: np.ndarray, dY: np.ndarray, dU: np.ndarray, problem) -> np.ndarray:
-    """Directional derivatives of _dynamics_flat_batch at the (B, 13) rows Y
+    """Directional derivatives of payload_dynamics at the (B, 13) rows Y
     along the (B, T, 13) state tangents dY and the (T, 6) wrench tangents dU.
 
     The derivative is linear in (v, F, M), bilinear in (q, omega) and
@@ -290,32 +210,21 @@ def _dynamics_tangent(Y: np.ndarray, dY: np.ndarray, dU: np.ndarray, problem) ->
     return out
 
 
-def _discretize_batch(Y: np.ndarray, U: np.ndarray, dt: float, problem) -> np.ndarray:
-    k1 = _dynamics_flat_batch(Y, U, problem)
-    k2 = _dynamics_flat_batch(Y + 0.5 * dt * k1, U, problem)
-    k3 = _dynamics_flat_batch(Y + 0.5 * dt * k2, U, problem)
-    k4 = _dynamics_flat_batch(Y + dt * k3, U, problem)
-    out = Y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    if not np.all(np.isfinite(out)):
-        raise plant.NonFiniteState("payload integration produced non-finite state")
-    out[:, 6:10] = so3.quat_normalize(out[:, 6:10])
-    return out
-
-
-def discretize(x: OcpState, u: Wrench, dt: float, problem) -> OcpState:
-    """One Runge-Kutta step of the payload dynamics, attitude renormalized."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    y = _discretize_batch(x.as_vector()[None, :], u.as_vector()[None, :], dt, problem)
-    return OcpState.from_vector(y[0])
+def discretize(Y: np.ndarray, U: np.ndarray, dt: float, problem) -> np.ndarray:
+    """One Runge-Kutta step of the payload dynamics of every state row Y under
+    the matching wrench row U, attitude renormalized."""
+    Y = plant.rk4_step(lambda y, u: payload_dynamics(y, u, problem), Y, U, dt)
+    Y[..., 6:10] = so3.quat_normalize(Y[..., 6:10])
+    return Y
 
 
 # ---------------------------------------------------------------------------
 # tangent-space plumbing
 
 
-def retract_rows(X: np.ndarray, D: np.ndarray) -> np.ndarray:
-    """retract of every state row X by the matching 12-d tangent row D."""
+def retract(X: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """Move every state row X by the matching 12-d tangent row D (attitude
+    via right perturbation)."""
     out = np.empty(X.shape)
     out[..., 0:6] = X[..., 0:6] + D[..., 0:6]
     out[..., 6:10] = so3.quat_normalize(so3.quat_mul(X[..., 6:10], so3.quat_exp(D[..., 6:9])))
@@ -323,23 +232,14 @@ def retract_rows(X: np.ndarray, D: np.ndarray) -> np.ndarray:
     return out
 
 
-def _local_coords_rows(base: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """local_coords of every state row Y around the matching base row."""
+def local_coords(base: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Tangent coordinates of every state row Y around the matching base row;
+    inverse of retract at base."""
     out = np.empty(Y.shape[:-1] + (NX,))
     out[..., 0:6] = Y[..., 0:6] - base[..., 0:6]
     out[..., 6:9] = so3.quat_log(so3.quat_mul(so3.quat_conj(base[..., 6:10]), Y[..., 6:10]))
     out[..., 9:12] = Y[..., 10:13] - base[..., 10:13]
     return out
-
-
-def retract(x: OcpState, delta: np.ndarray) -> OcpState:
-    """Move a state by a 12-d tangent step (attitude via right perturbation)."""
-    return OcpState.from_vector(retract_rows(x.as_vector(), np.asarray(delta, dtype=np.float64)))
-
-
-def local_coords(base: OcpState, x: OcpState) -> np.ndarray:
-    """Tangent coordinates of x around base; inverse of retract at base."""
-    return _local_coords_rows(base.as_vector(), x.as_vector())
 
 
 def linearize_dynamics(
@@ -367,16 +267,16 @@ def linearize_dynamics(
     dU = np.zeros((NX + NU, NU))
     dU[NX:] = np.eye(NU)
 
-    k1 = _dynamics_flat_batch(X, U, problem)
+    k1 = payload_dynamics(X, U, problem)
     t1 = _dynamics_tangent(X, dX, dU, problem)
     Y2 = X + 0.5 * dt * k1
-    k2 = _dynamics_flat_batch(Y2, U, problem)
+    k2 = payload_dynamics(Y2, U, problem)
     t2 = _dynamics_tangent(Y2, dX + 0.5 * dt * t1, dU, problem)
     Y3 = X + 0.5 * dt * k2
-    k3 = _dynamics_flat_batch(Y3, U, problem)
+    k3 = payload_dynamics(Y3, U, problem)
     t3 = _dynamics_tangent(Y3, dX + 0.5 * dt * t2, dU, problem)
     Y4 = X + dt * k3
-    k4 = _dynamics_flat_batch(Y4, U, problem)
+    k4 = payload_dynamics(Y4, U, problem)
     t4 = _dynamics_tangent(Y4, dX + dt * t3, dU, problem)
     q = (X + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))[:, 6:10]
     dY = dX + (dt / 6.0) * (t1 + 2 * t2 + 2 * t3 + t4)
@@ -401,7 +301,7 @@ def linearize_dynamics(
 def dynamics_defects(X: np.ndarray, U: np.ndarray, problem) -> np.ndarray:
     """(N, 12) gap between each rolled-out step of the stacked state rows X
     under the wrench rows U and the stored next state."""
-    return _local_coords_rows(X[1:], _discretize_batch(X[:-1], U, problem.dt, problem))
+    return local_coords(X[1:], discretize(X[:-1], U, problem.dt, problem))
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +325,7 @@ def total_cost(X: np.ndarray, U: np.ndarray, problem) -> float:
     """
     _check_rows(X, U, problem)
     W = problem.weights
-    E = _state_errors(X, problem.ref_x)
+    E = state_error(X, problem.ref_x)
     E_u = problem.ref_u[:-1] - U
     cost = float(np.sum((E[:-1] @ W.Q_X) * E[:-1]) + np.sum((E_u @ W.Q_U) * E_u))
     cost += float(E[-1] @ W.Q_XN @ E[-1])
@@ -457,7 +357,7 @@ def cost_expansion(X: np.ndarray, U: np.ndarray, problem):
     _check_rows(X, U, problem)
     W = problem.weights
     N = problem.N
-    E = _state_errors(X, problem.ref_x)
+    E = state_error(X, problem.ref_x)
     J = _error_jacobians(X, E)
     Q = np.empty((N + 1, NX, NX))
     Q[:N] = W.Q_X

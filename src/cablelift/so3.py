@@ -42,7 +42,7 @@ def vee(S: np.ndarray) -> np.ndarray:
     every matrix."""
     S = np.asarray(S, dtype=np.float64)
     A = S + np.swapaxes(S, -1, -2)
-    if ((A * A).sum(axis=(-2, -1)) > 1e-18).any():
+    if not ((A * A).sum(axis=(-2, -1)) <= 1e-18).all():
         raise NotSkew("vee() input is not skew-symmetric")
     return S.reshape(S.shape[:-2] + (9,)).take(_VEE_INDEX, axis=-1)
 

@@ -21,7 +21,7 @@ drive it with scalar problems whose KKT systems are solved by hand.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -57,30 +57,24 @@ class SolverConfig:
                 raise ValueError(f"{name} must be positive")
 
 
-@dataclass
-class WarmStart:
-    states: List[ocp.OcpState]
-    inputs: List[ocp.Wrench]
+def shift_warm_start(previous: ocp.OcpSolution, elapsed_steps: int, new_horizon: int):
+    """Reuse a solution after elapsed_steps have passed: (X, U) rows.
 
-
-def shift_warm_start(previous: ocp.OcpSolution, elapsed_steps: int, new_horizon: int) -> WarmStart:
-    """Reuse a solution after elapsed_steps have passed.
-
-    Drops the consumed prefix, then repeats the final stage (or truncates)
+    Drops the consumed prefix, then repeats the final row (or truncates)
     until the trajectory fits the new horizon.
     """
     if elapsed_steps < 1:
         raise ValueError("elapsed_steps must be at least 1")
-    states = [s.copy() for s in previous.states[elapsed_steps:]]
-    inputs = [ocp.Wrench(u.F.copy(), u.M.copy()) for u in previous.inputs[elapsed_steps:]]
-    if not states:
-        states = [previous.states[-1].copy()]
-    last_input = previous.inputs[-1]
-    while len(states) < new_horizon + 1:
-        states.append(states[-1].copy())
-    while len(inputs) < new_horizon:
-        inputs.append(ocp.Wrench(last_input.F.copy(), last_input.M.copy()))
-    return WarmStart(states=states[: new_horizon + 1], inputs=inputs[:new_horizon])
+    return (
+        _fit(previous.X[elapsed_steps:], previous.X[-1], new_horizon + 1),
+        _fit(previous.U[elapsed_steps:], previous.U[-1], new_horizon),
+    )
+
+
+def _fit(rows: np.ndarray, last: np.ndarray, length: int) -> np.ndarray:
+    """A copy of rows followed by repeats of last, cut to length rows."""
+    pad = np.repeat(last[None], max(length - len(rows), 0), axis=0)
+    return np.concatenate([rows, pad])[:length]
 
 
 # ---------------------------------------------------------------------------
@@ -439,11 +433,12 @@ def _evaluate(X: np.ndarray, U: np.ndarray, problem) -> _Iterate:
 
 def _cold_start(problem):
     """Roll the reference feedforward wrench out from the initial state."""
-    states = [problem.x0.copy()]
+    X = np.empty((problem.N + 1, len(problem.x0)))
+    X[0] = problem.x0
     U = problem.ref_u[:-1].copy()
-    for u in U:
-        states.append(ocp.discretize(states[-1], ocp.Wrench.from_vector(u), problem.dt, problem))
-    return ocp.stack_states(states), U
+    for i, u in enumerate(U):
+        X[i + 1] = ocp.discretize(X[i], u, problem.dt, problem)
+    return X, U
 
 
 def _build_qp_data(point: _Iterate, problem, lam_u_prev=None) -> QpData:
@@ -484,19 +479,22 @@ def _nonlinear_kkt(data: QpData, result: QpResult) -> float:
 
 def _solution(point: _Iterate, kkt: float, iterations: int, status: str) -> ocp.OcpSolution:
     return ocp.OcpSolution(
-        states=[ocp.OcpState.from_vector(x) for x in point.X],
-        inputs=[ocp.Wrench.from_vector(u) for u in point.U],
-        cost=point.cost, kkt_residual=kkt, iterations=iterations, status=status,
+        X=point.X, U=point.U, cost=point.cost, kkt_residual=kkt,
+        iterations=iterations, status=status,
     )
 
 
 def solve(
     problem,
-    warm: Optional[WarmStart] = None,
+    warm: Optional[Tuple[np.ndarray, np.ndarray]] = None,
     config: Optional[SolverConfig] = None,
     trace: Optional[list] = None,
 ) -> ocp.OcpSolution:
     """Solve the tracking problem; returns the best iterate found.
+
+    warm is an initial guess (X, U) of N + 1 state rows and N wrench rows,
+    as shift_warm_start returns it; without one the reference wrench is
+    rolled out from the initial state.
 
     status is "converged" when stationarity reaches kkt_tol with defects and
     hard constraints inside feas_tol, otherwise "max_iter".  Raises
@@ -509,8 +507,7 @@ def solve(
     down to min_step, which ends the solve).
     """
     config = config or SolverConfig()
-    x0 = problem.x0.as_vector()
-    _, v0 = ocp.obstacle_rows(x0[None, :], problem)
+    _, v0 = ocp.obstacle_rows(problem.x0[None, :], problem)
     if v0.size and np.max(v0) > config.feas_tol:
         raise Infeasible(
             f"initial state violates obstacle clearance by {float(np.max(v0)):.3g} m"
@@ -519,10 +516,10 @@ def solve(
     if warm is None:
         X, U = _cold_start(problem)
     else:
-        if len(warm.states) != problem.N + 1 or len(warm.inputs) != problem.N:
+        X, U = (np.array(rows, dtype=np.float64) for rows in warm)
+        if len(X) != problem.N + 1 or len(U) != problem.N:
             raise ocp.DimensionMismatch("warm start does not match the horizon")
-        X, U = ocp.stack_states(warm.states), ocp.stack_inputs(warm.inputs)
-    X[0] = x0
+    X[0] = problem.x0
     point = _evaluate(X, U, problem)
 
     mu_merit = config.merit_weight
@@ -569,7 +566,7 @@ def solve(
         accepted = False
         while alpha >= config.min_step:
             cand_X = point.X.copy()
-            cand_X[1:] = ocp.retract_rows(point.X[1:], alpha * result.z[1:])
+            cand_X[1:] = ocp.retract(point.X[1:], alpha * result.z[1:])
             cand = _evaluate(cand_X, point.U + alpha * result.w, problem)
             phi = cand.merit(mu_merit)
             target = phi0 + config.armijo * alpha * min(dphi, 0.0)

@@ -195,8 +195,8 @@ def test_criterion_06_allocation_exact_and_minimal():
     worst_recon = worst_null = 0.0
     for _ in range(1000):
         F, M = rng.uniform(-5, 5, 3), rng.uniform(-2, 2, 3)
-        stacked = allocation.allocate((F, M), np.eye(3), amap).reshape(-1)
         target = np.concatenate([F, M])
+        stacked = allocation.allocate(target, np.eye(3), amap).reshape(-1)
         recon = np.linalg.norm(amap.P @ stacked - target) / max(1.0, np.linalg.norm(target))
         worst_recon = max(worst_recon, float(recon))
         worst_null = max(worst_null, float(np.max(np.abs(amap.Z.T @ stacked))))
@@ -254,8 +254,10 @@ def test_criterion_08_optimizer_matches_independent_oracles():
     params = harness.default_system()
     weights = harness.default_weights()
 
-    def hover_ref(p=(0.0, 0.0, 1.0)):
-        return harness.reference_hover(np.asarray(p, dtype=float), m_L=params.m_L)
+    def hover_refs(points):
+        """(ref_x, ref_u) rows of hover references at the given points."""
+        refs = [harness.reference_hover(np.asarray(p, dtype=float), m_L=params.m_L) for p in points]
+        return tuple(np.array(rows) for rows in zip(*refs))
 
     def make_config(N):
         return po.OcpConfig(
@@ -266,18 +268,17 @@ def test_criterion_08_optimizer_matches_independent_oracles():
     # part 1: three-stage hover recovery against direct single shooting over
     # the 18 wrench numbers (finite-difference gradients, Barzilai-Borwein
     # steps, run to gradient infinity norm 1e-8)
-    x0 = po.OcpState(np.array([0.1, 0.0, 1.0]), so3.quat_identity(), np.zeros(3), np.zeros(3))
-    problem = po.build_ocp(x0, [hover_ref() for _ in range(4)], make_config(3))
+    x0 = np.concatenate([[0.1, 0.0, 1.0], np.zeros(3), so3.quat_identity(), np.zeros(3)])
+    problem = po.build_ocp(x0, *hover_refs([(0.0, 0.0, 1.0)] * 4), make_config(3))
     solution = sqp.solve(problem)
     assert solution.status == "converged"
 
     def objective(uvec):
-        states, inputs = [problem.x0], []
-        for i in range(problem.N):
-            u = po.Wrench.from_vector(uvec[6 * i : 6 * i + 6])
-            inputs.append(u)
-            states.append(po.discretize(states[-1], u, problem.dt, problem))
-        return po.total_cost(po.stack_states(states), po.stack_inputs(inputs), problem)
+        U = uvec.reshape(problem.N, 6)
+        X = [problem.x0]
+        for u in U:
+            X.append(po.discretize(X[-1], u, problem.dt, problem))
+        return po.total_cost(np.array(X), U, problem)
 
     def fd_gradient(uvec, h=1e-6):
         g = np.zeros_like(uvec)
@@ -288,7 +289,7 @@ def test_criterion_08_optimizer_matches_independent_oracles():
             g[j] = (objective(up) - objective(dn)) / (2.0 * h)
         return g
 
-    u = np.concatenate([hover_ref().wrench_des.as_vector() for _ in range(3)])
+    u = problem.ref_u[:3].reshape(-1).copy()
     g = fd_gradient(u)
     u_prev = g_prev = None
     step = 1e-2
@@ -308,51 +309,43 @@ def test_criterion_08_optimizer_matches_independent_oracles():
 
     # part 2: analytic cost gradients against central differences on 50
     # random problems (random initial state, references, and trajectories)
-    def cost(states, inputs, prob):
-        return po.total_cost(po.stack_states(states), po.stack_inputs(inputs), prob)
-
     rng = np.random.default_rng(7)
     worst = 0.0
     for _ in range(50):
         N = 2
-        x0 = po.OcpState(
-            rng.uniform(-1, 1, 3) + [0.0, 0.0, 1.0],
-            so3.quat_normalize(rng.standard_normal(4)),
-            rng.uniform(-1, 1, 3),
-            rng.uniform(-1, 1, 3),
-        )
-        refs = [hover_ref(rng.uniform(-1, 1, 3) + [0.0, 0.0, 1.0]) for _ in range(N + 1)]
-        prob = po.build_ocp(x0, refs, make_config(N))
-        states, inputs = [x0], []
-        for _i in range(N):
-            w = po.Wrench(
-                rng.uniform(-2, 2, 3) + [0.0, 0.0, params.m_L * 9.81],
-                rng.uniform(-0.5, 0.5, 3),
-            )
-            inputs.append(w)
-            states.append(po.discretize(states[-1], w, prob.dt, prob))
-        states = [po.retract(s, 0.2 * rng.standard_normal(12)) for s in states]
-        _Hx, gx, _Hu, gu = po.cost_expansion(po.stack_states(states), po.stack_inputs(inputs), prob)
+        p = rng.uniform(-1, 1, 3) + [0.0, 0.0, 1.0]
+        q = so3.quat_normalize(rng.standard_normal(4))
+        v = rng.uniform(-1, 1, 3)
+        x0 = np.concatenate([p, v, q, rng.uniform(-1, 1, 3)])
+        points = [rng.uniform(-1, 1, 3) + [0.0, 0.0, 1.0] for _ in range(N + 1)]
+        prob = po.build_ocp(x0, *hover_refs(points), make_config(N))
+        X, U = [x0], np.empty((N, 6))
+        for i in range(N):
+            U[i, 0:3] = rng.uniform(-2, 2, 3) + [0.0, 0.0, params.m_L * 9.81]
+            U[i, 3:6] = rng.uniform(-0.5, 0.5, 3)
+            X.append(po.discretize(X[-1], U[i], prob.dt, prob))
+        X = np.array([po.retract(x, 0.2 * rng.standard_normal(12)) for x in X])
+        _Hx, gx, _Hu, gu = po.cost_expansion(X, U, prob)
         h = 1e-6
         for i in range(N + 1):
             fd = np.zeros(12)
             for j in range(12):
                 d = np.zeros(12)
                 d[j] = h
-                sp, sm = list(states), list(states)
-                sp[i] = po.retract(states[i], d)
-                sm[i] = po.retract(states[i], -d)
-                fd[j] = (cost(sp, inputs, prob) - cost(sm, inputs, prob)) / (2 * h)
+                sp, sm = X.copy(), X.copy()
+                sp[i] = po.retract(X[i], d)
+                sm[i] = po.retract(X[i], -d)
+                fd[j] = (po.total_cost(sp, U, prob) - po.total_cost(sm, U, prob)) / (2 * h)
             worst = max(worst, float(np.linalg.norm(gx[i] - fd) / max(1.0, np.linalg.norm(fd))))
         for i in range(N):
             fd = np.zeros(6)
             for j in range(6):
                 d = np.zeros(6)
                 d[j] = h
-                up, dn = list(inputs), list(inputs)
-                up[i] = po.Wrench.from_vector(inputs[i].as_vector() + d)
-                dn[i] = po.Wrench.from_vector(inputs[i].as_vector() - d)
-                fd[j] = (cost(states, up, prob) - cost(states, dn, prob)) / (2 * h)
+                up, dn = U.copy(), U.copy()
+                up[i] = U[i] + d
+                dn[i] = U[i] - d
+                fd[j] = (po.total_cost(X, up, prob) - po.total_cost(X, dn, prob)) / (2 * h)
             worst = max(worst, float(np.linalg.norm(gu[i] - fd) / max(1.0, np.linalg.norm(fd))))
 
     ok = gap <= 1e-4 and worst <= 1e-4

@@ -58,13 +58,13 @@ class TestAllocate:
     def test_hover_split_evenly(self):
         m_L, g = 0.232, 9.81
         amap = allocation.build_allocation(SQUARE)
-        mu = allocation.allocate((np.array([0, 0, m_L * g]), np.zeros(3)), np.eye(3), amap)
+        mu = allocation.allocate(np.array([0, 0, m_L * g, 0, 0, 0]), np.eye(3), amap)
         for k in range(4):
             np.testing.assert_allclose(mu[k], [0.0, 0.0, m_L * g / 4], atol=1e-12)
 
     def test_zero_wrench(self):
         amap = allocation.build_allocation(SQUARE)
-        mu = allocation.allocate((np.zeros(3), np.zeros(3)), np.eye(3), amap)
+        mu = allocation.allocate(np.zeros(6), np.eye(3), amap)
         np.testing.assert_allclose(mu, np.zeros((4, 3)), atol=1e-15)
 
     def test_reconstruction_random_wrenches(self):
@@ -75,7 +75,7 @@ class TestAllocate:
             M = 0.3 * rng.standard_normal(3)
             q = so3.quat_normalize(rng.standard_normal(4))
             R_L = so3.quat_to_rotation(q)
-            mu = allocation.allocate((F, M), R_L, amap)
+            mu = allocation.allocate(np.concatenate([F, M]), R_L, amap)
             stacked = allocation.stack_body(mu, R_L)
             target = np.concatenate([R_L.T @ F, M])
             assert np.linalg.norm(amap.P @ stacked - target) < 1e-9
@@ -86,7 +86,7 @@ class TestAllocate:
         amap = allocation.build_allocation(SQUARE)
         rng = np.random.default_rng(23)
         F, M = rng.standard_normal(3), rng.standard_normal(3)
-        mu = allocation.allocate((F, M), np.eye(3), amap)
+        mu = allocation.allocate(np.concatenate([F, M]), np.eye(3), amap)
         stacked = allocation.stack_body(mu, np.eye(3))
         assert np.linalg.norm(amap.Z.T @ stacked) < 1e-9
         for _ in range(20):
@@ -98,7 +98,7 @@ class TestAllocate:
         q = so3.quat_from_axis_angle(np.array([0.0, 1.0, 0.0]), 0.3)
         R_L = so3.quat_to_rotation(q)
         F = np.array([0.0, 0.0, 2.0])
-        mu = allocation.allocate((F, np.zeros(3)), R_L, amap)
+        mu = allocation.allocate(np.concatenate([F, np.zeros(3)]), R_L, amap)
         # total world-frame force must still match F
         np.testing.assert_allclose(mu.sum(axis=0), F, atol=1e-9)
 

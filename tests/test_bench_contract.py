@@ -1,17 +1,22 @@
-"""The benchmark's tracer wraps package functions by name (perfbench/tracer.py).
+"""The benchmark reads the package by name (perfbench/tracer.py, checks.py).
 
 A renamed or removed layer function would only surface when the benchmark
-runs with --trace 1, so the names are checked here, in the tier-1 suite.
+runs with --trace 1, and a renamed run-log field only when it checks a run,
+so both are checked here, in the tier-1 suite.
 """
 
+import dataclasses
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 if str(ROOT) not in sys.path:
     sys.path.insert(0, str(ROOT))
 
-from perfbench import tracer  # noqa: E402
+from cablelift import harness  # noqa: E402
+from perfbench import checks, tracer  # noqa: E402
 
 
 def test_every_traced_function_resolves_to_a_callable():
@@ -19,3 +24,17 @@ def test_every_traced_function_resolves_to_a_callable():
     assert len(targets) == sum(len(attrs) for attrs in tracer.LAYER_FUNCTIONS.values())
     missing = [name for module, attr, name in targets if not callable(getattr(module, attr, None))]
     assert missing == []
+
+
+@pytest.mark.parametrize(
+    "workload, preset, duration", [("hover", "hover", 0.1), ("recovery", "hover-recovery", 0.5)]
+)
+def test_run_checks_read_the_run_log(tmp_path, workload, preset, duration):
+    """The benchmark's output check and invariant counters run on a short log
+    and its CSV; a field they read that the log lacks raises here."""
+    config = dataclasses.replace(harness.scenario_preset(preset), duration=duration)
+    log = harness.run_closed_loop(config)
+    csv_path = tmp_path / "run.csv"
+    harness.emit_csv(log, csv_path)
+    assert isinstance(checks.check_run(workload, log, csv_path), list)
+    assert set(harness.invariant_counters(log)) == {"m_bounds", "horizon_chain"}

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from cablelift import allocation, cable_control as cc, harness, plant, so3
 from cablelift.cable_control import CableTrackingState, DegenerateThrust, GainSet
-from cablelift.payload_ocp import Wrench
 
 G = 9.81
 M_I = 0.12
@@ -361,7 +360,7 @@ def run_hover_loop(n_steps, dt=0.002):
     full, params = hover_rig()
     amap = allocation.build_allocation(R_ATTACH)
     gains = GainSet()
-    wrench = (np.array([0.0, 0.0, M_L * G]), np.zeros(3))
+    wrench = np.array([0.0, 0.0, M_L * G, 0.0, 0.0, 0.0])
     target = full[0, 0:3].copy()
     xi_prev = [None] * 4
     mu_prev = [None] * 4
@@ -433,9 +432,9 @@ def per_vehicle_tick(config, Y, wrench_cmd, mu_prev):
     mu = allocation.allocate(wrench_cmd, R_L, amap)
     attachments = p_L + (R_L @ params.r_i.T).T
     mu = allocation.nullspace_redistribute(mu, attachments, R_L, amap, params.l_i)
-    accel_des = wrench_cmd.F / params.m_L + np.array([0.0, 0.0, -params.g])
+    accel_des = wrench_cmd[0:3] / params.m_L + np.array([0.0, 0.0, -params.g])
     omega_dot_des = np.linalg.solve(
-        params.J_L, wrench_cmd.M - so3.cross3(omega_l, params.J_L @ omega_l)
+        params.J_L, wrench_cmd[3:6] - so3.cross3(omega_l, params.J_L @ omega_l)
     )
     thrusts, moments = [], []
     for k in range(params.n):
@@ -500,10 +499,10 @@ def rig_ticks(draw):
         Y[1 + k, 0:3] = Y[0, 0:3] + R_L @ params.r_i[k] + length * up / np.linalg.norm(up)
         v_attach = Y[0, 3:6] + R_L @ np.cross(Y[0, 10:13], params.r_i[k])
         Y[1 + k, 3:6] = v_attach + 0.01 * rng.standard_normal(3)
-    wrench = Wrench(
+    wrench = np.concatenate([
         np.array([0.0, 0.0, params.m_L * params.g]) + 0.5 * rng.standard_normal(3),
         0.01 * rng.standard_normal(3),
-    )
+    ])
     R_now = so3.quat_to_rotation(Y[0, 6:10])
     mu = allocation.allocate(wrench, R_now, allocation.build_allocation(params.r_i))
     prev = draw(st.sampled_from(["none", "near", "far"]))
@@ -551,7 +550,7 @@ def _hover_rig():
 
 
 def _hover_wrench(config):
-    return Wrench(np.array([0.0, 0.0, config.params.m_L * config.params.g]), np.zeros(3))
+    return np.array([0.0, 0.0, config.params.m_L * config.params.g, 0.0, 0.0, 0.0])
 
 
 def _realize_with(mutate=None, wrench=None):
@@ -594,7 +593,7 @@ SAFETY_CASES = {
     "zero-tension": (
         allocation.ZeroTension,
         None,
-        lambda: _realize_with(wrench=Wrench(np.zeros(3), np.zeros(3))),
+        lambda: _realize_with(wrench=np.zeros(6)),
     ),
     "unit-direction": (
         ValueError,
@@ -635,6 +634,31 @@ SAFETY_CASES = {
         lambda: _realize_with(_overstretched_cable),
     ),
     "non-finite-state": (plant.NonFiniteState, None, _nonfinite_step),
+    # every comparison is written so that it must hold, and NaN makes it false
+    "nan-not-skew": (
+        so3.NotSkew,
+        None,
+        lambda: so3.vee(_rows(np.full((3, 3), np.nan), np.zeros((3, 3)))),
+    ),
+    "nan-direction": (
+        ValueError,
+        "unit vector",
+        lambda: CableTrackingState(
+            _rows([np.nan, 0.0, -1.0], DOWN), np.zeros((4, 3)), _rows(DOWN, DOWN), np.zeros((4, 3))
+        ),
+    ),
+    "nan-thrust": (
+        DegenerateThrust,
+        None,
+        lambda: cc.desired_attitude(_rows([np.nan, 0.0, 1.0], [0.0, 0.0, HOVER_THRUST]), 0.0),
+    ),
+    "nan-tension": (
+        allocation.ZeroTension,
+        None,
+        lambda: allocation.desired_cable_direction(
+            _rows([np.nan, 0.0, 1.0], [0.0, 0.0, HOVER_TENSION]), None, 0.002
+        ),
+    ),
 }
 
 
@@ -644,3 +668,4 @@ def test_safety_checks_raise_from_rows(case):
     exc, match, call = SAFETY_CASES[case]
     with np.errstate(all="ignore"), pytest.raises(exc, match=match):
         call()
+

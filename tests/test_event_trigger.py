@@ -1,7 +1,5 @@
 """Trigger-rule tests: thresholds, deviation norms, horizon shrinking."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,19 +11,16 @@ from cablelift import so3
 
 
 def make_state(p=(0.0, 0.0, 0.0), q=None, v=(0.0, 0.0, 0.0), omega=(0.0, 0.0, 0.0)):
-    return ocp.OcpState(
-        p=np.asarray(p, dtype=float),
-        q=so3.quat_identity() if q is None else np.asarray(q, dtype=float),
-        v=np.asarray(v, dtype=float),
-        omega=np.asarray(omega, dtype=float),
-    )
+    """State row [p, v, q, omega]."""
+    q = so3.quat_identity() if q is None else q
+    return np.concatenate([p, v, q, omega]).astype(float)
 
 
 def make_solution(states):
     n = len(states) - 1
     return ocp.OcpSolution(
-        states=list(states),
-        inputs=[ocp.Wrench(np.zeros(3), np.zeros(3)) for _ in range(n)],
+        X=np.array(states),
+        U=np.zeros((n, 6)),
         cost=0.0,
         kkt_residual=0.0,
         iterations=1,
@@ -33,33 +28,13 @@ def make_solution(states):
     )
 
 
-def make_trigger_state(states, k_j=0, count=1):
-    return et.TriggerState(
-        k_j=k_j, predicted=make_solution(states), N_kj=len(states) - 1,
-        trigger_count=count,
-    )
-
-
-class TestLipschitzConstant:
-    def test_degenerate_zero(self):
-        assert et.lipschitz_constant(0.0, 0.0, 0.0) == 0.0
-
-    def test_single_term(self):
-        assert et.lipschitz_constant(1.0, 0.0, 0.0) == pytest.approx(math.sqrt(2.0))
-
-    def test_mixed_terms(self):
-        # sqrt(2 (1 + 0.25 * 4)) = sqrt(4) = 2
-        assert et.lipschitz_constant(1.0, 2.0, 0.5) == pytest.approx(2.0, abs=1e-15)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            et.lipschitz_constant(-1.0, 0.0, 0.0)
+def make_trigger_state(states, k_j=0):
+    return et.TriggerState(k_j=k_j, predicted=make_solution(states), N_kj=len(states) - 1)
 
 
 class TestTriggerConfig:
     def test_defaults(self):
         cfg = et.TriggerConfig()
-        assert cfg.mode == "relative"
         assert cfg.sigma == 2
 
     @pytest.mark.parametrize(
@@ -69,45 +44,13 @@ class TestTriggerConfig:
             {"beta": -0.1},
             {"sigma": 0},
             {"alpha": -0.01},
-            {"eta": -1.0},
-            {"mode": "sometimes"},
+            {"alpha": float("nan")},
+            {"beta": float("nan")},
         ],
     )
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
             et.TriggerConfig(**kwargs)
-
-    def test_lipschitz_cached(self):
-        cfg = et.TriggerConfig(lipschitz=(1.0, 2.0, 0.5))
-        assert cfg.L_P == pytest.approx(2.0)
-
-
-class TestTheoreticalThreshold:
-    def test_zero_disturbance(self):
-        cfg = et.TriggerConfig(eta=0.0, sigma=3, lipschitz=(1.0, 2.0, 0.5))
-        assert et.theoretical_threshold(3, cfg) == 0.0
-
-    def test_sigma_one_exponent_vanishes(self):
-        cfg = et.TriggerConfig(eta=0.01, sigma=1, lipschitz=(1.0, 2.0, 0.5))
-        assert et.theoretical_threshold(1, cfg) == pytest.approx(0.01, abs=1e-15)
-
-    def test_formula_value(self):
-        # 3 * 0.01 * e^{2 * 0.05 * 2} = 0.03 e^{0.2} = 0.036642082744805096
-        cfg = et.TriggerConfig(
-            eta=0.01, sigma=3, lipschitz=(1.0, 2.0, 0.5), delta=0.05
-        )
-        value = et.theoretical_threshold(5, cfg)
-        assert value == pytest.approx(0.036642082744805096, abs=1e-15)
-        assert value == pytest.approx(0.036642, abs=5e-7)
-
-    def test_constant_in_m(self):
-        cfg = et.TriggerConfig(eta=0.02, sigma=2, lipschitz=(1.0, 2.0, 0.5))
-        assert et.theoretical_threshold(2, cfg) == et.theoretical_threshold(9, cfg)
-
-    def test_bad_m(self):
-        with pytest.raises(ValueError):
-            et.theoretical_threshold(0, et.TriggerConfig())
-
 
 class TestShouldTrigger:
     def test_exact_prediction_no_trigger(self):
@@ -178,27 +121,11 @@ class TestShouldTrigger:
             == "none"
         )
 
-    def test_theoretical_mode_zero_eta_triggers_on_any_deviation(self):
-        states = [make_state(p=(0.0, 0.0, 1.0)) for _ in range(6)]
-        ts = make_trigger_state(states)
-        cfg = et.TriggerConfig(eta=0.0, mode="theoretical")
-        nudged = make_state(p=(1e-9, 0.0, 1.0))
-        assert et.should_trigger(2, nudged, ts, cfg) == "event"
-        assert et.should_trigger(2, states[2], ts, cfg) == "none"
-
-
 class TestFirstEntryIndex:
     def _prediction_with_errors(self, norms):
         # references at the origin, states at distance |norm| along x
         states = [make_state(p=(r, 0.0, 0.0)) for r in norms]
-        refs = [
-            ocp.ReferencePoint(
-                p_des=np.zeros(3), q_des=so3.quat_identity(),
-                v_des=np.zeros(3), omega_des=np.zeros(3),
-                wrench_des=ocp.Wrench(np.zeros(3), np.zeros(3)),
-            )
-            for _ in norms
-        ]
+        refs = np.array([make_state() for _ in norms])
         return make_solution(states), refs
 
     def test_starts_inside(self):
@@ -303,7 +230,6 @@ class TestRecordTrigger:
     def test_initialization(self):
         sol = make_solution([make_state() for _ in range(5)])
         ts = et.record_trigger(None, 0, sol, 4)
-        assert ts.trigger_count == 1
         assert ts.k_j == 0
         assert ts.N_kj == 4
 
@@ -312,7 +238,6 @@ class TestRecordTrigger:
         ts = et.record_trigger(None, 0, sol, 4)
         sol2 = make_solution([make_state() for _ in range(4)])
         ts2 = et.record_trigger(ts, 3, sol2, 3)
-        assert ts2.trigger_count == 2
         assert ts2.k_j == 3
         assert ts2.predicted is sol2
 
@@ -345,10 +270,7 @@ class TestMonotoneSensitivity:
                     # recorded prediction: deviation devs[k] along x at a
                     # state of norm norms[k]
                     states = [make_state(p=(norms[k] - devs[k], 0.0, 0.0))] * (N + 1)
-                    ts = et.TriggerState(
-                        k_j=k_j, predicted=make_solution(states), N_kj=N,
-                        trigger_count=count,
-                    )
+                    ts = et.TriggerState(k_j=k_j, predicted=make_solution(states), N_kj=N)
                     current = make_state(p=(norms[k], 0.0, 0.0))
                     if et.should_trigger(k, current, ts, cfg) != "none":
                         count += 1

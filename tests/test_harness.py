@@ -22,18 +22,13 @@ from cablelift.harness import (
     TickRecord,
     TriggerEvent,
 )
-from cablelift.payload_ocp import OcpState, Wrench
 
 TWO_PI_OVER_15 = 2.0 * math.pi / 15.0
 
 
 def hover_state(p=(0.0, 0.0, 1.0)):
-    return OcpState(
-        p=np.asarray(p, dtype=float),
-        q=so3.quat_identity(),
-        v=np.zeros(3),
-        omega=np.zeros(3),
-    )
+    """Level state row [p, v, q, omega] at rest at p."""
+    return np.concatenate([p, np.zeros(3), so3.quat_identity(), np.zeros(3)]).astype(float)
 
 
 # ---------------------------------------------------------------------------
@@ -42,33 +37,33 @@ def hover_state(p=(0.0, 0.0, 1.0)):
 
 class TestCircleReference:
     def test_start_point(self):
-        ref = harness.reference_circle(0.0, r=1.0, T_c=15.0, h=0.5, m_L=0.232)
-        np.testing.assert_allclose(ref.p_des, [1.0, 0.0, 0.5], atol=1e-15)
-        np.testing.assert_allclose(ref.v_des, [0.0, TWO_PI_OVER_15, 0.0], atol=1e-15)
+        ref, _ = harness.reference_circle(0.0, r=1.0, T_c=15.0, h=0.5, m_L=0.232)
+        np.testing.assert_allclose(ref[0:3], [1.0, 0.0, 0.5], atol=1e-15)
+        np.testing.assert_allclose(ref[3:6], [0.0, TWO_PI_OVER_15, 0.0], atol=1e-15)
 
     def test_quarter_period(self):
-        ref = harness.reference_circle(3.75, r=1.0, T_c=15.0, h=0.5, m_L=0.232)
-        np.testing.assert_allclose(ref.p_des, [0.0, 1.0, 0.5], atol=1e-12)
-        np.testing.assert_allclose(ref.v_des, [-TWO_PI_OVER_15, 0.0, 0.0], atol=1e-12)
+        ref, _ = harness.reference_circle(3.75, r=1.0, T_c=15.0, h=0.5, m_L=0.232)
+        np.testing.assert_allclose(ref[0:3], [0.0, 1.0, 0.5], atol=1e-12)
+        np.testing.assert_allclose(ref[3:6], [-TWO_PI_OVER_15, 0.0, 0.0], atol=1e-12)
 
     def test_speed_is_constant(self):
         # |v| = 2 pi r / T everywhere on the loop
         for t in (0.0, 1.3, 7.2, 14.9):
-            ref = harness.reference_circle(t, r=1.0, T_c=15.0, h=0.5, m_L=0.232)
-            assert abs(np.linalg.norm(ref.v_des) - 0.41887902047863906) < 1e-12
+            ref, _ = harness.reference_circle(t, r=1.0, T_c=15.0, h=0.5, m_L=0.232)
+            assert abs(np.linalg.norm(ref[3:6]) - 0.41887902047863906) < 1e-12
 
     def test_periodic(self):
-        a = harness.reference_circle(2.0, 1.0, 15.0, 0.5, 0.232)
-        b = harness.reference_circle(17.0, 1.0, 15.0, 0.5, 0.232)
-        np.testing.assert_allclose(a.p_des, b.p_des, atol=1e-9)
-        np.testing.assert_allclose(a.v_des, b.v_des, atol=1e-9)
+        a, _ = harness.reference_circle(2.0, 1.0, 15.0, 0.5, 0.232)
+        b, _ = harness.reference_circle(17.0, 1.0, 15.0, 0.5, 0.232)
+        np.testing.assert_allclose(a[0:3], b[0:3], atol=1e-9)
+        np.testing.assert_allclose(a[3:6], b[3:6], atol=1e-9)
 
     def test_feedforward_is_hover_wrench(self):
-        ref = harness.reference_circle(4.0, 1.0, 15.0, 0.5, 0.232)
-        np.testing.assert_allclose(ref.wrench_des.F, [0.0, 0.0, 0.232 * 9.81])
-        np.testing.assert_allclose(ref.wrench_des.M, np.zeros(3))
-        np.testing.assert_allclose(ref.q_des, so3.quat_identity())
-        np.testing.assert_allclose(ref.omega_des, np.zeros(3))
+        ref, u_ref = harness.reference_circle(4.0, 1.0, 15.0, 0.5, 0.232)
+        np.testing.assert_allclose(u_ref[0:3], [0.0, 0.0, 0.232 * 9.81])
+        np.testing.assert_allclose(u_ref[3:6], np.zeros(3))
+        np.testing.assert_allclose(ref[6:10], so3.quat_identity())
+        np.testing.assert_allclose(ref[10:13], np.zeros(3))
 
     def test_nonpositive_period_rejected(self):
         with pytest.raises(ValueError):
@@ -77,16 +72,16 @@ class TestCircleReference:
 
 class TestHoverReference:
     def test_fields(self):
-        ref = harness.reference_hover(np.array([0.1, -0.2, 1.0]), m_L=0.232)
-        np.testing.assert_allclose(ref.p_des, [0.1, -0.2, 1.0])
-        assert np.all(ref.v_des == 0.0) and np.all(ref.omega_des == 0.0)
-        np.testing.assert_allclose(ref.wrench_des.F, [0.0, 0.0, 0.232 * 9.81])
+        ref, u_ref = harness.reference_hover(np.array([0.1, -0.2, 1.0]), m_L=0.232)
+        np.testing.assert_allclose(ref[0:3], [0.1, -0.2, 1.0])
+        assert np.all(ref[3:6] == 0.0) and np.all(ref[10:13] == 0.0)
+        np.testing.assert_allclose(u_ref[0:3], [0.0, 0.0, 0.232 * 9.81])
 
     def test_position_copied(self):
         p = np.array([0.0, 0.0, 1.0])
-        ref = harness.reference_hover(p, m_L=0.232)
+        ref, _ = harness.reference_hover(p, m_L=0.232)
         p[0] = 99.0
-        assert ref.p_des[0] == 0.0
+        assert ref[0] == 0.0
 
 
 class TestReferenceSpec:
@@ -102,12 +97,12 @@ class TestReferenceSpec:
 
     def test_dispatch(self):
         circle = ReferenceSpec(kind="circle", radius=2.0, period=10.0, height=0.7)
-        ref = circle.at(0.0, m_L=0.232, g=9.81)
-        np.testing.assert_allclose(ref.p_des, [2.0, 0.0, 0.7])
+        ref, _ = circle.at(0.0, m_L=0.232, g=9.81)
+        np.testing.assert_allclose(ref[0:3], [2.0, 0.0, 0.7])
         hover = ReferenceSpec(kind="hover", position=np.array([0.0, 0.0, 1.5]))
-        ref = hover.at(123.0, m_L=0.232, g=9.81)
-        np.testing.assert_allclose(ref.p_des, [0.0, 0.0, 1.5])
-        assert np.all(ref.v_des == 0.0)
+        ref, _ = hover.at(123.0, m_L=0.232, g=9.81)
+        np.testing.assert_allclose(ref[0:3], [0.0, 0.0, 1.5])
+        assert np.all(ref[3:6] == 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -258,12 +253,10 @@ class TestTriggerLoop:
         assert decision == "forced"
         assert idx == 0
         assert loop.state.N_kj == config.ocp.N
-        np.testing.assert_array_equal(
-            wrench.as_vector(), loop.state.predicted.inputs[0].as_vector()
-        )
+        np.testing.assert_array_equal(wrench, loop.state.predicted.U[0])
 
     def test_open_loop_replay_between_triggers(self):
-        """Held plan: the wrench at step k is exactly inputs[k - k_j]."""
+        """Held plan: the wrench at step k is exactly U[k - k_j]."""
         config = harness.scenario_preset("hover-nominal")
         loop = harness._TriggerLoop(config)
         x = hover_state()
@@ -272,9 +265,7 @@ class TestTriggerLoop:
             assert idx == k
             if k > 0:
                 assert decision == "none"
-            np.testing.assert_array_equal(
-                wrench.as_vector(), loop.state.predicted.inputs[idx].as_vector()
-            )
+            np.testing.assert_array_equal(wrench, loop.state.predicted.U[idx])
             x = payload_ocp.discretize(x, wrench, config.ocp.dt, loop.problem)
 
     def test_no_terminal_region_means_no_shrink_source(self):
@@ -372,7 +363,7 @@ class TestRunPayloadOnly:
         first = harness.run_closed_loop(config)
         second = harness.run_closed_loop(config)
         for a, b in zip(first.ticks, second.ticks):
-            np.testing.assert_array_equal(a.payload.p, b.payload.p)
+            np.testing.assert_array_equal(a.payload[0:3], b.payload[0:3])
             np.testing.assert_array_equal(a.wrench, b.wrench)
 
 
@@ -444,7 +435,7 @@ class TestDisturbance:
             _short_hover(0.02, disturbance_eta=0.0, disturbance_kind="uniform-bounded")
         )
         for a, b in zip(none.ticks, zero.ticks):
-            np.testing.assert_array_equal(a.payload.as_vector(), b.payload.as_vector())
+            np.testing.assert_array_equal(a.payload, b.payload)
             np.testing.assert_array_equal(a.mav_p, b.mav_p)
 
     def test_disturbance_bound(self):
@@ -455,10 +446,10 @@ class TestDisturbance:
         noisy = harness.run_closed_loop(
             _short_hover(0.004, disturbance_eta=eta, disturbance_kind="uniform-bounded")
         ).ticks[1].payload
-        dp = noisy.p - clean.p
-        dv = noisy.v - clean.v
-        dw = noisy.omega - clean.omega
-        datt = so3.quat_log(so3.quat_mul(so3.quat_conj(clean.q), noisy.q))
+        dp = noisy[0:3] - clean[0:3]
+        dv = noisy[3:6] - clean[3:6]
+        dw = noisy[10:13] - clean[10:13]
+        datt = so3.quat_log(so3.quat_mul(so3.quat_conj(clean[6:10]), noisy[6:10]))
         dev = np.linalg.norm(np.concatenate([dp, dv, datt, dw]))
         assert dev <= eta + 1e-9
         assert dev > 0.0  # the sample actually fired
@@ -470,17 +461,17 @@ class TestDisturbance:
 
 def tiny_report(err=0.0):
     config = harness.scenario_preset("hover-nominal")
-    ref = config.reference_at(0.0)
+    ref, _ = config.reference_at(0.0)
     targets = harness._formation_targets(config, ref)
     bounds = metrics.default_bounds(targets, config.params.f_max)
-    p = ref.p_des + np.array([err, 0.0, 0.0])
-    return metrics.check_all(0.0, p, ref.p_des, targets, targets, np.full(4, 0.5), bounds)
+    p = ref[0:3] + np.array([err, 0.0, 0.0])
+    return metrics.check_all(0.0, p, ref[0:3], targets, targets, np.full(4, 0.5), bounds)
 
 
 def synthetic_log(errs, min_seps, max_seps):
     config = harness.scenario_preset("hover-nominal")
     log = RunLog(config)
-    ref = config.reference_at(0.0)
+    ref, _ = config.reference_at(0.0)
     for i, (err, lo, hi) in enumerate(zip(errs, min_seps, max_seps)):
         log.ticks.append(
             TickRecord(
@@ -752,7 +743,7 @@ class TestLoadConfig:
         )
         config, _ = harness.load_config(write_config(tmp_path, text))
         assert config.reference.kind == "hover"
-        np.testing.assert_allclose(config.reference_at(0.0).p_des, [0.0, 0.0, 2.0])
+        np.testing.assert_allclose(config.reference_at(0.0)[0][0:3], [0.0, 0.0, 2.0])
 
     def test_system_overrides_flow_into_the_ocp(self, tmp_path):
         text = "schema_version: 1\nsystem:\n  payload_mass_kg: 0.5\n"

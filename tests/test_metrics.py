@@ -17,18 +17,16 @@ class TestLosErrors:
     def test_coincident_zero(self):
         p = np.array([1.0, 2.0, 3.0])
         assert metrics.payload_los_error(p, p) == 0.0
-        assert metrics.mav_los_error(p, p) == 0.0
 
     def test_three_four_five(self):
         assert metrics.payload_los_error(np.zeros(3), np.array([3.0, 4.0, 0.0])) == 5.0
 
     def test_unit_offset(self):
-        assert metrics.mav_los_error(np.zeros(3), np.array([0.0, 0.0, 1.0])) == 1.0
+        assert metrics.payload_los_error(np.zeros(3), np.array([0.0, 0.0, 1.0])) == 1.0
 
     @given(a=vec3, b=vec3)
     def test_matches_norm_oracle(self, a, b):
         assert metrics.payload_los_error(a, b) == np.linalg.norm(a - b)
-        assert metrics.mav_los_error(a, b) == np.linalg.norm(a - b)
 
     @given(a=vec3, b=vec3)
     def test_symmetric_nonnegative(self, a, b):
@@ -37,16 +35,26 @@ class TestLosErrors:
         assert d == metrics.payload_los_error(b, a)
 
 
+def separation_error(p_des_i, p_des_j, p_i, p_j) -> float:
+    """Desired minus actual distance of one pair, as check_all reports it."""
+    desired = np.array([p_des_i, p_des_j])
+    bounds = metrics.default_bounds(desired, f_max=1.0)
+    report = metrics.check_all(
+        0.0, np.zeros(3), np.zeros(3), np.array([p_i, p_j]), desired, np.zeros(2), bounds
+    )
+    return report["separation_0_1"].value
+
+
 class TestSeparations:
     def test_identical_geometry_zero_error(self):
         pi, pj = np.array([0.3, 0.3, 0.0]), np.array([-0.3, 0.3, 0.0])
-        assert metrics.separation_error(pi, pj, pi, pj) == 0.0
+        assert separation_error(pi, pj, pi, pj) == 0.0
 
     def test_subtraction_example(self):
         # desired 0.6 apart, actually 0.5 apart -> error 0.1 (pair too close)
         di, dj = np.zeros(3), np.array([0.6, 0.0, 0.0])
         ai, aj = np.zeros(3), np.array([0.5, 0.0, 0.0])
-        assert metrics.separation_error(di, dj, ai, aj) == pytest.approx(0.1)
+        assert separation_error(di, dj, ai, aj) == pytest.approx(0.1)
 
     def test_square_formation_pairs(self):
         """0.6 m square: side pairs 0.6 m, diagonals about 0.86 m."""

@@ -19,14 +19,17 @@ R_I = np.array(
 GRAV = 9.81
 
 
-def hover_ref(p=(0.0, 0.0, 1.0)):
-    return ocp.ReferencePoint(
-        p_des=np.asarray(p, dtype=float),
-        q_des=so3.quat_identity(),
-        v_des=np.zeros(3),
-        omega_des=np.zeros(3),
-        wrench_des=ocp.Wrench(np.array([0.0, 0.0, M_L * GRAV]), np.zeros(3)),
-    )
+def state(p, v=(0.0, 0.0, 0.0)):
+    """Level, non-rotating state row [p, v, q, omega]."""
+    return np.concatenate([p, v, so3.quat_identity(), np.zeros(3)]).astype(float)
+
+
+HOVER_U = np.array([0.0, 0.0, M_L * GRAV, 0.0, 0.0, 0.0])
+
+
+def hover_refs(N, p=(0.0, 0.0, 1.0)):
+    """(ref_x, ref_u): N + 1 hover reference rows at p."""
+    return np.array([state(p)] * (N + 1)), np.array([HOVER_U] * (N + 1))
 
 
 def default_weights():
@@ -36,12 +39,7 @@ def default_weights():
 
 
 def make_problem(p0, N=20, f_max=1.2, obstacle=None, funnel_eps=0.2, v0=None):
-    x0 = ocp.OcpState(
-        p=np.asarray(p0, dtype=float),
-        q=so3.quat_identity(),
-        v=np.zeros(3) if v0 is None else np.asarray(v0, dtype=float),
-        omega=np.zeros(3),
-    )
+    x0 = state(p0, (0.0, 0.0, 0.0) if v0 is None else v0)
     config = ocp.OcpConfig(
         weights=default_weights(),
         m_L=M_L,
@@ -54,14 +52,11 @@ def make_problem(p0, N=20, f_max=1.2, obstacle=None, funnel_eps=0.2, v0=None):
         obstacle_clearance=0.0 if obstacle is None else obstacle[1],
         funnel=FunnelSpec.constant(funnel_eps),
     )
-    refs = [hover_ref() for _ in range(N + 1)]
-    return ocp.build_ocp(x0, refs, config)
+    return ocp.build_ocp(x0, *hover_refs(N), config)
 
 
 def peak_tension_excess(solution, problem):
-    _, vals = ocp.tension_rows(
-        ocp.stack_inputs(solution.inputs), problem.ref_x[:-1, 6:10], problem
-    )
+    _, vals = ocp.tension_rows(solution.U, problem.ref_x[:-1, 6:10], problem)
     return float(np.max(vals)) if vals.size else -np.inf
 
 
@@ -88,41 +83,32 @@ class TestSolverConfig:
 
 class TestShiftWarmStart:
     def _fake_solution(self, N):
-        states = [
-            ocp.OcpState(
-                p=np.array([float(i), 0.0, 0.0]),
-                q=so3.quat_identity(),
-                v=np.zeros(3),
-                omega=np.zeros(3),
-            )
-            for i in range(N + 1)
-        ]
-        inputs = [ocp.Wrench(np.array([float(i), 0.0, 0.0]), np.zeros(3)) for i in range(N)]
+        X = np.array([state((float(i), 0.0, 0.0)) for i in range(N + 1)])
+        U = np.array([[float(i), 0.0, 0.0, 0.0, 0.0, 0.0] for i in range(N)])
         return ocp.OcpSolution(
-            states=states, inputs=inputs, cost=0.0, kkt_residual=0.0,
-            iterations=1, status="converged",
+            X=X, U=U, cost=0.0, kkt_residual=0.0, iterations=1, status="converged",
         )
 
     def test_one_step_same_horizon(self):
         prev = self._fake_solution(4)
-        warm = sqp.shift_warm_start(prev, 1, 4)
-        assert len(warm.states) == 5 and len(warm.inputs) == 4
+        X, U = sqp.shift_warm_start(prev, 1, 4)
+        assert len(X) == 5 and len(U) == 4
         for i in range(4):
-            assert warm.states[i].p[0] == pytest.approx(float(i + 1))
-        assert warm.states[4].p[0] == pytest.approx(4.0)  # duplicated terminal
-        assert [u.F[0] for u in warm.inputs] == [1.0, 2.0, 3.0, 3.0]
+            assert X[i, 0] == pytest.approx(float(i + 1))
+        assert X[4, 0] == pytest.approx(4.0)  # duplicated terminal
+        assert list(U[:, 0]) == [1.0, 2.0, 3.0, 3.0]
 
     def test_two_steps_shrunk_horizon_exact_suffix(self):
         prev = self._fake_solution(4)
-        warm = sqp.shift_warm_start(prev, 2, 2)
-        assert [s.p[0] for s in warm.states] == [2.0, 3.0, 4.0]
-        assert [u.F[0] for u in warm.inputs] == [2.0, 3.0]
+        X, U = sqp.shift_warm_start(prev, 2, 2)
+        assert list(X[:, 0]) == [2.0, 3.0, 4.0]
+        assert list(U[:, 0]) == [2.0, 3.0]
 
     def test_elapsed_full_horizon_pads_from_terminal(self):
         prev = self._fake_solution(4)
-        warm = sqp.shift_warm_start(prev, 4, 4)
-        assert [s.p[0] for s in warm.states] == [4.0] * 5
-        assert [u.F[0] for u in warm.inputs] == [3.0] * 4
+        X, U = sqp.shift_warm_start(prev, 4, 4)
+        assert list(X[:, 0]) == [4.0] * 5
+        assert list(U[:, 0]) == [3.0] * 4
 
     def test_elapsed_below_one_rejected(self):
         prev = self._fake_solution(4)
@@ -131,11 +117,11 @@ class TestShiftWarmStart:
 
     def test_returns_copies(self):
         prev = self._fake_solution(3)
-        warm = sqp.shift_warm_start(prev, 1, 3)
-        warm.states[0].p[0] = -99.0
-        warm.inputs[0].F[0] = -99.0
-        assert prev.states[1].p[0] == 1.0
-        assert prev.inputs[1].F[0] == 1.0
+        X, U = sqp.shift_warm_start(prev, 1, 3)
+        X[0, 0] = -99.0
+        U[0, 0] = -99.0
+        assert prev.X[1, 0] == 1.0
+        assert prev.U[1, 0] == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -469,9 +455,7 @@ class TestInteriorPointOracles:
         # rows, several of them active at the QP optimum
         problem = make_problem((1.0, 0.0, 1.0), N=10, f_max=1.2, funnel_eps=10.0)
         early = sqp.solve(problem, config=sqp.SolverConfig(max_sqp_iters=2))
-        point = sqp._evaluate(
-            ocp.stack_states(early.states), ocp.stack_inputs(early.inputs), problem
-        )
+        point = sqp._evaluate(early.X, early.U, problem)
         data = sqp._build_qp_data(point, problem)
         result = sqp.qp_subproblem(data)
         assert result.status == "optimal"
@@ -502,13 +486,11 @@ class TestSolve:
         assert solution.status == "converged"
 
         def objective(uvec):
-            states = [problem.x0]
-            inputs = []
-            for i in range(problem.N):
-                u = ocp.Wrench.from_vector(uvec[6 * i : 6 * i + 6])
-                inputs.append(u)
-                states.append(ocp.discretize(states[-1], u, problem.dt, problem))
-            return ocp.total_cost(ocp.stack_states(states), ocp.stack_inputs(inputs), problem)
+            U = uvec.reshape(problem.N, 6)
+            X = [problem.x0]
+            for u in U:
+                X.append(ocp.discretize(X[-1], u, problem.dt, problem))
+            return ocp.total_cost(np.array(X), U, problem)
 
         def gradient(uvec, h=1e-6):
             grad = np.zeros_like(uvec)
@@ -519,7 +501,7 @@ class TestSolve:
                 grad[j] = (objective(up) - objective(dn)) / (2.0 * h)
             return grad
 
-        u = np.concatenate([hover_ref().wrench_des.as_vector() for _ in range(3)])
+        u = np.concatenate([HOVER_U for _ in range(3)])
         g = gradient(u)
         u_prev = g_prev = None
         step = 1e-2
@@ -550,11 +532,8 @@ class TestSolve:
         second = sqp.solve(problem)
         assert first.cost == second.cost
         assert first.iterations == second.iterations
-        for a, b in zip(first.states, second.states):
-            assert np.array_equal(a.p, b.p) and np.array_equal(a.q, b.q)
-            assert np.array_equal(a.v, b.v) and np.array_equal(a.omega, b.omega)
-        for a, b in zip(first.inputs, second.inputs):
-            assert np.array_equal(a.F, b.F) and np.array_equal(a.M, b.M)
+        assert np.array_equal(first.X, second.X)
+        assert np.array_equal(first.U, second.U)
         warm = sqp.shift_warm_start(first, 1, 10)
         third = sqp.solve(problem, warm=warm)
         fourth = sqp.solve(problem, warm=sqp.shift_warm_start(first, 1, 10))
@@ -580,13 +559,13 @@ class TestSolve:
         solution = sqp.solve(problem)
         assert solution.status == "converged"
         dists = [
-            float(np.linalg.norm(s.p - problem.obstacle_center)) for s in solution.states
+            float(np.linalg.norm(x[0:3] - problem.obstacle_center)) for x in solution.X
         ]
         assert min(dists) >= 0.15 - 1e-6
         # the straight-line descent would cut well inside the keep-out ball
         assert min(
             float(np.linalg.norm(p - problem.obstacle_center))
-            for p in np.linspace(problem.x0.p, problem.references[-1].p_des, 50)
+            for p in np.linspace(problem.x0[0:3], problem.ref_x[-1, 0:3], 50)
         ) < 0.10
 
     def test_merit_and_cost_monotone_from_feasible_start(self):
@@ -620,8 +599,8 @@ class TestSolve:
         assert solution.status == "max_iter"
         assert solution.iterations == 2
         assert np.isfinite(solution.cost)
-        assert len(solution.states) == problem.N + 1
-        assert len(solution.inputs) == problem.N
+        assert len(solution.X) == problem.N + 1
+        assert len(solution.U) == problem.N
         full = sqp.solve(problem)
         assert full.status == "converged"
         assert full.cost <= solution.cost + 1e-9
@@ -631,15 +610,15 @@ class TestSolve:
         cold = sqp.solve(problem)
         assert cold.status == "converged"
         # restarting at the optimum certifies in one pass
-        warm = sqp.WarmStart(states=cold.states, inputs=cold.inputs)
+        warm = (cold.X, cold.U)
         resolved = sqp.solve(problem, warm=warm)
         assert resolved.status == "converged"
         assert resolved.iterations <= 2
         # closed-loop usage: the plant advanced one step, the shifted tail
         # of the old solution is a near-optimal guess for the new problem
         advanced = ocp.build_ocp(
-            cold.states[1],
-            [hover_ref() for _ in range(21)],
+            cold.X[1],
+            *hover_refs(20),
             ocp.OcpConfig(
                 weights=default_weights(), m_L=M_L, J_L=J_L, r_i=R_I,
                 f_max=1.2, N=20, dt=0.05, funnel=FunnelSpec.constant(0.2),
@@ -653,9 +632,7 @@ class TestSolve:
         problem = make_problem((0.7, 0.3, 1.2), N=12)
         solution = sqp.solve(problem)
         assert solution.status == "converged"
-        defects = ocp.dynamics_defects(
-            ocp.stack_states(solution.states), ocp.stack_inputs(solution.inputs), problem
-        )
+        defects = ocp.dynamics_defects(solution.X, solution.U, problem)
         assert max(float(np.max(np.abs(d))) for d in defects) <= 1e-6
 
     def test_wrong_warm_start_length_rejected(self):
