@@ -20,6 +20,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -322,27 +323,6 @@ def _preset_builders():
 
 
 @dataclass
-class TickRecord:
-    t: float
-    payload: np.ndarray  # (13,) state row [p, v, q, omega]
-    mav_p: np.ndarray  # (n, 3) vehicle positions (synthesized in payload-only mode)
-    reference: np.ndarray  # (13,) reference state row
-    wrench: np.ndarray  # (6,) applied force/moment
-    tensions: np.ndarray  # (n,)
-    directions: np.ndarray  # (n, 3)
-    decision: str  # ""|none|event|forced|event-failed
-    horizon: int
-    pred_index: int
-    payload_err: float
-    min_sep: float
-    max_sep: float
-    report: metrics.ConstraintReport
-    solver_status: str = ""
-    solver_iterations: int = 0
-    cost: float = float("nan")
-
-
-@dataclass
 class TriggerEvent:
     k: int
     t: float
@@ -358,10 +338,41 @@ class TriggerEvent:
     outside_terminal: bool
 
 
+def _column(*shape, dtype=np.float64, fill=0):
+    """A RunLog column: one row of `shape` per tick, "n" standing for the
+    vehicle count."""
+    meta = {"shape": shape, "dtype": dtype, "fill": fill}
+    return field(default=None, repr=False, compare=False, metadata=meta)
+
+
 @dataclass
 class RunLog:
+    """One run as columns of `length` ticks.
+
+    The closed loop writes every column down to `event`; after it,
+    run_closed_loop fills the rest and the constraint table for every tick
+    at once.  `ticks` reads the log back one TickRecord per tick (a caller
+    may pass its own records, say a doctored copy for a check), and
+    `constraint_report(k)` gives one tick's ConstraintReport.
+    """
+
     config: ScenarioConfig
-    ticks: List[TickRecord] = field(default_factory=list)
+    length: dataclasses.InitVar[int] = 0
+    t: np.ndarray = _column()
+    payload: np.ndarray = _column(13)  # state rows [p, v, q, omega]
+    reference: np.ndarray = _column(13)
+    wrench: np.ndarray = _column(6)  # held [F, M]
+    tensions: np.ndarray = _column("n")
+    directions: np.ndarray = _column("n", 3)  # vehicle -> attachment unit vectors
+    mav_p: np.ndarray = _column("n", 3)  # vehicle positions (synthesized in payload-only mode)
+    decision: np.ndarray = _column(dtype="<U12", fill="")  # ""|none|event|forced|event-failed
+    horizon: np.ndarray = _column(dtype=np.int64)
+    pred_index: np.ndarray = _column(dtype=np.int64)
+    event: np.ndarray = _column(dtype=np.int64, fill=-1)  # index into events, -1: no solve
+    payload_err: np.ndarray = _column()
+    min_sep: np.ndarray = _column()
+    max_sep: np.ndarray = _column()
+    constraints: Optional[metrics.ConstraintTable] = field(default=None, repr=False)
     events: List[TriggerEvent] = field(default_factory=list)
     solver_failures: int = 0
     # vehicle-ticks with the thrust command outside [0, F_max], with the
@@ -369,10 +380,76 @@ class RunLog:
     thrust_clamps: int = 0
     omega_des_clips: int = 0
     slack_cable_ticks: int = 0
+    ticks: Optional[Sequence] = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self, length: int):
+        n = self.config.params.n
+        for f in dataclasses.fields(self):
+            if "shape" in f.metadata and getattr(self, f.name) is None:
+                shape = [n if d == "n" else d for d in f.metadata["shape"]]
+                column = np.full((length, *shape), f.metadata["fill"], f.metadata["dtype"])
+                setattr(self, f.name, column)
+        if self.ticks is None or isinstance(self.ticks, TickView):
+            # a copy made by dataclasses.replace reads its own columns
+            self.ticks = TickView(self)
 
     @property
     def nmpc_executions(self) -> int:
         return len(self.events)
+
+    def constraint_report(self, k: int) -> metrics.ConstraintReport:
+        return self.constraints.report(k)
+
+
+_COLUMNS = [f.name for f in dataclasses.fields(RunLog) if "shape" in f.metadata]
+
+
+@dataclass
+class TickRecord:
+    """One tick of a RunLog: its row of every column but `event`, and the
+    solver columns of the solve made on it."""
+
+    t: float
+    payload: np.ndarray
+    reference: np.ndarray
+    wrench: np.ndarray
+    tensions: np.ndarray
+    directions: np.ndarray
+    mav_p: np.ndarray
+    decision: str
+    horizon: int
+    pred_index: int
+    payload_err: float
+    min_sep: float
+    max_sep: float
+    solver_status: str = ""
+    solver_iterations: int = 0
+    cost: float = float("nan")
+
+
+class TickView(Sequence):
+    """Read-only sequence of a RunLog's ticks, each record built when read."""
+
+    def __init__(self, log: RunLog):
+        self._log = log
+
+    def __len__(self) -> int:
+        return len(self._log.t)
+
+    def __getitem__(self, index):
+        ks = range(len(self))[index]
+        return [self._record(k) for k in ks] if isinstance(ks, range) else self._record(ks)
+
+    def _record(self, k: int) -> TickRecord:
+        row = {name: getattr(self._log, name)[k] for name in _COLUMNS}
+        row = {name: v.item() if np.ndim(v) == 0 else v for name, v in row.items()}
+        e = row.pop("event")
+        if e < 0:
+            return TickRecord(**row)
+        event = self._log.events[e]
+        return TickRecord(
+            **row, solver_status=event.status, solver_iterations=event.iterations, cost=event.cost
+        )
 
 
 def invariant_counters(log: RunLog) -> dict:
@@ -470,15 +547,10 @@ class _TriggerLoop:
 
 
 def _formation_targets(config: ScenarioConfig, x_ref: np.ndarray) -> np.ndarray:
-    """Desired vehicle positions: level formation above the attachments, at
-    the reference state row x_ref."""
+    """Desired vehicle positions (..., n, 3): level formation above the
+    attachments, at the reference state rows x_ref (..., 13)."""
     params = config.params
-    return x_ref[0:3] + params.r_i + params.l_i[:, None] * np.array([0.0, 0.0, 1.0])
-
-
-def _pair_extremes(mav_p: np.ndarray):
-    separations = metrics.pair_separations(mav_p)
-    return float(separations.min()), float(separations.max())
+    return x_ref[..., None, 0:3] + params.r_i + params.l_i[:, None] * np.array([0.0, 0.0, 1.0])
 
 
 class _FullPlant:
@@ -561,7 +633,7 @@ class _FullPlant:
         self.thrust_clamps += int(np.count_nonzero((thrust < 0.0) | (thrust > params.F_max)))
         self.omega_des_clips += int(np.count_nonzero(om_norm > OMEGA_DES_LIMIT))
         self.slack_cable_ticks += params.n - int(np.count_nonzero(cables.taut))
-        return cables.tension, cables.direction, Y[1:, 0:3].copy(), (thrust, moment)
+        return cables.tension, cables.direction, Y[1:, 0:3], (thrust, moment)
 
     def advance(self, Y: np.ndarray, commands, wrench_cmd: np.ndarray, problem) -> np.ndarray:
         return plant.step_world(Y, commands, self.config.dt_lowlevel, self.config.params)
@@ -615,11 +687,10 @@ def run_closed_loop(config: ScenarioConfig) -> RunLog:
         obstacle_clearance=config.ocp.obstacle_clearance,
     )
     Y = equilibrium_state(config)
-    log = RunLog(config)
-
     dt = config.dt_tick
     ratio = int(round(config.ocp.dt / dt))
     n_ticks = math.ceil(config.duration / dt - 1e-12)
+    log = RunLog(config, n_ticks)
     decision, wrench_cmd, idx = "", None, 0
 
     for tick in range(n_ticks):
@@ -637,33 +708,19 @@ def run_closed_loop(config: ScenarioConfig) -> RunLog:
         except (plant.CableOverload, plant.DegenerateGeometry) as exc:
             raise HarnessAbort(f"cable failure at t={t:.3f} s: {exc}") from exc
 
-        x_ref, _ = config.reference_at(t)
-        lo, hi = _pair_extremes(mav_p)
-        report = metrics.check_all(
-            t, x_now[0:3], x_ref[0:3], mav_p, _formation_targets(config, x_ref), tensions, bounds
-        )
-        event = trigger.events[-1] if decision in ("forced", "event") else None
-        log.ticks.append(
-            TickRecord(
-                t=t,
-                payload=x_now,
-                mav_p=mav_p,
-                reference=x_ref,
-                wrench=wrench_cmd,
-                tensions=tensions,
-                directions=directions,
-                decision=decision,
-                horizon=trigger.state.N_kj,
-                pred_index=idx,
-                payload_err=metrics.payload_los_error(x_now[0:3], x_ref[0:3]),
-                min_sep=lo,
-                max_sep=hi,
-                report=report,
-                solver_status="" if event is None else event.status,
-                solver_iterations=0 if event is None else event.iterations,
-                cost=float("nan") if event is None else event.cost,
-            )
-        )
+        log.t[tick] = t
+        log.payload[tick] = x_now
+        log.reference[tick] = config.reference_at(t)[0]
+        log.wrench[tick] = wrench_cmd
+        log.tensions[tick] = tensions
+        log.directions[tick] = directions
+        log.mav_p[tick] = mav_p
+        log.horizon[tick] = trigger.state.N_kj
+        log.pred_index[tick] = idx
+        if decision:
+            log.decision[tick] = decision
+            if decision in ("forced", "event"):
+                log.event[tick] = len(trigger.events) - 1
         try:
             Y = model.advance(Y, commands, wrench_cmd, trigger.problem)
         except (plant.NonFiniteState, plant.CableOverload, plant.DegenerateGeometry) as exc:
@@ -671,6 +728,13 @@ def run_closed_loop(config: ScenarioConfig) -> RunLog:
         if disturbance.kind != "none" and disturbance.eta > 0.0:
             Y[0] = payload_ocp.retract(Y[0], disturbance.sample())
 
+    # every derived column, for the whole run at once
+    p, p_ref = log.payload[:, 0:3], log.reference[:, 0:3]
+    log.payload_err = so3.norm_rows(p - p_ref)
+    separations = metrics.pair_separations(log.mav_p)
+    log.min_sep, log.max_sep = separations.min(axis=1), separations.max(axis=1)
+    targets = _formation_targets(config, log.reference)
+    log.constraints = metrics.check_all(log.t, p, p_ref, log.mav_p, targets, log.tensions, bounds)
     log.events = trigger.events
     log.solver_failures = trigger.failures
     log.thrust_clamps = model.thrust_clamps
@@ -685,20 +749,20 @@ def run_closed_loop(config: ScenarioConfig) -> RunLog:
 
 def summarize(log: RunLog) -> dict:
     """Aggregate one run into the quantities the experiment tables report."""
-    if not log.ticks:
+    if not len(log.t):
         raise EmptyLog("cannot summarize a log with no ticks")
-    errs = np.array([r.payload_err for r in log.ticks])
+    errs = log.payload_err
     inter = [e.m_k for e in log.events if e.m_k is not None]
     solve_times = [e.solve_time for e in log.events]
-    violations = sum(1 for r in log.ticks if r.report["payload_funnel"].margin < 0)
+    violations = int(np.count_nonzero(log.constraints.margins("payload_funnel") < 0))
     return {
         "nmpc_executions": log.nmpc_executions,
         "event_triggers": sum(1 for e in log.events if e.kind == "event"),
         "forced_triggers": sum(1 for e in log.events if e.kind == "forced"),
         "rms_payload_error_m": float(np.sqrt(np.mean(errs**2))),
         "max_payload_error_m": float(np.max(errs)),
-        "min_separation_m": float(min(r.min_sep for r in log.ticks)),
-        "max_separation_m": float(max(r.max_sep for r in log.ticks)),
+        "min_separation_m": float(np.min(log.min_sep)),
+        "max_separation_m": float(np.max(log.max_sep)),
         "funnel_violations": violations,
         "mean_inter_execution_steps": float(np.mean(inter)) if inter else 0.0,
         "horizon_trace": [e.horizon for e in log.events],
@@ -746,22 +810,25 @@ def emit_csv(log: RunLog, path) -> None:
     Floats are written with repr so re-emitting the same log reproduces the
     file byte for byte; wall-clock solve times are deliberately absent.
     """
-    n = log.config.params.n
-    lines = [",".join(_csv_header(n))]
-    for r in log.ticks:
-        row = [_fmt(r.t), r.decision, str(r.horizon), str(r.pred_index)]
-        row += [_fmt(float(v)) for v in r.payload]
-        row += [_fmt(float(v)) for v in r.reference[0:3]]
-        row.append(_fmt(r.payload_err))
-        row += [_fmt(float(v)) for v in r.wrench]
-        row += [_fmt(float(v)) for v in r.tensions]
-        row += [_fmt(float(v)) for v in r.directions.reshape(-1)]
-        row += [_fmt(float(v)) for v in r.mav_p.reshape(-1)]
-        row += [_fmt(r.min_sep), _fmt(r.max_sep), r.solver_status, str(r.solver_iterations)]
-        row.append("" if math.isnan(r.cost) else _fmt(r.cost))
-        lines.append(",".join(row))
+    n, T = log.config.params.n, len(log.t)
+    blocks = (log.payload, log.reference[:, 0:3], log.payload_err, log.wrench, log.tensions)
+    blocks += (log.directions, log.mav_p, log.min_sep, log.max_sep)
+    floats = np.hstack([b.reshape(T, math.prod(b.shape[1:])) for b in blocks])
+    # the solver columns of each event, and last, at index -1, of a tick without one
+    solver = [
+        [e.status, str(e.iterations), "" if math.isnan(e.cost) else _fmt(e.cost)]
+        for e in log.events
+    ]
+    solver.append(["", "0", ""])
+    ticks = zip(
+        log.t.tolist(), log.decision.tolist(), log.horizon.tolist(), log.pred_index.tolist(),
+        floats, log.event.tolist(),
+    )
     with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+        f.write(",".join(_csv_header(n)) + "\n")
+        for t, decision, horizon, idx, row, e in ticks:
+            fields = [repr(t), decision, str(horizon), str(idx), *map(repr, row.tolist())]
+            f.write(",".join(fields + solver[e]) + "\n")
 
 
 SUMMARY_ORDER = [

@@ -3,12 +3,14 @@
 Everything here is pure geometry on snapshots: line-of-sight distances for the
 payload and each vehicle, pairwise separation errors for the formation,
 obstacle clearance, and cable-tension bounds.  Violations are reported as
-signed margins, never raised.
+signed margins, never raised.  Snapshots may be stacked along a leading axis,
+so a whole run is checked in one call.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -43,11 +45,14 @@ class FunnelSpec:
     def constant(cls, value: float) -> "FunnelSpec":
         return cls(((0.0, float(value)),))
 
-    def value(self, t: float) -> float:
+    def value(self, t):
+        """The bound at time t; an array of times gives an array of bounds."""
         if len(self._values) == 1:
             # np.interp on a one-entry table returns that entry at every t
-            return float(self._values[0])
-        return float(np.interp(t, self._times, self._values))
+            bound = np.full(np.shape(t), self._values[0])
+        else:
+            bound = np.interp(t, self._times, self._values)
+        return float(bound) if np.ndim(t) == 0 else bound
 
 
 @dataclass(frozen=True)
@@ -83,6 +88,29 @@ class ConstraintReport:
         return min(self.entries, key=lambda e: e.margin)
 
 
+@dataclass(frozen=True)
+class ConstraintTable:
+    """check_all over stacked snapshots: row k of each (T, m) array is
+    snapshot k, column c is constraint ids[c].  lower and upper hold nan
+    where the constraint has no such bound."""
+
+    ids: Tuple[str, ...]
+    value: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    margin: np.ndarray
+
+    def margins(self, id: str) -> np.ndarray:
+        """(T,) margin of one constraint over every snapshot."""
+        return self.margin[:, self.ids.index(id)]
+
+    def report(self, k: int) -> ConstraintReport:
+        """The ConstraintReport of snapshot k."""
+        row = [a[k].tolist() for a in (self.value, self.lower, self.upper, self.margin)]
+        row[1:3] = [[None if math.isnan(b) else b for b in side] for side in row[1:3]]
+        return ConstraintReport(list(map(ConstraintEntry, self.ids, *row)))
+
+
 def payload_los_error(p_L: np.ndarray, p_des: np.ndarray) -> float:
     """Line-of-sight distance between actual and desired payload position."""
     return float(np.linalg.norm(np.asarray(p_L) - np.asarray(p_des)))
@@ -102,18 +130,10 @@ def _pairs(n: int):
 
 
 def pair_separations(P: np.ndarray) -> np.ndarray:
-    """pair_separation of every pair i < j of the rows of P, in row-major
-    pair order (0-1, 0-2, ..., 1-2, ...)."""
-    i, j = _pairs(len(P))
-    return so3.norm_rows(P[i] - P[j])
-
-
-def desired_pair_separation(p_des_i: np.ndarray, p_des_j: np.ndarray) -> float:
-    return float(np.linalg.norm(np.asarray(p_des_i) - np.asarray(p_des_j)))
-
-
-def obstacle_distance(p_L: np.ndarray, p_O: np.ndarray) -> float:
-    return float(np.linalg.norm(np.asarray(p_L) - np.asarray(p_O)))
+    """pair_separation of every pair i < j of the rows of P (..., n, 3), in
+    row-major pair order (0-1, 0-2, ..., 1-2, ...)."""
+    i, j = _pairs(P.shape[-2])
+    return so3.norm_rows(P[..., i, :] - P[..., j, :])
 
 
 @dataclass
@@ -147,86 +167,81 @@ def default_bounds(
     Pair bounds default to pair_fraction times each pair's desired
     separation, symmetric in both directions.
     """
-    n = len(mav_p_des0)
-    tighten = {}
-    widen = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            width = pair_fraction * desired_pair_separation(mav_p_des0[i], mav_p_des0[j])
-            tighten[(i, j)] = FunnelSpec.constant(width)
-            widen[(i, j)] = FunnelSpec.constant(width)
+    i, j = _pairs(len(mav_p_des0))
+    widths = pair_fraction * pair_separations(np.asarray(mav_p_des0, dtype=np.float64))
+    tighten = {
+        pair: FunnelSpec.constant(width)
+        for pair, width in zip(zip(i.tolist(), j.tolist()), widths.tolist())
+    }
     return ConstraintBounds(
         f_max=f_max,
         payload_funnel=FunnelSpec.constant(payload_radius),
         mav_funnel=FunnelSpec.constant(mav_radius),
         pair_tighten=tighten,
-        pair_widen=widen,
+        pair_widen=dict(tighten),
         obstacle_center=None if obstacle_center is None else np.asarray(obstacle_center),
         obstacle_clearance=obstacle_clearance,
     )
 
 
 def check_all(
-    t: float,
+    t,
     payload_p: np.ndarray,
     payload_p_des: np.ndarray,
     mav_p: np.ndarray,
     mav_p_des: np.ndarray,
     tensions: np.ndarray,
     bounds: ConstraintBounds,
-) -> ConstraintReport:
+):
     """Evaluate every tracking, formation, obstacle, and tension constraint.
 
     Margins are signed distances to the nearest bound; a violated constraint
-    shows up with margin < 0, nothing raises.
+    shows up with margin < 0, nothing raises.  One snapshot (t a number,
+    payload_p (3,), mav_p (n, 3), tensions (n,)) gives its ConstraintReport.
+    Snapshots stacked along a leading axis (t (T,), payload_p (T, 3), mav_p
+    (T, n, 3), tensions (T, n)) give a ConstraintTable with one row each;
+    the desired positions may be stacked or shared by every snapshot.
     """
-    n = len(mav_p)
-    entries = []
+    single = np.ndim(t) == 0
+    t = np.atleast_1d(t).astype(np.float64)
+    T, n = len(t), np.shape(mav_p)[-2]
+    payload_p, payload_p_des = (np.reshape(p, (-1, 3)) for p in (payload_p, payload_p_des))
+    mav_p, mav_p_des = (np.reshape(p, (-1, n, 3)) for p in (mav_p, mav_p_des))
+    ids: List[str] = []
+    columns = []  # (value, lower, upper, margin), each broadcast to (T, k)
 
-    e_L = payload_los_error(payload_p, payload_p_des)
+    def add(names, value, lower, upper, margin):
+        ids.extend(names)
+        columns.append([np.broadcast_to(a, (T, len(names))) for a in (value, lower, upper, margin)])
+
+    def bound(funnel):  # (T,); a missing funnel bounds nothing
+        return np.full(T, np.inf) if funnel is None else funnel.value(t)
+
+    e_L = so3.norm_rows(payload_p - payload_p_des)
     eps = bounds.payload_funnel.value(t)
-    entries.append(ConstraintEntry("payload_funnel", e_L, None, eps, eps - e_L))
+    add(["payload_funnel"], e_L[:, None], np.nan, eps[:, None], (eps - e_L)[:, None])
 
-    e_i = so3.norm_rows(np.asarray(mav_p) - np.asarray(mav_p_des))
-    eps_i = bounds.mav_funnel.value(t)
-    entries += [
-        ConstraintEntry(f"mav{i}_funnel", e, None, eps_i, m)
-        for i, (e, m) in enumerate(zip(e_i.tolist(), (eps_i - e_i).tolist()))
-    ]
+    e_i = so3.norm_rows(mav_p - mav_p_des)
+    eps_i = bounds.mav_funnel.value(t)[:, None]
+    add([f"mav{i}_funnel" for i in range(n)], e_i, np.nan, eps_i, eps_i - e_i)
 
-    pairs = [
-        (i, j, bounds.pair_tighten.get((i, j)), bounds.pair_widen.get((i, j)))
-        for i in range(n)
-        for j in range(i + 1, n)
-    ]
-    e_ij = pair_separations(mav_p_des) - pair_separations(mav_p)
-    eps_h = np.array([np.inf if hi is None else hi.value(t) for _, _, hi, _ in pairs])
-    eps_w = np.array([np.inf if lo is None else lo.value(t) for _, _, _, lo in pairs])
-    margin = np.minimum(eps_h - e_ij, e_ij + eps_w)
-    entries += [
-        ConstraintEntry(f"separation_{i}_{j}", e, -w, h, m)
-        for (i, j, hi, lo), e, h, w, m in zip(
-            pairs, e_ij.tolist(), eps_h.tolist(), eps_w.tolist(), margin.tolist()
-        )
-        if hi is not None or lo is not None
-    ]
+    pairs = list(zip(*(side.tolist() for side in _pairs(n))))
+    tighten = [bounds.pair_tighten.get(pair) for pair in pairs]
+    widen = [bounds.pair_widen.get(pair) for pair in pairs]
+    keep = [hi is not None or lo is not None for hi, lo in zip(tighten, widen)]
+    e_ij = (pair_separations(mav_p_des) - pair_separations(mav_p))[:, keep]
+    eps_h = np.array([bound(f) for f in tighten]).reshape(-1, T).T[:, keep]
+    eps_w = np.array([bound(f) for f in widen]).reshape(-1, T).T[:, keep]
+    names = [f"separation_{i}_{j}" for (i, j), k in zip(pairs, keep) if k]
+    add(names, e_ij, -eps_w, eps_h, np.minimum(eps_h - e_ij, e_ij + eps_w))
 
-    T = np.asarray(tensions, dtype=np.float64)[:n]
-    entries += [
-        ConstraintEntry(f"tension_{i}", T_i, None, bounds.f_max, m)
-        for i, (T_i, m) in enumerate(zip(T.tolist(), (bounds.f_max - T).tolist()))
-    ]
+    tension = np.reshape(np.asarray(tensions, dtype=np.float64)[..., :n], (-1, n))
+    add([f"tension_{i}" for i in range(n)], tension, np.nan, bounds.f_max, bounds.f_max - tension)
 
     if bounds.obstacle_center is not None:
-        e_LO = obstacle_distance(payload_p, bounds.obstacle_center)
-        entries.append(
-            ConstraintEntry(
-                "obstacle",
-                e_LO,
-                bounds.obstacle_clearance,
-                None,
-                e_LO - bounds.obstacle_clearance,
-            )
-        )
+        e_LO = so3.norm_rows(payload_p - bounds.obstacle_center)[:, None]
+        clearance = bounds.obstacle_clearance
+        add(["obstacle"], e_LO, clearance, np.nan, e_LO - clearance)
 
-    return ConstraintReport(entries)
+    table = ConstraintTable(tuple(ids), *(np.concatenate(parts, axis=1) for parts in zip(*columns)))
+    return table.report(0) if single else table

@@ -101,10 +101,8 @@ class OcpProblem:
 
     def __post_init__(self):
         self._J_L_inv = np.linalg.inv(self.J_L)
-        self.funnel_eps = np.array(
-            [0.0 if self.funnel is None else self.funnel.value(i * self.dt)
-             for i in range(self.N + 1)]
-        )
+        times = np.arange(self.N + 1) * self.dt
+        self.funnel_eps = np.zeros(self.N + 1) if self.funnel is None else self.funnel.value(times)
 
     @property
     def g_vec(self) -> np.ndarray:
@@ -118,7 +116,7 @@ class OcpSolution:
     cost: float
     kkt_residual: float
     iterations: int
-    status: str  # converged | max_iter | infeasible
+    status: str  # converged | stalled | max_iter
 
 
 def build_ocp(x0: np.ndarray, ref_x: np.ndarray, ref_u: np.ndarray, config: OcpConfig) -> OcpProblem:

@@ -497,7 +497,8 @@ def solve(
     rolled out from the initial state.
 
     status is "converged" when stationarity reaches kkt_tol with defects and
-    hard constraints inside feas_tol, otherwise "max_iter".  Raises
+    hard constraints inside feas_tol, "stalled" when the line search accepts
+    no step down to min_step, and otherwise "max_iter".  Raises
     Infeasible when the constraint rows are inconsistent (including an
     initial state already violating a hard row, which no control can undo).
     When trace is a list, one dict per outer iteration is appended: the
@@ -525,6 +526,7 @@ def solve(
     mu_merit = config.merit_weight
     best = None
     it = 0
+    status = "max_iter"
     lam_u_prev = None
     for it in range(1, config.max_sqp_iters + 1):
         data = _build_qp_data(point, problem, lam_u_prev)
@@ -583,11 +585,12 @@ def solve(
         record["alpha"] = alpha if accepted else 0.0
         record["stalled"] = not accepted
         if not accepted:
-            break  # stalled: no descent at the minimum step
+            status = "stalled"  # no descent at the minimum step
+            break
 
     _, best_point, best_kkt = best
     if best_kkt is None:
         # best iterate was accepted on the final pass; price its stationarity
         data = _build_qp_data(best_point, problem)
         best_kkt = _nonlinear_kkt(data, qp_subproblem(data, config))
-    return _solution(best_point, best_kkt, it, "max_iter")
+    return _solution(best_point, best_kkt, it, status)

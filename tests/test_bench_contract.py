@@ -27,7 +27,12 @@ def test_every_traced_function_resolves_to_a_callable():
 
 
 @pytest.mark.parametrize(
-    "workload, preset, duration", [("hover", "hover", 0.1), ("recovery", "hover-recovery", 0.5)]
+    "workload, preset, duration",
+    [
+        ("circle", "circle-medium", 0.1),
+        ("hover", "hover", 0.1),
+        ("recovery", "hover-recovery", 0.5),
+    ],
 )
 def test_run_checks_read_the_run_log(tmp_path, workload, preset, duration):
     """The benchmark's output check and invariant counters run on a short log

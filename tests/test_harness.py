@@ -19,7 +19,6 @@ from cablelift.harness import (
     ReferenceSpec,
     RunLog,
     ScenarioConfig,
-    TickRecord,
     TriggerEvent,
 )
 
@@ -336,7 +335,7 @@ class TestRunPayloadOnly:
             }
         )
         log = harness.run_closed_loop(config)
-        entry = log.ticks[0].report["obstacle"]
+        entry = log.constraint_report(0)["obstacle"]
         assert entry.value == pytest.approx(2.0)
         assert entry.margin == pytest.approx(1.7)
 
@@ -459,38 +458,38 @@ class TestDisturbance:
 # summaries
 
 
-def tiny_report(err=0.0):
+def tiny_report(errs):
+    """The constraint table of hover snapshots offset by errs along x."""
     config = harness.scenario_preset("hover-nominal")
     ref, _ = config.reference_at(0.0)
     targets = harness._formation_targets(config, ref)
     bounds = metrics.default_bounds(targets, config.params.f_max)
-    p = ref[0:3] + np.array([err, 0.0, 0.0])
-    return metrics.check_all(0.0, p, ref[0:3], targets, targets, np.full(4, 0.5), bounds)
+    T = len(errs)
+    p = ref[0:3] + np.outer(errs, [1.0, 0.0, 0.0])
+    mav_p = np.broadcast_to(targets, (T, 4, 3))
+    return metrics.check_all(
+        np.zeros(T), p, np.tile(ref[0:3], (T, 1)), mav_p, targets, np.full((T, 4), 0.5), bounds
+    )
 
 
 def synthetic_log(errs, min_seps, max_seps):
     config = harness.scenario_preset("hover-nominal")
-    log = RunLog(config)
+    T = len(errs)
+    log = RunLog(config, T)
     ref, _ = config.reference_at(0.0)
-    for i, (err, lo, hi) in enumerate(zip(errs, min_seps, max_seps)):
-        log.ticks.append(
-            TickRecord(
-                t=0.05 * i,
-                payload=hover_state(),
-                mav_p=harness._formation_targets(config, ref),
-                reference=ref,
-                wrench=np.zeros(6),
-                tensions=np.full(4, 0.5),
-                directions=np.tile([0.0, 0.0, -1.0], (4, 1)),
-                decision="none",
-                horizon=20,
-                pred_index=i,
-                payload_err=err,
-                min_sep=lo,
-                max_sep=hi,
-                report=tiny_report(err),
-            )
-        )
+    log.t[:] = 0.05 * np.arange(T)
+    log.payload[:] = hover_state()
+    log.mav_p[:] = harness._formation_targets(config, ref)
+    log.reference[:] = ref
+    log.tensions[:] = 0.5
+    log.directions[:] = [0.0, 0.0, -1.0]
+    log.decision[:] = "none"
+    log.horizon[:] = 20
+    log.pred_index[:] = np.arange(T)
+    log.payload_err[:] = errs
+    log.min_sep[:] = min_seps
+    log.max_sep[:] = max_seps
+    log.constraints = tiny_report(errs)
     return log
 
 
@@ -632,6 +631,85 @@ class TestEmitCsv:
         harness.emit_csv(harness.run_closed_loop(dataclasses.replace(base, seed=3)), a)
         harness.emit_csv(harness.run_closed_loop(dataclasses.replace(base, seed=4)), b)
         assert a.read_bytes() != b.read_bytes()
+
+
+def emit_csv_by_row(log, path):
+    """The CSV written tick record by tick record, one float at a time: the
+    reference the columnar `harness.emit_csv` is pinned to, byte for byte."""
+
+    def fmt(value):
+        return repr(value) if isinstance(value, float) else str(value)
+
+    n = log.config.params.n
+    lines = [",".join(harness._csv_header(n))]
+    for r in log.ticks:
+        row = [fmt(r.t), r.decision, str(r.horizon), str(r.pred_index)]
+        row += [fmt(float(v)) for v in r.payload]
+        row += [fmt(float(v)) for v in r.reference[0:3]]
+        row.append(fmt(r.payload_err))
+        row += [fmt(float(v)) for v in r.wrench]
+        row += [fmt(float(v)) for v in r.tensions]
+        row += [fmt(float(v)) for v in r.directions.reshape(-1)]
+        row += [fmt(float(v)) for v in r.mav_p.reshape(-1)]
+        row += [fmt(r.min_sep), fmt(r.max_sep), r.solver_status, str(r.solver_iterations)]
+        row.append("" if math.isnan(r.cost) else fmt(r.cost))
+        lines.append(",".join(row))
+    with open(path, "w") as f:
+        f.write("\n".join(lines) + "\n")
+
+
+def _obstacle_circle():
+    config, _ = harness.build_scenario(
+        {
+            "schema_version": 1,
+            "preset": "circle-medium",
+            "scenario": {"duration_s": 0.5, "plant_model": "payload_only"},
+            "obstacle": {"center_m": [3.0, 0.0, 0.5], "clearance_m": 0.3},
+        }
+    )
+    return config
+
+
+class TestColumnarCsv:
+    @pytest.mark.parametrize(
+        "make_config",
+        [
+            pytest.param(lambda: _short_hover(0.1), id="full-plant-hover"),
+            pytest.param(_obstacle_circle, id="payload-only-circle-obstacle"),
+            pytest.param(
+                lambda: dataclasses.replace(
+                    harness.scenario_preset("hover-recovery"),
+                    duration=1.0,
+                    disturbance_eta=1e-3,
+                    disturbance_kind="uniform-bounded",
+                ),
+                id="disturbed-recovery",
+            ),
+            pytest.param(
+                lambda: dataclasses.replace(harness.scenario_preset("hover-recovery"), duration=1.5),
+                id="replan",
+            ),
+        ],
+    )
+    def test_matches_the_row_by_row_file(self, tmp_path, make_config):
+        log = harness.run_closed_loop(make_config())
+        columns, rows = tmp_path / "columns.csv", tmp_path / "rows.csv"
+        harness.emit_csv(log, columns)
+        emit_csv_by_row(log, rows)
+        assert columns.read_bytes() == rows.read_bytes()
+
+    def test_replan_fills_the_solver_columns(self):
+        config = dataclasses.replace(harness.scenario_preset("hover-recovery"), duration=1.5)
+        log = harness.run_closed_loop(config)
+        assert log.nmpc_executions >= 2
+        solves = [r for r in log.ticks if r.solver_status]
+        assert len(solves) == log.nmpc_executions
+        assert [r.cost for r in solves] == [e.cost for e in log.events]
+
+    def test_obstacle_run_reports_the_obstacle_every_tick(self):
+        log = harness.run_closed_loop(_obstacle_circle())
+        assert "obstacle" in log.constraints.ids
+        assert np.all(log.constraints.margins("obstacle") > 0.0)
 
 
 class TestEmitSummary:

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cablelift import metrics
@@ -83,22 +83,26 @@ class TestSeparations:
         ac = metrics.pair_separation(a, c)
         assert ac <= ab + bc + 1e-9
 
-    @given(a=vec3, b=vec3)
-    def test_desired_matches_actual_formula(self, a, b):
-        assert metrics.desired_pair_separation(a, b) == metrics.pair_separation(a, b)
+
+def obstacle_distance(p_L, p_O) -> float:
+    """Payload-to-obstacle distance, as check_all reports it."""
+    formation = np.array([[0.3, 0.0, 0.0], [0.0, 0.3, 0.0], [-0.3, 0.0, 0.0]])
+    bounds = metrics.default_bounds(formation, f_max=1.0, obstacle_center=p_O)
+    report = metrics.check_all(0.0, p_L, p_L, formation, formation, np.zeros(3), bounds)
+    return report["obstacle"].value
 
 
 class TestObstacleDistance:
     def test_coincident(self):
         p = np.array([1.0, 1.0, 1.0])
-        assert metrics.obstacle_distance(p, p) == 0.0
+        assert obstacle_distance(p, p) == 0.0
 
     def test_two_above(self):
-        assert metrics.obstacle_distance(np.zeros(3), np.array([0.0, 0.0, 2.0])) == 2.0
+        assert obstacle_distance(np.zeros(3), np.array([0.0, 0.0, 2.0])) == 2.0
 
     @given(a=vec3, b=vec3)
     def test_norm_oracle(self, a, b):
-        assert metrics.obstacle_distance(a, b) == np.linalg.norm(a - b)
+        assert obstacle_distance(a, b) == np.linalg.norm(a - b)
 
 
 class TestFunnelSpec:
@@ -233,3 +237,112 @@ class TestCheckAll:
         bounds = metrics.default_bounds(snap["mav_p_des"], f_max=1.2)
         report = metrics.check_all(bounds=bounds, **snap)
         assert report.worst().id == "tension_0"
+
+
+# ---------------------------------------------------------------------------
+# whole-run constraint table
+
+
+def check_snapshot(t, payload_p, payload_p_des, mav_p, mav_p_des, tensions, bounds):
+    """One snapshot's report, computed entry by entry: the oracle for the
+    stacked check_all."""
+    n = len(mav_p)
+    e_L = float(np.linalg.norm(payload_p - payload_p_des))
+    eps = bounds.payload_funnel.value(t)
+    entries = [ConstraintEntry("payload_funnel", e_L, None, eps, eps - e_L)]
+    eps_i = bounds.mav_funnel.value(t)
+    for i in range(n):
+        e = float(np.linalg.norm(mav_p[i] - mav_p_des[i]))
+        entries.append(ConstraintEntry(f"mav{i}_funnel", e, None, eps_i, eps_i - e))
+    for i in range(n):
+        for j in range(i + 1, n):
+            hi, lo = bounds.pair_tighten.get((i, j)), bounds.pair_widen.get((i, j))
+            if hi is None and lo is None:
+                continue
+            desired = float(np.linalg.norm(mav_p_des[i] - mav_p_des[j]))
+            e = desired - float(np.linalg.norm(mav_p[i] - mav_p[j]))
+            h = np.inf if hi is None else hi.value(t)
+            w = np.inf if lo is None else lo.value(t)
+            entries.append(ConstraintEntry(f"separation_{i}_{j}", e, -w, h, min(h - e, e + w)))
+    for i in range(n):
+        T_i = float(tensions[i])
+        entries.append(ConstraintEntry(f"tension_{i}", T_i, None, bounds.f_max, bounds.f_max - T_i))
+    if bounds.obstacle_center is not None:
+        e_LO = float(np.linalg.norm(payload_p - bounds.obstacle_center))
+        clearance = bounds.obstacle_clearance
+        entries.append(ConstraintEntry("obstacle", e_LO, clearance, None, e_LO - clearance))
+    return entries
+
+
+positive = st.floats(min_value=0.01, max_value=2.0)
+
+
+@st.composite
+def funnels(draw):
+    """A constant funnel or a time-varying table of up to four entries."""
+    values = draw(st.lists(positive, min_size=1, max_size=4))
+    steps = draw(st.lists(st.floats(0.1, 5.0), min_size=len(values), max_size=len(values)))
+    return FunnelSpec(tuple(zip(np.cumsum(steps).tolist(), values)))
+
+
+class TestConstraintTable:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 5),
+        T=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+        payload_funnel=funnels(),
+        mav_funnel=funnels(),
+        pair_funnels=st.lists(
+            st.tuples(st.one_of(st.none(), funnels()), st.one_of(st.none(), funnels())),
+            min_size=10,
+            max_size=10,
+        ),
+        obstacle=st.booleans(),
+    )
+    def test_rows_match_single_snapshots(
+        self, n, T, seed, payload_funnel, mav_funnel, pair_funnels, obstacle
+    ):
+        """Every id, value, bound and margin of the stacked table equals the
+        single-snapshot result exactly, for time-varying funnels, pairs with
+        no funnel on one or both sides, and an obstacle."""
+        rng = np.random.default_rng(seed)
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        bounds = ConstraintBounds(
+            f_max=float(rng.uniform(0.5, 2.0)),
+            payload_funnel=payload_funnel,
+            mav_funnel=mav_funnel,
+            pair_tighten={p: hi for p, (hi, _) in zip(pairs, pair_funnels) if hi is not None},
+            pair_widen={p: lo for p, (_, lo) in zip(pairs, pair_funnels) if lo is not None},
+            obstacle_center=rng.normal(size=3) if obstacle else None,
+            obstacle_clearance=float(rng.uniform(0.0, 1.0)),
+        )
+        t = rng.uniform(-1.0, 25.0, T)
+        payload_p = rng.normal(size=(T, 3))
+        payload_p_des = rng.normal(size=(T, 3))
+        mav_p = rng.normal(size=(T, n, 3))
+        mav_p_des = rng.normal(size=(T, n, 3))
+        tensions = rng.uniform(0.0, 2.5, (T, n))
+        table = metrics.check_all(t, payload_p, payload_p_des, mav_p, mav_p_des, tensions, bounds)
+        assert table.margin.shape == (T, len(table.ids))
+        for k in range(T):
+            snapshot = (t[k], payload_p[k], payload_p_des[k], mav_p[k], mav_p_des[k], tensions[k])
+            oracle = check_snapshot(*snapshot, bounds)
+            assert table.report(k).entries == oracle
+            assert metrics.check_all(float(t[k]), *snapshot[1:], bounds).entries == oracle
+
+    def test_shared_desired_positions_broadcast(self):
+        snap = hover_snapshot()
+        bounds = metrics.default_bounds(snap["mav_p_des"], f_max=1.2)
+        stacked = metrics.check_all(
+            np.array([0.0, 1.0]),
+            np.stack([snap["payload_p"]] * 2),
+            np.stack([snap["payload_p_des"]] * 2),
+            np.stack([snap["mav_p"]] * 2),
+            snap["mav_p_des"],
+            np.stack([snap["tensions"]] * 2),
+            bounds,
+        )
+        single = metrics.check_all(bounds=bounds, **snap)
+        assert stacked.report(1).entries == single.entries
+        np.testing.assert_array_equal(stacked.margins("tension_0"), [1.2 - 0.57] * 2)

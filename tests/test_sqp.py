@@ -605,6 +605,25 @@ class TestSolve:
         assert full.status == "converged"
         assert full.cost <= solution.cost + 1e-9
 
+    def test_line_search_stall_reads_stalled(self):
+        # a minimum step above the full step leaves the line search nothing
+        # to try, so the first iteration that needs a step stalls
+        config = sqp.SolverConfig(min_step=1.5)
+        problem = make_problem((1.5, 0.0, 1.0), funnel_eps=10.0)
+        trace = []
+        solution = sqp.solve(problem, config=config, trace=trace)
+        assert solution.status == "stalled"
+        assert solution.iterations == 1
+        assert [entry["stalled"] for entry in trace] == [True]
+        assert np.isfinite(solution.cost)
+
+    def test_converged_solve_reads_converged(self):
+        problem = make_problem((1.5, 0.0, 1.0), funnel_eps=10.0)
+        trace = []
+        solution = sqp.solve(problem, trace=trace)
+        assert solution.status == "converged"
+        assert not any(entry["stalled"] for entry in trace)
+
     def test_warm_started_resolve_converges_fast(self):
         problem = make_problem((0.5, 0.0, 1.0), N=20)
         cold = sqp.solve(problem)
