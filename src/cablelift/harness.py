@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -591,7 +592,7 @@ class _FullPlant:
         # the commanded wrench implies the payload acceleration the cables
         # must realize; feeding it forward keeps the vehicles moving with the
         # payload instead of trailing it on feedback alone
-        accel_des = wrench_cmd[0:3] / params.m_L + np.array([0.0, 0.0, -params.g])
+        accel_des = wrench_cmd[0:3] / params.m_L + params.g_vec
         omega_dot_des = np.linalg.solve(
             params.J_L, wrench_cmd[3:6] - so3.cross3(omega_l, params.J_L @ omega_l)
         )
@@ -755,6 +756,7 @@ def summarize(log: RunLog) -> dict:
     inter = [e.m_k for e in log.events if e.m_k is not None]
     solve_times = [e.solve_time for e in log.events]
     violations = int(np.count_nonzero(log.constraints.margins("payload_funnel") < 0))
+    statuses = [e.status for e in log.events]
     return {
         "nmpc_executions": log.nmpc_executions,
         "event_triggers": sum(1 for e in log.events if e.kind == "event"),
@@ -770,6 +772,9 @@ def summarize(log: RunLog) -> dict:
         "thrust_clamps": log.thrust_clamps,
         "omega_des_clips": log.omega_des_clips,
         "slack_cable_ticks": log.slack_cable_ticks,
+        "solves_converged": statuses.count("converged"),
+        "solves_max_iter": statuses.count("max_iter"),
+        "solves_stalled": statuses.count("stalled"),
         "mean_solve_time_ms": 1e3 * float(np.mean(solve_times)) if solve_times else 0.0,
     }
 
@@ -846,6 +851,9 @@ SUMMARY_ORDER = [
     "thrust_clamps",
     "omega_des_clips",
     "slack_cable_ticks",
+    "solves_converged",
+    "solves_max_iter",
+    "solves_stalled",
     "mean_solve_time_ms",
 ]
 
@@ -969,6 +977,17 @@ def load_config(path):
     return build_scenario(data)
 
 
+def _file_name(value) -> str:
+    """The scenario name, which names the output files inside --out-dir: one
+    non-empty file-name component."""
+    separators = [sep for sep in (os.sep, os.altsep) if sep]
+    if not isinstance(value, str) or value in ("", ".", "..") or any(
+        sep in value for sep in separators
+    ):
+        raise ConfigError(f"'name' must be a file name without a path separator, got {value!r}")
+    return value
+
+
 def build_scenario(data: dict):
     _check_keys(data, _TOP_KEYS, "top level")
     version = data.get("schema_version")
@@ -976,7 +995,7 @@ def build_scenario(data: dict):
         raise ConfigError(f"schema_version must be {SCHEMA_VERSION}, got {version!r}")
     config = scenario_preset(data.get("preset", "circle"))
     if "name" in data:
-        config.name = str(data["name"])
+        config.name = _file_name(data["name"])
 
     sc = data.get("scenario", {})
     _check_keys(sc, _SCENARIO_KEYS, "scenario")

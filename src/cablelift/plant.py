@@ -9,11 +9,13 @@ The world state is one (n+1, 13) array: the payload row first, then one row
 per vehicle, each row [p, v, q, omega] (position, velocity, unit quaternion
 scalar first, body rates).  `cable_closure` reads the cables off that array
 and `step_world` advances it with one Runge-Kutta step of a derivative fused
-over all bodies; both take the cables from one spring-damper law evaluated
-on all cables at once (`_cable_rows`)."""
+over all bodies; both take the cables from one spring-damper law
+(`_cable_law`).  The law and the derivative run on Python floats read once
+from the array per evaluation."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,9 +77,11 @@ class SystemParams:
         for M, name in [(self.J_L, "J_L")] + [(self.J_i[k], "J_i") for k in range(self.n)]:
             if np.linalg.norm(M - M.T) > 1e-12 or np.min(np.linalg.eigvalsh(M)) <= 0:
                 raise ValueError(f"{name} must be symmetric positive definite")
-        self._J_i_inv = np.linalg.inv(self.J_i)
-        self._J_L_inv = np.linalg.inv(self.J_L)
-        self._g_vec = self.g_vec
+        # plain-float copies for the scalar plant kernel
+        self._m_i, self._l_i, self._r_i = self.m_i.tolist(), self.l_i.tolist(), self.r_i.tolist()
+        self._J_i, self._J_L = self.J_i.tolist(), self.J_L.tolist()
+        self._J_i_inv = np.linalg.inv(self.J_i).tolist()
+        self._J_L_inv = np.linalg.inv(self.J_L).tolist()
 
     @property
     def g_vec(self) -> np.ndarray:
@@ -147,40 +151,63 @@ def saturate_thrust(F, F_max: float):
     return np.clip(F, 0.0, F_max)
 
 
-def _cable_rows(Y: np.ndarray, R_L: np.ndarray, params: SystemParams):
-    """The spring-damper law of every cable of the (n+1, 13) rows Y, whose
-    payload rotation is R_L: (unit directions e from each MAV toward its
-    attachment, stretch past rest length, taut mask, tension)."""
-    p_L, v_L, omega_L = Y[0, 0:3], Y[0, 3:6], Y[0, 10:13]
-    attach = p_L + params.r_i @ R_L.T
-    v_attach = v_L + so3.cross3_rows(omega_L, params.r_i) @ R_L.T
-    d = attach - Y[1:, 0:3]
-    dist = np.linalg.norm(d, axis=1)
-    near = dist < 1e-9
-    if near.any():
-        k = int(np.argmax(near))
-        raise DegenerateGeometry(f"MAV {k} coincides with its attachment point")
-    stretch = dist - params.l_i
-    taut = stretch > 0.0
-    e = d / dist[:, None]
-    sdot = np.einsum("ij,ij->i", e, v_attach - Y[1:, 3:6])
-    tension = np.where(
-        taut,
-        params.cable_stiffness * stretch + params.cable_damping * np.maximum(0.0, sdot),
-        0.0,
+def _rotation(w: float, x: float, y: float, z: float) -> tuple:
+    """Rotation matrix of a unit quaternion as 9 floats, row by row; the same
+    sums as so3.quat_to_rotation."""
+    return (
+        1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y),
+        2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x),
+        2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y),
     )
-    return e, stretch, taut, tension
+
+
+def _cable_law(y: list, R: tuple, params: SystemParams) -> list:
+    """The spring-damper law of every cable of the flat world state y (a list
+    of floats), whose payload rotation R comes from `_rotation`.  One
+    (e_x, e_y, e_z, stretch, tension) per cable, e the unit vector from the
+    MAV toward its attachment; the cable is taut when stretch > 0."""
+    px, py, pz, vx, vy, vz = y[0:6]
+    wx, wy, wz = y[10:13]
+    r00, r01, r02, r10, r11, r12, r20, r21, r22 = R
+    stiffness, damping = params.cable_stiffness, params.cable_damping
+    out = []
+    b = 13
+    for k, ((rx, ry, rz), rest) in enumerate(zip(params._r_i, params._l_i)):
+        # attachment point p_L + R_L r and its velocity v_L + R_L (omega_L x r)
+        dx = px + (r00 * rx + r01 * ry + r02 * rz) - y[b]
+        dy = py + (r10 * rx + r11 * ry + r12 * rz) - y[b + 1]
+        dz = pz + (r20 * rx + r21 * ry + r22 * rz) - y[b + 2]
+        cx, cy, cz = wy * rz - wz * ry, wz * rx - wx * rz, wx * ry - wy * rx
+        ux = vx + (r00 * cx + r01 * cy + r02 * cz) - y[b + 3]
+        uy = vy + (r10 * cx + r11 * cy + r12 * cz) - y[b + 4]
+        uz = vz + (r20 * cx + r21 * cy + r22 * cz) - y[b + 5]
+        dist = math.sqrt(dx * dx + dy * dy + dz * dz)
+        if dist < 1e-9:
+            raise DegenerateGeometry(f"MAV {k} coincides with its attachment point")
+        ex, ey, ez = dx / dist, dy / dist, dz / dist
+        stretch = dist - rest
+        tension = 0.0
+        if stretch > 0.0:
+            sdot = ex * ux + ey * uy + ez * uz
+            tension = stiffness * stretch + damping * (sdot if sdot > 0.0 else 0.0)
+        out.append((ex, ey, ez, stretch, tension))
+        b += 13
+    return out
 
 
 def cable_closure(Y: np.ndarray, params: SystemParams) -> CableReading:
     """Per-cable taut/slack status, direction, and spring-damper tension of
     the (n+1, 13) world state Y, as rows."""
-    e, stretch, taut, tension = _cable_rows(Y, so3.quat_to_rotation(Y[0, 6:10]), params)
-    over = tension > 10.0 * params.f_max
-    if over.any():
-        k = int(np.argmax(over))
-        raise CableOverload(f"cable {k} tension {tension[k]:.3f} N past sanity ceiling")
-    return CableReading(np.where(taut[:, None], e, 0.0), tension, taut, stretch)
+    y = Y.ravel().tolist()
+    directions, stretches, tensions = [], [], []
+    for k, (ex, ey, ez, stretch, tension) in enumerate(_cable_law(y, _rotation(*y[6:10]), params)):
+        if tension > 10.0 * params.f_max:
+            raise CableOverload(f"cable {k} tension {tension:.3f} N past sanity ceiling")
+        directions.append((ex, ey, ez) if stretch > 0.0 else (0.0, 0.0, 0.0))
+        stretches.append(stretch)
+        tensions.append(tension)
+    stretch = np.array(stretches)
+    return CableReading(np.array(directions), np.array(tensions), stretch > 0.0, stretch)
 
 
 def rk4_step(derivative_fn, state, inputs, dt: float):
@@ -202,45 +229,69 @@ def rk4_step(derivative_fn, state, inputs, dt: float):
     return out
 
 
-def _world_derivative_flat(y: np.ndarray, inputs, params: SystemParams) -> np.ndarray:
-    """Fused derivative of the world state, flat or (n+1, 13), returned in the
-    shape of y.  inputs = (thrusts, torques)."""
-    thrusts, torques = inputs
-    n = params.n
-    rows = y.reshape(n + 1, _BODY_DIM)
-    v = rows[:, 3:6]
-    q = rows[:, 6:10]
-    w = rows[:, 10:13]
-
-    R = so3.quat_to_rotation(q)
-    R_L = R[0]
-    e, _, _, tension = _cable_rows(rows, R_L, params)
-    cable_force = tension[:, None] * e  # on each MAV, world frame
-    thrust_force = R[1:, :, 2] * thrusts[:, None]
-
-    acc = np.empty((n + 1, 3))
-    acc[1:] = (thrust_force + cable_force) / params.m_i[:, None] + params._g_vec
-    payload_force = -cable_force.sum(axis=0)
-    acc[0] = payload_force / params.m_L + params._g_vec
-
-    e_body = e @ R_L  # world -> payload frame (rows of e times R_L columns)
-    payload_moment = so3.cross3_rows(params.r_i, -tension[:, None] * e_body).sum(axis=0)
-
-    wdot = np.empty((n + 1, 3))
-    wdot[0] = params._J_L_inv @ (payload_moment - so3.cross3(w[0], params.J_L @ w[0]))
-    Jw = np.einsum("nij,nj->ni", params.J_i, w[1:])
-    wdot[1:] = np.einsum(
-        "nij,nj->ni", params._J_i_inv, torques - so3.cross3_rows(w[1:], Jw)
+def _quat_rate(w, x, y, z, ox, oy, oz) -> tuple:
+    """Quaternion kinematics for body rate (ox, oy, oz), as
+    so3.omega_to_quat_dot."""
+    return (
+        -0.5 * (x * ox + y * oy + z * oz),
+        0.5 * (w * ox + (y * oz - z * oy)),
+        0.5 * (w * oy + (z * ox - x * oz)),
+        0.5 * (w * oz + (x * oy - y * ox)),
     )
 
-    qdot = so3.omega_to_quat_dot(q, w)
 
-    out = np.empty_like(rows)
-    out[:, 0:3] = v
-    out[:, 3:6] = acc
-    out[:, 6:10] = qdot
-    out[:, 10:13] = wdot
-    return out.reshape(y.shape)
+def _euler_rate(J, J_inv, ox, oy, oz, tx, ty, tz) -> tuple:
+    """Body angular acceleration J^-1 (tau - omega x J omega), J and J_inv as
+    3x3 nested lists."""
+    (a, b, c), (d, e, f), (g, h, i) = J
+    hx, hy, hz = a * ox + b * oy + c * oz, d * ox + e * oy + f * oz, g * ox + h * oy + i * oz
+    rx, ry, rz = tx - (oy * hz - oz * hy), ty - (oz * hx - ox * hz), tz - (ox * hy - oy * hx)
+    (a, b, c), (d, e, f), (g, h, i) = J_inv
+    return a * rx + b * ry + c * rz, d * rx + e * ry + f * rz, g * rx + h * ry + i * rz
+
+
+def _world_derivative_flat(y: np.ndarray, inputs, params: SystemParams) -> np.ndarray:
+    """Fused derivative of the world state, flat or (n+1, 13), returned in the
+    shape of y.  inputs = (thrusts (n,), torques (n, 3)) arrays.
+
+    Evaluated on Python floats: on 4-5 bodies numpy's per-call cost would
+    outweigh the arithmetic."""
+    s = y.ravel().tolist()
+    qw, qx, qy, qz, wx, wy, wz = s[6:13]
+    R = _rotation(qw, qx, qy, qz)
+    r00, r01, r02, r10, r11, r12, r20, r21, r22 = R
+    g = params.g
+    out = s[3:6] + [0.0] * 10  # payload row: v, then acc, qdot, omega dot below
+    fx = fy = fz = mx = my = mz = 0.0
+    b = 13
+    for (ex, ey, ez, _, t), (rx, ry, rz), thrust, (tx, ty, tz), m, J, Ji in zip(
+        _cable_law(s, R, params), params._r_i, inputs[0].tolist(), inputs[1].tolist(),
+        params._m_i, params._J_i, params._J_i_inv,
+    ):
+        # the cable pulls the MAV toward its attachment and the payload back
+        cfx, cfy, cfz = t * ex, t * ey, t * ez
+        fx, fy, fz = fx + cfx, fy + cfy, fz + cfz
+        # the payload's pull -t e in its own frame, at the attachment offset
+        bx = -t * (ex * r00 + ey * r10 + ez * r20)
+        by = -t * (ex * r01 + ey * r11 + ez * r21)
+        bz = -t * (ex * r02 + ey * r12 + ez * r22)
+        mx, my, mz = mx + (ry * bz - rz * by), my + (rz * bx - rx * bz), mz + (rx * by - ry * bx)
+
+        q0, q1, q2, q3, ox, oy, oz = s[b + 6 : b + 13]
+        # thrust along the body z axis, the last column of the rotation
+        ax = (2 * (q1 * q3 + q0 * q2) * thrust + cfx) / m
+        ay = (2 * (q2 * q3 - q0 * q1) * thrust + cfy) / m
+        az = ((1 - 2 * (q1 * q1 + q2 * q2)) * thrust + cfz) / m - g
+        out += s[b + 3 : b + 6]
+        out += (ax, ay, az, *_quat_rate(q0, q1, q2, q3, ox, oy, oz))
+        out += _euler_rate(J, Ji, ox, oy, oz, tx, ty, tz)
+        b += 13
+
+    m_L = params.m_L
+    out[3:6] = (-fx / m_L, -fy / m_L, -fz / m_L - g)
+    out[6:10] = _quat_rate(qw, qx, qy, qz, wx, wy, wz)
+    out[10:13] = _euler_rate(params._J_L, params._J_L_inv, wx, wy, wz, mx, my, mz)
+    return np.array(out).reshape(y.shape)
 
 
 def step_world(Y: np.ndarray, commands, dt: float, params: SystemParams) -> np.ndarray:

@@ -112,6 +112,20 @@ class TestRun:
         assert cli.main(["run", "--config", config, "--out-dir", str(tmp_path)]) == 2
         assert repr(key) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["sub/run", '"../x"', "[1, 2]"])
+    def test_name_that_is_not_one_file_name_is_a_config_error(self, tmp_path, capsys, name):
+        """The name becomes the output file name, so anything but one
+        file-name component is refused before the run writes anything."""
+        text = (
+            f"schema_version: 1\npreset: hover-nominal\nname: {name}\n"
+            "scenario:\n  duration_s: 0.1\n"
+        )
+        config = write(tmp_path, text)
+        out_dir = tmp_path / "out"
+        assert cli.main(["run", "--config", config, "--out-dir", str(out_dir)]) == 2
+        assert "'name'" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.csv"))
+
     def test_aborted_run_exits_one(self, tmp_path, capsys):
         config = write(tmp_path, ABORT_CONFIG)
         assert cli.main(["run", "--config", config, "--out-dir", str(tmp_path)]) == 1

@@ -493,7 +493,7 @@ def synthetic_log(errs, min_seps, max_seps):
     return log
 
 
-def synthetic_event(k, kind, m_k, horizon, horizon_before, cost=1.0):
+def synthetic_event(k, kind, m_k, horizon, horizon_before, cost=1.0, status="converged"):
     return TriggerEvent(
         k=k,
         t=0.05 * k,
@@ -504,7 +504,7 @@ def synthetic_event(k, kind, m_k, horizon, horizon_before, cost=1.0):
         cost=cost,
         kkt_residual=1e-9,
         iterations=3,
-        status="converged",
+        status=status,
         solve_time=0.01,
         outside_terminal=True,
     )
@@ -537,6 +537,19 @@ class TestSummarize:
         assert summary["forced_triggers"] == 2
         assert summary["mean_inter_execution_steps"] == 5.0
         assert summary["horizon_trace"] == [20, 18, 16]
+
+    def test_solver_outcomes_counted(self):
+        log = synthetic_log([0.0], [0.6], [0.85])
+        log.events = [
+            synthetic_event(0, "forced", None, 20, None),
+            synthetic_event(4, "event", 4, 18, 20, status="max_iter"),
+            synthetic_event(8, "event", 4, 16, 18, status="stalled"),
+            synthetic_event(12, "forced", 4, 14, 16, status="max_iter"),
+        ]
+        summary = harness.summarize(log)
+        assert summary["solves_converged"] == 1
+        assert summary["solves_max_iter"] == 2
+        assert summary["solves_stalled"] == 1
 
     def test_funnel_violations_counted(self):
         log = synthetic_log([0.3, 0.1], [0.6, 0.6], [0.85, 0.85])

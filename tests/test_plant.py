@@ -293,6 +293,38 @@ class TestCableClosure:
                     assert r.tension == 0.0
 
 
+class TestCableLawOracle:
+    def test_matches_the_physics_on_rotating_states(self):
+        """Each cable computed from the physics alone: the attachment moves
+        with the rotating payload, v_attach = v_L + R_L (omega_L x r_k), and
+        damping acts only while the stretch grows."""
+        params = make_params(f_max=1e6)
+        rng = np.random.default_rng(21)
+        seen = {"slack": 0, "closing": 0, "opening": 0}
+        for _ in range(100):
+            Y = random_full_state(rng, params, spread=1.0)
+            readings = plant.cable_closure(Y, params)
+            R_L = so3.quat_to_rotation(Y[0, Q])
+            for k, reading in enumerate(readings):
+                attach = Y[0, P] + R_L @ params.r_i[k]
+                v_attach = Y[0, V] + R_L @ np.cross(Y[0, W], params.r_i[k])
+                d = attach - Y[1 + k, P]
+                s = np.linalg.norm(d) - params.l_i[k]
+                e = d / np.linalg.norm(d)
+                sdot = e @ (v_attach - Y[1 + k, V])
+                if s > 0:
+                    tension = params.cable_stiffness * s + params.cable_damping * max(0.0, sdot)
+                    seen["closing" if sdot < 0 else "opening"] += 1
+                else:
+                    tension = 0.0
+                    seen["slack"] += 1
+                assert reading.taut == (s > 0)
+                assert reading.stretch == pytest.approx(s, abs=1e-12)
+                assert reading.tension == pytest.approx(tension, rel=1e-12, abs=1e-12)
+                np.testing.assert_allclose(reading.direction, e if s > 0 else 0.0, atol=1e-12)
+        assert min(seen.values()) >= 20, seen
+
+
 class TestMavDerivative:
     def test_free_fall(self):
         params = make_params()
