@@ -13,13 +13,15 @@ xi_des = -mu/|mu| points from each vehicle down toward its attachment.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
 import scipy.linalg
 
-from . import metrics, so3
+from . import so3
 
 TENSION_FLOOR = 1e-6  # N; below this a cable direction is undefined
 
@@ -38,13 +40,16 @@ class AllocationMap:
 
     P maps stacked payload-frame per-cable forces to the total (force, moment)
     they produce; P_pinv is its minimal-norm right inverse and Z an
-    orthonormal basis of the wrench-neutral subspace.
+    orthonormal basis of the wrench-neutral subspace, the last two also as
+    float tuples for the per-tick functions below.
     """
 
     n: int
     P: np.ndarray  # (6, 3n)
     P_pinv: np.ndarray  # (3n, 6)
     Z: np.ndarray  # (3n, 3n - 6)
+    pinv_rows: tuple  # P_pinv.tolist(), rows as tuples
+    null_cols: tuple  # Z.T.tolist(), columns as tuples
 
 
 def build_allocation(r_i: np.ndarray) -> AllocationMap:
@@ -65,140 +70,164 @@ def build_allocation(r_i: np.ndarray) -> AllocationMap:
         raise RankDeficient("attachment geometry spans fewer than 6 wrench directions")
     P_pinv = np.linalg.pinv(P)
     Z = scipy.linalg.null_space(P)
-    return AllocationMap(n=n, P=P, P_pinv=P_pinv, Z=Z)
+    return AllocationMap(
+        n=n, P=P, P_pinv=P_pinv, Z=Z,
+        pinv_rows=tuple(map(tuple, P_pinv.tolist())), null_cols=tuple(map(tuple, Z.T.tolist())),
+    )
 
 
-def allocate(wrench: np.ndarray, R_L: np.ndarray, amap: AllocationMap) -> np.ndarray:
-    """Minimal-norm per-cable forces realizing the wrench row [F, M]; rows
+# Forces and positions are lists with one float 3-tuple per cable, and the
+# payload rotation R_L a row-major 9-tuple (as `plant._rotation` gives it).
+
+
+def _unstack(stacked, R_L) -> list:
+    """A stacked payload-frame vector back to world-frame forces."""
+    return [so3.rotate(R_L, stacked[i : i + 3]) for i in range(0, len(stacked), 3)]
+
+
+def allocate(wrench, R_L, amap: AllocationMap) -> list:
+    """Minimal-norm per-cable forces realizing the wrench [F, M] (6 floats),
     world frame.
 
     F is taken in the world frame and M in the payload frame; the stacked
     payload-frame solution is rotated back out block by block.
     """
-    wrench = np.asarray(wrench, dtype=np.float64)
-    target = np.concatenate([R_L.T @ wrench[0:3], wrench[3:6]])
-    stacked = amap.P_pinv @ target
-    return (stacked.reshape(amap.n, 3) @ R_L.T).copy()
+    t0, t1, t2 = so3.rotate_back(R_L, wrench[0:3])
+    t3, t4, t5 = wrench[3:6]
+    stacked = [
+        a0 * t0 + a1 * t1 + a2 * t2 + a3 * t3 + a4 * t4 + a5 * t5
+        for a0, a1, a2, a3, a4, a5 in amap.pinv_rows
+    ]
+    return _unstack(stacked, R_L)
 
 
-def stack_body(mu_world: np.ndarray, R_L: np.ndarray) -> np.ndarray:
-    """World-frame rows back to one stacked payload-frame vector."""
-    return (np.asarray(mu_world) @ R_L).reshape(-1)
+def stack_body(mu_world, R_L) -> list:
+    """World-frame forces back to one stacked payload-frame vector."""
+    return [x for mu in mu_world for x in so3.rotate_back(R_L, mu)]
 
 
-def _predicted_positions(
-    stacked_body: np.ndarray, attachments_world: np.ndarray, R_L: np.ndarray, l_i: np.ndarray
-) -> Optional[np.ndarray]:
+def _predicted_positions(stacked_body, attachments_world, R_L, l_i) -> Optional[list]:
     """Static-geometry vehicle positions implied by candidate cable forces.
 
     Each vehicle sits one cable length up the desired direction from its
     attachment; undefined (None) if any candidate force is near zero.
     """
-    mu_world = stacked_body.reshape(-1, 3) @ R_L.T
-    norms = np.linalg.norm(mu_world, axis=1)
-    if (norms <= TENSION_FLOOR).any():
-        return None
-    xi = -mu_world / norms[:, None]
-    return attachments_world - l_i[:, None] * xi
+    out = []
+    forces = _unstack(stacked_body, R_L)
+    for (mx, my, mz), (ax, ay, az), length in zip(forces, attachments_world, l_i):
+        norm = math.sqrt(mx * mx + my * my + mz * mz)
+        if not norm > TENSION_FLOOR:
+            return None
+        ux, uy, uz = -mx / norm, -my / norm, -mz / norm
+        out.append((ax - length * ux, ay - length * uy, az - length * uz))
+    return out
 
 
 def _separation_surrogate(
-    stacked_body: np.ndarray,
-    attachments_world: np.ndarray,
-    R_L: np.ndarray,
-    l_i: np.ndarray,
-    d_safe: float,
-    lam_sep: float,
-) -> Optional[np.ndarray]:
-    """Stacked hinge residuals sqrt(lam)*max(0, d_safe - dist) per pair."""
+    stacked_body, attachments_world, R_L, l_i, d_safe: float, lam_sep: float
+) -> Optional[list]:
+    """Hinge residuals sqrt(lam)*max(0, d_safe - dist), one per pair i < j in
+    row-major pair order."""
     pos = _predicted_positions(stacked_body, attachments_world, R_L, l_i)
     if pos is None:
         return None
-    gap = d_safe - metrics.pair_separations(pos)
-    return np.sqrt(lam_sep) * np.maximum(0.0, gap)
+    scale = math.sqrt(lam_sep)
+    out = []
+    for i, (xi, yi, zi) in enumerate(pos):
+        for xj, yj, zj in pos[i + 1 :]:
+            dx, dy, dz = xi - xj, yi - yj, zi - zj
+            gap = d_safe - math.sqrt(dx * dx + dy * dy + dz * dz)
+            out.append(scale * (gap if gap > 0.0 else 0.0))
+    return out
 
 
 def nullspace_redistribute(
-    mu_des: np.ndarray,
-    attachments_world: np.ndarray,
-    R_L: np.ndarray,
+    mu_des,
+    attachments_world,
+    R_L,
     amap: AllocationMap,
-    l_i: np.ndarray,
+    l_i,
     d_safe: float = 0.4,
     lam_sep: float = 10.0,
-) -> np.ndarray:
+) -> list:
     """Shift the allocation inside the null space to open up vehicle spacing.
 
     Minimizes lam_sep * sum of squared pairwise-separation hinges plus |c|^2
-    with one Gauss-Newton step from c = 0; the realized wrench is untouched
-    because the shift lives in the null space of the stacked-force map.
-    Returns the input unchanged whenever no pair is predicted inside d_safe.
+    with one Gauss-Newton step from c = 0, its Jacobian by forward
+    differences; the realized wrench is untouched because the shift lives in
+    the null space of the stacked-force map.  Returns the input unchanged
+    whenever no pair is predicted inside d_safe.
     """
-    mu_des = np.asarray(mu_des, dtype=np.float64)
-    l_i = np.broadcast_to(np.asarray(l_i, dtype=np.float64), (amap.n,))
+    def surrogate(stacked):
+        return _separation_surrogate(stacked, attachments_world, R_L, l_i, d_safe, lam_sep)
+
     stacked0 = stack_body(mu_des, R_L)
-    r0 = _separation_surrogate(stacked0, attachments_world, R_L, l_i, d_safe, lam_sep)
-    if r0 is None or not (r0 > 0.0).any():
+    r0 = surrogate(stacked0)
+    if r0 is None or not any(r > 0.0 for r in r0):
         return mu_des
 
-    m = amap.Z.shape[1]
     step = 1e-6
-    J = np.zeros((len(r0), m))
-    for a in range(m):
-        pert = _separation_surrogate(
-            stacked0 + step * amap.Z[:, a], attachments_world, R_L, l_i, d_safe, lam_sep
-        )
+    columns = []
+    for z in amap.null_cols:
+        pert = surrogate([s + step * zi for s, zi in zip(stacked0, z)])
         if pert is None:
             return mu_des
-        J[:, a] = (pert - r0) / step
+        columns.append([(p - r) / step for p, r in zip(pert, r0)])
 
     # least-squares step on [sqrt(lam)*hinge; c] with Jacobian [J; I]
-    A = np.vstack([J, np.eye(m)])
+    m = len(columns)
+    A = np.vstack([np.array(columns).T, np.eye(m)])
     b = -np.concatenate([r0, np.zeros(m)])
-    c, *_ = np.linalg.lstsq(A, b, rcond=None)
+    c = np.linalg.lstsq(A, b, rcond=None)[0].tolist()
 
-    cand = stacked0 + amap.Z @ c
-    r_new = _separation_surrogate(cand, attachments_world, R_L, l_i, d_safe, lam_sep)
+    null_rows = zip(*amap.null_cols)
+    cand = [s + sum(map(operator.mul, z_row, c)) for s, z_row in zip(stacked0, null_rows)]
+    r_new = surrogate(cand)
     if r_new is None:
         return mu_des
-    before = float(r0 @ r0)
-    after = float(r_new @ r_new) + float(c @ c)
+    before = sum(r * r for r in r0)
+    after = sum(r * r for r in r_new) + sum(x * x for x in c)
     if after >= before:
         return mu_des
-    return (cand.reshape(amap.n, 3) @ R_L.T).copy()
+    return _unstack(cand, R_L)
 
 
-def project_tension(mu_des: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """Component of the desired force along the actual cable line, per row."""
-    xi = np.asarray(xi, dtype=np.float64)
-    return xi * so3.dot_rows(xi, mu_des)[..., None]
+def project_tension(mu_des, xi) -> list:
+    """Component of each desired force along its actual cable line."""
+    out = []
+    for (x, y, z), mu in zip(xi, mu_des):
+        d = x * mu[0] + y * mu[1] + z * mu[2]
+        out.append((x * d, y * d, z * d))
+    return out
 
 
 def desired_cable_direction(
-    mu_des_now: np.ndarray,
-    mu_des_prev: Optional[np.ndarray],
-    dt: float,
-    tension_floor: float = TENSION_FLOOR,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Desired cable direction and its angular velocity from consecutive ticks,
-    for one force or for rows of them.
+    mu_des_now, mu_des_prev, dt: float, tension_floor: float = TENSION_FLOOR
+) -> Tuple[list, list]:
+    """Desired cable direction and its angular velocity of each force, from
+    consecutive ticks.
 
     The direction rate comes from a backward difference of the unit
-    directions; the first tick (no previous force) and a previous force at
-    or below the floor give zero rate.  Raises ZeroTension when a current
-    force cannot define a direction.
+    directions; the first tick (mu_des_prev None) and a previous force at or
+    below the floor give zero rate.  Raises ZeroTension when a current force
+    cannot define a direction.
     """
-    mu_now = np.asarray(mu_des_now, dtype=np.float64)
-    norm_now = so3.norm_rows(mu_now)
-    if not (norm_now > tension_floor).all():
-        raise ZeroTension(f"desired tension {np.min(norm_now):.2e} N below floor")
-    xi_des = -mu_now / norm_now[..., None]
-    xi_dot = np.zeros(mu_now.shape)
-    if mu_des_prev is not None:
-        mu_prev = np.asarray(mu_des_prev, dtype=np.float64)
-        norm_prev = so3.norm_rows(mu_prev)
-        defined = (norm_prev > tension_floor)[..., None]
-        prev_dir = -mu_prev / np.where(defined, norm_prev[..., None], 1.0)
-        xi_dot = np.where(defined, (xi_des - prev_dir) / dt, 0.0)
-    omega_des = so3.cross3_rows(xi_des, xi_dot)
+    prev = [None] * len(mu_des_now) if mu_des_prev is None else mu_des_prev
+    xi_des, omega_des = [], []
+    for (mx, my, mz), mu_prev in zip(mu_des_now, prev):
+        norm = math.sqrt(mx * mx + my * my + mz * mz)
+        if not norm > tension_floor:
+            raise ZeroTension(f"desired tension {norm:.2e} N below floor")
+        x, y, z = -mx / norm, -my / norm, -mz / norm
+        xi_des.append((x, y, z))
+        dx = dy = dz = 0.0
+        if mu_prev is not None:
+            px, py, pz = mu_prev
+            norm_prev = math.sqrt(px * px + py * py + pz * pz)
+            if norm_prev > tension_floor:
+                # xi_des minus the previous direction -mu_prev / |mu_prev|
+                dx = (x + px / norm_prev) / dt
+                dy = (y + py / norm_prev) / dt
+                dz = (z + pz / norm_prev) / dt
+        omega_des.append((y * dz - z * dy, z * dx - x * dz, x * dy - y * dx))
     return xi_des, omega_des

@@ -7,20 +7,22 @@ along the cable (delivering tension plus the centripetal share) and one
 perpendicular to it (turning the cable), and the attitude loop then realizes
 that force with thrust along the body z-axis plus a moment command.
 
-Every function works on one vehicle's 3-vectors and 3x3 matrices or on rows
-of them, one per vehicle along a leading axis, so a control tick for the
-whole rig is one call of each.  Products keep the grouping of the
-one-vehicle formulas (`so3.dot_rows`, `so3.matvec`), so a row rounds exactly
-as the same vehicle computed alone.
+Every function takes and returns one entry per vehicle (float 3-tuples for
+vectors, floats for scalars, row-major 9-tuples for 3x3 matrices, rotations
+as `plant._rotation` gives them), so a tick for the whole rig is one call of
+each, on Python floats: on four vehicles numpy's per-call cost would
+outweigh the arithmetic.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import so3
+from .so3 import cross, dot, relative, rotate
 
 
 class DegenerateThrust(RuntimeError):
@@ -40,8 +42,8 @@ def _diagonal_positive(name: str, M: np.ndarray) -> np.ndarray:
 
 @dataclass
 class GainSet:
-    """Diagonal gain matrices; K @ e is applied as the row product
-    diagonal(K) * e, which rounds the same."""
+    """Diagonal gain matrices; K @ e is applied as the diagonal (kept as the
+    float 3-tuples `_k_R` etc.) times e elementwise, which rounds the same."""
 
     K_R: np.ndarray = field(default_factory=lambda: 8.0 * np.eye(3))
     K_Omega: np.ndarray = field(default_factory=lambda: 1.2 * np.eye(3))
@@ -49,172 +51,155 @@ class GainSet:
     K_omega: np.ndarray = field(default_factory=lambda: 8.0 * np.eye(3))
 
     def __post_init__(self):
-        self.K_R = _diagonal_positive("K_R", self.K_R)
-        self.K_Omega = _diagonal_positive("K_Omega", self.K_Omega)
-        self.K_xi = _diagonal_positive("K_xi", self.K_xi)
-        self.K_omega = _diagonal_positive("K_omega", self.K_omega)
+        for name in ("K_R", "K_Omega", "K_xi", "K_omega"):
+            M = _diagonal_positive(name, getattr(self, name))
+            setattr(self, name, M)
+            setattr(self, "_k" + name[1:], tuple(np.diagonal(M).tolist()))
 
 
 @dataclass
 class CableTrackingState:
-    """Measured and desired cable direction/rate, (3,) for one vehicle or
-    (n, 3) rows for n."""
+    """Measured and desired cable direction and rate, one float 3-tuple per
+    vehicle in each list."""
 
-    xi: np.ndarray
-    omega_cable: np.ndarray
-    xi_des: np.ndarray
-    omega_des: np.ndarray
+    xi: list
+    omega_cable: list
+    xi_des: list
+    omega_des: list
 
     def __post_init__(self):
-        self.xi = np.asarray(self.xi, dtype=np.float64)
-        self.omega_cable = np.asarray(self.omega_cable, dtype=np.float64)
-        self.xi_des = np.asarray(self.xi_des, dtype=np.float64)
-        self.omega_des = np.asarray(self.omega_des, dtype=np.float64)
-        if not (np.abs(so3.norm_rows(self.xi) - 1.0) <= 1e-6).all():
-            raise ValueError("cable direction must be a unit vector")
-        if not (np.abs(so3.dot_rows(self.omega_cable, self.xi)) <= 1e-6).all():
-            raise ValueError("cable angular velocity must be perpendicular to xi")
-
-
-def _column(x) -> np.ndarray:
-    """Per-vehicle scalars (or one scalar) as a column against (..., 3) rows."""
-    return np.asarray(x, dtype=np.float64)[..., None]
+        for (x, y, z), (a, b, c) in zip(self.xi, self.omega_cable):
+            if not abs(math.sqrt(x * x + y * y + z * z) - 1.0) <= 1e-6:
+                raise ValueError("cable direction must be a unit vector")
+            if not abs(a * x + b * y + c * z) <= 1e-6:
+                raise ValueError("cable angular velocity must be perpendicular to xi")
 
 
 def cable_errors(state: CableTrackingState):
     """Direction error xi_des x xi and rate error on the tangent plane."""
-    e_xi = so3.cross3_rows(state.xi_des, state.xi)
-    e_omega = state.omega_cable + so3.cross3_rows(
-        state.xi, so3.cross3_rows(state.xi, state.omega_des)
-    )
+    e_xi = [cross(xi_des, xi) for xi, xi_des in zip(state.xi, state.xi_des)]
+    e_omega = []
+    for xi, (a, b, c), omega_des in zip(state.xi, state.omega_cable, state.omega_des):
+        x, y, z = cross(xi, cross(xi, omega_des))
+        e_omega.append((a + x, b + y, c + z))
     return e_xi, e_omega
 
 
-def attachment_accel(
-    accel_des: np.ndarray,
-    R_L: np.ndarray,
-    Omega_L: np.ndarray,
-    Omega_dot_des: np.ndarray,
-    r_k: np.ndarray,
-    g: float = 9.81,
-) -> np.ndarray:
-    """World acceleration the attachment point (or each of the rows of r_k)
+def attachment_accel(accel_des, R_L, Omega_L, Omega_dot_des, r, g: float = 9.81) -> list:
+    """World acceleration each attachment point (offsets r, payload frame)
     must realize.
 
     Combines the desired payload acceleration, gravity compensation, the
     tangential share of the desired angular acceleration, and the centripetal
     term from the current payload rate.
     """
-    hat_Omega = so3.hat(Omega_L)
-    return (
-        np.asarray(accel_des, dtype=np.float64)
-        + np.array([0.0, 0.0, g])
-        - so3.matvec(R_L @ so3.hat(r_k), Omega_dot_des)
-        + so3.matvec(R_L @ hat_Omega @ hat_Omega, r_k)
-    )
+    ax, ay, az = accel_des[0], accel_des[1], accel_des[2] + g
+    out = []
+    for r_k in r:
+        tx, ty, tz = rotate(R_L, cross(r_k, Omega_dot_des))
+        cx, cy, cz = rotate(R_L, cross(Omega_L, cross(Omega_L, r_k)))
+        out.append((ax - tx + cx, ay - ty + cy, az - tz + cz))
+    return out
 
 
 def control_components(
-    mu_k: np.ndarray,
-    state: CableTrackingState,
-    a_kc: np.ndarray,
-    mass,
-    length,
-    gains: GainSet,
-    xi_dot_des=None,
-    omega_dot_des=None,
+    mu_k, state: CableTrackingState, a_kc, mass, length, gains: GainSet,
+    xi_dot_des=None, omega_dot_des=None,
 ):
-    """Commanded force split along and across the cable.
-
-    mu_k acts through its component along the actual cable, so passing
-    either the raw allocation or its projection gives the same result.  The
-    perpendicular part keeps every term inside hat(xi), which pins the
-    output to the tangent plane regardless of operand alignment.  mass and
-    length are scalars or one entry per row.
-    """
-    xi = state.xi
-    if xi_dot_des is None:
-        xi_dot_des = np.zeros(3)
-    if omega_dot_des is None:
-        omega_dot_des = np.zeros(3)
-    mass = _column(mass)
-    length = _column(length)
+    """Commanded force split along and across the cable, (u_parallel, u_perp);
+    mass, length and the optional xi_dot_des / omega_dot_des (zero when None)
+    hold one entry per vehicle.  mu_k acts through its component along the
+    actual cable, so the raw allocation and its projection give the same
+    result.  u_perp is one cross product with xi, which pins it to the
+    tangent plane regardless of operand alignment."""
+    (kx, ky, kz), (wx, wy, wz) = gains._k_xi, gains._k_omega
     e_xi, e_omega = cable_errors(state)
-    rate_sq = _column(so3.dot_rows(state.omega_cable, state.omega_cable))
-    u_parallel = (
-        xi * _column(so3.dot_rows(xi, mu_k))
-        + mass * length * rate_sq * xi
-        + mass * xi * _column(so3.dot_rows(xi, a_kc))
-    )
-    hat_xi = so3.hat(xi)
-    hat_xi_sq = hat_xi @ hat_xi
-    bracket = (
-        -np.diagonal(gains.K_xi) * e_xi
-        - np.diagonal(gains.K_omega) * e_omega
-        - _column(so3.dot_rows(xi, state.omega_des)) * np.asarray(xi_dot_des, dtype=np.float64)
-        - so3.matvec(hat_xi_sq, omega_dot_des)
-    )
-    u_perp = so3.matvec((mass * length)[..., None] * hat_xi, bracket) - so3.matvec(
-        mass[..., None] * hat_xi @ hat_xi, a_kc
-    )
-    return u_parallel, u_perp
+    u_par, u_perp = [], []
+    for k, xi in enumerate(state.xi):
+        x, y, z = xi
+        m, a, omega = mass[k], a_kc[k], state.omega_cable[k]
+        ml = m * length[k]
+        # grouped as xi (xi.mu) + (m l |omega|^2) xi + (m xi) (xi.a); another
+        # grouping rounds differently and re-draws the circle runs' events
+        d1, r2, d3 = dot(xi, mu_k[k]), ml * dot(omega, omega), dot(xi, a)
+        u_par.append((x * d1 + r2 * x + m * x * d3, y * d1 + r2 * y + m * y * d3,
+                      z * d1 + r2 * z + m * z * d3))
+        (ex, ey, ez), (fx, fy, fz) = e_xi[k], e_omega[k]
+        b = (-kx * ex - wx * fx, -ky * ey - wy * fy, -kz * ez - wz * fz)
+        if xi_dot_des is not None:
+            s = dot(xi, state.omega_des[k])
+            b = tuple(b_i - s * v for b_i, v in zip(b, xi_dot_des[k]))
+        if omega_dot_des is not None:
+            b = tuple(b_i - v for b_i, v in zip(b, cross(xi, cross(xi, omega_dot_des[k]))))
+        cx, cy, cz = cross(xi, a)
+        u_perp.append(cross(xi, (ml * b[0] - m * cx, ml * b[1] - m * cy, ml * b[2] - m * cz)))
+    return u_par, u_perp
 
 
-def thrust_command(u_k: np.ndarray, R_k: np.ndarray):
+def thrust_command(u_k, R_k) -> list:
     """Scalar thrust: commanded force resolved onto the body z-axis."""
-    return so3.dot_rows(u_k, R_k[..., :, 2])
+    return [u[0] * R[2] + u[1] * R[5] + u[2] * R[8] for u, R in zip(u_k, R_k)]
 
 
-def desired_attitude(u_k: np.ndarray, yaw_des: float) -> np.ndarray:
+def desired_attitude(u_k, yaw_des: float) -> list:
     """Rotation whose z-column carries the commanded force at the given yaw."""
-    u_k = np.asarray(u_k, dtype=np.float64)
-    norm_u = so3.norm_rows(u_k)
-    if not (norm_u > 1e-6).all():
-        raise DegenerateThrust(f"commanded force {np.min(norm_u):.2e} N is too small")
-    b3 = u_k / norm_u[..., None]
-    heading = np.array([np.cos(yaw_des), np.sin(yaw_des), 0.0])
-    if not (so3.norm_rows(so3.cross3_rows(b3, heading)) > 1e-6).all():
-        raise DegenerateThrust("commanded force is collinear with the heading")
-    b1 = heading - _column(so3.dot_rows(heading, b3)) * b3
-    b1 = b1 / _column(so3.norm_rows(b1))
-    b2 = so3.cross3_rows(b3, b1)
-    return np.stack([b1, b2, b3], axis=-1)
+    heading = hx, hy, hz = math.cos(yaw_des), math.sin(yaw_des), 0.0
+    out = []
+    for ux, uy, uz in u_k:
+        norm_u = math.sqrt(ux * ux + uy * uy + uz * uz)
+        if not norm_u > 1e-6:
+            raise DegenerateThrust(f"commanded force {norm_u:.2e} N is too small")
+        b3 = (ux / norm_u, uy / norm_u, uz / norm_u)
+        c = cross(b3, heading)
+        if not math.sqrt(dot(c, c)) > 1e-6:
+            raise DegenerateThrust("commanded force is collinear with the heading")
+        s = dot(heading, b3)
+        x, y, z = hx - s * b3[0], hy - s * b3[1], hz - s * b3[2]
+        n1 = math.sqrt(x * x + y * y + z * z)
+        b1 = (x / n1, y / n1, z / n1)
+        b2 = cross(b3, b1)
+        out.append((b1[0], b2[0], b3[0], b1[1], b2[1], b3[1], b1[2], b2[2], b3[2]))
+    return out
 
 
-def attitude_errors(R_k, R_des, omega_k, omega_des_body):
+def attitude_errors(R_k, R_des, omega_k, omega_des_body=None):
     """Rotation error (vee form) and body-rate error against the transported
-    desired rate."""
-    R_k_T = np.swapaxes(R_k, -1, -2)
-    e_R = 0.5 * so3.vee(np.swapaxes(R_des, -1, -2) @ R_k - R_k_T @ R_des)
-    e_Omega = omega_k - so3.matvec(R_k_T @ R_des, omega_des_body)
+    desired rate (zero when omega_des_body is None)."""
+    transports = [relative(R, D) for R, D in zip(R_k, R_des)]
+    # R_des^T R_k - R_k^T R_des: each transport R_k^T R_des transposed minus itself
+    skew = [
+        (t00 - t00, t10 - t01, t20 - t02, t01 - t10, t11 - t11, t21 - t12,
+         t02 - t20, t12 - t21, t22 - t22)
+        for t00, t01, t02, t10, t11, t12, t20, t21, t22 in transports
+    ]
+    e_R = [(0.5 * x, 0.5 * y, 0.5 * z) for x, y, z in so3.vee(skew)]
+    if omega_des_body is None:
+        return e_R, [tuple(omega) for omega in omega_k]
+    e_Omega = []
+    for (a, b, c), T, w in zip(omega_k, transports, omega_des_body):
+        x, y, z = rotate(T, w)
+        e_Omega.append((a - x, b - y, c - z))
     return e_R, e_Omega
 
 
 def moment_command(
-    errors,
-    omega_k: np.ndarray,
-    R_k: np.ndarray,
-    R_des: np.ndarray,
-    omega_des: np.ndarray,
-    omega_dot_des: np.ndarray,
-    J_k: np.ndarray,
-    gains: GainSet,
-) -> np.ndarray:
-    """Body moment closing the attitude loop.
-
+    errors, omega_k, R_k, R_des, J_k, gains: GainSet, omega_des=None, omega_dot_des=None
+):
+    """Body moment closing the attitude loop; J_k holds one row-major inertia
+    9-tuple per vehicle, omega_des / omega_dot_des (zero when None) one 3-tuple.
     Feedback enters with negative sign (e_R grows as the body rotates past
     the target, so the restoring moment opposes it); the trailing term
-    transports the desired rate and its derivative into the body frame.
-    """
-    e_R, e_Omega = errors
-    transport = np.swapaxes(R_k, -1, -2) @ R_des
-    return (
-        -np.diagonal(gains.K_R) * e_R
-        - np.diagonal(gains.K_Omega) * e_Omega
-        + so3.cross3_rows(omega_k, so3.matvec(J_k, omega_k))
-        - so3.matvec(
-            J_k,
-            so3.matvec(so3.hat(omega_k) @ transport, omega_des)
-            - so3.matvec(transport, omega_dot_des),
-        )
-    )
+    transports the desired rate and its derivative into the body frame."""
+    (kx, ky, kz), (wx, wy, wz) = gains._k_R, gains._k_Omega
+    out = []
+    for k, ((ex, ey, ez), (fx, fy, fz), omega, J) in enumerate(zip(*errors, omega_k, J_k)):
+        gx, gy, gz = cross(omega, rotate(J, omega))
+        M = (-kx * ex - wx * fx + gx, -ky * ey - wy * fy + gy, -kz * ez - wz * fz + gz)
+        if omega_des is not None or omega_dot_des is not None:
+            T = relative(R_k[k], R_des[k])
+            ref = (0.0, 0.0, 0.0) if omega_des is None else cross(omega, rotate(T, omega_des[k]))
+            if omega_dot_des is not None:
+                ref = tuple(r - t for r, t in zip(ref, rotate(T, omega_dot_des[k])))
+            M = tuple(m - j for m, j in zip(M, rotate(J, ref)))
+        out.append(M)
+    return out

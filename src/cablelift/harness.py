@@ -554,20 +554,39 @@ def _formation_targets(config: ScenarioConfig, x_ref: np.ndarray) -> np.ndarray:
     return x_ref[..., None, 0:3] + params.r_i + params.l_i[:, None] * np.array([0.0, 0.0, 1.0])
 
 
+def _add(a, b) -> tuple:
+    return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
+
+
+def _sub(a, b) -> tuple:
+    return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
+
+
+def _flat(M) -> tuple:
+    return tuple(np.ravel(M).tolist())
+
+
 class _FullPlant:
     """The held wrench realized by the cable and attitude controllers of every
     vehicle and applied to the multi-body plant.
 
-    Each tick is one pass over (n, 3) rows, one call per controller stage for
-    all vehicles.  It also counts, in vehicle-ticks, the clamps that act
-    without an error: thrust commands outside [0, F_max] (the plant clamps
-    them), desired cable rates clipped to OMEGA_DES_LIMIT, and slack cables.
+    Each tick reads the world state once into Python floats and makes one
+    call per controller stage for all vehicles, each taking and returning one
+    float 3-tuple (or scalar, or row-major rotation 9-tuple) per vehicle.  It
+    also counts, in vehicle-ticks, the clamps that act without an error:
+    thrust commands outside [0, F_max] (the plant clamps them), desired cable
+    rates clipped to OMEGA_DES_LIMIT, and slack cables.
     """
 
     def __init__(self, config: ScenarioConfig):
         self.config = config
         self.amap = allocation.build_allocation(config.params.r_i)
-        self.mu_prev: Optional[np.ndarray] = None
+        # gravity and inertias as float tuples, the controllers' formats
+        params = config.params
+        self._g_vec = _flat(params.g_vec)
+        self._J_L, self._J_L_inv = _flat(params.J_L), _flat(params._J_L_inv)
+        self._J_i = [_flat(J) for J in params.J_i]
+        self.mu_prev: Optional[list] = None
         self.thrust_clamps = 0
         self.omega_des_clips = 0
         self.slack_cable_ticks = 0
@@ -581,59 +600,70 @@ class _FullPlant:
             # cable rotation; restart the direction-rate estimate instead
             self.mu_prev = None
         cables = plant.cable_closure(Y, params)
-        p_L, v_L, omega_l = Y[0, 0:3], Y[0, 3:6], Y[0, 10:13]
-        v_k, omega_k = Y[1:, 3:6], Y[1:, 10:13]
-        R = so3.quat_to_rotation(Y[:, 6:10])
-        R_L, R_k = R[0], R[1:]
-        mu = allocation.allocate(wrench_cmd, R_L, self.amap)
-        attachments = p_L + (R_L @ params.r_i.T).T
-        mu = allocation.nullspace_redistribute(mu, attachments, R_L, self.amap, params.l_i)
+        y = Y.ravel().tolist()
+        R_L = plant._rotation(*y[6:10])
+        p_L, v_L, omega_l = y[0:3], y[3:6], y[10:13]
+        bodies = range(13, len(y), 13)
+        R_k = [plant._rotation(*y[b + 6 : b + 10]) for b in bodies]
+        omega_k = [y[b + 10 : b + 13] for b in bodies]
+        wrench = wrench_cmd.tolist()
+        mu = allocation.allocate(wrench, R_L, self.amap)
+        attachments = [_add(p_L, so3.rotate(R_L, r)) for r in params._r_i]
+        mu = allocation.nullspace_redistribute(mu, attachments, R_L, self.amap, params._l_i)
 
         # the commanded wrench implies the payload acceleration the cables
         # must realize; feeding it forward keeps the vehicles moving with the
         # payload instead of trailing it on feedback alone
-        accel_des = wrench_cmd[0:3] / params.m_L + params.g_vec
-        omega_dot_des = np.linalg.solve(
-            params.J_L, wrench_cmd[3:6] - so3.cross3(omega_l, params.J_L @ omega_l)
-        )
+        m_L, (gx, gy, gz) = params.m_L, self._g_vec
+        accel_des = (wrench[0] / m_L + gx, wrench[1] / m_L + gy, wrench[2] / m_L + gz)
+        gyro = so3.cross(omega_l, so3.rotate(self._J_L, omega_l))
+        omega_dot_des = so3.rotate(self._J_L_inv, _sub(wrench[3:6], gyro))
 
         xi_des, om_des = allocation.desired_cable_direction(mu, self.mu_prev, config.dt_lowlevel)
         self.mu_prev = mu
         # guard against direction flips when an allocated tension passes
         # near zero: the backward difference then reports a rotation rate
         # far beyond anything the vehicles could follow
-        om_norm = so3.norm_rows(om_des)
-        om_des = om_des * (OMEGA_DES_LIMIT / np.maximum(om_norm, OMEGA_DES_LIMIT))[:, None]
+        for k, (ox, oy, oz) in enumerate(om_des):
+            om_norm = math.sqrt(ox * ox + oy * oy + oz * oz)
+            if om_norm > OMEGA_DES_LIMIT:
+                s = OMEGA_DES_LIMIT / om_norm
+                om_des[k] = (ox * s, oy * s, oz * s)
+                self.omega_des_clips += 1
 
         # taut cables are measured; a slack cable is steered toward the
         # commanded direction with zero tracking error, feedforward only
-        rel_v = v_L + so3.matvec(R_L, so3.cross3_rows(omega_l, params.r_i)) - v_k
-        dist = params.l_i + cables.stretch
-        xi_m = cables.direction
-        xi_dot = (rel_v - xi_m * so3.dot_rows(xi_m, rel_v)[:, None]) / dist[:, None]
-        taut = cables.taut[:, None]
-        xi = np.where(taut, xi_m, xi_des)
-        om_c = np.where(taut, so3.cross3_rows(xi_m, xi_dot), om_des)
+        xi, om_c = list(xi_des), list(om_des)
+        vx, vy, vz = v_L
+        stretches = cables.stretch.tolist()
+        for k, ((ex, ey, ez), stretch, r, b) in enumerate(
+            zip(cables.direction.tolist(), stretches, params._r_i, bodies)
+        ):
+            if stretch > 0.0:
+                # the attachment's velocity relative to the vehicle, v_L + R_L (omega_L x r) - v_k
+                cx, cy, cz = so3.rotate(R_L, so3.cross(omega_l, r))
+                ux, uy, uz = vx + cx - y[b + 3], vy + cy - y[b + 4], vz + cz - y[b + 5]
+                dist = params._l_i[k] + stretch
+                d = ex * ux + ey * uy + ez * uz
+                dx, dy, dz = (ux - ex * d) / dist, (uy - ey * d) / dist, (uz - ez * d) / dist
+                xi[k] = (ex, ey, ez)
+                om_c[k] = (ey * dz - ez * dy, ez * dx - ex * dz, ex * dy - ey * dx)
         state = CableTrackingState(xi, om_c, xi_des, om_des)
 
         a_kc = cable_control.attachment_accel(
-            accel_des, R_L, omega_l, omega_dot_des, params.r_i, params.g
+            accel_des, R_L, omega_l, omega_dot_des, params._r_i, params.g
         )
         u_par, u_perp = cable_control.control_components(
-            allocation.project_tension(mu, xi), state, a_kc, params.m_i, params.l_i, gains
+            allocation.project_tension(mu, xi), state, a_kc, params._m_i, params._l_i, gains
         )
-        u = u_par + u_perp
+        u = [_add(a, b) for a, b in zip(u_par, u_perp)]
         thrust = cable_control.thrust_command(u, R_k)
         R_des = cable_control.desired_attitude(u, 0.0)
-        zeros = np.zeros(3)
-        errors = cable_control.attitude_errors(R_k, R_des, omega_k, zeros)
-        moment = cable_control.moment_command(
-            errors, omega_k, R_k, R_des, zeros, zeros, params.J_i, gains
-        )
+        errors = cable_control.attitude_errors(R_k, R_des, omega_k)
+        moment = cable_control.moment_command(errors, omega_k, R_k, R_des, self._J_i, gains)
 
-        self.thrust_clamps += int(np.count_nonzero((thrust < 0.0) | (thrust > params.F_max)))
-        self.omega_des_clips += int(np.count_nonzero(om_norm > OMEGA_DES_LIMIT))
-        self.slack_cable_ticks += params.n - int(np.count_nonzero(cables.taut))
+        self.thrust_clamps += sum(1 for f in thrust if f < 0.0 or f > params.F_max)
+        self.slack_cable_ticks += sum(1 for stretch in stretches if not stretch > 0.0)
         return cables.tension, cables.direction, Y[1:, 0:3], (thrust, moment)
 
     def advance(self, Y: np.ndarray, commands, wrench_cmd: np.ndarray, problem) -> np.ndarray:
@@ -654,10 +684,16 @@ class _PayloadOnly:
 
     def realize(self, Y: np.ndarray, wrench_cmd: np.ndarray, new_stage: bool):
         """(tensions, directions, vehicle positions, None) of the minimal-norm
-        allocation, vehicles placed one cable length along each tension."""
+        allocation, vehicles placed one cable length along each tension.
+
+        The split is taken with numpy's whole-matrix products.  BLAS fuses
+        their multiply-adds, so the controllers' float `allocation.allocate`
+        would move this model's logged tensions and positions in the last
+        bits, and nothing here feeds back into the payload."""
         params = self.config.params
         R_L = so3.quat_to_rotation(Y[0, 6:10])
-        mu = allocation.allocate(wrench_cmd, R_L, self.amap)
+        target = np.concatenate([R_L.T @ wrench_cmd[0:3], wrench_cmd[3:6]])
+        mu = (self.amap.P_pinv @ target).reshape(params.n, 3) @ R_L.T
         tensions = np.linalg.norm(mu, axis=1)
         directions = np.where(tensions[:, None] > 1e-12, -mu / np.maximum(tensions, 1e-12)[:, None], 0.0)
         attachments = Y[0, 0:3] + (R_L @ params.r_i.T).T
@@ -916,9 +952,9 @@ def _number(
 ):
     """section[key] as a finite float, an integer (kind=int), a list of three
     finite floats (kind=np.ndarray) or a list of finite floats (kind=list);
-    default when the key is absent.  With positive=True a number must also
-    be > 0, with nonnegative=True >= 0.  Anything else is a ConfigError
-    naming the key."""
+    default when the key is absent.  With positive=True a number, or each
+    item of a list, must also be > 0, with nonnegative=True >= 0.  Anything
+    else is a ConfigError naming the key."""
     if key not in section:
         return default
     value = section[key]
@@ -926,7 +962,7 @@ def _number(
         if not isinstance(value, list) or (kind is np.ndarray and len(value) != 3):
             size = "3 " if kind is np.ndarray else ""
             raise ConfigError(f"{key!r} must be a list of {size}numbers, got {value!r}")
-        items = [_number({key: v}, key) for v in value]
+        items = [_number({key: v}, key, positive=positive, nonnegative=nonnegative) for v in value]
         return np.array(items) if kind is np.ndarray else items
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{key!r} must be a number, got {value!r}")
@@ -1105,8 +1141,10 @@ def build_scenario(data: dict):
     sweep = data.get("sweep")
     if sweep is not None:
         _check_keys(sweep, _SWEEP_KEYS, "sweep")
-        alphas = _number(sweep, "alphas", [], list)
-        betas = _number(sweep, "betas", [], list)
+        # the ranges TriggerConfig requires of alpha and beta, checked before
+        # any grid point runs
+        alphas = _number(sweep, "alphas", [], list, nonnegative=True)
+        betas = _number(sweep, "betas", [], list, positive=True)
         if not alphas or not betas:
             raise ConfigError("sweep needs non-empty alphas and betas lists")
         sweep = (alphas, betas)

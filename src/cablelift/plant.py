@@ -20,8 +20,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import so3
-
 _BODY_DIM = 13
 
 
@@ -144,11 +142,11 @@ class DisturbanceModel:
         return self.eta * u
 
 
-def saturate_thrust(F, F_max: float):
-    """Clamp a thrust command, or each of an array of them, into [0, F_max]."""
+def saturate_thrust(F: float, F_max: float) -> float:
+    """Clamp a thrust command into [0, F_max]; NaN stays NaN."""
     if F_max <= 0:
         raise ValueError("F_max must be positive")
-    return np.clip(F, 0.0, F_max)
+    return min(max(F, 0.0), F_max)
 
 
 def _rotation(w: float, x: float, y: float, z: float) -> tuple:
@@ -252,7 +250,8 @@ def _euler_rate(J, J_inv, ox, oy, oz, tx, ty, tz) -> tuple:
 
 def _world_derivative_flat(y: np.ndarray, inputs, params: SystemParams) -> np.ndarray:
     """Fused derivative of the world state, flat or (n+1, 13), returned in the
-    shape of y.  inputs = (thrusts (n,), torques (n, 3)) arrays.
+    shape of y.  inputs = (thrusts, torques): one float and one 3-vector per
+    MAV.
 
     Evaluated on Python floats: on 4-5 bodies numpy's per-call cost would
     outweigh the arithmetic."""
@@ -265,7 +264,7 @@ def _world_derivative_flat(y: np.ndarray, inputs, params: SystemParams) -> np.nd
     fx = fy = fz = mx = my = mz = 0.0
     b = 13
     for (ex, ey, ez, _, t), (rx, ry, rz), thrust, (tx, ty, tz), m, J, Ji in zip(
-        _cable_law(s, R, params), params._r_i, inputs[0].tolist(), inputs[1].tolist(),
+        _cable_law(s, R, params), params._r_i, inputs[0], inputs[1],
         params._m_i, params._J_i, params._J_i_inv,
     ):
         # the cable pulls the MAV toward its attachment and the payload back
@@ -297,15 +296,25 @@ def _world_derivative_flat(y: np.ndarray, inputs, params: SystemParams) -> np.nd
 def step_world(Y: np.ndarray, commands, dt: float, params: SystemParams) -> np.ndarray:
     """The (n+1, 13) world state one step later under held commands.
 
-    commands: (thrusts (n,), torques (n, 3)), one row per MAV; thrust is
-    saturated here.
+    commands: (thrusts, torques), one float and one 3-vector per MAV; thrust
+    is saturated here.  The five quaternions are renormalized to unit norm
+    and the scalar >= 0 hemisphere on Python floats, each norm summed left to
+    right as numpy's does.
     """
     thrusts, torques = commands
-    thrusts = saturate_thrust(np.asarray(thrusts, dtype=np.float64), params.F_max)
-    torques = np.asarray(torques, dtype=np.float64)
-    if thrusts.shape != (params.n,) or torques.shape != (params.n, 3) or len(Y) != params.n + 1:
+    n = params.n
+    shapes_ok = len(thrusts) == n and len(torques) == n and len(Y) == n + 1
+    if not shapes_ok or any(len(t) != 3 for t in torques):
         raise ValueError("need one thrust and one torque row per MAV")
+    thrusts = [saturate_thrust(float(f), params.F_max) for f in thrusts]
     deriv = lambda yv, u: _world_derivative_flat(yv, u, params)
     Y = rk4_step(deriv, Y, (thrusts, torques), dt)
-    Y[:, 6:10] = so3.quat_normalize(Y[:, 6:10])
+    quats = Y[:, 6:10].tolist()
+    for q in quats:
+        w, x, y, z = q
+        norm = math.sqrt(w * w + x * x + y * y + z * z)
+        if w < 0.0:
+            norm = -norm
+        q[:] = w / norm, x / norm, y / norm, z / norm
+    Y[:, 6:10] = quats
     return Y

@@ -196,7 +196,7 @@ def test_criterion_06_allocation_exact_and_minimal():
     for _ in range(1000):
         F, M = rng.uniform(-5, 5, 3), rng.uniform(-2, 2, 3)
         target = np.concatenate([F, M])
-        stacked = allocation.allocate(target, np.eye(3), amap).reshape(-1)
+        stacked = np.ravel(allocation.allocate(target, tuple(np.eye(3).ravel()), amap))
         recon = np.linalg.norm(amap.P @ stacked - target) / max(1.0, np.linalg.norm(target))
         worst_recon = max(worst_recon, float(recon))
         worst_null = max(worst_null, float(np.max(np.abs(amap.Z.T @ stacked))))

@@ -1,10 +1,28 @@
-"""Allocation map construction, minimal-norm splitting, projection, directions."""
+"""Allocation map construction, minimal-norm splitting, projection, directions.
+
+The per-tick functions take one float 3-tuple per cable and the payload
+rotation as a row-major 9-tuple; single-cable tests pass lists of one.
+"""
 
 import numpy as np
 import pytest
 
 from cablelift import allocation, so3
 from cablelift.allocation import RankDeficient, ZeroTension
+
+EYE = tuple(np.eye(3).ravel())
+
+
+def flat(R) -> tuple:
+    return tuple(np.ravel(R).tolist())
+
+
+def direction(mu_now, mu_prev, dt):
+    """desired_cable_direction of one force, as arrays."""
+    prev = None if mu_prev is None else [mu_prev]
+    xi, omega = allocation.desired_cable_direction([mu_now], prev, dt)
+    return np.array(xi[0]), np.array(omega[0])
+
 
 SQUARE = np.array(
     [
@@ -58,13 +76,13 @@ class TestAllocate:
     def test_hover_split_evenly(self):
         m_L, g = 0.232, 9.81
         amap = allocation.build_allocation(SQUARE)
-        mu = allocation.allocate(np.array([0, 0, m_L * g, 0, 0, 0]), np.eye(3), amap)
+        mu = allocation.allocate([0.0, 0.0, m_L * g, 0.0, 0.0, 0.0], EYE, amap)
         for k in range(4):
             np.testing.assert_allclose(mu[k], [0.0, 0.0, m_L * g / 4], atol=1e-12)
 
     def test_zero_wrench(self):
         amap = allocation.build_allocation(SQUARE)
-        mu = allocation.allocate(np.zeros(6), np.eye(3), amap)
+        mu = allocation.allocate([0.0] * 6, EYE, amap)
         np.testing.assert_allclose(mu, np.zeros((4, 3)), atol=1e-15)
 
     def test_reconstruction_random_wrenches(self):
@@ -75,8 +93,8 @@ class TestAllocate:
             M = 0.3 * rng.standard_normal(3)
             q = so3.quat_normalize(rng.standard_normal(4))
             R_L = so3.quat_to_rotation(q)
-            mu = allocation.allocate(np.concatenate([F, M]), R_L, amap)
-            stacked = allocation.stack_body(mu, R_L)
+            mu = allocation.allocate(np.concatenate([F, M]).tolist(), flat(R_L), amap)
+            stacked = allocation.stack_body(mu, flat(R_L))
             target = np.concatenate([R_L.T @ F, M])
             assert np.linalg.norm(amap.P @ stacked - target) < 1e-9
 
@@ -86,8 +104,8 @@ class TestAllocate:
         amap = allocation.build_allocation(SQUARE)
         rng = np.random.default_rng(23)
         F, M = rng.standard_normal(3), rng.standard_normal(3)
-        mu = allocation.allocate(np.concatenate([F, M]), np.eye(3), amap)
-        stacked = allocation.stack_body(mu, np.eye(3))
+        mu = allocation.allocate(np.concatenate([F, M]).tolist(), EYE, amap)
+        stacked = np.array(allocation.stack_body(mu, EYE))
         assert np.linalg.norm(amap.Z.T @ stacked) < 1e-9
         for _ in range(20):
             other = stacked + amap.Z @ rng.standard_normal(6)
@@ -98,24 +116,24 @@ class TestAllocate:
         q = so3.quat_from_axis_angle(np.array([0.0, 1.0, 0.0]), 0.3)
         R_L = so3.quat_to_rotation(q)
         F = np.array([0.0, 0.0, 2.0])
-        mu = allocation.allocate(np.concatenate([F, np.zeros(3)]), R_L, amap)
+        mu = allocation.allocate(np.concatenate([F, np.zeros(3)]).tolist(), flat(R_L), amap)
         # total world-frame force must still match F
-        np.testing.assert_allclose(mu.sum(axis=0), F, atol=1e-9)
+        np.testing.assert_allclose(np.sum(mu, axis=0), F, atol=1e-9)
 
 
 class TestNullspaceRedistribute:
     def setup_method(self):
         self.amap = allocation.build_allocation(SQUARE)
-        self.attach = SQUARE + np.array([0.0, 0.0, 0.5])
-        self.l_i = np.ones(4)
+        self.attach = (SQUARE + np.array([0.0, 0.0, 0.5])).tolist()
+        self.l_i = [1.0] * 4
 
     def test_inactive_when_spacing_fine(self):
         """Vertical hover geometry keeps vehicles 0.6 m apart: no change."""
-        mu = np.tile([0.0, 0.0, 0.569], (4, 1))
+        mu = [(0.0, 0.0, 0.569)] * 4
         out = allocation.nullspace_redistribute(
-            mu, self.attach, np.eye(3), self.amap, self.l_i, d_safe=0.4
+            mu, self.attach, EYE, self.amap, self.l_i, d_safe=0.4
         )
-        np.testing.assert_array_equal(out, mu)
+        assert out == mu
 
     def crowded_mu(self):
         """Forces whose implied static geometry clusters the vehicles."""
@@ -127,15 +145,15 @@ class TestNullspaceRedistribute:
             xi = self.attach[k] - targets[k]
             xi = xi / np.linalg.norm(xi)
             mu[k] = -0.6 * xi
-        return mu
+        return [tuple(row) for row in mu.tolist()]
 
     def test_crowded_pair_pushed_apart(self):
         mu = self.crowded_mu()
 
         def min_sep(m):
-            pos = allocation._predicted_positions(
-                allocation.stack_body(m, np.eye(3)), self.attach, np.eye(3), self.l_i
-            )
+            pos = np.array(allocation._predicted_positions(
+                allocation.stack_body(m, EYE), self.attach, EYE, self.l_i
+            ))
             n = len(pos)
             return min(
                 np.linalg.norm(pos[i] - pos[j]) for i in range(n) for j in range(i + 1, n)
@@ -144,23 +162,24 @@ class TestNullspaceRedistribute:
         before = min_sep(mu)
         assert before < 0.4  # the setup really is crowded
         out = allocation.nullspace_redistribute(
-            mu, self.attach, np.eye(3), self.amap, self.l_i, d_safe=0.4, lam_sep=10.0
+            mu, self.attach, EYE, self.amap, self.l_i, d_safe=0.4, lam_sep=10.0
         )
         assert min_sep(out) > before
 
     def test_wrench_preserved(self):
         mu = self.crowded_mu()
         out = allocation.nullspace_redistribute(
-            mu, self.attach, np.eye(3), self.amap, self.l_i, d_safe=0.4
+            mu, self.attach, EYE, self.amap, self.l_i, d_safe=0.4
         )
-        w_in = self.amap.P @ allocation.stack_body(mu, np.eye(3))
-        w_out = self.amap.P @ allocation.stack_body(out, np.eye(3))
+        assert out != mu  # the step was taken
+        w_in = self.amap.P @ np.array(allocation.stack_body(mu, EYE))
+        w_out = self.amap.P @ np.array(allocation.stack_body(out, EYE))
         np.testing.assert_allclose(w_out, w_in, atol=1e-9)
 
     def test_any_null_shift_preserves_wrench(self):
         rng = np.random.default_rng(5)
         mu = self.crowded_mu()
-        stacked = allocation.stack_body(mu, np.eye(3))
+        stacked = np.array(allocation.stack_body(mu, EYE))
         for _ in range(20):
             c = rng.standard_normal(6)
             shifted = stacked + self.amap.Z @ c
@@ -171,18 +190,18 @@ class TestNullspaceRedistribute:
 
 class TestProjectTension:
     def test_aligned(self):
-        mu = np.array([0.0, 0.0, 3.0])
-        out = allocation.project_tension(mu, np.array([0.0, 0.0, 1.0]))
+        mu = (0.0, 0.0, 3.0)
+        out = allocation.project_tension([mu], [(0.0, 0.0, 1.0)])[0]
         np.testing.assert_allclose(out, mu, atol=1e-15)
 
     def test_orthogonal(self):
-        out = allocation.project_tension(np.array([0.0, 0.0, 3.0]), np.array([1.0, 0.0, 0.0]))
+        out = allocation.project_tension([(0.0, 0.0, 3.0)], [(1.0, 0.0, 0.0)])[0]
         np.testing.assert_allclose(out, np.zeros(3), atol=1e-15)
 
     def test_forty_five_degrees(self):
         mu = np.array([0.0, 0.0, 2.0])
         xi = np.array([0.0, 1.0, 1.0]) / np.sqrt(2)
-        out = allocation.project_tension(mu, xi)
+        out = allocation.project_tension([mu], [xi])[0]
         assert np.linalg.norm(out) == pytest.approx(np.linalg.norm(mu) * np.cos(np.pi / 4))
 
     def test_idempotent_and_contractive(self):
@@ -191,8 +210,8 @@ class TestProjectTension:
             mu = rng.standard_normal(3)
             xi = rng.standard_normal(3)
             xi = xi / np.linalg.norm(xi)
-            once = allocation.project_tension(mu, xi)
-            twice = allocation.project_tension(once, xi)
+            once = allocation.project_tension([mu], [xi])[0]
+            twice = allocation.project_tension([once], [xi])[0]
             np.testing.assert_allclose(twice, once, atol=1e-12)
             assert np.linalg.norm(once) <= np.linalg.norm(mu) + 1e-12
 
@@ -200,12 +219,12 @@ class TestProjectTension:
 class TestDesiredCableDirection:
     def test_static_vertical(self):
         mu = np.array([0.0, 0.0, 4.0])
-        xi, omega = allocation.desired_cable_direction(mu, mu, dt=0.05)
+        xi, omega = direction(mu, mu, 0.05)
         np.testing.assert_allclose(xi, [0.0, 0.0, -1.0], atol=1e-15)
         np.testing.assert_allclose(omega, np.zeros(3), atol=1e-15)
 
     def test_first_tick_zero_rate(self):
-        xi, omega = allocation.desired_cable_direction(np.array([0.0, 0.0, 4.0]), None, dt=0.05)
+        xi, omega = direction(np.array([0.0, 0.0, 4.0]), None, 0.05)
         np.testing.assert_allclose(omega, np.zeros(3), atol=1e-15)
 
     def test_rotating_force_recovers_rate(self):
@@ -213,7 +232,7 @@ class TestDesiredCableDirection:
         w, dt = 2.0, 1e-4
         mu_prev = 4.0 * np.array([np.cos(0.0), np.sin(0.0), 0.0])
         mu_now = 4.0 * np.array([np.cos(w * dt), np.sin(w * dt), 0.0])
-        xi, omega = allocation.desired_cable_direction(mu_now, mu_prev, dt)
+        xi, omega = direction(mu_now, mu_prev, dt)
         assert abs(np.linalg.norm(omega) - w) < 1e-3
 
     def test_rate_perpendicular_to_direction(self):
@@ -223,10 +242,10 @@ class TestDesiredCableDirection:
             mu_prev = mu_now + 0.1 * rng.standard_normal(3)
             if min(np.linalg.norm(mu_now), np.linalg.norm(mu_prev)) < 1e-3:
                 continue
-            xi, omega = allocation.desired_cable_direction(mu_now, mu_prev, 0.05)
+            xi, omega = direction(mu_now, mu_prev, 0.05)
             assert abs(xi @ omega) < 1e-9
             assert abs(np.linalg.norm(xi) - 1.0) < 1e-12
 
     def test_zero_tension_raises(self):
         with pytest.raises(ZeroTension):
-            allocation.desired_cable_direction(np.zeros(3), None, 0.05)
+            direction(np.zeros(3), None, 0.05)

@@ -43,3 +43,28 @@ def test_run_checks_read_the_run_log(tmp_path, workload, preset, duration):
     harness.emit_csv(log, csv_path)
     assert isinstance(checks.check_run(workload, log, csv_path), list)
     assert set(harness.invariant_counters(log)) == {"m_bounds", "horizon_chain"}
+
+
+def test_traced_tick_calls_each_layer_function_once():
+    """Per-layer attribution rests on the tick calling every cable_control
+    function and the allocation stages once per tick for the whole rig, and
+    on the allocation map being built once for the controllers (plus once
+    per NMPC problem, in payload_ocp.build_ocp), never per tick."""
+    config = dataclasses.replace(harness.scenario_preset("hover"), duration=0.02)
+    spans = tracer.Tracer()
+    spans.install(tracer.traced_functions())
+    try:
+        log = harness.run_closed_loop(config)
+    finally:
+        spans.uninstall()
+    arrays = spans.arrays()
+    table = tracer.SpanTable(**arrays)
+    ticks = len(log.t)
+    assert ticks == 10
+    per_tick = [f"cable_control.{name}" for name in tracer.LAYER_FUNCTIONS["cable_control"]]
+    stages = ("allocate", "nullspace_redistribute", "desired_cable_direction", "project_tension")
+    per_tick += [f"allocation.{name}" for name in stages]
+    assert {name: table.calls(name) for name in per_tick} == {name: ticks for name in per_tick}
+    solves = table.calls("sqp.solve")
+    assert solves == log.nmpc_executions > 0
+    assert table.calls("allocation.build_allocation") == 1 + solves

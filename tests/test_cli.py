@@ -168,6 +168,24 @@ class TestSweep:
         assert (out_dir / "grid_a0.2_b0.05.csv").exists()
         assert (out_dir / "grid_a0.02_b0.05.csv").exists()
 
+    @pytest.mark.parametrize(
+        "key, values", [("alphas", "[0.1, -0.5]"), ("betas", "[0.0]")]
+    )
+    def test_out_of_range_sweep_value_is_a_config_error(self, tmp_path, capsys, key, values):
+        """alpha must be >= 0 and beta > 0; a bad value anywhere in the grid
+        is refused before the first grid point runs and writes its files."""
+        grid = {"alphas": "[0.2]", "betas": "[0.05]", key: values}
+        text = (
+            "schema_version: 1\npreset: hover-nominal\nname: grid\n"
+            "scenario:\n  duration_s: 0.2\n"
+            f"sweep:\n  alphas: {grid['alphas']}\n  betas: {grid['betas']}\n"
+        )
+        config = write(tmp_path, text)
+        out_dir = tmp_path / "out"
+        assert cli.main(["sweep", "--config", config, "--out-dir", str(out_dir)]) == 2
+        assert repr(key) in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.csv"))
+
     def test_default_grid_is_the_three_conditions(self, tmp_path, capsys):
         config = write(tmp_path, FAST_CONFIG)
         out_dir = tmp_path / "out"

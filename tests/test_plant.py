@@ -51,7 +51,7 @@ def mav_derivative(y, thrust, torque, cable, params, i):
     if cable.taut:
         force = force + cable.tension * cable.direction
     omega = y[W]
-    omega_dot = params._J_i_inv[i] @ (torque - so3.cross3(omega, params.J_i[i] @ omega))
+    omega_dot = params._J_i_inv[i] @ (torque - np.cross(omega, params.J_i[i] @ omega))
     return body(y[V], force / params.m_i[i], so3.omega_to_quat_dot(y[Q], omega), omega_dot)
 
 
@@ -69,9 +69,9 @@ def payload_derivative(y, cables, params):
             continue
         f_world = -cable.tension * cable.direction
         force = force + f_world
-        moment = moment + so3.cross3(params.r_i[k], R_L.T @ f_world)
+        moment = moment + np.cross(params.r_i[k], R_L.T @ f_world)
     omega = y[W]
-    omega_dot = params._J_L_inv @ (moment - so3.cross3(omega, params.J_L @ omega))
+    omega_dot = params._J_L_inv @ (moment - np.cross(omega, params.J_L @ omega))
     return body(y[V], force / params.m_L, so3.omega_to_quat_dot(y[Q], omega), omega_dot)
 
 

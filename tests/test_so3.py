@@ -80,7 +80,8 @@ class TestHatVee:
 
     def test_round_trip(self):
         v = np.array([1.0, 2.0, 3.0])
-        np.testing.assert_allclose(so3.vee(so3.hat(v)), v, atol=1e-15)
+        # vee takes row-major 9-tuples, one per matrix
+        np.testing.assert_allclose(so3.vee([so3.hat(v).ravel()])[0], v, atol=1e-15)
 
     def test_matches_cross_product_oracle(self):
         rng = np.random.default_rng(4)
@@ -90,7 +91,7 @@ class TestHatVee:
 
     def test_vee_rejects_non_skew(self):
         with pytest.raises(so3.NotSkew):
-            so3.vee(np.eye(3))
+            so3.vee([np.eye(3).ravel()])
 
     @given(
         st.floats(-5.0, 5.0),
