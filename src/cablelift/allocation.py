@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-import scipy.linalg
 
 from . import so3
 
@@ -66,10 +65,13 @@ def build_allocation(r_i: np.ndarray) -> AllocationMap:
     for k in range(n):
         P[0:3, 3 * k : 3 * k + 3] = np.eye(3)
         P[3:6, 3 * k : 3 * k + 3] = so3.hat(r[k])
-    if np.linalg.matrix_rank(P) < 6:
+    # one SVD gives the rank (np.linalg.matrix_rank's tolerance) and, past the
+    # first six right singular vectors, an orthonormal basis of the null space
+    _, s, vh = np.linalg.svd(P)
+    if s[5] <= s[0] * 3 * n * np.finfo(np.float64).eps:
         raise RankDeficient("attachment geometry spans fewer than 6 wrench directions")
     P_pinv = np.linalg.pinv(P)
-    Z = scipy.linalg.null_space(P)
+    Z = vh[6:].T
     return AllocationMap(
         n=n, P=P, P_pinv=P_pinv, Z=Z,
         pinv_rows=tuple(map(tuple, P_pinv.tolist())), null_cols=tuple(map(tuple, Z.T.tolist())),

@@ -37,8 +37,17 @@ def _resolve(args) -> tuple:
     return config, sweep
 
 
+def _out_dir(args) -> Path:
+    """Create --out-dir before any simulation, so an unusable one costs no run."""
+    out_dir = Path(args.out_dir)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {args.out_dir!r}: {exc.strerror}") from exc
+    return out_dir
+
+
 def _emit(config, log, out_dir: Path) -> dict:
-    out_dir.mkdir(parents=True, exist_ok=True)
     summary = harness.summarize(log)
     harness.emit_csv(log, out_dir / f"{config.name}.csv")
     harness.emit_summary(summary, out_dir / f"{config.name}_summary.txt")
@@ -55,8 +64,9 @@ def _print_summary(name: str, summary: dict) -> None:
 
 def cmd_run(args) -> int:
     config, _ = _resolve(args)
+    out_dir = _out_dir(args)
     log = harness.run_closed_loop(config)
-    summary = _emit(config, log, Path(args.out_dir))
+    summary = _emit(config, log, out_dir)
     _print_summary(config.name, summary)
     return 0
 
@@ -71,8 +81,7 @@ def cmd_sweep(args) -> int:
             (name, *harness.TRIGGER_PRESETS[name])
             for name in ("loose", "medium", "tight")
         ]
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args)
     rows = ["name,alpha,beta,nmpc_executions,rms_payload_error_m,max_payload_error_m,min_separation_m,max_separation_m"]
     base_name = config.name
     for label, alpha, beta in grid:

@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 import numpy as np
-import yaml
 
 from . import allocation, cable_control, event_trigger, metrics, payload_ocp, plant, so3, sqp
 from .cable_control import CableTrackingState, GainSet
@@ -476,8 +475,9 @@ def invariant_counters(log: RunLog) -> dict:
 class _TriggerLoop:
     """Trigger bookkeeping shared by both plant models."""
 
-    def __init__(self, config: ScenarioConfig):
+    def __init__(self, config: ScenarioConfig, amap: allocation.AllocationMap):
         self.config = config
+        self.amap = amap
         self.region = (
             None
             if config.terminal_epsilon is None
@@ -506,7 +506,9 @@ class _TriggerLoop:
         if decision != "none":
             refs = [cfg.reference_at(t + i * cfg.ocp.dt) for i in range(N_new + 1)]
             ref_x, ref_u = (np.array(rows) for rows in zip(*refs))
-            problem = payload_ocp.build_ocp(x_now, ref_x, ref_u, dataclasses.replace(cfg.ocp, N=N_new))
+            problem = payload_ocp.build_ocp(
+                x_now, ref_x, ref_u, dataclasses.replace(cfg.ocp, N=N_new), self.amap
+            )
             warm = None
             if self.state is not None:
                 warm = sqp.shift_warm_start(self.state.predicted, m_k, N_new)
@@ -578,9 +580,9 @@ class _FullPlant:
     rates clipped to OMEGA_DES_LIMIT, and slack cables.
     """
 
-    def __init__(self, config: ScenarioConfig):
+    def __init__(self, config: ScenarioConfig, amap: allocation.AllocationMap):
         self.config = config
-        self.amap = allocation.build_allocation(config.params.r_i)
+        self.amap = amap
         # gravity and inertias as float tuples, the controllers' formats
         params = config.params
         self._g_vec = _flat(params.g_vec)
@@ -678,9 +680,9 @@ class _PayloadOnly:
     # no controllers, so no clamps
     thrust_clamps = omega_des_clips = slack_cable_ticks = 0
 
-    def __init__(self, config: ScenarioConfig):
+    def __init__(self, config: ScenarioConfig, amap: allocation.AllocationMap):
         self.config = config
-        self.amap = allocation.build_allocation(config.params.r_i)
+        self.amap = amap
 
     def realize(self, Y: np.ndarray, wrench_cmd: np.ndarray, new_stage: bool):
         """(tensions, directions, vehicle positions, None) of the minimal-norm
@@ -711,8 +713,11 @@ class _PayloadOnly:
 def run_closed_loop(config: ScenarioConfig) -> RunLog:
     """Simulate one scenario end to end and return the complete log."""
     params = config.params
-    model = _FullPlant(config) if config.plant_model == "full" else _PayloadOnly(config)
-    trigger = _TriggerLoop(config)
+    # the attachment geometry is fixed, so one map serves the plant model
+    # and every NMPC problem
+    amap = allocation.build_allocation(params.r_i)
+    model = (_FullPlant if config.plant_model == "full" else _PayloadOnly)(config, amap)
+    trigger = _TriggerLoop(config, amap)
     disturbance = DisturbanceModel(
         eta=config.disturbance_eta, seed=config.seed, kind=config.disturbance_kind
     )
@@ -1005,9 +1010,21 @@ def _override_weights(base: CostWeights, section: dict) -> CostWeights:
 
 
 def load_config(path):
-    """Parse a scenario file into (ScenarioConfig, sweep grid or None)."""
-    with open(path) as f:
-        data = yaml.safe_load(f)
+    """Parse a scenario file into (ScenarioConfig, sweep grid or None).
+
+    A file that cannot be read or parsed is a ConfigError naming it.
+    """
+    # imported here, the only place that reads YAML, so that a preset run
+    # never pays for loading the parser
+    import yaml
+
+    try:
+        with open(path) as f:
+            data = yaml.safe_load(f)
+    except OSError as exc:
+        raise ConfigError(f"cannot read scenario file {str(path)!r}: {exc.strerror}") from exc
+    except (yaml.YAMLError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"scenario file {str(path)!r} is not valid YAML: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config file must contain a mapping")
     return build_scenario(data)

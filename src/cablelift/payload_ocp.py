@@ -119,11 +119,19 @@ class OcpSolution:
     status: str  # converged | stalled | max_iter
 
 
-def build_ocp(x0: np.ndarray, ref_x: np.ndarray, ref_u: np.ndarray, config: OcpConfig) -> OcpProblem:
+def build_ocp(
+    x0: np.ndarray,
+    ref_x: np.ndarray,
+    ref_u: np.ndarray,
+    config: OcpConfig,
+    amap: Optional[allocation.AllocationMap] = None,
+) -> OcpProblem:
     """Assemble the tracking problem for one reference window.
 
     x0 is the (13,) start row; the window ref_x (N+1, 13) / ref_u (N+1, 6)
-    must hold exactly N+1 rows at the problem's step spacing.
+    must hold exactly N+1 rows at the problem's step spacing.  amap is the
+    allocation map of config.r_i, built here when not given; a closed loop
+    builds it once and passes it to every solve.
     """
     if config.N < 1:
         raise ConfigError("horizon must be at least 1")
@@ -134,7 +142,8 @@ def build_ocp(x0: np.ndarray, ref_x: np.ndarray, ref_u: np.ndarray, config: OcpC
             f"need {config.N + 1} reference rows for horizon {config.N}, "
             f"got {len(ref_x)} states and {len(ref_u)} wrenches"
         )
-    amap = allocation.build_allocation(config.r_i)
+    if amap is None:
+        amap = allocation.build_allocation(config.r_i)
     return OcpProblem(
         x0=np.array(x0, dtype=np.float64),
         N=config.N,

@@ -33,6 +33,13 @@ SQUARE = np.array(
     ]
 )
 
+TRIANGLE = np.array([[0.3, 0.0, 0.0], [-0.15, 0.26, 0.0], [-0.15, -0.26, 0.0]])
+
+# random attachment offsets of 3, 4 and 6 cables, non-degenerate with probability one
+RANDOM_RIGS = [
+    np.random.default_rng(seed).uniform(-0.5, 0.5, (n, 3)) for seed, n in ((0, 3), (1, 4), (2, 6))
+]
+
 
 class TestBuildAllocation:
     def test_square_rank_and_null_dimension(self):
@@ -42,8 +49,7 @@ class TestBuildAllocation:
         assert amap.Z.shape == (12, 6)
 
     def test_three_noncollinear(self):
-        r = np.array([[0.3, 0.0, 0.0], [-0.15, 0.26, 0.0], [-0.15, -0.26, 0.0]])
-        amap = allocation.build_allocation(r)
+        amap = allocation.build_allocation(TRIANGLE)
         assert np.linalg.matrix_rank(amap.P) == 6
         assert amap.Z.shape == (9, 3)
 
@@ -56,11 +62,18 @@ class TestBuildAllocation:
         with pytest.raises(RankDeficient):
             allocation.build_allocation(r)
 
-    def test_map_identities(self):
-        amap = allocation.build_allocation(SQUARE)
+    @pytest.mark.parametrize(
+        "r",
+        [SQUARE, TRIANGLE, *RANDOM_RIGS],
+        ids=["square", "triangle", "random3", "random4", "random6"],
+    )
+    def test_map_identities(self, r):
+        amap = allocation.build_allocation(r)
+        n = len(r)
+        assert amap.Z.shape == (3 * n, 3 * n - 6)
         np.testing.assert_allclose(amap.P @ amap.P_pinv, np.eye(6), atol=1e-9)
-        np.testing.assert_allclose(amap.P @ amap.Z, np.zeros((6, 6)), atol=1e-9)
-        np.testing.assert_allclose(amap.Z.T @ amap.Z, np.eye(6), atol=1e-9)
+        np.testing.assert_allclose(amap.P @ amap.Z, np.zeros((6, 3 * n - 6)), atol=1e-9)
+        np.testing.assert_allclose(amap.Z.T @ amap.Z, np.eye(3 * n - 6), atol=1e-9)
 
     def test_rows_match_cross_product(self):
         amap = allocation.build_allocation(SQUARE)

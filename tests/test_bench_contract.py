@@ -48,8 +48,8 @@ def test_run_checks_read_the_run_log(tmp_path, workload, preset, duration):
 def test_traced_tick_calls_each_layer_function_once():
     """Per-layer attribution rests on the tick calling every cable_control
     function and the allocation stages once per tick for the whole rig, and
-    on the allocation map being built once for the controllers (plus once
-    per NMPC problem, in payload_ocp.build_ocp), never per tick."""
+    on the allocation map being built exactly once per run, shared by the
+    controllers and every NMPC problem."""
     config = dataclasses.replace(harness.scenario_preset("hover"), duration=0.02)
     spans = tracer.Tracer()
     spans.install(tracer.traced_functions())
@@ -67,4 +67,4 @@ def test_traced_tick_calls_each_layer_function_once():
     assert {name: table.calls(name) for name in per_tick} == {name: ticks for name in per_tick}
     solves = table.calls("sqp.solve")
     assert solves == log.nmpc_executions > 0
-    assert table.calls("allocation.build_allocation") == 1 + solves
+    assert table.calls("allocation.build_allocation") == 1

@@ -571,6 +571,10 @@ def rig_ticks(draw):
     return config, Y, wrench, slack, mu_prev, prev, new_stage, crowded
 
 
+def full_plant(config):
+    return harness._FullPlant(config, allocation.build_allocation(config.params.r_i))
+
+
 class TestFloatTick:
     """The float tick of `_FullPlant.realize` against the numpy oracle."""
 
@@ -578,7 +582,7 @@ class TestFloatTick:
     @given(rig_ticks())
     def test_matches_numpy_reference(self, tick):
         config, Y, wrench, slack, mu_prev, prev, new_stage, crowded = tick
-        model = harness._FullPlant(config)
+        model = full_plant(config)
         model.mu_prev = None if mu_prev is None else [tuple(row) for row in mu_prev.tolist()]
         tensions, directions, mav_p, (thrusts, moments) = model.realize(Y, wrench, new_stage)
 
@@ -624,7 +628,7 @@ def _realize_with(mutate=None, wrench=None):
     config, Y = _hover_rig()
     if mutate is not None:
         mutate(config, Y)
-    model = harness._FullPlant(config)
+    model = full_plant(config)
     model.realize(Y, _hover_wrench(config) if wrench is None else wrench, True)
 
 
@@ -645,7 +649,7 @@ def _nonfinite_step():
     config, Y = _hover_rig()
     thrusts = [1.7] * 4
     torques = _rows([0.0, np.inf, 0.0], np.zeros(3), k=3)
-    harness._FullPlant(config).advance(Y, (thrusts, torques), _hover_wrench(config), None)
+    full_plant(config).advance(Y, (thrusts, torques), _hover_wrench(config), None)
 
 
 def _non_skew_rows():

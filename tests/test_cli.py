@@ -1,7 +1,13 @@
 """Command-line interface: subcommands, flags, exit codes, output files."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import cablelift
 from cablelift import cli, harness
 
 FAST_CONFIG = """\
@@ -126,10 +132,62 @@ class TestRun:
         assert "'name'" in capsys.readouterr().err
         assert not list(tmp_path.rglob("*.csv"))
 
+    @pytest.mark.parametrize(
+        "text",
+        [None, "scenario: {name: [unclosed\n", "schema_version: 1\n\tpreset: hover\n"],
+        ids=["missing", "unclosed-flow", "tab-indent"],
+    )
+    def test_unreadable_config_file_is_a_config_error(self, tmp_path, capsys, text):
+        """A missing file and one that is not YAML name the file and exit 2,
+        not 1 (a run aborted mid-flight) with a traceback."""
+        path = str(tmp_path / "missing.yaml") if text is None else write(tmp_path, text)
+        assert cli.main(["run", "--config", path, "--out-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert path in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_unusable_out_dir_is_refused_before_the_run(self, tmp_path, capsys, monkeypatch, command):
+        taken = tmp_path / "taken"
+        taken.write_text("a file, not a directory\n")
+
+        def never(config):
+            raise AssertionError("simulated with an unusable --out-dir")
+
+        monkeypatch.setattr(harness, "run_closed_loop", never)
+        code = cli.main([command, "--preset", "hover", "--out-dir", str(taken / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert str(taken / "out") in err
+        code = cli.main([command, "--preset", "hover", "--out-dir", str(taken)])
+        assert code == 2
+        assert str(taken) in capsys.readouterr().err
+
     def test_aborted_run_exits_one(self, tmp_path, capsys):
         config = write(tmp_path, ABORT_CONFIG)
         assert cli.main(["run", "--config", config, "--out-dir", str(tmp_path)]) == 1
         assert "run aborted" in capsys.readouterr().err
+
+    def test_preset_run_loads_neither_scipy_nor_yaml(self, tmp_path):
+        """A preset run needs numpy and the standard library only; scipy and
+        the YAML parser would add most of its start-up time."""
+        script = (
+            "import sys\n"
+            "from cablelift import cli\n"
+            f"code = cli.main(['run', '--preset', 'hover-recovery', '--out-dir', {str(tmp_path)!r}])\n"
+            "loaded = sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'yaml'})\n"
+            "print(code, loaded)\n"
+        )
+        src = str(Path(cablelift.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+        )
+        assert done.stdout.splitlines()[-1] == "0 []"
+        assert (tmp_path / "hover-recovery.csv").exists()
 
     def test_seed_override_changes_the_log(self, tmp_path, capsys):
         config = write(

@@ -12,7 +12,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from cablelift import harness, metrics, payload_ocp, plant, so3
+from cablelift import allocation, harness, metrics, payload_ocp, plant, so3
 from cablelift.harness import (
     ConfigError,
     EmptyLog,
@@ -244,10 +244,14 @@ class TestPresets:
 # trigger loop wiring
 
 
+def trigger_loop(config):
+    return harness._TriggerLoop(config, allocation.build_allocation(config.params.r_i))
+
+
 class TestTriggerLoop:
     def test_initial_solve_is_forced_full_horizon(self):
         config = harness.scenario_preset("hover-nominal")
-        loop = harness._TriggerLoop(config)
+        loop = trigger_loop(config)
         decision, wrench, idx = loop.step(0, 0.0, hover_state())
         assert decision == "forced"
         assert idx == 0
@@ -257,7 +261,7 @@ class TestTriggerLoop:
     def test_open_loop_replay_between_triggers(self):
         """Held plan: the wrench at step k is exactly U[k - k_j]."""
         config = harness.scenario_preset("hover-nominal")
-        loop = harness._TriggerLoop(config)
+        loop = trigger_loop(config)
         x = hover_state()
         for k in range(6):
             decision, wrench, idx = loop.step(k, k * config.ocp.dt, x)
@@ -271,7 +275,7 @@ class TestTriggerLoop:
         config = dataclasses.replace(
             harness.scenario_preset("hover-nominal"), terminal_epsilon=None
         )
-        loop = harness._TriggerLoop(config)
+        loop = trigger_loop(config)
         assert loop.region is None
 
 
