@@ -143,6 +143,35 @@ def _separation_surrogate(
     return out
 
 
+def _hinge_jacobian(stacked_body, attachments_world, R_L, l_i, amap: AllocationMap, r0, lam_sep):
+    """Closed-form Jacobian of the hinge residuals r0 of `_separation_surrogate`
+    in the null-space coordinates c of stacked_body + Z c, at c = 0; the rows
+    of flat hinges (r0 zero) are zero.
+
+    A vehicle sits at p_k = a_k + l_k n_k with n_k = mu_k / |mu_k| and
+    mu_k = R_L s_k, so dp_k = l_k / |mu_k| (I - n_k n_k^T) R_L ds_k, and an
+    active hinge sqrt(lam) (d_safe - |p_i - p_j|) moves by
+    -sqrt(lam) e^T (dp_i - dp_j), e the unit vector from p_j to p_i.
+    """
+    n = amap.n
+    R = np.reshape(R_L, (3, 3))
+    mu = np.reshape(stacked_body, (n, 3)) @ R.T
+    norm = np.linalg.norm(mu, axis=1)
+    unit = mu / norm[:, None]
+    pos = np.asarray(attachments_world) + np.asarray(l_i)[:, None] * unit
+    dmu = R @ amap.Z.reshape(n, 3, -1)  # (n, 3, null dim)
+    radial = unit[:, :, None] * np.einsum("ki,kic->kc", unit, dmu)[:, None, :]
+    dpos = (np.asarray(l_i) / norm)[:, None, None] * (dmu - radial)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    J = np.zeros((len(pairs), amap.Z.shape[1]))
+    scale = math.sqrt(lam_sep)
+    for row, ((i, j), r) in enumerate(zip(pairs, r0)):
+        if r > 0.0:
+            e = pos[i] - pos[j]
+            J[row] = -scale * (e / np.linalg.norm(e)) @ (dpos[i] - dpos[j])
+    return J
+
+
 def nullspace_redistribute(
     mu_des,
     attachments_world,
@@ -155,10 +184,10 @@ def nullspace_redistribute(
     """Shift the allocation inside the null space to open up vehicle spacing.
 
     Minimizes lam_sep * sum of squared pairwise-separation hinges plus |c|^2
-    with one Gauss-Newton step from c = 0, its Jacobian by forward
-    differences; the realized wrench is untouched because the shift lives in
-    the null space of the stacked-force map.  Returns the input unchanged
-    whenever no pair is predicted inside d_safe.
+    with one Gauss-Newton step from c = 0, its Jacobian in closed form
+    (`_hinge_jacobian`); the realized wrench is untouched because the shift
+    lives in the null space of the stacked-force map.  Returns the input
+    unchanged whenever no pair is predicted inside d_safe.
     """
     def surrogate(stacked):
         return _separation_surrogate(stacked, attachments_world, R_L, l_i, d_safe, lam_sep)
@@ -168,17 +197,10 @@ def nullspace_redistribute(
     if r0 is None or not any(r > 0.0 for r in r0):
         return mu_des
 
-    step = 1e-6
-    columns = []
-    for z in amap.null_cols:
-        pert = surrogate([s + step * zi for s, zi in zip(stacked0, z)])
-        if pert is None:
-            return mu_des
-        columns.append([(p - r) / step for p, r in zip(pert, r0)])
-
     # least-squares step on [sqrt(lam)*hinge; c] with Jacobian [J; I]
-    m = len(columns)
-    A = np.vstack([np.array(columns).T, np.eye(m)])
+    J = _hinge_jacobian(stacked0, attachments_world, R_L, l_i, amap, r0, lam_sep)
+    m = J.shape[1]
+    A = np.vstack([J, np.eye(m)])
     b = -np.concatenate([r0, np.zeros(m)])
     c = np.linalg.lstsq(A, b, rcond=None)[0].tolist()
 

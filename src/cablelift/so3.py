@@ -135,18 +135,29 @@ def quat_identity() -> np.ndarray:
     return np.array([1.0, 0.0, 0.0, 0.0])
 
 
+# Flat indices 4 a + b into the outer product q1[a] * q2[b] of the Hamilton
+# product's terms: out = (T[_QM_A] + _QM_SIGN * T[_QM_B]) + (T[_QM_C] - T[_QM_D])
+# on the vector part; the scalar part folds its four terms left to right.
+_QM_A = np.array([0, 1, 2, 3])
+_QM_B = np.array([5, 4, 8, 12])
+_QM_SIGN = np.array([-1.0, 1.0, 1.0, 1.0])
+_QM_C = np.array([11, 13, 6])
+_QM_D = np.array([14, 7, 9])
+
+
 def quat_mul(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
     """Hamilton product q1 * q2 (raw; no renormalization)."""
     q1 = np.asarray(q1, dtype=np.float64)
     q2 = np.asarray(q2, dtype=np.float64)
-    w1, x1, y1, z1 = q1[..., 0], q1[..., 1], q1[..., 2], q1[..., 3]
-    w2, x2, y2, z2 = q2[..., 0], q2[..., 1], q2[..., 2], q2[..., 3]
-    out = np.empty(np.broadcast(w1, w2).shape + (4,))
-    # grouping chosen so q * conj(q) has an exactly-zero vector part
-    out[..., 0] = w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2
-    out[..., 1] = (w1 * x2 + x1 * w2) + (y1 * z2 - z1 * y2)
-    out[..., 2] = (w1 * y2 + y1 * w2) + (z1 * x2 - x1 * z2)
-    out[..., 3] = (w1 * z2 + z1 * w2) + (x1 * y2 - y1 * x2)
+    outer = q1[..., :, None] * q2[..., None, :]
+    outer = outer.reshape(outer.shape[:-2] + (16,))
+    # w1 w2 - x1 x2 - y1 y2 - z1 z2, and the vector part grouped as
+    # (w1 x2 + x1 w2) + (y1 z2 - z1 y2), so q * conj(q) has an exactly-zero
+    # vector part
+    out = outer.take(_QM_A, axis=-1) + _QM_SIGN * outer.take(_QM_B, axis=-1)
+    out[..., 0] -= outer[..., 10]
+    out[..., 0] -= outer[..., 15]
+    out[..., 1:] += outer.take(_QM_C, axis=-1) - outer.take(_QM_D, axis=-1)
     return out
 
 

@@ -12,7 +12,10 @@ The QP itself is solved in-repo by a Mehrotra predictor-corrector interior
 point method (Rao, Wright & Rawlings, JOTA 1998).  Each iteration factors
 one Riccati recursion of the condensed Newton matrix and back-solves it
 twice, once for the affine predictor and once for the centred corrector,
-so the cost per iteration stays linear in the horizon length.
+so the cost per iteration stays linear in the horizon length.  An iteration
+that ends the solve skips it: at a feasible iterate the QP without its rows
+is solved first, and when no row binds there and its stationarity is within
+tolerance, that certifies convergence.
 
 The stagewise QP data layout is dimension-generic on purpose; the unit tests
 drive it with scalar problems whose KKT systems are solved by hand.
@@ -130,6 +133,8 @@ class QpResult:
     iterations: int
     status: str  # optimal | max_iter
     reg: float  # Hessian regularization the factorizations succeeded at
+    Cx_lam: np.ndarray  # (N+1, nx) per-stage sums of Cx^T lam_x
+    Cu_lam: np.ndarray  # (N, nu) per-stage sums of Cu^T lam_u
 
 
 def _mv(M: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -275,12 +280,49 @@ def _max_step(value: np.ndarray, step: np.ndarray) -> float:
     return float(np.min(-value[neg] / step[neg])) if np.any(neg) else np.inf
 
 
+def _equality_qp(data: QpData, H_x: np.ndarray, H_u: np.ndarray, reg: float) -> QpResult:
+    """The QP without its inequality rows, from one Riccati factorization and
+    one back-solve; zero multipliers on every row.  Raises
+    numpy.linalg.LinAlgError when an input Hessian block is not positive
+    definite."""
+    fac = _riccati_factor(data.A, data.B, H_x, H_u)
+    z, w, nu = _riccati_solve(fac, data.g_x, data.g_u, data.c, data.z0)
+    return QpResult(
+        z, w, nu,
+        [np.zeros(len(v)) for v in data.cx], [np.zeros(len(v)) for v in data.cu],
+        1, "optimal", reg, np.zeros_like(data.g_x), np.zeros_like(data.g_u),
+    )
+
+
+def _equality_certificate(data: QpData) -> Optional[QpResult]:
+    """The QP optimum when no inequality row binds at it, else None.
+
+    Solves the QP without its rows at reg 0.  When that minimizer satisfies
+    every row, C y + c <= 0, it is also the optimum of the full convex QP,
+    with zero row multipliers (Nocedal & Wright, Numerical Optimization,
+    2nd ed., ch. 16).  None when a row is violated or the factorization
+    fails; the caller then runs the interior point.
+    """
+    try:
+        result = _equality_qp(data, data.H_x, data.H_u, 0.0)
+    except np.linalg.LinAlgError:
+        return None
+    for C_list, c_list, y in ((data.Cx, data.cx, result.z), (data.Cu, data.cu, result.w)):
+        for C, c, y_i in zip(C_list, c_list, y):
+            if len(c) and np.max(C @ y_i + c) > 0.0:
+                return None
+    return result
+
+
 def qp_subproblem(data: QpData, config: Optional[SolverConfig] = None) -> QpResult:
     """Solve the stagewise QP; interior point when inequality rows exist.
 
+    Without rows one Riccati factorization and back-solve give the optimum.
     Raises Infeasible when the rows cannot be satisfied (duals diverge while
     primal infeasibility stalls) and QpNumericalFailure when factorizations
-    fail at every regularization level.
+    fail at every regularization level.  `solve` calls it for every SQP step
+    but skips it on the iteration that certifies convergence (see
+    `_equality_certificate`).
     """
     config = config or SolverConfig()
     levels = [0.0, config.reg, 1e-6, 1e-4, 1e-2]
@@ -291,11 +333,7 @@ def qp_subproblem(data: QpData, config: Optional[SolverConfig] = None) -> QpResu
         H_u = data.H_u + reg * np.eye(nu)
         try:
             if data.row_count() == 0:
-                fac = _riccati_factor(data.A, data.B, H_x, H_u)
-                z, w, nu_ = _riccati_solve(fac, data.g_x, data.g_u, data.c, data.z0)
-                lam_x = [np.zeros(0)] * (data.N + 1)
-                lam_u = [np.zeros(0)] * data.N
-                return QpResult(z, w, nu_, lam_x, lam_u, 1, "optimal", reg)
+                return _equality_qp(data, H_x, H_u, reg)
             return _qp_interior_point(data, H_x, H_u, config, reg)
         except np.linalg.LinAlgError as err:
             last_error = err
@@ -328,25 +366,28 @@ def _qp_interior_point(data: QpData, H_x, H_u, config: SolverConfig, reg: float)
     ftb = 0.995
 
     def residuals():
-        r_x, r_u = _stationarity(
-            data, z, w, nu, rows_x.scatter(lam[:mx]), rows_u.scatter(lam[mx:])
-        )
+        Cx_lam, Cu_lam = rows_x.scatter(lam[:mx]), rows_u.scatter(lam[mx:])
+        r_x, r_u = _stationarity(data, z, w, nu, Cx_lam, Cu_lam)
         r_eq = _mv(data.A, z[:N]) + _mv(data.B, w) + data.c - z[1:]
         r_in = np.concatenate([rows_x.apply(z), rows_u.apply(w)]) + c_rows + s
-        return r_x, r_u, r_eq, r_in
+        return r_x, r_u, r_eq, r_in, Cx_lam, Cu_lam
+
+    def result(iterations: int, status: str, Cx_lam, Cu_lam) -> QpResult:
+        return QpResult(
+            z, w, nu, rows_x.split(lam[:mx]), rows_u.split(lam[mx:]),
+            iterations, status, reg, Cx_lam, Cu_lam,
+        )
 
     for it in range(1, config.qp_max_iters + 1):
-        r_x, r_u, r_eq, r_in = residuals()
+        r_x, r_u, r_eq, r_in, Cx_lam, Cu_lam = residuals()
         mu = float(lam @ s) / m
         if (
-            _max_abs(r_x[1:], r_u) <= config.qp_tol * 10  # stage 0 is pinned
+            mu <= config.qp_tol
+            and _max_abs(r_x[1:], r_u) <= config.qp_tol * 10  # stage 0 is pinned
             and _max_abs(r_eq) <= config.qp_tol
             and _max_abs(r_in) <= config.qp_tol
-            and mu <= config.qp_tol
         ):
-            return QpResult(
-                z, w, nu, rows_x.split(lam[:mx]), rows_u.split(lam[mx:]), it, "optimal", reg
-            )
+            return result(it, "optimal", Cx_lam, Cu_lam)
         if np.max(lam) > 1e8 and _max_abs(r_in) > 1e-6:
             raise Infeasible("inequality rows inconsistent: duals diverged")
 
@@ -355,6 +396,7 @@ def _qp_interior_point(data: QpData, H_x, H_u, config: SolverConfig, reg: float)
         fac = _riccati_factor(
             data.A, data.B, H_x + rows_x.curvature(weight[:mx]), H_u + rows_u.curvature(weight[mx:])
         )
+        sl = np.concatenate([s, lam])
 
         def direction(r_comp):
             # slack and multiplier steps eliminated; the new iterate must
@@ -365,14 +407,15 @@ def _qp_interior_point(data: QpData, H_x, H_u, config: SolverConfig, reg: float)
             )
             ds = -r_in - np.concatenate([rows_x.apply(dz), rows_u.apply(dw)])
             dlam = -(r_comp + lam * ds) / s
-            return dz, dw, dnu, ds, dlam
+            # one ratio test over slacks and multipliers together
+            return dz, dw, dnu, ds, dlam, _max_step(sl, np.concatenate([ds, dlam]))
 
-        _, _, _, ds, dlam = direction(lam * s)
-        alpha = min(1.0, _max_step(s, ds), _max_step(lam, dlam))
+        _, _, _, ds, dlam, step = direction(lam * s)
+        alpha = min(1.0, step)
         mu_aff = float((s + alpha * ds) @ (lam + alpha * dlam)) / m
         sigma = (mu_aff / mu) ** 3
-        dz, dw, dnu, ds, dlam = direction(lam * s + ds * dlam - sigma * mu)
-        alpha = min(1.0, ftb * _max_step(s, ds), ftb * _max_step(lam, dlam))
+        dz, dw, dnu, ds, dlam, step = direction(lam * s + ds * dlam - sigma * mu)
+        alpha = min(1.0, ftb * step)
         z = z + alpha * dz
         w = w + alpha * dw
         nu = nu + alpha * dnu
@@ -380,13 +423,10 @@ def _qp_interior_point(data: QpData, H_x, H_u, config: SolverConfig, reg: float)
         lam = lam + alpha * dlam
 
     # out of iterations: distinguish infeasibility from slow convergence
-    _, _, _, r_in = residuals()
+    _, _, _, r_in, Cx_lam, Cu_lam = residuals()
     if _max_abs(r_in) > 1e-6 and np.max(lam) > 1e6:
         raise Infeasible("inequality rows inconsistent: primal residual stalled")
-    return QpResult(
-        z, w, nu, rows_x.split(lam[:mx]), rows_u.split(lam[mx:]),
-        config.qp_max_iters, "max_iter", reg,
-    )
+    return result(config.qp_max_iters, "max_iter", Cx_lam, Cu_lam)
 
 
 # ---------------------------------------------------------------------------
@@ -465,14 +505,9 @@ def _build_qp_data(point: _Iterate, problem, lam_u_prev=None) -> QpData:
 def _nonlinear_kkt(data: QpData, result: QpResult) -> float:
     """Stationarity of the nonlinear problem at the current nominal, using
     the freshest QP duals (all primal steps evaluated at zero)."""
-    nx = len(data.z0)
     r_x, r_u = _stationarity(
-        data,
-        np.zeros_like(data.g_x),
-        np.zeros_like(data.g_u),
-        result.nu,
-        _Rows(data.Cx, data.cx, nx).scatter(np.concatenate(result.lam_x)),
-        _Rows(data.Cu, data.cu, data.H_u.shape[-1]).scatter(np.concatenate(result.lam_u)),
+        data, np.zeros_like(data.g_x), np.zeros_like(data.g_u), result.nu,
+        result.Cx_lam, result.Cu_lam,
     )
     return _max_abs(r_x[1:], r_u)
 
@@ -498,7 +533,12 @@ def solve(
 
     status is "converged" when stationarity reaches kkt_tol with defects and
     hard constraints inside feas_tol, "stalled" when the line search accepts
-    no step down to min_step, and otherwise "max_iter".  Raises
+    no step down to min_step, and otherwise "max_iter".  At a feasible
+    iterate, stationarity is first priced with the QP solved without its
+    rows (one Riccati factorization, `_equality_certificate`); when no row
+    binds there and it reaches kkt_tol, the solve ends without running the
+    interior point.  Every step still comes from `qp_subproblem`, so the
+    iterates are those of a solve that always runs it.  Raises
     Infeasible when the constraint rows are inconsistent (including an
     initial state already violating a hard row, which no control can undo).
     When trace is a list, one dict per outer iteration is appended: the
@@ -530,14 +570,20 @@ def solve(
     lam_u_prev = None
     for it in range(1, config.max_sqp_iters + 1):
         data = _build_qp_data(point, problem, lam_u_prev)
-        result = qp_subproblem(data, config)
+        feasible = point.defect_max <= config.feas_tol and point.viol_max <= config.feas_tol
+        # a feasible iterate may already be the answer: certify it from the
+        # QP without rows before paying for the interior point
+        result = _equality_certificate(data) if feasible else None
+        kkt = np.nan if result is None else _nonlinear_kkt(data, result)
+        if not kkt <= config.kkt_tol:
+            result = qp_subproblem(data, config)
+            kkt = _nonlinear_kkt(data, result)
         lam_u_prev = result.lam_u
         mu_merit = max(
             mu_merit,
             1.1 * _max_abs(result.nu, *result.lam_x, *result.lam_u),
         )
 
-        kkt = _nonlinear_kkt(data, result)
         phi0 = point.merit(mu_merit)
         if best is None or phi0 < best[0]:
             best = (phi0, point, kkt)
@@ -548,11 +594,7 @@ def solve(
         }
         if trace is not None:
             trace.append(record)
-        if (
-            kkt <= config.kkt_tol
-            and point.defect_max <= config.feas_tol
-            and point.viol_max <= config.feas_tol
-        ):
+        if kkt <= config.kkt_tol and feasible:
             return _solution(point, kkt, it, "converged")
 
         # L1 merit line search along the QP step.  From an exactly feasible

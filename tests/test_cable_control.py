@@ -16,7 +16,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cablelift import allocation, cable_control as cc, harness, plant, so3
@@ -426,30 +426,53 @@ class TestFullStackHover:
 # the independent numpy oracle of the whole tick
 
 
+def reference_hinges(stacked, attachments, R_L, l_i, d_safe=0.4, lam_sep=10.0):
+    """The separation hinges of a stacked payload-frame allocation and the
+    predicted vehicle positions, in numpy; None when a force is at the floor."""
+    mu = stacked.reshape(-1, 3) @ R_L.T
+    norms = np.linalg.norm(mu, axis=1)
+    if (norms <= allocation.TENSION_FLOOR).any():
+        return None
+    pos = attachments + l_i[:, None] * mu / norms[:, None]
+    n = len(pos)
+    gaps = [d_safe - np.linalg.norm(pos[i] - pos[j]) for i in range(n) for j in range(i + 1, n)]
+    return np.sqrt(lam_sep) * np.maximum(0.0, gaps), pos
+
+
+def reference_hinge_jacobian(stacked, attachments, R_L, amap, l_i, d_safe=0.4, lam_sep=10.0):
+    """d hinges / d c of stacked + Z c at c = 0, pair by pair: the gradient
+    of sqrt(lam) (d_safe - |p_i - p_j|) through p_k = a_k + l_k mu_k / |mu_k|."""
+    r0, pos = reference_hinges(stacked, attachments, R_L, l_i, d_safe, lam_sep)
+    mu = stacked.reshape(-1, 3) @ R_L.T
+    n = len(pos)
+
+    def dpos(k):
+        # d(mu / |mu|) / d mu = (I - u u^T) / |mu|, and mu_k = R_L s_k
+        u = mu[k] / np.linalg.norm(mu[k])
+        return l_i[k] * (np.eye(3) - np.outer(u, u)) / np.linalg.norm(mu[k]) @ R_L @ amap.Z[3 * k : 3 * k + 3]
+
+    rows = []
+    for (i, j), r in zip([(i, j) for i in range(n) for j in range(i + 1, n)], r0):
+        if r > 0.0:
+            e = (pos[i] - pos[j]) / np.linalg.norm(pos[i] - pos[j])
+            rows.append(-np.sqrt(lam_sep) * e @ (dpos(i) - dpos(j)))
+        else:
+            rows.append(np.zeros(amap.Z.shape[1]))
+    return np.array(rows)
+
+
 def reference_redistribute(stacked0, attachments, R_L, amap, l_i, d_safe=0.4, lam_sep=10.0):
     """The null-space Gauss-Newton step on a stacked payload-frame allocation,
     in numpy; returns (stacked forces, whether the step was taken)."""
 
     def hinges(stacked):
-        mu = stacked.reshape(-1, 3) @ R_L.T
-        norms = np.linalg.norm(mu, axis=1)
-        if (norms <= allocation.TENSION_FLOOR).any():
-            return None
-        pos = attachments + l_i[:, None] * mu / norms[:, None]
-        n = len(pos)
-        gaps = [d_safe - np.linalg.norm(pos[i] - pos[j]) for i in range(n) for j in range(i + 1, n)]
-        return np.sqrt(lam_sep) * np.maximum(0.0, gaps)
+        out = reference_hinges(stacked, attachments, R_L, l_i, d_safe, lam_sep)
+        return None if out is None else out[0]
 
     r0 = hinges(stacked0)
     if r0 is None or not (r0 > 0.0).any():
         return stacked0, False
-    step = 1e-6
-    J = np.zeros((len(r0), amap.Z.shape[1]))
-    for a in range(amap.Z.shape[1]):
-        pert = hinges(stacked0 + step * amap.Z[:, a])
-        if pert is None:
-            return stacked0, False
-        J[:, a] = (pert - r0) / step
+    J = reference_hinge_jacobian(stacked0, attachments, R_L, amap, l_i, d_safe, lam_sep)
     m = J.shape[1]
     A, b = np.vstack([J, np.eye(m)]), -np.concatenate([r0, np.zeros(m)])
     c = np.linalg.lstsq(A, b, rcond=None)[0]
@@ -591,12 +614,11 @@ class TestFloatTick:
         )
         assert shifted == crowded
         # both sides round differently in the last bits (numpy's 3x3 products
-        # fuse multiply-adds).  The null-space step takes its Jacobian by
-        # forward differences with a 1e-6 step, which turns those bits into
-        # about 1e-11 in the forces and, through the backward difference of
-        # the desired direction (1/dt = 500) and the gains, about 1e-8 in the
-        # commands; without it both agree to 1e-12.
-        tol, tol_mu = (1e-6, 1e-9) if crowded else (1e-12, 1e-12)
+        # fuse multiply-adds).  The null-space step's least-squares solve
+        # carries those bits into the forces (4e-16 relative at most over
+        # 3000 examples) and, through the backward difference of the desired
+        # direction (1/dt = 500) and the gains, into the commands (8e-13)
+        tol, tol_mu = (1e-11, 1e-12) if crowded else (1e-12, 1e-12)
         np.testing.assert_allclose(thrusts, ref_thrusts, rtol=tol, atol=tol)
         np.testing.assert_allclose(moments, ref_moments, rtol=tol, atol=tol)
         np.testing.assert_allclose(model.mu_prev, ref_mu, rtol=tol_mu, atol=tol_mu)
@@ -609,6 +631,53 @@ class TestFloatTick:
         assert model.slack_cable_ticks == int(np.count_nonzero(slack))
         clipped = prev == "far" and not new_stage
         assert (model.omega_des_clips > 0) == clipped
+
+
+@st.composite
+def crowded_allocations(draw):
+    """A wrench allocated on the crowded rig (attachments at half the preset
+    spacing) under a random payload attitude, with no hinge within 1e-4 m of
+    its kink, where central differences of the hinges are no oracle."""
+    config = harness.scenario_preset("circle-medium")
+    params = config.params
+    r_i = 0.5 * params.r_i
+    amap = allocation.build_allocation(r_i)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    R_L = so3.quat_to_rotation(so3.quat_normalize([1.0, 0.0, 0.0, 0.0] + 0.2 * rng.standard_normal(4)))
+    F = np.array([0.0, 0.0, params.m_L * params.g]) + 0.5 * rng.standard_normal(3)
+    M = 0.02 * rng.standard_normal(3)
+    stacked = amap.P_pinv @ np.concatenate([R_L.T @ F, M])
+    attachments = rng.uniform(-1.0, 1.0, 3) + r_i @ R_L.T
+    _, pos = reference_hinges(stacked, attachments, R_L, params.l_i)
+    gaps = [0.4 - np.linalg.norm(pos[i] - pos[j]) for i in range(4) for j in range(i + 1, 4)]
+    assume(min(abs(g) for g in gaps) > 1e-4 and max(gaps) > 0.0)
+    return stacked, attachments, R_L, amap, params.l_i
+
+
+class TestHingeJacobian:
+    """The closed-form hinge Jacobian of the null-space step."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(crowded_allocations())
+    def test_matches_central_differences(self, case):
+        stacked, attachments, R_L, amap, l_i = case
+        h = 1e-6
+        fd = np.column_stack([
+            (reference_hinges(stacked + h * z, attachments, R_L, l_i)[0]
+             - reference_hinges(stacked - h * z, attachments, R_L, l_i)[0]) / (2 * h)
+            for z in amap.Z.T
+        ])
+        r0 = reference_hinges(stacked, attachments, R_L, l_i)[0]
+        J = allocation._hinge_jacobian(
+            stacked.tolist(), [tuple(a) for a in attachments.tolist()],
+            tuple(R_L.ravel().tolist()), l_i.tolist(), amap, r0.tolist(), 10.0,
+        )
+        J_ref = reference_hinge_jacobian(stacked, attachments, R_L, amap, l_i)
+        # central differences: O(h^2) truncation plus 1e-16 / h rounding
+        np.testing.assert_allclose(J, fd, rtol=1e-6, atol=1e-7)
+        np.testing.assert_allclose(J_ref, fd, rtol=1e-6, atol=1e-7)
+        np.testing.assert_allclose(J, J_ref, rtol=1e-12, atol=1e-12)
+        assert np.any(J != 0.0)
 
 
 # ---------------------------------------------------------------------------

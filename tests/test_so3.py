@@ -119,6 +119,41 @@ class TestQuaternions:
                 R, so3.quat_to_rotation(q1) @ so3.quat_to_rotation(q2), atol=1e-12
             )
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([((4,), (4,)), ((7, 4), (7, 4)), ((3, 18, 4), (3, 1, 4)),
+                         ((3, 1, 4), (3, 18, 4)), ((4,), (5, 4)), ((2, 1, 4), (3, 4))]),
+    )
+    def test_mul_bitwise_equals_explicit_products(self, seed, shapes):
+        # oracle: the 16 products written out term by term, with the
+        # grouping quat_mul documents; any other order of the sums rounds
+        # differently, so equality is exact
+        def explicit(q1, q2):
+            w1, x1, y1, z1 = np.moveaxis(q1, -1, 0)
+            w2, x2, y2, z2 = np.moveaxis(q2, -1, 0)
+            return np.stack([
+                w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+                (w1 * x2 + x1 * w2) + (y1 * z2 - z1 * y2),
+                (w1 * y2 + y1 * w2) + (z1 * x2 - x1 * z2),
+                (w1 * z2 + z1 * w2) + (x1 * y2 - y1 * x2),
+            ], axis=-1)
+
+        rng = np.random.default_rng(seed)
+        # unit quaternions as the solver meets them, and raw ones with
+        # mixed magnitudes so every product and sum rounds
+        q1 = rng.standard_normal(shapes[0]) * 10.0 ** rng.integers(-3, 4, shapes[0])
+        q2 = so3.quat_normalize(rng.standard_normal(shapes[1]))
+        for a, b in ((q1, q2), (q2, q1)):
+            out = so3.quat_mul(a, b)
+            assert out.shape == np.broadcast_shapes(a.shape, b.shape)
+            bits = np.ascontiguousarray(out).view(np.uint64)
+            np.testing.assert_array_equal(bits, explicit(a, b).view(np.uint64))
+
+    def test_mul_by_conjugate_has_exactly_zero_vector_part(self):
+        q = so3.quat_normalize(np.random.default_rng(9).standard_normal((200, 4)))
+        assert np.all(so3.quat_mul(q, so3.quat_conj(q))[:, 1:] == 0.0)
+
     def test_quat_from_euler_matches_rotation_from_euler(self):
         # oracle: the closed-form ZYX Euler quaternion, and its rotation
         # against the elementary rotation product

@@ -1,5 +1,6 @@
 """Solver tests: hand-KKT QP oracles, full solves against independent references."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cablelift import payload_ocp as ocp
-from cablelift import so3, sqp
+from cablelift import harness, so3, sqp
 from cablelift.metrics import FunnelSpec
 
 M_L = 0.232
@@ -463,6 +464,154 @@ class TestInteriorPointOracles:
         fixed = _fixed_sigma_iterations(*_dense_form(data))
         assert fixed < 100
         assert result.iterations <= fixed
+
+
+# ---------------------------------------------------------------------------
+# the convergence certificate: the QP without rows, when no row binds
+
+
+def _random_qp_with_slack_rows(seed, N, nx, nu):
+    """A strictly convex stagewise QP whose rows all hold strictly at the
+    minimizer without rows: each is a random unit row with its offset set
+    0.1 to 1 below the value it reads there."""
+    data = _random_qp_with_cut_rows(seed, N, nx, nu)
+    free = sqp.qp_subproblem(dataclasses.replace(
+        data, Cx=[np.zeros((0, nx))] * (N + 1), cx=[np.zeros(0)] * (N + 1),
+        Cu=[np.zeros((0, nu))] * N, cu=[np.zeros(0)] * N,
+    ))
+    rng = np.random.default_rng(seed + 1)
+
+    def slack_rows(y, count):
+        C = rng.standard_normal((count, len(y)))
+        C /= np.linalg.norm(C, axis=1, keepdims=True)
+        return C, -(C @ y) - rng.uniform(0.1, 1.0, count)
+
+    data.Cx, data.cx = map(list, zip(*[slack_rows(z, 0 if i == 0 else 2) for i, z in enumerate(free.z)]))
+    data.Cu, data.cu = map(list, zip(*[slack_rows(w, 2) for w in free.w]))
+    return data
+
+
+def _converged_qp(problem):
+    """The QP of a solver problem at its converged solution."""
+    solution = sqp.solve(problem)
+    assert solution.status == "converged"
+    return sqp._build_qp_data(sqp._evaluate(solution.X, solution.U, problem), problem)
+
+
+def _declining(monkeypatch, calls=None):
+    """Replace the certificate by one that never certifies; calls, when a
+    list, records what the real certificate would have returned."""
+    real = sqp._equality_certificate
+
+    def decline(data):
+        if calls is not None:
+            calls.append(real(data))
+        return None
+
+    monkeypatch.setattr(sqp, "_equality_certificate", decline)
+
+
+# The interior point stops at qp_tol = 1e-9 on mu and on its residuals, which
+# leaves it up to about 2e-8 from the exact optimum on these QPs; run that
+# far closer as the oracle, so a 1e-8 match tests the certificate.
+ORACLE_QP = sqp.SolverConfig(qp_tol=1e-12)
+
+
+class TestConvergenceCertificate:
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**31),
+        N=st.integers(1, 4),
+        nx=st.integers(1, 3),
+        nu=st.integers(1, 2),
+    )
+    def test_matches_interior_point_with_inactive_rows(self, seed, N, nx, nu):
+        data = _random_qp_with_slack_rows(seed, N, nx, nu)
+        assert data.row_count() > 0
+        cert = sqp._equality_certificate(data)
+        ipm = sqp.qp_subproblem(data, ORACLE_QP)
+        assert cert is not None and ipm.status == "optimal" and ipm.iterations > 1
+        for got, want in ((cert.z, ipm.z), (cert.w, ipm.w), (cert.nu, ipm.nu)):
+            np.testing.assert_allclose(got, want, rtol=1e-8, atol=1e-8)
+        assert all(np.all(lam == 0.0) for lam in (*cert.lam_x, *cert.lam_u))
+        assert sqp._nonlinear_kkt(data, cert) == pytest.approx(
+            sqp._nonlinear_kkt(data, ipm), rel=1e-8, abs=1e-8
+        )
+
+    @pytest.mark.parametrize("p0", [(0.0, 0.0, 1.0), (0.3, -0.2, 1.1)])
+    def test_matches_interior_point_on_a_converged_tracking_qp(self, p0):
+        data = _converged_qp(make_problem(p0, N=10))
+        assert data.row_count() > 0  # tension rows, all slack
+        cert = sqp._equality_certificate(data)
+        ipm = sqp.qp_subproblem(data, ORACLE_QP)
+        assert cert is not None and ipm.status == "optimal"
+        for got, want in ((cert.z, ipm.z), (cert.w, ipm.w), (cert.nu, ipm.nu)):
+            np.testing.assert_allclose(got, want, rtol=1e-8, atol=1e-8)
+        kkt = sqp._nonlinear_kkt(data, cert)
+        assert kkt == pytest.approx(sqp._nonlinear_kkt(data, ipm), rel=1e-8, abs=1e-8)
+        assert kkt <= sqp.SolverConfig().kkt_tol
+
+    def test_declines_on_a_binding_tension_row(self, monkeypatch):
+        problem = make_problem((1.0, 0.0, 1.0), N=10, f_max=1.2, funnel_eps=10.0)
+        data = _converged_qp(problem)
+        assert np.max(np.concatenate(sqp.qp_subproblem(data).lam_u)) > 1e-3  # a row binds
+        assert sqp._equality_certificate(data) is None
+        # so the solve ends on the interior point's QP, with or without the
+        # certificate
+        trace = []
+        solution = sqp.solve(problem, trace=trace)
+        calls, ipm_trace = [], []
+        _declining(monkeypatch, calls)
+        ipm_only = sqp.solve(problem, trace=ipm_trace)
+        # the certificate may solve the QP of a feasible early iterate, but
+        # that is no answer (kkt above tolerance) and is dropped
+        assert calls and calls[-1] is None
+        np.testing.assert_array_equal(solution.X, ipm_only.X)
+        np.testing.assert_array_equal(solution.U, ipm_only.U)
+        assert (solution.cost, solution.kkt_residual, solution.iterations, solution.status) == (
+            ipm_only.cost, ipm_only.kkt_residual, ipm_only.iterations, ipm_only.status
+        )
+        assert trace == ipm_trace
+
+    def test_trace_keeps_one_record_per_iteration(self):
+        # from an offset the first iterations take interior-point steps, and
+        # the last is certified without one
+        problem = make_problem((0.3, 0.0, 1.0), N=10)
+        trace = []
+        solution = sqp.solve(problem, trace=trace)
+        assert solution.status == "converged"
+        assert len(trace) == solution.iterations >= 2
+        assert trace[0]["qp_iters"] > 1
+        assert all(set(entry) == set(trace[0]) for entry in trace)
+        last = trace[-1]
+        assert (last["qp_iters"], last["qp_status"], last["reg"]) == (1, "optimal", 0.0)
+        assert (last["alpha"], last["stalled"]) == (0.0, False)
+        assert last["kkt"] == solution.kkt_residual <= 1e-6
+
+    @pytest.mark.parametrize("preset, duration", [("hover-recovery", 3.0), ("circle-medium", 1.5)])
+    def test_closed_loop_is_unchanged_without_it(self, monkeypatch, preset, duration):
+        config = dataclasses.replace(harness.scenario_preset(preset), duration=duration)
+        certified = []
+        real = sqp._equality_certificate
+
+        def spy(data):
+            result = real(data)
+            certified.append(result is not None)
+            return result
+
+        monkeypatch.setattr(sqp, "_equality_certificate", spy)
+        log = harness.run_closed_loop(config)
+        assert any(certified)
+        _declining(monkeypatch)
+        ipm_log = harness.run_closed_loop(config)
+        for f in dataclasses.fields(log):
+            if "shape" in f.metadata:
+                np.testing.assert_array_equal(getattr(log, f.name), getattr(ipm_log, f.name))
+        assert len(log.events) == len(ipm_log.events) >= 2
+        for e, e_ipm in zip(log.events, ipm_log.events):
+            assert (e.k, e.kind, e.horizon, e.iterations, e.status, e.cost) == (
+                e_ipm.k, e_ipm.kind, e_ipm.horizon, e_ipm.iterations, e_ipm.status, e_ipm.cost
+            )
 
 
 # ---------------------------------------------------------------------------
