@@ -1,7 +1,7 @@
 """Scenario harness: scenarios, the closed-loop runner, and the run's files.
 
 `run_closed_loop` is the one tick loop for both plant models; the world state
-it carries from tick to tick is the plant's (n+1, 13) row array, payload row
+it carries from tick to tick is the plant's flat list of floats, payload
 first.  On NMPC ticks the event trigger decides whether to re-solve the
 payload OCP (warm-started, horizon shrunk via the terminal-region rule);
 between solves the stored open-loop wrench plan is consumed index by index.
@@ -70,19 +70,19 @@ TRIGGER_PRESETS = {
 
 def _level_reference(p, v, m_L: float, g: float):
     """(x_ref, u_ref): the state row [p, v, q, omega] with level attitude and
-    zero rate, and the hover wrench row [F, M]."""
-    x_ref = np.zeros(13)
-    x_ref[0:3] = p
-    x_ref[3:6] = v
-    x_ref[6:10] = so3.quat_identity()
+    zero rate (stacked over array entries of p, v), and the hover wrench [F, M]."""
+    pv = np.broadcast_arrays(*p, *v)
+    x_ref = np.zeros(pv[0].shape + (13,))
+    x_ref[..., 0:6] = np.stack(pv, axis=-1)
+    x_ref[..., 6:10] = so3.quat_identity()
     u_ref = np.zeros(6)
     u_ref[2] = m_L * g
     return x_ref, u_ref
 
 
 def reference_circle(t: float, r: float, T_c: float, h: float, m_L: float, g: float = 9.81):
-    """(x_ref, u_ref) on the circular trajectory at time t: level attitude,
-    analytic velocity, hover wrench feedforward."""
+    """(x_ref, u_ref) on the circular trajectory at time t (x_ref rows along
+    an array t): level attitude, analytic velocity, hover wrench feedforward."""
     if T_c <= 0:
         raise ValueError("circle period must be positive")
     w = 2.0 * np.pi / T_c
@@ -92,7 +92,7 @@ def reference_circle(t: float, r: float, T_c: float, h: float, m_L: float, g: fl
 
 def reference_hover(p: np.ndarray, m_L: float, g: float = 9.81):
     """(x_ref, u_ref) at rest at p with the hover wrench."""
-    return _level_reference(p, 0.0, m_L, g)
+    return _level_reference(p, (0.0, 0.0, 0.0), m_L, g)
 
 
 @dataclass
@@ -113,7 +113,7 @@ class ReferenceSpec:
         self.position = np.asarray(self.position, dtype=np.float64)
 
     def at(self, t: float, m_L: float, g: float):
-        """(x_ref (13,), u_ref (6,)) at time t."""
+        """(x_ref (13,) or one row per entry of an array t, u_ref (6,))."""
         if self.kind == "circle":
             return reference_circle(t, self.radius, self.period, self.height, m_L, g)
         return reference_hover(self.position, m_L, g)
@@ -349,11 +349,11 @@ def _column(*shape, dtype=np.float64, fill=0):
 class RunLog:
     """One run as columns of `length` ticks.
 
-    The closed loop writes every column down to `event`; after it,
-    run_closed_loop fills the rest and the constraint table for every tick
-    at once.  `ticks` reads the log back one TickRecord per tick (a caller
-    may pass its own records, say a doctored copy for a check), and
-    `constraint_report(k)` gives one tick's ConstraintReport.
+    The closed loop writes `payload` down to `event` but `reference`; before
+    it run_closed_loop fills `t`, after it `reference`, the rest and the
+    constraint table, for every tick at once.  `ticks` reads the log back one
+    TickRecord per tick (a caller may pass its own records, say a doctored
+    copy for a check), and `constraint_report(k)` gives one tick's report.
     """
 
     config: ScenarioConfig
@@ -572,12 +572,12 @@ class _FullPlant:
     """The held wrench realized by the cable and attitude controllers of every
     vehicle and applied to the multi-body plant.
 
-    Each tick reads the world state once into Python floats and makes one
-    call per controller stage for all vehicles, each taking and returning one
-    float 3-tuple (or scalar, or row-major rotation 9-tuple) per vehicle.  It
-    also counts, in vehicle-ticks, the clamps that act without an error:
-    thrust commands outside [0, F_max] (the plant clamps them), desired cable
-    rates clipped to OMEGA_DES_LIMIT, and slack cables.
+    Each tick reads the flat world state and makes one call per controller
+    stage for all vehicles, each taking and returning one float 3-tuple (or
+    scalar, or row-major rotation 9-tuple) per vehicle.  It also counts, in
+    vehicle-ticks, the clamps that act without an error: thrust commands
+    outside [0, F_max] (the plant clamps them), desired cable rates clipped to
+    OMEGA_DES_LIMIT, and slack cables.
     """
 
     def __init__(self, config: ScenarioConfig, amap: allocation.AllocationMap):
@@ -593,22 +593,20 @@ class _FullPlant:
         self.omega_des_clips = 0
         self.slack_cable_ticks = 0
 
-    def realize(self, Y: np.ndarray, wrench_cmd: np.ndarray, new_stage: bool):
-        """(tensions, directions, vehicle positions, (thrusts, moments)) this tick."""
+    def realize(self, y: list, wrench: list, new_stage: bool):
+        """(tensions, directions, vehicle positions, advance's input) this tick."""
         config, params, gains = self.config, self.config.params, self.config.gains
         if new_stage:
             # the held wrench just changed, so differencing the allocated
             # tensions across this tick would read the jump as a physical
             # cable rotation; restart the direction-rate estimate instead
             self.mu_prev = None
-        cables = plant.cable_closure(Y, params)
-        y = Y.ravel().tolist()
+        cables = plant.cable_closure(y, params)
         R_L = plant._rotation(*y[6:10])
         p_L, v_L, omega_l = y[0:3], y[3:6], y[10:13]
         bodies = range(13, len(y), 13)
         R_k = [plant._rotation(*y[b + 6 : b + 10]) for b in bodies]
         omega_k = [y[b + 10 : b + 13] for b in bodies]
-        wrench = wrench_cmd.tolist()
         mu = allocation.allocate(wrench, R_L, self.amap)
         attachments = [_add(p_L, so3.rotate(R_L, r)) for r in params._r_i]
         mu = allocation.nullspace_redistribute(mu, attachments, R_L, self.amap, params._l_i)
@@ -637,9 +635,8 @@ class _FullPlant:
         # commanded direction with zero tracking error, feedforward only
         xi, om_c = list(xi_des), list(om_des)
         vx, vy, vz = v_L
-        stretches = cables.stretch.tolist()
         for k, ((ex, ey, ez), stretch, r, b) in enumerate(
-            zip(cables.direction.tolist(), stretches, params._r_i, bodies)
+            zip(cables.direction, cables.stretch, params._r_i, bodies)
         ):
             if stretch > 0.0:
                 # the attachment's velocity relative to the vehicle, v_L + R_L (omega_L x r) - v_k
@@ -665,11 +662,13 @@ class _FullPlant:
         moment = cable_control.moment_command(errors, omega_k, R_k, R_des, self._J_i, gains)
 
         self.thrust_clamps += sum(1 for f in thrust if f < 0.0 or f > params.F_max)
-        self.slack_cable_ticks += sum(1 for stretch in stretches if not stretch > 0.0)
-        return cables.tension, cables.direction, Y[1:, 0:3], (thrust, moment)
+        self.slack_cable_ticks += sum(1 for stretch in cables.stretch if not stretch > 0.0)
+        mav_p = [y[b : b + 3] for b in bodies]
+        return cables.tension, cables.direction, mav_p, ((thrust, moment), cables)
 
-    def advance(self, Y: np.ndarray, commands, wrench_cmd: np.ndarray, problem) -> np.ndarray:
-        return plant.step_world(Y, commands, self.config.dt_lowlevel, self.config.params)
+    def advance(self, y: list, step_input, wrench: list, problem) -> list:
+        commands, cables = step_input
+        return plant.step_world(y, commands, self.config.dt_lowlevel, self.config.params, cables)
 
 
 class _PayloadOnly:
@@ -684,7 +683,7 @@ class _PayloadOnly:
         self.config = config
         self.amap = amap
 
-    def realize(self, Y: np.ndarray, wrench_cmd: np.ndarray, new_stage: bool):
+    def realize(self, y: list, wrench: list, new_stage: bool):
         """(tensions, directions, vehicle positions, None) of the minimal-norm
         allocation, vehicles placed one cable length along each tension.
 
@@ -692,22 +691,21 @@ class _PayloadOnly:
         their multiply-adds, so the controllers' float `allocation.allocate`
         would move this model's logged tensions and positions in the last
         bits, and nothing here feeds back into the payload."""
-        params = self.config.params
-        R_L = so3.quat_to_rotation(Y[0, 6:10])
-        target = np.concatenate([R_L.T @ wrench_cmd[0:3], wrench_cmd[3:6]])
+        params, x = self.config.params, np.array(y[0:13])
+        R_L = so3.quat_to_rotation(x[6:10])
+        target = np.concatenate([R_L.T @ wrench[0:3], wrench[3:6]])
         mu = (self.amap.P_pinv @ target).reshape(params.n, 3) @ R_L.T
         tensions = np.linalg.norm(mu, axis=1)
         directions = np.where(tensions[:, None] > 1e-12, -mu / np.maximum(tensions, 1e-12)[:, None], 0.0)
-        attachments = Y[0, 0:3] + (R_L @ params.r_i.T).T
+        attachments = x[0:3] + (R_L @ params.r_i.T).T
         mav_p = attachments + params.l_i[:, None] * np.where(
             tensions[:, None] > 1e-12, mu / np.maximum(tensions, 1e-12)[:, None], [[0.0, 0.0, 1.0]]
         )
         return tensions, directions, mav_p, None
 
-    def advance(self, Y: np.ndarray, commands, wrench_cmd: np.ndarray, problem) -> np.ndarray:
-        Y = Y.copy()
-        Y[:1] = payload_ocp.discretize(Y[:1], wrench_cmd, self.config.ocp.dt, problem)
-        return Y
+    def advance(self, y: list, step_input, wrench: list, problem) -> list:
+        X = payload_ocp.discretize(np.array([y[0:13]]), np.array(wrench), self.config.ocp.dt, problem)
+        return X[0].tolist() + y[13:]
 
 
 def run_closed_loop(config: ScenarioConfig) -> RunLog:
@@ -728,32 +726,32 @@ def run_closed_loop(config: ScenarioConfig) -> RunLog:
         obstacle_center=config.ocp.obstacle_center,
         obstacle_clearance=config.ocp.obstacle_clearance,
     )
-    Y = equilibrium_state(config)
+    y = equilibrium_state(config).ravel().tolist()
     dt = config.dt_tick
     ratio = int(round(config.ocp.dt / dt))
     n_ticks = math.ceil(config.duration / dt - 1e-12)
     log = RunLog(config, n_ticks)
-    decision, wrench_cmd, idx = "", None, 0
+    log.t[:] = np.arange(n_ticks) * dt
+    decision, wrench, idx = "", None, 0
 
     for tick in range(n_ticks):
         t = tick * dt
-        if not np.all(np.isfinite(Y[0])):
+        x_now = y[0:13]
+        if not all(map(math.isfinite, x_now)):
             raise HarnessAbort(f"non-finite payload state at t={t:.3f} s")
-        x_now = Y[0].copy()
         new_stage = tick % ratio == 0
         if new_stage:
-            decision, wrench_cmd, idx = trigger.step(tick // ratio, t, x_now)
+            decision, wrench, idx = trigger.step(tick // ratio, t, np.array(x_now))
+            wrench = wrench.tolist()
         else:
             decision = ""
         try:
-            tensions, directions, mav_p, commands = model.realize(Y, wrench_cmd, new_stage)
+            tensions, directions, mav_p, step_input = model.realize(y, wrench, new_stage)
         except (plant.CableOverload, plant.DegenerateGeometry) as exc:
             raise HarnessAbort(f"cable failure at t={t:.3f} s: {exc}") from exc
 
-        log.t[tick] = t
         log.payload[tick] = x_now
-        log.reference[tick] = config.reference_at(t)[0]
-        log.wrench[tick] = wrench_cmd
+        log.wrench[tick] = wrench
         log.tensions[tick] = tensions
         log.directions[tick] = directions
         log.mav_p[tick] = mav_p
@@ -764,13 +762,13 @@ def run_closed_loop(config: ScenarioConfig) -> RunLog:
             if decision in ("forced", "event"):
                 log.event[tick] = len(trigger.events) - 1
         try:
-            Y = model.advance(Y, commands, wrench_cmd, trigger.problem)
+            y = model.advance(y, step_input, wrench, trigger.problem)
         except (plant.NonFiniteState, plant.CableOverload, plant.DegenerateGeometry) as exc:
             raise HarnessAbort(f"plant failure at t={t:.3f} s: {exc}") from exc
-        if disturbance.kind != "none" and disturbance.eta > 0.0:
-            Y[0] = payload_ocp.retract(Y[0], disturbance.sample())
+        disturbance.perturb(y)
 
     # every derived column, for the whole run at once
+    log.reference[:] = config.reference_at(log.t)[0]
     p, p_ref = log.payload[:, 0:3], log.reference[:, 0:3]
     log.payload_err = so3.norm_rows(p - p_ref)
     separations = metrics.pair_separations(log.mav_p)

@@ -5,13 +5,12 @@ the +z body axis of each vehicle.  Cables are modeled as stiff unilateral
 spring-dampers: a cable transmits force only while stretched past its rest
 length, so slackness falls out of the model without constraint solving.
 
-The world state is one (n+1, 13) array: the payload row first, then one row
-per vehicle, each row [p, v, q, omega] (position, velocity, unit quaternion
-scalar first, body rates).  `cable_closure` reads the cables off that array
-and `step_world` advances it with one Runge-Kutta step of a derivative fused
-over all bodies; both take the cables from one spring-damper law
-(`_cable_law`).  The law and the derivative run on Python floats read once
-from the array per evaluation."""
+The world state is one flat list of 13(n+1) Python floats, payload first,
+each body [p, v, q, omega] (position, velocity, unit quaternion scalar first,
+body rates).  `cable_closure` reads the cables off it and `step_world` returns
+it one Runge-Kutta step later, all on floats, from one derivative fused over
+all bodies; both take the cables from one spring-damper law (`_cable_law`),
+and a reading of the state being stepped serves the step's first stage."""
 
 from __future__ import annotations
 
@@ -20,7 +19,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import so3
+
 _BODY_DIM = 13
+
+# disturbance ticks per generator call; any size gives the same stream
+DISTURBANCE_BLOCK = 256
 
 
 class DegenerateGeometry(ValueError):
@@ -88,18 +92,19 @@ class SystemParams:
 
 @dataclass
 class CableReading:
-    """Geometry and tension of the cables: arrays with one entry (row) per
-    cable as `cable_closure` returns them, or the scalars and 3-vector of
-    one cable, which indexing with the cable number gives.
+    """Geometry and tension of the cables: lists with one entry per cable as
+    `cable_closure` returns them, or the scalars and 3-vector of one cable,
+    which indexing with the cable number gives.
 
     direction is the world-frame unit vector from the MAV mass center toward
     its attachment point (zero while the cable is slack).
     """
 
-    direction: np.ndarray
+    direction: list
     tension: float
     taut: bool
     stretch: float = 0.0
+    law: list | None = field(default=None, repr=False)  # the _cable_law output read
 
     def __getitem__(self, k) -> "CableReading":
         return CableReading(self.direction[k], self.tension[k], self.taut[k], self.stretch[k])
@@ -115,6 +120,7 @@ class DisturbanceModel:
     to the velocity components: an impulsive force moves the velocity
     within one step while the pose only follows through integration, and
     an unscaled position jump would fight the cable springs directly.
+    `draw_block` draws the per-tick stream in blocks, `perturb` applies it.
     """
 
     eta: float = 0.0
@@ -128,18 +134,51 @@ class DisturbanceModel:
             raise ValueError(f"unknown disturbance kind {self.kind!r}")
         if not 0.0 <= self.pose_scale <= 1.0:
             raise ValueError("pose_scale must lie in [0, 1]")
+        if not 0.0 <= self.eta < math.inf:
+            raise ValueError("eta must be finite and nonnegative")
         self._rng = np.random.default_rng(self.seed)
+        self._samples = self._ticks()
 
-    def sample(self) -> np.ndarray:
-        if self.kind == "none" or self.eta == 0.0:
-            return np.zeros(12)
-        u = self._rng.uniform(-1.0, 1.0, 12)
-        norm = np.linalg.norm(u)
-        if norm > 1.0:
-            u = u / norm
-        u[0:3] *= self.pose_scale
-        u[6:9] *= self.pose_scale
-        return self.eta * u
+    @property
+    def active(self) -> bool:
+        return self.kind != "none" and self.eta > 0.0
+
+    def draw_block(self) -> tuple:
+        """(D, E) for the next DISTURBANCE_BLOCK ticks: tangent rows D (B, 12) of
+        norm at most eta and the unit quaternions E (B, 4) of their attitude
+        parts; zero rows, without a draw, when the model is not active."""
+        u = np.zeros((DISTURBANCE_BLOCK, 12))
+        if self.active:
+            u = self._rng.uniform(-1.0, 1.0, u.shape)
+            norm = so3.norm_rows(u)[:, None]  # rounds as each row's 1-D norm
+            u = np.where(norm > 1.0, u / norm, u)
+            u[:, 0:3] *= self.pose_scale
+            u[:, 6:9] *= self.pose_scale
+        D = self.eta * u
+        return D, so3.quat_exp(D[:, 6:9])
+
+    def _ticks(self):
+        while True:
+            D, E = self.draw_block()
+            yield from zip(D.tolist(), E.tolist())
+
+    def perturb(self, y: list) -> None:
+        """Move the payload y[0:13] of a flat world state by the next tick's
+        sample in place, the floats of payload_ocp.retract: the attitude is
+        multiplied on the right and renormalized.  No-op when not active."""
+        if not self.active:
+            return
+        d, (ew, ex, ey, ez) = next(self._samples)
+        y[0:6] = [a + b for a, b in zip(y[0:6], d[0:6])]
+        # so3.quat_mul's grouping, so the product rounds as it does there
+        w, x, yq, z = y[6:10]
+        y[6:10] = _unit_quaternion(
+            ((w * ew - x * ex) - yq * ey) - z * ez,
+            (w * ex + x * ew) + (yq * ez - z * ey),
+            (w * ey + yq * ew) + (z * ex - x * ez),
+            (w * ez + z * ew) + (x * ey - yq * ex),
+        )
+        y[10:13] = [a + b for a, b in zip(y[10:13], d[9:12])]
 
 
 def saturate_thrust(F: float, F_max: float) -> float:
@@ -193,19 +232,18 @@ def _cable_law(y: list, R: tuple, params: SystemParams) -> list:
     return out
 
 
-def cable_closure(Y: np.ndarray, params: SystemParams) -> CableReading:
+def cable_closure(y: list, params: SystemParams) -> CableReading:
     """Per-cable taut/slack status, direction, and spring-damper tension of
-    the (n+1, 13) world state Y, as rows."""
-    y = Y.ravel().tolist()
+    the flat world state y, one list entry per cable."""
+    law = _cable_law(y, _rotation(*y[6:10]), params)
     directions, stretches, tensions = [], [], []
-    for k, (ex, ey, ez, stretch, tension) in enumerate(_cable_law(y, _rotation(*y[6:10]), params)):
+    for k, (ex, ey, ez, stretch, tension) in enumerate(law):
         if tension > 10.0 * params.f_max:
             raise CableOverload(f"cable {k} tension {tension:.3f} N past sanity ceiling")
         directions.append((ex, ey, ez) if stretch > 0.0 else (0.0, 0.0, 0.0))
         stretches.append(stretch)
         tensions.append(tension)
-    stretch = np.array(stretches)
-    return CableReading(np.array(directions), np.array(tensions), stretch > 0.0, stretch)
+    return CableReading(directions, tensions, [s > 0.0 for s in stretches], stretches, law)
 
 
 def rk4_step(derivative_fn, state, inputs, dt: float):
@@ -248,24 +286,32 @@ def _euler_rate(J, J_inv, ox, oy, oz, tx, ty, tz) -> tuple:
     return a * rx + b * ry + c * rz, d * rx + e * ry + f * rz, g * rx + h * ry + i * rz
 
 
-def _world_derivative_flat(y: np.ndarray, inputs, params: SystemParams) -> np.ndarray:
-    """Fused derivative of the world state, flat or (n+1, 13), returned in the
-    shape of y.  inputs = (thrusts, torques): one float and one 3-vector per
-    MAV.
+def _unit_quaternion(w: float, x: float, y: float, z: float) -> tuple:
+    """(w, x, y, z) to unit norm, scalar >= 0: so3.quat_normalize's floats."""
+    norm = math.sqrt(w * w + x * x + y * y + z * z)
+    if w < 0.0:
+        norm = -norm
+    return w / norm, x / norm, y / norm, z / norm
+
+
+def _world_derivative_flat(s: list, inputs, params: SystemParams, law=None) -> list:
+    """Fused derivative of the flat world state s, as a list.  inputs =
+    (thrusts, torques): one float and one 3-vector per MAV.  law, when given,
+    is `_cable_law`'s output at s.
 
     Evaluated on Python floats: on 4-5 bodies numpy's per-call cost would
     outweigh the arithmetic."""
-    s = y.ravel().tolist()
     qw, qx, qy, qz, wx, wy, wz = s[6:13]
     R = _rotation(qw, qx, qy, qz)
     r00, r01, r02, r10, r11, r12, r20, r21, r22 = R
+    if law is None:
+        law = _cable_law(s, R, params)
     g = params.g
     out = s[3:6] + [0.0] * 10  # payload row: v, then acc, qdot, omega dot below
     fx = fy = fz = mx = my = mz = 0.0
     b = 13
     for (ex, ey, ez, _, t), (rx, ry, rz), thrust, (tx, ty, tz), m, J, Ji in zip(
-        _cable_law(s, R, params), params._r_i, inputs[0], inputs[1],
-        params._m_i, params._J_i, params._J_i_inv,
+        law, params._r_i, inputs[0], inputs[1], params._m_i, params._J_i, params._J_i_inv,
     ):
         # the cable pulls the MAV toward its attachment and the payload back
         cfx, cfy, cfz = t * ex, t * ey, t * ez
@@ -290,31 +336,36 @@ def _world_derivative_flat(y: np.ndarray, inputs, params: SystemParams) -> np.nd
     out[3:6] = (-fx / m_L, -fy / m_L, -fz / m_L - g)
     out[6:10] = _quat_rate(qw, qx, qy, qz, wx, wy, wz)
     out[10:13] = _euler_rate(params._J_L, params._J_L_inv, wx, wy, wz, mx, my, mz)
-    return np.array(out).reshape(y.shape)
+    return out
 
 
-def step_world(Y: np.ndarray, commands, dt: float, params: SystemParams) -> np.ndarray:
-    """The (n+1, 13) world state one step later under held commands.
+def step_world(
+    y: list, commands, dt: float, params: SystemParams, cables: CableReading | None = None
+) -> list:
+    """The flat world state y one step later under held commands, as a new
+    list: rk4_step's arithmetic on floats, every quaternion renormalized.
 
     commands: (thrusts, torques), one float and one 3-vector per MAV; thrust
-    is saturated here.  The five quaternions are renormalized to unit norm
-    and the scalar >= 0 hemisphere on Python floats, each norm summed left to
-    right as numpy's does.
+    is saturated here.  cables, `cable_closure`'s reading of y if the caller
+    has it, serves the first stage with the floats it would compute again.
     """
     thrusts, torques = commands
     n = params.n
-    shapes_ok = len(thrusts) == n and len(torques) == n and len(Y) == n + 1
+    shapes_ok = len(thrusts) == n and len(torques) == n and len(y) == _BODY_DIM * (n + 1)
     if not shapes_ok or any(len(t) != 3 for t in torques):
         raise ValueError("need one thrust and one torque row per MAV")
-    thrusts = [saturate_thrust(float(f), params.F_max) for f in thrusts]
-    deriv = lambda yv, u: _world_derivative_flat(yv, u, params)
-    Y = rk4_step(deriv, Y, (thrusts, torques), dt)
-    quats = Y[:, 6:10].tolist()
-    for q in quats:
-        w, x, y, z = q
-        norm = math.sqrt(w * w + x * x + y * y + z * z)
-        if w < 0.0:
-            norm = -norm
-        q[:] = w / norm, x / norm, y / norm, z / norm
-    Y[:, 6:10] = quats
-    return Y
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    inputs = ([saturate_thrust(float(f), params.F_max) for f in thrusts], torques)
+    h = 0.5 * dt
+    k1 = _world_derivative_flat(y, inputs, params, None if cables is None else cables.law)
+    k2 = _world_derivative_flat([a + h * b for a, b in zip(y, k1)], inputs, params)
+    k3 = _world_derivative_flat([a + h * b for a, b in zip(y, k2)], inputs, params)
+    k4 = _world_derivative_flat([a + dt * b for a, b in zip(y, k3)], inputs, params)
+    c = dt / 6.0
+    out = [a + c * (b1 + 2.0 * b2 + 2.0 * b3 + b4) for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+    if not all(map(math.isfinite, out)):
+        raise NonFiniteState("integration produced non-finite state")
+    for b in range(6, len(out), _BODY_DIM):
+        out[b : b + 4] = _unit_quaternion(*out[b : b + 4])
+    return out

@@ -10,8 +10,6 @@ processed in one call.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 EPS = 1e-12
@@ -173,13 +171,6 @@ def quat_normalize(q: np.ndarray) -> np.ndarray:
     q = q / n
     sign = np.where(q[..., :1] < 0.0, -1.0, 1.0)
     return q * sign
-
-
-def quat_from_axis_angle(axis: np.ndarray, angle: float) -> np.ndarray:
-    axis = np.asarray(axis, dtype=np.float64)
-    axis = axis / np.linalg.norm(axis)
-    half = 0.5 * angle
-    return np.concatenate([[math.cos(half)], math.sin(half) * axis])
 
 
 # rotation matrix entry (r, c) is 1 - 2 s on the diagonal and 2 s off it,

@@ -232,7 +232,7 @@ def test_criterion_07_integrator_order():
     ]
     y0 = np.concatenate([payload] + mavs)
     inputs = (np.full(4, 1.0), np.zeros((4, 3)))
-    deriv = lambda y, u: plant._world_derivative_flat(y, u, params)
+    deriv = lambda y, u: np.array(plant._world_derivative_flat(y.tolist(), u, params))
 
     def run_rk4(h):
         y = y0.copy()

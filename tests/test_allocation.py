@@ -9,6 +9,7 @@ import pytest
 
 from cablelift import allocation, so3
 from cablelift.allocation import RankDeficient, ZeroTension
+from rotation_helpers import quat_from_axis_angle
 
 EYE = tuple(np.eye(3).ravel())
 
@@ -126,7 +127,7 @@ class TestAllocate:
 
     def test_tilted_payload_rotates_blocks(self):
         amap = allocation.build_allocation(SQUARE)
-        q = so3.quat_from_axis_angle(np.array([0.0, 1.0, 0.0]), 0.3)
+        q = quat_from_axis_angle(np.array([0.0, 1.0, 0.0]), 0.3)
         R_L = so3.quat_to_rotation(q)
         F = np.array([0.0, 0.0, 2.0])
         mu = allocation.allocate(np.concatenate([F, np.zeros(3)]).tolist(), flat(R_L), amap)

@@ -45,26 +45,52 @@ def test_run_checks_read_the_run_log(tmp_path, workload, preset, duration):
     assert set(harness.invariant_counters(log)) == {"m_bounds", "horizon_chain"}
 
 
-def test_traced_tick_calls_each_layer_function_once():
-    """Per-layer attribution rests on the tick calling every cable_control
-    function and the allocation stages once per tick for the whole rig, and
-    on the allocation map being built exactly once per run, shared by the
-    controllers and every NMPC problem."""
-    config = dataclasses.replace(harness.scenario_preset("hover"), duration=0.02)
+def _traced_run(preset: str, duration: float):
+    """A short run of a preset under the benchmark's tracer: (log, spans)."""
+    config = dataclasses.replace(harness.scenario_preset(preset), duration=duration)
     spans = tracer.Tracer()
     spans.install(tracer.traced_functions())
     try:
         log = harness.run_closed_loop(config)
     finally:
         spans.uninstall()
-    arrays = spans.arrays()
+    return log, spans.arrays()
+
+
+def test_traced_tick_calls_each_layer_function_once():
+    """Per-layer attribution rests on the tick calling every cable_control
+    function, the allocation stages and the plant's step and cable reading
+    once per tick for the whole rig, on the allocation map being built
+    exactly once per run, shared by the controllers and every NMPC problem,
+    and on the disturbance touching no payload_ocp function: a retraction
+    outside a solve would land in the solver's layer."""
+    log, arrays = _traced_run("hover", 0.02)
     table = tracer.SpanTable(**arrays)
     ticks = len(log.t)
     assert ticks == 10
     per_tick = [f"cable_control.{name}" for name in tracer.LAYER_FUNCTIONS["cable_control"]]
     stages = ("allocate", "nullspace_redistribute", "desired_cable_direction", "project_tension")
     per_tick += [f"allocation.{name}" for name in stages]
+    per_tick += ["plant.step_world", "plant.cable_closure"]
     assert {name: table.calls(name) for name in per_tick} == {name: ticks for name in per_tick}
     solves = table.calls("sqp.solve")
     assert solves == log.nmpc_executions > 0
     assert table.calls("allocation.build_allocation") == 1
+
+    log, arrays = _traced_run("circle-medium", 0.1)
+    assert log.config.disturbance_kind != "none" and log.config.disturbance_eta > 0.0
+    table = tracer.SpanTable(**arrays)
+    ticks = len(log.t)
+    assert table.calls("plant.step_world") == table.calls("plant.cable_closure") == ticks
+    names = arrays["names"].tolist()
+    name, parent = arrays["name"].tolist(), arrays["parent"].tolist()
+    solve, retract = names.index("sqp.solve"), names.index("payload_ocp.retract")
+
+    def inside_solve(i: int) -> bool:
+        while i >= 0 and name[i] != solve:
+            i = parent[i]
+        return i >= 0
+
+    retracts = [i for i, n in enumerate(name) if n == retract]
+    assert retracts, "the solver's line search retracts"
+    assert all(inside_solve(i) for i in retracts)

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from cablelift import allocation, cable_control as cc, harness, plant, so3
 from cablelift.cable_control import CableTrackingState, DegenerateThrust, GainSet
+from rotation_helpers import quat_from_axis_angle
 
 G = 9.81
 M_I = 0.12
@@ -171,7 +172,7 @@ class TestAttachmentAccel:
         np.testing.assert_allclose(a, expected, atol=1e-12)
 
     def test_rotated_payload_frame(self):
-        R_L = so3.quat_to_rotation(so3.quat_from_axis_angle(np.array([0.0, 0.0, 1.0]), 0.7))
+        R_L = so3.quat_to_rotation(quat_from_axis_angle(np.array([0.0, 0.0, 1.0]), 0.7))
         Om = np.array([0.1, -0.2, 0.3])
         a = attachment_accel(R_L, Om, np.zeros(3), R_ATTACH[1])
         expected = np.array([0.0, 0.0, G]) + R_L @ so3.hat(Om) @ so3.hat(Om) @ R_ATTACH[1]
@@ -272,15 +273,15 @@ class TestAttitudeErrors:
         np.testing.assert_allclose(e_Omega, omega - omega_des, atol=1e-15)
 
     def test_small_yaw_offset(self):
-        R = so3.quat_to_rotation(so3.quat_from_axis_angle(np.array([0.0, 0.0, 1.0]), 0.1))
+        R = so3.quat_to_rotation(quat_from_axis_angle(np.array([0.0, 0.0, 1.0]), 0.1))
         e_R, _ = attitude_errors(R, np.eye(3), np.zeros(3))
         np.testing.assert_allclose(e_R, np.array([0.0, 0.0, np.sin(0.1)]), atol=1e-12)
 
     def test_transported_rate_reference_cancels(self):
         R_des = so3.quat_to_rotation(
-            so3.quat_from_axis_angle(np.array([1.0, 1.0, 0.0]) / np.sqrt(2), 0.6)
+            quat_from_axis_angle(np.array([1.0, 1.0, 0.0]) / np.sqrt(2), 0.6)
         )
-        R = so3.quat_to_rotation(so3.quat_from_axis_angle(np.array([0.0, 1.0, 0.0]), 0.2))
+        R = so3.quat_to_rotation(quat_from_axis_angle(np.array([0.0, 1.0, 0.0]), 0.2))
         omega_des = np.array([0.3, -0.1, 0.2])
         omega = R.T @ R_des @ omega_des
         _, e_Omega = attitude_errors(R, R_des, omega, omega_des)
@@ -310,7 +311,7 @@ class TestMomentCommand:
 
     def test_restoring_direction(self):
         # body yawed past the target: the commanded moment must pull it back
-        R = so3.quat_to_rotation(so3.quat_from_axis_angle(np.array([0.0, 0.0, 1.0]), 0.3))
+        R = so3.quat_to_rotation(quat_from_axis_angle(np.array([0.0, 0.0, 1.0]), 0.3))
         errors = attitude_errors(R, np.eye(3), np.zeros(3))
         M = moment(errors, np.zeros(3), R, np.eye(3))
         assert M[2] < 0.0
@@ -379,7 +380,7 @@ def run_hover_loop(n_steps, dt=0.002):
     first_commands = None
     worst = 0.0
     for step in range(n_steps):
-        readings = plant.cable_closure(full, params)
+        readings = plant.cable_closure(full.ravel().tolist(), params)
         R_L = flat(so3.quat_to_rotation(full[0, 6:10]))
         mu = allocation.allocate(wrench, R_L, amap)
         xi_des, om_des = allocation.desired_cable_direction(mu, mu_prev, dt)
@@ -405,7 +406,8 @@ def run_hover_loop(n_steps, dt=0.002):
         moments = cc.moment_command(errors, omega_k, R_k, R_des, J_k, gains)
         if first_commands is None:
             first_commands = list(zip(thrusts, moments))
-        full = plant.step_world(full, (thrusts, moments), dt, params)
+        y = plant.step_world(full.ravel().tolist(), (thrusts, moments), dt, params)
+        full = np.reshape(y, full.shape)
         worst = max(worst, float(np.linalg.norm(full[0, 0:3] - target)))
     return worst, first_commands
 
@@ -607,7 +609,10 @@ class TestFloatTick:
         config, Y, wrench, slack, mu_prev, prev, new_stage, crowded = tick
         model = full_plant(config)
         model.mu_prev = None if mu_prev is None else [tuple(row) for row in mu_prev.tolist()]
-        tensions, directions, mav_p, (thrusts, moments) = model.realize(Y, wrench, new_stage)
+        y = Y.ravel().tolist()
+        tensions, directions, mav_p, ((thrusts, moments), cables) = model.realize(
+            y, wrench.tolist(), new_stage
+        )
 
         ref_thrusts, ref_moments, ref_mu, shifted = reference_tick(
             config, Y, wrench, None if new_stage else mu_prev
@@ -623,7 +628,8 @@ class TestFloatTick:
         np.testing.assert_allclose(moments, ref_moments, rtol=tol, atol=tol)
         np.testing.assert_allclose(model.mu_prev, ref_mu, rtol=tol_mu, atol=tol_mu)
 
-        readings = plant.cable_closure(Y, config.params)
+        readings = plant.cable_closure(y, config.params)
+        assert cables == readings
         np.testing.assert_array_equal(readings.taut, ~slack)
         np.testing.assert_array_equal(tensions, readings.tension)
         np.testing.assert_array_equal(directions, readings.direction)
@@ -698,7 +704,8 @@ def _realize_with(mutate=None, wrench=None):
     if mutate is not None:
         mutate(config, Y)
     model = full_plant(config)
-    model.realize(Y, _hover_wrench(config) if wrench is None else wrench, True)
+    wrench = _hover_wrench(config) if wrench is None else wrench
+    model.realize(Y.ravel().tolist(), wrench.tolist(), True)
 
 
 def _rows(bad, good, k=2):
@@ -718,7 +725,9 @@ def _nonfinite_step():
     config, Y = _hover_rig()
     thrusts = [1.7] * 4
     torques = _rows([0.0, np.inf, 0.0], np.zeros(3), k=3)
-    full_plant(config).advance(Y, (thrusts, torques), _hover_wrench(config), None)
+    full_plant(config).advance(
+        Y.ravel().tolist(), ((thrusts, torques), None), _hover_wrench(config).tolist(), None
+    )
 
 
 def _non_skew_rows():

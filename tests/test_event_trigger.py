@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from cablelift import event_trigger as et
 from cablelift import payload_ocp as ocp
 from cablelift import so3
+from rotation_helpers import quat_from_axis_angle
 
 
 def make_state(p=(0.0, 0.0, 0.0), q=None, v=(0.0, 0.0, 0.0), omega=(0.0, 0.0, 0.0)):
@@ -108,7 +109,7 @@ class TestShouldTrigger:
         assert et.should_trigger(2, current, ts, tight) == "event"
 
     def test_attitude_deviation_measured_by_log(self):
-        q_rot = so3.quat_from_axis_angle(np.array([0.0, 0.0, 1.0]), 0.3)
+        q_rot = quat_from_axis_angle(np.array([0.0, 0.0, 1.0]), 0.3)
         states = [make_state(p=(0.0, 0.0, 1.0)) for _ in range(6)]
         ts = make_trigger_state(states)
         rotated = make_state(p=(0.0, 0.0, 1.0), q=q_rot)

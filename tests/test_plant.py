@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cablelift import plant, so3
+from cablelift import payload_ocp, plant, so3
 from cablelift.plant import (
     CableOverload,
     CableReading,
@@ -20,6 +20,7 @@ from cablelift.plant import (
     NonFiniteState,
     SystemParams,
 )
+from rotation_helpers import quat_from_axis_angle
 
 G = 9.81
 SIDE = 0.6
@@ -30,6 +31,11 @@ P, V, Q, W = slice(0, 3), slice(3, 6), slice(6, 10), slice(10, 13)
 
 def body(p, v, q, omega) -> np.ndarray:
     return np.concatenate([p, v, q, omega])
+
+
+def flat(Y) -> list:
+    """The plant's flat world state of (n+1, 13) body rows Y."""
+    return np.ravel(Y).tolist()
 
 
 def resting_world(mav_positions, mav_v=np.zeros(3)) -> np.ndarray:
@@ -49,7 +55,7 @@ def mav_derivative(y, thrust, torque, cable, params, i):
     R = so3.quat_to_rotation(y[Q])
     force = thrust * R[:, 2] + params.m_i[i] * params.g_vec
     if cable.taut:
-        force = force + cable.tension * cable.direction
+        force = force + cable.tension * np.asarray(cable.direction)
     omega = y[W]
     omega_dot = params._J_i_inv[i] @ (torque - np.cross(omega, params.J_i[i] @ omega))
     return body(y[V], force / params.m_i[i], so3.omega_to_quat_dot(y[Q], omega), omega_dot)
@@ -67,7 +73,7 @@ def payload_derivative(y, cables, params):
     for k, cable in enumerate(cables):
         if not cable.taut:
             continue
-        f_world = -cable.tension * cable.direction
+        f_world = -cable.tension * np.asarray(cable.direction)
         force = force + f_world
         moment = moment + np.cross(params.r_i[k], R_L.T @ f_world)
     omega = y[W]
@@ -182,7 +188,7 @@ class TestStateVectors:
         params = make_params()
         Y = hover_state(params)
         Y[1, P] += np.array([0.01, 0.0, 0.0])
-        readings = plant.cable_closure(Y, params)
+        readings = plant.cable_closure(flat(Y), params)
         attach = Y[0, P] + params.r_i[0]
         d = attach - Y[1, P]
         np.testing.assert_allclose(readings[0].direction, d / np.linalg.norm(d), atol=1e-15)
@@ -221,7 +227,7 @@ class TestCableClosure:
         """A cable at exactly its rest length transmits nothing."""
         params = make_params()
         Y = resting_world([params.r_i[k] + np.array([0, 0, params.l_i[k]]) for k in range(4)])
-        readings = plant.cable_closure(Y, params)
+        readings = plant.cable_closure(flat(Y), params)
         for r in readings:
             assert not r.taut
             assert r.tension == 0.0
@@ -230,7 +236,7 @@ class TestCableClosure:
         # k * s = 10000 * 0.001 = 10 N, direction straight down toward the load
         params = make_params(cable_stiffness=10000.0, f_max=2.0)
         Y = resting_world([params.r_i[k] + np.array([0, 0, params.l_i[k] + 1e-3]) for k in range(4)])
-        readings = plant.cable_closure(Y, params)
+        readings = plant.cable_closure(flat(Y), params)
         for r in readings:
             assert r.taut
             assert r.tension == pytest.approx(10.0, abs=1e-9)
@@ -240,7 +246,7 @@ class TestCableClosure:
     def test_slack_cable(self):
         params = make_params()
         Y = resting_world([params.r_i[k] + np.array([0, 0, 0.5 * params.l_i[k]]) for k in range(4)])
-        for r in plant.cable_closure(Y, params):
+        for r in plant.cable_closure(flat(Y), params):
             assert not r.taut and r.tension == 0.0
 
     def test_damping_only_resists_further_stretch(self):
@@ -255,25 +261,25 @@ class TestCableClosure:
             )
 
         # MAV rising at 0.01 m/s: sdot = e . (v_attach - v_mav) = (0,0,-1).(0,0,-0.01) = 0.01
-        taut = plant.cable_closure(rig(0.01), params)[0]
+        taut = plant.cable_closure(flat(rig(0.01)), params)[0]
         assert taut.tension == pytest.approx(
             params.cable_stiffness * stretch + params.cable_damping * 0.01
         )
         # MAV descending: cable is closing, damping clips to zero
-        closing = plant.cable_closure(rig(-0.01), params)[0]
+        closing = plant.cable_closure(flat(rig(-0.01)), params)[0]
         assert closing.tension == pytest.approx(params.cable_stiffness * stretch)
 
     def test_degenerate_geometry_raises(self):
         params = make_params()
         Y = resting_world([params.r_i[k].copy() for k in range(4)])
         with pytest.raises(DegenerateGeometry):
-            plant.cable_closure(Y, params)
+            plant.cable_closure(flat(Y), params)
 
     def test_overload_raises(self):
         params = make_params()
         Y = resting_world([params.r_i[k] + np.array([0, 0, params.l_i[k] + 1.0]) for k in range(4)])
         with pytest.raises(CableOverload):
-            plant.cable_closure(Y, params)
+            plant.cable_closure(flat(Y), params)
 
     def test_reading_invariants_random_states(self):
         """Tension nonnegative, slack means zero force, taut directions unit."""
@@ -282,7 +288,7 @@ class TestCableClosure:
         for _ in range(200):
             full = random_full_state(rng, params, spread=0.5)
             try:
-                readings = plant.cable_closure(full, params)
+                readings = plant.cable_closure(flat(full), params)
             except DegenerateGeometry:
                 continue
             for r in readings:
@@ -303,7 +309,7 @@ class TestCableLawOracle:
         seen = {"slack": 0, "closing": 0, "opening": 0}
         for _ in range(100):
             Y = random_full_state(rng, params, spread=1.0)
-            readings = plant.cable_closure(Y, params)
+            readings = plant.cable_closure(flat(Y), params)
             R_L = so3.quat_to_rotation(Y[0, Q])
             for k, reading in enumerate(readings):
                 attach = Y[0, P] + R_L @ params.r_i[k]
@@ -407,7 +413,7 @@ class TestPayloadDerivative:
 
     def test_tilted_payload_uses_body_frame_moment_arm(self):
         params = make_params()
-        q = so3.quat_from_axis_angle(np.array([1.0, 0, 0]), 0.4)
+        q = quat_from_axis_angle(np.array([1.0, 0, 0]), 0.4)
         R = so3.quat_to_rotation(q)
         state = body(np.zeros(3), np.zeros(3), q, np.zeros(3))
         e_world = np.array([0.0, 0.0, -1.0])
@@ -499,7 +505,7 @@ class TestFullSystemOrder:
         params = make_params()
         y0 = tumble_state(params).reshape(-1)
         inputs = (np.full(4, 1.0), np.zeros((4, 3)))
-        deriv = lambda y, u: plant._world_derivative_flat(y, u, params)
+        deriv = lambda y, u: np.array(plant._world_derivative_flat(y.tolist(), u, params))
 
         def run_rk4(h):
             y = y0.copy()
@@ -524,20 +530,20 @@ class TestFusedDerivative:
         for _ in range(25):
             full = random_full_state(rng, params, spread=0.5)
             try:
-                readings = plant.cable_closure(full, params)
+                readings = plant.cable_closure(flat(full), params)
             except DegenerateGeometry:
                 continue
             thrusts = rng.uniform(0.0, params.F_max, 4)
             torques = 0.01 * rng.standard_normal((4, 3))
 
-            fused = plant._world_derivative_flat(full, (thrusts, torques), params)
+            fused = plant._world_derivative_flat(flat(full), (thrusts, torques), params)
 
             typed = [payload_derivative(full[0], readings, params)]
             for k in range(4):
                 typed.append(
                     mav_derivative(full[1 + k], thrusts[k], torques[k], readings[k], params, k)
                 )
-            np.testing.assert_allclose(fused, np.array(typed), atol=1e-12)
+            np.testing.assert_allclose(fused, np.ravel(typed), atol=1e-12)
 
 
 class TestMomentumBalance:
@@ -550,15 +556,21 @@ class TestMomentumBalance:
             full = random_full_state(rng, params, spread=0.4)
             try:
                 d = plant._world_derivative_flat(
-                    full, (np.zeros(4), np.zeros((4, 3))), params
+                    flat(full), (np.zeros(4), np.zeros((4, 3))), params
                 )
             except DegenerateGeometry:
                 continue
-            rows = d.reshape(5, 13)
+            rows = np.reshape(d, (5, 13))
             net = params.m_L * (rows[0, 3:6] - params.g_vec)
             for k in range(4):
                 net = net + params.m_i[k] * (rows[1 + k, 3:6] - params.g_vec)
             assert np.linalg.norm(net) < 1e-9
+
+
+def random_commands(rng, params: SystemParams):
+    """(thrusts, torques) as the controllers give them: lists of floats."""
+    torques = 0.01 * rng.standard_normal((params.n, 3))
+    return rng.uniform(0.0, params.F_max, params.n).tolist(), torques.tolist()
 
 
 class TestStepWorld:
@@ -566,59 +578,141 @@ class TestStepWorld:
         params = make_params()
         full = hover_state(params)
         cmds = hover_commands(params)
-        nxt = plant.step_world(full, cmds, 0.002, params)
+        nxt = np.reshape(plant.step_world(flat(full), cmds, 0.002, params), full.shape)
         drift = np.linalg.norm(nxt[0, P] - full[0, P])
         assert drift < 1e-6
 
     def test_equilibrium_holds_over_many_steps(self):
         params = make_params()
-        full = hover_state(params)
+        y = flat(hover_state(params))
         cmds = hover_commands(params)
         for _ in range(250):  # 0.5 s at 500 Hz
-            full = plant.step_world(full, cmds, 0.002, params)
-        assert np.linalg.norm(full[0, P] - np.array([0, 0, 0.5])) < 1e-6
-        assert np.linalg.norm(full[0, V]) < 1e-6
+            y = plant.step_world(y, cmds, 0.002, params)
+        assert np.linalg.norm(np.subtract(y[P], [0, 0, 0.5])) < 1e-6
+        assert np.linalg.norm(y[V]) < 1e-6
 
     def test_saturation_applied_inside_step(self):
         params = make_params()
-        full = hover_state(params)
+        y = flat(hover_state(params))
         over = (np.full(4, params.F_max + 5.0), np.zeros((4, 3)))
         at_max = (np.full(4, params.F_max), np.zeros((4, 3)))
-        a = plant.step_world(full, over, 0.002, params)
-        b = plant.step_world(full, at_max, 0.002, params)
-        np.testing.assert_array_equal(a, b)
+        a = plant.step_world(y, over, 0.002, params)
+        b = plant.step_world(y, at_max, 0.002, params)
+        assert a == b
 
     def test_command_count_mismatch_rejected(self):
         params = make_params()
+        y = flat(hover_state(params))
         with pytest.raises(ValueError):
-            plant.step_world(hover_state(params), (np.ones(1), np.zeros((1, 3))), 0.002, params)
+            plant.step_world(y, (np.ones(1), np.zeros((1, 3))), 0.002, params)
 
     def test_quaternions_stay_unit(self):
         params = make_params()
-        full = tumble_state(params)
+        y = flat(tumble_state(params))
         cmds = (np.ones(4), np.zeros((4, 3)))
         for _ in range(50):
-            full = plant.step_world(full, cmds, 0.002, params)
-        for row in full:
+            y = plant.step_world(y, cmds, 0.002, params)
+        for row in np.reshape(y, (-1, 13)):
             assert abs(np.linalg.norm(row[Q]) - 1.0) < 1e-12
+
+    def test_matches_rk4_step_on_arrays(self):
+        """The float stages are rk4_step's arithmetic: one step equals
+        rk4_step over the fused derivative on arrays, then each quaternion
+        renormalized by so3.quat_normalize, bit for bit."""
+        params = make_params(f_max=1e6)
+        rng = np.random.default_rng(8)
+        deriv = lambda y, u: np.array(plant._world_derivative_flat(y.tolist(), u, params))
+        for _ in range(20):
+            full = random_full_state(rng, params, spread=0.3)
+            cmds = random_commands(rng, params)
+            ref = plant.rk4_step(deriv, full.ravel(), cmds, 0.002).reshape(full.shape)
+            ref[:, Q] = so3.quat_normalize(ref[:, Q])
+            assert plant.step_world(flat(full), cmds, 0.002, params) == flat(ref)
+
+    def test_shared_first_stage_reading_changes_nothing(self):
+        """Passing cable_closure's reading of the state being stepped gives
+        the same floats as letting the first stage evaluate the law again,
+        on taut, slack and damped cables."""
+        params = make_params(f_max=1e6)
+        rng = np.random.default_rng(9)
+        slack = 0
+        for _ in range(50):
+            y = flat(random_full_state(rng, params, spread=0.5))
+            cmds = random_commands(rng, params)
+            reading = plant.cable_closure(y, params)
+            slack += reading.taut.count(False)
+            assert plant.step_world(y, cmds, 0.002, params, reading) == plant.step_world(
+                y, cmds, 0.002, params
+            )
+        assert slack > 0
+
+
+def parent_disturbance(eta, seed, pose_scale, ticks, x):
+    """The per-tick disturbance path the block sampler replaces: one
+    12-number uniform draw per tick, its 1-D norm, and payload_ocp.retract
+    on the one payload row.  Returns the payload row after each tick."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for _ in range(ticks):
+        u = rng.uniform(-1.0, 1.0, 12)
+        norm = np.linalg.norm(u)
+        if norm > 1.0:
+            u = u / norm
+        u[0:3] *= pose_scale
+        u[6:9] *= pose_scale
+        x = payload_ocp.retract(x, eta * u)
+        rows.append(x)
+    return np.array(rows)
 
 
 class TestDisturbanceModel:
     def test_none_kind_returns_zeros(self):
         d = DisturbanceModel(eta=0.5, kind="none")
-        np.testing.assert_array_equal(d.sample(), np.zeros(12))
+        D, E = d.draw_block()
+        np.testing.assert_array_equal(D, np.zeros((plant.DISTURBANCE_BLOCK, 12)))
+        np.testing.assert_array_equal(E, np.tile(so3.quat_identity(), (len(E), 1)))
+        y = flat(hover_state(make_params()))
+        before = list(y)
+        d.perturb(y)
+        assert y == before
 
     def test_samples_respect_bound(self):
         d = DisturbanceModel(eta=0.03, seed=11, kind="uniform-bounded")
-        for _ in range(500):
-            assert np.linalg.norm(d.sample()) <= 0.03 + 1e-15
+        for _ in range(2):
+            D, _ = d.draw_block()
+            assert np.all(np.linalg.norm(D, axis=1) <= 0.03 + 1e-15)
 
     def test_seed_reproducibility(self):
         a = DisturbanceModel(eta=0.02, seed=4, kind="uniform-bounded")
         b = DisturbanceModel(eta=0.02, seed=4, kind="uniform-bounded")
-        for _ in range(10):
-            np.testing.assert_array_equal(a.sample(), b.sample())
+        for _ in range(3):
+            for x, y in zip(a.draw_block(), b.draw_block()):
+                np.testing.assert_array_equal(x, y)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             DisturbanceModel(kind="gaussian")
+
+    @pytest.mark.parametrize("eta", [-1e-3, float("nan"), float("inf")])
+    def test_bad_eta_rejected(self, eta):
+        with pytest.raises(ValueError, match="eta"):
+            DisturbanceModel(eta=eta, kind="uniform-bounded")
+
+    @pytest.mark.parametrize("eta, pose_scale", [(1.15e-3, 0.002), (0.05, 1.0)])
+    def test_block_stream_matches_per_tick_draws(self, eta, pose_scale):
+        """Across more than three block boundaries, on a run length that is
+        no multiple of the block, perturbing the payload on floats gives the
+        per-tick path's payload rows bit for bit; the vehicles are untouched."""
+        ticks = 3 * plant.DISTURBANCE_BLOCK + 77
+        x0 = hover_state(make_params())[0]
+        x0[Q] = so3.quat_normalize([0.9, 0.1, -0.2, 0.3])
+        x0[W] = [0.3, -0.1, 0.2]
+        expect = parent_disturbance(eta, 7, pose_scale, ticks, x0)
+        d = DisturbanceModel(eta=eta, seed=7, kind="uniform-bounded", pose_scale=pose_scale)
+        y = flat(hover_state(make_params()))
+        y[0:13] = x0.tolist()
+        vehicles = y[13:]
+        for k in range(ticks):
+            d.perturb(y)
+            assert y[0:13] == expect[k].tolist(), k
+        assert y[13:] == vehicles

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cablelift import so3
+from rotation_helpers import quat_from_axis_angle
 
 
 def _Rz(a):
@@ -25,9 +26,9 @@ def _Rx(a):
 
 def _quat_zyx(phi, theta, psi):
     """Quaternion of _Rz(phi) @ _Ry(theta) @ _Rx(psi), composed from axis-angle factors."""
-    qz = so3.quat_from_axis_angle(np.array([0.0, 0.0, 1.0]), phi)
-    qy = so3.quat_from_axis_angle(np.array([0.0, 1.0, 0.0]), theta)
-    qx = so3.quat_from_axis_angle(np.array([1.0, 0.0, 0.0]), psi)
+    qz = quat_from_axis_angle(np.array([0.0, 0.0, 1.0]), phi)
+    qy = quat_from_axis_angle(np.array([0.0, 1.0, 0.0]), theta)
+    qx = quat_from_axis_angle(np.array([1.0, 0.0, 0.0]), psi)
     return so3.quat_mul(so3.quat_mul(qz, qy), qx)
 
 
@@ -44,7 +45,7 @@ class TestRotationFromEuler:
         rng = np.random.default_rng(6)
         for axis, elementary in [([0.0, 0.0, 1.0], _Rz), ([0.0, 1.0, 0.0], _Ry), ([1.0, 0.0, 0.0], _Rx)]:
             for angle in [math.pi / 2, *rng.uniform(-math.pi, math.pi, 10)]:
-                R = so3.quat_to_rotation(so3.quat_from_axis_angle(np.array(axis), angle))
+                R = so3.quat_to_rotation(quat_from_axis_angle(np.array(axis), angle))
                 np.testing.assert_allclose(R, elementary(angle), atol=1e-14)
 
     def test_matches_elementary_product_on_random_angles(self):
@@ -209,7 +210,7 @@ class TestAttitudeErrorLog:
         # oracle: axis-angle construction of the relative rotation
         rng = np.random.default_rng(10)
         q_des = so3.quat_normalize(rng.standard_normal(4))
-        q = so3.quat_mul(so3.quat_from_axis_angle(np.array([0.0, 0.0, 1.0]), 0.3), q_des)
+        q = so3.quat_mul(quat_from_axis_angle(np.array([0.0, 0.0, 1.0]), 0.3), q_des)
         np.testing.assert_allclose(
             so3.attitude_error_log(q, q_des), np.array([0.0, 0.0, 0.3]), atol=1e-12
         )
@@ -217,7 +218,7 @@ class TestAttitudeErrorLog:
     def test_near_branch_cut(self):
         angle = math.pi - 1e-6
         q_des = so3.quat_identity()
-        q = so3.quat_from_axis_angle(np.array([1.0, 0.0, 0.0]), angle)
+        q = quat_from_axis_angle(np.array([1.0, 0.0, 0.0]), angle)
         err = so3.attitude_error_log(q, q_des)
         assert abs(np.linalg.norm(err) - angle) < 1e-9
         np.testing.assert_allclose(err / np.linalg.norm(err), [1.0, 0.0, 0.0], atol=1e-9)
