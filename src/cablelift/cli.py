@@ -12,8 +12,9 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from . import harness
-from .harness import ConfigError, HarnessAbort
+from . import harness, scenario
+from .harness import HarnessAbort
+from .scenario import ConfigError
 
 
 def _add_run_flags(sub: argparse.ArgumentParser) -> None:
@@ -26,14 +27,15 @@ def _add_run_flags(sub: argparse.ArgumentParser) -> None:
 def _resolve(args) -> tuple:
     """Build the scenario from --config / --preset / --seed."""
     if args.config:
-        config, sweep = harness.load_config(args.config)
+        config, sweep = scenario.load_config(args.config)
         if args.preset:
             raise ConfigError("pass either --config or --preset, not both")
     else:
-        config = harness.scenario_preset(args.preset or "circle")
+        config = scenario.scenario_preset(args.preset or "circle")
         sweep = None
     if args.seed is not None:
-        config.seed = args.seed
+        # a new config, so that its checks run on the seed too
+        config = dataclasses.replace(config, seed=args.seed)
     return config, sweep
 
 
@@ -78,7 +80,7 @@ def cmd_sweep(args) -> int:
         grid = [(f"a{a:g}_b{b:g}", a, b) for a in alphas for b in betas]
     else:
         grid = [
-            (name, *harness.TRIGGER_PRESETS[name])
+            (name, *scenario.TRIGGER_PRESETS[name])
             for name in ("loose", "medium", "tight")
         ]
     out_dir = _out_dir(args)
@@ -113,15 +115,15 @@ def cmd_sweep(args) -> int:
 
 def cmd_presets(_args) -> int:
     print("scenario presets:")
-    for name in harness.preset_names():
-        config = harness.scenario_preset(name)
+    for name in scenario.preset_names():
+        config = scenario.scenario_preset(name)
         print(
             f"  {name:16s} {config.reference.kind:6s} {config.duration:5.1f} s  "
             f"{config.plant_model:12s} alpha={config.trigger.alpha:g} beta={config.trigger.beta:g}"
         )
     print("trigger presets (alpha, beta):")
     for name in ("loose", "medium", "tight"):
-        alpha, beta = harness.TRIGGER_PRESETS[name]
+        alpha, beta = scenario.TRIGGER_PRESETS[name]
         print(f"  {name:16s} ({alpha:g}, {beta:g})")
     return 0
 

@@ -1,4 +1,4 @@
-"""Scenario harness: scenarios, the closed-loop runner, and the run's files.
+"""Scenario harness: the closed-loop runner and the run's files.
 
 `run_closed_loop` is the one tick loop for both plant models; the world state
 it carries from tick to tick is the plant's flat list of floats, payload
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import os
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -28,15 +27,15 @@ from typing import List, Optional
 import numpy as np
 
 from . import allocation, cable_control, event_trigger, metrics, payload_ocp, plant, so3, sqp
-from .cable_control import CableTrackingState, GainSet
-from .event_trigger import TerminalRegion, TriggerConfig
-from .payload_ocp import CostWeights, OcpConfig
-from .plant import DisturbanceModel, SystemParams
-from .sqp import SolverConfig
-
-
-class ConfigError(ValueError):
-    """Bad scenario file: wrong schema version, unknown key, invalid value."""
+from .cable_control import CableTrackingState
+from .event_trigger import TerminalRegion
+from .plant import DisturbanceModel
+# the scenario names the runner uses, and those its callers reach through here
+from .scenario import (  # noqa: F401
+    TRIGGER_PRESETS, ConfigError, ReferenceSpec, ScenarioConfig, build_scenario, default_system,
+    default_weights, equilibrium_state, load_config, preset_names, reference_circle,
+    reference_hover, scenario_preset,
+)
 
 
 class HarnessAbort(RuntimeError):
@@ -47,275 +46,9 @@ class EmptyLog(ValueError):
     """Summary statistics need at least one tick."""
 
 
-SCHEMA_VERSION = 1
-
 # ceiling on the desired cable rotation rate fed to the direction controller
 # (rad/s); nominal maneuvers stay well under 1 rad/s
 OMEGA_DES_LIMIT = 4.0
-
-# the three built-in triggering conditions, loosest to tightest
-TRIGGER_PRESETS = {
-    "loose": (0.20, 0.10),
-    "medium": (0.10, 0.05),
-    "tight": (0.02, 0.01),
-    "condition1": (0.20, 0.10),
-    "condition2": (0.10, 0.05),
-    "condition3": (0.02, 0.01),
-}
-
-
-# ---------------------------------------------------------------------------
-# references
-
-
-def _level_reference(p, v, m_L: float, g: float):
-    """(x_ref, u_ref): the state row [p, v, q, omega] with level attitude and
-    zero rate (stacked over array entries of p, v), and the hover wrench [F, M]."""
-    pv = np.broadcast_arrays(*p, *v)
-    x_ref = np.zeros(pv[0].shape + (13,))
-    x_ref[..., 0:6] = np.stack(pv, axis=-1)
-    x_ref[..., 6:10] = so3.quat_identity()
-    u_ref = np.zeros(6)
-    u_ref[2] = m_L * g
-    return x_ref, u_ref
-
-
-def reference_circle(t: float, r: float, T_c: float, h: float, m_L: float, g: float = 9.81):
-    """(x_ref, u_ref) on the circular trajectory at time t (x_ref rows along
-    an array t): level attitude, analytic velocity, hover wrench feedforward."""
-    if T_c <= 0:
-        raise ValueError("circle period must be positive")
-    w = 2.0 * np.pi / T_c
-    c, s = np.cos(w * t), np.sin(w * t)
-    return _level_reference([r * c, r * s, h], [-r * w * s, r * w * c, 0.0], m_L, g)
-
-
-def reference_hover(p: np.ndarray, m_L: float, g: float = 9.81):
-    """(x_ref, u_ref) at rest at p with the hover wrench."""
-    return _level_reference(p, (0.0, 0.0, 0.0), m_L, g)
-
-
-@dataclass
-class ReferenceSpec:
-    """Which trajectory the payload should follow."""
-
-    kind: str = "circle"  # circle | hover
-    radius: float = 1.0
-    period: float = 15.0
-    height: float = 0.5
-    position: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, 0.5]))
-
-    def __post_init__(self):
-        if self.kind not in ("circle", "hover"):
-            raise ConfigError(f"unknown reference kind {self.kind!r}")
-        if self.kind == "circle" and (self.radius <= 0 or self.period <= 0):
-            raise ConfigError("circle radius and period must be positive")
-        self.position = np.asarray(self.position, dtype=np.float64)
-
-    def at(self, t: float, m_L: float, g: float):
-        """(x_ref (13,) or one row per entry of an array t, u_ref (6,))."""
-        if self.kind == "circle":
-            return reference_circle(t, self.radius, self.period, self.height, m_L, g)
-        return reference_hover(self.position, m_L, g)
-
-
-# ---------------------------------------------------------------------------
-# scenario configuration
-
-
-def default_weights() -> CostWeights:
-    """Tracking weights shared by every preset.
-
-    The cables produce a moment only once the vehicles have moved to tilt
-    them, far slower than one 50 ms stage.  The moment weight keeps a plan
-    from closing the body-rate error with a one-stage moment impulse; such
-    impulses go mostly unrealized, and replanning every sigma steps then
-    pumps the payload's rotation into an event storm.
-    """
-    Q_X = np.diag([60.0] * 3 + [8.0] * 3 + [30.0] * 3 + [2.0] * 3)
-    return CostWeights(Q_X=Q_X, Q_U=np.diag([0.8] * 3 + [40.0] * 3), Q_XN=4.0 * Q_X)
-
-
-def default_system(n: int = 4) -> SystemParams:
-    """Four-vehicle square rig: 0.6 m sides, 1 m cables, 232 g payload."""
-    if n != 4:
-        raise ConfigError("the shipped presets define the 4-vehicle square rig")
-    return SystemParams(
-        n=4,
-        m_i=0.12,
-        J_i=np.diag([2.5e-3, 2.5e-3, 4.0e-3]),
-        m_L=0.232,
-        J_L=np.diag([0.007, 0.007, 0.013]),
-        r_i=np.array(
-            [
-                [0.3, 0.3, 0.0],
-                [0.3, -0.3, 0.0],
-                [-0.3, -0.3, 0.0],
-                [-0.3, 0.3, 0.0],
-            ]
-        ),
-        l_i=1.0,
-        F_max=2.5,
-        f_max=1.2,
-        g=9.81,
-    )
-
-
-@dataclass
-class ScenarioConfig:
-    """Everything one closed-loop run needs, fully resolved."""
-
-    name: str = "circle-medium"
-    duration: float = 15.0
-    seed: int = 0
-    plant_model: str = "full"  # full | payload_only
-    dt_lowlevel: float = 0.002
-    params: SystemParams = field(default_factory=default_system)
-    reference: ReferenceSpec = field(default_factory=ReferenceSpec)
-    ocp: OcpConfig = None
-    trigger: TriggerConfig = field(default_factory=lambda: TriggerConfig(alpha=0.10, beta=0.05))
-    # convergence gate for horizon shrinking; None disables shrinking, the
-    # right choice for references that are followed rather than reached
-    terminal_epsilon: Optional[float] = 0.05
-    solver: SolverConfig = field(default_factory=SolverConfig)
-    gains: GainSet = field(default_factory=GainSet)
-    disturbance_eta: float = 0.0
-    disturbance_kind: str = "none"
-    initial_offset: np.ndarray = field(default_factory=lambda: np.zeros(3))
-
-    def __post_init__(self):
-        if self.duration <= 0:
-            raise ConfigError("duration must be positive")
-        if self.plant_model not in ("full", "payload_only"):
-            raise ConfigError(f"unknown plant model {self.plant_model!r}")
-        if self.ocp is None:
-            self.ocp = OcpConfig(
-                weights=default_weights(),
-                m_L=self.params.m_L,
-                J_L=self.params.J_L,
-                r_i=self.params.r_i,
-                f_max=self.params.f_max,
-                g=self.params.g,
-            )
-        self.initial_offset = np.asarray(self.initial_offset, dtype=np.float64)
-        if self.plant_model == "full":
-            ratio = self.ocp.dt / self.dt_lowlevel
-            if abs(ratio - round(ratio)) > 1e-9:
-                raise ConfigError("NMPC period must be an integer multiple of the low-level step")
-        if self.terminal_epsilon is not None and self.terminal_epsilon <= 0:
-            raise ConfigError("terminal region radius must be positive")
-
-    @property
-    def dt_tick(self) -> float:
-        """Logging/simulation step: low-level period, or the NMPC period when
-        only the payload rigid body is simulated."""
-        return self.dt_lowlevel if self.plant_model == "full" else self.ocp.dt
-
-    def reference_at(self, t: float):
-        return self.reference.at(t, self.params.m_L, self.params.g)
-
-
-def equilibrium_state(config: ScenarioConfig) -> np.ndarray:
-    """The (n+1, 13) world state at t=0, rows [p, v, q, omega], payload first.
-
-    All vehicles park above their attachments with the hover spring stretch,
-    the payload sits at the t=0 reference plus the configured offset, and
-    every body is level.  The whole formation starts with the reference
-    velocity so a moving reference does not open the run with a step in
-    velocity error; the cable vehicles cannot absorb a near-saturation
-    lateral command from rest without the cables going slack.
-    """
-    params = config.params
-    x_ref, _ = config.reference_at(0.0)
-    p0 = x_ref[0:3] + config.initial_offset
-    tension = params.m_L * params.g / params.n
-    Y = np.zeros((params.n + 1, 13))
-    Y[0, 0:3] = p0
-    Y[:, 3:6] = x_ref[3:6]
-    Y[:, 6:10] = so3.quat_identity()
-    for k in range(params.n):
-        stretch = tension / params.cable_stiffness
-        Y[1 + k, 0:3] = p0 + params.r_i[k] + np.array([0.0, 0.0, params.l_i[k] + stretch])
-    return Y
-
-
-def scenario_preset(name: str) -> ScenarioConfig:
-    builders = _preset_builders()
-    if name not in builders:
-        raise ConfigError(f"unknown preset {name!r}; choices: {', '.join(sorted(builders))}")
-    return builders[name]()
-
-
-def preset_names() -> List[str]:
-    return sorted(_preset_builders())
-
-
-def tracking_gains() -> GainSet:
-    """Stiffened inner-loop gains for closed-loop runs on the full plant.
-
-    The library defaults favor gentle, well-damped stand-alone behavior.
-    Under the payload controller the attitude and cable loops must respond
-    well above the wrench-command bandwidth and absorb replan steps without
-    ringing, otherwise the layers trade energy in a growing swing; these
-    values put the attitude poles near 75 rad/s and make the
-    cable-direction loop slightly overdamped around 12 rad/s.
-    """
-    return GainSet(
-        K_R=15.0 * np.eye(3),
-        K_Omega=0.37 * np.eye(3),
-        K_xi=150.0 * np.eye(3),
-        K_omega=30.0 * np.eye(3),
-    )
-
-
-def _circle(condition: str) -> ScenarioConfig:
-    alpha, beta = TRIGGER_PRESETS[condition]
-    return ScenarioConfig(
-        name=f"circle-{condition}",
-        duration=15.0,
-        seed=10,
-        plant_model="full",
-        trigger=TriggerConfig(alpha=alpha, beta=beta),
-        disturbance_eta=1.15e-3,
-        disturbance_kind="uniform-bounded",
-        # a moving reference is followed, never reached: disable horizon
-        # shrinking so replans come from the deviation test alone
-        terminal_epsilon=None,
-        gains=tracking_gains(),
-    )
-
-
-def _hover(
-    plant_model: str, offset, duration: float, name: str, terminal_epsilon: float = 0.05
-) -> ScenarioConfig:
-    gains = tracking_gains() if plant_model == "full" else GainSet()
-    return ScenarioConfig(
-        name=name,
-        duration=duration,
-        plant_model=plant_model,
-        reference=ReferenceSpec(kind="hover", position=np.array([0.0, 0.0, 1.0])),
-        trigger=TriggerConfig(alpha=0.10, beta=0.05),
-        initial_offset=np.asarray(offset, dtype=np.float64),
-        gains=gains,
-        terminal_epsilon=terminal_epsilon,
-    )
-
-
-def _preset_builders():
-    return {
-        "circle": lambda: _circle("medium"),
-        "circle-loose": lambda: _circle("loose"),
-        "circle-medium": lambda: _circle("medium"),
-        "circle-tight": lambda: _circle("tight"),
-        "hover": lambda: _hover("full", np.zeros(3), 10.0, "hover"),
-        "hover-nominal": lambda: _hover("payload_only", np.zeros(3), 10.0, "hover-nominal"),
-        # the tighter convergence gate keeps several consecutive forced
-        # replans outside the terminal region, where the optimal cost is
-        # expected to decrease monotonically
-        "hover-recovery": lambda: _hover(
-            "payload_only", [0.3, 0.0, 0.0], 10.0, "hover-recovery", terminal_epsilon=0.005
-        ),
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -910,260 +643,3 @@ def emit_summary(summary: dict, path) -> None:
             lines.append(f"{key} = {_fmt(value)}")
     with open(path, "w") as f:
         f.write("\n".join(lines) + "\n")
-
-
-# ---------------------------------------------------------------------------
-# config files
-
-
-_TOP_KEYS = {
-    "schema_version", "preset", "name", "scenario", "reference", "system",
-    "trigger", "nmpc", "solver", "disturbance", "weights", "gains", "obstacle",
-    "sweep",
-}
-_SCENARIO_KEYS = {"duration_s", "seed", "plant_model", "dt_lowlevel_s", "initial_offset_m"}
-_REFERENCE_KEYS = {"kind", "radius_m", "period_s", "height_m", "position_m"}
-_SYSTEM_KEYS = {
-    "mav_mass_kg", "payload_mass_kg", "cable_length_m", "thrust_max_N",
-    "tension_max_N", "cable_stiffness_Npm", "cable_damping_Nspm",
-}
-_TRIGGER_KEYS = {"preset", "alpha", "beta", "sigma", "terminal_epsilon"}
-_NMPC_KEYS = {"horizon", "dt_s", "funnel_epsilon_m", "funnel_weight"}
-# config key -> SolverConfig field type
-_SOLVER_KEYS = {"max_sqp_iters": int, "kkt_tol": float, "feas_tol": float}
-_DISTURBANCE_KEYS = {"eta", "kind"}
-# config key -> first index of its 3-block on the diagonal of Q_X (state) or Q_U (input)
-_STATE_WEIGHT_BLOCKS = {"position": 0, "velocity": 3, "attitude": 6, "rate": 9}
-_INPUT_WEIGHT_BLOCKS = {"force": 0, "moment": 3}
-_WEIGHT_KEYS = {*_STATE_WEIGHT_BLOCKS, *_INPUT_WEIGHT_BLOCKS, "terminal_scale"}
-# config key -> GainSet field
-_GAIN_KEYS = {"attitude": "K_R", "attitude_rate": "K_Omega", "cable": "K_xi", "cable_rate": "K_omega"}
-_OBSTACLE_KEYS = {"center_m", "clearance_m"}
-_SWEEP_KEYS = {"alphas", "betas"}
-
-
-def _check_keys(section: dict, allowed: set, where: str) -> None:
-    if not isinstance(section, dict):
-        raise ConfigError(f"section {where!r} must be a mapping")
-    unknown = set(section).difference(allowed)
-    if unknown:
-        raise ConfigError(f"unknown key {sorted(unknown)[0]!r} in section {where!r}")
-
-
-def _number(
-    section: dict, key: str, default=None, kind=float, positive=False, nonnegative=False
-):
-    """section[key] as a finite float, an integer (kind=int), a list of three
-    finite floats (kind=np.ndarray) or a list of finite floats (kind=list);
-    default when the key is absent.  With positive=True a number, or each
-    item of a list, must also be > 0, with nonnegative=True >= 0.  Anything
-    else is a ConfigError naming the key."""
-    if key not in section:
-        return default
-    value = section[key]
-    if kind is np.ndarray or kind is list:
-        if not isinstance(value, list) or (kind is np.ndarray and len(value) != 3):
-            size = "3 " if kind is np.ndarray else ""
-            raise ConfigError(f"{key!r} must be a list of {size}numbers, got {value!r}")
-        items = [_number({key: v}, key, positive=positive, nonnegative=nonnegative) for v in value]
-        return np.array(items) if kind is np.ndarray else items
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{key!r} must be a number, got {value!r}")
-    if kind is int:
-        if isinstance(value, float) and not value.is_integer():
-            raise ConfigError(f"{key!r} must be an integer, got {value!r}")
-        value = int(value)
-    else:
-        try:
-            value = float(value)
-        except OverflowError:
-            value = math.inf
-        if not math.isfinite(value):
-            raise ConfigError(f"{key!r} must be finite, got {value!r}")
-    if positive and value <= 0:
-        raise ConfigError(f"{key!r} must be positive, got {value!r}")
-    if nonnegative and value < 0:
-        raise ConfigError(f"{key!r} must be nonnegative, got {value!r}")
-    return value
-
-
-def _override_weights(base: CostWeights, section: dict) -> CostWeights:
-    """The preset's weights with the blocks named in `section` replaced.
-
-    Preset weights are diagonal with one value per 3-block, and the terminal
-    weight is Q_XN = terminal_scale * Q_X; every block the section leaves
-    out, and the terminal scale, keep the preset's values.
-    """
-    diag_x = np.diag(base.Q_X).copy()
-    diag_u = np.diag(base.Q_U).copy()
-    scale = _number(section, "terminal_scale", float(base.Q_XN[0, 0] / base.Q_X[0, 0]))
-    for key, start in _STATE_WEIGHT_BLOCKS.items():
-        if key in section:
-            diag_x[start : start + 3] = _number(section, key)
-    for key, start in _INPUT_WEIGHT_BLOCKS.items():
-        if key in section:
-            diag_u[start : start + 3] = _number(section, key)
-    Q_X = np.diag(diag_x)
-    return CostWeights(Q_X=Q_X, Q_U=np.diag(diag_u), Q_XN=scale * Q_X)
-
-
-def load_config(path):
-    """Parse a scenario file into (ScenarioConfig, sweep grid or None).
-
-    A file that cannot be read or parsed is a ConfigError naming it.
-    """
-    # imported here, the only place that reads YAML, so that a preset run
-    # never pays for loading the parser
-    import yaml
-
-    try:
-        with open(path) as f:
-            data = yaml.safe_load(f)
-    except OSError as exc:
-        raise ConfigError(f"cannot read scenario file {str(path)!r}: {exc.strerror}") from exc
-    except (yaml.YAMLError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"scenario file {str(path)!r} is not valid YAML: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError("config file must contain a mapping")
-    return build_scenario(data)
-
-
-def _file_name(value) -> str:
-    """The scenario name, which names the output files inside --out-dir: one
-    non-empty file-name component."""
-    separators = [sep for sep in (os.sep, os.altsep) if sep]
-    if not isinstance(value, str) or value in ("", ".", "..") or any(
-        sep in value for sep in separators
-    ):
-        raise ConfigError(f"'name' must be a file name without a path separator, got {value!r}")
-    return value
-
-
-def build_scenario(data: dict):
-    _check_keys(data, _TOP_KEYS, "top level")
-    version = data.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise ConfigError(f"schema_version must be {SCHEMA_VERSION}, got {version!r}")
-    config = scenario_preset(data.get("preset", "circle"))
-    if "name" in data:
-        config.name = _file_name(data["name"])
-
-    sc = data.get("scenario", {})
-    _check_keys(sc, _SCENARIO_KEYS, "scenario")
-    config.duration = _number(sc, "duration_s", config.duration, positive=True)
-    config.seed = _number(sc, "seed", config.seed, int)
-    config.plant_model = sc.get("plant_model", config.plant_model)
-    config.dt_lowlevel = _number(sc, "dt_lowlevel_s", config.dt_lowlevel, positive=True)
-    config.initial_offset = _number(sc, "initial_offset_m", config.initial_offset, np.ndarray)
-
-    ref = data.get("reference", {})
-    _check_keys(ref, _REFERENCE_KEYS, "reference")
-    if ref:
-        config.reference = ReferenceSpec(
-            kind=ref.get("kind", config.reference.kind),
-            radius=_number(ref, "radius_m", config.reference.radius),
-            period=_number(ref, "period_s", config.reference.period),
-            height=_number(ref, "height_m", config.reference.height),
-            position=_number(ref, "position_m", config.reference.position, np.ndarray),
-        )
-
-    sys_sec = data.get("system", {})
-    _check_keys(sys_sec, _SYSTEM_KEYS, "system")
-    if sys_sec:
-        base = config.params
-        config.params = SystemParams(
-            n=base.n,
-            m_i=_number(sys_sec, "mav_mass_kg", float(base.m_i[0]), positive=True),
-            J_i=base.J_i[0],
-            m_L=_number(sys_sec, "payload_mass_kg", base.m_L, positive=True),
-            J_L=base.J_L,
-            r_i=base.r_i,
-            l_i=_number(sys_sec, "cable_length_m", float(base.l_i[0]), positive=True),
-            F_max=_number(sys_sec, "thrust_max_N", base.F_max, positive=True),
-            f_max=_number(sys_sec, "tension_max_N", base.f_max, positive=True),
-            g=base.g,
-            cable_stiffness=_number(
-                sys_sec, "cable_stiffness_Npm", base.cable_stiffness, positive=True
-            ),
-            cable_damping=_number(
-                sys_sec, "cable_damping_Nspm", base.cable_damping, nonnegative=True
-            ),
-        )
-
-    trig = data.get("trigger", {})
-    _check_keys(trig, _TRIGGER_KEYS, "trigger")
-    alpha, beta = config.trigger.alpha, config.trigger.beta
-    if "preset" in trig:
-        if trig["preset"] not in TRIGGER_PRESETS:
-            raise ConfigError(f"unknown trigger preset {trig['preset']!r}")
-        alpha, beta = TRIGGER_PRESETS[trig["preset"]]
-    config.trigger = TriggerConfig(
-        alpha=_number(trig, "alpha", alpha, nonnegative=True),
-        beta=_number(trig, "beta", beta, positive=True),
-        sigma=_number(trig, "sigma", config.trigger.sigma, int, positive=True),
-    )
-    eps = trig.get("terminal_epsilon", config.terminal_epsilon)
-    config.terminal_epsilon = None if eps is None else _number(trig, "terminal_epsilon", eps)
-
-    nmpc = data.get("nmpc", {})
-    _check_keys(nmpc, _NMPC_KEYS, "nmpc")
-    weights_sec = data.get("weights", {})
-    _check_keys(weights_sec, _WEIGHT_KEYS, "weights")
-    weights = config.ocp.weights
-    if weights_sec:
-        weights = _override_weights(weights, weights_sec)
-    obstacle = data.get("obstacle", {})
-    _check_keys(obstacle, _OBSTACLE_KEYS, "obstacle")
-    if obstacle and "center_m" not in obstacle:
-        raise ConfigError("section 'obstacle' needs center_m")
-    funnel_eps = _number(nmpc, "funnel_epsilon_m", config.ocp.funnel.value(0.0), positive=True)
-    config.ocp = OcpConfig(
-        weights=weights,
-        m_L=config.params.m_L,
-        J_L=config.params.J_L,
-        r_i=config.params.r_i,
-        f_max=config.params.f_max,
-        N=_number(nmpc, "horizon", config.ocp.N, int, positive=True),
-        dt=_number(nmpc, "dt_s", config.ocp.dt, positive=True),
-        g=config.params.g,
-        obstacle_center=_number(obstacle, "center_m", None, np.ndarray) if obstacle else None,
-        obstacle_clearance=_number(obstacle, "clearance_m", 0.0, nonnegative=True),
-        funnel=metrics.FunnelSpec.constant(funnel_eps),
-        funnel_weight=_number(nmpc, "funnel_weight", config.ocp.funnel_weight, nonnegative=True),
-    )
-
-    solver = data.get("solver", {})
-    _check_keys(solver, _SOLVER_KEYS, "solver")
-    config.solver = dataclasses.replace(
-        config.solver,
-        **{key: _number(solver, key, kind=_SOLVER_KEYS[key], positive=True) for key in solver},
-    )
-
-    gains_sec = data.get("gains", {})
-    _check_keys(gains_sec, _GAIN_KEYS, "gains")
-    config.gains = dataclasses.replace(
-        config.gains,
-        **{_GAIN_KEYS[key]: _number(gains_sec, key) * np.eye(3) for key in gains_sec},
-    )
-
-    dist = data.get("disturbance", {})
-    _check_keys(dist, _DISTURBANCE_KEYS, "disturbance")
-    config.disturbance_eta = _number(dist, "eta", config.disturbance_eta, nonnegative=True)
-    config.disturbance_kind = dist.get("kind", config.disturbance_kind)
-    if config.disturbance_kind not in ("none", "uniform-bounded"):
-        raise ConfigError(f"unknown disturbance kind {config.disturbance_kind!r}")
-
-    sweep = data.get("sweep")
-    if sweep is not None:
-        _check_keys(sweep, _SWEEP_KEYS, "sweep")
-        # the ranges TriggerConfig requires of alpha and beta, checked before
-        # any grid point runs
-        alphas = _number(sweep, "alphas", [], list, nonnegative=True)
-        betas = _number(sweep, "betas", [], list, positive=True)
-        if not alphas or not betas:
-            raise ConfigError("sweep needs non-empty alphas and betas lists")
-        sweep = (alphas, betas)
-
-    # re-run the cross-field validation with the final field values
-    config.__post_init__()
-    return config, sweep

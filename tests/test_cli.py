@@ -110,6 +110,10 @@ class TestRun:
             ("hover", "solver", "max_sqp_iters", "0"),
             ("hover", "nmpc", "funnel_weight", "-1"),
             ("hover", "disturbance", "eta", "-1"),
+            ("hover", "scenario", "seed", "-3"),
+            ("hover", "nmpc", "horizon", "1"),
+            ("hover", "trigger", "preset", "[tight]"),
+            ("hover", "trigger", "preset", "{name: tight}"),
         ],
     )
     def test_malformed_number_is_a_config_error(self, tmp_path, capsys, preset, section, key, value):
@@ -117,6 +121,31 @@ class TestRun:
         config = write(tmp_path, text)
         assert cli.main(["run", "--config", config, "--out-dir", str(tmp_path)]) == 2
         assert repr(key) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("preset", ["[hover]", "{name: hover}"])
+    def test_preset_that_is_not_a_name_is_a_config_error(self, tmp_path, capsys, preset):
+        config = write(tmp_path, f"schema_version: 1\npreset: {preset}\n")
+        assert cli.main(["run", "--config", config, "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "'preset'" in err
+        assert "Traceback" not in err
+
+    def test_horizon_below_sigma_is_a_config_error(self, tmp_path, capsys):
+        """A replan shrinks the horizon no lower than sigma, so a horizon
+        below it would fail at the first replan instead of here."""
+        text = "schema_version: 1\npreset: hover-nominal\ntrigger:\n  sigma: 3\nnmpc:\n  horizon: 2\n"
+        config = write(tmp_path, text)
+        assert cli.main(["run", "--config", config, "--out-dir", str(tmp_path)]) == 2
+        assert "'horizon'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sigma", [1, 2])
+    def test_horizon_two_runs(self, tmp_path, capsys, sigma):
+        text = (
+            "schema_version: 1\npreset: hover-recovery\nscenario:\n  duration_s: 0.5\n"
+            f"trigger:\n  sigma: {sigma}\nnmpc:\n  horizon: 2\n"
+        )
+        config = write(tmp_path, text)
+        assert cli.main(["run", "--config", config, "--out-dir", str(tmp_path)]) == 0
 
     @pytest.mark.parametrize("name", ["sub/run", '"../x"', "[1, 2]"])
     def test_name_that_is_not_one_file_name_is_a_config_error(self, tmp_path, capsys, name):
@@ -208,6 +237,17 @@ class TestRun:
         other = (tmp_path / "c" / "quick.csv").read_bytes()
         assert same == again
         assert same != other
+
+    @pytest.mark.parametrize("source", [["--preset", "hover-nominal"], ["--config", None]])
+    def test_negative_seed_override_is_a_config_error(self, tmp_path, capsys, source):
+        if source[1] is None:
+            source = ["--config", write(tmp_path, FAST_CONFIG)]
+        code = cli.main(["run", *source, "--out-dir", str(tmp_path), "--seed", "-1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "'seed'" in err
+        assert "Traceback" not in err
+        assert not list(tmp_path.rglob("*.csv"))
 
     def test_missing_subcommand_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -12,7 +12,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from cablelift import allocation, harness, metrics, payload_ocp, plant, so3
+from cablelift import allocation, harness, metrics, payload_ocp, plant, scenario, so3
 from cablelift.harness import (
     ConfigError,
     EmptyLog,
@@ -132,6 +132,32 @@ class TestScenarioConfig:
     def test_nonpositive_duration_rejected(self):
         with pytest.raises(ConfigError):
             ScenarioConfig(duration=0.0)
+
+    @pytest.mark.parametrize("duration", [math.nan, math.inf])
+    def test_nonfinite_duration_rejected(self, duration):
+        with pytest.raises(ConfigError, match="duration"):
+            ScenarioConfig(duration=duration)
+
+    @pytest.mark.parametrize("dt", [-0.002, 0.0, math.nan, math.inf])
+    def test_low_level_step_must_be_positive_and_finite(self, dt):
+        # -0.002 divides the NMPC period (ratio -25), so only this check stops it
+        with pytest.raises(ConfigError, match="low-level step"):
+            ScenarioConfig(dt_lowlevel=dt)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_seed_must_be_a_nonnegative_integer(self, seed):
+        with pytest.raises(ConfigError, match="'seed'"):
+            ScenarioConfig(seed=seed)
+
+    @pytest.mark.parametrize("N, sigma", [(1, 1), (1, 2), (2, 3), (4, 5)])
+    def test_horizon_below_two_or_sigma_rejected(self, N, sigma):
+        base = ScenarioConfig()
+        with pytest.raises(ConfigError, match="'horizon'"):
+            dataclasses.replace(
+                base,
+                ocp=dataclasses.replace(base.ocp, N=N),
+                trigger=dataclasses.replace(base.trigger, sigma=sigma),
+            )
 
     def test_unknown_plant_model_rejected(self):
         with pytest.raises(ConfigError):
@@ -884,7 +910,7 @@ class TestLoadConfig:
             "weights:\n  velocity: 3.0\n"
             "solver:\n  kkt_tol: 1.0e-7\n"
         )
-        with mock.patch.object(harness, "scenario_preset", return_value=preset):
+        with mock.patch.object(scenario, "scenario_preset", return_value=preset):
             config, _ = harness.load_config(write_config(tmp_path, text))
         expected_x = np.diag(preset.ocp.weights.Q_X).copy()
         expected_x[3:6] = 3.0
