@@ -237,8 +237,8 @@ class _TriggerLoop:
                     N_hat = event_trigger.first_entry_index(self.state.predicted, self.region, self.ref_x)
                 N_new = event_trigger.shrink_horizon(self.state, m_k, N_hat, cfg.trigger)
         if decision != "none":
-            refs = [cfg.reference_at(t + i * cfg.ocp.dt) for i in range(N_new + 1)]
-            ref_x, ref_u = (np.array(rows) for rows in zip(*refs))
+            rows = cfg.reference_at(t + np.arange(N_new + 1) * cfg.ocp.dt)
+            ref_x, ref_u = (np.array(np.broadcast_to(r, (N_new + 1, r.shape[-1]))) for r in rows)
             problem = payload_ocp.build_ocp(
                 x_now, ref_x, ref_u, dataclasses.replace(cfg.ocp, N=N_new), self.amap
             )

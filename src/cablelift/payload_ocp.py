@@ -15,11 +15,15 @@ A state is one row [p, v, q, omega] of 13 numbers and a wrench one row
 array of wrench rows.  The per-state functions (state_error,
 payload_dynamics, discretize, retract, local_coords) take rows with any
 leading shape: all stages are one numpy call, and one state is the 1-D case.
+An optional rollout, E or shares argument passes what rk4_stages,
+state_error or tension_shares already computed on the same rows, so that
+the solver evaluates each iterate once and builds its QP from that.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Tuple
 
 import numpy as np
@@ -107,6 +111,11 @@ class OcpProblem:
     @property
     def g_vec(self) -> np.ndarray:
         return np.array([0.0, 0.0, -self.g])
+
+    @cached_property
+    def share_maps(self) -> np.ndarray:
+        """tension_shares' maps at the stage reference attitudes, built once."""
+        return _share_maps(self.ref_x[:-1, 6:10], self.amap)
 
 
 @dataclass
@@ -217,10 +226,23 @@ def _dynamics_tangent(Y: np.ndarray, dY: np.ndarray, dU: np.ndarray, problem) ->
     return out
 
 
-def discretize(Y: np.ndarray, U: np.ndarray, dt: float, problem) -> np.ndarray:
+def rk4_stages(Y: np.ndarray, U: np.ndarray, dt: float, problem):
+    """discretize's Runge-Kutta step kept for reuse: ([Y1, Y2, Y3, Y4], end),
+    the stage states the derivative is taken at and the unnormalized end."""
+    stages = []
+
+    def derivative(y, u):
+        stages.append(y)
+        return payload_dynamics(y, u, problem)
+    end = plant.rk4_step(derivative, Y, U, dt)
+    return stages, end
+
+
+def discretize(Y: np.ndarray, U: np.ndarray, dt: float, problem, rollout=None) -> np.ndarray:
     """One Runge-Kutta step of the payload dynamics of every state row Y under
     the matching wrench row U, attitude renormalized."""
-    Y = plant.rk4_step(lambda y, u: payload_dynamics(y, u, problem), Y, U, dt)
+    _, end = rk4_stages(Y, U, dt, problem) if rollout is None else rollout
+    Y = end.copy()
     Y[..., 6:10] = so3.quat_normalize(Y[..., 6:10])
     return Y
 
@@ -250,7 +272,7 @@ def local_coords(base: np.ndarray, Y: np.ndarray) -> np.ndarray:
 
 
 def linearize_dynamics(
-    X: np.ndarray, U: np.ndarray, dt: float, problem
+    X: np.ndarray, U: np.ndarray, dt: float, problem, rollout=None
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Exact tangent-space Jacobians of the discrete step at every stage.
 
@@ -267,34 +289,22 @@ def linearize_dynamics(
     K = len(X)
     eye3 = np.eye(3)
     dX = np.zeros((K, NX + NU, 13))
-    dX[:, 0:3, 0:3] = eye3
-    dX[:, 3:6, 3:6] = eye3
+    dX[:, 0:6, 0:6] = np.eye(6)
     dX[:, 6:9, 6:10] = so3.omega_to_quat_dot(X[:, None, 6:10], eye3)  # d retract / d dtheta
     dX[:, 9:12, 10:13] = eye3
     dU = np.zeros((NX + NU, NU))
     dU[NX:] = np.eye(NU)
 
-    k1 = payload_dynamics(X, U, problem)
-    t1 = _dynamics_tangent(X, dX, dU, problem)
-    Y2 = X + 0.5 * dt * k1
-    k2 = payload_dynamics(Y2, U, problem)
-    t2 = _dynamics_tangent(Y2, dX + 0.5 * dt * t1, dU, problem)
-    Y3 = X + 0.5 * dt * k2
-    k3 = payload_dynamics(Y3, U, problem)
-    t3 = _dynamics_tangent(Y3, dX + 0.5 * dt * t2, dU, problem)
-    Y4 = X + dt * k3
-    k4 = payload_dynamics(Y4, U, problem)
-    t4 = _dynamics_tangent(Y4, dX + dt * t3, dU, problem)
-    q = (X + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))[:, 6:10]
-    dY = dX + (dt / 6.0) * (t1 + 2 * t2 + 2 * t3 + t4)
-    if not (np.all(np.isfinite(q)) and np.all(np.isfinite(dY))):
-        raise plant.NonFiniteState("payload linearization produced non-finite values")
+    stages, end = rk4_stages(X, U, dt, problem) if rollout is None else rollout
+    # the same step on the tangents, each stage along its stage state
+    stage = iter(stages)
+    dY = plant.rk4_step(lambda dy, du: _dynamics_tangent(next(stage), dy, du, problem), dX, dU, dt)
 
     # renormalization q -> q/|q|; the hemisphere sign multiplies the base and
     # its tangent alike and cancels in local_coords, whose attitude block at
     # the base is 2 * vec(conj(q_next) * dq_next)
-    norm = np.linalg.norm(q, axis=-1)[:, None, None]
-    qh = q[:, None, :] / norm
+    norm = np.linalg.norm(end[:, 6:10], axis=-1)[:, None, None]
+    qh = end[:, None, 6:10] / norm
     dq = dY[..., 6:10]
     dqh = (dq - qh * np.sum(qh * dq, axis=-1, keepdims=True)) / norm
     D = np.empty((K, NX + NU, NX))
@@ -305,10 +315,10 @@ def linearize_dynamics(
     return np.ascontiguousarray(D[:, :, :NX]), np.ascontiguousarray(D[:, :, NX:])
 
 
-def dynamics_defects(X: np.ndarray, U: np.ndarray, problem) -> np.ndarray:
+def dynamics_defects(X: np.ndarray, U: np.ndarray, problem, rollout=None) -> np.ndarray:
     """(N, 12) gap between each rolled-out step of the stacked state rows X
     under the wrench rows U and the stored next state."""
-    return local_coords(X[1:], discretize(X[:-1], U, problem.dt, problem))
+    return local_coords(X[1:], discretize(X[:-1], U, problem.dt, problem, rollout))
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +333,7 @@ def _check_rows(X: np.ndarray, U: np.ndarray, problem) -> None:
         )
 
 
-def total_cost(X: np.ndarray, U: np.ndarray, problem) -> float:
+def total_cost(X: np.ndarray, U: np.ndarray, problem, E=None) -> float:
     """Quadratic tracking cost plus the soft funnel penalty.
 
     The funnel penalizes position deviation beyond its radius at every stage
@@ -332,7 +342,7 @@ def total_cost(X: np.ndarray, U: np.ndarray, problem) -> float:
     """
     _check_rows(X, U, problem)
     W = problem.weights
-    E = state_error(X, problem.ref_x)
+    E = state_error(X, problem.ref_x) if E is None else E
     E_u = problem.ref_u[:-1] - U
     cost = float(np.sum((E[:-1] @ W.Q_X) * E[:-1]) + np.sum((E_u @ W.Q_U) * E_u))
     cost += float(E[-1] @ W.Q_XN @ E[-1])
@@ -354,7 +364,7 @@ def _error_jacobians(X: np.ndarray, E: np.ndarray) -> np.ndarray:
     return J
 
 
-def cost_expansion(X: np.ndarray, U: np.ndarray, problem):
+def cost_expansion(X: np.ndarray, U: np.ndarray, problem, E=None):
     """Per-stage gradients and Gauss-Newton Hessians of total_cost.
 
     Gradients are exact (up to the funnel hinge kink); Hessians drop the
@@ -364,7 +374,7 @@ def cost_expansion(X: np.ndarray, U: np.ndarray, problem):
     _check_rows(X, U, problem)
     W = problem.weights
     N = problem.N
-    E = state_error(X, problem.ref_x)
+    E = state_error(X, problem.ref_x) if E is None else E
     J = _error_jacobians(X, E)
     Q = np.empty((N + 1, NX, NX))
     Q[:N] = W.Q_X
@@ -397,22 +407,27 @@ def cost_expansion(X: np.ndarray, U: np.ndarray, problem):
 # inequality rows
 
 
-def _tension_shares(U: np.ndarray, q_ref: np.ndarray, problem):
-    """Each cable's minimal-norm share of every wrench row at the reference
-    attitude: shares y (K, n, 3), their norms (K, n) and the share maps
-    d y / d u (K, n, 3, 6)."""
+def _share_maps(q_ref: np.ndarray, amap: allocation.AllocationMap) -> np.ndarray:
+    """d y / d u (K, n, 3, 6) of each cable's minimal-norm share y of a wrench
+    u at each of the (K, 4) reference attitudes."""
     R_t = so3.quat_to_rotation(q_ref).transpose(0, 2, 1)
-    T = np.zeros((len(U), NU, NU))
+    T = np.zeros((len(q_ref), NU, NU))
     T[:, 0:3, 0:3] = R_t
     T[:, 3:6, 3:6] = np.eye(3)
-    G = problem.amap.P_pinv.reshape(problem.amap.n, 3, NU)
-    GT = G[None] @ T[:, None]
-    y = GT @ U[:, None, :, None]
-    y = y[..., 0]
+    G = amap.P_pinv.reshape(amap.n, 3, NU)
+    return G[None] @ T[:, None]
+
+
+def tension_shares(U: np.ndarray, problem, q_ref: Optional[np.ndarray] = None):
+    """Each cable's minimal-norm share of every wrench row at the reference
+    attitudes q_ref (default: the problem's, whose maps it keeps): shares
+    y (K, n, 3), their norms (K, n) and the maps d y / d u (K, n, 3, 6)."""
+    GT = problem.share_maps if q_ref is None else _share_maps(q_ref, problem.amap)
+    y = (GT @ U[:, None, :, None])[..., 0]
     return y, np.linalg.norm(y, axis=-1), GT
 
 
-def tension_rows(U: np.ndarray, q_ref: np.ndarray, problem) -> Tuple[np.ndarray, np.ndarray]:
+def tension_rows(U: np.ndarray, q_ref: np.ndarray, problem, shares=None) -> tuple:
     """Per-cable tension-norm rows at every stage, linearized at the inputs.
 
     U holds (K, 6) wrench rows and q_ref the (K, 4) reference attitudes.
@@ -425,13 +440,13 @@ def tension_rows(U: np.ndarray, q_ref: np.ndarray, problem) -> Tuple[np.ndarray,
     K = len(U)
     if not np.isfinite(problem.f_max):
         return np.zeros((K, 0, NU)), np.zeros((K, 0))
-    y, ny, GT = _tension_shares(U, q_ref, problem)
+    y, ny, GT = tension_shares(U, problem, q_ref) if shares is None else shares
     unit = np.where(ny[..., None] < 1e-9, 0.0, y / np.maximum(ny, 1e-9)[..., None])
     J = np.einsum("kni,knij->knj", unit, GT)
     return J, ny - problem.f_max
 
 
-def tension_row_hessians(U: np.ndarray, q_ref: np.ndarray, problem) -> np.ndarray:
+def tension_row_hessians(U: np.ndarray, q_ref: np.ndarray, problem, shares=None) -> np.ndarray:
     """Second derivatives of the tension-norm rows, (K, n, 6, 6).
 
     Same rows as tension_rows.  Each block is the positive semidefinite
@@ -441,7 +456,7 @@ def tension_row_hessians(U: np.ndarray, q_ref: np.ndarray, problem) -> np.ndarra
     K = len(U)
     if not np.isfinite(problem.f_max):
         return np.zeros((K, 0, NU, NU))
-    y, ny, GT = _tension_shares(U, q_ref, problem)
+    y, ny, GT = tension_shares(U, problem, q_ref) if shares is None else shares
     live = ny >= 1e-9
     safe = np.where(live, ny, 1.0)
     yh = y / safe[..., None]

@@ -15,7 +15,7 @@ from . import so3
 from .cable_control import GainSet
 from .event_trigger import TriggerConfig
 from .metrics import FunnelSpec
-from .payload_ocp import CostWeights, OcpConfig
+from .payload_ocp import ConfigError as OcpConfigError, CostWeights, OcpConfig
 from .plant import SystemParams
 from .sqp import SolverConfig
 
@@ -80,9 +80,10 @@ class ReferenceSpec:
 
     def __post_init__(self):
         if self.kind not in ("circle", "hover"):
-            raise ConfigError(f"unknown reference kind {self.kind!r}")
-        if self.kind == "circle" and (self.radius <= 0 or self.period <= 0):
-            raise ConfigError("circle radius and period must be positive")
+            raise ConfigError(f"unknown reference 'kind' {self.kind!r}")
+        for key, value in (("radius_m", self.radius), ("period_s", self.period)):
+            if self.kind == "circle" and value <= 0:
+                raise ConfigError(f"circle {key!r} must be positive, got {value!r}")
         self.position = np.asarray(self.position, dtype=np.float64)
 
     def at(self, t: float, m_L: float, g: float):
@@ -164,9 +165,9 @@ class ScenarioConfig:
         if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
             raise ConfigError(f"'seed' must be a nonnegative integer, got {self.seed!r}")
         if self.plant_model not in ("full", "payload_only"):
-            raise ConfigError(f"unknown plant model {self.plant_model!r}")
+            raise ConfigError(f"unknown 'plant_model' {self.plant_model!r}")
         if self.disturbance_kind not in ("none", "uniform-bounded"):
-            raise ConfigError(f"unknown disturbance kind {self.disturbance_kind!r}")
+            raise ConfigError(f"unknown disturbance 'kind' {self.disturbance_kind!r}")
         if self.ocp is None:
             self.ocp = OcpConfig(
                 weights=default_weights(),
@@ -354,10 +355,11 @@ FIELDS = {
     ("weights", "force"): (float, None, None),
     ("weights", "moment"): (float, None, None),
     ("weights", "terminal_scale"): (float, None, None),
-    ("gains", "attitude"): (float, None, "gains.K_R"),
-    ("gains", "attitude_rate"): (float, None, "gains.K_Omega"),
-    ("gains", "cable"): (float, None, "gains.K_xi"),
-    ("gains", "cable_rate"): (float, None, "gains.K_omega"),
+    # GainSet takes exactly the positive gains
+    ("gains", "attitude"): (float, POSITIVE, "gains.K_R"),
+    ("gains", "attitude_rate"): (float, POSITIVE, "gains.K_Omega"),
+    ("gains", "cable"): (float, POSITIVE, "gains.K_xi"),
+    ("gains", "cable_rate"): (float, POSITIVE, "gains.K_omega"),
     ("obstacle", "center_m"): (VECTOR, None, "ocp.obstacle_center"),
     ("obstacle", "clearance_m"): (float, NONNEGATIVE, "ocp.obstacle_clearance"),
     # the ranges TriggerConfig requires of alpha and beta, checked before any
@@ -427,7 +429,12 @@ def _override_weights(base: CostWeights, values: dict) -> CostWeights:
         if ("weights", key) in values:
             diag[start : start + 3] = values["weights", key]
     Q_X = np.diag(diag[:12])
-    return CostWeights(Q_X=Q_X, Q_U=np.diag(diag[12:]), Q_XN=scale * Q_X)
+    try:
+        return CostWeights(Q_X=Q_X, Q_U=np.diag(diag[12:]), Q_XN=scale * Q_X)
+    except OcpConfigError as exc:
+        # the preset's weights pass, so blame the smallest weight the file gives
+        key = min((k for s, k in values if s == "weights"), key=lambda k: values["weights", k])
+        raise ConfigError(f"{key!r} in section 'weights' is out of range: {exc}") from exc
 
 
 def load_config(path):

@@ -172,15 +172,15 @@ class _Riccati:
         return _mtv(self.L_inv, _mv(self.L_inv, r))
 
 
-def _riccati_factor(A: np.ndarray, B: np.ndarray, H_x: np.ndarray, H_u: np.ndarray) -> _Riccati:
+def _riccati_factor(A, B, H_x, H_u, AB) -> _Riccati:
     """Factor the equality-constrained stage QP by backward value recursion.
 
-    Raises numpy.linalg.LinAlgError when an input Hessian block is not
-    positive definite; the caller escalates regularization.
+    AB is [A B] stacked along the columns.  Raises numpy.linalg.LinAlgError
+    when an input Hessian block is not positive definite; the caller
+    escalates regularization.
     """
     N, nx = A.shape[0], A.shape[1]
     nu = B.shape[2]
-    AB = np.concatenate([A, B], axis=2)
     ABt = AB.transpose(0, 2, 1)
     P = np.empty((N + 1, nx, nx))
     K = np.empty((N, nu, nx))
@@ -285,7 +285,7 @@ def _equality_qp(data: QpData, H_x: np.ndarray, H_u: np.ndarray, reg: float) -> 
     one back-solve; zero multipliers on every row.  Raises
     numpy.linalg.LinAlgError when an input Hessian block is not positive
     definite."""
-    fac = _riccati_factor(data.A, data.B, H_x, H_u)
+    fac = _riccati_factor(data.A, data.B, H_x, H_u, np.concatenate([data.A, data.B], axis=2))
     z, w, nu = _riccati_solve(fac, data.g_x, data.g_u, data.c, data.z0)
     return QpResult(
         z, w, nu,
@@ -364,6 +364,7 @@ def _qp_interior_point(data: QpData, H_x, H_u, config: SolverConfig, reg: float)
     lam = np.ones(m)
     s = np.maximum(1.0, np.abs(c_rows))
     ftb = 0.995
+    AB = np.concatenate([data.A, data.B], axis=2)
 
     def residuals():
         Cx_lam, Cu_lam = rows_x.scatter(lam[:mx]), rows_u.scatter(lam[mx:])
@@ -394,7 +395,8 @@ def _qp_interior_point(data: QpData, H_x, H_u, config: SolverConfig, reg: float)
         # condensed Newton matrix: absorb each row block into its stage Hessian
         weight = lam / s
         fac = _riccati_factor(
-            data.A, data.B, H_x + rows_x.curvature(weight[:mx]), H_u + rows_u.curvature(weight[mx:])
+            data.A, data.B, H_x + rows_x.curvature(weight[:mx]),
+            H_u + rows_u.curvature(weight[mx:]), AB,
         )
         sl = np.concatenate([s, lam])
 
@@ -443,6 +445,9 @@ class _Iterate:
     defects: np.ndarray  # (N, 12)
     tension: tuple  # tension_rows (J, c)
     obstacle: tuple  # obstacle_rows (J, c) over stages 0..N
+    rollout: tuple  # rk4_stages of (X[:-1], U)
+    errors: np.ndarray  # (N+1, 12) state_error against the reference
+    shares: tuple  # tension_shares of U
     defect_l1: float = field(init=False)
     defect_max: float = field(init=False)
     viol_l1: float = field(init=False)  # hard-row violations, positive parts
@@ -461,12 +466,14 @@ class _Iterate:
 
 
 def _evaluate(X: np.ndarray, U: np.ndarray, problem) -> _Iterate:
+    errors = ocp.state_error(X, problem.ref_x)
+    rollout = ocp.rk4_stages(X[:-1], U, problem.dt, problem)
+    shares = ocp.tension_shares(U, problem)
     return _Iterate(
-        X=X,
-        U=U,
-        cost=ocp.total_cost(X, U, problem),
-        defects=ocp.dynamics_defects(X, U, problem),
-        tension=ocp.tension_rows(U, problem.ref_x[:-1, 6:10], problem),
+        X=X, U=U, rollout=rollout, errors=errors, shares=shares,
+        cost=ocp.total_cost(X, U, problem, errors),
+        defects=ocp.dynamics_defects(X, U, problem, rollout),
+        tension=ocp.tension_rows(U, problem.ref_x[:-1, 6:10], problem, shares),
         obstacle=ocp.obstacle_rows(X, problem),
     )
 
@@ -482,14 +489,14 @@ def _cold_start(problem):
 
 
 def _build_qp_data(point: _Iterate, problem, lam_u_prev=None) -> QpData:
-    H_x, g_x, H_u, g_u = ocp.cost_expansion(point.X, point.U, problem)
-    A, B = ocp.linearize_dynamics(point.X[:-1], point.U, problem.dt, problem)
+    H_x, g_x, H_u, g_u = ocp.cost_expansion(point.X, point.U, problem, point.errors)
+    A, B = ocp.linearize_dynamics(point.X[:-1], point.U, problem.dt, problem, point.rollout)
     J_u, c_u = point.tension
     if lam_u_prev is not None and c_u.size:
         # lagged-multiplier curvature of the active rows keeps the outer
         # loop from stalling at the Gauss-Newton accuracy floor
         lam = np.array(lam_u_prev)
-        blocks = ocp.tension_row_hessians(point.U, problem.ref_x[:-1, 6:10], problem)
+        blocks = ocp.tension_row_hessians(point.U, problem.ref_x[:-1, 6:10], problem, point.shares)
         H_u = H_u + np.einsum("kr,krij->kij", np.where(lam > 1e-12, lam, 0.0), blocks)
     J_x, c_x = point.obstacle
     # stage 0 is pinned to the measured state; constant rows there are

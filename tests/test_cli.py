@@ -114,6 +114,14 @@ class TestRun:
             ("hover", "nmpc", "horizon", "1"),
             ("hover", "trigger", "preset", "[tight]"),
             ("hover", "trigger", "preset", "{name: tight}"),
+            ("hover", "weights", "position", "-1"),
+            ("hover", "weights", "terminal_scale", "0"),
+            ("hover", "gains", "attitude", "-1"),
+            ("hover", "scenario", "plant_model", "hybrid"),
+            ("hover", "reference", "kind", "spiral"),
+            ("hover", "disturbance", "kind", "gusty"),
+            ("circle", "reference", "radius_m", "-1"),
+            ("circle", "reference", "period_s", "0"),
         ],
     )
     def test_malformed_number_is_a_config_error(self, tmp_path, capsys, preset, section, key, value):

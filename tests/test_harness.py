@@ -297,6 +297,21 @@ class TestTriggerLoop:
             np.testing.assert_array_equal(wrench, loop.state.predicted.U[idx])
             x = payload_ocp.discretize(x, wrench, config.ocp.dt, loop.problem)
 
+    @pytest.mark.parametrize("preset", ["circle", "hover"])
+    @pytest.mark.parametrize("k", [0, 147])
+    def test_reference_window_is_the_per_stage_rows(self, preset, k):
+        """The solve's N + 1 reference rows, read in one reference_at call on
+        the stage times, are bitwise the rows read one stage at a time."""
+        config = harness.scenario_preset(preset)
+        dt = config.ocp.dt
+        t = k * dt
+        loop = trigger_loop(config)
+        loop.step(k, t, config.reference_at(t)[0])
+        rows = [config.reference_at(t + i * dt) for i in range(config.ocp.N + 1)]
+        assert np.array_equal(loop.ref_x, np.array([x for x, _ in rows]))
+        assert np.array_equal(loop.problem.ref_x, loop.ref_x)
+        assert np.array_equal(loop.problem.ref_u, np.array([u for _, u in rows]))
+
     def test_no_terminal_region_means_no_shrink_source(self):
         config = dataclasses.replace(
             harness.scenario_preset("hover-nominal"), terminal_epsilon=None

@@ -22,7 +22,8 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cablelift import cli, harness, scenario
+from cablelift import cli, harness, payload_ocp, scenario
+from cablelift.cable_control import GainSet
 from cablelift.scenario import NONNEGATIVE, POSITIVE, VECTOR
 
 # weights key -> (CostWeights matrix, diagonal index of its block)
@@ -197,6 +198,8 @@ malformed = st.one_of(
 @example(case=(None, "preset", {"name": "hover"}))
 @example(case=("trigger", "preset", ["tight"]))
 @example(case=("trigger", "preset", {"name": "tight"}))
+@example(case=("weights", "position", -1.0))
+@example(case=("gains", "attitude", -1.0))
 def test_malformed_value_exits_two_and_names_the_key(case):
     section, key, value = case
     data = {"schema_version": 1, "preset": "hover-nominal"}
@@ -214,6 +217,54 @@ def test_malformed_value_exits_two_and_names_the_key(case):
     assert code == 2
     assert err.getvalue().startswith("config error:")
     assert repr(key) in err.getvalue()
+
+
+# around each end of the ranges CostWeights and GainSet accept
+EDGE_VALUES = [-1.0, -1e-13, 0.0, 5e-324, 1e-300, 1.0]
+
+
+def _accepts(build) -> bool:
+    try:
+        build()
+    except ValueError:  # payload_ocp.ConfigError is one
+        return False
+    return True
+
+
+def _builds_or_names(data: dict, key: str, accepted: bool):
+    if accepted:
+        scenario.build_scenario(data)
+    else:
+        with pytest.raises(scenario.ConfigError) as err:
+            scenario.build_scenario(data)
+        assert repr(key) in str(err.value)
+
+
+@pytest.mark.parametrize("value", EDGE_VALUES)
+@pytest.mark.parametrize("key", [*WEIGHT_ENTRIES, "terminal_scale"])
+def test_a_weight_is_refused_exactly_when_cost_weights_refuses_it(key, value):
+    """A weight outside what CostWeights takes is a config error naming the
+    key, and every weight it takes still builds."""
+    base = scenario.scenario_preset("hover").ocp.weights
+    diag = {"Q_X": np.diag(base.Q_X).copy(), "Q_U": np.diag(base.Q_U).copy()}
+    scale = base.Q_XN[0, 0] / base.Q_X[0, 0]
+    if key == "terminal_scale":
+        scale = value
+    else:
+        matrix, i = WEIGHT_ENTRIES[key]
+        diag[matrix][i : i + 3] = value
+    Q_X, Q_U = np.diag(diag["Q_X"]), np.diag(diag["Q_U"])
+    accepted = _accepts(lambda: payload_ocp.CostWeights(Q_X, Q_U, scale * Q_X))
+    data = {"schema_version": 1, "preset": "hover", "weights": {key: value}}
+    _builds_or_names(data, key, accepted)
+
+
+@pytest.mark.parametrize("value", EDGE_VALUES)
+@pytest.mark.parametrize("key", sorted(scenario.SECTIONS["gains"]))
+def test_a_gain_is_refused_exactly_when_gain_set_refuses_it(key, value):
+    attr = scenario.FIELDS["gains", key][2].split(".")[1]
+    accepted = _accepts(lambda: GainSet(**{attr: value * np.eye(3)}))
+    _builds_or_names({"schema_version": 1, "preset": "hover", "gains": {key: value}}, key, accepted)
 
 
 def test_readme_example_parses_and_names_exactly_the_table_keys():

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cablelift import payload_ocp as ocp
-from cablelift import harness, so3, sqp
+from cablelift import harness, plant, so3, sqp
 from cablelift.metrics import FunnelSpec
 
 M_L = 0.232
@@ -826,3 +826,153 @@ class TestSolve:
             assert 1 <= entry["qp_iters"] < 100
             assert entry["reg"] == 0.0
             assert entry["stalled"] is False
+
+
+# ---------------------------------------------------------------------------
+# each iterate evaluated once: its QP is built from the merit's values.
+# Every comparison is bitwise (np.array_equal); a tolerance would hide a
+# stale or mismatched reuse.
+
+
+def _tilted_problem(N, seed=0):
+    """A tension-bound problem whose reference attitudes are all different,
+    so that each stage has its own cable share maps."""
+    rng = np.random.default_rng(seed)
+    ref_x, ref_u = hover_refs(N)
+    ref_x[:, 6:10] = so3.quat_normalize(
+        so3.quat_identity() + 0.2 * rng.standard_normal((N + 1, 4))
+    )
+    config = ocp.OcpConfig(
+        weights=default_weights(), m_L=M_L, J_L=J_L, r_i=R_I, f_max=0.7, N=N, dt=0.05
+    )
+    return ocp.build_ocp(state((0.1, -0.1, 1.0)), ref_x, ref_u, config)
+
+
+def _random_trajectory(problem, seed=1):
+    """State rows (N+1, 13) around the reference, attitudes and rates
+    perturbed, and wrench rows (N, 6) some of which overload a cable."""
+    rng = np.random.default_rng(seed)
+    N = problem.N
+    X = problem.ref_x.copy()
+    X[:, 0:6] += 0.1 * rng.standard_normal((N + 1, 6))
+    X[:, 6:10] = so3.quat_normalize(X[:, 6:10] + 0.1 * rng.standard_normal((N + 1, 4)))
+    X[:, 10:13] = rng.standard_normal((N + 1, 3))
+    X[0] = problem.x0
+    U = problem.ref_u[:-1] + np.concatenate(
+        [rng.standard_normal((N, 3)), 0.02 * rng.standard_normal((N, 3))], axis=1
+    )
+    return X, U
+
+
+def _assert_same_qp(a: sqp.QpData, b: sqp.QpData):
+    for f in dataclasses.fields(sqp.QpData):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, list):
+            assert len(x) == len(y) and all(map(np.array_equal, x, y)), f.name
+        else:
+            assert np.array_equal(x, y), f.name
+
+
+class TestIterateReuse:
+    @pytest.mark.parametrize("K", [1, 2, 20])
+    def test_linearize_from_the_stored_rollout(self, K):
+        problem = _tilted_problem(K)
+        X, U = _random_trajectory(problem)
+        point = sqp._evaluate(X, U, problem)
+        stored = ocp.linearize_dynamics(X[:-1], U, problem.dt, problem, point.rollout)
+        fresh = ocp.linearize_dynamics(X[:-1], U, problem.dt, problem)
+        assert all(map(np.array_equal, stored, fresh))
+        assert np.array_equal(point.defects, ocp.dynamics_defects(X, U, problem))
+
+    def test_discretize_is_one_rk4_step(self):
+        """discretize through rk4_stages: plant.rk4_step on the payload
+        dynamics, then the attitude renormalized."""
+        problem = _tilted_problem(20)
+        X, U = _random_trajectory(problem)
+        expected = plant.rk4_step(
+            lambda y, u: ocp.payload_dynamics(y, u, problem), X[:-1], U, problem.dt
+        )
+        expected[:, 6:10] = so3.quat_normalize(expected[:, 6:10])
+        assert np.array_equal(ocp.discretize(X[:-1], U, problem.dt, problem), expected)
+        stages, end = ocp.rk4_stages(X[:-1], U, problem.dt, problem)
+        assert len(stages) == 4 and np.array_equal(stages[0], X[:-1])
+
+    def test_cost_from_the_stored_errors(self):
+        problem = make_problem((0.4, 0.0, 1.0), N=6, funnel_eps=0.05)
+        X, U = _random_trajectory(problem)
+        point = sqp._evaluate(X, U, problem)
+        assert point.cost == ocp.total_cost(X, U, problem)
+        stored = ocp.cost_expansion(X, U, problem, point.errors)
+        assert all(map(np.array_equal, stored, ocp.cost_expansion(X, U, problem)))
+
+    def test_tension_rows_from_the_problem_share_maps(self):
+        problem = _tilted_problem(8)
+        X, U = _random_trajectory(problem)
+        assert problem.share_maps is problem.share_maps  # built once
+        q_ref = problem.ref_x[:-1, 6:10]
+        shares = ocp.tension_shares(U, problem)
+        J, c = ocp.tension_rows(U, q_ref, problem, shares)
+        assert np.max(c) > 0.0  # some cable overloaded
+        J_fresh, c_fresh = ocp.tension_rows(U, q_ref, problem)
+        assert np.array_equal(J, J_fresh) and np.array_equal(c, c_fresh)
+        assert np.array_equal(
+            ocp.tension_row_hessians(U, q_ref, problem, shares),
+            ocp.tension_row_hessians(U, q_ref, problem),
+        )
+
+    def test_interior_point_stacks_AB_once(self, monkeypatch):
+        problem = make_problem((1.0, 0.0, 1.0), N=10, f_max=1.2, funnel_eps=10.0)
+        early = sqp.solve(problem, config=sqp.SolverConfig(max_sqp_iters=2))
+        data = sqp._build_qp_data(sqp._evaluate(early.X, early.U, problem), problem)
+        shared = sqp.qp_subproblem(data)
+        real = sqp._riccati_factor
+        handed = []
+
+        def stack_each_time(A, B, H_x, H_u, AB):
+            handed.append(AB)
+            return real(A, B, H_x, H_u, np.concatenate([A, B], axis=2))
+
+        monkeypatch.setattr(sqp, "_riccati_factor", stack_each_time)
+        each = sqp.qp_subproblem(data)
+        assert len(handed) > 1 and all(AB is handed[0] for AB in handed)
+        assert (shared.iterations, shared.status, shared.reg) == (each.iterations, each.status, each.reg)
+        for name in ("z", "w", "nu", "Cx_lam", "Cu_lam"):
+            assert np.array_equal(getattr(shared, name), getattr(each, name)), name
+        for name in ("lam_x", "lam_u"):
+            assert all(map(np.array_equal, getattr(shared, name), getattr(each, name))), name
+
+    def test_backtracking_solve_matches_one_that_recomputes(self, monkeypatch):
+        """The line search evaluates candidates it rejects; only the accepted
+        iterate's values may reach the next QP."""
+        problem = make_problem((1.0, 0.0, 1.0), N=10, f_max=1.2, funnel_eps=10.0)
+
+        def run():
+            qps, trace = [], []
+            build = sqp._build_qp_data
+
+            def recording(point, problem, lam_u_prev=None):
+                qps.append(build(point, problem, lam_u_prev))
+                return qps[-1]
+
+            with monkeypatch.context() as patch:
+                patch.setattr(sqp, "_build_qp_data", recording)
+                solution = sqp.solve(problem, trace=trace)
+            return solution, qps, trace
+
+        reused = run()
+        real = sqp._evaluate
+        monkeypatch.setattr(
+            sqp, "_evaluate",
+            lambda X, U, problem: dataclasses.replace(
+                real(X, U, problem), rollout=None, errors=None, shares=None
+            ),
+        )
+        recomputed = run()
+        (solution, qps, trace), (solution_r, qps_r, trace_r) = reused, recomputed
+        assert any(0.0 < entry["alpha"] < 1.0 for entry in trace)  # it backtracked
+        assert trace == trace_r
+        assert len(qps) == len(qps_r)
+        for a, b in zip(qps, qps_r):
+            _assert_same_qp(a, b)
+        for f in dataclasses.fields(ocp.OcpSolution):
+            assert np.array_equal(getattr(solution, f.name), getattr(solution_r, f.name)), f.name
