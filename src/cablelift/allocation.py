@@ -23,6 +23,10 @@ import numpy as np
 from . import so3
 
 TENSION_FLOOR = 1e-6  # N; below this a cable direction is undefined
+# nullspace_redistribute: vehicle spacing (m) below which a pair is pushed
+# apart, and the weight of the spacing hinges against the shift size
+D_SAFE = 0.4
+LAM_SEP = 10.0
 
 
 class RankDeficient(ValueError):
@@ -125,33 +129,32 @@ def _predicted_positions(stacked_body, attachments_world, R_L, l_i) -> Optional[
     return out
 
 
-def _separation_surrogate(
-    stacked_body, attachments_world, R_L, l_i, d_safe: float, lam_sep: float
-) -> Optional[list]:
-    """Hinge residuals sqrt(lam)*max(0, d_safe - dist), one per pair i < j in
-    row-major pair order."""
+def _separation_surrogate(stacked_body, attachments_world, R_L, l_i) -> Optional[list]:
+    """Hinge residuals sqrt(LAM_SEP)*max(0, D_SAFE - dist), one per pair i < j
+    in row-major pair order."""
     pos = _predicted_positions(stacked_body, attachments_world, R_L, l_i)
     if pos is None:
         return None
-    scale = math.sqrt(lam_sep)
+    scale = math.sqrt(LAM_SEP)
     out = []
     for i, (xi, yi, zi) in enumerate(pos):
         for xj, yj, zj in pos[i + 1 :]:
             dx, dy, dz = xi - xj, yi - yj, zi - zj
-            gap = d_safe - math.sqrt(dx * dx + dy * dy + dz * dz)
+            gap = D_SAFE - math.sqrt(dx * dx + dy * dy + dz * dz)
             out.append(scale * (gap if gap > 0.0 else 0.0))
     return out
 
 
-def _hinge_jacobian(stacked_body, attachments_world, R_L, l_i, amap: AllocationMap, r0, lam_sep):
+def _hinge_jacobian(stacked_body, attachments_world, R_L, l_i, amap: AllocationMap, r0):
     """Closed-form Jacobian of the hinge residuals r0 of `_separation_surrogate`
     in the null-space coordinates c of stacked_body + Z c, at c = 0; the rows
     of flat hinges (r0 zero) are zero.
 
     A vehicle sits at p_k = a_k + l_k n_k with n_k = mu_k / |mu_k| and
     mu_k = R_L s_k, so dp_k = l_k / |mu_k| (I - n_k n_k^T) R_L ds_k, and an
-    active hinge sqrt(lam) (d_safe - |p_i - p_j|) moves by
-    -sqrt(lam) e^T (dp_i - dp_j), e the unit vector from p_j to p_i.
+    active hinge sqrt(lam) (D_SAFE - |p_i - p_j|) moves by
+    -sqrt(lam) e^T (dp_i - dp_j), e the unit vector from p_j to p_i, with
+    lam = LAM_SEP.
     """
     n = amap.n
     R = np.reshape(R_L, (3, 3))
@@ -164,7 +167,7 @@ def _hinge_jacobian(stacked_body, attachments_world, R_L, l_i, amap: AllocationM
     dpos = (np.asarray(l_i) / norm)[:, None, None] * (dmu - radial)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     J = np.zeros((len(pairs), amap.Z.shape[1]))
-    scale = math.sqrt(lam_sep)
+    scale = math.sqrt(LAM_SEP)
     for row, ((i, j), r) in enumerate(zip(pairs, r0)):
         if r > 0.0:
             e = pos[i] - pos[j]
@@ -172,25 +175,17 @@ def _hinge_jacobian(stacked_body, attachments_world, R_L, l_i, amap: AllocationM
     return J
 
 
-def nullspace_redistribute(
-    mu_des,
-    attachments_world,
-    R_L,
-    amap: AllocationMap,
-    l_i,
-    d_safe: float = 0.4,
-    lam_sep: float = 10.0,
-) -> list:
+def nullspace_redistribute(mu_des, attachments_world, R_L, amap: AllocationMap, l_i) -> list:
     """Shift the allocation inside the null space to open up vehicle spacing.
 
-    Minimizes lam_sep * sum of squared pairwise-separation hinges plus |c|^2
+    Minimizes LAM_SEP * sum of squared pairwise-separation hinges plus |c|^2
     with one Gauss-Newton step from c = 0, its Jacobian in closed form
     (`_hinge_jacobian`); the realized wrench is untouched because the shift
     lives in the null space of the stacked-force map.  Returns the input
-    unchanged whenever no pair is predicted inside d_safe.
+    unchanged whenever no pair is predicted inside D_SAFE.
     """
     def surrogate(stacked):
-        return _separation_surrogate(stacked, attachments_world, R_L, l_i, d_safe, lam_sep)
+        return _separation_surrogate(stacked, attachments_world, R_L, l_i)
 
     stacked0 = stack_body(mu_des, R_L)
     r0 = surrogate(stacked0)
@@ -198,7 +193,7 @@ def nullspace_redistribute(
         return mu_des
 
     # least-squares step on [sqrt(lam)*hinge; c] with Jacobian [J; I]
-    J = _hinge_jacobian(stacked0, attachments_world, R_L, l_i, amap, r0, lam_sep)
+    J = _hinge_jacobian(stacked0, attachments_world, R_L, l_i, amap, r0)
     m = J.shape[1]
     A = np.vstack([J, np.eye(m)])
     b = -np.concatenate([r0, np.zeros(m)])
@@ -225,9 +220,7 @@ def project_tension(mu_des, xi) -> list:
     return out
 
 
-def desired_cable_direction(
-    mu_des_now, mu_des_prev, dt: float, tension_floor: float = TENSION_FLOOR
-) -> Tuple[list, list]:
+def desired_cable_direction(mu_des_now, mu_des_prev, dt: float) -> Tuple[list, list]:
     """Desired cable direction and its angular velocity of each force, from
     consecutive ticks.
 
@@ -240,7 +233,7 @@ def desired_cable_direction(
     xi_des, omega_des = [], []
     for (mx, my, mz), mu_prev in zip(mu_des_now, prev):
         norm = math.sqrt(mx * mx + my * my + mz * mz)
-        if not norm > tension_floor:
+        if not norm > TENSION_FLOOR:
             raise ZeroTension(f"desired tension {norm:.2e} N below floor")
         x, y, z = -mx / norm, -my / norm, -mz / norm
         xi_des.append((x, y, z))
@@ -248,7 +241,7 @@ def desired_cable_direction(
         if mu_prev is not None:
             px, py, pz = mu_prev
             norm_prev = math.sqrt(px * px + py * py + pz * pz)
-            if norm_prev > tension_floor:
+            if norm_prev > TENSION_FLOOR:
                 # xi_des minus the previous direction -mu_prev / |mu_prev|
                 dx = (x + px / norm_prev) / dt
                 dy = (y + py / norm_prev) / dt

@@ -102,16 +102,12 @@ def attachment_accel(accel_des, R_L, Omega_L, Omega_dot_des, r, g: float = 9.81)
     return out
 
 
-def control_components(
-    mu_k, state: CableTrackingState, a_kc, mass, length, gains: GainSet,
-    xi_dot_des=None, omega_dot_des=None,
-):
+def control_components(mu_k, state: CableTrackingState, a_kc, mass, length, gains: GainSet):
     """Commanded force split along and across the cable, (u_parallel, u_perp);
-    mass, length and the optional xi_dot_des / omega_dot_des (zero when None)
-    hold one entry per vehicle.  mu_k acts through its component along the
-    actual cable, so the raw allocation and its projection give the same
-    result.  u_perp is one cross product with xi, which pins it to the
-    tangent plane regardless of operand alignment."""
+    mass and length hold one entry per vehicle.  mu_k acts through its
+    component along the actual cable, so the raw allocation and its
+    projection give the same result.  u_perp is one cross product with xi,
+    which pins it to the tangent plane regardless of operand alignment."""
     (kx, ky, kz), (wx, wy, wz) = gains._k_xi, gains._k_omega
     e_xi, e_omega = cable_errors(state)
     u_par, u_perp = [], []
@@ -126,11 +122,6 @@ def control_components(
                       z * d1 + r2 * z + m * z * d3))
         (ex, ey, ez), (fx, fy, fz) = e_xi[k], e_omega[k]
         b = (-kx * ex - wx * fx, -ky * ey - wy * fy, -kz * ez - wz * fz)
-        if xi_dot_des is not None:
-            s = dot(xi, state.omega_des[k])
-            b = tuple(b_i - s * v for b_i, v in zip(b, xi_dot_des[k]))
-        if omega_dot_des is not None:
-            b = tuple(b_i - v for b_i, v in zip(b, cross(xi, cross(xi, omega_dot_des[k]))))
         cx, cy, cz = cross(xi, a)
         u_perp.append(cross(xi, (ml * b[0] - m * cx, ml * b[1] - m * cy, ml * b[2] - m * cz)))
     return u_par, u_perp
@@ -162,9 +153,9 @@ def desired_attitude(u_k, yaw_des: float) -> list:
     return out
 
 
-def attitude_errors(R_k, R_des, omega_k, omega_des_body=None):
-    """Rotation error (vee form) and body-rate error against the transported
-    desired rate (zero when omega_des_body is None)."""
+def attitude_errors(R_k, R_des, omega_k):
+    """Rotation error (vee form) and body-rate error; the desired body rate
+    is zero, so the rate error is the measured rate."""
     transports = [relative(R, D) for R, D in zip(R_k, R_des)]
     # R_des^T R_k - R_k^T R_des: each transport R_k^T R_des transposed minus itself
     skew = [
@@ -173,33 +164,17 @@ def attitude_errors(R_k, R_des, omega_k, omega_des_body=None):
         for t00, t01, t02, t10, t11, t12, t20, t21, t22 in transports
     ]
     e_R = [(0.5 * x, 0.5 * y, 0.5 * z) for x, y, z in so3.vee(skew)]
-    if omega_des_body is None:
-        return e_R, [tuple(omega) for omega in omega_k]
-    e_Omega = []
-    for (a, b, c), T, w in zip(omega_k, transports, omega_des_body):
-        x, y, z = rotate(T, w)
-        e_Omega.append((a - x, b - y, c - z))
-    return e_R, e_Omega
+    return e_R, [tuple(omega) for omega in omega_k]
 
 
-def moment_command(
-    errors, omega_k, R_k, R_des, J_k, gains: GainSet, omega_des=None, omega_dot_des=None
-):
+def moment_command(errors, omega_k, J_k, gains: GainSet):
     """Body moment closing the attitude loop; J_k holds one row-major inertia
-    9-tuple per vehicle, omega_des / omega_dot_des (zero when None) one 3-tuple.
-    Feedback enters with negative sign (e_R grows as the body rotates past
-    the target, so the restoring moment opposes it); the trailing term
-    transports the desired rate and its derivative into the body frame."""
+    9-tuple per vehicle.  Feedback enters with negative sign (e_R grows as
+    the body rotates past the target, so the restoring moment opposes it),
+    plus the gyroscopic term omega x J omega."""
     (kx, ky, kz), (wx, wy, wz) = gains._k_R, gains._k_Omega
     out = []
-    for k, ((ex, ey, ez), (fx, fy, fz), omega, J) in enumerate(zip(*errors, omega_k, J_k)):
+    for (ex, ey, ez), (fx, fy, fz), omega, J in zip(*errors, omega_k, J_k):
         gx, gy, gz = cross(omega, rotate(J, omega))
-        M = (-kx * ex - wx * fx + gx, -ky * ey - wy * fy + gy, -kz * ez - wz * fz + gz)
-        if omega_des is not None or omega_dot_des is not None:
-            T = relative(R_k[k], R_des[k])
-            ref = (0.0, 0.0, 0.0) if omega_des is None else cross(omega, rotate(T, omega_des[k]))
-            if omega_dot_des is not None:
-                ref = tuple(r - t for r, t in zip(ref, rotate(T, omega_dot_des[k])))
-            M = tuple(m - j for m, j in zip(M, rotate(J, ref)))
-        out.append(M)
+        out.append((-kx * ex - wx * fx + gx, -ky * ey - wy * fy + gy, -kz * ez - wz * fz + gz))
     return out

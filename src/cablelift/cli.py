@@ -26,10 +26,10 @@ def _add_run_flags(sub: argparse.ArgumentParser) -> None:
 
 def _resolve(args) -> tuple:
     """Build the scenario from --config / --preset / --seed."""
+    if args.config and args.preset:
+        raise ConfigError("pass either --config or --preset, not both")
     if args.config:
         config, sweep = scenario.load_config(args.config)
-        if args.preset:
-            raise ConfigError("pass either --config or --preset, not both")
     else:
         config = scenario.scenario_preset(args.preset or "circle")
         sweep = None

@@ -86,7 +86,7 @@ class RunLog:
     it run_closed_loop fills `t`, after it `reference`, the rest and the
     constraint table, for every tick at once.  `ticks` reads the log back one
     TickRecord per tick (a caller may pass its own records, say a doctored
-    copy for a check), and `constraint_report(k)` gives one tick's report.
+    copy for a check).
     """
 
     config: ScenarioConfig
@@ -129,9 +129,6 @@ class RunLog:
     @property
     def nmpc_executions(self) -> int:
         return len(self.events)
-
-    def constraint_report(self, k: int) -> metrics.ConstraintReport:
-        return self.constraints.report(k)
 
 
 _COLUMNS = [f.name for f in dataclasses.fields(RunLog) if "shape" in f.metadata]
@@ -392,7 +389,7 @@ class _FullPlant:
         thrust = cable_control.thrust_command(u, R_k)
         R_des = cable_control.desired_attitude(u, 0.0)
         errors = cable_control.attitude_errors(R_k, R_des, omega_k)
-        moment = cable_control.moment_command(errors, omega_k, R_k, R_des, self._J_i, gains)
+        moment = cable_control.moment_command(errors, omega_k, self._J_i, gains)
 
         self.thrust_clamps += sum(1 for f in thrust if f < 0.0 or f > params.F_max)
         self.slack_cable_ticks += sum(1 for stretch in cables.stretch if not stretch > 0.0)

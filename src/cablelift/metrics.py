@@ -3,14 +3,13 @@
 Everything here is pure geometry on snapshots: line-of-sight distances for the
 payload and each vehicle, pairwise separation errors for the formation,
 obstacle clearance, and cable-tension bounds.  Violations are reported as
-signed margins, never raised.  Snapshots may be stacked along a leading axis,
+signed margins, never raised.  Snapshots are stacked along a leading axis,
 so a whole run is checked in one call.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -56,39 +55,6 @@ class FunnelSpec:
 
 
 @dataclass(frozen=True)
-class ConstraintEntry:
-    """One evaluated constraint: margin >= 0 exactly when satisfied."""
-
-    id: str
-    value: float
-    lower: Optional[float]
-    upper: Optional[float]
-    margin: float
-
-    @property
-    def satisfied(self) -> bool:
-        return self.margin >= 0.0
-
-
-@dataclass
-class ConstraintReport:
-    entries: List[ConstraintEntry] = field(default_factory=list)
-
-    @property
-    def all_satisfied(self) -> bool:
-        return all(e.satisfied for e in self.entries)
-
-    def __getitem__(self, id: str) -> ConstraintEntry:
-        for e in self.entries:
-            if e.id == id:
-                return e
-        raise KeyError(id)
-
-    def worst(self) -> ConstraintEntry:
-        return min(self.entries, key=lambda e: e.margin)
-
-
-@dataclass(frozen=True)
 class ConstraintTable:
     """check_all over stacked snapshots: row k of each (T, m) array is
     snapshot k, column c is constraint ids[c].  lower and upper hold nan
@@ -103,12 +69,6 @@ class ConstraintTable:
     def margins(self, id: str) -> np.ndarray:
         """(T,) margin of one constraint over every snapshot."""
         return self.margin[:, self.ids.index(id)]
-
-    def report(self, k: int) -> ConstraintReport:
-        """The ConstraintReport of snapshot k."""
-        row = [a[k].tolist() for a in (self.value, self.lower, self.upper, self.margin)]
-        row[1:3] = [[None if math.isnan(b) else b for b in side] for side in row[1:3]]
-        return ConstraintReport(list(map(ConstraintEntry, self.ids, *row)))
 
 
 def payload_los_error(p_L: np.ndarray, p_des: np.ndarray) -> float:
@@ -153,22 +113,26 @@ class ConstraintBounds:
     obstacle_clearance: float = 0.0
 
 
+# default_bounds' vehicle funnel radius (m), and its pair bounds as a
+# fraction of each pair's desired separation
+MAV_RADIUS = 0.2
+PAIR_FRACTION = 0.3
+
+
 def default_bounds(
     mav_p_des0: np.ndarray,
     f_max: float,
     payload_radius: float = 0.2,
-    mav_radius: float = 0.2,
-    pair_fraction: float = 0.3,
     obstacle_center: Optional[np.ndarray] = None,
     obstacle_clearance: float = 0.0,
 ) -> ConstraintBounds:
     """Constant funnels sized off the initial desired formation.
 
-    Pair bounds default to pair_fraction times each pair's desired
-    separation, symmetric in both directions.
+    Vehicles get a MAV_RADIUS funnel, and each pair may shrink or stretch
+    by PAIR_FRACTION times its desired separation.
     """
     i, j = _pairs(len(mav_p_des0))
-    widths = pair_fraction * pair_separations(np.asarray(mav_p_des0, dtype=np.float64))
+    widths = PAIR_FRACTION * pair_separations(np.asarray(mav_p_des0, dtype=np.float64))
     tighten = {
         pair: FunnelSpec.constant(width)
         for pair, width in zip(zip(i.tolist(), j.tolist()), widths.tolist())
@@ -176,7 +140,7 @@ def default_bounds(
     return ConstraintBounds(
         f_max=f_max,
         payload_funnel=FunnelSpec.constant(payload_radius),
-        mav_funnel=FunnelSpec.constant(mav_radius),
+        mav_funnel=FunnelSpec.constant(MAV_RADIUS),
         pair_tighten=tighten,
         pair_widen=dict(tighten),
         obstacle_center=None if obstacle_center is None else np.asarray(obstacle_center),
@@ -193,17 +157,16 @@ def check_all(
     tensions: np.ndarray,
     bounds: ConstraintBounds,
 ):
-    """Evaluate every tracking, formation, obstacle, and tension constraint.
+    """Evaluate every tracking, formation, obstacle, and tension constraint
+    of T snapshots.
 
     Margins are signed distances to the nearest bound; a violated constraint
-    shows up with margin < 0, nothing raises.  One snapshot (t a number,
-    payload_p (3,), mav_p (n, 3), tensions (n,)) gives its ConstraintReport.
-    Snapshots stacked along a leading axis (t (T,), payload_p (T, 3), mav_p
-    (T, n, 3), tensions (T, n)) give a ConstraintTable with one row each;
-    the desired positions may be stacked or shared by every snapshot.
+    shows up with margin < 0, nothing raises.  The snapshots are stacked
+    along a leading axis (t (T,), payload_p (T, 3), mav_p (T, n, 3),
+    tensions (T, n)) and give a ConstraintTable with one row each; the
+    desired positions may be stacked or shared by every snapshot.
     """
-    single = np.ndim(t) == 0
-    t = np.atleast_1d(t).astype(np.float64)
+    t = np.asarray(t, dtype=np.float64)
     T, n = len(t), np.shape(mav_p)[-2]
     payload_p, payload_p_des = (np.reshape(p, (-1, 3)) for p in (payload_p, payload_p_des))
     mav_p, mav_p_des = (np.reshape(p, (-1, n, 3)) for p in (mav_p, mav_p_des))
@@ -243,5 +206,4 @@ def check_all(
         clearance = bounds.obstacle_clearance
         add(["obstacle"], e_LO, clearance, np.nan, e_LO - clearance)
 
-    table = ConstraintTable(tuple(ids), *(np.concatenate(parts, axis=1) for parts in zip(*columns)))
-    return table.report(0) if single else table
+    return ConstraintTable(tuple(ids), *(np.concatenate(parts, axis=1) for parts in zip(*columns)))

@@ -418,36 +418,36 @@ def _share_maps(q_ref: np.ndarray, amap: allocation.AllocationMap) -> np.ndarray
     return G[None] @ T[:, None]
 
 
-def tension_shares(U: np.ndarray, problem, q_ref: Optional[np.ndarray] = None):
-    """Each cable's minimal-norm share of every wrench row at the reference
-    attitudes q_ref (default: the problem's, whose maps it keeps): shares
-    y (K, n, 3), their norms (K, n) and the maps d y / d u (K, n, 3, 6)."""
-    GT = problem.share_maps if q_ref is None else _share_maps(q_ref, problem.amap)
+def tension_shares(U: np.ndarray, problem):
+    """Each cable's minimal-norm share of every wrench row U (N, 6) at the
+    problem's stage reference attitudes: shares y (N, n, 3), their norms
+    (N, n) and the maps d y / d u (N, n, 3, 6)."""
+    GT = problem.share_maps
     y = (GT @ U[:, None, :, None])[..., 0]
     return y, np.linalg.norm(y, axis=-1), GT
 
 
-def tension_rows(U: np.ndarray, q_ref: np.ndarray, problem, shares=None) -> tuple:
+def tension_rows(U: np.ndarray, problem, shares=None) -> tuple:
     """Per-cable tension-norm rows at every stage, linearized at the inputs.
 
-    U holds (K, 6) wrench rows and q_ref the (K, 4) reference attitudes.
-    Row k of stage i reads c[i, k] + J[i, k] @ delta_u_i <= 0 with
-    c[i, k] = |mu_ik| - f_max, where mu_ik is cable k's minimal-norm share
-    of the wrench at the reference attitude.  Returns J (K, n, 6) and
-    c (K, n).  A row with vanishing share gets a zero gradient (it sits at
-    -f_max, inactive by that margin); an infinite bound gives n = 0 rows.
+    U holds the problem's (N, 6) wrench rows.  Row k of stage i reads
+    c[i, k] + J[i, k] @ delta_u_i <= 0 with c[i, k] = |mu_ik| - f_max, where
+    mu_ik is cable k's minimal-norm share of the wrench at the stage's
+    reference attitude.  Returns J (N, n, 6) and c (N, n).  A row with
+    vanishing share gets a zero gradient (it sits at -f_max, inactive by
+    that margin); an infinite bound gives n = 0 rows.
     """
     K = len(U)
     if not np.isfinite(problem.f_max):
         return np.zeros((K, 0, NU)), np.zeros((K, 0))
-    y, ny, GT = tension_shares(U, problem, q_ref) if shares is None else shares
+    y, ny, GT = tension_shares(U, problem) if shares is None else shares
     unit = np.where(ny[..., None] < 1e-9, 0.0, y / np.maximum(ny, 1e-9)[..., None])
     J = np.einsum("kni,knij->knj", unit, GT)
     return J, ny - problem.f_max
 
 
-def tension_row_hessians(U: np.ndarray, q_ref: np.ndarray, problem, shares=None) -> np.ndarray:
-    """Second derivatives of the tension-norm rows, (K, n, 6, 6).
+def tension_row_hessians(U: np.ndarray, problem, shares=None) -> np.ndarray:
+    """Second derivatives of the tension-norm rows, (N, n, 6, 6).
 
     Same rows as tension_rows.  Each block is the positive semidefinite
     curvature of |mu_ik| in the wrench variable, used by the solver to weight
@@ -456,7 +456,7 @@ def tension_row_hessians(U: np.ndarray, q_ref: np.ndarray, problem, shares=None)
     K = len(U)
     if not np.isfinite(problem.f_max):
         return np.zeros((K, 0, NU, NU))
-    y, ny, GT = tension_shares(U, problem, q_ref) if shares is None else shares
+    y, ny, GT = tension_shares(U, problem) if shares is None else shares
     live = ny >= 1e-9
     safe = np.where(live, ny, 1.0)
     yh = y / safe[..., None]

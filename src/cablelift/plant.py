@@ -25,6 +25,8 @@ _BODY_DIM = 13
 
 # disturbance ticks per generator call; any size gives the same stream
 DISTURBANCE_BLOCK = 256
+# scale of the disturbance's pose components against its velocity components
+POSE_SCALE = 0.002
 
 
 class DegenerateGeometry(ValueError):
@@ -116,7 +118,7 @@ class DisturbanceModel:
 
     The sample lives in the 12-dimensional tangent of the payload state
     (position, velocity, attitude rotation-vector, body rate).  Pose
-    components (position, attitude) are scaled down by pose_scale relative
+    components (position, attitude) are scaled down by POSE_SCALE relative
     to the velocity components: an impulsive force moves the velocity
     within one step while the pose only follows through integration, and
     an unscaled position jump would fight the cable springs directly.
@@ -126,14 +128,11 @@ class DisturbanceModel:
     eta: float = 0.0
     seed: int = 0
     kind: str = "none"  # none | uniform-bounded
-    pose_scale: float = 0.002
     _rng: np.random.Generator = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.kind not in ("none", "uniform-bounded"):
             raise ValueError(f"unknown disturbance kind {self.kind!r}")
-        if not 0.0 <= self.pose_scale <= 1.0:
-            raise ValueError("pose_scale must lie in [0, 1]")
         if not 0.0 <= self.eta < math.inf:
             raise ValueError("eta must be finite and nonnegative")
         self._rng = np.random.default_rng(self.seed)
@@ -152,8 +151,8 @@ class DisturbanceModel:
             u = self._rng.uniform(-1.0, 1.0, u.shape)
             norm = so3.norm_rows(u)[:, None]  # rounds as each row's 1-D norm
             u = np.where(norm > 1.0, u / norm, u)
-            u[:, 0:3] *= self.pose_scale
-            u[:, 6:9] *= self.pose_scale
+            u[:, 0:3] *= POSE_SCALE
+            u[:, 6:9] *= POSE_SCALE
         D = self.eta * u
         return D, so3.quat_exp(D[:, 6:9])
 

@@ -182,8 +182,14 @@ class ScenarioConfig:
             ratio = self.ocp.dt / self.dt_lowlevel
             if abs(ratio - round(ratio)) > 1e-9:
                 raise ConfigError("NMPC period must be an integer multiple of the low-level step")
-        if self.terminal_epsilon is not None and self.terminal_epsilon <= 0:
-            raise ConfigError("terminal region radius must be positive")
+        if self.terminal_epsilon is not None and not 0.0 < self.terminal_epsilon < math.inf:
+            raise ConfigError(
+                f"'terminal_epsilon' must be positive and finite, got {self.terminal_epsilon!r}"
+            )
+        if not 0.0 <= self.disturbance_eta < math.inf:
+            raise ConfigError(
+                f"disturbance 'eta' must be nonnegative and finite, got {self.disturbance_eta!r}"
+            )
         # a replan comes sigma to N steps into a plan, and its horizon is
         # at least max(2, sigma) but no longer than N
         floor = max(2, self.trigger.sigma)
@@ -348,13 +354,13 @@ FIELDS = {
     ("solver", "feas_tol"): (float, POSITIVE, "solver.feas_tol"),
     ("disturbance", "eta"): (float, NONNEGATIVE, "disturbance_eta"),
     ("disturbance", "kind"): (str, None, "disturbance_kind"),
-    ("weights", "position"): (float, None, None),
-    ("weights", "velocity"): (float, None, None),
-    ("weights", "attitude"): (float, None, None),
-    ("weights", "rate"): (float, None, None),
-    ("weights", "force"): (float, None, None),
-    ("weights", "moment"): (float, None, None),
-    ("weights", "terminal_scale"): (float, None, None),
+    ("weights", "position"): (float, POSITIVE, None),
+    ("weights", "velocity"): (float, POSITIVE, None),
+    ("weights", "attitude"): (float, POSITIVE, None),
+    ("weights", "rate"): (float, POSITIVE, None),
+    ("weights", "force"): (float, NONNEGATIVE, None),
+    ("weights", "moment"): (float, NONNEGATIVE, None),
+    ("weights", "terminal_scale"): (float, POSITIVE, None),
     # GainSet takes exactly the positive gains
     ("gains", "attitude"): (float, POSITIVE, "gains.K_R"),
     ("gains", "attitude_rate"): (float, POSITIVE, "gains.K_Omega"),

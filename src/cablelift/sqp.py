@@ -24,7 +24,8 @@ drive it with scalar problems whose KKT systems are solved by hand.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from functools import cached_property
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -39,23 +40,27 @@ class QpNumericalFailure(RuntimeError):
     """Riccati factorization failed at every regularization level."""
 
 
+# line search: initial L1 merit weight, step shrink factor, smallest step
+# tried and Armijo slope fraction
+MERIT_WEIGHT = 10.0
+BACKTRACK = 0.5
+MIN_STEP = 1e-4
+ARMIJO = 1e-4
+# interior point: iteration cap, stopping tolerance, and the first nonzero
+# Hessian regularization tried when a factorization fails
+QP_MAX_ITERS = 100
+QP_TOL = 1e-9
+REG = 1e-8
+
+
 @dataclass
 class SolverConfig:
     max_sqp_iters: int = 30
     kkt_tol: float = 1e-6
     feas_tol: float = 1e-6
-    merit_weight: float = 10.0
-    backtrack: float = 0.5
-    min_step: float = 1e-4
-    armijo: float = 1e-4
-    qp_max_iters: int = 100
-    qp_tol: float = 1e-9
-    reg: float = 1e-8
 
     def __post_init__(self):
-        if not (0.0 < self.backtrack < 1.0):
-            raise ValueError("backtracking factor must be in (0, 1)")
-        for name in ("kkt_tol", "feas_tol", "min_step", "qp_tol", "reg"):
+        for name in ("kkt_tol", "feas_tol"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 
@@ -84,18 +89,65 @@ def _fit(rows: np.ndarray, last: np.ndarray, length: int) -> np.ndarray:
 # structured QP
 
 
+class _Rows:
+    """Inequality rows C_r y_{stage_r} + c_r <= 0 on one kind of stage
+    variable (states or inputs), every stage's rows stacked: C (m, dim),
+    c (m,) and the stage index (m,), over `stages` stages."""
+
+    def __init__(self, C, c, stage, stages: int):
+        self.C = np.asarray(C, dtype=np.float64)
+        self.c = np.asarray(c, dtype=np.float64)
+        self.stage = np.asarray(stage, dtype=np.intp)
+        self.stages = stages
+
+    @classmethod
+    def of(cls, J: np.ndarray, c: np.ndarray, first: int, stages: int) -> "_Rows":
+        """The rows of gradients J (K, r, dim) and values c (K, r), block k
+        on stage first + k, as payload_ocp's row functions return them."""
+        K, r, dim = J.shape
+        stage = np.repeat(np.arange(first, first + K), r)
+        return cls(J.reshape(K * r, dim), c.reshape(K * r), stage, stages)
+
+    @property
+    def m(self) -> int:
+        return len(self.c)
+
+    @cached_property
+    def _onehot(self) -> np.ndarray:
+        """(stages, m): 1 where row r sits on the stage."""
+        return (np.arange(self.stages)[:, None] == self.stage[None, :]).astype(np.float64)
+
+    @cached_property
+    def _outer(self) -> np.ndarray:
+        """(m, dim * dim): each row's C_r^T C_r, flattened."""
+        dim = self.C.shape[1]
+        return (self.C[:, :, None] * self.C[:, None, :]).reshape(self.m, dim * dim)
+
+    def apply(self, y: np.ndarray) -> np.ndarray:
+        """C_r @ y_{stage(r)} for every row."""
+        return np.einsum("rj,rj->r", self.C, y[self.stage])
+
+    def scatter(self, v: np.ndarray) -> np.ndarray:
+        """sum over a stage's rows of C_r^T v_r, per stage."""
+        return self._onehot @ (self.C * v[:, None])
+
+    def curvature(self, weight: np.ndarray) -> np.ndarray:
+        """sum over a stage's rows of weight_r C_r^T C_r, per stage."""
+        dim = self.C.shape[1]
+        return (self._onehot @ (weight[:, None] * self._outer)).reshape(-1, dim, dim)
+
+
 @dataclass
 class QpData:
     """Stagewise convex QP over tangent steps (z_0..z_N, w_0..w_{N-1}).
 
     min sum_i 1/2 z H_x z + g_x z + 1/2 w H_u w + g_u w  (+ terminal z-term)
     s.t. z_0 = z0,  z_{i+1} = A_i z_i + B_i w_i + c_i,
-         Cx_i z_i + cx_i <= 0,  Cu_i w_i + cu_i <= 0.
+         rows_x on the states z_0..z_N,  rows_u on the inputs w_0..w_{N-1}.
 
     Stage data are stacked arrays, H_x (N+1, nx, nx), g_x (N+1, nx),
     H_u (N, nu, nu), g_u (N, nu), A (N, nx, nx), B (N, nx, nu), c (N, nx);
-    lists of per-stage blocks are stacked on construction.  The inequality
-    rows are per-stage lists, since their count may differ between stages.
+    lists of per-stage blocks are stacked on construction.
     """
 
     H_x: np.ndarray
@@ -105,10 +157,8 @@ class QpData:
     A: np.ndarray
     B: np.ndarray
     c: np.ndarray
-    Cx: List[np.ndarray]
-    cx: List[np.ndarray]
-    Cu: List[np.ndarray]
-    cu: List[np.ndarray]
+    rows_x: _Rows
+    rows_u: _Rows
     z0: np.ndarray
 
     def __post_init__(self):
@@ -120,7 +170,7 @@ class QpData:
         return len(self.H_u)
 
     def row_count(self) -> int:
-        return sum(len(v) for v in self.cx) + sum(len(v) for v in self.cu)
+        return self.rows_x.m + self.rows_u.m
 
 
 @dataclass
@@ -128,8 +178,8 @@ class QpResult:
     z: np.ndarray  # (N+1, nx)
     w: np.ndarray  # (N, nu)
     nu: np.ndarray  # (N, nx) dynamics multipliers
-    lam_x: List[np.ndarray]
-    lam_u: List[np.ndarray]
+    lam_x: np.ndarray  # (m_x,) multipliers of rows_x
+    lam_u: np.ndarray  # (m_u,) multipliers of rows_u
     iterations: int
     status: str  # optimal | max_iter
     reg: float  # Hessian regularization the factorizations succeeded at
@@ -226,40 +276,6 @@ def _riccati_solve(fac: _Riccati, g_x, g_u, c, z0):
     return z, w, nu
 
 
-class _Rows:
-    """One kind of inequality row (on states or on inputs), every stage's
-    rows stacked: C (m, dim), c (m,), and a one-hot stage map (S, m)."""
-
-    def __init__(self, C_list, c_list, dim: int):
-        counts = [len(v) for v in c_list]
-        self.C = np.concatenate([np.reshape(C, (-1, dim)) for C in C_list])
-        self.c = np.concatenate([np.ravel(v) for v in c_list])
-        self.stage = np.repeat(np.arange(len(counts)), counts)
-        self.onehot = (np.arange(len(counts))[:, None] == self.stage[None, :]).astype(np.float64)
-        self.outer = (self.C[:, :, None] * self.C[:, None, :]).reshape(len(self.c), dim * dim)
-        self.bounds = np.cumsum(counts)[:-1]
-        self.dim = dim
-
-    @property
-    def m(self) -> int:
-        return len(self.c)
-
-    def apply(self, y: np.ndarray) -> np.ndarray:
-        """C_r @ y_{stage(r)} for every row."""
-        return np.einsum("rj,rj->r", self.C, y[self.stage])
-
-    def scatter(self, v: np.ndarray) -> np.ndarray:
-        """sum over a stage's rows of C_r^T v_r, per stage."""
-        return self.onehot @ (self.C * v[:, None])
-
-    def curvature(self, weight: np.ndarray) -> np.ndarray:
-        """sum over a stage's rows of weight_r C_r^T C_r, per stage."""
-        return (self.onehot @ (weight[:, None] * self.outer)).reshape(-1, self.dim, self.dim)
-
-    def split(self, v: np.ndarray) -> List[np.ndarray]:
-        return np.split(v, self.bounds)
-
-
 def _stationarity(data: QpData, z, w, nu, Cx_lam, Cu_lam):
     """Lagrangian gradients in z (N+1, nx) and w (N, nu); the C^T lambda
     terms come in already summed per stage."""
@@ -288,8 +304,7 @@ def _equality_qp(data: QpData, H_x: np.ndarray, H_u: np.ndarray, reg: float) -> 
     fac = _riccati_factor(data.A, data.B, H_x, H_u, np.concatenate([data.A, data.B], axis=2))
     z, w, nu = _riccati_solve(fac, data.g_x, data.g_u, data.c, data.z0)
     return QpResult(
-        z, w, nu,
-        [np.zeros(len(v)) for v in data.cx], [np.zeros(len(v)) for v in data.cu],
+        z, w, nu, np.zeros(data.rows_x.m), np.zeros(data.rows_u.m),
         1, "optimal", reg, np.zeros_like(data.g_x), np.zeros_like(data.g_u),
     )
 
@@ -307,14 +322,13 @@ def _equality_certificate(data: QpData) -> Optional[QpResult]:
         result = _equality_qp(data, data.H_x, data.H_u, 0.0)
     except np.linalg.LinAlgError:
         return None
-    for C_list, c_list, y in ((data.Cx, data.cx, result.z), (data.Cu, data.cu, result.w)):
-        for C, c, y_i in zip(C_list, c_list, y):
-            if len(c) and np.max(C @ y_i + c) > 0.0:
-                return None
+    for rows, y in ((data.rows_x, result.z), (data.rows_u, result.w)):
+        if rows.m and np.max(rows.apply(y) + rows.c) > 0.0:
+            return None
     return result
 
 
-def qp_subproblem(data: QpData, config: Optional[SolverConfig] = None) -> QpResult:
+def qp_subproblem(data: QpData) -> QpResult:
     """Solve the stagewise QP; interior point when inequality rows exist.
 
     Without rows one Riccati factorization and back-solve give the optimum.
@@ -324,8 +338,7 @@ def qp_subproblem(data: QpData, config: Optional[SolverConfig] = None) -> QpResu
     but skips it on the iteration that certifies convergence (see
     `_equality_certificate`).
     """
-    config = config or SolverConfig()
-    levels = [0.0, config.reg, 1e-6, 1e-4, 1e-2]
+    levels = [0.0, REG, 1e-6, 1e-4, 1e-2]
     nx, nu = data.H_x.shape[-1], data.H_u.shape[-1]
     last_error: Optional[Exception] = None
     for reg in levels:
@@ -334,14 +347,14 @@ def qp_subproblem(data: QpData, config: Optional[SolverConfig] = None) -> QpResu
         try:
             if data.row_count() == 0:
                 return _equality_qp(data, H_x, H_u, reg)
-            return _qp_interior_point(data, H_x, H_u, config, reg)
+            return _qp_interior_point(data, H_x, H_u, reg)
         except np.linalg.LinAlgError as err:
             last_error = err
             continue
     raise QpNumericalFailure(f"Riccati factorization failed at reg {levels[-1]}: {last_error}")
 
 
-def _qp_interior_point(data: QpData, H_x, H_u, config: SolverConfig, reg: float) -> QpResult:
+def _qp_interior_point(data: QpData, H_x, H_u, reg: float) -> QpResult:
     """Mehrotra predictor-corrector on C y + c + s = 0, s >= 0, lam >= 0.
 
     Each iteration condenses the rows into the stage Hessians with weights
@@ -352,8 +365,7 @@ def _qp_interior_point(data: QpData, H_x, H_u, config: SolverConfig, reg: float)
     """
     N = data.N
     nx = len(data.z0)
-    rows_x = _Rows(data.Cx, data.cx, nx)
-    rows_u = _Rows(data.Cu, data.cu, data.H_u.shape[-1])
+    rows_x, rows_u = data.rows_x, data.rows_u
     mx = rows_x.m
     m = mx + rows_u.m
     z = np.zeros((N + 1, nx))
@@ -375,18 +387,18 @@ def _qp_interior_point(data: QpData, H_x, H_u, config: SolverConfig, reg: float)
 
     def result(iterations: int, status: str, Cx_lam, Cu_lam) -> QpResult:
         return QpResult(
-            z, w, nu, rows_x.split(lam[:mx]), rows_u.split(lam[mx:]),
+            z, w, nu, lam[:mx], lam[mx:],
             iterations, status, reg, Cx_lam, Cu_lam,
         )
 
-    for it in range(1, config.qp_max_iters + 1):
+    for it in range(1, QP_MAX_ITERS + 1):
         r_x, r_u, r_eq, r_in, Cx_lam, Cu_lam = residuals()
         mu = float(lam @ s) / m
         if (
-            mu <= config.qp_tol
-            and _max_abs(r_x[1:], r_u) <= config.qp_tol * 10  # stage 0 is pinned
-            and _max_abs(r_eq) <= config.qp_tol
-            and _max_abs(r_in) <= config.qp_tol
+            mu <= QP_TOL
+            and _max_abs(r_x[1:], r_u) <= QP_TOL * 10  # stage 0 is pinned
+            and _max_abs(r_eq) <= QP_TOL
+            and _max_abs(r_in) <= QP_TOL
         ):
             return result(it, "optimal", Cx_lam, Cu_lam)
         if np.max(lam) > 1e8 and _max_abs(r_in) > 1e-6:
@@ -428,7 +440,7 @@ def _qp_interior_point(data: QpData, H_x, H_u, config: SolverConfig, reg: float)
     _, _, _, r_in, Cx_lam, Cu_lam = residuals()
     if _max_abs(r_in) > 1e-6 and np.max(lam) > 1e6:
         raise Infeasible("inequality rows inconsistent: primal residual stalled")
-    return result(config.qp_max_iters, "max_iter", Cx_lam, Cu_lam)
+    return result(QP_MAX_ITERS, "max_iter", Cx_lam, Cu_lam)
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +455,7 @@ class _Iterate:
     U: np.ndarray  # (N, 6) wrench rows
     cost: float
     defects: np.ndarray  # (N, 12)
-    tension: tuple  # tension_rows (J, c)
+    tension: tuple  # tension_rows (J, c) over stages 0..N-1
     obstacle: tuple  # obstacle_rows (J, c) over stages 0..N
     rollout: tuple  # rk4_stages of (X[:-1], U)
     errors: np.ndarray  # (N+1, 12) state_error against the reference
@@ -473,7 +485,7 @@ def _evaluate(X: np.ndarray, U: np.ndarray, problem) -> _Iterate:
         X=X, U=U, rollout=rollout, errors=errors, shares=shares,
         cost=ocp.total_cost(X, U, problem, errors),
         defects=ocp.dynamics_defects(X, U, problem, rollout),
-        tension=ocp.tension_rows(U, problem.ref_x[:-1, 6:10], problem, shares),
+        tension=ocp.tension_rows(U, problem, shares),
         obstacle=ocp.obstacle_rows(X, problem),
     )
 
@@ -495,17 +507,18 @@ def _build_qp_data(point: _Iterate, problem, lam_u_prev=None) -> QpData:
     if lam_u_prev is not None and c_u.size:
         # lagged-multiplier curvature of the active rows keeps the outer
         # loop from stalling at the Gauss-Newton accuracy floor
-        lam = np.array(lam_u_prev)
-        blocks = ocp.tension_row_hessians(point.U, problem.ref_x[:-1, 6:10], problem, point.shares)
+        lam = lam_u_prev.reshape(c_u.shape)
+        blocks = ocp.tension_row_hessians(point.U, problem, point.shares)
         H_u = H_u + np.einsum("kr,krij->kij", np.where(lam > 1e-12, lam, 0.0), blocks)
     J_x, c_x = point.obstacle
-    # stage 0 is pinned to the measured state; constant rows there are
-    # either trivially satisfied or a genuine infeasibility
-    Cx = [np.zeros((0, ocp.NX))] + list(J_x[1:])
-    cx = [np.zeros(0)] + list(c_x[1:])
+    N = problem.N
     return QpData(
         H_x=H_x, g_x=g_x, H_u=H_u, g_u=g_u, A=A, B=B, c=point.defects,
-        Cx=Cx, cx=cx, Cu=list(J_u), cu=list(c_u), z0=np.zeros(ocp.NX),
+        # stage 0 is pinned to the measured state; constant rows there are
+        # either trivially satisfied or a genuine infeasibility
+        rows_x=_Rows.of(J_x[1:], c_x[1:], 1, N + 1),
+        rows_u=_Rows.of(J_u, c_u, 0, N),
+        z0=np.zeros(ocp.NX),
     )
 
 
@@ -540,7 +553,7 @@ def solve(
 
     status is "converged" when stationarity reaches kkt_tol with defects and
     hard constraints inside feas_tol, "stalled" when the line search accepts
-    no step down to min_step, and otherwise "max_iter".  At a feasible
+    no step down to MIN_STEP, and otherwise "max_iter".  At a feasible
     iterate, stationarity is first priced with the QP solved without its
     rows (one Riccati factorization, `_equality_certificate`); when no row
     binds there and it reaches kkt_tol, the solve ends without running the
@@ -552,7 +565,7 @@ def solve(
     incumbent merit, cost and stationarity, the accepted step length, the
     QP's iteration count, status ("optimal" or "max_iter") and Hessian
     regularization, and whether the line search stalled (no step accepted
-    down to min_step, which ends the solve).
+    down to MIN_STEP, which ends the solve).
     """
     config = config or SolverConfig()
     _, v0 = ocp.obstacle_rows(problem.x0[None, :], problem)
@@ -570,7 +583,7 @@ def solve(
     X[0] = problem.x0
     point = _evaluate(X, U, problem)
 
-    mu_merit = config.merit_weight
+    mu_merit = MERIT_WEIGHT
     best = None
     it = 0
     status = "max_iter"
@@ -583,13 +596,10 @@ def solve(
         result = _equality_certificate(data) if feasible else None
         kkt = np.nan if result is None else _nonlinear_kkt(data, result)
         if not kkt <= config.kkt_tol:
-            result = qp_subproblem(data, config)
+            result = qp_subproblem(data)
             kkt = _nonlinear_kkt(data, result)
         lam_u_prev = result.lam_u
-        mu_merit = max(
-            mu_merit,
-            1.1 * _max_abs(result.nu, *result.lam_x, *result.lam_u),
-        )
+        mu_merit = max(mu_merit, 1.1 * _max_abs(result.nu, result.lam_x, result.lam_u))
 
         phi0 = point.merit(mu_merit)
         if best is None or phi0 < best[0]:
@@ -615,12 +625,12 @@ def solve(
         slack = 1e-12 * max(1.0, abs(phi0))
         alpha = 1.0
         accepted = False
-        while alpha >= config.min_step:
+        while alpha >= MIN_STEP:
             cand_X = point.X.copy()
             cand_X[1:] = ocp.retract(point.X[1:], alpha * result.z[1:])
             cand = _evaluate(cand_X, point.U + alpha * result.w, problem)
             phi = cand.merit(mu_merit)
-            target = phi0 + config.armijo * alpha * min(dphi, 0.0)
+            target = phi0 + ARMIJO * alpha * min(dphi, 0.0)
             ok = phi <= target and phi <= phi0 + slack
             if ok and feasible_now:
                 ok = cand.cost <= point.cost + slack
@@ -630,7 +640,7 @@ def solve(
                     best = (phi, point, None)
                 accepted = True
                 break
-            alpha *= config.backtrack
+            alpha *= BACKTRACK
         record["alpha"] = alpha if accepted else 0.0
         record["stalled"] = not accepted
         if not accepted:
@@ -641,5 +651,5 @@ def solve(
     if best_kkt is None:
         # best iterate was accepted on the final pass; price its stationarity
         data = _build_qp_data(best_point, problem)
-        best_kkt = _nonlinear_kkt(data, qp_subproblem(data, config))
+        best_kkt = _nonlinear_kkt(data, qp_subproblem(data))
     return _solution(best_point, best_kkt, it, status)

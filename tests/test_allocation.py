@@ -145,7 +145,7 @@ class TestNullspaceRedistribute:
         """Vertical hover geometry keeps vehicles 0.6 m apart: no change."""
         mu = [(0.0, 0.0, 0.569)] * 4
         out = allocation.nullspace_redistribute(
-            mu, self.attach, EYE, self.amap, self.l_i, d_safe=0.4
+            mu, self.attach, EYE, self.amap, self.l_i
         )
         assert out == mu
 
@@ -174,16 +174,16 @@ class TestNullspaceRedistribute:
             )
 
         before = min_sep(mu)
-        assert before < 0.4  # the setup really is crowded
+        assert before < allocation.D_SAFE  # the setup really is crowded
         out = allocation.nullspace_redistribute(
-            mu, self.attach, EYE, self.amap, self.l_i, d_safe=0.4, lam_sep=10.0
+            mu, self.attach, EYE, self.amap, self.l_i
         )
         assert min_sep(out) > before
 
     def test_wrench_preserved(self):
         mu = self.crowded_mu()
         out = allocation.nullspace_redistribute(
-            mu, self.attach, EYE, self.amap, self.l_i, d_safe=0.4
+            mu, self.attach, EYE, self.amap, self.l_i
         )
         assert out != mu  # the step was taken
         w_in = self.amap.P @ np.array(allocation.stack_body(mu, EYE))

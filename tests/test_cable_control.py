@@ -66,21 +66,16 @@ def components(mu, state, a_kc, **kw):
     return np.array(u_par[0]), np.array(u_perp[0])
 
 
-def moment(errors, omega, R, R_des, gains=None, **kw):
+def moment(errors, omega, gains=None):
     """moment_command of one vehicle with inertia J_I."""
     e_R, e_Omega = errors
-    out = cc.moment_command(
-        ([e_R], [e_Omega]), [omega], [flat(R)], [flat(R_des)], [flat(J_I)],
-        gains or GainSet(), **kw,
-    )
+    out = cc.moment_command(([e_R], [e_Omega]), [omega], [flat(J_I)], gains or GainSet())
     return np.array(out[0])
 
 
-def attitude_errors(R, R_des, omega, omega_des=None):
+def attitude_errors(R, R_des, omega):
     """attitude_errors of one vehicle, as arrays."""
-    e_R, e_Omega = cc.attitude_errors(
-        [flat(R)], [flat(R_des)], [omega], None if omega_des is None else [omega_des]
-    )
+    e_R, e_Omega = cc.attitude_errors([flat(R)], [flat(R_des)], [omega])
     return np.array(e_R[0]), np.array(e_Omega[0])
 
 
@@ -205,13 +200,7 @@ class TestControlComponents:
             xi_des = rng.standard_normal(3)
             xi_des /= np.linalg.norm(xi_des)
             state = tracking_state(xi, omega, xi_des, rng.standard_normal(3))
-            u_par, u_perp = components(
-                rng.standard_normal(3),
-                state,
-                rng.standard_normal(3),
-                xi_dot_des=[rng.standard_normal(3)],
-                omega_dot_des=[rng.standard_normal(3)],
-            )
+            u_par, u_perp = components(rng.standard_normal(3), state, rng.standard_normal(3))
             assert abs(u_perp @ xi) < 1e-9
             assert np.linalg.norm(np.cross(u_par, xi)) < 1e-9
 
@@ -266,54 +255,40 @@ class TestThrustAndAttitude:
 
 class TestAttitudeErrors:
     def test_aligned_reduces_to_rate_difference(self):
+        # the desired body rate is zero, so the rate error is the rate itself
         omega = np.array([0.1, 0.2, -0.3])
-        omega_des = np.array([0.05, 0.0, 0.0])
-        e_R, e_Omega = attitude_errors(np.eye(3), np.eye(3), omega, omega_des)
+        e_R, e_Omega = attitude_errors(np.eye(3), np.eye(3), omega)
         np.testing.assert_allclose(e_R, np.zeros(3), atol=1e-15)
-        np.testing.assert_allclose(e_Omega, omega - omega_des, atol=1e-15)
+        np.testing.assert_array_equal(e_Omega, omega)
 
     def test_small_yaw_offset(self):
         R = so3.quat_to_rotation(quat_from_axis_angle(np.array([0.0, 0.0, 1.0]), 0.1))
         e_R, _ = attitude_errors(R, np.eye(3), np.zeros(3))
         np.testing.assert_allclose(e_R, np.array([0.0, 0.0, np.sin(0.1)]), atol=1e-12)
 
-    def test_transported_rate_reference_cancels(self):
-        R_des = so3.quat_to_rotation(
-            quat_from_axis_angle(np.array([1.0, 1.0, 0.0]) / np.sqrt(2), 0.6)
-        )
-        R = so3.quat_to_rotation(quat_from_axis_angle(np.array([0.0, 1.0, 0.0]), 0.2))
-        omega_des = np.array([0.3, -0.1, 0.2])
-        omega = R.T @ R_des @ omega_des
-        _, e_Omega = attitude_errors(R, R_des, omega, omega_des)
-        np.testing.assert_allclose(e_Omega, np.zeros(3), atol=1e-14)
-
 
 class TestMomentCommand:
     def test_rest_at_target_needs_no_moment(self):
-        M = moment((np.zeros(3), np.zeros(3)), np.zeros(3), np.eye(3), np.eye(3))
+        M = moment((np.zeros(3), np.zeros(3)), np.zeros(3))
         np.testing.assert_allclose(M, np.zeros(3), atol=1e-15)
 
     def test_rate_error_damped_by_gain(self):
         gains = GainSet()
         e_Omega = np.array([0.1, 0.0, 0.0])
-        M = moment((np.zeros(3), e_Omega), np.zeros(3), np.eye(3), np.eye(3), gains)
+        M = moment((np.zeros(3), e_Omega), np.zeros(3), gains)
         np.testing.assert_allclose(M, -gains.K_Omega @ e_Omega, atol=1e-15)
 
     def test_gyroscopic_term_isolated(self):
-        # zero errors and references leave only the omega x J omega cross term
+        # zero errors leave only the omega x J omega cross term
         omega = np.array([0.2, -0.1, 0.5])
-        zero = [np.zeros(3)]
-        M = moment(
-            (np.zeros(3), np.zeros(3)), omega, np.eye(3), np.eye(3),
-            omega_des=zero, omega_dot_des=zero,
-        )
+        M = moment((np.zeros(3), np.zeros(3)), omega)
         np.testing.assert_allclose(M, np.cross(omega, J_I @ omega), atol=1e-15)
 
     def test_restoring_direction(self):
         # body yawed past the target: the commanded moment must pull it back
         R = so3.quat_to_rotation(quat_from_axis_angle(np.array([0.0, 0.0, 1.0]), 0.3))
         errors = attitude_errors(R, np.eye(3), np.zeros(3))
-        M = moment(errors, np.zeros(3), R, np.eye(3))
+        M = moment(errors, np.zeros(3))
         assert M[2] < 0.0
 
 
@@ -328,7 +303,7 @@ class TestAttitudeLoopStability:
             theta, omega = x[:3], x[3:]
             R = so3.quat_to_rotation(so3.quat_exp(theta))
             errors = attitude_errors(R, np.eye(3), omega)
-            M = moment(errors, omega, R, np.eye(3), gains)
+            M = moment(errors, omega, gains)
             return np.concatenate([omega, J_inv @ (M - np.cross(omega, J_I @ omega))])
 
         h = 1e-6
@@ -403,7 +378,7 @@ def run_hover_loop(n_steps, dt=0.002):
         R_des = cc.desired_attitude(u, 0.0)
         errors = cc.attitude_errors(R_k, R_des, omega_k)
         J_k = [flat(J) for J in params.J_i]
-        moments = cc.moment_command(errors, omega_k, R_k, R_des, J_k, gains)
+        moments = cc.moment_command(errors, omega_k, J_k, gains)
         if first_commands is None:
             first_commands = list(zip(thrusts, moments))
         y = plant.step_world(full.ravel().tolist(), (thrusts, moments), dt, params)
@@ -676,7 +651,7 @@ class TestHingeJacobian:
         r0 = reference_hinges(stacked, attachments, R_L, l_i)[0]
         J = allocation._hinge_jacobian(
             stacked.tolist(), [tuple(a) for a in attachments.tolist()],
-            tuple(R_L.ravel().tolist()), l_i.tolist(), amap, r0.tolist(), 10.0,
+            tuple(R_L.ravel().tolist()), l_i.tolist(), amap, r0.tolist(),
         )
         J_ref = reference_hinge_jacobian(stacked, attachments, R_L, amap, l_i)
         # central differences: O(h^2) truncation plus 1e-16 / h rounding

@@ -75,12 +75,15 @@ class TestRun:
         assert "[hover-recovery]" in capsys.readouterr().out
 
     def test_config_and_preset_conflict(self, tmp_path, capsys):
-        config = write(tmp_path, FAST_CONFIG)
-        code = cli.main(
-            ["run", "--config", config, "--preset", "hover", "--out-dir", str(tmp_path)]
-        )
-        assert code == 2
-        assert "config error" in capsys.readouterr().err
+        # the conflict is reported before the file is read, so a missing
+        # file reads as the same conflict
+        for config in (write(tmp_path, FAST_CONFIG), str(tmp_path / "missing.yaml")):
+            code = cli.main(
+                ["run", "--config", config, "--preset", "hover", "--out-dir", str(tmp_path)]
+            )
+            assert code == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error") and "either --config or --preset" in err
 
     def test_unknown_preset(self, tmp_path, capsys):
         assert cli.main(["run", "--preset", "barrel-roll", "--out-dir", str(tmp_path)]) == 2

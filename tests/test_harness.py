@@ -175,6 +175,22 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError):
             ScenarioConfig(terminal_epsilon=-0.1)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("terminal_epsilon", float("nan")),
+            ("terminal_epsilon", float("inf")),
+            ("disturbance_eta", float("nan")),
+            ("disturbance_eta", float("inf")),
+            ("disturbance_eta", -1.0),
+        ],
+    )
+    def test_non_finite_or_negative_value_names_its_key(self, field, value):
+        # the scenario-file key of each field
+        key = {"terminal_epsilon": "terminal_epsilon", "disturbance_eta": "eta"}[field]
+        with pytest.raises(ConfigError, match=repr(key)):
+            ScenarioConfig(**{field: value})
+
     def test_tick_step_follows_plant_model(self):
         assert ScenarioConfig(plant_model="full").dt_tick == 0.002
         assert ScenarioConfig(plant_model="payload_only").dt_tick == 0.05
@@ -380,9 +396,9 @@ class TestRunPayloadOnly:
             }
         )
         log = harness.run_closed_loop(config)
-        entry = log.constraint_report(0)["obstacle"]
-        assert entry.value == pytest.approx(2.0)
-        assert entry.margin == pytest.approx(1.7)
+        column = log.constraints.ids.index("obstacle")
+        assert log.constraints.value[0, column] == pytest.approx(2.0)
+        assert log.constraints.margins("obstacle")[0] == pytest.approx(1.7)
 
     def test_moving_reference_starts_at_reference_velocity(self, tmp_path):
         config = dataclasses.replace(
@@ -919,7 +935,7 @@ class TestLoadConfig:
                 Q_X=Q_X, Q_U=np.diag([1.0] * 3 + [2.0] * 3), Q_XN=2.0 * Q_X
             ),
         )
-        preset.solver = dataclasses.replace(preset.solver, max_sqp_iters=12, min_step=1e-3)
+        preset.solver = dataclasses.replace(preset.solver, max_sqp_iters=12, feas_tol=1e-5)
         text = (
             "schema_version: 1\npreset: hover-recovery\n"
             "weights:\n  velocity: 3.0\n"
@@ -934,7 +950,7 @@ class TestLoadConfig:
         np.testing.assert_array_equal(config.ocp.weights.Q_XN, 2.0 * config.ocp.weights.Q_X)
         assert config.solver.kkt_tol == 1e-7
         assert config.solver.max_sqp_iters == 12
-        assert config.solver.min_step == 1e-3  # a field the section cannot name
+        assert config.solver.feas_tol == 1e-5
 
     def test_bad_disturbance_kind_rejected(self, tmp_path):
         text = "schema_version: 1\ndisturbance:\n  kind: gusts\n"

@@ -1,4 +1,4 @@
-"""Distance metrics, funnels, and the constraint report."""
+"""Distance metrics, funnels, and the constraint table."""
 
 import numpy as np
 import pytest
@@ -6,11 +6,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cablelift import metrics
-from cablelift.metrics import ConstraintBounds, ConstraintEntry, FunnelSpec
+from cablelift.metrics import ConstraintBounds, FunnelSpec
 
 vec3 = st.lists(
     st.floats(min_value=-50, max_value=50, allow_nan=False), min_size=3, max_size=3
 ).map(np.array)
+
+
+def check_one(t, payload_p, payload_p_des, mav_p, mav_p_des, tensions, bounds):
+    """check_all of one snapshot, stacked as a run of one tick."""
+    tensions = np.asarray(tensions)[None]
+    return metrics.check_all(
+        np.array([t]), payload_p, payload_p_des, mav_p, mav_p_des, tensions, bounds
+    )
+
+
+def entry(table, id):
+    """(value, lower, upper, margin) of one constraint in the first row."""
+    c = table.ids.index(id)
+    return tuple(float(a[0, c]) for a in (table.value, table.lower, table.upper, table.margin))
 
 
 class TestLosErrors:
@@ -39,10 +53,9 @@ def separation_error(p_des_i, p_des_j, p_i, p_j) -> float:
     """Desired minus actual distance of one pair, as check_all reports it."""
     desired = np.array([p_des_i, p_des_j])
     bounds = metrics.default_bounds(desired, f_max=1.0)
-    report = metrics.check_all(
-        0.0, np.zeros(3), np.zeros(3), np.array([p_i, p_j]), desired, np.zeros(2), bounds
-    )
-    return report["separation_0_1"].value
+    mav_p = np.array([p_i, p_j])
+    table = check_one(0.0, np.zeros(3), np.zeros(3), mav_p, desired, np.zeros(2), bounds)
+    return entry(table, "separation_0_1")[0]
 
 
 class TestSeparations:
@@ -88,8 +101,8 @@ def obstacle_distance(p_L, p_O) -> float:
     """Payload-to-obstacle distance, as check_all reports it."""
     formation = np.array([[0.3, 0.0, 0.0], [0.0, 0.3, 0.0], [-0.3, 0.0, 0.0]])
     bounds = metrics.default_bounds(formation, f_max=1.0, obstacle_center=p_O)
-    report = metrics.check_all(0.0, p_L, p_L, formation, formation, np.zeros(3), bounds)
-    return report["obstacle"].value
+    table = check_one(0.0, p_L, p_L, formation, formation, np.zeros(3), bounds)
+    return entry(table, "obstacle")[0]
 
 
 class TestObstacleDistance:
@@ -162,65 +175,61 @@ class TestCheckAll:
     def test_hover_all_satisfied(self):
         snap = hover_snapshot()
         bounds = metrics.default_bounds(snap["mav_p_des"], f_max=1.2)
-        report = metrics.check_all(bounds=bounds, **snap)
-        assert report.all_satisfied
-        assert len(report.entries) == 1 + 4 + 6 + 4  # payload, mavs, pairs, tensions
+        table = check_one(bounds=bounds, **snap)
+        assert np.all(table.margin >= 0.0)
+        assert len(table.ids) == 1 + 4 + 6 + 4  # payload, mavs, pairs, tensions
 
     def test_tension_at_bound_is_satisfied(self):
         snap = hover_snapshot()
         snap["tensions"] = np.array([1.2, 0.5, 0.5, 0.5])
         bounds = metrics.default_bounds(snap["mav_p_des"], f_max=1.2)
-        report = metrics.check_all(bounds=bounds, **snap)
-        entry = report["tension_0"]
-        assert entry.satisfied
-        assert entry.margin == 0.0
+        table = check_one(bounds=bounds, **snap)
+        assert table.margins("tension_0")[0] == 0.0
 
     def test_payload_funnel_violation_margin(self):
         snap = hover_snapshot()
         snap["payload_p"] = snap["payload_p_des"] + np.array([0.3, 0.0, 0.0])
         bounds = metrics.default_bounds(snap["mav_p_des"], f_max=1.2, payload_radius=0.2)
-        report = metrics.check_all(bounds=bounds, **snap)
-        entry = report["payload_funnel"]
-        assert not entry.satisfied
-        assert entry.margin == pytest.approx(-0.1)
-        assert not report.all_satisfied
+        table = check_one(bounds=bounds, **snap)
+        assert table.margins("payload_funnel")[0] == pytest.approx(-0.1)
+        assert np.any(table.margin < 0.0)
 
     def test_two_sided_separation(self):
         snap = hover_snapshot()
-        bounds = metrics.default_bounds(snap["mav_p_des"], f_max=1.2, pair_fraction=0.3)
+        bounds = metrics.default_bounds(snap["mav_p_des"], f_max=1.2)
         # squeeze vehicles 0 and 1 together past the 0.18 m shrink allowance
+        # (PAIR_FRACTION 0.3 of their 0.6 m spacing)
         snap["mav_p"] = snap["mav_p_des"].copy()
         snap["mav_p"][0] = snap["mav_p_des"][1] + np.array([0.35, 0.0, 0.0])
-        report = metrics.check_all(bounds=bounds, **snap)
-        assert not report["separation_0_1"].satisfied
+        assert check_one(bounds=bounds, **snap).margins("separation_0_1")[0] < 0.0
         # and overstretch the same pair past the widen allowance
         snap["mav_p"][0] = snap["mav_p_des"][1] + np.array([0.85, 0.0, 0.0])
-        report = metrics.check_all(bounds=bounds, **snap)
-        assert not report["separation_0_1"].satisfied
+        assert check_one(bounds=bounds, **snap).margins("separation_0_1")[0] < 0.0
         # nominal geometry sits inside both bounds
         snap["mav_p"] = snap["mav_p_des"].copy()
-        report = metrics.check_all(bounds=bounds, **snap)
-        assert report["separation_0_1"].satisfied
+        assert check_one(bounds=bounds, **snap).margins("separation_0_1")[0] >= 0.0
 
     def test_obstacle_entry(self):
         snap = hover_snapshot()
         bounds = metrics.default_bounds(snap["mav_p_des"], f_max=1.2)
         bounds.obstacle_center = np.array([0.0, 0.0, 0.5])
         bounds.obstacle_clearance = 0.4
-        report = metrics.check_all(bounds=bounds, **snap)
-        assert report["obstacle"].margin == pytest.approx(-0.4)
+        assert check_one(bounds=bounds, **snap).margins("obstacle")[0] == pytest.approx(-0.4)
         bounds.obstacle_center = np.array([5.0, 0.0, 0.5])
-        report = metrics.check_all(bounds=bounds, **snap)
-        assert report["obstacle"].satisfied
+        assert check_one(bounds=bounds, **snap).margins("obstacle")[0] >= 0.0
 
     def test_pure_identical_reports(self):
         snap = hover_snapshot()
         bounds = metrics.default_bounds(snap["mav_p_des"], f_max=1.2)
-        a = metrics.check_all(bounds=bounds, **snap)
-        b = metrics.check_all(bounds=bounds, **snap)
-        assert a.entries == b.entries
+        a = check_one(bounds=bounds, **snap)
+        b = check_one(bounds=bounds, **snap)
+        assert a.ids == b.ids
+        for part in ("value", "lower", "upper", "margin"):
+            np.testing.assert_array_equal(getattr(a, part), getattr(b, part))
 
     def test_satisfied_iff_margin_nonnegative(self):
+        """A margin is nonnegative exactly when the value lies inside its
+        bounds (nan: no bound on that side)."""
         rng = np.random.default_rng(8)
         for _ in range(50):
             snap = hover_snapshot()
@@ -228,15 +237,18 @@ class TestCheckAll:
             snap["mav_p"] = snap["mav_p"] + 0.3 * rng.standard_normal((4, 3))
             snap["tensions"] = rng.uniform(0.0, 2.0, 4)
             bounds = metrics.default_bounds(snap["mav_p_des"], f_max=1.2)
-            for entry in metrics.check_all(bounds=bounds, **snap).entries:
-                assert entry.satisfied == (entry.margin >= 0.0)
+            table = check_one(bounds=bounds, **snap)
+            inside = (np.isnan(table.lower) | (table.value >= table.lower)) & (
+                np.isnan(table.upper) | (table.value <= table.upper)
+            )
+            np.testing.assert_array_equal(inside, table.margin >= 0.0)
 
     def test_worst_entry(self):
         snap = hover_snapshot()
         snap["tensions"] = np.array([5.0, 0.1, 0.1, 0.1])
         bounds = metrics.default_bounds(snap["mav_p_des"], f_max=1.2)
-        report = metrics.check_all(bounds=bounds, **snap)
-        assert report.worst().id == "tension_0"
+        table = check_one(bounds=bounds, **snap)
+        assert table.ids[int(np.argmin(table.margin[0]))] == "tension_0"
 
 
 # ---------------------------------------------------------------------------
@@ -244,16 +256,18 @@ class TestCheckAll:
 
 
 def check_snapshot(t, payload_p, payload_p_des, mav_p, mav_p_des, tensions, bounds):
-    """One snapshot's report, computed entry by entry: the oracle for the
-    stacked check_all."""
+    """One snapshot's (id, value, lower, upper, margin) entries, computed one
+    by one: the oracle for the stacked check_all.  nan stands for a missing
+    bound."""
     n = len(mav_p)
+    nan = float("nan")
     e_L = float(np.linalg.norm(payload_p - payload_p_des))
     eps = bounds.payload_funnel.value(t)
-    entries = [ConstraintEntry("payload_funnel", e_L, None, eps, eps - e_L)]
+    entries = [("payload_funnel", e_L, nan, eps, eps - e_L)]
     eps_i = bounds.mav_funnel.value(t)
     for i in range(n):
         e = float(np.linalg.norm(mav_p[i] - mav_p_des[i]))
-        entries.append(ConstraintEntry(f"mav{i}_funnel", e, None, eps_i, eps_i - e))
+        entries.append((f"mav{i}_funnel", e, nan, eps_i, eps_i - e))
     for i in range(n):
         for j in range(i + 1, n):
             hi, lo = bounds.pair_tighten.get((i, j)), bounds.pair_widen.get((i, j))
@@ -263,15 +277,27 @@ def check_snapshot(t, payload_p, payload_p_des, mav_p, mav_p_des, tensions, boun
             e = desired - float(np.linalg.norm(mav_p[i] - mav_p[j]))
             h = np.inf if hi is None else hi.value(t)
             w = np.inf if lo is None else lo.value(t)
-            entries.append(ConstraintEntry(f"separation_{i}_{j}", e, -w, h, min(h - e, e + w)))
+            entries.append((f"separation_{i}_{j}", e, -w, h, min(h - e, e + w)))
     for i in range(n):
         T_i = float(tensions[i])
-        entries.append(ConstraintEntry(f"tension_{i}", T_i, None, bounds.f_max, bounds.f_max - T_i))
+        entries.append((f"tension_{i}", T_i, nan, bounds.f_max, bounds.f_max - T_i))
     if bounds.obstacle_center is not None:
         e_LO = float(np.linalg.norm(payload_p - bounds.obstacle_center))
         clearance = bounds.obstacle_clearance
-        entries.append(ConstraintEntry("obstacle", e_LO, clearance, None, e_LO - clearance))
+        entries.append(("obstacle", e_LO, clearance, nan, e_LO - clearance))
     return entries
+
+
+def table_row(table, k):
+    """Snapshot k of a table as check_snapshot's entries."""
+    parts = (table.value[k], table.lower[k], table.upper[k], table.margin[k])
+    return [(id, *map(float, values)) for id, *values in zip(table.ids, *parts)]
+
+
+def assert_same_entries(got, want):
+    """Equal ids and numbers, nan matching nan."""
+    assert [e[0] for e in got] == [e[0] for e in want]
+    np.testing.assert_array_equal([e[1:] for e in got], [e[1:] for e in want])
 
 
 positive = st.floats(min_value=0.01, max_value=2.0)
@@ -304,8 +330,9 @@ class TestConstraintTable:
         self, n, T, seed, payload_funnel, mav_funnel, pair_funnels, obstacle
     ):
         """Every id, value, bound and margin of the stacked table equals the
-        single-snapshot result exactly, for time-varying funnels, pairs with
-        no funnel on one or both sides, and an obstacle."""
+        single-snapshot oracle exactly, and the table of that one snapshot,
+        for time-varying funnels, pairs with no funnel on one or both sides,
+        and an obstacle."""
         rng = np.random.default_rng(seed)
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
         bounds = ConstraintBounds(
@@ -328,8 +355,8 @@ class TestConstraintTable:
         for k in range(T):
             snapshot = (t[k], payload_p[k], payload_p_des[k], mav_p[k], mav_p_des[k], tensions[k])
             oracle = check_snapshot(*snapshot, bounds)
-            assert table.report(k).entries == oracle
-            assert metrics.check_all(float(t[k]), *snapshot[1:], bounds).entries == oracle
+            assert_same_entries(table_row(table, k), oracle)
+            assert_same_entries(table_row(check_one(*snapshot, bounds), 0), oracle)
 
     def test_shared_desired_positions_broadcast(self):
         snap = hover_snapshot()
@@ -343,6 +370,6 @@ class TestConstraintTable:
             np.stack([snap["tensions"]] * 2),
             bounds,
         )
-        single = metrics.check_all(bounds=bounds, **snap)
-        assert stacked.report(1).entries == single.entries
+        single = check_one(bounds=bounds, **snap)
+        assert_same_entries(table_row(stacked, 1), table_row(single, 0))
         np.testing.assert_array_equal(stacked.margins("tension_0"), [1.2 - 0.57] * 2)

@@ -259,11 +259,9 @@ class TestBuildOcp:
 
     def test_hover_tension_margin(self):
         prob = make_problem()
-        J, c = po.tension_rows(
-            hover_wrench()[None], prob.ref_x[0, 6:10][None], prob
-        )
-        assert c.shape == (1, 4)
-        np.testing.assert_allclose(c[0], -(1.2 - M_L * G / 4), atol=1e-12)
+        J, c = po.tension_rows(np.array([hover_wrench()] * prob.N), prob)
+        assert c.shape == (prob.N, 4)
+        np.testing.assert_allclose(c, -(1.2 - M_L * G / 4), atol=1e-12)
 
     def test_bad_weights_rejected(self):
         asym = np.eye(12)

@@ -699,7 +699,7 @@ class TestDisturbanceModel:
             DisturbanceModel(eta=eta, kind="uniform-bounded")
 
     @pytest.mark.parametrize("eta, pose_scale", [(1.15e-3, 0.002), (0.05, 1.0)])
-    def test_block_stream_matches_per_tick_draws(self, eta, pose_scale):
+    def test_block_stream_matches_per_tick_draws(self, monkeypatch, eta, pose_scale):
         """Across more than three block boundaries, on a run length that is
         no multiple of the block, perturbing the payload on floats gives the
         per-tick path's payload rows bit for bit; the vehicles are untouched."""
@@ -708,7 +708,8 @@ class TestDisturbanceModel:
         x0[Q] = so3.quat_normalize([0.9, 0.1, -0.2, 0.3])
         x0[W] = [0.3, -0.1, 0.2]
         expect = parent_disturbance(eta, 7, pose_scale, ticks, x0)
-        d = DisturbanceModel(eta=eta, seed=7, kind="uniform-bounded", pose_scale=pose_scale)
+        monkeypatch.setattr(plant, "POSE_SCALE", pose_scale)
+        d = DisturbanceModel(eta=eta, seed=7, kind="uniform-bounded")
         y = flat(hover_state(make_params()))
         y[0:13] = x0.tolist()
         vehicles = y[13:]

@@ -243,8 +243,11 @@ def _builds_or_names(data: dict, key: str, accepted: bool):
 @pytest.mark.parametrize("value", EDGE_VALUES)
 @pytest.mark.parametrize("key", [*WEIGHT_ENTRIES, "terminal_scale"])
 def test_a_weight_is_refused_exactly_when_cost_weights_refuses_it(key, value):
-    """A weight outside what CostWeights takes is a config error naming the
-    key, and every weight it takes still builds."""
+    """A weight outside README's range (force and moment nonnegative, the
+    state blocks and the terminal scale positive) or outside what
+    CostWeights takes is a config error naming the key, and every other
+    weight builds."""
+    in_range = value >= 0.0 if key in ("force", "moment") else value > 0.0
     base = scenario.scenario_preset("hover").ocp.weights
     diag = {"Q_X": np.diag(base.Q_X).copy(), "Q_U": np.diag(base.Q_U).copy()}
     scale = base.Q_XN[0, 0] / base.Q_X[0, 0]
@@ -254,7 +257,7 @@ def test_a_weight_is_refused_exactly_when_cost_weights_refuses_it(key, value):
         matrix, i = WEIGHT_ENTRIES[key]
         diag[matrix][i : i + 3] = value
     Q_X, Q_U = np.diag(diag["Q_X"]), np.diag(diag["Q_U"])
-    accepted = _accepts(lambda: payload_ocp.CostWeights(Q_X, Q_U, scale * Q_X))
+    accepted = in_range and _accepts(lambda: payload_ocp.CostWeights(Q_X, Q_U, scale * Q_X))
     data = {"schema_version": 1, "preset": "hover", "weights": {key: value}}
     _builds_or_names(data, key, accepted)
 

@@ -57,7 +57,7 @@ def make_problem(p0, N=20, f_max=1.2, obstacle=None, funnel_eps=0.2, v0=None):
 
 
 def peak_tension_excess(solution, problem):
-    _, vals = ocp.tension_rows(solution.U, problem.ref_x[:-1, 6:10], problem)
+    _, vals = ocp.tension_rows(solution.U, problem)
     return float(np.max(vals)) if vals.size else -np.inf
 
 
@@ -69,14 +69,9 @@ class TestSolverConfig:
         cfg = sqp.SolverConfig()
         assert cfg.max_sqp_iters == 30
         assert cfg.kkt_tol == 1e-6
-        assert cfg.reg == 1e-8
+        assert cfg.feas_tol == 1e-6
 
-    @pytest.mark.parametrize("bad", [0.0, 1.0, 1.2, -0.5])
-    def test_backtrack_range(self, bad):
-        with pytest.raises(ValueError):
-            sqp.SolverConfig(backtrack=bad)
-
-    @pytest.mark.parametrize("field", ["kkt_tol", "feas_tol", "min_step", "qp_tol", "reg"])
+    @pytest.mark.parametrize("field", ["kkt_tol", "feas_tol"])
     def test_tolerances_positive(self, field):
         with pytest.raises(ValueError):
             sqp.SolverConfig(**{field: -1e-6})
@@ -128,6 +123,10 @@ class TestShiftWarmStart:
 # ---------------------------------------------------------------------------
 
 
+def no_rows(dim, stages):
+    return sqp._Rows(np.zeros((0, dim)), np.zeros(0), np.zeros(0, dtype=int), stages)
+
+
 def _scalar_qp(H_u, g_u, Cu=None, cu=None):
     """One state dimension, one input, trivial dynamics: cost lives on u_0."""
     z1 = np.zeros((1, 1))
@@ -139,10 +138,8 @@ def _scalar_qp(H_u, g_u, Cu=None, cu=None):
         A=[z1.copy()],
         B=[z1.copy()],
         c=[np.zeros(1)],
-        Cx=[np.zeros((0, 1)), np.zeros((0, 1))],
-        cx=[np.zeros(0), np.zeros(0)],
-        Cu=[np.zeros((0, 1)) if Cu is None else np.asarray(Cu, dtype=float)],
-        cu=[np.zeros(0) if cu is None else np.asarray(cu, dtype=float)],
+        rows_x=no_rows(1, 2),
+        rows_u=no_rows(1, 1) if Cu is None else sqp._Rows(Cu, cu, np.zeros(len(cu), dtype=int), 1),
         z0=np.zeros(1),
     )
 
@@ -175,13 +172,13 @@ class TestQpSubproblem:
         result = sqp.qp_subproblem(_scalar_qp([[1.0]], [-1.0], [[1.0]], [-0.5]))
         assert result.status == "optimal"
         assert result.w[0][0] == pytest.approx(0.5, abs=1e-6)
-        assert result.lam_u[0][0] == pytest.approx(0.5, abs=1e-6)
-        assert result.lam_u[0][0] >= 0.0
+        assert result.lam_u[0] == pytest.approx(0.5, abs=1e-6)
+        assert result.lam_u[0] >= 0.0
 
     def test_inactive_box_constraint(self):
         result = sqp.qp_subproblem(_scalar_qp([[1.0]], [-1.0], [[1.0]], [-5.0]))
         assert result.w[0][0] == pytest.approx(1.0, abs=1e-6)
-        assert result.lam_u[0][0] == pytest.approx(0.0, abs=1e-6)
+        assert result.lam_u[0] == pytest.approx(0.0, abs=1e-6)
 
     def test_conflicting_rows_infeasible(self):
         # u <= -1 and u >= 1 cannot both hold
@@ -216,8 +213,7 @@ class TestQpSubproblem:
             z0 = rng.standard_normal(nx)
             data = sqp.QpData(
                 H_x=H_x, g_x=g_x, H_u=H_u, g_u=g_u, A=A, B=B, c=c,
-                Cx=[np.zeros((0, nx))] * (N + 1), cx=[np.zeros(0)] * (N + 1),
-                Cu=[np.zeros((0, nu))] * N, cu=[np.zeros(0)] * N, z0=z0,
+                rows_x=no_rows(nx, N + 1), rows_u=no_rows(nu, N), z0=z0,
             )
             result = sqp.qp_subproblem(data)
             assert np.allclose(result.z[0], z0)
@@ -276,7 +272,8 @@ class TestQpSubproblem:
 def _dense_form(data):
     """The stagewise QP over y = (z_1..z_N, w_0..w_{N-1}) as dense arrays:
     min 1/2 y H y + g y  s.t.  E y = d,  G y + h <= 0, with the rows of G
-    ordered as the flattened (lam_x[1:], lam_u) of a QpResult."""
+    ordered as (lam_x, lam_u) of a QpResult; no state row sits on the pinned
+    stage 0."""
     N, nx, nu = data.N, len(data.z0), data.H_u.shape[-1]
     n = N * (nx + nu)
 
@@ -306,18 +303,13 @@ def _dense_form(data):
         else:
             E[rows, zi(i)] = data.A[i]
     G_rows, h = [], []
-    for i in range(1, N + 1):
-        for C_r, c_r in zip(np.reshape(data.Cx[i], (-1, nx)), data.cx[i]):
+    for block, where in ((data.rows_x, zi), (data.rows_u, wi)):
+        for C_r, c_r, i in zip(block.C, block.c, block.stage):
             row = np.zeros(n)
-            row[zi(i)] = C_r
+            row[where(i)] = C_r
             G_rows.append(row)
             h.append(c_r)
-    for i in range(N):
-        for C_r, c_r in zip(np.reshape(data.Cu[i], (-1, nu)), data.cu[i]):
-            row = np.zeros(n)
-            row[wi(i)] = C_r
-            G_rows.append(row)
-            h.append(c_r)
+    assert 0 not in data.rows_x.stage
     return H, g, E, d, np.reshape(G_rows, (-1, n)), np.array(h)
 
 
@@ -398,8 +390,7 @@ def _random_qp_with_cut_rows(seed, N, nx, nu):
         A=[0.7 * rng.standard_normal((nx, nx)) for _ in range(N)],
         B=[rng.standard_normal((nx, nu)) for _ in range(N)],
         c=[rng.standard_normal(nx) for _ in range(N)],
-        Cx=[np.zeros((0, nx))] * (N + 1), cx=[np.zeros(0)] * (N + 1),
-        Cu=[np.zeros((0, nu))] * N, cu=[np.zeros(0)] * N,
+        rows_x=no_rows(nx, N + 1), rows_u=no_rows(nu, N),
         z0=rng.standard_normal(nx),
     )
     free = sqp.qp_subproblem(data)
@@ -414,19 +405,17 @@ def _random_qp_with_cut_rows(seed, N, nx, nu):
             a = y_opt - y_feas
         a = a / np.linalg.norm(a)  # unit rows keep the multipliers on the scale of the cost
         gap = a @ (y_opt - y_feas)
-        return a[None, :], np.array([-(a @ y_feas) - rng.uniform(0.2, 0.8) * gap])
+        return a, -(a @ y_feas) - rng.uniform(0.2, 0.8) * gap
 
-    Cx, cx = [np.zeros((0, nx))], [np.zeros(0)]
+    x_stages, x_rows = [], []
     for i in range(1, N + 1):
         if nu > 1 and rng.random() < 0.5:
-            C_r, c_r = cut(free.z[i], z_feas[i])
-        else:
-            C_r, c_r = np.zeros((0, nx)), np.zeros(0)
-        Cx.append(C_r)
-        cx.append(c_r)
-    data.Cx, data.cx = Cx, cx
-    data.Cu, data.cu = zip(*[cut(free.w[i], w_feas[i]) for i in range(N)])
-    data.Cu, data.cu = list(data.Cu), list(data.cu)
+            x_stages.append(i)
+            x_rows.append(cut(free.z[i], z_feas[i]))
+    C_x = np.reshape([C for C, _ in x_rows], (-1, nx))
+    data.rows_x = sqp._Rows(C_x, [c for _, c in x_rows], x_stages, N + 1)
+    u_rows = [cut(free.w[i], w_feas[i]) for i in range(N)]
+    data.rows_u = sqp._Rows([C for C, _ in u_rows], [c for _, c in u_rows], np.arange(N), N)
     return data
 
 
@@ -445,7 +434,7 @@ class TestInteriorPointOracles:
         result = sqp.qp_subproblem(data)
         assert result.status == "optimal"
         y_ipm = np.concatenate([result.z[1:].ravel(), result.w.ravel()])
-        lam_ipm = np.concatenate([*result.lam_x[1:], *result.lam_u])
+        lam_ipm = np.concatenate([result.lam_x, result.lam_u])
         np.testing.assert_allclose(result.z[0], data.z0)
         np.testing.assert_allclose(y_ipm, y, rtol=1e-6, atol=1e-6)
         np.testing.assert_allclose(result.nu.ravel(), nu_dense, rtol=1e-6, atol=1e-6)
@@ -460,7 +449,7 @@ class TestInteriorPointOracles:
         data = sqp._build_qp_data(point, problem)
         result = sqp.qp_subproblem(data)
         assert result.status == "optimal"
-        assert np.sum(np.concatenate(result.lam_u) > 1e-6) >= 4
+        assert np.sum(result.lam_u > 1e-6) >= 4
         fixed = _fixed_sigma_iterations(*_dense_form(data))
         assert fixed < 100
         assert result.iterations <= fixed
@@ -475,19 +464,24 @@ def _random_qp_with_slack_rows(seed, N, nx, nu):
     minimizer without rows: each is a random unit row with its offset set
     0.1 to 1 below the value it reads there."""
     data = _random_qp_with_cut_rows(seed, N, nx, nu)
-    free = sqp.qp_subproblem(dataclasses.replace(
-        data, Cx=[np.zeros((0, nx))] * (N + 1), cx=[np.zeros(0)] * (N + 1),
-        Cu=[np.zeros((0, nu))] * N, cu=[np.zeros(0)] * N,
-    ))
+    free = sqp.qp_subproblem(
+        dataclasses.replace(data, rows_x=no_rows(nx, N + 1), rows_u=no_rows(nu, N))
+    )
     rng = np.random.default_rng(seed + 1)
 
-    def slack_rows(y, count):
-        C = rng.standard_normal((count, len(y)))
-        C /= np.linalg.norm(C, axis=1, keepdims=True)
-        return C, -(C @ y) - rng.uniform(0.1, 1.0, count)
+    def slack_rows(Y, first):
+        """Two rows on each stage of Y, which start at stage `first`."""
+        C_all, c_all = [], []
+        for y in Y:
+            C = rng.standard_normal((2, len(y)))
+            C /= np.linalg.norm(C, axis=1, keepdims=True)
+            C_all.append(C)
+            c_all.append(-(C @ y) - rng.uniform(0.1, 1.0, 2))
+        stage = np.repeat(np.arange(first, first + len(Y)), 2)
+        return sqp._Rows(np.concatenate(C_all), np.concatenate(c_all), stage, first + len(Y))
 
-    data.Cx, data.cx = map(list, zip(*[slack_rows(z, 0 if i == 0 else 2) for i, z in enumerate(free.z)]))
-    data.Cu, data.cu = map(list, zip(*[slack_rows(w, 2) for w in free.w]))
+    data.rows_x = slack_rows(free.z[1:], 1)
+    data.rows_u = slack_rows(free.w, 0)
     return data
 
 
@@ -511,10 +505,13 @@ def _declining(monkeypatch, calls=None):
     monkeypatch.setattr(sqp, "_equality_certificate", decline)
 
 
-# The interior point stops at qp_tol = 1e-9 on mu and on its residuals, which
-# leaves it up to about 2e-8 from the exact optimum on these QPs; run that
-# far closer as the oracle, so a 1e-8 match tests the certificate.
-ORACLE_QP = sqp.SolverConfig(qp_tol=1e-12)
+def _oracle_qp(data):
+    """The interior point stops at QP_TOL = 1e-9 on mu and on its residuals,
+    which leaves it up to about 2e-8 from the exact optimum on these QPs; run
+    it far closer as the oracle, so a 1e-8 match tests the certificate."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sqp, "QP_TOL", 1e-12)
+        return sqp.qp_subproblem(data)
 
 
 class TestConvergenceCertificate:
@@ -529,11 +526,11 @@ class TestConvergenceCertificate:
         data = _random_qp_with_slack_rows(seed, N, nx, nu)
         assert data.row_count() > 0
         cert = sqp._equality_certificate(data)
-        ipm = sqp.qp_subproblem(data, ORACLE_QP)
+        ipm = _oracle_qp(data)
         assert cert is not None and ipm.status == "optimal" and ipm.iterations > 1
         for got, want in ((cert.z, ipm.z), (cert.w, ipm.w), (cert.nu, ipm.nu)):
             np.testing.assert_allclose(got, want, rtol=1e-8, atol=1e-8)
-        assert all(np.all(lam == 0.0) for lam in (*cert.lam_x, *cert.lam_u))
+        assert np.all(cert.lam_x == 0.0) and np.all(cert.lam_u == 0.0)
         assert sqp._nonlinear_kkt(data, cert) == pytest.approx(
             sqp._nonlinear_kkt(data, ipm), rel=1e-8, abs=1e-8
         )
@@ -543,7 +540,7 @@ class TestConvergenceCertificate:
         data = _converged_qp(make_problem(p0, N=10))
         assert data.row_count() > 0  # tension rows, all slack
         cert = sqp._equality_certificate(data)
-        ipm = sqp.qp_subproblem(data, ORACLE_QP)
+        ipm = _oracle_qp(data)
         assert cert is not None and ipm.status == "optimal"
         for got, want in ((cert.z, ipm.z), (cert.w, ipm.w), (cert.nu, ipm.nu)):
             np.testing.assert_allclose(got, want, rtol=1e-8, atol=1e-8)
@@ -554,7 +551,7 @@ class TestConvergenceCertificate:
     def test_declines_on_a_binding_tension_row(self, monkeypatch):
         problem = make_problem((1.0, 0.0, 1.0), N=10, f_max=1.2, funnel_eps=10.0)
         data = _converged_qp(problem)
-        assert np.max(np.concatenate(sqp.qp_subproblem(data).lam_u)) > 1e-3  # a row binds
+        assert np.max(sqp.qp_subproblem(data).lam_u) > 1e-3  # a row binds
         assert sqp._equality_certificate(data) is None
         # so the solve ends on the interior point's QP, with or without the
         # certificate
@@ -612,6 +609,64 @@ class TestConvergenceCertificate:
             assert (e.k, e.kind, e.horizon, e.iterations, e.status, e.cost) == (
                 e_ipm.k, e_ipm.kind, e_ipm.horizon, e_ipm.iterations, e_ipm.status, e_ipm.cost
             )
+
+
+# ---------------------------------------------------------------------------
+# the inequality rows, stacked over the stages
+
+
+def _obstacle_problem(N=6):
+    """A problem with a far obstacle row on every state and four tension rows
+    on every wrench, all slack at its solution."""
+    return make_problem((0.3, -0.2, 1.1), N=N, obstacle=((5.0, 0.0, 1.0), 0.2))
+
+
+class TestStackedRows:
+    def test_obstacle_rows_on_stages_1_to_N_and_tension_rows_on_0_to_N_minus_1(self):
+        N = 6
+        problem = _obstacle_problem(N)
+        point = sqp._evaluate(*sqp._cold_start(problem), problem)
+        data = sqp._build_qp_data(point, problem)
+        J_x, c_x = point.obstacle
+        J_u, c_u = point.tension
+        assert (data.rows_x.stages, data.rows_u.stages) == (N + 1, N)
+        np.testing.assert_array_equal(data.rows_x.stage, np.arange(1, N + 1))
+        np.testing.assert_array_equal(data.rows_u.stage, np.repeat(np.arange(N), 4))
+        # row r of stage i is row r of payload_ocp's stage-i block
+        assert np.array_equal(data.rows_x.C, J_x[1:, 0])
+        assert np.array_equal(data.rows_x.c, c_x[1:, 0])
+        assert np.array_equal(data.rows_u.C, J_u.reshape(4 * N, 6))
+        assert np.array_equal(data.rows_u.c, c_u.ravel())
+
+    @pytest.mark.parametrize("kind", ["rows_x", "rows_u"])
+    def test_a_one_stage_step_moves_only_that_stage_rows(self, kind):
+        data = _converged_qp(_obstacle_problem())
+        block = getattr(data, kind)
+        rng = np.random.default_rng(4)
+        for k in range(block.stages):
+            y = np.zeros((block.stages, block.C.shape[1]))
+            y[k] = rng.standard_normal(block.C.shape[1])
+            moved = block.apply(y) != 0.0
+            np.testing.assert_array_equal(moved, block.stage == k)
+            # and a multiplier on that stage's rows lands on that stage alone
+            v = np.where(block.stage == k, rng.uniform(0.5, 1.0, block.m), 0.0)
+            summed = block.scatter(v)
+            assert np.all(np.delete(summed, k, axis=0) == 0.0)
+            assert np.any(summed[k] != 0.0) == np.any(block.stage == k)
+
+    @pytest.mark.parametrize("kind", ["rows_x", "rows_u"])
+    def test_certificate_declines_one_violated_mid_horizon_row(self, kind):
+        N = 6
+        data = _converged_qp(_obstacle_problem(N))
+        cert = sqp._equality_certificate(data)
+        assert cert is not None  # every row slack
+        block = getattr(data, kind)
+        y = cert.z if kind == "rows_x" else cert.w
+        r = int(np.flatnonzero(block.stage == N // 2)[-1])
+        reading = block.C[r] @ y[N // 2]
+        assert reading + block.c[r] < 0.0
+        block.c[r] = 1e-9 - reading  # violated by 1e-9 at the equality minimizer
+        assert sqp._equality_certificate(data) is None
 
 
 # ---------------------------------------------------------------------------
@@ -754,13 +809,13 @@ class TestSolve:
         assert full.status == "converged"
         assert full.cost <= solution.cost + 1e-9
 
-    def test_line_search_stall_reads_stalled(self):
+    def test_line_search_stall_reads_stalled(self, monkeypatch):
         # a minimum step above the full step leaves the line search nothing
         # to try, so the first iteration that needs a step stalls
-        config = sqp.SolverConfig(min_step=1.5)
+        monkeypatch.setattr(sqp, "MIN_STEP", 1.5)
         problem = make_problem((1.5, 0.0, 1.0), funnel_eps=10.0)
         trace = []
-        solution = sqp.solve(problem, config=config, trace=trace)
+        solution = sqp.solve(problem, trace=trace)
         assert solution.status == "stalled"
         assert solution.iterations == 1
         assert [entry["stalled"] for entry in trace] == [True]
@@ -810,10 +865,12 @@ class TestSolve:
         with pytest.raises(ocp.DimensionMismatch):
             sqp.solve(problem, warm=warm)
 
-    def test_trace_marks_qp_max_iter_and_reports_the_qp(self):
+    def test_trace_marks_qp_max_iter_and_reports_the_qp(self, monkeypatch):
         problem = make_problem((1.0, 0.0, 1.0), funnel_eps=10.0)
         trace = []
-        sqp.solve(problem, config=sqp.SolverConfig(qp_max_iters=2, max_sqp_iters=3), trace=trace)
+        with monkeypatch.context() as patch:
+            patch.setattr(sqp, "QP_MAX_ITERS", 2)
+            sqp.solve(problem, config=sqp.SolverConfig(max_sqp_iters=3), trace=trace)
         assert trace
         for entry in trace:
             assert entry["qp_status"] == "max_iter"
@@ -867,8 +924,10 @@ def _random_trajectory(problem, seed=1):
 def _assert_same_qp(a: sqp.QpData, b: sqp.QpData):
     for f in dataclasses.fields(sqp.QpData):
         x, y = getattr(a, f.name), getattr(b, f.name)
-        if isinstance(x, list):
-            assert len(x) == len(y) and all(map(np.array_equal, x, y)), f.name
+        if isinstance(x, sqp._Rows):
+            assert x.stages == y.stages, f.name
+            for part in ("C", "c", "stage"):
+                assert np.array_equal(getattr(x, part), getattr(y, part)), (f.name, part)
         else:
             assert np.array_equal(x, y), f.name
 
@@ -909,15 +968,16 @@ class TestIterateReuse:
         problem = _tilted_problem(8)
         X, U = _random_trajectory(problem)
         assert problem.share_maps is problem.share_maps  # built once
-        q_ref = problem.ref_x[:-1, 6:10]
+        # the kept maps are those of the stage reference attitudes
+        fresh_maps = ocp._share_maps(problem.ref_x[:-1, 6:10], problem.amap)
+        assert np.array_equal(problem.share_maps, fresh_maps)
         shares = ocp.tension_shares(U, problem)
-        J, c = ocp.tension_rows(U, q_ref, problem, shares)
+        J, c = ocp.tension_rows(U, problem, shares)
         assert np.max(c) > 0.0  # some cable overloaded
-        J_fresh, c_fresh = ocp.tension_rows(U, q_ref, problem)
+        J_fresh, c_fresh = ocp.tension_rows(U, problem)
         assert np.array_equal(J, J_fresh) and np.array_equal(c, c_fresh)
         assert np.array_equal(
-            ocp.tension_row_hessians(U, q_ref, problem, shares),
-            ocp.tension_row_hessians(U, q_ref, problem),
+            ocp.tension_row_hessians(U, problem, shares), ocp.tension_row_hessians(U, problem)
         )
 
     def test_interior_point_stacks_AB_once(self, monkeypatch):
@@ -936,10 +996,8 @@ class TestIterateReuse:
         each = sqp.qp_subproblem(data)
         assert len(handed) > 1 and all(AB is handed[0] for AB in handed)
         assert (shared.iterations, shared.status, shared.reg) == (each.iterations, each.status, each.reg)
-        for name in ("z", "w", "nu", "Cx_lam", "Cu_lam"):
+        for name in ("z", "w", "nu", "Cx_lam", "Cu_lam", "lam_x", "lam_u"):
             assert np.array_equal(getattr(shared, name), getattr(each, name)), name
-        for name in ("lam_x", "lam_u"):
-            assert all(map(np.array_equal, getattr(shared, name), getattr(each, name))), name
 
     def test_backtracking_solve_matches_one_that_recomputes(self, monkeypatch):
         """The line search evaluates candidates it rejects; only the accepted
