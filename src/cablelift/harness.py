@@ -452,7 +452,7 @@ def run_closed_loop(config: ScenarioConfig) -> RunLog:
     bounds = metrics.default_bounds(
         _formation_targets(config, config.reference_at(0.0)[0]),
         params.f_max,
-        payload_radius=config.ocp.funnel.value(0.0) if config.ocp.funnel else 0.2,
+        payload_radius=config.ocp.funnel_radius,
         obstacle_center=config.ocp.obstacle_center,
         obstacle_clearance=config.ocp.obstacle_clearance,
     )
@@ -504,7 +504,7 @@ def run_closed_loop(config: ScenarioConfig) -> RunLog:
     separations = metrics.pair_separations(log.mav_p)
     log.min_sep, log.max_sep = separations.min(axis=1), separations.max(axis=1)
     targets = _formation_targets(config, log.reference)
-    log.constraints = metrics.check_all(log.t, p, p_ref, log.mav_p, targets, log.tensions, bounds)
+    log.constraints = metrics.check_all(p, p_ref, log.mav_p, targets, log.tensions, bounds)
     log.events = trigger.events
     log.solver_failures = trigger.failures
     log.thrust_clamps = model.thrust_clamps

@@ -10,48 +10,12 @@ so a whole run is checked in one call.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from . import so3
-
-
-@dataclass(frozen=True)
-class FunnelSpec:
-    """Time-varying positive bound given as a piecewise-linear table.
-
-    `table` is a sequence of (time s, value m) pairs with strictly increasing
-    times and strictly positive values; evaluation clamps outside the table.
-    """
-
-    table: Tuple[Tuple[float, float], ...]
-
-    def __post_init__(self):
-        if len(self.table) == 0:
-            raise ValueError("funnel table must not be empty")
-        times = np.array([t for t, _ in self.table], dtype=np.float64)
-        values = np.array([v for _, v in self.table], dtype=np.float64)
-        if np.any(values <= 0.0):
-            raise ValueError("funnel values must be strictly positive")
-        if len(times) > 1 and np.any(np.diff(times) <= 0.0):
-            raise ValueError("funnel times must be strictly increasing")
-        object.__setattr__(self, "_times", times)
-        object.__setattr__(self, "_values", values)
-
-    @classmethod
-    def constant(cls, value: float) -> "FunnelSpec":
-        return cls(((0.0, float(value)),))
-
-    def value(self, t):
-        """The bound at time t; an array of times gives an array of bounds."""
-        if len(self._values) == 1:
-            # np.interp on a one-entry table returns that entry at every t
-            bound = np.full(np.shape(t), self._values[0])
-        else:
-            bound = np.interp(t, self._times, self._values)
-        return float(bound) if np.ndim(t) == 0 else bound
 
 
 @dataclass(frozen=True)
@@ -100,15 +64,15 @@ def pair_separations(P: np.ndarray) -> np.ndarray:
 class ConstraintBounds:
     """Bound set consumed by check_all.
 
-    pair_tighten/pair_widen map vehicle index pairs (i < j) to the allowed
-    shrink/stretch of that pair's separation relative to desired.
+    Every bound is one constant: the payload and vehicle funnel radii, and
+    pair_width, the (n(n-1)/2,) allowed shrink or stretch of each pair's
+    separation relative to desired, in row-major pair order.
     """
 
     f_max: float
-    payload_funnel: FunnelSpec
-    mav_funnel: FunnelSpec
-    pair_tighten: Dict[Tuple[int, int], FunnelSpec] = field(default_factory=dict)
-    pair_widen: Dict[Tuple[int, int], FunnelSpec] = field(default_factory=dict)
+    payload_radius: float
+    mav_radius: float
+    pair_width: np.ndarray
     obstacle_center: Optional[np.ndarray] = None
     obstacle_clearance: float = 0.0
 
@@ -126,30 +90,22 @@ def default_bounds(
     obstacle_center: Optional[np.ndarray] = None,
     obstacle_clearance: float = 0.0,
 ) -> ConstraintBounds:
-    """Constant funnels sized off the initial desired formation.
+    """Constant bounds sized off the initial desired formation.
 
     Vehicles get a MAV_RADIUS funnel, and each pair may shrink or stretch
     by PAIR_FRACTION times its desired separation.
     """
-    i, j = _pairs(len(mav_p_des0))
-    widths = PAIR_FRACTION * pair_separations(np.asarray(mav_p_des0, dtype=np.float64))
-    tighten = {
-        pair: FunnelSpec.constant(width)
-        for pair, width in zip(zip(i.tolist(), j.tolist()), widths.tolist())
-    }
     return ConstraintBounds(
         f_max=f_max,
-        payload_funnel=FunnelSpec.constant(payload_radius),
-        mav_funnel=FunnelSpec.constant(MAV_RADIUS),
-        pair_tighten=tighten,
-        pair_widen=dict(tighten),
+        payload_radius=payload_radius,
+        mav_radius=MAV_RADIUS,
+        pair_width=PAIR_FRACTION * pair_separations(np.asarray(mav_p_des0, dtype=np.float64)),
         obstacle_center=None if obstacle_center is None else np.asarray(obstacle_center),
         obstacle_clearance=obstacle_clearance,
     )
 
 
 def check_all(
-    t,
     payload_p: np.ndarray,
     payload_p_des: np.ndarray,
     mav_p: np.ndarray,
@@ -162,14 +118,14 @@ def check_all(
 
     Margins are signed distances to the nearest bound; a violated constraint
     shows up with margin < 0, nothing raises.  The snapshots are stacked
-    along a leading axis (t (T,), payload_p (T, 3), mav_p (T, n, 3),
-    tensions (T, n)) and give a ConstraintTable with one row each; the
-    desired positions may be stacked or shared by every snapshot.
+    along a leading axis (payload_p (T, 3), mav_p (T, n, 3), tensions (T, n))
+    and give a ConstraintTable with one row each; the desired positions may
+    be stacked or shared by every snapshot.
     """
-    t = np.asarray(t, dtype=np.float64)
-    T, n = len(t), np.shape(mav_p)[-2]
+    n = np.shape(mav_p)[-2]
     payload_p, payload_p_des = (np.reshape(p, (-1, 3)) for p in (payload_p, payload_p_des))
     mav_p, mav_p_des = (np.reshape(p, (-1, n, 3)) for p in (mav_p, mav_p_des))
+    T = len(mav_p)
     ids: List[str] = []
     columns = []  # (value, lower, upper, margin), each broadcast to (T, k)
 
@@ -177,26 +133,18 @@ def check_all(
         ids.extend(names)
         columns.append([np.broadcast_to(a, (T, len(names))) for a in (value, lower, upper, margin)])
 
-    def bound(funnel):  # (T,); a missing funnel bounds nothing
-        return np.full(T, np.inf) if funnel is None else funnel.value(t)
-
-    e_L = so3.norm_rows(payload_p - payload_p_des)
-    eps = bounds.payload_funnel.value(t)
-    add(["payload_funnel"], e_L[:, None], np.nan, eps[:, None], (eps - e_L)[:, None])
+    e_L = so3.norm_rows(payload_p - payload_p_des)[:, None]
+    eps = bounds.payload_radius
+    add(["payload_funnel"], e_L, np.nan, eps, eps - e_L)
 
     e_i = so3.norm_rows(mav_p - mav_p_des)
-    eps_i = bounds.mav_funnel.value(t)[:, None]
+    eps_i = bounds.mav_radius
     add([f"mav{i}_funnel" for i in range(n)], e_i, np.nan, eps_i, eps_i - e_i)
 
-    pairs = list(zip(*(side.tolist() for side in _pairs(n))))
-    tighten = [bounds.pair_tighten.get(pair) for pair in pairs]
-    widen = [bounds.pair_widen.get(pair) for pair in pairs]
-    keep = [hi is not None or lo is not None for hi, lo in zip(tighten, widen)]
-    e_ij = (pair_separations(mav_p_des) - pair_separations(mav_p))[:, keep]
-    eps_h = np.array([bound(f) for f in tighten]).reshape(-1, T).T[:, keep]
-    eps_w = np.array([bound(f) for f in widen]).reshape(-1, T).T[:, keep]
-    names = [f"separation_{i}_{j}" for (i, j), k in zip(pairs, keep) if k]
-    add(names, e_ij, -eps_w, eps_h, np.minimum(eps_h - e_ij, e_ij + eps_w))
+    e_ij = pair_separations(mav_p_des) - pair_separations(mav_p)
+    w = bounds.pair_width
+    names = [f"separation_{i}_{j}" for i, j in zip(*(side.tolist() for side in _pairs(n)))]
+    add(names, e_ij, -w, w, np.minimum(w - e_ij, e_ij + w))
 
     tension = np.reshape(np.asarray(tensions, dtype=np.float64)[..., :n], (-1, n))
     add([f"tension_{i}" for i in range(n)], tension, np.nan, bounds.f_max, bounds.f_max - tension)

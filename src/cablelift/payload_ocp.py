@@ -29,7 +29,6 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import allocation, plant, so3
-from .metrics import FunnelSpec
 
 NX = 12  # tangent dimension of the payload state
 NU = 6  # wrench dimension
@@ -58,6 +57,8 @@ class CostWeights:
             (self.Q_U, "Q_U", False),
             (self.Q_XN, "Q_XN", True),
         ]:
+            if not np.all(np.isfinite(M)):
+                raise ConfigError(f"{name} must be finite")
             if np.linalg.norm(M - M.T) > 1e-9:
                 raise ConfigError(f"{name} must be symmetric")
             lo = np.min(np.linalg.eigvalsh(M))
@@ -79,7 +80,7 @@ class OcpConfig:
     g: float = 9.81
     obstacle_center: Optional[np.ndarray] = None
     obstacle_clearance: float = 0.0
-    funnel: Optional[FunnelSpec] = FunnelSpec.constant(0.2)
+    funnel_radius: float = 0.2
     funnel_weight: float = 1e3
 
 
@@ -98,15 +99,12 @@ class OcpProblem:
     f_max: float
     obstacle_center: Optional[np.ndarray]
     obstacle_clearance: float
-    funnel: Optional[FunnelSpec]
+    funnel_radius: float
     funnel_weight: float
     _J_L_inv: np.ndarray = field(init=False, repr=False)
-    funnel_eps: np.ndarray = field(init=False, repr=False)  # (N+1,) radius at i * dt
 
     def __post_init__(self):
         self._J_L_inv = np.linalg.inv(self.J_L)
-        times = np.arange(self.N + 1) * self.dt
-        self.funnel_eps = np.zeros(self.N + 1) if self.funnel is None else self.funnel.value(times)
 
     @property
     def g_vec(self) -> np.ndarray:
@@ -169,7 +167,7 @@ def build_ocp(
         if config.obstacle_center is None
         else np.asarray(config.obstacle_center, dtype=np.float64),
         obstacle_clearance=config.obstacle_clearance,
-        funnel=config.funnel,
+        funnel_radius=config.funnel_radius,
         funnel_weight=config.funnel_weight,
     )
 
@@ -346,10 +344,8 @@ def total_cost(X: np.ndarray, U: np.ndarray, problem, E=None) -> float:
     E_u = problem.ref_u[:-1] - U
     cost = float(np.sum((E[:-1] @ W.Q_X) * E[:-1]) + np.sum((E_u @ W.Q_U) * E_u))
     cost += float(E[-1] @ W.Q_XN @ E[-1])
-    if problem.funnel is not None:
-        gap = np.linalg.norm(E[1:, 0:3], axis=-1) - problem.funnel_eps[1:]
-        over = np.maximum(gap, 0.0)
-        cost += problem.funnel_weight * float(over @ over)
+    over = np.maximum(np.linalg.norm(E[1:, 0:3], axis=-1) - problem.funnel_radius, 0.0)
+    cost += problem.funnel_weight * float(over @ over)
     return cost
 
 
@@ -382,22 +378,21 @@ def cost_expansion(X: np.ndarray, U: np.ndarray, problem, E=None):
     JtQ = J.transpose(0, 2, 1) @ Q
     H_x = 2.0 * JtQ @ J
     g_x = 2.0 * np.einsum("kij,kj->ki", JtQ, E)
-    if problem.funnel is not None:
-        p_err = E[1:, 0:3]
-        rho = np.linalg.norm(p_err, axis=-1)
-        v = rho - problem.funnel_eps[1:]
-        on = np.nonzero((v > 0.0) & (rho > 1e-12))[0]
-        if len(on):
-            fw = problem.funnel_weight
-            phat = p_err[on] / rho[on, None]
-            outer = phat[:, :, None] * phat[:, None, :]
-            # d|p_des - p|/d(delta p) = -phat
-            g_x[on + 1, 0:3] -= (2.0 * fw * v[on])[:, None] * phat
-            # curvature of the norm itself; convex since v > 0, and
-            # without it the solver crawls once the hinge residual is big
-            H_x[on + 1, 0:3, 0:3] += 2.0 * fw * outer + (2.0 * fw * v[on] / rho[on])[
-                :, None, None
-            ] * (np.eye(3) - outer)
+    p_err = E[1:, 0:3]
+    rho = np.linalg.norm(p_err, axis=-1)
+    v = rho - problem.funnel_radius
+    on = np.nonzero((v > 0.0) & (rho > 1e-12))[0]
+    if len(on):
+        fw = problem.funnel_weight
+        phat = p_err[on] / rho[on, None]
+        outer = phat[:, :, None] * phat[:, None, :]
+        # d|p_des - p|/d(delta p) = -phat
+        g_x[on + 1, 0:3] -= (2.0 * fw * v[on])[:, None] * phat
+        # curvature of the norm itself; convex since v > 0, and
+        # without it the solver crawls once the hinge residual is big
+        H_x[on + 1, 0:3, 0:3] += 2.0 * fw * outer + (2.0 * fw * v[on] / rho[on])[
+            :, None, None
+        ] * (np.eye(3) - outer)
     H_u = np.broadcast_to(2.0 * W.Q_U, (N, NU, NU)).copy()
     g_u = -2.0 * (problem.ref_u[:-1] - U) @ W.Q_U.T
     return H_x, g_x, H_u, g_u

@@ -94,22 +94,18 @@ class SystemParams:
 
 @dataclass
 class CableReading:
-    """Geometry and tension of the cables: lists with one entry per cable as
-    `cable_closure` returns them, or the scalars and 3-vector of one cable,
-    which indexing with the cable number gives.
+    """Geometry and tension of the cables, one list entry per cable, as
+    `cable_closure` returns them.
 
     direction is the world-frame unit vector from the MAV mass center toward
-    its attachment point (zero while the cable is slack).
+    its attachment point (zero while the cable is slack); a cable is taut
+    exactly when its stretch is positive.
     """
 
     direction: list
-    tension: float
-    taut: bool
-    stretch: float = 0.0
+    tension: list
+    stretch: list
     law: list | None = field(default=None, repr=False)  # the _cable_law output read
-
-    def __getitem__(self, k) -> "CableReading":
-        return CableReading(self.direction[k], self.tension[k], self.taut[k], self.stretch[k])
 
 
 @dataclass
@@ -232,8 +228,8 @@ def _cable_law(y: list, R: tuple, params: SystemParams) -> list:
 
 
 def cable_closure(y: list, params: SystemParams) -> CableReading:
-    """Per-cable taut/slack status, direction, and spring-damper tension of
-    the flat world state y, one list entry per cable."""
+    """Per-cable direction, stretch, and spring-damper tension of the flat
+    world state y, one list entry per cable."""
     law = _cable_law(y, _rotation(*y[6:10]), params)
     directions, stretches, tensions = [], [], []
     for k, (ex, ey, ez, stretch, tension) in enumerate(law):
@@ -242,7 +238,7 @@ def cable_closure(y: list, params: SystemParams) -> CableReading:
         directions.append((ex, ey, ez) if stretch > 0.0 else (0.0, 0.0, 0.0))
         stretches.append(stretch)
         tensions.append(tension)
-    return CableReading(directions, tensions, [s > 0.0 for s in stretches], stretches, law)
+    return CableReading(directions, tensions, stretches, law)
 
 
 def rk4_step(derivative_fn, state, inputs, dt: float):

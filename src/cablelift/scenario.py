@@ -14,7 +14,6 @@ import numpy as np
 from . import so3
 from .cable_control import GainSet
 from .event_trigger import TriggerConfig
-from .metrics import FunnelSpec
 from .payload_ocp import ConfigError as OcpConfigError, CostWeights, OcpConfig
 from .plant import SystemParams
 from .sqp import SolverConfig
@@ -317,10 +316,9 @@ VECTOR = np.ndarray
 
 # (section, key) -> (kind, range, field): every key of every section of a
 # scenario file.  The field is a dotted path from ScenarioConfig.  A float
-# key for a per-vehicle field sets it for every vehicle, a gain sets its
-# matrix to the value times the identity, and the funnel radius sets a
-# constant funnel.  A key without a field sets more or less than one field,
-# and build_scenario handles it.
+# key for a per-vehicle field sets it for every vehicle, and a gain sets its
+# matrix to the value times the identity.  A key without a field sets more or
+# less than one field, and build_scenario handles it.
 FIELDS = {
     ("scenario", "duration_s"): (float, POSITIVE, "duration"),
     ("scenario", "seed"): (int, NONNEGATIVE, "seed"),
@@ -347,7 +345,7 @@ FIELDS = {
     ("trigger", "terminal_epsilon"): (float, POSITIVE, "terminal_epsilon"),
     ("nmpc", "horizon"): (int, POSITIVE, "ocp.N"),
     ("nmpc", "dt_s"): (float, POSITIVE, "ocp.dt"),
-    ("nmpc", "funnel_epsilon_m"): (float, POSITIVE, "ocp.funnel"),
+    ("nmpc", "funnel_epsilon_m"): (float, POSITIVE, "ocp.funnel_radius"),
     ("nmpc", "funnel_weight"): (float, NONNEGATIVE, "ocp.funnel_weight"),
     ("solver", "max_sqp_iters"): (int, POSITIVE, "solver.max_sqp_iters"),
     ("solver", "kkt_tol"): (float, POSITIVE, "solver.kkt_tol"),
@@ -435,11 +433,18 @@ def _override_weights(base: CostWeights, values: dict) -> CostWeights:
         if ("weights", key) in values:
             diag[start : start + 3] = values["weights", key]
     Q_X = np.diag(diag[:12])
+    with np.errstate(over="ignore"):
+        Q_XN = scale * Q_X
     try:
-        return CostWeights(Q_X=Q_X, Q_U=np.diag(diag[12:]), Q_XN=scale * Q_X)
+        return CostWeights(Q_X=Q_X, Q_U=np.diag(diag[12:]), Q_XN=Q_XN)
     except OcpConfigError as exc:
-        # the preset's weights pass, so blame the smallest weight the file gives
-        key = min((k for s, k in values if s == "weights"), key=lambda k: values["weights", k])
+        given = {k: values[s, k] for s, k in values if s == "weights"}
+        if np.all(np.isfinite(Q_XN)):
+            # the preset's weights pass, so blame the smallest weight the file gives
+            key = min(given, key=given.get)
+        else:
+            # terminal_scale * Q_X overflowed: blame its largest factor the file gives
+            key = max((k for k in given if k not in ("force", "moment")), key=given.get)
         raise ConfigError(f"{key!r} in section 'weights' is out of range: {exc}") from exc
 
 
@@ -516,8 +521,6 @@ def build_scenario(data: dict):
         alpha, beta = TRIGGER_PRESETS[preset]
         # an explicit alpha or beta overrides the trigger preset's
         changes["trigger"] = {"alpha": alpha, "beta": beta, **changes["trigger"]}
-    if "funnel" in changes["ocp"]:
-        changes["ocp"]["funnel"] = FunnelSpec.constant(changes["ocp"]["funnel"])
     if "weights" in given:
         changes["ocp"]["weights"] = _override_weights(config.ocp.weights, values)
     changes["gains"] = {attr: gain * np.eye(3) for attr, gain in changes["gains"].items()}

@@ -184,21 +184,8 @@ _ROT_DIAG = np.eye(3, dtype=bool).reshape(9)
 def quat_to_rotation(q: np.ndarray) -> np.ndarray:
     """Rotation matrix of a unit quaternion; shape (..., 3, 3)."""
     q = np.asarray(q, dtype=np.float64)
-    if q.ndim == 1:
-        w, x, y, z = q
-        out = np.empty((3, 3))
-        out[0, 0] = 1 - 2 * (y * y + z * z)
-        out[0, 1] = 2 * (x * y - w * z)
-        out[0, 2] = 2 * (x * z + w * y)
-        out[1, 0] = 2 * (x * y + w * z)
-        out[1, 1] = 1 - 2 * (x * x + z * z)
-        out[1, 2] = 2 * (y * z - w * x)
-        out[2, 0] = 2 * (x * z - w * y)
-        out[2, 1] = 2 * (y * z + w * x)
-        out[2, 2] = 1 - 2 * (x * x + y * y)
-        return out
-    # the same sums as the single-quaternion branch, entry by entry, taken
-    # from the outer product q q^T in a few array operations
+    # the entries' sums taken from the outer product q q^T in a few array
+    # operations; one quaternion (4,) is the case with no leading axis
     outer = (q[..., :, None] * q[..., None, :]).reshape(q.shape[:-1] + (16,))
     s = outer.take(_ROT_A, axis=-1) + _ROT_SIGN * outer.take(_ROT_B, axis=-1)
     return np.where(_ROT_DIAG, 1.0 - 2.0 * s, 2.0 * s).reshape(q.shape[:-1] + (3, 3))

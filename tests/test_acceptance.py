@@ -9,6 +9,7 @@ integrator-order check.
 """
 
 import dataclasses
+import hashlib
 import time
 
 import numpy as np
@@ -393,3 +394,47 @@ def test_criterion_10_cost_decreases_between_forced_replans(
         f"forced pairs (must be 0); disturbed run for reference only: "
         f"{d_increases} increases over {d_pairs} pairs",
     )
+
+
+# ---------------------------------------------------------------------------
+# the presets' output bytes
+
+# preset -> sha256 prefixes of its CSV and of its summary without the
+# wall-clock mean_solve_time_ms line
+PRESET_DIGESTS = {
+    "circle-medium": ("531df3af360c11b4", "8d481a3774497d2c"),
+    "circle-loose": ("d314094f96cae9ff", "d7a5a1383616d587"),
+    "circle-tight": ("94582742b62b97b1", "fb96c511c8501e25"),
+    "hover": ("a7d1f29daeb413cb", "6f79a337c73136c7"),
+    "hover-nominal": ("445885d3f3fd5953", "6f79a337c73136c7"),
+    "hover-recovery": ("a29206d5376d9ad5", "3ea852bc11b3fb2e"),
+}
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def test_preset_outputs_match_their_digests(
+    circle_runs, hover_run, nominal_run, recovery_run, tmp_path
+):
+    """The six presets' CSVs and deterministic summary lines, emitted from
+    the shared runs, hash to PRESET_DIGESTS.
+
+    A change that moves these bytes on purpose (say, taking SQP steps from
+    another solve) updates the digests here and says so in CHANGES.md.
+    The digests were taken with numpy 2.4.6 (Python 3.11, x86-64); another
+    numpy or BLAS may round the solver's products differently.
+    """
+    runs, _ = circle_runs
+    logs = {f"circle-{name}": log for name, log in runs.items()}
+    logs.update({"hover": hover_run, "hover-nominal": nominal_run[0], "hover-recovery": recovery_run})
+    digests = {}
+    for name, log in logs.items():
+        csv, summary = tmp_path / f"{name}.csv", tmp_path / f"{name}.txt"
+        harness.emit_csv(log, csv)
+        harness.emit_summary(harness.summarize(log), summary)
+        lines = summary.read_bytes().splitlines(keepends=True)
+        kept = b"".join(line for line in lines if not line.startswith(b"mean_solve_time_ms"))
+        digests[name] = (_digest(csv.read_bytes()), _digest(kept))
+    assert digests == PRESET_DIGESTS

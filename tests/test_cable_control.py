@@ -361,7 +361,8 @@ def run_hover_loop(n_steps, dt=0.002):
         xi_des, om_des = allocation.desired_cable_direction(mu, mu_prev, dt)
         mu_prev = mu
         xi = [
-            tuple(readings.direction[k]) if readings.taut[k] else xi_des[k] for k in range(4)
+            tuple(direction) if stretch > 0.0 else xi_des[k]
+            for k, (direction, stretch) in enumerate(zip(readings.direction, readings.stretch))
         ]
         xi_dot = np.zeros((4, 3)) if xi_prev is None else (np.array(xi) - xi_prev) / dt
         om_c = [tuple(np.cross(xi[k], xi_dot[k])) for k in range(4)]
@@ -605,7 +606,7 @@ class TestFloatTick:
 
         readings = plant.cable_closure(y, config.params)
         assert cables == readings
-        np.testing.assert_array_equal(readings.taut, ~slack)
+        np.testing.assert_array_equal(np.array(readings.stretch) > 0.0, ~slack)
         np.testing.assert_array_equal(tensions, readings.tension)
         np.testing.assert_array_equal(directions, readings.direction)
         np.testing.assert_array_equal(mav_p, Y[1:, 0:3])

@@ -133,6 +133,25 @@ class TestRun:
         assert cli.main(["run", "--config", config, "--out-dir", str(tmp_path)]) == 2
         assert repr(key) in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "position, terminal_scale, key",
+        [("1.0e+308", "4.0", "position"), ("10.0", "1.0e+308", "terminal_scale")],
+    )
+    def test_overflowing_terminal_weight_is_a_config_error(
+        self, tmp_path, capsys, position, terminal_scale, key
+    ):
+        """terminal_scale * Q_X overflows to inf: exit 2 naming the factor
+        that overflowed it, not a linear-algebra traceback."""
+        text = (
+            "schema_version: 1\npreset: hover\n"
+            f"weights:\n  position: {position}\n  terminal_scale: {terminal_scale}\n"
+        )
+        config = write(tmp_path, text)
+        assert cli.main(["run", "--config", config, "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert repr(key) in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("preset", ["[hover]", "{name: hover}"])
     def test_preset_that_is_not_a_name_is_a_config_error(self, tmp_path, capsys, preset):
         config = write(tmp_path, f"schema_version: 1\npreset: {preset}\n")

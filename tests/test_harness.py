@@ -386,6 +386,20 @@ class TestRunPayloadOnly:
         log = harness.run_closed_loop(config)
         assert harness.invariant_counters(log) == {"m_bounds": 0, "horizon_chain": 0}
 
+    def test_funnel_radius_reaches_the_solver_and_the_run_bound(self):
+        config, _ = harness.build_scenario(
+            {
+                "schema_version": 1,
+                "preset": "hover-nominal",
+                "scenario": {"duration_s": 0.1},
+                "nmpc": {"funnel_epsilon_m": 0.35},
+            }
+        )
+        assert config.ocp.funnel_radius == 0.35
+        log = harness.run_closed_loop(config)
+        column = log.constraints.ids.index("payload_funnel")
+        np.testing.assert_array_equal(log.constraints.upper[:, column], 0.35)
+
     def test_obstacle_in_constraint_report(self):
         config, _ = harness.build_scenario(
             {
@@ -529,7 +543,7 @@ def tiny_report(errs):
     p = ref[0:3] + np.outer(errs, [1.0, 0.0, 0.0])
     mav_p = np.broadcast_to(targets, (T, 4, 3))
     return metrics.check_all(
-        np.zeros(T), p, np.tile(ref[0:3], (T, 1)), mav_p, targets, np.full((T, 4), 0.5), bounds
+        p, np.tile(ref[0:3], (T, 1)), mav_p, targets, np.full((T, 4), 0.5), bounds
     )
 
 

@@ -1,4 +1,4 @@
-"""Distance metrics, funnels, and the constraint table."""
+"""Distance metrics, constant bounds, and the constraint table."""
 
 import numpy as np
 import pytest
@@ -6,19 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cablelift import metrics
-from cablelift.metrics import ConstraintBounds, FunnelSpec
+from cablelift.metrics import ConstraintBounds
 
 vec3 = st.lists(
     st.floats(min_value=-50, max_value=50, allow_nan=False), min_size=3, max_size=3
 ).map(np.array)
 
 
-def check_one(t, payload_p, payload_p_des, mav_p, mav_p_des, tensions, bounds):
+def check_one(payload_p, payload_p_des, mav_p, mav_p_des, tensions, bounds):
     """check_all of one snapshot, stacked as a run of one tick."""
     tensions = np.asarray(tensions)[None]
-    return metrics.check_all(
-        np.array([t]), payload_p, payload_p_des, mav_p, mav_p_des, tensions, bounds
-    )
+    return metrics.check_all(payload_p, payload_p_des, mav_p, mav_p_des, tensions, bounds)
 
 
 def entry(table, id):
@@ -54,7 +52,7 @@ def separation_error(p_des_i, p_des_j, p_i, p_j) -> float:
     desired = np.array([p_des_i, p_des_j])
     bounds = metrics.default_bounds(desired, f_max=1.0)
     mav_p = np.array([p_i, p_j])
-    table = check_one(0.0, np.zeros(3), np.zeros(3), mav_p, desired, np.zeros(2), bounds)
+    table = check_one(np.zeros(3), np.zeros(3), mav_p, desired, np.zeros(2), bounds)
     return entry(table, "separation_0_1")[0]
 
 
@@ -101,7 +99,7 @@ def obstacle_distance(p_L, p_O) -> float:
     """Payload-to-obstacle distance, as check_all reports it."""
     formation = np.array([[0.3, 0.0, 0.0], [0.0, 0.3, 0.0], [-0.3, 0.0, 0.0]])
     bounds = metrics.default_bounds(formation, f_max=1.0, obstacle_center=p_O)
-    table = check_one(0.0, p_L, p_L, formation, formation, np.zeros(3), bounds)
+    table = check_one(p_L, p_L, formation, formation, np.zeros(3), bounds)
     return entry(table, "obstacle")[0]
 
 
@@ -118,36 +116,6 @@ class TestObstacleDistance:
         assert obstacle_distance(a, b) == np.linalg.norm(a - b)
 
 
-class TestFunnelSpec:
-    def test_interpolation_midpoint(self):
-        f = FunnelSpec(((0.0, 0.2), (10.0, 0.4)))
-        assert f.value(5.0) == pytest.approx(0.3)
-
-    def test_clamped_outside_table(self):
-        f = FunnelSpec(((0.0, 0.2), (10.0, 0.4)))
-        assert f.value(-1.0) == 0.2
-        assert f.value(20.0) == 0.4
-
-    def test_constant(self):
-        f = FunnelSpec.constant(0.25)
-        for t in (0.0, 3.7, 100.0):
-            assert f.value(t) == 0.25
-
-    def test_nonpositive_value_rejected(self):
-        with pytest.raises(ValueError):
-            FunnelSpec(((0.0, 0.0),))
-        with pytest.raises(ValueError):
-            FunnelSpec(((0.0, 0.2), (5.0, -0.1)))
-
-    def test_nonincreasing_times_rejected(self):
-        with pytest.raises(ValueError):
-            FunnelSpec(((0.0, 0.2), (0.0, 0.3)))
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            FunnelSpec(())
-
-
 def square(side=0.6, z=1.5):
     return np.array(
         [
@@ -162,7 +130,6 @@ def square(side=0.6, z=1.5):
 def hover_snapshot():
     p_des = square()
     return dict(
-        t=0.0,
         payload_p=np.array([0.0, 0.0, 0.5]),
         payload_p_des=np.array([0.0, 0.0, 0.5]),
         mav_p=p_des.copy(),
@@ -243,6 +210,22 @@ class TestCheckAll:
             )
             np.testing.assert_array_equal(inside, table.margin >= 0.0)
 
+    def test_default_pair_widths_follow_the_desired_formation(self):
+        """PAIR_FRACTION of each pair's desired separation, pairs i < j in
+        row-major order, on a formation whose pairs all differ."""
+        formation = np.array([[0.0, 0.0, 1.0], [0.5, 0.0, 1.0], [0.0, 0.9, 1.2], [-1.3, 0.2, 0.8]])
+        bounds = metrics.default_bounds(formation, f_max=1.2)
+        np.testing.assert_array_equal(
+            bounds.pair_width, metrics.PAIR_FRACTION * metrics.pair_separations(formation)
+        )
+        widths = [
+            metrics.PAIR_FRACTION * metrics.pair_separation(formation[i], formation[j])
+            for i in range(4)
+            for j in range(i + 1, 4)
+        ]
+        np.testing.assert_allclose(bounds.pair_width, widths, rtol=1e-15, atol=0)
+        assert bounds.mav_radius == metrics.MAV_RADIUS
+
     def test_worst_entry(self):
         snap = hover_snapshot()
         snap["tensions"] = np.array([5.0, 0.1, 0.1, 0.1])
@@ -255,29 +238,27 @@ class TestCheckAll:
 # whole-run constraint table
 
 
-def check_snapshot(t, payload_p, payload_p_des, mav_p, mav_p_des, tensions, bounds):
+def check_snapshot(payload_p, payload_p_des, mav_p, mav_p_des, tensions, bounds):
     """One snapshot's (id, value, lower, upper, margin) entries, computed one
     by one: the oracle for the stacked check_all.  nan stands for a missing
     bound."""
     n = len(mav_p)
     nan = float("nan")
     e_L = float(np.linalg.norm(payload_p - payload_p_des))
-    eps = bounds.payload_funnel.value(t)
+    eps = bounds.payload_radius
     entries = [("payload_funnel", e_L, nan, eps, eps - e_L)]
-    eps_i = bounds.mav_funnel.value(t)
+    eps_i = bounds.mav_radius
     for i in range(n):
         e = float(np.linalg.norm(mav_p[i] - mav_p_des[i]))
         entries.append((f"mav{i}_funnel", e, nan, eps_i, eps_i - e))
+    pair = 0
     for i in range(n):
         for j in range(i + 1, n):
-            hi, lo = bounds.pair_tighten.get((i, j)), bounds.pair_widen.get((i, j))
-            if hi is None and lo is None:
-                continue
             desired = float(np.linalg.norm(mav_p_des[i] - mav_p_des[j]))
             e = desired - float(np.linalg.norm(mav_p[i] - mav_p[j]))
-            h = np.inf if hi is None else hi.value(t)
-            w = np.inf if lo is None else lo.value(t)
-            entries.append((f"separation_{i}_{j}", e, -w, h, min(h - e, e + w)))
+            w = float(bounds.pair_width[pair])
+            entries.append((f"separation_{i}_{j}", e, -w, w, min(w - e, e + w)))
+            pair += 1
     for i in range(n):
         T_i = float(tensions[i])
         entries.append((f"tension_{i}", T_i, nan, bounds.f_max, bounds.f_max - T_i))
@@ -300,60 +281,37 @@ def assert_same_entries(got, want):
     np.testing.assert_array_equal([e[1:] for e in got], [e[1:] for e in want])
 
 
-positive = st.floats(min_value=0.01, max_value=2.0)
-
-
-@st.composite
-def funnels(draw):
-    """A constant funnel or a time-varying table of up to four entries."""
-    values = draw(st.lists(positive, min_size=1, max_size=4))
-    steps = draw(st.lists(st.floats(0.1, 5.0), min_size=len(values), max_size=len(values)))
-    return FunnelSpec(tuple(zip(np.cumsum(steps).tolist(), values)))
-
-
 class TestConstraintTable:
     @settings(max_examples=60, deadline=None)
     @given(
         n=st.integers(2, 5),
         T=st.integers(1, 6),
         seed=st.integers(0, 2**32 - 1),
-        payload_funnel=funnels(),
-        mav_funnel=funnels(),
-        pair_funnels=st.lists(
-            st.tuples(st.one_of(st.none(), funnels()), st.one_of(st.none(), funnels())),
-            min_size=10,
-            max_size=10,
-        ),
         obstacle=st.booleans(),
     )
-    def test_rows_match_single_snapshots(
-        self, n, T, seed, payload_funnel, mav_funnel, pair_funnels, obstacle
-    ):
+    def test_rows_match_single_snapshots(self, n, T, seed, obstacle):
         """Every id, value, bound and margin of the stacked table equals the
         single-snapshot oracle exactly, and the table of that one snapshot,
-        for time-varying funnels, pairs with no funnel on one or both sides,
-        and an obstacle."""
+        for random radii, a different width for every pair, and an
+        obstacle."""
         rng = np.random.default_rng(seed)
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
         bounds = ConstraintBounds(
             f_max=float(rng.uniform(0.5, 2.0)),
-            payload_funnel=payload_funnel,
-            mav_funnel=mav_funnel,
-            pair_tighten={p: hi for p, (hi, _) in zip(pairs, pair_funnels) if hi is not None},
-            pair_widen={p: lo for p, (_, lo) in zip(pairs, pair_funnels) if lo is not None},
+            payload_radius=float(rng.uniform(0.01, 2.0)),
+            mav_radius=float(rng.uniform(0.01, 2.0)),
+            pair_width=rng.uniform(0.01, 2.0, n * (n - 1) // 2),
             obstacle_center=rng.normal(size=3) if obstacle else None,
             obstacle_clearance=float(rng.uniform(0.0, 1.0)),
         )
-        t = rng.uniform(-1.0, 25.0, T)
         payload_p = rng.normal(size=(T, 3))
         payload_p_des = rng.normal(size=(T, 3))
         mav_p = rng.normal(size=(T, n, 3))
         mav_p_des = rng.normal(size=(T, n, 3))
         tensions = rng.uniform(0.0, 2.5, (T, n))
-        table = metrics.check_all(t, payload_p, payload_p_des, mav_p, mav_p_des, tensions, bounds)
+        table = metrics.check_all(payload_p, payload_p_des, mav_p, mav_p_des, tensions, bounds)
         assert table.margin.shape == (T, len(table.ids))
         for k in range(T):
-            snapshot = (t[k], payload_p[k], payload_p_des[k], mav_p[k], mav_p_des[k], tensions[k])
+            snapshot = (payload_p[k], payload_p_des[k], mav_p[k], mav_p_des[k], tensions[k])
             oracle = check_snapshot(*snapshot, bounds)
             assert_same_entries(table_row(table, k), oracle)
             assert_same_entries(table_row(check_one(*snapshot, bounds), 0), oracle)
@@ -362,7 +320,6 @@ class TestConstraintTable:
         snap = hover_snapshot()
         bounds = metrics.default_bounds(snap["mav_p_des"], f_max=1.2)
         stacked = metrics.check_all(
-            np.array([0.0, 1.0]),
             np.stack([snap["payload_p"]] * 2),
             np.stack([snap["payload_p_des"]] * 2),
             np.stack([snap["mav_p"]] * 2),

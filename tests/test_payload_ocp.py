@@ -221,7 +221,7 @@ class TestTotalCost:
         expected += e_N @ prob.weights.Q_XN @ e_N
         for i in range(1, 4):
             gap = np.linalg.norm(prob.ref_x[i, 0:3] - X[i, 0:3])
-            over = max(0.0, gap - prob.funnel.value(i * prob.dt))
+            over = max(0.0, gap - prob.funnel_radius)
             expected += prob.funnel_weight * over**2
         assert po.total_cost(X, U, prob) == pytest.approx(expected, rel=1e-12)
 

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from cablelift import payload_ocp, plant, so3
 from cablelift.plant import (
     CableOverload,
-    CableReading,
     DegenerateGeometry,
     DisturbanceModel,
     NonFiniteState,
@@ -46,34 +45,38 @@ def resting_world(mav_positions, mav_v=np.zeros(3)) -> np.ndarray:
     return np.array(rows)
 
 
-def mav_derivative(y, thrust, torque, cable, params, i):
+# a slack cable's direction and tension
+SLACK = (np.zeros(3), 0.0)
+
+
+def mav_derivative(y, thrust, torque, direction, tension, params, i):
     """Time derivative of one vehicle row; thrust must already be saturated.
 
     The cable pulls the vehicle toward the attachment point with the cable
-    tension, thrust acts along the body z axis.
+    tension (zero, with a zero direction, while slack), thrust acts along the
+    body z axis.
     """
     R = so3.quat_to_rotation(y[Q])
     force = thrust * R[:, 2] + params.m_i[i] * params.g_vec
-    if cable.taut:
-        force = force + cable.tension * np.asarray(cable.direction)
+    force = force + tension * np.asarray(direction)
     omega = y[W]
     omega_dot = params._J_i_inv[i] @ (torque - np.cross(omega, params.J_i[i] @ omega))
     return body(y[V], force / params.m_i[i], so3.omega_to_quat_dot(y[Q], omega), omega_dot)
 
 
-def payload_derivative(y, cables, params):
-    """Time derivative of the payload row under the given cable readings.
+def payload_derivative(y, directions, tensions, params):
+    """Time derivative of the payload row under the given cable directions
+    and tensions.
 
-    Each taut cable pulls the payload toward its MAV (the reaction to the pull
-    on the vehicle), applied at the attachment offset.
+    Each cable pulls the payload toward its MAV (the reaction to the pull on
+    the vehicle), applied at the attachment offset; a slack cable has zero
+    tension and direction.
     """
     R_L = so3.quat_to_rotation(y[Q])
     force = params.m_L * params.g_vec
     moment = np.zeros(3)
-    for k, cable in enumerate(cables):
-        if not cable.taut:
-            continue
-        f_world = -cable.tension * np.asarray(cable.direction)
+    for k, (direction, tension) in enumerate(zip(directions, tensions)):
+        f_world = -tension * np.asarray(direction)
         force = force + f_world
         moment = moment + np.cross(params.r_i[k], R_L.T @ f_world)
     omega = y[W]
@@ -191,9 +194,9 @@ class TestStateVectors:
         readings = plant.cable_closure(flat(Y), params)
         attach = Y[0, P] + params.r_i[0]
         d = attach - Y[1, P]
-        np.testing.assert_allclose(readings[0].direction, d / np.linalg.norm(d), atol=1e-15)
-        for r in readings[1:]:
-            np.testing.assert_allclose(r.direction, [0.0, 0.0, -1.0], atol=1e-12)
+        np.testing.assert_allclose(readings.direction[0], d / np.linalg.norm(d), atol=1e-15)
+        for direction in readings.direction[1:]:
+            np.testing.assert_allclose(direction, [0.0, 0.0, -1.0], atol=1e-12)
 
 
 class TestSaturateThrust:
@@ -228,26 +231,26 @@ class TestCableClosure:
         params = make_params()
         Y = resting_world([params.r_i[k] + np.array([0, 0, params.l_i[k]]) for k in range(4)])
         readings = plant.cable_closure(flat(Y), params)
-        for r in readings:
-            assert not r.taut
-            assert r.tension == 0.0
+        assert all(s <= 0.0 for s in readings.stretch)
+        assert readings.tension == [0.0] * 4
 
     def test_one_millimeter_stretch(self):
         # k * s = 10000 * 0.001 = 10 N, direction straight down toward the load
         params = make_params(cable_stiffness=10000.0, f_max=2.0)
         Y = resting_world([params.r_i[k] + np.array([0, 0, params.l_i[k] + 1e-3]) for k in range(4)])
         readings = plant.cable_closure(flat(Y), params)
-        for r in readings:
-            assert r.taut
-            assert r.tension == pytest.approx(10.0, abs=1e-9)
-            np.testing.assert_allclose(r.direction, [0, 0, -1.0], atol=1e-12)
-            assert abs(np.linalg.norm(r.direction) - 1.0) < 1e-9
+        assert all(s > 0.0 for s in readings.stretch)
+        for tension, direction in zip(readings.tension, readings.direction):
+            assert tension == pytest.approx(10.0, abs=1e-9)
+            np.testing.assert_allclose(direction, [0, 0, -1.0], atol=1e-12)
+            assert abs(np.linalg.norm(direction) - 1.0) < 1e-9
 
     def test_slack_cable(self):
         params = make_params()
         Y = resting_world([params.r_i[k] + np.array([0, 0, 0.5 * params.l_i[k]]) for k in range(4)])
-        for r in plant.cable_closure(flat(Y), params):
-            assert not r.taut and r.tension == 0.0
+        readings = plant.cable_closure(flat(Y), params)
+        assert all(s <= 0.0 for s in readings.stretch)
+        assert readings.tension == [0.0] * 4
 
     def test_damping_only_resists_further_stretch(self):
         """Damping term uses max(0, sdot): separating adds force, closing does not."""
@@ -261,13 +264,13 @@ class TestCableClosure:
             )
 
         # MAV rising at 0.01 m/s: sdot = e . (v_attach - v_mav) = (0,0,-1).(0,0,-0.01) = 0.01
-        taut = plant.cable_closure(flat(rig(0.01)), params)[0]
-        assert taut.tension == pytest.approx(
+        taut = plant.cable_closure(flat(rig(0.01)), params).tension[0]
+        assert taut == pytest.approx(
             params.cable_stiffness * stretch + params.cable_damping * 0.01
         )
         # MAV descending: cable is closing, damping clips to zero
-        closing = plant.cable_closure(flat(rig(-0.01)), params)[0]
-        assert closing.tension == pytest.approx(params.cable_stiffness * stretch)
+        closing = plant.cable_closure(flat(rig(-0.01)), params).tension[0]
+        assert closing == pytest.approx(params.cable_stiffness * stretch)
 
     def test_degenerate_geometry_raises(self):
         params = make_params()
@@ -291,12 +294,14 @@ class TestCableClosure:
                 readings = plant.cable_closure(flat(full), params)
             except DegenerateGeometry:
                 continue
-            for r in readings:
-                assert r.tension >= 0.0
-                if r.taut:
-                    assert abs(np.linalg.norm(r.direction) - 1.0) < 1e-9
+            for stretch, tension, direction in zip(
+                readings.stretch, readings.tension, readings.direction
+            ):
+                assert tension >= 0.0
+                if stretch > 0.0:
+                    assert abs(np.linalg.norm(direction) - 1.0) < 1e-9
                 else:
-                    assert r.tension == 0.0
+                    assert tension == 0.0
 
 
 class TestCableLawOracle:
@@ -311,7 +316,7 @@ class TestCableLawOracle:
             Y = random_full_state(rng, params, spread=1.0)
             readings = plant.cable_closure(flat(Y), params)
             R_L = so3.quat_to_rotation(Y[0, Q])
-            for k, reading in enumerate(readings):
+            for k in range(4):
                 attach = Y[0, P] + R_L @ params.r_i[k]
                 v_attach = Y[0, V] + R_L @ np.cross(Y[0, W], params.r_i[k])
                 d = attach - Y[1 + k, P]
@@ -324,10 +329,10 @@ class TestCableLawOracle:
                 else:
                     tension = 0.0
                     seen["slack"] += 1
-                assert reading.taut == (s > 0)
-                assert reading.stretch == pytest.approx(s, abs=1e-12)
-                assert reading.tension == pytest.approx(tension, rel=1e-12, abs=1e-12)
-                np.testing.assert_allclose(reading.direction, e if s > 0 else 0.0, atol=1e-12)
+                assert (readings.stretch[k] > 0) == (s > 0)
+                assert readings.stretch[k] == pytest.approx(s, abs=1e-12)
+                assert readings.tension[k] == pytest.approx(tension, rel=1e-12, abs=1e-12)
+                np.testing.assert_allclose(readings.direction[k], e if s > 0 else 0.0, atol=1e-12)
         assert min(seen.values()) >= 20, seen
 
 
@@ -335,8 +340,7 @@ class TestMavDerivative:
     def test_free_fall(self):
         params = make_params()
         state = body(np.zeros(3), np.zeros(3), so3.quat_identity(), np.zeros(3))
-        slack = CableReading(np.zeros(3), 0.0, False)
-        d = mav_derivative(state, 0.0, np.zeros(3), slack, params, 0)
+        d = mav_derivative(state, 0.0, np.zeros(3), *SLACK, params, 0)
         np.testing.assert_array_equal(d[V], params.g_vec)
         np.testing.assert_array_equal(d[P], np.zeros(3))
 
@@ -346,24 +350,21 @@ class TestMavDerivative:
         tension = params.m_L * G / 4
         thrust = params.m_i[0] * G + tension
         state = body(np.array([0, 0, 1.5]), np.zeros(3), so3.quat_identity(), np.zeros(3))
-        cable = CableReading(np.array([0.0, 0.0, -1.0]), tension, True)
-        d = mav_derivative(state, thrust, np.zeros(3), cable, params, 0)
+        d = mav_derivative(state, thrust, np.zeros(3), [0.0, 0.0, -1.0], tension, params, 0)
         np.testing.assert_allclose(d[V], np.zeros(3), atol=1e-12)
 
     def test_principal_axis_spin(self):
         params = make_params()
         state = body(np.zeros(3), np.zeros(3), so3.quat_identity(), np.array([1.0, 0.0, 0.0]))
-        slack = CableReading(np.zeros(3), 0.0, False)
-        d = mav_derivative(state, 0.0, np.zeros(3), slack, params, 0)
+        d = mav_derivative(state, 0.0, np.zeros(3), *SLACK, params, 0)
         np.testing.assert_allclose(d[W], np.zeros(3), atol=1e-15)
 
     def test_gyroscopic_term_oracle(self):
         params = make_params()
         w = np.array([2.0, -1.0, 3.0])
         state = body(np.zeros(3), np.zeros(3), so3.quat_identity(), w)
-        slack = CableReading(np.zeros(3), 0.0, False)
         tau = np.array([0.01, -0.02, 0.005])
-        d = mav_derivative(state, 0.0, tau, slack, params, 0)
+        d = mav_derivative(state, 0.0, tau, *SLACK, params, 0)
         expected = np.linalg.solve(params.J_i[0], tau - np.cross(w, params.J_i[0] @ w))
         np.testing.assert_allclose(d[W], expected, atol=1e-14)
 
@@ -373,8 +374,7 @@ class TestMavDerivative:
         q = so3.quat_normalize(rng.standard_normal(4))
         w = rng.standard_normal(3)
         state = body(np.zeros(3), np.zeros(3), q, w)
-        slack = CableReading(np.zeros(3), 0.0, False)
-        d = mav_derivative(state, 0.0, np.zeros(3), slack, params, 0)
+        d = mav_derivative(state, 0.0, np.zeros(3), *SLACK, params, 0)
         np.testing.assert_allclose(d[Q], so3.omega_to_quat_dot(q, w), atol=1e-15)
 
 
@@ -383,8 +383,7 @@ class TestPayloadDerivative:
         params = make_params()
         w = np.array([0.4, -0.2, 0.9])
         state = body(np.zeros(3), np.zeros(3), so3.quat_identity(), w)
-        slack = [CableReading(np.zeros(3), 0.0, False)] * 4
-        d = payload_derivative(state, slack, params)
+        d = payload_derivative(state, [np.zeros(3)] * 4, [0.0] * 4, params)
         np.testing.assert_array_equal(d[V], params.g_vec)
         expected = -np.linalg.solve(params.J_L, np.cross(w, params.J_L @ w))
         np.testing.assert_allclose(d[W], expected, atol=1e-14)
@@ -394,8 +393,7 @@ class TestPayloadDerivative:
         tension = params.m_L * G / 4
         state = body(np.zeros(3), np.zeros(3), so3.quat_identity(), np.zeros(3))
         down = np.array([0.0, 0.0, -1.0])  # MAVs above: direction points down at the load
-        cables = [CableReading(down.copy(), tension, True) for _ in range(4)]
-        d = payload_derivative(state, cables, params)
+        d = payload_derivative(state, [down] * 4, [tension] * 4, params)
         np.testing.assert_allclose(d[V], np.zeros(3), atol=1e-12)
         np.testing.assert_allclose(d[W], np.zeros(3), atol=1e-12)
 
@@ -404,10 +402,7 @@ class TestPayloadDerivative:
         params = make_params(r_i=np.array([[0.1, 0, 0], [-0.1, 0, 0], [0, 0.1, 0], [0, -0.1, 0]]))
         state = body(np.zeros(3), np.zeros(3), so3.quat_identity(), np.zeros(3))
         down = np.array([0.0, 0.0, -1.0])
-        cables = [CableReading(down, 1.0, True)] + [
-            CableReading(np.zeros(3), 0.0, False) for _ in range(3)
-        ]
-        d = payload_derivative(state, cables, params)
+        d = payload_derivative(state, [down] + [np.zeros(3)] * 3, [1.0, 0.0, 0.0, 0.0], params)
         torque = np.cross(np.array([0.1, 0, 0]), -1.0 * down)
         np.testing.assert_allclose(params.J_L @ d[W], torque, atol=1e-14)
 
@@ -417,10 +412,7 @@ class TestPayloadDerivative:
         R = so3.quat_to_rotation(q)
         state = body(np.zeros(3), np.zeros(3), q, np.zeros(3))
         e_world = np.array([0.0, 0.0, -1.0])
-        cables = [CableReading(e_world, 0.8, True)] + [
-            CableReading(np.zeros(3), 0.0, False) for _ in range(3)
-        ]
-        d = payload_derivative(state, cables, params)
+        d = payload_derivative(state, [e_world] + [np.zeros(3)] * 3, [0.8, 0.0, 0.0, 0.0], params)
         moment = np.cross(params.r_i[0], R.T @ (-0.8 * e_world))
         np.testing.assert_allclose(params.J_L @ d[W], moment, atol=1e-14)
 
@@ -538,10 +530,13 @@ class TestFusedDerivative:
 
             fused = plant._world_derivative_flat(flat(full), (thrusts, torques), params)
 
-            typed = [payload_derivative(full[0], readings, params)]
+            directions, tensions = readings.direction, readings.tension
+            typed = [payload_derivative(full[0], directions, tensions, params)]
             for k in range(4):
                 typed.append(
-                    mav_derivative(full[1 + k], thrusts[k], torques[k], readings[k], params, k)
+                    mav_derivative(
+                        full[1 + k], thrusts[k], torques[k], directions[k], tensions[k], params, k
+                    )
                 )
             np.testing.assert_allclose(fused, np.ravel(typed), atol=1e-12)
 
@@ -640,7 +635,7 @@ class TestStepWorld:
             y = flat(random_full_state(rng, params, spread=0.5))
             cmds = random_commands(rng, params)
             reading = plant.cable_closure(y, params)
-            slack += reading.taut.count(False)
+            slack += sum(s <= 0.0 for s in reading.stretch)
             assert plant.step_world(y, cmds, 0.002, params, reading) == plant.step_world(
                 y, cmds, 0.002, params
             )

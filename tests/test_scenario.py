@@ -49,9 +49,7 @@ def read_back(config) -> dict:
         value = config
         for attr in path.split("."):
             value = getattr(value, attr)
-        if path == "ocp.funnel":
-            value = value.value(0.0)
-        elif kind is VECTOR and value is not None:
+        if kind is VECTOR and value is not None:
             value = value.tolist()
         elif isinstance(value, np.ndarray):
             # a per-vehicle field holds the value once per vehicle, a gain

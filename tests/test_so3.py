@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cablelift import so3
+from cablelift import plant, so3
 from rotation_helpers import quat_from_axis_angle
 
 
@@ -70,6 +70,21 @@ class TestRotationFromEuler:
     def test_determinant_is_one(self, phi, theta, psi):
         R = so3.quat_to_rotation(_quat_zyx(phi, theta, psi))
         assert abs(np.linalg.det(R) - 1.0) < 1e-12
+
+
+    def test_one_quaternion_stack_and_plant_floats_agree_bitwise(self):
+        """One (4,) quaternion, a stack of them and the plant's float
+        rotation give the same bits, so the plant, the payload-only model
+        and the predictor rotate alike."""
+        rng = np.random.default_rng(15)
+        q = rng.standard_normal((2000, 4))
+        q /= np.linalg.norm(q, axis=1, keepdims=True)
+        stacked = so3.quat_to_rotation(q).view(np.uint64)
+        for k in range(len(q)):
+            one = so3.quat_to_rotation(q[k]).view(np.uint64)
+            floats = np.array(plant._rotation(*q[k].tolist())).reshape(3, 3).view(np.uint64)
+            np.testing.assert_array_equal(one, stacked[k])
+            np.testing.assert_array_equal(floats, stacked[k])
 
 
 class TestHatVee:

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from cablelift import payload_ocp as ocp
 from cablelift import harness, plant, so3, sqp
-from cablelift.metrics import FunnelSpec
 
 M_L = 0.232
 J_L = np.diag([0.007, 0.007, 0.013])
@@ -39,7 +38,7 @@ def default_weights():
     return ocp.CostWeights(Q_X=Q_X, Q_U=Q_U, Q_XN=4.0 * Q_X)
 
 
-def make_problem(p0, N=20, f_max=1.2, obstacle=None, funnel_eps=0.2, v0=None):
+def make_problem(p0, N=20, f_max=1.2, obstacle=None, funnel_radius=0.2, v0=None):
     x0 = state(p0, (0.0, 0.0, 0.0) if v0 is None else v0)
     config = ocp.OcpConfig(
         weights=default_weights(),
@@ -51,7 +50,7 @@ def make_problem(p0, N=20, f_max=1.2, obstacle=None, funnel_eps=0.2, v0=None):
         dt=0.05,
         obstacle_center=None if obstacle is None else np.asarray(obstacle[0], dtype=float),
         obstacle_clearance=0.0 if obstacle is None else obstacle[1],
-        funnel=FunnelSpec.constant(funnel_eps),
+        funnel_radius=funnel_radius,
     )
     return ocp.build_ocp(x0, *hover_refs(N), config)
 
@@ -443,7 +442,7 @@ class TestInteriorPointOracles:
     def test_no_more_iterations_than_fixed_centring(self):
         # a QP of a tension-bound solve after two SQP iterations: 40 wrench
         # rows, several of them active at the QP optimum
-        problem = make_problem((1.0, 0.0, 1.0), N=10, f_max=1.2, funnel_eps=10.0)
+        problem = make_problem((1.0, 0.0, 1.0), N=10, f_max=1.2, funnel_radius=10.0)
         early = sqp.solve(problem, config=sqp.SolverConfig(max_sqp_iters=2))
         point = sqp._evaluate(early.X, early.U, problem)
         data = sqp._build_qp_data(point, problem)
@@ -549,7 +548,7 @@ class TestConvergenceCertificate:
         assert kkt <= sqp.SolverConfig().kkt_tol
 
     def test_declines_on_a_binding_tension_row(self, monkeypatch):
-        problem = make_problem((1.0, 0.0, 1.0), N=10, f_max=1.2, funnel_eps=10.0)
+        problem = make_problem((1.0, 0.0, 1.0), N=10, f_max=1.2, funnel_radius=10.0)
         data = _converged_qp(problem)
         assert np.max(sqp.qp_subproblem(data).lam_u) > 1e-3  # a row binds
         assert sqp._equality_certificate(data) is None
@@ -745,8 +744,8 @@ class TestSolve:
 
     def test_tension_bound_binds_and_is_respected(self):
         # a 1 m lateral offset demands cable shares past f_max when unbounded
-        free = sqp.solve(make_problem((1.0, 0.0, 1.0), f_max=np.inf, funnel_eps=10.0))
-        bound_check = make_problem((1.0, 0.0, 1.0), f_max=1.2, funnel_eps=10.0)
+        free = sqp.solve(make_problem((1.0, 0.0, 1.0), f_max=np.inf, funnel_radius=10.0))
+        bound_check = make_problem((1.0, 0.0, 1.0), f_max=1.2, funnel_radius=10.0)
         assert peak_tension_excess(free, bound_check) > 0.3
         solution = sqp.solve(bound_check)
         assert solution.status == "converged"
@@ -758,7 +757,7 @@ class TestSolve:
             (0.8, 0.05, 1.0),
             f_max=np.inf,
             obstacle=((0.4, 0.0, 1.0), 0.15),
-            funnel_eps=10.0,
+            funnel_radius=10.0,
         )
         solution = sqp.solve(problem)
         assert solution.status == "converged"
@@ -774,7 +773,7 @@ class TestSolve:
 
     def test_merit_and_cost_monotone_from_feasible_start(self):
         trace = []
-        solution = sqp.solve(make_problem((1.0, 0.0, 1.0), funnel_eps=10.0), trace=trace)
+        solution = sqp.solve(make_problem((1.0, 0.0, 1.0), funnel_radius=10.0), trace=trace)
         assert solution.status == "converged"
         merits = [entry["merit"] for entry in trace]
         for prev, curr in zip(merits, merits[1:]):
@@ -789,7 +788,7 @@ class TestSolve:
         # restricted to the visited subspace are linear, so the first QP step
         # already lands on the KKT point and the next pass certifies it
         problem = make_problem(
-            (0.1, 0.05, 0.8), f_max=np.inf, funnel_eps=50.0, N=8
+            (0.1, 0.05, 0.8), f_max=np.inf, funnel_radius=50.0, N=8
         )
         solution = sqp.solve(problem)
         assert solution.status == "converged"
@@ -798,7 +797,7 @@ class TestSolve:
 
     def test_max_iter_returns_best_iterate(self):
         config = sqp.SolverConfig(max_sqp_iters=2)
-        problem = make_problem((1.5, 0.0, 1.0), funnel_eps=10.0)
+        problem = make_problem((1.5, 0.0, 1.0), funnel_radius=10.0)
         solution = sqp.solve(problem, config=config)
         assert solution.status == "max_iter"
         assert solution.iterations == 2
@@ -813,7 +812,7 @@ class TestSolve:
         # a minimum step above the full step leaves the line search nothing
         # to try, so the first iteration that needs a step stalls
         monkeypatch.setattr(sqp, "MIN_STEP", 1.5)
-        problem = make_problem((1.5, 0.0, 1.0), funnel_eps=10.0)
+        problem = make_problem((1.5, 0.0, 1.0), funnel_radius=10.0)
         trace = []
         solution = sqp.solve(problem, trace=trace)
         assert solution.status == "stalled"
@@ -822,7 +821,7 @@ class TestSolve:
         assert np.isfinite(solution.cost)
 
     def test_converged_solve_reads_converged(self):
-        problem = make_problem((1.5, 0.0, 1.0), funnel_eps=10.0)
+        problem = make_problem((1.5, 0.0, 1.0), funnel_radius=10.0)
         trace = []
         solution = sqp.solve(problem, trace=trace)
         assert solution.status == "converged"
@@ -844,7 +843,7 @@ class TestSolve:
             *hover_refs(20),
             ocp.OcpConfig(
                 weights=default_weights(), m_L=M_L, J_L=J_L, r_i=R_I,
-                f_max=1.2, N=20, dt=0.05, funnel=FunnelSpec.constant(0.2),
+                f_max=1.2, N=20, dt=0.05, funnel_radius=0.2,
             ),
         )
         shifted = sqp.solve(advanced, warm=sqp.shift_warm_start(cold, 1, 20))
@@ -866,7 +865,7 @@ class TestSolve:
             sqp.solve(problem, warm=warm)
 
     def test_trace_marks_qp_max_iter_and_reports_the_qp(self, monkeypatch):
-        problem = make_problem((1.0, 0.0, 1.0), funnel_eps=10.0)
+        problem = make_problem((1.0, 0.0, 1.0), funnel_radius=10.0)
         trace = []
         with monkeypatch.context() as patch:
             patch.setattr(sqp, "QP_MAX_ITERS", 2)
@@ -957,7 +956,7 @@ class TestIterateReuse:
         assert len(stages) == 4 and np.array_equal(stages[0], X[:-1])
 
     def test_cost_from_the_stored_errors(self):
-        problem = make_problem((0.4, 0.0, 1.0), N=6, funnel_eps=0.05)
+        problem = make_problem((0.4, 0.0, 1.0), N=6, funnel_radius=0.05)
         X, U = _random_trajectory(problem)
         point = sqp._evaluate(X, U, problem)
         assert point.cost == ocp.total_cost(X, U, problem)
@@ -981,7 +980,7 @@ class TestIterateReuse:
         )
 
     def test_interior_point_stacks_AB_once(self, monkeypatch):
-        problem = make_problem((1.0, 0.0, 1.0), N=10, f_max=1.2, funnel_eps=10.0)
+        problem = make_problem((1.0, 0.0, 1.0), N=10, f_max=1.2, funnel_radius=10.0)
         early = sqp.solve(problem, config=sqp.SolverConfig(max_sqp_iters=2))
         data = sqp._build_qp_data(sqp._evaluate(early.X, early.U, problem), problem)
         shared = sqp.qp_subproblem(data)
@@ -1002,7 +1001,7 @@ class TestIterateReuse:
     def test_backtracking_solve_matches_one_that_recomputes(self, monkeypatch):
         """The line search evaluates candidates it rejects; only the accepted
         iterate's values may reach the next QP."""
-        problem = make_problem((1.0, 0.0, 1.0), N=10, f_max=1.2, funnel_eps=10.0)
+        problem = make_problem((1.0, 0.0, 1.0), N=10, f_max=1.2, funnel_radius=10.0)
 
         def run():
             qps, trace = [], []
