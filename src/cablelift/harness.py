@@ -503,6 +503,7 @@ def run_closed_loop(config: ScenarioConfig) -> RunLog:
     log.payload_err = so3.norm_rows(p - p_ref)
     separations = metrics.pair_separations(log.mav_p)
     log.min_sep, log.max_sep = separations.min(axis=1), separations.max(axis=1)
+    del separations
     targets = _formation_targets(config, log.reference)
     log.constraints = metrics.check_all(p, p_ref, log.mav_p, targets, log.tensions, bounds)
     log.events = trigger.events
@@ -578,31 +579,36 @@ def _csv_header(n: int) -> List[str]:
     return cols
 
 
+# ticks emit_csv gathers and formats at a time, which bounds its working memory
+CSV_BLOCK = 1024
+
+
 def emit_csv(log: RunLog, path) -> None:
     """One row per tick, fixed column order, units in the header names.
 
     Floats are written with repr so re-emitting the same log reproduces the
     file byte for byte; wall-clock solve times are deliberately absent.
     """
-    n, T = log.config.params.n, len(log.t)
-    blocks = (log.payload, log.reference[:, 0:3], log.payload_err, log.wrench, log.tensions)
-    blocks += (log.directions, log.mav_p, log.min_sep, log.max_sep)
-    floats = np.hstack([b.reshape(T, math.prod(b.shape[1:])) for b in blocks])
+    columns = (log.payload, log.reference[:, 0:3], log.payload_err, log.wrench, log.tensions)
+    columns += (log.directions, log.mav_p, log.min_sep, log.max_sep)
     # the solver columns of each event, and last, at index -1, of a tick without one
     solver = [
         [e.status, str(e.iterations), "" if math.isnan(e.cost) else _fmt(e.cost)]
         for e in log.events
     ]
     solver.append(["", "0", ""])
-    ticks = zip(
-        log.t.tolist(), log.decision.tolist(), log.horizon.tolist(), log.pred_index.tolist(),
-        floats, log.event.tolist(),
-    )
     with open(path, "w") as f:
-        f.write(",".join(_csv_header(n)) + "\n")
-        for t, decision, horizon, idx, row, e in ticks:
-            fields = [repr(t), decision, str(horizon), str(idx), *map(repr, row.tolist())]
-            f.write(",".join(fields + solver[e]) + "\n")
+        f.write(",".join(_csv_header(log.config.params.n)) + "\n")
+        for start in range(0, len(log.t), CSV_BLOCK):
+            rows = slice(start, min(start + CSV_BLOCK, len(log.t)))
+            floats = np.hstack([c[rows].reshape(rows.stop - start, -1) for c in columns])
+            ticks = zip(
+                log.t[rows].tolist(), log.decision[rows].tolist(), log.horizon[rows].tolist(),
+                log.pred_index[rows].tolist(), floats, log.event[rows].tolist(),
+            )
+            for t, decision, horizon, idx, row, e in ticks:
+                fields = [repr(t), decision, str(horizon), str(idx), *map(repr, row.tolist())]
+                f.write(",".join(fields + solver[e]) + "\n")
 
 
 SUMMARY_ORDER = [

@@ -9,9 +9,9 @@ so a whole run is checked in one call.
 
 from __future__ import annotations
 
-import functools
+import itertools
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -20,19 +20,27 @@ from . import so3
 
 @dataclass(frozen=True)
 class ConstraintTable:
-    """check_all over stacked snapshots: row k of each (T, m) array is
-    snapshot k, column c is constraint ids[c].  lower and upper hold nan
-    where the constraint has no such bound."""
+    """check_all over stacked snapshots: row k of value (T, m) is snapshot
+    k, column c is constraint ids[c], whose bounds are lower[c] and upper[c]
+    (nan where the constraint has no such bound).  Margins are computed on
+    read, never stored."""
 
     ids: Tuple[str, ...]
     value: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
-    margin: np.ndarray
+
+    @property
+    def margin(self) -> np.ndarray:
+        """(T, m) signed distance of every value to its nearest bound."""
+        return np.fmin(self.upper - self.value, self.value - self.lower)
 
     def margins(self, id: str) -> np.ndarray:
         """(T,) margin of one constraint over every snapshot."""
-        return self.margin[:, self.ids.index(id)]
+        if id not in self.ids:
+            raise KeyError(f"no constraint {id!r} in the table; it has {', '.join(self.ids)}")
+        c = self.ids.index(id)
+        return np.fmin(self.upper[c] - self.value[:, c], self.value[:, c] - self.lower[c])
 
 
 def payload_los_error(p_L: np.ndarray, p_des: np.ndarray) -> float:
@@ -44,20 +52,14 @@ def pair_separation(p_i: np.ndarray, p_j: np.ndarray) -> float:
     return float(np.linalg.norm(np.asarray(p_i) - np.asarray(p_j)))
 
 
-@functools.lru_cache(maxsize=None)
-def _pairs(n: int):
-    """Row indices (i, j) of every pair i < j, in row-major pair order."""
-    i, j = np.triu_indices(n, 1)
-    i.setflags(write=False)
-    j.setflags(write=False)
-    return i, j
-
-
 def pair_separations(P: np.ndarray) -> np.ndarray:
     """pair_separation of every pair i < j of the rows of P (..., n, 3), in
     row-major pair order (0-1, 0-2, ..., 1-2, ...)."""
-    i, j = _pairs(P.shape[-2])
-    return so3.norm_rows(P[..., i, :] - P[..., j, :])
+    pairs = list(itertools.combinations(range(P.shape[-2]), 2))
+    out = np.empty(P.shape[:-2] + (len(pairs),))
+    for c, (i, j) in enumerate(pairs):
+        out[..., c] = so3.norm_rows(P[..., i, :] - P[..., j, :])
+    return out
 
 
 @dataclass
@@ -116,42 +118,33 @@ def check_all(
     """Evaluate every tracking, formation, obstacle, and tension constraint
     of T snapshots.
 
-    Margins are signed distances to the nearest bound; a violated constraint
-    shows up with margin < 0, nothing raises.  The snapshots are stacked
-    along a leading axis (payload_p (T, 3), mav_p (T, n, 3), tensions (T, n))
-    and give a ConstraintTable with one row each; the desired positions may
-    be stacked or shared by every snapshot.
+    Margins, read off the table, are signed distances to the nearest bound;
+    a violated constraint shows up with margin < 0, nothing raises.  The
+    snapshots are stacked along a leading axis (payload_p (T, 3), mav_p
+    (T, n, 3), tensions (T, n)) and give a ConstraintTable with one row each;
+    the desired positions may be stacked or shared by every snapshot.
     """
     n = np.shape(mav_p)[-2]
     payload_p, payload_p_des = (np.reshape(p, (-1, 3)) for p in (payload_p, payload_p_des))
     mav_p, mav_p_des = (np.reshape(p, (-1, n, 3)) for p in (mav_p, mav_p_des))
-    T = len(mav_p)
-    ids: List[str] = []
-    columns = []  # (value, lower, upper, margin), each broadcast to (T, k)
-
-    def add(names, value, lower, upper, margin):
-        ids.extend(names)
-        columns.append([np.broadcast_to(a, (T, len(names))) for a in (value, lower, upper, margin)])
-
-    e_L = so3.norm_rows(payload_p - payload_p_des)[:, None]
-    eps = bounds.payload_radius
-    add(["payload_funnel"], e_L, np.nan, eps, eps - e_L)
-
-    e_i = so3.norm_rows(mav_p - mav_p_des)
-    eps_i = bounds.mav_radius
-    add([f"mav{i}_funnel" for i in range(n)], e_i, np.nan, eps_i, eps_i - e_i)
-
-    e_ij = pair_separations(mav_p_des) - pair_separations(mav_p)
+    pairs = list(itertools.combinations(range(n), 2))
     w = bounds.pair_width
-    names = [f"separation_{i}_{j}" for i, j in zip(*(side.tolist() for side in _pairs(n)))]
-    add(names, e_ij, -w, w, np.minimum(w - e_ij, e_ij + w))
-
-    tension = np.reshape(np.asarray(tensions, dtype=np.float64)[..., :n], (-1, n))
-    add([f"tension_{i}" for i in range(n)], tension, np.nan, bounds.f_max, bounds.f_max - tension)
-
+    ids = ["payload_funnel", *(f"mav{i}_funnel" for i in range(n))]
+    ids += [f"separation_{i}_{j}" for i, j in pairs] + [f"tension_{i}" for i in range(n)]
+    lower = [np.nan] * (1 + n) + (-w).tolist() + [np.nan] * n
+    upper = [bounds.payload_radius] + [bounds.mav_radius] * n + w.tolist() + [bounds.f_max] * n
     if bounds.obstacle_center is not None:
-        e_LO = so3.norm_rows(payload_p - bounds.obstacle_center)[:, None]
-        clearance = bounds.obstacle_clearance
-        add(["obstacle"], e_LO, clearance, np.nan, e_LO - clearance)
+        ids.append("obstacle")
+        lower.append(bounds.obstacle_clearance)
+        upper.append(np.nan)
 
-    return ConstraintTable(tuple(ids), *(np.concatenate(parts, axis=1) for parts in zip(*columns)))
+    # each group of columns written in place, in ids order
+    value = np.empty((len(mav_p), len(ids)))
+    value[:, 0] = so3.norm_rows(payload_p - payload_p_des)
+    value[:, 1 : 1 + n] = so3.norm_rows(mav_p - mav_p_des)
+    s = 1 + n + len(pairs)  # the first tension column
+    np.subtract(pair_separations(mav_p_des), pair_separations(mav_p), out=value[:, 1 + n : s])
+    value[:, s : s + n] = np.asarray(tensions, dtype=np.float64)[..., :n]
+    if bounds.obstacle_center is not None:
+        value[:, -1] = so3.norm_rows(payload_p - bounds.obstacle_center)
+    return ConstraintTable(tuple(ids), value, np.array(lower), np.array(upper))

@@ -124,14 +124,15 @@ class DisturbanceModel:
     eta: float = 0.0
     seed: int = 0
     kind: str = "none"  # none | uniform-bounded
-    _rng: np.random.Generator = field(default=None, repr=False)
+    _rng: np.random.Generator | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.kind not in ("none", "uniform-bounded"):
             raise ValueError(f"unknown disturbance kind {self.kind!r}")
         if not 0.0 <= self.eta < math.inf:
             raise ValueError("eta must be finite and nonnegative")
-        self._rng = np.random.default_rng(self.seed)
+        # an inactive model never draws, so it leaves numpy.random unimported
+        self._rng = np.random.default_rng(self.seed) if self.active else None
         self._samples = self._ticks()
 
     @property

@@ -47,6 +47,17 @@ def write(tmp_path, text, name="scenario.yaml"):
     return str(path)
 
 
+def run_fresh(script: str) -> str:
+    """stdout of `script` run in a fresh interpreter that imports this
+    checkout's cablelift."""
+    src = str(Path(cablelift.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+    )
+    return done.stdout
+
+
 class TestPresets:
     def test_lists_every_scenario(self, capsys):
         assert cli.main(["presets"]) == 0
@@ -240,13 +251,20 @@ class TestRun:
             "loaded = sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'yaml'})\n"
             "print(code, loaded)\n"
         )
-        src = str(Path(cablelift.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        done = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
-        )
-        assert done.stdout.splitlines()[-1] == "0 []"
+        assert run_fresh(script).splitlines()[-1] == "0 []"
         assert (tmp_path / "hover-recovery.csv").exists()
+
+    def test_undisturbed_run_leaves_numpy_random_unimported(self):
+        """An inactive disturbance model draws nothing, so a run without one
+        never pays numpy.random's import."""
+        script = (
+            "import dataclasses, sys\n"
+            "from cablelift import cli, harness\n"
+            "config = harness.scenario_preset('hover-nominal')\n"
+            "harness.run_closed_loop(dataclasses.replace(config, duration=0.1))\n"
+            "print('numpy.random' in sys.modules)\n"
+        )
+        assert run_fresh(script).splitlines()[-1] == "False"
 
     def test_seed_override_changes_the_log(self, tmp_path, capsys):
         config = write(

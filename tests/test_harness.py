@@ -398,7 +398,7 @@ class TestRunPayloadOnly:
         assert config.ocp.funnel_radius == 0.35
         log = harness.run_closed_loop(config)
         column = log.constraints.ids.index("payload_funnel")
-        np.testing.assert_array_equal(log.constraints.upper[:, column], 0.35)
+        assert log.constraints.upper[column] == 0.35
 
     def test_obstacle_in_constraint_report(self):
         config, _ = harness.build_scenario(
@@ -798,6 +798,63 @@ class TestColumnarCsv:
         log = harness.run_closed_loop(_obstacle_circle())
         assert "obstacle" in log.constraints.ids
         assert np.all(log.constraints.margins("obstacle") > 0.0)
+
+
+def emit_csv_whole_run(log, path):
+    """The CSV with every float column of the run joined in one (T, 25 + 7n)
+    np.hstack: the reference the block-by-block `harness.emit_csv` is pinned
+    to, byte for byte."""
+    n, T = log.config.params.n, len(log.t)
+    blocks = (log.payload, log.reference[:, 0:3], log.payload_err, log.wrench, log.tensions)
+    blocks += (log.directions, log.mav_p, log.min_sep, log.max_sep)
+    floats = np.hstack([b.reshape(T, math.prod(b.shape[1:])) for b in blocks])
+    solver = [
+        [e.status, str(e.iterations), "" if math.isnan(e.cost) else repr(e.cost)]
+        for e in log.events
+    ]
+    solver.append(["", "0", ""])
+    ticks = zip(
+        log.t.tolist(), log.decision.tolist(), log.horizon.tolist(), log.pred_index.tolist(),
+        floats, log.event.tolist(),
+    )
+    with open(path, "w") as f:
+        f.write(",".join(harness._csv_header(n)) + "\n")
+        for t, decision, horizon, idx, row, e in ticks:
+            fields = [repr(t), decision, str(horizon), str(idx), *map(repr, row.tolist())]
+            f.write(",".join(fields + solver[e]) + "\n")
+
+
+def random_log(T):
+    """A log of T ticks of random floats, with solves on its first, middle
+    and last ticks (the middle one without a cost)."""
+    rng = np.random.default_rng(T)
+    log = RunLog(harness.scenario_preset("hover-nominal"), T)
+    for name in ("payload", "reference", "wrench", "tensions", "directions", "mav_p"):
+        getattr(log, name)[:] = rng.standard_normal(getattr(log, name).shape)
+    for name in ("payload_err", "min_sep", "max_sep"):
+        getattr(log, name)[:] = rng.uniform(0.0, 2.0, T)
+    log.t[:] = 0.002 * np.arange(T)
+    log.decision[:] = rng.choice(["", "none", "event", "forced"], T)
+    log.horizon[:] = rng.integers(2, 21, T)
+    log.pred_index[:] = rng.integers(0, 20, T)
+    solved = sorted({0, T // 2, T - 1})
+    costs = [float(rng.uniform()), float("nan"), float(rng.uniform())]
+    log.events = [synthetic_event(k, "forced", None, 20, None, cost=c) for k, c in zip(solved, costs)]
+    log.event[solved] = np.arange(len(solved))
+    return log
+
+
+class TestCsvBlocks:
+    @pytest.mark.parametrize(
+        "T", [1, harness.CSV_BLOCK, harness.CSV_BLOCK + 1], ids=["one-tick", "one-block", "block+1"]
+    )
+    def test_matches_the_whole_run_file(self, tmp_path, T):
+        log = random_log(T)
+        blocks, whole = tmp_path / "blocks.csv", tmp_path / "whole.csv"
+        harness.emit_csv(log, blocks)
+        emit_csv_whole_run(log, whole)
+        assert blocks.read_bytes() == whole.read_bytes()
+        assert len(blocks.read_text().splitlines()) == 1 + T
 
 
 class TestEmitSummary:

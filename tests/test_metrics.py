@@ -22,7 +22,9 @@ def check_one(payload_p, payload_p_des, mav_p, mav_p_des, tensions, bounds):
 def entry(table, id):
     """(value, lower, upper, margin) of one constraint in the first row."""
     c = table.ids.index(id)
-    return tuple(float(a[0, c]) for a in (table.value, table.lower, table.upper, table.margin))
+    return tuple(
+        float(a) for a in (table.value[0, c], table.lower[c], table.upper[c], table.margin[0, c])
+    )
 
 
 class TestLosErrors:
@@ -271,7 +273,7 @@ def check_snapshot(payload_p, payload_p_des, mav_p, mav_p_des, tensions, bounds)
 
 def table_row(table, k):
     """Snapshot k of a table as check_snapshot's entries."""
-    parts = (table.value[k], table.lower[k], table.upper[k], table.margin[k])
+    parts = (table.value[k], table.lower, table.upper, table.margin[k])
     return [(id, *map(float, values)) for id, *values in zip(table.ids, *parts)]
 
 
@@ -309,12 +311,16 @@ class TestConstraintTable:
         mav_p_des = rng.normal(size=(T, n, 3))
         tensions = rng.uniform(0.0, 2.5, (T, n))
         table = metrics.check_all(payload_p, payload_p_des, mav_p, mav_p_des, tensions, bounds)
-        assert table.margin.shape == (T, len(table.ids))
+        m = len(table.ids)
+        assert table.value.shape == table.margin.shape == (T, m)
+        assert table.lower.shape == table.upper.shape == (m,)
         for k in range(T):
             snapshot = (payload_p[k], payload_p_des[k], mav_p[k], mav_p_des[k], tensions[k])
             oracle = check_snapshot(*snapshot, bounds)
             assert_same_entries(table_row(table, k), oracle)
             assert_same_entries(table_row(check_one(*snapshot, bounds), 0), oracle)
+        for c, id in enumerate(table.ids):
+            np.testing.assert_array_equal(table.margins(id), table.margin[:, c])
 
     def test_shared_desired_positions_broadcast(self):
         snap = hover_snapshot()
@@ -330,3 +336,11 @@ class TestConstraintTable:
         single = check_one(bounds=bounds, **snap)
         assert_same_entries(table_row(stacked, 1), table_row(single, 0))
         np.testing.assert_array_equal(stacked.margins("tension_0"), [1.2 - 0.57] * 2)
+
+    def test_unknown_id_is_a_key_error_listing_the_ids(self):
+        snap = hover_snapshot()
+        table = check_one(bounds=metrics.default_bounds(snap["mav_p_des"], f_max=1.2), **snap)
+        assert "obstacle" not in table.ids
+        with pytest.raises(KeyError, match="'obstacle'") as caught:
+            table.margins("obstacle")
+        assert all(id in str(caught.value) for id in table.ids)
