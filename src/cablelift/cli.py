@@ -57,11 +57,8 @@ def _emit(config, log, out_dir: Path) -> dict:
 
 def _print_summary(name: str, summary: dict) -> None:
     print(f"[{name}]")
-    for key in harness.SUMMARY_ORDER:
-        value = summary[key]
-        if isinstance(value, list):
-            value = ",".join(str(v) for v in value)
-        print(f"  {key} = {value}")
+    for line in harness.summary_lines(summary):
+        print(f"  {line}")
 
 
 def cmd_run(args) -> int:
@@ -77,7 +74,8 @@ def cmd_sweep(args) -> int:
     config, sweep = _resolve(args)
     if sweep is not None:
         alphas, betas = sweep
-        grid = [(f"a{a:g}_b{b:g}", a, b) for a in alphas for b in betas]
+        # repr, so that distinct values never share a name (or the files it names)
+        grid = [(f"a{a!r}_b{b!r}", a, b) for a in alphas for b in betas]
     else:
         grid = [
             (name, *scenario.TRIGGER_PRESETS[name])

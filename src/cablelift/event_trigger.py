@@ -104,9 +104,11 @@ def first_entry_index(
     predicted: ocp.OcpSolution, region: TerminalRegion, ref_x: np.ndarray
 ) -> Optional[int]:
     """Smallest index in [0, N_kj - 1] whose error against the reference rows
-    ref_x sits inside the region."""
-    for i in range(len(predicted.X) - 1):
-        if region.contains(ocp.state_error(predicted.X[i], ref_x[i])):
+    ref_x sits inside the region.  The errors are taken in one stacked call;
+    each row rounds as its one-row call does."""
+    last = len(predicted.X) - 1
+    for i, error in enumerate(ocp.state_error(predicted.X[:last], ref_x[:last])):
+        if region.contains(error):
             return i
     return None
 

@@ -10,7 +10,8 @@ vehicle positions and advances the state one tick, and the bounded payload
 disturbance is added after the step.  The full model (2 ms ticks) allocates
 the wrench to per-cable force demands, runs the geometric cable and attitude
 controllers and steps the multi-body plant; the payload-only model (one tick
-per NMPC period) steps the payload row with the predictor's own integrator.
+per NMPC period) steps the payload row alone, on the plant's floats with the
+predictor's own arithmetic.
 The log captures enough per tick to rebuild the tracking, separation, and
 trigger figures offline, and everything is deterministic for a fixed config
 and seed (wall-clock solve times are kept out of the CSV for that reason)."""
@@ -290,14 +291,6 @@ def _add(a, b) -> tuple:
     return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
 
 
-def _sub(a, b) -> tuple:
-    return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
-
-
-def _flat(M) -> tuple:
-    return tuple(np.ravel(M).tolist())
-
-
 class _FullPlant:
     """The held wrench realized by the cable and attitude controllers of every
     vehicle and applied to the multi-body plant.
@@ -313,11 +306,6 @@ class _FullPlant:
     def __init__(self, config: ScenarioConfig, amap: allocation.AllocationMap):
         self.config = config
         self.amap = amap
-        # gravity and inertias as float tuples, the controllers' formats
-        params = config.params
-        self._g_vec = _flat(params.g_vec)
-        self._J_L, self._J_L_inv = _flat(params.J_L), _flat(params._J_L_inv)
-        self._J_i = [_flat(J) for J in params.J_i]
         self.mu_prev: Optional[list] = None
         self.thrust_clamps = 0
         self.omega_des_clips = 0
@@ -342,12 +330,11 @@ class _FullPlant:
         mu = allocation.nullspace_redistribute(mu, attachments, R_L, self.amap, params._l_i)
 
         # the commanded wrench implies the payload acceleration the cables
-        # must realize; feeding it forward keeps the vehicles moving with the
-        # payload instead of trailing it on feedback alone
-        m_L, (gx, gy, gz) = params.m_L, self._g_vec
-        accel_des = (wrench[0] / m_L + gx, wrench[1] / m_L + gy, wrench[2] / m_L + gz)
-        gyro = so3.cross(omega_l, so3.rotate(self._J_L, omega_l))
-        omega_dot_des = so3.rotate(self._J_L_inv, _sub(wrench[3:6], gyro))
+        # must realize (the payload row's own derivative under it); feeding it
+        # forward keeps the vehicles moving with the payload instead of
+        # trailing it on feedback alone
+        payload_rates = plant._payload_derivative(y[0:13], wrench, params)
+        accel_des, omega_dot_des = payload_rates[3:6], payload_rates[10:13]
 
         xi_des, om_des = allocation.desired_cable_direction(mu, self.mu_prev, config.dt_lowlevel)
         self.mu_prev = mu
@@ -389,22 +376,25 @@ class _FullPlant:
         thrust = cable_control.thrust_command(u, R_k)
         R_des = cable_control.desired_attitude(u, 0.0)
         errors = cable_control.attitude_errors(R_k, R_des, omega_k)
-        moment = cable_control.moment_command(errors, omega_k, self._J_i, gains)
+        moment = cable_control.moment_command(errors, omega_k, params._J_i, gains)
 
         self.thrust_clamps += sum(1 for f in thrust if f < 0.0 or f > params.F_max)
         self.slack_cable_ticks += sum(1 for stretch in cables.stretch if not stretch > 0.0)
         mav_p = [y[b : b + 3] for b in bodies]
         return cables.tension, cables.direction, mav_p, ((thrust, moment), cables)
 
-    def advance(self, y: list, step_input, wrench: list, problem) -> list:
+    def advance(self, y: list, step_input, wrench: list) -> list:
         commands, cables = step_input
         return plant.step_world(y, commands, self.config.dt_lowlevel, self.config.params, cables)
 
 
 class _PayloadOnly:
-    """Nominal-model run: only the payload row of the world state moves, stepped
-    directly with the NMPC wrench by the predictor's own integrator, so
-    predictions and plant agree up to the solver's feasibility tolerance."""
+    """Nominal-model run: only the payload row of the world state moves, one
+    tick per NMPC period under the held wrench.  Both plant models tick on
+    floats through one Runge-Kutta body (`plant._rk4_flat`); here it steps
+    the payload row alone and computes `payload_ocp.discretize`'s floats, the
+    predictor's own integrator, so predictions and plant agree up to the
+    solver's feasibility tolerance."""
 
     # no controllers, so no clamps
     thrust_clamps = omega_des_clips = slack_cable_ticks = 0
@@ -415,27 +405,26 @@ class _PayloadOnly:
 
     def realize(self, y: list, wrench: list, new_stage: bool):
         """(tensions, directions, vehicle positions, None) of the minimal-norm
-        allocation, vehicles placed one cable length along each tension.
-
-        The split is taken with numpy's whole-matrix products.  BLAS fuses
-        their multiply-adds, so the controllers' float `allocation.allocate`
-        would move this model's logged tensions and positions in the last
-        bits, and nothing here feeds back into the payload."""
-        params, x = self.config.params, np.array(y[0:13])
-        R_L = so3.quat_to_rotation(x[6:10])
-        target = np.concatenate([R_L.T @ wrench[0:3], wrench[3:6]])
-        mu = (self.amap.P_pinv @ target).reshape(params.n, 3) @ R_L.T
-        tensions = np.linalg.norm(mu, axis=1)
-        directions = np.where(tensions[:, None] > 1e-12, -mu / np.maximum(tensions, 1e-12)[:, None], 0.0)
-        attachments = x[0:3] + (R_L @ params.r_i.T).T
-        mav_p = attachments + params.l_i[:, None] * np.where(
-            tensions[:, None] > 1e-12, mu / np.maximum(tensions, 1e-12)[:, None], [[0.0, 0.0, 1.0]]
-        )
+        allocation (the full plant's float `allocation.allocate`), vehicles
+        placed one cable length along each tension, or straight above their
+        attachments where it is zero."""
+        params = self.config.params
+        R_L = plant._rotation(*y[6:10])
+        tensions, directions, mav_p = [], [], []
+        for mu, r, length in zip(
+            allocation.allocate(wrench, R_L, self.amap), params._r_i, params._l_i
+        ):
+            tension = math.sqrt(so3.dot(mu, mu))
+            taut = tension > 1e-12
+            unit = (mu[0] / tension, mu[1] / tension, mu[2] / tension) if taut else (0.0, 0.0, 1.0)
+            tensions.append(tension)
+            directions.append((-unit[0], -unit[1], -unit[2]) if taut else (0.0, 0.0, 0.0))
+            attachment = _add(y[0:3], so3.rotate(R_L, r))
+            mav_p.append(_add(attachment, (length * unit[0], length * unit[1], length * unit[2])))
         return tensions, directions, mav_p, None
 
-    def advance(self, y: list, step_input, wrench: list, problem) -> list:
-        X = payload_ocp.discretize(np.array([y[0:13]]), np.array(wrench), self.config.ocp.dt, problem)
-        return X[0].tolist() + y[13:]
+    def advance(self, y: list, step_input, wrench: list) -> list:
+        return plant.step_payload(y[0:13], wrench, self.config.ocp.dt, self.config.params) + y[13:]
 
 
 def run_closed_loop(config: ScenarioConfig) -> RunLog:
@@ -492,7 +481,7 @@ def run_closed_loop(config: ScenarioConfig) -> RunLog:
             if decision in ("forced", "event"):
                 log.event[tick] = len(trigger.events) - 1
         try:
-            y = model.advance(y, step_input, wrench, trigger.problem)
+            y = model.advance(y, step_input, wrench)
         except (plant.NonFiniteState, plant.CableOverload, plant.DegenerateGeometry) as exc:
             raise HarnessAbort(f"plant failure at t={t:.3f} s: {exc}") from exc
         disturbance.perturb(y)
@@ -519,7 +508,8 @@ def run_closed_loop(config: ScenarioConfig) -> RunLog:
 
 
 def summarize(log: RunLog) -> dict:
-    """Aggregate one run into the quantities the experiment tables report."""
+    """Aggregate one run into the quantities the experiment tables report, in
+    the fixed order the summary file lists them, wall-clock time last."""
     if not len(log.t):
         raise EmptyLog("cannot summarize a log with no ticks")
     errs = log.payload_err
@@ -611,38 +601,19 @@ def emit_csv(log: RunLog, path) -> None:
                 f.write(",".join(fields + solver[e]) + "\n")
 
 
-SUMMARY_ORDER = [
-    "nmpc_executions",
-    "event_triggers",
-    "forced_triggers",
-    "rms_payload_error_m",
-    "max_payload_error_m",
-    "min_separation_m",
-    "max_separation_m",
-    "funnel_violations",
-    "mean_inter_execution_steps",
-    "horizon_trace",
-    "solver_failures",
-    "thrust_clamps",
-    "omega_des_clips",
-    "slack_cable_ticks",
-    "solves_converged",
-    "solves_max_iter",
-    "solves_stalled",
-    "mean_solve_time_ms",
-]
+def summary_lines(summary: dict) -> List[str]:
+    """`key = value` for each entry of a `summarize` dict, in its order:
+    lists comma-joined, floats written with repr."""
+    lines = []
+    for key, value in summary.items():
+        text = ",".join(str(v) for v in value) if isinstance(value, list) else _fmt(value)
+        lines.append(f"{key} = {text}")
+    return lines
 
 
 def emit_summary(summary: dict, path) -> None:
-    """Flat key = value text in a fixed order.  Every line is deterministic
-    for a given config and seed except mean_solve_time_ms, which is why that
-    key is sorted last."""
-    lines = []
-    for key in SUMMARY_ORDER:
-        value = summary[key]
-        if isinstance(value, list):
-            lines.append(f"{key} = {','.join(str(v) for v in value)}")
-        else:
-            lines.append(f"{key} = {_fmt(value)}")
+    """The summary_lines as flat text.  Every line is deterministic for a
+    given config and seed except mean_solve_time_ms, which is why
+    summarize puts that key last."""
     with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+        f.write("\n".join(summary_lines(summary)) + "\n")

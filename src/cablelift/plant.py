@@ -10,7 +10,10 @@ each body [p, v, q, omega] (position, velocity, unit quaternion scalar first,
 body rates).  `cable_closure` reads the cables off it and `step_world` returns
 it one Runge-Kutta step later, all on floats, from one derivative fused over
 all bodies; both take the cables from one spring-damper law (`_cable_law`),
-and a reading of the state being stepped serves the step's first stage."""
+and a reading of the state being stepped serves the step's first stage.
+`step_payload` steps the payload row alone under a held wrench, for the
+payload-only model, with the same Runge-Kutta body (`_rk4_flat`) and the
+payload derivative the fused one takes its payload row from."""
 
 from __future__ import annotations
 
@@ -81,15 +84,14 @@ class SystemParams:
         for M, name in [(self.J_L, "J_L")] + [(self.J_i[k], "J_i") for k in range(self.n)]:
             if np.linalg.norm(M - M.T) > 1e-12 or np.min(np.linalg.eigvalsh(M)) <= 0:
                 raise ValueError(f"{name} must be symmetric positive definite")
-        # plain-float copies for the scalar plant kernel
+        # plain-float copies for the scalar kernels, each 3x3 matrix a row-major
+        # 9-list, and gravity (0, 0, -g) as a float 3-tuple
         self._m_i, self._l_i, self._r_i = self.m_i.tolist(), self.l_i.tolist(), self.r_i.tolist()
-        self._J_i, self._J_L = self.J_i.tolist(), self.J_L.tolist()
-        self._J_i_inv = np.linalg.inv(self.J_i).tolist()
-        self._J_L_inv = np.linalg.inv(self.J_L).tolist()
-
-    @property
-    def g_vec(self) -> np.ndarray:
-        return np.array([0.0, 0.0, -self.g])
+        self._J_i = self.J_i.reshape(self.n, 9).tolist()
+        self._J_i_inv = np.linalg.inv(self.J_i).reshape(self.n, 9).tolist()
+        self._J_L = self.J_L.ravel().tolist()
+        self._J_L_inv = np.linalg.inv(self.J_L).ravel().tolist()
+        self.g_vec = (0.0, 0.0, -self.g)
 
 
 @dataclass
@@ -274,11 +276,11 @@ def _quat_rate(w, x, y, z, ox, oy, oz) -> tuple:
 
 def _euler_rate(J, J_inv, ox, oy, oz, tx, ty, tz) -> tuple:
     """Body angular acceleration J^-1 (tau - omega x J omega), J and J_inv as
-    3x3 nested lists."""
-    (a, b, c), (d, e, f), (g, h, i) = J
+    row-major 9-sequences."""
+    a, b, c, d, e, f, g, h, i = J
     hx, hy, hz = a * ox + b * oy + c * oz, d * ox + e * oy + f * oz, g * ox + h * oy + i * oz
     rx, ry, rz = tx - (oy * hz - oz * hy), ty - (oz * hx - ox * hz), tz - (ox * hy - oy * hx)
-    (a, b, c), (d, e, f), (g, h, i) = J_inv
+    a, b, c, d, e, f, g, h, i = J_inv
     return a * rx + b * ry + c * rz, d * rx + e * ry + f * rz, g * rx + h * ry + i * rz
 
 
@@ -290,6 +292,19 @@ def _unit_quaternion(w: float, x: float, y: float, z: float) -> tuple:
     return w / norm, x / norm, y / norm, z / norm
 
 
+def _payload_derivative(s: list, wrench, params: SystemParams) -> list:
+    """Derivative of the payload row s alone under the wrench [F, M] on it:
+    payload_ocp.payload_dynamics on floats, with its groupings."""
+    qw, qx, qy, qz, wx, wy, wz = s[6:13]
+    fx, fy, fz, mx, my, mz = wrench
+    m_L, (gx, gy, gz) = params.m_L, params.g_vec
+    return [
+        *s[3:6], fx / m_L + gx, fy / m_L + gy, fz / m_L + gz,
+        *_quat_rate(qw, qx, qy, qz, wx, wy, wz),
+        *_euler_rate(params._J_L, params._J_L_inv, wx, wy, wz, mx, my, mz),
+    ]
+
+
 def _world_derivative_flat(s: list, inputs, params: SystemParams, law=None) -> list:
     """Fused derivative of the flat world state s, as a list.  inputs =
     (thrusts, torques): one float and one 3-vector per MAV.  law, when given,
@@ -297,13 +312,12 @@ def _world_derivative_flat(s: list, inputs, params: SystemParams, law=None) -> l
 
     Evaluated on Python floats: on 4-5 bodies numpy's per-call cost would
     outweigh the arithmetic."""
-    qw, qx, qy, qz, wx, wy, wz = s[6:13]
-    R = _rotation(qw, qx, qy, qz)
+    R = _rotation(*s[6:10])
     r00, r01, r02, r10, r11, r12, r20, r21, r22 = R
     if law is None:
         law = _cable_law(s, R, params)
     g = params.g
-    out = s[3:6] + [0.0] * 10  # payload row: v, then acc, qdot, omega dot below
+    out = []  # the vehicle rows; the payload row goes in front at the end
     fx = fy = fz = mx = my = mz = 0.0
     b = 13
     for (ex, ey, ez, _, t), (rx, ry, rz), thrust, (tx, ty, tz), m, J, Ji in zip(
@@ -328,18 +342,43 @@ def _world_derivative_flat(s: list, inputs, params: SystemParams, law=None) -> l
         out += _euler_rate(J, Ji, ox, oy, oz, tx, ty, tz)
         b += 13
 
-    m_L = params.m_L
-    out[3:6] = (-fx / m_L, -fy / m_L, -fz / m_L - g)
-    out[6:10] = _quat_rate(qw, qx, qy, qz, wx, wy, wz)
-    out[10:13] = _euler_rate(params._J_L, params._J_L_inv, wx, wy, wz, mx, my, mz)
+    # the payload under the cables' net pull on it, -(fx, fy, fz), and their moment
+    return _payload_derivative(s, (-fx, -fy, -fz, mx, my, mz), params) + out
+
+
+def _rk4_flat(derivative, y: list, args: tuple, dt: float, k1: list | None = None) -> list:
+    """rk4_step's arithmetic on the flat list y of whole bodies, as a new list
+    with every quaternion renormalized.  derivative(s, *args) returns the
+    derivative of a flat list s; k1, when given, is its value at y."""
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    h = 0.5 * dt
+    if k1 is None:
+        k1 = derivative(y, *args)
+    k2 = derivative([a + h * b for a, b in zip(y, k1)], *args)
+    k3 = derivative([a + h * b for a, b in zip(y, k2)], *args)
+    k4 = derivative([a + dt * b for a, b in zip(y, k3)], *args)
+    c = dt / 6.0
+    out = [a + c * (b1 + 2.0 * b2 + 2.0 * b3 + b4) for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+    if not all(map(math.isfinite, out)):
+        raise NonFiniteState("integration produced non-finite state")
+    for b in range(6, len(out), _BODY_DIM):
+        out[b : b + 4] = _unit_quaternion(*out[b : b + 4])
     return out
+
+
+def step_payload(x: list, wrench, dt: float, params: SystemParams) -> list:
+    """The payload row x (13 floats) one step later under the held wrench
+    [F, M], as a new list: payload_ocp.discretize's floats, bit for bit when
+    J_L is diagonal (BLAS may round off-diagonal inertia products apart)."""
+    return _rk4_flat(_payload_derivative, x, (wrench, params), dt)
 
 
 def step_world(
     y: list, commands, dt: float, params: SystemParams, cables: CableReading | None = None
 ) -> list:
     """The flat world state y one step later under held commands, as a new
-    list: rk4_step's arithmetic on floats, every quaternion renormalized.
+    list: `_rk4_flat` over the derivative fused over all bodies.
 
     commands: (thrusts, torques), one float and one 3-vector per MAV; thrust
     is saturated here.  cables, `cable_closure`'s reading of y if the caller
@@ -350,18 +389,6 @@ def step_world(
     shapes_ok = len(thrusts) == n and len(torques) == n and len(y) == _BODY_DIM * (n + 1)
     if not shapes_ok or any(len(t) != 3 for t in torques):
         raise ValueError("need one thrust and one torque row per MAV")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
     inputs = ([saturate_thrust(float(f), params.F_max) for f in thrusts], torques)
-    h = 0.5 * dt
-    k1 = _world_derivative_flat(y, inputs, params, None if cables is None else cables.law)
-    k2 = _world_derivative_flat([a + h * b for a, b in zip(y, k1)], inputs, params)
-    k3 = _world_derivative_flat([a + h * b for a, b in zip(y, k2)], inputs, params)
-    k4 = _world_derivative_flat([a + dt * b for a, b in zip(y, k3)], inputs, params)
-    c = dt / 6.0
-    out = [a + c * (b1 + 2.0 * b2 + 2.0 * b3 + b4) for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
-    if not all(map(math.isfinite, out)):
-        raise NonFiniteState("integration produced non-finite state")
-    for b in range(6, len(out), _BODY_DIM):
-        out[b : b + 4] = _unit_quaternion(*out[b : b + 4])
-    return out
+    k1 = None if cables is None else _world_derivative_flat(y, inputs, params, cables.law)
+    return _rk4_flat(_world_derivative_flat, y, (inputs, params), dt, k1)

@@ -389,9 +389,9 @@ def _check_keys(section: dict, allowed: set, where: str) -> None:
 def _number(value, key: str, kind=float, bound=None):
     """The value of `key` as a finite float, an integer (kind=int), a string
     (kind=str), a list of three finite floats (kind=VECTOR) or a list of
-    finite floats (kind=list).  With bound=POSITIVE a number, or each item of
-    a list, must also be > 0, with bound=NONNEGATIVE >= 0.  Anything else is
-    a ConfigError naming the key."""
+    distinct finite floats (kind=list).  With bound=POSITIVE a number, or each
+    item of a list, must also be > 0, with bound=NONNEGATIVE >= 0.  Anything
+    else is a ConfigError naming the key."""
     if kind is str:
         if not isinstance(value, str):
             raise ConfigError(f"{key!r} must be a string, got {value!r}")
@@ -401,6 +401,8 @@ def _number(value, key: str, kind=float, bound=None):
             size = "3 " if kind is VECTOR else ""
             raise ConfigError(f"{key!r} must be a list of {size}numbers, got {value!r}")
         items = [_number(v, key, bound=bound) for v in value]
+        if kind is list and len(set(items)) < len(items):
+            raise ConfigError(f"{key!r} must not repeat a value, got {value!r}")
         return np.array(items) if kind is VECTOR else items
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{key!r} must be a number, got {value!r}")

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import numpy as np
 
-EPS = 1e-12
-
 
 class NotSkew(ValueError):
     """vee() received a matrix that is not skew-symmetric."""

@@ -407,7 +407,7 @@ PRESET_DIGESTS = {
     "circle-tight": ("94582742b62b97b1", "fb96c511c8501e25"),
     "hover": ("a7d1f29daeb413cb", "6f79a337c73136c7"),
     "hover-nominal": ("445885d3f3fd5953", "6f79a337c73136c7"),
-    "hover-recovery": ("a29206d5376d9ad5", "3ea852bc11b3fb2e"),
+    "hover-recovery": ("5253e9ffe4b3a7d7", "3ea852bc11b3fb2e"),
 }
 
 

@@ -702,7 +702,7 @@ def _nonfinite_step():
     thrusts = [1.7] * 4
     torques = _rows([0.0, np.inf, 0.0], np.zeros(3), k=3)
     full_plant(config).advance(
-        Y.ravel().tolist(), ((thrusts, torques), None), _hover_wrench(config).tolist(), None
+        Y.ravel().tolist(), ((thrusts, torques), None), _hover_wrench(config).tolist()
     )
 
 

@@ -332,6 +332,36 @@ class TestSweep:
         assert repr(key) in capsys.readouterr().err
         assert not list(tmp_path.rglob("*.csv"))
 
+    def test_values_that_print_alike_get_their_own_files(self, tmp_path, capsys):
+        """0.1 and 0.1000001 both print as 0.1 with :g; named by repr, each
+        grid point writes its own files and sweep.csv row."""
+        text = SWEEP_CONFIG.replace("[0.2, 0.02]", "[0.1, 0.1000001]")
+        out_dir = tmp_path / "out"
+        assert cli.main(["sweep", "--config", write(tmp_path, text), "--out-dir", str(out_dir)]) == 0
+        table = (out_dir / "sweep.csv").read_text().splitlines()
+        names = [row.split(",")[0] for row in table[1:]]
+        assert names == ["grid_a0.1_b0.05", "grid_a0.1000001_b0.05"]
+        for name in names:
+            assert (out_dir / f"{name}.csv").exists()
+            assert (out_dir / f"{name}_summary.txt").exists()
+
+    @pytest.mark.parametrize(
+        "key, values", [("alphas", "[0.1, 0.2, 0.1]"), ("betas", "[0.05, 5.0e-2]")]
+    )
+    def test_repeated_sweep_value_is_a_config_error(self, tmp_path, capsys, key, values):
+        """A value given twice would run the same grid point twice under one
+        name; it is refused before any run."""
+        grid = {"alphas": "[0.2]", "betas": "[0.05]", key: values}
+        text = SWEEP_CONFIG.split("sweep:")[0] + (
+            f"sweep:\n  alphas: {grid['alphas']}\n  betas: {grid['betas']}\n"
+        )
+        out_dir = tmp_path / "out"
+        assert cli.main(["sweep", "--config", write(tmp_path, text), "--out-dir", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert repr(key) in err
+        assert "Traceback" not in err
+        assert not list(tmp_path.rglob("*.csv"))
+
     def test_default_grid_is_the_three_conditions(self, tmp_path, capsys):
         config = write(tmp_path, FAST_CONFIG)
         out_dir = tmp_path / "out"

@@ -172,6 +172,29 @@ class TestFirstEntryIndex:
         with pytest.raises(ValueError):
             et.TerminalRegion(epsilon=0.0, weight=np.eye(12))
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 21), st.integers(0, 2**32 - 1))
+    def test_stacked_errors_match_one_row_calls(self, rows, seed):
+        """The errors taken over the stacked prediction have each row's bits
+        of a one-row state_error call, so the entry index is the one a
+        row-by-row search finds, on predictions near the region's edge and
+        with attitudes of both hemispheres."""
+        rng = np.random.default_rng(seed)
+        q = rng.standard_normal((rows, 4))
+        q /= np.linalg.norm(q, axis=1, keepdims=True)
+        X = np.hstack([rng.normal(0.0, 0.05, (rows, 6)), q, rng.normal(0.0, 0.05, (rows, 3))])
+        refs = X.copy()
+        refs[:, 0:6] += rng.normal(0.0, 0.03, (rows, 6))
+        refs[:, 6:10] *= rng.choice([-1.0, 1.0], (rows, 1))
+        stacked = ocp.state_error(X, refs)
+        for i in range(rows):
+            assert stacked[i].tobytes() == ocp.state_error(X[i], refs[i]).tobytes()
+        region = et.TerminalRegion(epsilon=0.06, weight=np.eye(12))
+        by_row = next(
+            (i for i in range(rows - 1) if region.contains(ocp.state_error(X[i], refs[i]))), None
+        )
+        assert et.first_entry_index(make_solution(list(X)), region, refs) == by_row
+
 
 class TestShrinkHorizon:
     def _ts(self, N):

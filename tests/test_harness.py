@@ -441,6 +441,55 @@ class TestRunPayloadOnly:
             np.testing.assert_array_equal(a.wrench, b.wrench)
 
 
+def payload_only_split(config, y, wrench):
+    """The payload-only model's earlier numpy split of the wrench, kept as
+    the reference: (tensions, directions, vehicle positions)."""
+    params, x = config.params, np.array(y[0:13])
+    amap = allocation.build_allocation(params.r_i)
+    R_L = so3.quat_to_rotation(x[6:10])
+    target = np.concatenate([R_L.T @ wrench[0:3], wrench[3:6]])
+    mu = (amap.P_pinv @ target).reshape(params.n, 3) @ R_L.T
+    tensions = np.linalg.norm(mu, axis=1)
+    directions = np.where(tensions[:, None] > 1e-12, -mu / np.maximum(tensions, 1e-12)[:, None], 0.0)
+    attachments = x[0:3] + (R_L @ params.r_i.T).T
+    mav_p = attachments + params.l_i[:, None] * np.where(
+        tensions[:, None] > 1e-12, mu / np.maximum(tensions, 1e-12)[:, None], [[0.0, 0.0, 1.0]]
+    )
+    return tensions, directions, mav_p
+
+
+class TestPayloadOnlyRealize:
+    def model(self):
+        config = harness.scenario_preset("hover-recovery")
+        return config, harness._PayloadOnly(config, allocation.build_allocation(config.params.r_i))
+
+    def test_matches_the_numpy_split(self):
+        config, model = self.model()
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            q = rng.standard_normal(4)
+            y = hover_state(rng.uniform(-2.0, 2.0, 3))
+            y[6:10] = q / np.linalg.norm(q)
+            wrench = rng.uniform(-5.0, 5.0, 6)
+            wrench[2] += config.params.m_L * config.params.g
+            got = model.realize(y.tolist(), wrench.tolist(), True)
+            for value, expected in zip(got[:3], payload_only_split(config, y, wrench)):
+                np.testing.assert_allclose(value, expected, rtol=0.0, atol=1e-12)
+            assert got[3] is None
+
+    def test_zero_wrench_hangs_the_vehicles_above_their_attachments(self):
+        config, model = self.model()
+        params = config.params
+        y = hover_state((0.3, -0.2, 1.0))
+        y[6:10] = [math.cos(0.2), 0.0, 0.0, math.sin(0.2)]  # yawed 0.4 rad
+        tensions, directions, mav_p, _ = model.realize(y.tolist(), [0.0] * 6, True)
+        assert tensions == [0.0] * params.n
+        assert directions == [(0.0, 0.0, 0.0)] * params.n
+        attachments = y[0:3] + params.r_i @ so3.quat_to_rotation(y[6:10]).T
+        expected = attachments + params.l_i[:, None] * [0.0, 0.0, 1.0]
+        np.testing.assert_allclose(mav_p, expected, rtol=0.0, atol=1e-15)
+
+
 # ---------------------------------------------------------------------------
 # closed-loop runs, full plant (short smokes; the long runs live in the
 # acceptance suite)
@@ -857,6 +906,16 @@ class TestCsvBlocks:
         assert len(blocks.read_text().splitlines()) == 1 + T
 
 
+# the summary file's keys, in order
+SUMMARY_KEYS = [
+    "nmpc_executions", "event_triggers", "forced_triggers", "rms_payload_error_m",
+    "max_payload_error_m", "min_separation_m", "max_separation_m", "funnel_violations",
+    "mean_inter_execution_steps", "horizon_trace", "solver_failures", "thrust_clamps",
+    "omega_des_clips", "slack_cable_ticks", "solves_converged", "solves_max_iter",
+    "solves_stalled", "mean_solve_time_ms",
+]
+
+
 class TestEmitSummary:
     def test_fixed_order_wall_clock_last(self, tmp_path):
         log = synthetic_log([0.1], [0.6], [0.85])
@@ -864,7 +923,7 @@ class TestEmitSummary:
         path = tmp_path / "summary.txt"
         harness.emit_summary(harness.summarize(log), path)
         lines = path.read_text().splitlines()
-        assert [line.split(" = ")[0] for line in lines] == harness.SUMMARY_ORDER
+        assert [line.split(" = ")[0] for line in lines] == SUMMARY_KEYS
         assert lines[-1].startswith("mean_solve_time_ms = ")
 
     def test_all_lines_deterministic_except_the_last(self, tmp_path):

@@ -57,10 +57,10 @@ def mav_derivative(y, thrust, torque, direction, tension, params, i):
     body z axis.
     """
     R = so3.quat_to_rotation(y[Q])
-    force = thrust * R[:, 2] + params.m_i[i] * params.g_vec
+    force = thrust * R[:, 2] + params.m_i[i] * np.array(params.g_vec)
     force = force + tension * np.asarray(direction)
     omega = y[W]
-    omega_dot = params._J_i_inv[i] @ (torque - np.cross(omega, params.J_i[i] @ omega))
+    omega_dot = np.linalg.inv(params.J_i[i]) @ (torque - np.cross(omega, params.J_i[i] @ omega))
     return body(y[V], force / params.m_i[i], so3.omega_to_quat_dot(y[Q], omega), omega_dot)
 
 
@@ -73,14 +73,14 @@ def payload_derivative(y, directions, tensions, params):
     tension and direction.
     """
     R_L = so3.quat_to_rotation(y[Q])
-    force = params.m_L * params.g_vec
+    force = params.m_L * np.array(params.g_vec)
     moment = np.zeros(3)
     for k, (direction, tension) in enumerate(zip(directions, tensions)):
         f_world = -tension * np.asarray(direction)
         force = force + f_world
         moment = moment + np.cross(params.r_i[k], R_L.T @ f_world)
     omega = y[W]
-    omega_dot = params._J_L_inv @ (moment - np.cross(omega, params.J_L @ omega))
+    omega_dot = np.linalg.inv(params.J_L) @ (moment - np.cross(omega, params.J_L @ omega))
     return body(y[V], force / params.m_L, so3.omega_to_quat_dot(y[Q], omega), omega_dot)
 
 
@@ -640,6 +640,90 @@ class TestStepWorld:
                 y, cmds, 0.002, params
             )
         assert slack > 0
+
+
+def payload_problem(params: SystemParams) -> payload_ocp.OcpProblem:
+    """A one-stage problem on the rig's payload: the mass, inertia and
+    gravity that payload_ocp.discretize reads."""
+    eye = payload_ocp.CostWeights(np.eye(12), np.eye(6), np.eye(12))
+    cfg = payload_ocp.OcpConfig(
+        weights=eye, m_L=params.m_L, J_L=params.J_L, r_i=params.r_i, f_max=params.f_max,
+        g=params.g, N=1,
+    )
+    x0 = body(np.zeros(3), np.zeros(3), so3.quat_identity(), np.zeros(3))
+    return payload_ocp.build_ocp(x0, np.array([x0, x0]), np.zeros((2, 6)), cfg)
+
+
+@st.composite
+def payload_steps(draw):
+    """(params, x, wrench, dt): a payload row with a unit quaternion of either
+    sign of scalar part, body rates zero or up to 50 rad/s, an arbitrary
+    wrench, a diagonal payload inertia (the rig's or a random one) and the
+    NMPC or the low-level step."""
+    finite = lambda bound: st.floats(-bound, bound, allow_nan=False)
+    q = np.array(draw(st.lists(finite(1.0), min_size=4, max_size=4)))
+    norm = np.linalg.norm(q)
+    if not norm > 1e-3:
+        q, norm = np.array([1.0, 0.0, 0.0, 0.0]), 1.0
+    if draw(st.booleans()):
+        q = -q
+    rates = draw(st.one_of(st.just([0.0] * 3), st.lists(finite(50.0), min_size=3, max_size=3)))
+    p_v = draw(st.lists(finite(10.0), min_size=6, max_size=6))
+    wrench = draw(st.lists(finite(100.0), min_size=6, max_size=6))
+    inertia = {}
+    if draw(st.booleans()):
+        diag = draw(st.lists(st.floats(1e-3, 0.1), min_size=3, max_size=3))
+        inertia = {"J_L": np.diag(diag)}
+    dt = draw(st.sampled_from([0.05, 0.002]))
+    return make_params(**inertia), [*p_v, *(q / norm).tolist(), *rates], wrench, dt
+
+
+class TestStepPayload:
+    @settings(max_examples=300, deadline=None)
+    @given(payload_steps())
+    def test_equals_discretize_bit_for_bit(self, case):
+        """step_payload computes the numpy predictor's floats: the solver's
+        discretize is the oracle.  Bitwise for a diagonal payload inertia,
+        which every scenario has; with off-diagonal terms BLAS may fuse the
+        inertia products differently (see the test below)."""
+        params, x, wrench, dt = case
+        expected = payload_ocp.discretize(np.array([x]), np.array(wrench), dt, payload_problem(params))
+        got = plant.step_payload(x, wrench, dt, params)
+        assert np.array(got).tobytes() == expected[0].tobytes()
+
+    def test_full_inertia_agrees_to_rounding(self):
+        J_L = np.array([[0.007, 0.001, -4e-4], [0.001, 0.009, 7e-4], [-4e-4, 7e-4, 0.013]])
+        params = make_params(J_L=J_L)
+        problem = payload_problem(params)
+        rng = np.random.default_rng(12)
+        for _ in range(50):
+            q = rng.standard_normal(4)
+            x = np.concatenate([rng.standard_normal(6), q / np.linalg.norm(q), 5.0 * rng.standard_normal(3)])
+            wrench = 10.0 * rng.standard_normal(6)
+            expected = payload_ocp.discretize(x, wrench, 0.05, problem)
+            got = plant.step_payload(x.tolist(), wrench.tolist(), 0.05, params)
+            np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_wrench_raises(self, bad):
+        params = make_params()
+        x = body(np.zeros(3), np.zeros(3), so3.quat_identity(), np.zeros(3)).tolist()
+        wrench = [0.0, 0.0, params.m_L * G, 0.0, bad, 0.0]
+        with pytest.raises(NonFiniteState):
+            plant.step_payload(x, wrench, 0.05, params)
+
+    def test_shares_the_world_step_body(self):
+        """A rig whose cables are all slack: the payload row of step_world
+        falls freely, as step_payload does under the zero wrench."""
+        params = make_params()
+        rows = hover_state(params)
+        rows[1:, P] -= np.array([0.0, 0.0, 0.5])  # vehicles below their rest length
+        rows[0, W] = [0.3, -0.2, 0.1]
+        y = flat(rows)
+        assert all(s <= 0.0 for s in plant.cable_closure(y, params).stretch)
+        zero = ([0.0] * 4, [(0.0, 0.0, 0.0)] * 4)
+        world = plant.step_world(y, zero, 0.002, params)
+        assert world[0:13] == plant.step_payload(y[0:13], [0.0] * 6, 0.002, params)
 
 
 def parent_disturbance(eta, seed, pose_scale, ticks, x):
