@@ -83,12 +83,18 @@ def build_allocation(r_i: np.ndarray) -> AllocationMap:
 
 
 # Forces and positions are lists with one float 3-tuple per cable, and the
-# payload rotation R_L a row-major 9-tuple (as `plant._rotation` gives it).
+# payload rotation R_L a row-major 9-tuple (as `plant._rotation` gives it);
+# the products with R_L are written out, as in the other per-tick kernels.
 
 
 def _unstack(stacked, R_L) -> list:
-    """A stacked payload-frame vector back to world-frame forces."""
-    return [so3.rotate(R_L, stacked[i : i + 3]) for i in range(0, len(stacked), 3)]
+    """A stacked payload-frame vector back to world-frame forces, R_L s each."""
+    r00, r01, r02, r10, r11, r12, r20, r21, r22 = R_L
+    it = iter(stacked)
+    return [
+        (r00 * x + r01 * y + r02 * z, r10 * x + r11 * y + r12 * z, r20 * x + r21 * y + r22 * z)
+        for x, y, z in zip(it, it, it)
+    ]
 
 
 def allocate(wrench, R_L, amap: AllocationMap) -> list:
@@ -98,7 +104,7 @@ def allocate(wrench, R_L, amap: AllocationMap) -> list:
     F is taken in the world frame and M in the payload frame; the stacked
     payload-frame solution is rotated back out block by block.
     """
-    t0, t1, t2 = so3.rotate_back(R_L, wrench[0:3])
+    t0, t1, t2 = stack_body([wrench[0:3]], R_L)
     t3, t4, t5 = wrench[3:6]
     stacked = [
         a0 * t0 + a1 * t1 + a2 * t2 + a3 * t3 + a4 * t4 + a5 * t5
@@ -108,8 +114,14 @@ def allocate(wrench, R_L, amap: AllocationMap) -> list:
 
 
 def stack_body(mu_world, R_L) -> list:
-    """World-frame forces back to one stacked payload-frame vector."""
-    return [x for mu in mu_world for x in so3.rotate_back(R_L, mu)]
+    """World-frame forces back to one stacked payload-frame vector, R_L^T mu
+    each."""
+    r00, r01, r02, r10, r11, r12, r20, r21, r22 = R_L
+    out = []
+    for x, y, z in mu_world:
+        out += (r00 * x + r10 * y + r20 * z, r01 * x + r11 * y + r21 * z,
+                r02 * x + r12 * y + r22 * z)
+    return out
 
 
 def _predicted_positions(stacked_body, attachments_world, R_L, l_i) -> Optional[list]:

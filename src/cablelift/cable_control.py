@@ -11,7 +11,10 @@ Every function takes and returns one entry per vehicle (float 3-tuples for
 vectors, floats for scalars, row-major 9-tuples for 3x3 matrices, rotations
 as `plant._rotation` gives them), so a tick for the whole rig is one call of
 each, on Python floats: on four vehicles numpy's per-call cost would
-outweigh the arithmetic.
+outweigh the arithmetic.  Inside, each 3-vector and 3x3 product is written
+out on local floats, because a helper call per product costs more than its
+few multiplies; every sum keeps the left-to-right grouping of R v, a x b and
+a . b: another grouping rounds differently and moves the runs' bytes.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import so3
-from .so3 import cross, dot, relative, rotate
 
 
 class DegenerateThrust(RuntimeError):
@@ -77,11 +79,14 @@ class CableTrackingState:
 
 def cable_errors(state: CableTrackingState):
     """Direction error xi_des x xi and rate error on the tangent plane."""
-    e_xi = [cross(xi_des, xi) for xi, xi_des in zip(state.xi, state.xi_des)]
-    e_omega = []
-    for xi, (a, b, c), omega_des in zip(state.xi, state.omega_cable, state.omega_des):
-        x, y, z = cross(xi, cross(xi, omega_des))
-        e_omega.append((a + x, b + y, c + z))
+    e_xi, e_omega = [], []
+    for (x, y, z), (a, b, c), (dx, dy, dz), (px, py, pz) in zip(
+        state.xi, state.omega_cable, state.xi_des, state.omega_des
+    ):
+        e_xi.append((dy * z - dz * y, dz * x - dx * z, dx * y - dy * x))
+        # omega_cable + xi x (xi x omega_des)
+        cx, cy, cz = y * pz - z * py, z * px - x * pz, x * py - y * px
+        e_omega.append((a + (y * cz - z * cy), b + (z * cx - x * cz), c + (x * cy - y * cx)))
     return e_xi, e_omega
 
 
@@ -94,11 +99,19 @@ def attachment_accel(accel_des, R_L, Omega_L, Omega_dot_des, r, g: float = 9.81)
     term from the current payload rate.
     """
     ax, ay, az = accel_des[0], accel_des[1], accel_des[2] + g
+    r00, r01, r02, r10, r11, r12, r20, r21, r22 = R_L
+    (wx, wy, wz), (dx, dy, dz) = Omega_L, Omega_dot_des
     out = []
-    for r_k in r:
-        tx, ty, tz = rotate(R_L, cross(r_k, Omega_dot_des))
-        cx, cy, cz = rotate(R_L, cross(Omega_L, cross(Omega_L, r_k)))
-        out.append((ax - tx + cx, ay - ty + cy, az - tz + cz))
+    for rx, ry, rz in r:
+        # R_L (r x Omega_dot_des) is taken off and R_L (Omega_L x (Omega_L x r)) added
+        tx, ty, tz = ry * dz - rz * dy, rz * dx - rx * dz, rx * dy - ry * dx
+        sx, sy, sz = wy * rz - wz * ry, wz * rx - wx * rz, wx * ry - wy * rx
+        cx, cy, cz = wy * sz - wz * sy, wz * sx - wx * sz, wx * sy - wy * sx
+        out.append((
+            ax - (r00 * tx + r01 * ty + r02 * tz) + (r00 * cx + r01 * cy + r02 * cz),
+            ay - (r10 * tx + r11 * ty + r12 * tz) + (r10 * cx + r11 * cy + r12 * cz),
+            az - (r20 * tx + r21 * ty + r22 * tz) + (r20 * cx + r21 * cy + r22 * cz),
+        ))
     return out
 
 
@@ -109,21 +122,22 @@ def control_components(mu_k, state: CableTrackingState, a_kc, mass, length, gain
     projection give the same result.  u_perp is one cross product with xi,
     which pins it to the tangent plane regardless of operand alignment."""
     (kx, ky, kz), (wx, wy, wz) = gains._k_xi, gains._k_omega
-    e_xi, e_omega = cable_errors(state)
     u_par, u_perp = [], []
-    for k, xi in enumerate(state.xi):
-        x, y, z = xi
-        m, a, omega = mass[k], a_kc[k], state.omega_cable[k]
-        ml = m * length[k]
+    rows = zip(state.xi, mu_k, state.omega_cable, a_kc, mass, length, *cable_errors(state))
+    for (x, y, z), mu, (ox, oy, oz), (ax, ay, az), m, l, (ex, ey, ez), (fx, fy, fz) in rows:
+        (mx, my, mz), ml = mu, m * l
         # grouped as xi (xi.mu) + (m l |omega|^2) xi + (m xi) (xi.a); another
         # grouping rounds differently and re-draws the circle runs' events
-        d1, r2, d3 = dot(xi, mu_k[k]), ml * dot(omega, omega), dot(xi, a)
+        d1, r2 = x * mx + y * my + z * mz, ml * (ox * ox + oy * oy + oz * oz)
+        d3 = x * ax + y * ay + z * az
         u_par.append((x * d1 + r2 * x + m * x * d3, y * d1 + r2 * y + m * y * d3,
                       z * d1 + r2 * z + m * z * d3))
-        (ex, ey, ez), (fx, fy, fz) = e_xi[k], e_omega[k]
-        b = (-kx * ex - wx * fx, -ky * ey - wy * fy, -kz * ez - wz * fz)
-        cx, cy, cz = cross(xi, a)
-        u_perp.append(cross(xi, (ml * b[0] - m * cx, ml * b[1] - m * cy, ml * b[2] - m * cz)))
+        # xi x (m l (-K_xi e_xi - K_omega e_omega) - m (xi x a))
+        cx, cy, cz = y * az - z * ay, z * ax - x * az, x * ay - y * ax
+        bx = ml * (-kx * ex - wx * fx) - m * cx
+        by = ml * (-ky * ey - wy * fy) - m * cy
+        bz = ml * (-kz * ez - wz * fz) - m * cz
+        u_perp.append((y * bz - z * by, z * bx - x * bz, x * by - y * bx))
     return u_par, u_perp
 
 
@@ -134,36 +148,42 @@ def thrust_command(u_k, R_k) -> list:
 
 def desired_attitude(u_k, yaw_des: float) -> list:
     """Rotation whose z-column carries the commanded force at the given yaw."""
-    heading = hx, hy, hz = math.cos(yaw_des), math.sin(yaw_des), 0.0
+    hx, hy, hz = math.cos(yaw_des), math.sin(yaw_des), 0.0
     out = []
     for ux, uy, uz in u_k:
         norm_u = math.sqrt(ux * ux + uy * uy + uz * uz)
         if not norm_u > 1e-6:
             raise DegenerateThrust(f"commanded force {norm_u:.2e} N is too small")
-        b3 = (ux / norm_u, uy / norm_u, uz / norm_u)
-        c = cross(b3, heading)
-        if not math.sqrt(dot(c, c)) > 1e-6:
+        # b3 along the force, b1 the heading made normal to it, b2 = b3 x b1
+        ax, ay, az = ux / norm_u, uy / norm_u, uz / norm_u
+        cx, cy, cz = ay * hz - az * hy, az * hx - ax * hz, ax * hy - ay * hx
+        if not math.sqrt(cx * cx + cy * cy + cz * cz) > 1e-6:
             raise DegenerateThrust("commanded force is collinear with the heading")
-        s = dot(heading, b3)
-        x, y, z = hx - s * b3[0], hy - s * b3[1], hz - s * b3[2]
+        s = hx * ax + hy * ay + hz * az
+        x, y, z = hx - s * ax, hy - s * ay, hz - s * az
         n1 = math.sqrt(x * x + y * y + z * z)
-        b1 = (x / n1, y / n1, z / n1)
-        b2 = cross(b3, b1)
-        out.append((b1[0], b2[0], b3[0], b1[1], b2[1], b3[1], b1[2], b2[2], b3[2]))
+        x, y, z = x / n1, y / n1, z / n1
+        out.append((x, ay * z - az * y, ax, y, az * x - ax * z, ay, z, ax * y - ay * x, az))
     return out
 
 
 def attitude_errors(R_k, R_des, omega_k):
     """Rotation error (vee form) and body-rate error; the desired body rate
     is zero, so the rate error is the measured rate."""
-    transports = [relative(R, D) for R, D in zip(R_k, R_des)]
-    # R_des^T R_k - R_k^T R_des: each transport R_k^T R_des transposed minus itself
-    skew = [
-        (t00 - t00, t10 - t01, t20 - t02, t01 - t10, t11 - t11, t21 - t12,
-         t02 - t20, t12 - t21, t22 - t22)
-        for t00, t01, t02, t10, t11, t12, t20, t21, t22 in transports
-    ]
-    e_R = [(0.5 * x, 0.5 * y, 0.5 * z) for x, y, z in so3.vee(skew)]
+    e_R = []
+    for R, D in zip(R_k, R_des):
+        r00, r01, r02, r10, r11, r12, r20, r21, r22 = R
+        d00, d01, d02, d10, d11, d12, d20, d21, d22 = D
+        # vee(R_des^T R_k - R_k^T R_des) = (t12 - t21, t20 - t02, t01 - t10),
+        # t_ij = column i of R_k dot column j of R_des
+        x = (r01 * d02 + r11 * d12 + r21 * d22) - (r02 * d01 + r12 * d11 + r22 * d21)
+        y = (r02 * d00 + r12 * d10 + r22 * d20) - (r00 * d02 + r10 * d12 + r20 * d22)
+        z = (r00 * d01 + r10 * d11 + r20 * d21) - (r01 * d00 + r11 * d10 + r21 * d20)
+        # R_des^T R_k - R_k^T R_des is skew unless an entry is not finite;
+        # the check is written so that NaN fails it
+        if not (x - x) + (y - y) + (z - z) == 0.0:
+            raise so3.NotSkew("vee() input is not skew-symmetric")
+        e_R.append((0.5 * x, 0.5 * y, 0.5 * z))
     return e_R, [tuple(omega) for omega in omega_k]
 
 
@@ -174,7 +194,14 @@ def moment_command(errors, omega_k, J_k, gains: GainSet):
     plus the gyroscopic term omega x J omega."""
     (kx, ky, kz), (wx, wy, wz) = gains._k_R, gains._k_Omega
     out = []
-    for (ex, ey, ez), (fx, fy, fz), omega, J in zip(*errors, omega_k, J_k):
-        gx, gy, gz = cross(omega, rotate(J, omega))
-        out.append((-kx * ex - wx * fx + gx, -ky * ey - wy * fy + gy, -kz * ez - wz * fz + gz))
+    for (ex, ey, ez), (fx, fy, fz), (ox, oy, oz), J in zip(*errors, omega_k, J_k):
+        j0, j1, j2, j3, j4, j5, j6, j7, j8 = J
+        # omega x J omega
+        hx, hy, hz = (j0 * ox + j1 * oy + j2 * oz, j3 * ox + j4 * oy + j5 * oz,
+                      j6 * ox + j7 * oy + j8 * oz)
+        out.append((
+            -kx * ex - wx * fx + (oy * hz - oz * hy),
+            -ky * ey - wy * fy + (oz * hx - ox * hz),
+            -kz * ez - wz * fz + (ox * hy - oy * hx),
+        ))
     return out

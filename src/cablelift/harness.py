@@ -287,8 +287,15 @@ def _formation_targets(config: ScenarioConfig, x_ref: np.ndarray) -> np.ndarray:
     return x_ref[..., None, 0:3] + params.r_i + params.l_i[:, None] * np.array([0.0, 0.0, 1.0])
 
 
-def _add(a, b) -> tuple:
-    return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
+def _attachments(p_L, R_L: tuple, r_i: list) -> list:
+    """World attachment points p_L + R_L r of the payload-frame offsets r_i."""
+    px, py, pz = p_L
+    r00, r01, r02, r10, r11, r12, r20, r21, r22 = R_L
+    return [
+        (px + (r00 * rx + r01 * ry + r02 * rz), py + (r10 * rx + r11 * ry + r12 * rz),
+         pz + (r20 * rx + r21 * ry + r22 * rz))
+        for rx, ry, rz in r_i
+    ]
 
 
 class _FullPlant:
@@ -326,7 +333,7 @@ class _FullPlant:
         R_k = [plant._rotation(*y[b + 6 : b + 10]) for b in bodies]
         omega_k = [y[b + 10 : b + 13] for b in bodies]
         mu = allocation.allocate(wrench, R_L, self.amap)
-        attachments = [_add(p_L, so3.rotate(R_L, r)) for r in params._r_i]
+        attachments = _attachments(p_L, R_L, params._r_i)
         mu = allocation.nullspace_redistribute(mu, attachments, R_L, self.amap, params._l_i)
 
         # the commanded wrench implies the payload acceleration the cables
@@ -351,14 +358,17 @@ class _FullPlant:
         # taut cables are measured; a slack cable is steered toward the
         # commanded direction with zero tracking error, feedforward only
         xi, om_c = list(xi_des), list(om_des)
-        vx, vy, vz = v_L
-        for k, ((ex, ey, ez), stretch, r, b) in enumerate(
+        (vx, vy, vz), (wx, wy, wz) = v_L, omega_l
+        r00, r01, r02, r10, r11, r12, r20, r21, r22 = R_L
+        for k, ((ex, ey, ez), stretch, (rx, ry, rz), b) in enumerate(
             zip(cables.direction, cables.stretch, params._r_i, bodies)
         ):
             if stretch > 0.0:
                 # the attachment's velocity relative to the vehicle, v_L + R_L (omega_L x r) - v_k
-                cx, cy, cz = so3.rotate(R_L, so3.cross(omega_l, r))
-                ux, uy, uz = vx + cx - y[b + 3], vy + cy - y[b + 4], vz + cz - y[b + 5]
+                cx, cy, cz = wy * rz - wz * ry, wz * rx - wx * rz, wx * ry - wy * rx
+                ux = vx + (r00 * cx + r01 * cy + r02 * cz) - y[b + 3]
+                uy = vy + (r10 * cx + r11 * cy + r12 * cz) - y[b + 4]
+                uz = vz + (r20 * cx + r21 * cy + r22 * cz) - y[b + 5]
                 dist = params._l_i[k] + stretch
                 d = ex * ux + ey * uy + ez * uz
                 dx, dy, dz = (ux - ex * d) / dist, (uy - ey * d) / dist, (uz - ez * d) / dist
@@ -372,7 +382,7 @@ class _FullPlant:
         u_par, u_perp = cable_control.control_components(
             allocation.project_tension(mu, xi), state, a_kc, params._m_i, params._l_i, gains
         )
-        u = [_add(a, b) for a, b in zip(u_par, u_perp)]
+        u = [(a + d, b + e, c + f) for (a, b, c), (d, e, f) in zip(u_par, u_perp)]
         thrust = cable_control.thrust_command(u, R_k)
         R_des = cable_control.desired_attitude(u, 0.0)
         errors = cable_control.attitude_errors(R_k, R_des, omega_k)
@@ -411,16 +421,16 @@ class _PayloadOnly:
         params = self.config.params
         R_L = plant._rotation(*y[6:10])
         tensions, directions, mav_p = [], [], []
-        for mu, r, length in zip(
-            allocation.allocate(wrench, R_L, self.amap), params._r_i, params._l_i
+        for (mx, my, mz), (ax, ay, az), length in zip(
+            allocation.allocate(wrench, R_L, self.amap),
+            _attachments(y[0:3], R_L, params._r_i), params._l_i,
         ):
-            tension = math.sqrt(so3.dot(mu, mu))
+            tension = math.sqrt(mx * mx + my * my + mz * mz)
             taut = tension > 1e-12
-            unit = (mu[0] / tension, mu[1] / tension, mu[2] / tension) if taut else (0.0, 0.0, 1.0)
+            ux, uy, uz = (mx / tension, my / tension, mz / tension) if taut else (0.0, 0.0, 1.0)
             tensions.append(tension)
-            directions.append((-unit[0], -unit[1], -unit[2]) if taut else (0.0, 0.0, 0.0))
-            attachment = _add(y[0:3], so3.rotate(R_L, r))
-            mav_p.append(_add(attachment, (length * unit[0], length * unit[1], length * unit[2])))
+            directions.append((-ux, -uy, -uz) if taut else (0.0, 0.0, 0.0))
+            mav_p.append((ax + length * ux, ay + length * uy, az + length * uz))
         return tensions, directions, mav_p, None
 
     def advance(self, y: list, step_input, wrench: list) -> list:

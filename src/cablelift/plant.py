@@ -263,27 +263,6 @@ def rk4_step(derivative_fn, state, inputs, dt: float):
     return out
 
 
-def _quat_rate(w, x, y, z, ox, oy, oz) -> tuple:
-    """Quaternion kinematics for body rate (ox, oy, oz), as
-    so3.omega_to_quat_dot."""
-    return (
-        -0.5 * (x * ox + y * oy + z * oz),
-        0.5 * (w * ox + (y * oz - z * oy)),
-        0.5 * (w * oy + (z * ox - x * oz)),
-        0.5 * (w * oz + (x * oy - y * ox)),
-    )
-
-
-def _euler_rate(J, J_inv, ox, oy, oz, tx, ty, tz) -> tuple:
-    """Body angular acceleration J^-1 (tau - omega x J omega), J and J_inv as
-    row-major 9-sequences."""
-    a, b, c, d, e, f, g, h, i = J
-    hx, hy, hz = a * ox + b * oy + c * oz, d * ox + e * oy + f * oz, g * ox + h * oy + i * oz
-    rx, ry, rz = tx - (oy * hz - oz * hy), ty - (oz * hx - ox * hz), tz - (ox * hy - oy * hx)
-    a, b, c, d, e, f, g, h, i = J_inv
-    return a * rx + b * ry + c * rz, d * rx + e * ry + f * rz, g * rx + h * ry + i * rz
-
-
 def _unit_quaternion(w: float, x: float, y: float, z: float) -> tuple:
     """(w, x, y, z) to unit norm, scalar >= 0: so3.quat_normalize's floats."""
     norm = math.sqrt(w * w + x * x + y * y + z * z)
@@ -294,14 +273,24 @@ def _unit_quaternion(w: float, x: float, y: float, z: float) -> tuple:
 
 def _payload_derivative(s: list, wrench, params: SystemParams) -> list:
     """Derivative of the payload row s alone under the wrench [F, M] on it:
-    payload_ocp.payload_dynamics on floats, with its groupings."""
-    qw, qx, qy, qz, wx, wy, wz = s[6:13]
+    payload_ocp.payload_dynamics on floats, with its groupings; the
+    quaternion rate is so3.omega_to_quat_dot's, the body angular acceleration
+    J^-1 (M - omega x J omega) with J and J^-1 as row-major 9-sequences."""
+    _, _, _, vx, vy, vz, qw, qx, qy, qz, wx, wy, wz = s[0:13]
     fx, fy, fz, mx, my, mz = wrench
     m_L, (gx, gy, gz) = params.m_L, params.g_vec
+    j0, j1, j2, j3, j4, j5, j6, j7, j8 = params._J_L
+    hx, hy, hz = (j0 * wx + j1 * wy + j2 * wz, j3 * wx + j4 * wy + j5 * wz,
+                  j6 * wx + j7 * wy + j8 * wz)
+    ux, uy, uz = mx - (wy * hz - wz * hy), my - (wz * hx - wx * hz), mz - (wx * hy - wy * hx)
+    j0, j1, j2, j3, j4, j5, j6, j7, j8 = params._J_L_inv
     return [
-        *s[3:6], fx / m_L + gx, fy / m_L + gy, fz / m_L + gz,
-        *_quat_rate(qw, qx, qy, qz, wx, wy, wz),
-        *_euler_rate(params._J_L, params._J_L_inv, wx, wy, wz, mx, my, mz),
+        vx, vy, vz, fx / m_L + gx, fy / m_L + gy, fz / m_L + gz,
+        -0.5 * (qx * wx + qy * wy + qz * wz),
+        0.5 * (qw * wx + (qy * wz - qz * wy)),
+        0.5 * (qw * wy + (qz * wx - qx * wz)),
+        0.5 * (qw * wz + (qx * wy - qy * wx)),
+        j0 * ux + j1 * uy + j2 * uz, j3 * ux + j4 * uy + j5 * uz, j6 * ux + j7 * uy + j8 * uz,
     ]
 
 
@@ -310,8 +299,9 @@ def _world_derivative_flat(s: list, inputs, params: SystemParams, law=None) -> l
     (thrusts, torques): one float and one 3-vector per MAV.  law, when given,
     is `_cable_law`'s output at s.
 
-    Evaluated on Python floats: on 4-5 bodies numpy's per-call cost would
-    outweigh the arithmetic."""
+    Evaluated on Python floats with every product written out: on 4-5 bodies
+    numpy's per-call cost, or a helper call per vehicle, would outweigh the
+    arithmetic."""
     R = _rotation(*s[6:10])
     r00, r01, r02, r10, r11, r12, r20, r21, r22 = R
     if law is None:
@@ -332,14 +322,26 @@ def _world_derivative_flat(s: list, inputs, params: SystemParams, law=None) -> l
         bz = -t * (ex * r02 + ey * r12 + ez * r22)
         mx, my, mz = mx + (ry * bz - rz * by), my + (rz * bx - rx * bz), mz + (rx * by - ry * bx)
 
-        q0, q1, q2, q3, ox, oy, oz = s[b + 6 : b + 13]
+        _, _, _, vx, vy, vz, q0, q1, q2, q3, ox, oy, oz = s[b : b + 13]
+        # the rates as the payload row's in _payload_derivative: J omega,
+        # then tau - omega x J omega
+        j0, j1, j2, j3, j4, j5, j6, j7, j8 = J
+        hx, hy, hz = (j0 * ox + j1 * oy + j2 * oz, j3 * ox + j4 * oy + j5 * oz,
+                      j6 * ox + j7 * oy + j8 * oz)
+        ux, uy, uz = tx - (oy * hz - oz * hy), ty - (oz * hx - ox * hz), tz - (ox * hy - oy * hx)
+        j0, j1, j2, j3, j4, j5, j6, j7, j8 = Ji
         # thrust along the body z axis, the last column of the rotation
-        ax = (2 * (q1 * q3 + q0 * q2) * thrust + cfx) / m
-        ay = (2 * (q2 * q3 - q0 * q1) * thrust + cfy) / m
-        az = ((1 - 2 * (q1 * q1 + q2 * q2)) * thrust + cfz) / m - g
-        out += s[b + 3 : b + 6]
-        out += (ax, ay, az, *_quat_rate(q0, q1, q2, q3, ox, oy, oz))
-        out += _euler_rate(J, Ji, ox, oy, oz, tx, ty, tz)
+        out += (
+            vx, vy, vz,
+            (2 * (q1 * q3 + q0 * q2) * thrust + cfx) / m,
+            (2 * (q2 * q3 - q0 * q1) * thrust + cfy) / m,
+            ((1 - 2 * (q1 * q1 + q2 * q2)) * thrust + cfz) / m - g,
+            -0.5 * (q1 * ox + q2 * oy + q3 * oz),
+            0.5 * (q0 * ox + (q2 * oz - q3 * oy)),
+            0.5 * (q0 * oy + (q3 * ox - q1 * oz)),
+            0.5 * (q0 * oz + (q1 * oy - q2 * ox)),
+            j0 * ux + j1 * uy + j2 * uz, j3 * ux + j4 * uy + j5 * uz, j6 * ux + j7 * uy + j8 * uz,
+        )
         b += 13
 
     # the payload under the cables' net pull on it, -(fx, fy, fz), and their moment

@@ -134,6 +134,11 @@ def default_system(n: int = 4) -> SystemParams:
     )
 
 
+# the payload model the predictor shares with the rig: its OcpConfig fields
+# are these SystemParams fields
+RIG_MODEL = ("m_L", "J_L", "r_i", "f_max", "g")
+
+
 @dataclass
 class ScenarioConfig:
     """Everything one closed-loop run needs, fully resolved."""
@@ -167,15 +172,12 @@ class ScenarioConfig:
             raise ConfigError(f"unknown 'plant_model' {self.plant_model!r}")
         if self.disturbance_kind not in ("none", "uniform-bounded"):
             raise ConfigError(f"unknown disturbance 'kind' {self.disturbance_kind!r}")
+        rig = {attr: getattr(self.params, attr) for attr in RIG_MODEL}
         if self.ocp is None:
-            self.ocp = OcpConfig(
-                weights=default_weights(),
-                m_L=self.params.m_L,
-                J_L=self.params.J_L,
-                r_i=self.params.r_i,
-                f_max=self.params.f_max,
-                g=self.params.g,
-            )
+            self.ocp = OcpConfig(weights=default_weights(), **rig)
+        for attr, value in rig.items():
+            if not np.array_equal(getattr(self.ocp, attr), value):
+                raise ConfigError(f"'ocp.{attr}' differs from the rig's 'params.{attr}'")
         self.initial_offset = np.asarray(self.initial_offset, dtype=np.float64)
         if self.plant_model == "full":
             ratio = self.ocp.dt / self.dt_lowlevel
@@ -532,8 +534,7 @@ def build_scenario(data: dict):
     # each object rebuilt once, so that its own checks run on the final values
     params = dataclasses.replace(config.params, **changes.pop("params"))
     # the predictor's model is the rig's
-    rig = {attr: getattr(params, attr) for attr in ("m_L", "J_L", "r_i", "f_max", "g")}
-    changes["ocp"].update(rig)
+    changes["ocp"].update({attr: getattr(params, attr) for attr in RIG_MODEL})
     top = changes.pop("")
     objects = {obj: dataclasses.replace(getattr(config, obj), **kw) for obj, kw in changes.items()}
     config = dataclasses.replace(config, params=params, **objects, **top)

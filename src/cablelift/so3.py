@@ -5,7 +5,9 @@ Conventions used across the stack:
   * quaternions are scalar-first [w, x, y, z] with the Hamilton product.
 
 Quaternion helpers broadcast over leading axes so trajectory batches can be
-processed in one call.
+processed in one call.  The per-tick kernels on Python floats (plant,
+cable_control, allocation, harness) write their 3-vector products out
+instead: one helper call costs more than its few multiplies.
 """
 
 from __future__ import annotations
@@ -14,7 +16,9 @@ import numpy as np
 
 
 class NotSkew(ValueError):
-    """vee() received a matrix that is not skew-symmetric."""
+    """cable_control.attitude_errors got rotations whose error matrix
+    R_des^T R - R^T R is not skew-symmetric; as computed, only a non-finite
+    entry makes it so."""
 
 
 def hat(v: np.ndarray) -> np.ndarray:
@@ -27,65 +31,6 @@ def hat(v: np.ndarray) -> np.ndarray:
     out[..., 0, 1], out[..., 0, 2] = -v[..., 2], v[..., 1]
     out[..., 1, 0], out[..., 1, 2] = v[..., 2], -v[..., 0]
     out[..., 2, 0], out[..., 2, 1] = -v[..., 1], v[..., 0]
-    return out
-
-
-# ---------------------------------------------------------------------------
-# one 3-vector or 3x3 matrix on Python floats, for the per-tick controllers:
-# vectors are 3-sequences, matrices row-major 9-sequences (as
-# plant._rotation gives them), and every sum runs left to right
-
-
-def cross(a, b) -> tuple:
-    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
-
-
-def dot(a, b) -> float:
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
-
-
-def rotate(R, v) -> tuple:
-    """R v."""
-    r00, r01, r02, r10, r11, r12, r20, r21, r22 = R
-    x, y, z = v
-    return (r00 * x + r01 * y + r02 * z, r10 * x + r11 * y + r12 * z, r20 * x + r21 * y + r22 * z)
-
-
-def rotate_back(R, v) -> tuple:
-    """R^T v."""
-    r00, r01, r02, r10, r11, r12, r20, r21, r22 = R
-    x, y, z = v
-    return (r00 * x + r10 * y + r20 * z, r01 * x + r11 * y + r21 * z, r02 * x + r12 * y + r22 * z)
-
-
-def relative(R, D) -> tuple:
-    """R^T D."""
-    r00, r01, r02, r10, r11, r12, r20, r21, r22 = R
-    d00, d01, d02, d10, d11, d12, d20, d21, d22 = D
-    return (
-        r00 * d00 + r10 * d10 + r20 * d20,
-        r00 * d01 + r10 * d11 + r20 * d21,
-        r00 * d02 + r10 * d12 + r20 * d22,
-        r01 * d00 + r11 * d10 + r21 * d20,
-        r01 * d01 + r11 * d11 + r21 * d21,
-        r01 * d02 + r11 * d12 + r21 * d22,
-        r02 * d00 + r12 * d10 + r22 * d20,
-        r02 * d01 + r12 * d11 + r22 * d21,
-        r02 * d02 + r12 * d12 + r22 * d22,
-    )
-
-
-def vee(S_rows) -> list:
-    """Inverse of hat for each row-major 9-tuple of S_rows: the 3-tuple
-    (S[2, 1], S[0, 2], S[1, 0]).  Requires ||S + S^T|| <= 1e-9 for every
-    matrix; the comparison is written so that NaN fails it."""
-    out = []
-    for s00, s01, s02, s10, s11, s12, s20, s21, s22 in S_rows:
-        a, b, c = s01 + s10, s02 + s20, s12 + s21
-        d0, d1, d2 = s00 + s00, s11 + s11, s22 + s22
-        if not d0 * d0 + d1 * d1 + d2 * d2 + 2.0 * (a * a + b * b + c * c) <= 1e-18:
-            raise NotSkew("vee() input is not skew-symmetric")
-        out.append((s21, s02, s10))
     return out
 
 

@@ -1,0 +1,354 @@
+"""The per-tick kernels in their helper-based form, as references.
+
+Before their products were written out on local floats, the plant
+derivative, the cable and attitude controllers, the allocation's stacking
+and the full-plant tick made one call to a small float helper (`cross`,
+`dot`, `rotate`, `rotate_back`, `relative`, `vee`, and the plant's
+`_quat_rate` and `_euler_rate`) per 3-vector or 3x3 product.  The bodies
+below are that form, kept verbatim; the tests pin the written-out kernels
+to them bit for bit, also on paths the preset digests do not reach (slack
+cables, a clipped desired cable rate, the null-space step).
+"""
+
+import math
+from unittest import mock
+
+from cablelift import allocation, cable_control, plant
+from cablelift.cable_control import CableTrackingState
+from cablelift.harness import OMEGA_DES_LIMIT
+from cablelift.so3 import NotSkew
+
+# ---------------------------------------------------------------------------
+# the float helpers: vectors are 3-sequences, matrices row-major 9-sequences
+
+
+def cross(a, b) -> tuple:
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+
+
+def dot(a, b) -> float:
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def rotate(R, v) -> tuple:
+    """R v."""
+    r00, r01, r02, r10, r11, r12, r20, r21, r22 = R
+    x, y, z = v
+    return (r00 * x + r01 * y + r02 * z, r10 * x + r11 * y + r12 * z, r20 * x + r21 * y + r22 * z)
+
+
+def rotate_back(R, v) -> tuple:
+    """R^T v."""
+    r00, r01, r02, r10, r11, r12, r20, r21, r22 = R
+    x, y, z = v
+    return (r00 * x + r10 * y + r20 * z, r01 * x + r11 * y + r21 * z, r02 * x + r12 * y + r22 * z)
+
+
+def relative(R, D) -> tuple:
+    """R^T D."""
+    r00, r01, r02, r10, r11, r12, r20, r21, r22 = R
+    d00, d01, d02, d10, d11, d12, d20, d21, d22 = D
+    return (
+        r00 * d00 + r10 * d10 + r20 * d20,
+        r00 * d01 + r10 * d11 + r20 * d21,
+        r00 * d02 + r10 * d12 + r20 * d22,
+        r01 * d00 + r11 * d10 + r21 * d20,
+        r01 * d01 + r11 * d11 + r21 * d21,
+        r01 * d02 + r11 * d12 + r21 * d22,
+        r02 * d00 + r12 * d10 + r22 * d20,
+        r02 * d01 + r12 * d11 + r22 * d21,
+        r02 * d02 + r12 * d12 + r22 * d22,
+    )
+
+
+def vee(S_rows) -> list:
+    """Inverse of hat for each row-major 9-tuple of S_rows: the 3-tuple
+    (S[2, 1], S[0, 2], S[1, 0]).  Requires ||S + S^T|| <= 1e-9 for every
+    matrix; the comparison is written so that NaN fails it."""
+    out = []
+    for s00, s01, s02, s10, s11, s12, s20, s21, s22 in S_rows:
+        a, b, c = s01 + s10, s02 + s20, s12 + s21
+        d0, d1, d2 = s00 + s00, s11 + s11, s22 + s22
+        if not d0 * d0 + d1 * d1 + d2 * d2 + 2.0 * (a * a + b * b + c * c) <= 1e-18:
+            raise NotSkew("vee() input is not skew-symmetric")
+        out.append((s21, s02, s10))
+    return out
+
+
+def _add(a, b) -> tuple:
+    return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
+
+
+# ---------------------------------------------------------------------------
+# plant
+
+
+def quat_rate(w, x, y, z, ox, oy, oz) -> tuple:
+    """Quaternion kinematics for body rate (ox, oy, oz), as
+    so3.omega_to_quat_dot."""
+    return (
+        -0.5 * (x * ox + y * oy + z * oz),
+        0.5 * (w * ox + (y * oz - z * oy)),
+        0.5 * (w * oy + (z * ox - x * oz)),
+        0.5 * (w * oz + (x * oy - y * ox)),
+    )
+
+
+def euler_rate(J, J_inv, ox, oy, oz, tx, ty, tz) -> tuple:
+    """Body angular acceleration J^-1 (tau - omega x J omega), J and J_inv as
+    row-major 9-sequences."""
+    a, b, c, d, e, f, g, h, i = J
+    hx, hy, hz = a * ox + b * oy + c * oz, d * ox + e * oy + f * oz, g * ox + h * oy + i * oz
+    rx, ry, rz = tx - (oy * hz - oz * hy), ty - (oz * hx - ox * hz), tz - (ox * hy - oy * hx)
+    a, b, c, d, e, f, g, h, i = J_inv
+    return a * rx + b * ry + c * rz, d * rx + e * ry + f * rz, g * rx + h * ry + i * rz
+
+
+def payload_derivative(s: list, wrench, params) -> list:
+    qw, qx, qy, qz, wx, wy, wz = s[6:13]
+    fx, fy, fz, mx, my, mz = wrench
+    m_L, (gx, gy, gz) = params.m_L, params.g_vec
+    return [
+        *s[3:6], fx / m_L + gx, fy / m_L + gy, fz / m_L + gz,
+        *quat_rate(qw, qx, qy, qz, wx, wy, wz),
+        *euler_rate(params._J_L, params._J_L_inv, wx, wy, wz, mx, my, mz),
+    ]
+
+
+def world_derivative_flat(s: list, inputs, params, law=None) -> list:
+    R = plant._rotation(*s[6:10])
+    r00, r01, r02, r10, r11, r12, r20, r21, r22 = R
+    if law is None:
+        law = plant._cable_law(s, R, params)
+    g = params.g
+    out = []
+    fx = fy = fz = mx = my = mz = 0.0
+    b = 13
+    for (ex, ey, ez, _, t), (rx, ry, rz), thrust, (tx, ty, tz), m, J, Ji in zip(
+        law, params._r_i, inputs[0], inputs[1], params._m_i, params._J_i, params._J_i_inv,
+    ):
+        cfx, cfy, cfz = t * ex, t * ey, t * ez
+        fx, fy, fz = fx + cfx, fy + cfy, fz + cfz
+        bx = -t * (ex * r00 + ey * r10 + ez * r20)
+        by = -t * (ex * r01 + ey * r11 + ez * r21)
+        bz = -t * (ex * r02 + ey * r12 + ez * r22)
+        mx, my, mz = mx + (ry * bz - rz * by), my + (rz * bx - rx * bz), mz + (rx * by - ry * bx)
+
+        q0, q1, q2, q3, ox, oy, oz = s[b + 6 : b + 13]
+        ax = (2 * (q1 * q3 + q0 * q2) * thrust + cfx) / m
+        ay = (2 * (q2 * q3 - q0 * q1) * thrust + cfy) / m
+        az = ((1 - 2 * (q1 * q1 + q2 * q2)) * thrust + cfz) / m - g
+        out += s[b + 3 : b + 6]
+        out += (ax, ay, az, *quat_rate(q0, q1, q2, q3, ox, oy, oz))
+        out += euler_rate(J, Ji, ox, oy, oz, tx, ty, tz)
+        b += 13
+    return payload_derivative(s, (-fx, -fy, -fz, mx, my, mz), params) + out
+
+
+def step_world(y: list, commands, dt: float, params, cables=None) -> list:
+    thrusts, torques = commands
+    inputs = ([plant.saturate_thrust(float(f), params.F_max) for f in thrusts], torques)
+    k1 = None if cables is None else world_derivative_flat(y, inputs, params, cables.law)
+    return plant._rk4_flat(world_derivative_flat, y, (inputs, params), dt, k1)
+
+
+# ---------------------------------------------------------------------------
+# allocation
+
+
+def unstack(stacked, R_L) -> list:
+    return [rotate(R_L, stacked[i : i + 3]) for i in range(0, len(stacked), 3)]
+
+
+def stack_body(mu_world, R_L) -> list:
+    return [x for mu in mu_world for x in rotate_back(R_L, mu)]
+
+
+def allocate(wrench, R_L, amap) -> list:
+    t0, t1, t2 = rotate_back(R_L, wrench[0:3])
+    t3, t4, t5 = wrench[3:6]
+    stacked = [
+        a0 * t0 + a1 * t1 + a2 * t2 + a3 * t3 + a4 * t4 + a5 * t5
+        for a0, a1, a2, a3, a4, a5 in amap.pinv_rows
+    ]
+    return unstack(stacked, R_L)
+
+
+def nullspace_redistribute(mu_des, attachments_world, R_L, amap, l_i) -> list:
+    """allocation.nullspace_redistribute, stacking and unstacking with the
+    references above."""
+    with mock.patch.object(allocation, "_unstack", unstack), \
+            mock.patch.object(allocation, "stack_body", stack_body):
+        return allocation.nullspace_redistribute(mu_des, attachments_world, R_L, amap, l_i)
+
+
+# ---------------------------------------------------------------------------
+# cable_control
+
+
+def cable_errors(state):
+    e_xi = [cross(xi_des, xi) for xi, xi_des in zip(state.xi, state.xi_des)]
+    e_omega = []
+    for xi, (a, b, c), omega_des in zip(state.xi, state.omega_cable, state.omega_des):
+        x, y, z = cross(xi, cross(xi, omega_des))
+        e_omega.append((a + x, b + y, c + z))
+    return e_xi, e_omega
+
+
+def attachment_accel(accel_des, R_L, Omega_L, Omega_dot_des, r, g: float = 9.81) -> list:
+    ax, ay, az = accel_des[0], accel_des[1], accel_des[2] + g
+    out = []
+    for r_k in r:
+        tx, ty, tz = rotate(R_L, cross(r_k, Omega_dot_des))
+        cx, cy, cz = rotate(R_L, cross(Omega_L, cross(Omega_L, r_k)))
+        out.append((ax - tx + cx, ay - ty + cy, az - tz + cz))
+    return out
+
+
+def control_components(mu_k, state, a_kc, mass, length, gains):
+    (kx, ky, kz), (wx, wy, wz) = gains._k_xi, gains._k_omega
+    e_xi, e_omega = cable_errors(state)
+    u_par, u_perp = [], []
+    for k, xi in enumerate(state.xi):
+        x, y, z = xi
+        m, a, omega = mass[k], a_kc[k], state.omega_cable[k]
+        ml = m * length[k]
+        d1, r2, d3 = dot(xi, mu_k[k]), ml * dot(omega, omega), dot(xi, a)
+        u_par.append((x * d1 + r2 * x + m * x * d3, y * d1 + r2 * y + m * y * d3,
+                      z * d1 + r2 * z + m * z * d3))
+        (ex, ey, ez), (fx, fy, fz) = e_xi[k], e_omega[k]
+        b = (-kx * ex - wx * fx, -ky * ey - wy * fy, -kz * ez - wz * fz)
+        cx, cy, cz = cross(xi, a)
+        u_perp.append(cross(xi, (ml * b[0] - m * cx, ml * b[1] - m * cy, ml * b[2] - m * cz)))
+    return u_par, u_perp
+
+
+def desired_attitude(u_k, yaw_des: float) -> list:
+    heading = hx, hy, hz = math.cos(yaw_des), math.sin(yaw_des), 0.0
+    out = []
+    for ux, uy, uz in u_k:
+        norm_u = math.sqrt(ux * ux + uy * uy + uz * uz)
+        if not norm_u > 1e-6:
+            raise cable_control.DegenerateThrust(f"commanded force {norm_u:.2e} N is too small")
+        b3 = (ux / norm_u, uy / norm_u, uz / norm_u)
+        c = cross(b3, heading)
+        if not math.sqrt(dot(c, c)) > 1e-6:
+            raise cable_control.DegenerateThrust("commanded force is collinear with the heading")
+        s = dot(heading, b3)
+        x, y, z = hx - s * b3[0], hy - s * b3[1], hz - s * b3[2]
+        n1 = math.sqrt(x * x + y * y + z * z)
+        b1 = (x / n1, y / n1, z / n1)
+        b2 = cross(b3, b1)
+        out.append((b1[0], b2[0], b3[0], b1[1], b2[1], b3[1], b1[2], b2[2], b3[2]))
+    return out
+
+
+def attitude_errors(R_k, R_des, omega_k):
+    transports = [relative(R, D) for R, D in zip(R_k, R_des)]
+    skew = [
+        (t00 - t00, t10 - t01, t20 - t02, t01 - t10, t11 - t11, t21 - t12,
+         t02 - t20, t12 - t21, t22 - t22)
+        for t00, t01, t02, t10, t11, t12, t20, t21, t22 in transports
+    ]
+    e_R = [(0.5 * x, 0.5 * y, 0.5 * z) for x, y, z in vee(skew)]
+    return e_R, [tuple(omega) for omega in omega_k]
+
+
+def moment_command(errors, omega_k, J_k, gains):
+    (kx, ky, kz), (wx, wy, wz) = gains._k_R, gains._k_Omega
+    out = []
+    for (ex, ey, ez), (fx, fy, fz), omega, J in zip(*errors, omega_k, J_k):
+        gx, gy, gz = cross(omega, rotate(J, omega))
+        out.append((-kx * ex - wx * fx + gx, -ky * ey - wy * fy + gy, -kz * ez - wz * fz + gz))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# harness
+
+
+def full_plant_realize(model, y: list, wrench: list, new_stage: bool):
+    """harness._FullPlant.realize on the references above, acting on model
+    (its mu_prev and counters) the same way.  Returns realize's tuple and a
+    dict of every kernel's inputs and outputs, by kernel name."""
+    config, params, gains = model.config, model.config.params, model.config.gains
+    seen = {}
+    if new_stage:
+        model.mu_prev = None
+    cables = plant.cable_closure(y, params)
+    R_L = plant._rotation(*y[6:10])
+    p_L, v_L, omega_l = y[0:3], y[3:6], y[10:13]
+    bodies = range(13, len(y), 13)
+    R_k = [plant._rotation(*y[b + 6 : b + 10]) for b in bodies]
+    omega_k = [y[b + 10 : b + 13] for b in bodies]
+    mu = allocate(wrench, R_L, model.amap)
+    seen["allocate"] = ((wrench, R_L, model.amap), mu)
+    attachments = [_add(p_L, rotate(R_L, r)) for r in params._r_i]
+    seen["_attachments"] = ((p_L, R_L, params._r_i), attachments)
+    args = (mu, attachments, R_L, model.amap, params._l_i)
+    mu = nullspace_redistribute(*args)
+    seen["nullspace_redistribute"] = (args, mu)
+
+    payload_rates = payload_derivative(y[0:13], wrench, params)
+    accel_des, omega_dot_des = payload_rates[3:6], payload_rates[10:13]
+
+    xi_des, om_des = allocation.desired_cable_direction(mu, model.mu_prev, config.dt_lowlevel)
+    model.mu_prev = mu
+    for k, (ox, oy, oz) in enumerate(om_des):
+        om_norm = math.sqrt(ox * ox + oy * oy + oz * oz)
+        if om_norm > OMEGA_DES_LIMIT:
+            s = OMEGA_DES_LIMIT / om_norm
+            om_des[k] = (ox * s, oy * s, oz * s)
+            model.omega_des_clips += 1
+
+    xi, om_c = list(xi_des), list(om_des)
+    vx, vy, vz = v_L
+    for k, ((ex, ey, ez), stretch, r, b) in enumerate(
+        zip(cables.direction, cables.stretch, params._r_i, bodies)
+    ):
+        if stretch > 0.0:
+            cx, cy, cz = rotate(R_L, cross(omega_l, r))
+            ux, uy, uz = vx + cx - y[b + 3], vy + cy - y[b + 4], vz + cz - y[b + 5]
+            dist = params._l_i[k] + stretch
+            d = ex * ux + ey * uy + ez * uz
+            dx, dy, dz = (ux - ex * d) / dist, (uy - ey * d) / dist, (uz - ez * d) / dist
+            xi[k] = (ex, ey, ez)
+            om_c[k] = (ey * dz - ez * dy, ez * dx - ex * dz, ex * dy - ey * dx)
+    state = CableTrackingState(xi, om_c, xi_des, om_des)
+    seen["cable_errors"] = ((state,), cable_errors(state))
+
+    args = (accel_des, R_L, omega_l, omega_dot_des, params._r_i, params.g)
+    a_kc = attachment_accel(*args)
+    seen["attachment_accel"] = (args, a_kc)
+    args = (allocation.project_tension(mu, xi), state, a_kc, params._m_i, params._l_i, gains)
+    u_par, u_perp = control_components(*args)
+    seen["control_components"] = (args, (u_par, u_perp))
+    u = [_add(a, b) for a, b in zip(u_par, u_perp)]
+    thrust = cable_control.thrust_command(u, R_k)
+    R_des = desired_attitude(u, 0.0)
+    seen["desired_attitude"] = ((u, 0.0), R_des)
+    errors = attitude_errors(R_k, R_des, omega_k)
+    seen["attitude_errors"] = ((R_k, R_des, omega_k), errors)
+    moment = moment_command(errors, omega_k, params._J_i, gains)
+    seen["moment_command"] = ((errors, omega_k, params._J_i, gains), moment)
+
+    model.thrust_clamps += sum(1 for f in thrust if f < 0.0 or f > params.F_max)
+    model.slack_cable_ticks += sum(1 for stretch in cables.stretch if not stretch > 0.0)
+    mav_p = [y[b : b + 3] for b in bodies]
+    return (cables.tension, cables.direction, mav_p, ((thrust, moment), cables)), seen
+
+
+def payload_only_realize(model, y: list, wrench: list):
+    """harness._PayloadOnly.realize on the references above."""
+    params = model.config.params
+    R_L = plant._rotation(*y[6:10])
+    tensions, directions, mav_p = [], [], []
+    for mu, r, length in zip(allocate(wrench, R_L, model.amap), params._r_i, params._l_i):
+        tension = math.sqrt(dot(mu, mu))
+        taut = tension > 1e-12
+        unit = (mu[0] / tension, mu[1] / tension, mu[2] / tension) if taut else (0.0, 0.0, 1.0)
+        tensions.append(tension)
+        directions.append((-unit[0], -unit[1], -unit[2]) if taut else (0.0, 0.0, 0.0))
+        attachment = _add(y[0:3], rotate(R_L, r))
+        mav_p.append(_add(attachment, (length * unit[0], length * unit[1], length * unit[2])))
+    return tensions, directions, mav_p, None

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from cablelift import allocation, cable_control as cc, harness, plant, so3
 from cablelift.cable_control import CableTrackingState, DegenerateThrust, GainSet
+import kernel_references as refs
 from rotation_helpers import quat_from_axis_angle
 
 G = 9.81
@@ -539,7 +540,8 @@ def rig_ticks(draw):
     crowded = draw(st.booleans())
     if crowded:
         params = dataclasses.replace(config.params, r_i=0.5 * config.params.r_i)
-        config = dataclasses.replace(config, params=params)
+        ocp = dataclasses.replace(config.ocp, r_i=params.r_i)
+        config = dataclasses.replace(config, params=params, ocp=ocp)
     params = config.params
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     slack = np.array(draw(st.lists(st.booleans(), min_size=4, max_size=4)))
@@ -613,6 +615,90 @@ class TestFloatTick:
         assert model.slack_cable_ticks == int(np.count_nonzero(slack))
         clipped = prev == "far" and not new_stage
         assert (model.omega_des_clips > 0) == clipped
+
+
+def assert_same_floats(actual, expected):
+    """Equal floats bit for bit, signed zeros included, in nested sequences
+    of one shape."""
+    np.testing.assert_array_equal(
+        np.asarray(actual, dtype=np.float64).view(np.uint64),
+        np.asarray(expected, dtype=np.float64).view(np.uint64),
+    )
+
+
+class TestWrittenOutKernels:
+    """The tick's written-out products against their helper-based form
+    (`kernel_references`), bit for bit, on taut and slack cables, clipped
+    desired cable rates and crowded rigs."""
+
+    KERNELS = {
+        "allocate": allocation.allocate,
+        "_attachments": harness._attachments,
+        "nullspace_redistribute": allocation.nullspace_redistribute,
+        "cable_errors": cc.cable_errors,
+        "attachment_accel": cc.attachment_accel,
+        "control_components": cc.control_components,
+        "desired_attitude": cc.desired_attitude,
+        "attitude_errors": cc.attitude_errors,
+        "moment_command": cc.moment_command,
+    }
+
+    @settings(max_examples=80, deadline=None)
+    @given(rig_ticks())
+    def test_tick_matches_helper_form(self, tick):
+        config, Y, wrench, slack, mu_prev, prev, new_stage, crowded = tick
+        params, y, wrench = config.params, Y.ravel().tolist(), wrench.tolist()
+        model, ref_model = full_plant(config), full_plant(config)
+        model.mu_prev = ref_model.mu_prev = (
+            None if mu_prev is None else [tuple(row) for row in mu_prev.tolist()]
+        )
+        out = model.realize(y, wrench, new_stage)
+        ref_out, seen = refs.full_plant_realize(ref_model, y, wrench, new_stage)
+        tensions, directions, mav_p, ((thrust, moment), cables) = out
+        for got, expected in zip((tensions, directions, mav_p, thrust, moment),
+                                 (*ref_out[0:3], *ref_out[3][0])):
+            assert_same_floats(got, expected)
+        assert cables == ref_out[3][1]
+        assert_same_floats(model.mu_prev, ref_model.mu_prev)
+        for counter in ("thrust_clamps", "omega_des_clips", "slack_cable_ticks"):
+            assert getattr(model, counter) == getattr(ref_model, counter)
+        clipped = prev == "far" and not new_stage
+        assert (model.omega_des_clips > 0) == clipped
+
+        # each kernel on the inputs the helper-based tick gave its twin
+        for name, kernel in self.KERNELS.items():
+            args, expected = seen[name]
+            assert_same_floats(kernel(*args), expected)
+        moved = seen["nullspace_redistribute"][1] is not seen["nullspace_redistribute"][0][0]
+        assert moved == crowded
+        R_L = plant._rotation(*y[6:10])
+        stacked = refs.stack_body(model.mu_prev, R_L)
+        assert_same_floats(allocation.stack_body(model.mu_prev, R_L), stacked)
+        assert_same_floats(allocation._unstack(stacked, R_L), refs.unstack(stacked, R_L))
+
+        # the plant under the tick's commands, with and without its reading
+        assert_same_floats(
+            plant._payload_derivative(y[0:13], wrench, params),
+            refs.payload_derivative(y[0:13], wrench, params),
+        )
+        inputs = ([plant.saturate_thrust(f, params.F_max) for f in thrust], moment)
+        for law in (None, cables.law):
+            assert_same_floats(
+                plant._world_derivative_flat(y, inputs, params, law),
+                refs.world_derivative_flat(y, inputs, params, law),
+            )
+        for reading in (None, cables):
+            assert_same_floats(
+                plant.step_world(y, (thrust, moment), config.dt_lowlevel, params, reading),
+                refs.step_world(y, (thrust, moment), config.dt_lowlevel, params, reading),
+            )
+
+        # the payload-only model's split of the same wrench
+        payload_only = harness._PayloadOnly(config, model.amap)
+        got = payload_only.realize(y, wrench, new_stage)
+        expected = refs.payload_only_realize(payload_only, y, wrench)
+        for a, b in zip(got[0:3], expected[0:3]):
+            assert_same_floats(a, b)
 
 
 @st.composite
@@ -706,11 +792,27 @@ def _nonfinite_step():
     )
 
 
-def _non_skew_rows():
-    S = so3.hat(np.array([1.0, 2.0, 3.0]))
-    bad = S.copy()
-    bad[0, 0] = 1.0
-    so3.vee(_rows(bad, S, k=1))
+def _tick_with(mutate):
+    """One tick of the hover rig, realized and advanced, after mutate(config, Y)."""
+    config, Y = _hover_rig()
+    mutate(config, Y)
+    model, y, wrench = full_plant(config), Y.ravel().tolist(), _hover_wrench(config).tolist()
+    model.advance(y, model.realize(y, wrench, True)[3], wrench)
+
+
+def _nan_vehicle_quaternion(config, Y):
+    Y[3, 6:10] = np.nan
+
+
+def _nan_vehicle_rate(config, Y):
+    Y[3, 11] = np.nan
+
+
+def _inf_attitude():
+    inf_rotation = np.eye(3)
+    inf_rotation[0, 1] = np.inf
+    R_k = _rows(inf_rotation, np.eye(3))
+    cc.attitude_errors(R_k, _rows(np.eye(3), np.eye(3)), _rows(np.zeros(3), np.zeros(3)))
 
 
 def _nan_attitude():
@@ -751,7 +853,6 @@ SAFETY_CASES = {
         "collinear",
         lambda: cc.desired_attitude(_rows([2.0, 0.0, 0.0], [0.0, 0.0, HOVER_THRUST]), 0.0),
     ),
-    "not-skew": (so3.NotSkew, None, _non_skew_rows),
     "degenerate-geometry": (
         plant.DegenerateGeometry,
         "MAV 2",
@@ -765,6 +866,9 @@ SAFETY_CASES = {
     "non-finite-state": (plant.NonFiniteState, None, _nonfinite_step),
     # every comparison is written so that it must hold, and NaN makes it false
     "nan-not-skew": (so3.NotSkew, None, _nan_attitude),
+    "inf-not-skew": (so3.NotSkew, None, _inf_attitude),
+    "nan-attitude-in-tick": (so3.NotSkew, None, lambda: _tick_with(_nan_vehicle_quaternion)),
+    "nan-rate-in-tick": (plant.NonFiniteState, None, lambda: _tick_with(_nan_vehicle_rate)),
     "nan-direction": (
         ValueError,
         "unit vector",

@@ -7,6 +7,8 @@ force balance, aggregate statistics by hand on two-tick logs.
 
 import dataclasses
 import math
+import os
+import sys
 from unittest import mock
 
 import numpy as np
@@ -519,6 +521,68 @@ class TestRunFull:
             log = harness.run_closed_loop(config)
         assert len(log.ticks) == 50
         assert closure.call_count == len(log.ticks)
+
+
+NUMPY_DIR = os.path.dirname(np.__file__) + os.sep
+
+
+def _from_numpy(fn) -> bool:
+    """A C function numpy defines, or a method of a numpy object or module."""
+    owner = getattr(fn, "__self__", None)
+    names = (getattr(fn, "__module__", None), type(owner).__module__,
+             getattr(owner, "__name__", None))
+    return any(isinstance(name, str) and name.split(".")[0] == "numpy" for name in names)
+
+
+def _floats(values):
+    """The leaves of nested tuples and lists."""
+    for v in values:
+        if isinstance(v, (tuple, list)):
+            yield from _floats(v)
+        else:
+            yield v
+
+
+@pytest.mark.parametrize("preset", ["hover", "circle-medium"])
+def test_the_full_plant_tick_stays_on_python_floats(preset):
+    """Between solves the full-plant tick runs on Python floats: inside
+    `_FullPlant.realize` and `advance` no call enters numpy, and every
+    thrust, moment, tension, direction, vehicle position and next-state
+    entry is exactly a float.  A numpy scalar leaking in would keep every
+    byte and only cost time, so nothing else would notice."""
+    numpy_calls, leaks, calls = [], [], []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.startswith(NUMPY_DIR):
+            numpy_calls.append(frame.f_code.co_name)
+        elif event == "c_call" and _from_numpy(arg):
+            numpy_calls.append(repr(arg))
+
+    def watched(method, values):
+        def wrapper(*args):
+            previous = sys.getprofile()
+            sys.setprofile(profile)
+            try:
+                out = method(*args)
+            finally:
+                sys.setprofile(previous)
+            calls.append(method.__name__)
+            leaks.extend(type(v) for v in _floats(values(out)) if type(v) is not float)
+            return out
+        return wrapper
+
+    def realized(out):
+        tensions, directions, mav_p, ((thrusts, moments), _) = out
+        return tensions, directions, mav_p, thrusts, moments
+
+    full = harness._FullPlant
+    config = dataclasses.replace(harness.scenario_preset(preset), duration=0.5)
+    with mock.patch.object(full, "realize", watched(full.realize, realized)), \
+            mock.patch.object(full, "advance", watched(full.advance, lambda y: y)):
+        log = harness.run_closed_loop(config)
+    assert calls.count("realize") == calls.count("advance") == len(log.t) == 250
+    assert numpy_calls == []
+    assert leaks == []
 
 
 class TestClampCounters:

