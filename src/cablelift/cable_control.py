@@ -24,11 +24,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import so3
-
 
 class DegenerateThrust(RuntimeError):
     """Commanded force too small or collinear with the heading reference."""
+
+
+class NotSkew(ValueError):
+    """attitude_errors got rotations whose error matrix R_des^T R - R^T R_des
+    is not skew-symmetric; as computed, only a non-finite entry makes it so."""
 
 
 def _diagonal_positive(name: str, M: np.ndarray) -> np.ndarray:
@@ -182,7 +185,7 @@ def attitude_errors(R_k, R_des, omega_k):
         # R_des^T R_k - R_k^T R_des is skew unless an entry is not finite;
         # the check is written so that NaN fails it
         if not (x - x) + (y - y) + (z - z) == 0.0:
-            raise so3.NotSkew("vee() input is not skew-symmetric")
+            raise NotSkew("attitude error R_des^T R - R^T R_des is not skew-symmetric")
         e_R.append((0.5 * x, 0.5 * y, 0.5 * z))
     return e_R, [tuple(omega) for omega in omega_k]
 

@@ -47,6 +47,11 @@ class TriggerConfig:
         if self.sigma < 1:
             raise ValueError("sigma must be at least one step")
 
+    @property
+    def horizon_floor(self) -> int:
+        """The shortest horizon a replan may get: max(2, sigma)."""
+        return max(2, self.sigma)
+
 
 @dataclass
 class TriggerState:
@@ -133,7 +138,7 @@ def shrink_horizon(
         raise ValueError("entry index outside the prediction")
     effective = N_kj if N_hat is None else N_hat
     n = min(m_k - 1, N_kj - effective)
-    new_horizon = max(N_kj - n, max(2, config.sigma))
+    new_horizon = max(N_kj - n, config.horizon_floor)
     if not (N_kj < m_k + new_horizon and new_horizon <= N_kj):
         raise InvariantViolation(
             f"horizon chain broken: N_kj={N_kj}, m_k={m_k}, new={new_horizon}"

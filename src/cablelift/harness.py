@@ -186,8 +186,7 @@ class TickView(Sequence):
 def invariant_counters(log: RunLog) -> dict:
     """Re-check the inter-execution and horizon-chain rules over the whole
     event list; healthy runs report zero everywhere."""
-    sigma = log.config.trigger.sigma
-    floor = max(2, sigma)
+    sigma, floor = log.config.trigger.sigma, log.config.trigger.horizon_floor
     m_violations = 0
     chain_violations = 0
     for prev, ev in zip(log.events, log.events[1:]):
@@ -238,7 +237,7 @@ class _TriggerLoop:
             rows = cfg.reference_at(t + np.arange(N_new + 1) * cfg.ocp.dt)
             ref_x, ref_u = (np.array(np.broadcast_to(r, (N_new + 1, r.shape[-1]))) for r in rows)
             problem = payload_ocp.build_ocp(
-                x_now, ref_x, ref_u, dataclasses.replace(cfg.ocp, N=N_new), self.amap
+                x_now, ref_x, ref_u, dataclasses.replace(cfg.ocp, N=N_new), cfg.params, self.amap
             )
             warm = None
             if self.state is not None:
@@ -327,7 +326,7 @@ class _FullPlant:
             # cable rotation; restart the direction-rate estimate instead
             self.mu_prev = None
         cables = plant.cable_closure(y, params)
-        R_L = plant._rotation(*y[6:10])
+        R_L = cables.rotation
         p_L, v_L, omega_l = y[0:3], y[3:6], y[10:13]
         bodies = range(13, len(y), 13)
         R_k = [plant._rotation(*y[b + 6 : b + 10]) for b in bodies]

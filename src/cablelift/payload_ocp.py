@@ -22,7 +22,7 @@ the solver evaluates each iterate once and builds its QP from that.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Optional, Tuple
 
@@ -68,47 +68,32 @@ class CostWeights:
 
 @dataclass
 class OcpConfig:
-    """Everything needed to assemble a problem around one reference window."""
+    """The solver settings of the problem around one reference window; the
+    payload model it predicts with is the rig's SystemParams."""
 
     weights: CostWeights
-    m_L: float
-    J_L: np.ndarray
-    r_i: np.ndarray  # cable attachment offsets, payload frame
-    f_max: float
     N: int = 20
     dt: float = 0.05
-    g: float = 9.81
     obstacle_center: Optional[np.ndarray] = None
     obstacle_clearance: float = 0.0
     funnel_radius: float = 0.2
     funnel_weight: float = 1e3
 
 
-@dataclass
-class OcpProblem:
+@dataclass(kw_only=True)
+class OcpProblem(OcpConfig):
+    """An OcpConfig with its window, on the payload of params (m_L, J_L, g_vec,
+    f_max) and the allocation map of its attachments."""
+
     x0: np.ndarray  # (13,) measured state row
-    N: int
-    dt: float
     ref_x: np.ndarray  # (N+1, 13) reference state rows
     ref_u: np.ndarray  # (N+1, 6) reference wrench rows
-    weights: CostWeights
-    m_L: float
-    J_L: np.ndarray
-    g: float
+    params: plant.SystemParams
     amap: allocation.AllocationMap
-    f_max: float
-    obstacle_center: Optional[np.ndarray]
-    obstacle_clearance: float
-    funnel_radius: float
-    funnel_weight: float
-    _J_L_inv: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self):
-        self._J_L_inv = np.linalg.inv(self.J_L)
-
-    @property
-    def g_vec(self) -> np.ndarray:
-        return np.array([0.0, 0.0, -self.g])
+    @cached_property
+    def _J_L_inv(self) -> np.ndarray:
+        return np.linalg.inv(self.params.J_L)
 
     @cached_property
     def share_maps(self) -> np.ndarray:
@@ -131,14 +116,16 @@ def build_ocp(
     ref_x: np.ndarray,
     ref_u: np.ndarray,
     config: OcpConfig,
+    params: plant.SystemParams,
     amap: Optional[allocation.AllocationMap] = None,
 ) -> OcpProblem:
     """Assemble the tracking problem for one reference window.
 
     x0 is the (13,) start row; the window ref_x (N+1, 13) / ref_u (N+1, 6)
-    must hold exactly N+1 rows at the problem's step spacing.  amap is the
-    allocation map of config.r_i, built here when not given; a closed loop
-    builds it once and passes it to every solve.
+    must hold exactly N+1 rows at the problem's step spacing.  params is the
+    rig whose payload the problem predicts.  amap is the allocation map of
+    params.r_i, built here when not given; a closed loop builds it once and
+    passes it to every solve.
     """
     if config.N < 1:
         raise ConfigError("horizon must be at least 1")
@@ -150,25 +137,14 @@ def build_ocp(
             f"got {len(ref_x)} states and {len(ref_u)} wrenches"
         )
     if amap is None:
-        amap = allocation.build_allocation(config.r_i)
+        amap = allocation.build_allocation(params.r_i)
     return OcpProblem(
+        **{f.name: getattr(config, f.name) for f in fields(OcpConfig)},
         x0=np.array(x0, dtype=np.float64),
-        N=config.N,
-        dt=config.dt,
         ref_x=np.asarray(ref_x, dtype=np.float64),
         ref_u=np.asarray(ref_u, dtype=np.float64),
-        weights=config.weights,
-        m_L=config.m_L,
-        J_L=np.asarray(config.J_L, dtype=np.float64).reshape(3, 3),
-        g=config.g,
+        params=params,
         amap=amap,
-        f_max=config.f_max,
-        obstacle_center=None
-        if config.obstacle_center is None
-        else np.asarray(config.obstacle_center, dtype=np.float64),
-        obstacle_clearance=config.obstacle_clearance,
-        funnel_radius=config.funnel_radius,
-        funnel_weight=config.funnel_weight,
     )
 
 
@@ -196,9 +172,9 @@ def payload_dynamics(Y: np.ndarray, U: np.ndarray, problem) -> np.ndarray:
     w = Y[..., 10:13]
     out = np.empty_like(Y)
     out[..., 0:3] = Y[..., 3:6]
-    out[..., 3:6] = U[..., 0:3] / problem.m_L + problem.g_vec
+    out[..., 3:6] = U[..., 0:3] / problem.params.m_L + problem.params.g_vec
     out[..., 6:10] = so3.omega_to_quat_dot(Y[..., 6:10], w)
-    Jw = w @ problem.J_L.T
+    Jw = w @ problem.params.J_L.T
     out[..., 10:13] = (U[..., 3:6] - so3.cross3_rows(w, Jw)) @ problem._J_L_inv.T
     return out
 
@@ -215,9 +191,9 @@ def _dynamics_tangent(Y: np.ndarray, dY: np.ndarray, dU: np.ndarray, problem) ->
     dw = dY[..., 10:13]
     out = np.empty_like(dY)
     out[..., 0:3] = dY[..., 3:6]
-    out[..., 3:6] = dU[:, 0:3] / problem.m_L
+    out[..., 3:6] = dU[:, 0:3] / problem.params.m_L
     out[..., 6:10] = so3.omega_to_quat_dot(dY[..., 6:10], w) + so3.omega_to_quat_dot(q, dw)
-    J = problem.J_L.T
+    J = problem.params.J_L.T
     out[..., 10:13] = (
         dU[:, 3:6] - so3.cross3_rows(dw, w @ J) - so3.cross3_rows(w, dw @ J)
     ) @ problem._J_L_inv.T
@@ -433,12 +409,12 @@ def tension_rows(U: np.ndarray, problem, shares=None) -> tuple:
     that margin); an infinite bound gives n = 0 rows.
     """
     K = len(U)
-    if not np.isfinite(problem.f_max):
+    if not np.isfinite(problem.params.f_max):
         return np.zeros((K, 0, NU)), np.zeros((K, 0))
     y, ny, GT = tension_shares(U, problem) if shares is None else shares
     unit = np.where(ny[..., None] < 1e-9, 0.0, y / np.maximum(ny, 1e-9)[..., None])
     J = np.einsum("kni,knij->knj", unit, GT)
-    return J, ny - problem.f_max
+    return J, ny - problem.params.f_max
 
 
 def tension_row_hessians(U: np.ndarray, problem, shares=None) -> np.ndarray:
@@ -449,7 +425,7 @@ def tension_row_hessians(U: np.ndarray, problem, shares=None) -> np.ndarray:
     active-constraint curvature into its Hessian; zero for a vanishing share.
     """
     K = len(U)
-    if not np.isfinite(problem.f_max):
+    if not np.isfinite(problem.params.f_max):
         return np.zeros((K, 0, NU, NU))
     y, ny, GT = tension_shares(U, problem) if shares is None else shares
     live = ny >= 1e-9

@@ -13,7 +13,9 @@ all bodies; both take the cables from one spring-damper law (`_cable_law`),
 and a reading of the state being stepped serves the step's first stage.
 `step_payload` steps the payload row alone under a held wrench, for the
 payload-only model, with the same Runge-Kutta body (`_rk4_flat`) and the
-payload derivative the fused one takes its payload row from."""
+payload derivative the fused one takes its payload row from.  Every 3-vector
+and 3x3 product is written out on local floats, each sum in the left-to-right
+grouping of R v, a x b and a . b: another grouping moves the runs' bytes."""
 
 from __future__ import annotations
 
@@ -108,6 +110,7 @@ class CableReading:
     tension: list
     stretch: list
     law: list | None = field(default=None, repr=False)  # the _cable_law output read
+    rotation: tuple | None = field(default=None, repr=False)  # the payload's, from _rotation
 
 
 @dataclass
@@ -233,7 +236,8 @@ def _cable_law(y: list, R: tuple, params: SystemParams) -> list:
 def cable_closure(y: list, params: SystemParams) -> CableReading:
     """Per-cable direction, stretch, and spring-damper tension of the flat
     world state y, one list entry per cable."""
-    law = _cable_law(y, _rotation(*y[6:10]), params)
+    R = _rotation(*y[6:10])
+    law = _cable_law(y, R, params)
     directions, stretches, tensions = [], [], []
     for k, (ex, ey, ez, stretch, tension) in enumerate(law):
         if tension > 10.0 * params.f_max:
@@ -241,7 +245,7 @@ def cable_closure(y: list, params: SystemParams) -> CableReading:
         directions.append((ex, ey, ez) if stretch > 0.0 else (0.0, 0.0, 0.0))
         stretches.append(stretch)
         tensions.append(tension)
-    return CableReading(directions, tensions, stretches, law)
+    return CableReading(directions, tensions, stretches, law, R)
 
 
 def rk4_step(derivative_fn, state, inputs, dt: float):

@@ -134,11 +134,6 @@ def default_system(n: int = 4) -> SystemParams:
     )
 
 
-# the payload model the predictor shares with the rig: its OcpConfig fields
-# are these SystemParams fields
-RIG_MODEL = ("m_L", "J_L", "r_i", "f_max", "g")
-
-
 @dataclass
 class ScenarioConfig:
     """Everything one closed-loop run needs, fully resolved."""
@@ -150,7 +145,8 @@ class ScenarioConfig:
     dt_lowlevel: float = 0.002
     params: SystemParams = field(default_factory=default_system)
     reference: ReferenceSpec = field(default_factory=ReferenceSpec)
-    ocp: OcpConfig = None
+    # the solver settings; the solver predicts with the payload of params
+    ocp: OcpConfig = field(default_factory=lambda: OcpConfig(weights=default_weights()))
     trigger: TriggerConfig = field(default_factory=lambda: TriggerConfig(alpha=0.10, beta=0.05))
     # convergence gate for horizon shrinking; None disables shrinking, the
     # right choice for references that are followed rather than reached
@@ -172,12 +168,6 @@ class ScenarioConfig:
             raise ConfigError(f"unknown 'plant_model' {self.plant_model!r}")
         if self.disturbance_kind not in ("none", "uniform-bounded"):
             raise ConfigError(f"unknown disturbance 'kind' {self.disturbance_kind!r}")
-        rig = {attr: getattr(self.params, attr) for attr in RIG_MODEL}
-        if self.ocp is None:
-            self.ocp = OcpConfig(weights=default_weights(), **rig)
-        for attr, value in rig.items():
-            if not np.array_equal(getattr(self.ocp, attr), value):
-                raise ConfigError(f"'ocp.{attr}' differs from the rig's 'params.{attr}'")
         self.initial_offset = np.asarray(self.initial_offset, dtype=np.float64)
         if self.plant_model == "full":
             ratio = self.ocp.dt / self.dt_lowlevel
@@ -193,7 +183,7 @@ class ScenarioConfig:
             )
         # a replan comes sigma to N steps into a plan, and its horizon is
         # at least max(2, sigma) but no longer than N
-        floor = max(2, self.trigger.sigma)
+        floor = self.trigger.horizon_floor
         if self.ocp.N < floor:
             raise ConfigError(
                 f"'horizon' must be at least max(2, sigma) = {floor}, got {self.ocp.N}"
@@ -532,12 +522,9 @@ def build_scenario(data: dict):
         raise ConfigError("section 'obstacle' needs center_m")
 
     # each object rebuilt once, so that its own checks run on the final values
-    params = dataclasses.replace(config.params, **changes.pop("params"))
-    # the predictor's model is the rig's
-    changes["ocp"].update({attr: getattr(params, attr) for attr in RIG_MODEL})
     top = changes.pop("")
     objects = {obj: dataclasses.replace(getattr(config, obj), **kw) for obj, kw in changes.items()}
-    config = dataclasses.replace(config, params=params, **objects, **top)
+    config = dataclasses.replace(config, **objects, **top)
 
     sweep = None
     if data.get("sweep") is not None:

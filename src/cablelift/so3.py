@@ -15,12 +15,6 @@ from __future__ import annotations
 import numpy as np
 
 
-class NotSkew(ValueError):
-    """cable_control.attitude_errors got rotations whose error matrix
-    R_des^T R - R^T R is not skew-symmetric; as computed, only a non-finite
-    entry makes it so."""
-
-
 def hat(v: np.ndarray) -> np.ndarray:
     """Skew-symmetric cross-product matrix: hat(v) @ w == cross(v, w).
 

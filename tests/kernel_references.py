@@ -16,7 +16,7 @@ from unittest import mock
 from cablelift import allocation, cable_control, plant
 from cablelift.cable_control import CableTrackingState
 from cablelift.harness import OMEGA_DES_LIMIT
-from cablelift.so3 import NotSkew
+from cablelift.cable_control import NotSkew
 
 # ---------------------------------------------------------------------------
 # the float helpers: vectors are 3-sequences, matrices row-major 9-sequences

@@ -261,16 +261,13 @@ def test_criterion_08_optimizer_matches_independent_oracles():
         return tuple(np.array(rows) for rows in zip(*refs))
 
     def make_config(N):
-        return po.OcpConfig(
-            weights=weights, m_L=params.m_L, J_L=params.J_L, r_i=params.r_i,
-            f_max=params.f_max, N=N, dt=0.05,
-        )
+        return po.OcpConfig(weights=weights, N=N, dt=0.05)
 
     # part 1: three-stage hover recovery against direct single shooting over
     # the 18 wrench numbers (finite-difference gradients, Barzilai-Borwein
     # steps, run to gradient infinity norm 1e-8)
     x0 = np.concatenate([[0.1, 0.0, 1.0], np.zeros(3), so3.quat_identity(), np.zeros(3)])
-    problem = po.build_ocp(x0, *hover_refs([(0.0, 0.0, 1.0)] * 4), make_config(3))
+    problem = po.build_ocp(x0, *hover_refs([(0.0, 0.0, 1.0)] * 4), make_config(3), params)
     solution = sqp.solve(problem)
     assert solution.status == "converged"
 
@@ -319,7 +316,7 @@ def test_criterion_08_optimizer_matches_independent_oracles():
         v = rng.uniform(-1, 1, 3)
         x0 = np.concatenate([p, v, q, rng.uniform(-1, 1, 3)])
         points = [rng.uniform(-1, 1, 3) + [0.0, 0.0, 1.0] for _ in range(N + 1)]
-        prob = po.build_ocp(x0, *hover_refs(points), make_config(N))
+        prob = po.build_ocp(x0, *hover_refs(points), make_config(N), params)
         X, U = [x0], np.empty((N, 6))
         for i in range(N):
             U[i, 0:3] = rng.uniform(-2, 2, 3) + [0.0, 0.0, params.m_L * 9.81]

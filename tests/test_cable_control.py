@@ -540,8 +540,7 @@ def rig_ticks(draw):
     crowded = draw(st.booleans())
     if crowded:
         params = dataclasses.replace(config.params, r_i=0.5 * config.params.r_i)
-        ocp = dataclasses.replace(config.ocp, r_i=params.r_i)
-        config = dataclasses.replace(config, params=params, ocp=ocp)
+        config = dataclasses.replace(config, params=params)
     params = config.params
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     slack = np.array(draw(st.lists(st.booleans(), min_size=4, max_size=4)))
@@ -865,9 +864,11 @@ SAFETY_CASES = {
     ),
     "non-finite-state": (plant.NonFiniteState, None, _nonfinite_step),
     # every comparison is written so that it must hold, and NaN makes it false
-    "nan-not-skew": (so3.NotSkew, None, _nan_attitude),
-    "inf-not-skew": (so3.NotSkew, None, _inf_attitude),
-    "nan-attitude-in-tick": (so3.NotSkew, None, lambda: _tick_with(_nan_vehicle_quaternion)),
+    "nan-not-skew": (cc.NotSkew, "attitude error", _nan_attitude),
+    "inf-not-skew": (cc.NotSkew, "attitude error", _inf_attitude),
+    "nan-attitude-in-tick": (
+        cc.NotSkew, "attitude error", lambda: _tick_with(_nan_vehicle_quaternion)
+    ),
     "nan-rate-in-tick": (plant.NonFiniteState, None, lambda: _tick_with(_nan_vehicle_rate)),
     "nan-direction": (
         ValueError,

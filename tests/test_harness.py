@@ -127,8 +127,7 @@ class TestDefaultSystem:
 class TestScenarioConfig:
     def test_defaults_resolve(self):
         config = ScenarioConfig()
-        assert config.ocp is not None
-        assert config.ocp.m_L == config.params.m_L
+        assert config.ocp.weights is not None
         assert config.ocp.N == 20
 
     def test_nonpositive_duration_rejected(self):
@@ -1095,7 +1094,10 @@ class TestLoadConfig:
         text = "schema_version: 1\nsystem:\n  payload_mass_kg: 0.5\n"
         config, _ = harness.load_config(write_config(tmp_path, text))
         assert config.params.m_L == 0.5
-        assert config.ocp.m_L == 0.5
+        # the solver predicts with the rig's payload
+        loop = trigger_loop(config)
+        loop.step(0, 0.0, harness.equilibrium_state(config)[0])
+        assert loop.problem.params.m_L == 0.5
 
     def test_nmpc_and_weights_sections(self, tmp_path):
         text = (

@@ -11,11 +11,11 @@ import pytest
 
 from cablelift import payload_ocp as po
 from cablelift import so3
+from rig_helpers import rig
 from rotation_helpers import quat_from_axis_angle
 
-M_L = 0.232
-G = 9.81
-J_L = np.diag([0.007, 0.007, 0.013])
+# the preset rig's attachments, listed counterclockwise from (0.3, 0.3) where
+# the preset lists them clockwise
 R_I = np.array(
     [
         [0.3, 0.3, 0.0],
@@ -24,6 +24,8 @@ R_I = np.array(
         [0.3, -0.3, 0.0],
     ]
 )
+RIG = rig(r_i=R_I)
+M_L, G, J_L = RIG.m_L, RIG.g, RIG.J_L
 
 HOVER_F = np.array([0.0, 0.0, M_L * G])
 
@@ -50,13 +52,11 @@ def hover_ref(p=(0.0, 0.0, 0.5)) -> np.ndarray:
 def make_problem(N=4, dt=0.05, weights=None, **cfg_over) -> po.OcpProblem:
     if weights is None:
         weights = po.CostWeights(np.eye(12), np.eye(6), 2 * np.eye(12))
-    cfg = po.OcpConfig(
-        weights=weights, m_L=M_L, J_L=J_L, r_i=R_I, f_max=1.2, N=N, dt=dt, **cfg_over
-    )
+    cfg = po.OcpConfig(weights=weights, N=N, dt=dt, **cfg_over)
     x0 = state([0.0, 0.0, 0.5])
     ref_x = np.array([hover_ref() for _ in range(N + 1)])
     ref_u = np.array([hover_wrench() for _ in range(N + 1)])
-    return po.build_ocp(x0, ref_x, ref_u, cfg)
+    return po.build_ocp(x0, ref_x, ref_u, cfg, RIG)
 
 
 def on_reference_trajectory(problem):
@@ -131,7 +131,7 @@ class TestPayloadDynamics:
     def test_ballistic(self):
         prob = make_problem()
         d = po.payload_dynamics(state(), np.zeros(6), prob)
-        np.testing.assert_array_equal(d[3:6], prob.g_vec)
+        np.testing.assert_array_equal(d[3:6], prob.params.g_vec)
 
     def test_diagonal_inertia_moment(self):
         prob = make_problem()
@@ -248,9 +248,11 @@ class TestBuildOcp:
 
     def test_reference_count_mismatch(self):
         weights = po.CostWeights(np.eye(12), np.eye(6), np.eye(12))
-        cfg = po.OcpConfig(weights=weights, m_L=M_L, J_L=J_L, r_i=R_I, f_max=1.2, N=3)
+        cfg = po.OcpConfig(weights=weights, N=3)
         with pytest.raises(po.ConfigError):
-            po.build_ocp(state(), np.array([hover_ref()] * 3), np.array([hover_wrench()] * 3), cfg)
+            po.build_ocp(
+                state(), np.array([hover_ref()] * 3), np.array([hover_wrench()] * 3), cfg, RIG
+            )
 
     def test_no_obstacle_means_no_rows(self):
         prob = make_problem()

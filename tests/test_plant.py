@@ -19,6 +19,7 @@ from cablelift.plant import (
     NonFiniteState,
     SystemParams,
 )
+from rig_helpers import rig
 from rotation_helpers import quat_from_axis_angle
 
 G = 9.81
@@ -85,27 +86,17 @@ def payload_derivative(y, directions, tensions, params):
 
 
 def make_params(**over) -> SystemParams:
-    """Four-vehicle square rig used throughout (matches the shipped presets)."""
-    base = dict(
-        n=4,
-        m_i=0.12,
-        J_i=np.diag([2.5e-3, 2.5e-3, 4.0e-3]),
-        m_L=0.232,
-        J_L=np.diag([0.007, 0.007, 0.013]),
-        r_i=np.array(
-            [
-                [SIDE / 2, SIDE / 2, 0.0],
-                [-SIDE / 2, SIDE / 2, 0.0],
-                [-SIDE / 2, -SIDE / 2, 0.0],
-                [SIDE / 2, -SIDE / 2, 0.0],
-            ]
-        ),
-        l_i=1.0,
-        F_max=2.5,
-        f_max=1.2,
+    """The shipped presets' four-vehicle square rig, its attachments listed
+    counterclockwise from (0.3, 0.3) where the presets list them clockwise."""
+    r_i = np.array(
+        [
+            [SIDE / 2, SIDE / 2, 0.0],
+            [-SIDE / 2, SIDE / 2, 0.0],
+            [-SIDE / 2, -SIDE / 2, 0.0],
+            [SIDE / 2, -SIDE / 2, 0.0],
+        ]
     )
-    base.update(over)
-    return SystemParams(**base)
+    return rig(**{"r_i": r_i, **over})
 
 
 def hover_state(params: SystemParams) -> np.ndarray:
@@ -646,12 +637,9 @@ def payload_problem(params: SystemParams) -> payload_ocp.OcpProblem:
     """A one-stage problem on the rig's payload: the mass, inertia and
     gravity that payload_ocp.discretize reads."""
     eye = payload_ocp.CostWeights(np.eye(12), np.eye(6), np.eye(12))
-    cfg = payload_ocp.OcpConfig(
-        weights=eye, m_L=params.m_L, J_L=params.J_L, r_i=params.r_i, f_max=params.f_max,
-        g=params.g, N=1,
-    )
+    cfg = payload_ocp.OcpConfig(weights=eye, N=1)
     x0 = body(np.zeros(3), np.zeros(3), so3.quat_identity(), np.zeros(3))
-    return payload_ocp.build_ocp(x0, np.array([x0, x0]), np.zeros((2, 6)), cfg)
+    return payload_ocp.build_ocp(x0, np.array([x0, x0]), np.zeros((2, 6)), cfg, params)
 
 
 @st.composite

@@ -22,7 +22,7 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cablelift import cli, harness, payload_ocp, scenario
+from cablelift import cli, harness, payload_ocp, plant, scenario
 from cablelift.cable_control import GainSet
 from cablelift.scenario import NONNEGATIVE, POSITIVE, VECTOR
 
@@ -280,18 +280,13 @@ def test_readme_example_parses_and_names_exactly_the_table_keys():
         assert set(data[name]) == keys, name
 
 
-@pytest.mark.parametrize(
-    "attr, scale",
-    [("m_L", 0.25 / 0.232), ("f_max", 1.0 / 1.2), ("J_L", 2.0), ("r_i", 0.5), ("g", 1.01)],
-)
-def test_a_predictor_that_is_not_the_rig_is_refused(attr, scale):
-    """The solver predicts with the rig's payload model: an `ocp` whose
-    payload mass, inertia, attachments, tension bound or gravity differs from
-    `params` is a config error naming that field."""
-    config = harness.scenario_preset("hover-nominal")
-    ocp = dataclasses.replace(config.ocp, **{attr: scale * getattr(config.ocp, attr)})
-    with pytest.raises(scenario.ConfigError, match=rf"'ocp\.{attr}'"):
-        dataclasses.replace(config, ocp=ocp)
-    # the rig changed with it is accepted
-    params = dataclasses.replace(config.params, **{attr: getattr(ocp, attr)})
-    assert dataclasses.replace(config, params=params, ocp=ocp).ocp is ocp
+def test_the_payload_model_has_one_home():
+    """The solver settings name no field of the rig: the payload model the
+    solver predicts with can only be the one the plant integrates."""
+    settings = {f.name for f in dataclasses.fields(payload_ocp.OcpConfig)}
+    rig = {f.name for f in dataclasses.fields(plant.SystemParams)}
+    assert settings == {
+        "weights", "N", "dt", "obstacle_center", "obstacle_clearance",
+        "funnel_radius", "funnel_weight",
+    }
+    assert not settings & rig

@@ -10,13 +10,10 @@ from hypothesis import strategies as st
 
 from cablelift import payload_ocp as ocp
 from cablelift import harness, plant, so3, sqp
+from rig_helpers import rig
 
-M_L = 0.232
-J_L = np.diag([0.007, 0.007, 0.013])
-R_I = np.array(
-    [[0.3, 0.3, 0.0], [0.3, -0.3, 0.0], [-0.3, -0.3, 0.0], [-0.3, 0.3, 0.0]]
-)
-GRAV = 9.81
+RIG = rig()
+M_L, GRAV = RIG.m_L, RIG.g
 
 
 def state(p, v=(0.0, 0.0, 0.0)):
@@ -42,17 +39,13 @@ def make_problem(p0, N=20, f_max=1.2, obstacle=None, funnel_radius=0.2, v0=None)
     x0 = state(p0, (0.0, 0.0, 0.0) if v0 is None else v0)
     config = ocp.OcpConfig(
         weights=default_weights(),
-        m_L=M_L,
-        J_L=J_L,
-        r_i=R_I,
-        f_max=f_max,
         N=N,
         dt=0.05,
         obstacle_center=None if obstacle is None else np.asarray(obstacle[0], dtype=float),
         obstacle_clearance=0.0 if obstacle is None else obstacle[1],
         funnel_radius=funnel_radius,
     )
-    return ocp.build_ocp(x0, *hover_refs(N), config)
+    return ocp.build_ocp(x0, *hover_refs(N), config, rig(f_max=f_max))
 
 
 def peak_tension_excess(solution, problem):
@@ -841,10 +834,8 @@ class TestSolve:
         advanced = ocp.build_ocp(
             cold.X[1],
             *hover_refs(20),
-            ocp.OcpConfig(
-                weights=default_weights(), m_L=M_L, J_L=J_L, r_i=R_I,
-                f_max=1.2, N=20, dt=0.05, funnel_radius=0.2,
-            ),
+            ocp.OcpConfig(weights=default_weights(), N=20, dt=0.05, funnel_radius=0.2),
+            RIG,
         )
         shifted = sqp.solve(advanced, warm=sqp.shift_warm_start(cold, 1, 20))
         assert shifted.status == "converged"
@@ -898,10 +889,8 @@ def _tilted_problem(N, seed=0):
     ref_x[:, 6:10] = so3.quat_normalize(
         so3.quat_identity() + 0.2 * rng.standard_normal((N + 1, 4))
     )
-    config = ocp.OcpConfig(
-        weights=default_weights(), m_L=M_L, J_L=J_L, r_i=R_I, f_max=0.7, N=N, dt=0.05
-    )
-    return ocp.build_ocp(state((0.1, -0.1, 1.0)), ref_x, ref_u, config)
+    config = ocp.OcpConfig(weights=default_weights(), N=N, dt=0.05)
+    return ocp.build_ocp(state((0.1, -0.1, 1.0)), ref_x, ref_u, config, rig(f_max=0.7))
 
 
 def _random_trajectory(problem, seed=1):
