@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 from pathlib import Path
 
@@ -39,34 +40,46 @@ def _resolve(args) -> tuple:
     return config, sweep
 
 
-def _out_dir(args) -> Path:
-    """Create --out-dir before any simulation, so an unusable one costs no run."""
+def _out_dir(args, names) -> Path:
+    """Create --out-dir before any simulation, and refuse a run name whose
+    output file names it cannot hold, so that neither costs a run."""
     out_dir = Path(args.out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {args.out_dir!r}: {exc.strerror}") from exc
+    limit = os.pathconf(out_dir, "PC_NAME_MAX") if hasattr(os, "pathconf") else 255
+    for name in names:
+        if len(os.fsencode(f"{name}_summary.txt")) > limit:
+            raise ConfigError(f"'name' {name!r} makes output file names longer than {limit} bytes")
     return out_dir
 
 
-def _emit(config, log, out_dir: Path) -> dict:
+# the default sweep grid, loosest trigger first
+CONDITIONS = ("loose", "medium", "tight")
+# the summary entries of each sweep.csv row, after its name, alpha and beta
+SWEEP_KEYS = (
+    "nmpc_executions", "rms_payload_error_m", "max_payload_error_m",
+    "min_separation_m", "max_separation_m",
+)
+
+
+def _run(config, out_dir: Path) -> dict:
+    """Run one scenario, write <name>.csv and <name>_summary.txt, print the
+    summary and return it."""
+    log = harness.run_closed_loop(config)
     summary = harness.summarize(log)
     harness.emit_csv(log, out_dir / f"{config.name}.csv")
     harness.emit_summary(summary, out_dir / f"{config.name}_summary.txt")
-    return summary
-
-def _print_summary(name: str, summary: dict) -> None:
-    print(f"[{name}]")
+    print(f"[{config.name}]")
     for line in harness.summary_lines(summary):
         print(f"  {line}")
+    return summary
 
 
 def cmd_run(args) -> int:
     config, _ = _resolve(args)
-    out_dir = _out_dir(args)
-    log = harness.run_closed_loop(config)
-    summary = _emit(config, log, out_dir)
-    _print_summary(config.name, summary)
+    _run(config, _out_dir(args, [config.name]))
     return 0
 
 
@@ -77,36 +90,21 @@ def cmd_sweep(args) -> int:
         # repr, so that distinct values never share a name (or the files it names)
         grid = [(f"a{a!r}_b{b!r}", a, b) for a in alphas for b in betas]
     else:
-        grid = [
-            (name, *scenario.TRIGGER_PRESETS[name])
-            for name in ("loose", "medium", "tight")
-        ]
-    out_dir = _out_dir(args)
-    rows = ["name,alpha,beta,nmpc_executions,rms_payload_error_m,max_payload_error_m,min_separation_m,max_separation_m"]
-    base_name = config.name
-    for label, alpha, beta in grid:
-        run_cfg = dataclasses.replace(
+        grid = [(name, *scenario.TRIGGER_PRESETS[name]) for name in CONDITIONS]
+    runs = [
+        dataclasses.replace(
             config,
-            name=f"{base_name}_{label}",
+            name=f"{config.name}_{label}",
             trigger=dataclasses.replace(config.trigger, alpha=alpha, beta=beta),
         )
-        log = harness.run_closed_loop(run_cfg)
-        summary = _emit(run_cfg, log, out_dir)
-        _print_summary(run_cfg.name, summary)
-        rows.append(
-            ",".join(
-                [
-                    run_cfg.name,
-                    repr(float(alpha)),
-                    repr(float(beta)),
-                    str(summary["nmpc_executions"]),
-                    repr(summary["rms_payload_error_m"]),
-                    repr(summary["max_payload_error_m"]),
-                    repr(summary["min_separation_m"]),
-                    repr(summary["max_separation_m"]),
-                ]
-            )
-        )
+        for label, alpha, beta in grid
+    ]
+    out_dir = _out_dir(args, [run_cfg.name for run_cfg in runs])
+    rows = [",".join(("name", "alpha", "beta") + SWEEP_KEYS)]
+    for run_cfg in runs:
+        summary = _run(run_cfg, out_dir)
+        values = [run_cfg.trigger.alpha, run_cfg.trigger.beta, *(summary[k] for k in SWEEP_KEYS)]
+        rows.append(",".join([run_cfg.name, *map(harness.fmt, values)]))
     (out_dir / "sweep.csv").write_text("\n".join(rows) + "\n")
     return 0
 
@@ -120,7 +118,7 @@ def cmd_presets(_args) -> int:
             f"{config.plant_model:12s} alpha={config.trigger.alpha:g} beta={config.trigger.beta:g}"
         )
     print("trigger presets (alpha, beta):")
-    for name in ("loose", "medium", "tight"):
+    for name in CONDITIONS:
         alpha, beta = scenario.TRIGGER_PRESETS[name]
         print(f"  {name:16s} ({alpha:g}, {beta:g})")
     return 0

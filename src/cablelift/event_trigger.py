@@ -146,13 +146,8 @@ def shrink_horizon(
     return new_horizon
 
 
-def record_trigger(
-    trigger_state: Optional[TriggerState],
-    k: int,
-    solution: ocp.OcpSolution,
-    new_horizon: int,
-) -> TriggerState:
-    """Bookkeeping after a solve at step k; pass None at initialization."""
+def record_trigger(k: int, solution: ocp.OcpSolution, new_horizon: int) -> TriggerState:
+    """Bookkeeping after a solve at step k."""
     if len(solution.X) - 1 != new_horizon:
         raise ValueError(
             f"solution spans {len(solution.X) - 1} steps, expected {new_horizon}"

@@ -34,8 +34,7 @@ from .plant import DisturbanceModel
 # the scenario names the runner uses, and those its callers reach through here
 from .scenario import (  # noqa: F401
     TRIGGER_PRESETS, ConfigError, ReferenceSpec, ScenarioConfig, build_scenario, default_system,
-    default_weights, equilibrium_state, load_config, preset_names, reference_circle,
-    reference_hover, scenario_preset,
+    default_weights, equilibrium_state, load_config, preset_names, scenario_preset,
 )
 
 
@@ -214,7 +213,6 @@ class _TriggerLoop:
             else TerminalRegion(config.terminal_epsilon, config.ocp.weights.Q_XN)
         )
         self.state: Optional[event_trigger.TriggerState] = None
-        self.ref_x: Optional[np.ndarray] = None
         self.problem = None
         self.events: List[TriggerEvent] = []
         self.failures = 0
@@ -231,7 +229,9 @@ class _TriggerLoop:
                 m_k = k - self.state.k_j
                 N_hat = None
                 if self.region is not None:
-                    N_hat = event_trigger.first_entry_index(self.state.predicted, self.region, self.ref_x)
+                    N_hat = event_trigger.first_entry_index(
+                        self.state.predicted, self.region, self.problem.ref_x
+                    )
                 N_new = event_trigger.shrink_horizon(self.state, m_k, N_hat, cfg.trigger)
         if decision != "none":
             rows = cfg.reference_at(t + np.arange(N_new + 1) * cfg.ocp.dt)
@@ -272,8 +272,7 @@ class _TriggerLoop:
                         outside_terminal=outside,
                     )
                 )
-                self.state = event_trigger.record_trigger(self.state, k, solution, N_new)
-                self.ref_x = ref_x
+                self.state = event_trigger.record_trigger(k, solution, N_new)
                 self.problem = problem
         idx = k - self.state.k_j
         return decision, self.state.predicted.U[idx], idx
@@ -548,7 +547,8 @@ def summarize(log: RunLog) -> dict:
     }
 
 
-def _fmt(value) -> str:
+def fmt(value) -> str:
+    """A summary or CSV value as text: floats by repr, anything else by str."""
     if isinstance(value, float):
         return repr(value)
     return str(value)
@@ -592,7 +592,7 @@ def emit_csv(log: RunLog, path) -> None:
     columns += (log.directions, log.mav_p, log.min_sep, log.max_sep)
     # the solver columns of each event, and last, at index -1, of a tick without one
     solver = [
-        [e.status, str(e.iterations), "" if math.isnan(e.cost) else _fmt(e.cost)]
+        [e.status, str(e.iterations), "" if math.isnan(e.cost) else fmt(e.cost)]
         for e in log.events
     ]
     solver.append(["", "0", ""])
@@ -615,7 +615,7 @@ def summary_lines(summary: dict) -> List[str]:
     lists comma-joined, floats written with repr."""
     lines = []
     for key, value in summary.items():
-        text = ",".join(str(v) for v in value) if isinstance(value, list) else _fmt(value)
+        text = ",".join(str(v) for v in value) if isinstance(value, list) else fmt(value)
         lines.append(f"{key} = {text}")
     return lines
 

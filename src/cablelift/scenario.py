@@ -40,33 +40,6 @@ TRIGGER_PRESETS = {
 # references
 
 
-def _level_reference(p, v, m_L: float, g: float):
-    """(x_ref, u_ref): the state row [p, v, q, omega] with level attitude and
-    zero rate (stacked over array entries of p, v), and the hover wrench [F, M]."""
-    pv = np.broadcast_arrays(*p, *v)
-    x_ref = np.zeros(pv[0].shape + (13,))
-    x_ref[..., 0:6] = np.stack(pv, axis=-1)
-    x_ref[..., 6:10] = so3.quat_identity()
-    u_ref = np.zeros(6)
-    u_ref[2] = m_L * g
-    return x_ref, u_ref
-
-
-def reference_circle(t: float, r: float, T_c: float, h: float, m_L: float, g: float = 9.81):
-    """(x_ref, u_ref) on the circular trajectory at time t (x_ref rows along
-    an array t): level attitude, analytic velocity, hover wrench feedforward."""
-    if T_c <= 0:
-        raise ValueError("circle period must be positive")
-    w = 2.0 * np.pi / T_c
-    c, s = np.cos(w * t), np.sin(w * t)
-    return _level_reference([r * c, r * s, h], [-r * w * s, r * w * c, 0.0], m_L, g)
-
-
-def reference_hover(p: np.ndarray, m_L: float, g: float = 9.81):
-    """(x_ref, u_ref) at rest at p with the hover wrench."""
-    return _level_reference(p, (0.0, 0.0, 0.0), m_L, g)
-
-
 @dataclass
 class ReferenceSpec:
     """Which trajectory the payload should follow."""
@@ -86,10 +59,23 @@ class ReferenceSpec:
         self.position = np.asarray(self.position, dtype=np.float64)
 
     def at(self, t: float, m_L: float, g: float):
-        """(x_ref (13,) or one row per entry of an array t, u_ref (6,))."""
+        """(x_ref (13,), or on a circle one row per entry of an array t,
+        u_ref (6,)): the state row [p, v, q, omega] at time t with level
+        attitude, zero rate and the circle's analytic velocity, and the hover
+        wrench [F, M]."""
         if self.kind == "circle":
-            return reference_circle(t, self.radius, self.period, self.height, m_L, g)
-        return reference_hover(self.position, m_L, g)
+            r, w = self.radius, 2.0 * np.pi / self.period
+            c, s = np.cos(w * t), np.sin(w * t)
+            p, v = [r * c, r * s, self.height], [-r * w * s, r * w * c, 0.0]
+        else:
+            p, v = self.position, (0.0, 0.0, 0.0)
+        pv = np.broadcast_arrays(*p, *v)
+        x_ref = np.zeros(pv[0].shape + (13,))
+        x_ref[..., 0:6] = np.stack(pv, axis=-1)
+        x_ref[..., 6:10] = so3.quat_identity()
+        u_ref = np.zeros(6)
+        u_ref[2] = m_L * g
+        return x_ref, u_ref
 
 
 # ---------------------------------------------------------------------------
@@ -109,10 +95,8 @@ def default_weights() -> CostWeights:
     return CostWeights(Q_X=Q_X, Q_U=np.diag([0.8] * 3 + [40.0] * 3), Q_XN=4.0 * Q_X)
 
 
-def default_system(n: int = 4) -> SystemParams:
+def default_system() -> SystemParams:
     """Four-vehicle square rig: 0.6 m sides, 1 m cables, 232 g payload."""
-    if n != 4:
-        raise ConfigError("the shipped presets define the 4-vehicle square rig")
     return SystemParams(
         n=4,
         m_i=0.12,
@@ -466,11 +450,9 @@ def load_config(path):
 def _file_name(value) -> str:
     """The scenario name, which names the output files inside --out-dir: one
     non-empty file-name component."""
-    separators = [sep for sep in (os.sep, os.altsep) if sep]
-    if not isinstance(value, str) or value in ("", ".", "..") or any(
-        sep in value for sep in separators
-    ):
-        raise ConfigError(f"'name' must be a file name without a path separator, got {value!r}")
+    banned = [sep for sep in (os.sep, os.altsep, "\0") if sep]
+    if not isinstance(value, str) or value in ("", ".", "..") or any(c in value for c in banned):
+        raise ConfigError(f"'name' must be a file name without a path separator or NUL, got {value!r}")
     return value
 
 

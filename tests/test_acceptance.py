@@ -257,7 +257,8 @@ def test_criterion_08_optimizer_matches_independent_oracles():
 
     def hover_refs(points):
         """(ref_x, ref_u) rows of hover references at the given points."""
-        refs = [harness.reference_hover(np.asarray(p, dtype=float), m_L=params.m_L) for p in points]
+        specs = [harness.ReferenceSpec(kind="hover", position=p) for p in points]
+        refs = [spec.at(0.0, params.m_L, params.g) for spec in specs]
         return tuple(np.array(rows) for rows in zip(*refs))
 
     def make_config(N):

@@ -6,17 +6,11 @@ so both are checked here, in the tier-1 suite.
 """
 
 import dataclasses
-import sys
-from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).resolve().parents[1]
-if str(ROOT) not in sys.path:
-    sys.path.insert(0, str(ROOT))
-
-from cablelift import harness  # noqa: E402
-from perfbench import checks, tracer  # noqa: E402
+from cablelift import harness
+from perfbench import checks, tracer
 
 
 def test_every_traced_function_resolves_to_a_callable():

@@ -16,7 +16,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cablelift import allocation, cable_control as cc, harness, plant, so3
@@ -469,7 +469,7 @@ def reference_tick(config, Y, wrench_cmd, mu_prev):
 
     mu_prev is None (first tick of a stage) or the previous tick's (n, 3)
     allocated forces.  Returns (thrusts, moments, allocated forces, whether
-    the null-space step moved them).
+    the null-space step moved them, the norm of each vehicle's force command u).
     """
     params, gains, dt = config.params, config.gains, config.dt_lowlevel
     amap = allocation.build_allocation(params.r_i)
@@ -482,7 +482,7 @@ def reference_tick(config, Y, wrench_cmd, mu_prev):
     mu = stacked.reshape(-1, 3) @ R_L.T
     accel_des = F / params.m_L - np.array([0.0, 0.0, params.g])
     omega_dot_des = np.linalg.solve(params.J_L, M - np.cross(omega_l, params.J_L @ omega_l))
-    thrusts, moments = [], []
+    thrusts, moments, u_norms = [], [], []
     for k in range(params.n):
         p_k, v_k, omega_k = Y[1 + k, 0:3], Y[1 + k, 3:6], Y[1 + k, 10:13]
         r_k, l_k, m_k = params.r_i[k], params.l_i[k], params.m_i[k]
@@ -517,7 +517,8 @@ def reference_tick(config, Y, wrench_cmd, mu_prev):
         u = u_par + u_perp
         R_k = so3.quat_to_rotation(Y[1 + k, 6:10])
         thrusts.append(u @ R_k[:, 2])
-        b3 = u / np.linalg.norm(u)
+        u_norms.append(np.linalg.norm(u))
+        b3 = u / u_norms[-1]
         b1 = np.array([1.0, 0.0, 0.0]) - b3[0] * b3
         b1 = b1 / np.linalg.norm(b1)
         R_des = np.column_stack([b1, np.cross(b3, b1), b3])
@@ -526,24 +527,23 @@ def reference_tick(config, Y, wrench_cmd, mu_prev):
         J_k = params.J_i[k]
         gyro = np.cross(omega_k, J_k @ omega_k)
         moments.append(-gains.K_R @ e_R - gains.K_Omega @ omega_k + gyro)
-    return np.array(thrusts), np.array(moments), mu, shifted
+    return np.array(thrusts), np.array(moments), mu, shifted, np.array(u_norms)
 
 
-@st.composite
-def rig_ticks(draw):
+def rig_tick(crowded, seed, slack, prev, new_stage):
     """A random rig state around hover with each cable taut or slack, a held
     wrench, and the previous tick's forces: none, nearby (small desired
     cable rates) or far off (rates past OMEGA_DES_LIMIT).  On a crowded rig,
     its attachments at half the preset spacing, the predicted vehicle pairs
-    sit inside the allocator's 0.4 m separation and its null-space step runs."""
+    sit inside the allocator's 0.4 m separation and its null-space step runs.
+    The state and forces are drawn from an rng seeded with `seed`."""
     config = harness.scenario_preset("circle-medium")
-    crowded = draw(st.booleans())
     if crowded:
         params = dataclasses.replace(config.params, r_i=0.5 * config.params.r_i)
         config = dataclasses.replace(config, params=params)
     params = config.params
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    slack = np.array(draw(st.lists(st.booleans(), min_size=4, max_size=4)))
+    rng = np.random.default_rng(seed)
+    slack = np.array(slack)
     Y = np.zeros((5, 13))
     Y[0, 0:3] = rng.uniform(-1.0, 1.0, 3)
     Y[0, 3:6] = 0.3 * rng.standard_normal(3)
@@ -563,14 +563,24 @@ def rig_ticks(draw):
         0.01 * rng.standard_normal(3),
     ])
     mu = reference_tick(config, Y, wrench, None)[2]
-    prev = draw(st.sampled_from(["none", "near", "far"]))
     mu_prev = {
         "none": None,
         "near": mu + 1e-4 * rng.standard_normal(mu.shape),
         "far": mu + 0.2 * rng.standard_normal(mu.shape),
     }[prev]
-    new_stage = draw(st.booleans())
     return config, Y, wrench, slack, mu_prev, prev, new_stage, crowded
+
+
+def rig_ticks():
+    """`rig_tick` over every rig kind, seed, cable pattern and history."""
+    return st.builds(
+        rig_tick,
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+        st.lists(st.booleans(), min_size=4, max_size=4),
+        st.sampled_from(["none", "near", "far"]),
+        st.booleans(),
+    )
 
 
 def full_plant(config):
@@ -582,6 +592,8 @@ class TestFloatTick:
 
     @settings(max_examples=80, deadline=None)
     @given(rig_ticks())
+    # an uncrowded draw whose moments differ by 4e-12, on entries up to 12.9
+    @example(rig_tick(False, 3120774400, [False, True, True, False], "near", False))
     def test_matches_numpy_reference(self, tick):
         config, Y, wrench, slack, mu_prev, prev, new_stage, crowded = tick
         model = full_plant(config)
@@ -591,19 +603,32 @@ class TestFloatTick:
             y, wrench.tolist(), new_stage
         )
 
-        ref_thrusts, ref_moments, ref_mu, shifted = reference_tick(
+        ref_thrusts, ref_moments, ref_mu, shifted, u_norms = reference_tick(
             config, Y, wrench, None if new_stage else mu_prev
         )
         assert shifted == crowded
-        # both sides round differently in the last bits (numpy's 3x3 products
-        # fuse multiply-adds).  The null-space step's least-squares solve
-        # carries those bits into the forces (4e-16 relative at most over
-        # 3000 examples) and, through the backward difference of the desired
-        # direction (1/dt = 500) and the gains, into the commands (8e-13)
-        tol, tol_mu = (1e-11, 1e-12) if crowded else (1e-12, 1e-12)
-        np.testing.assert_allclose(thrusts, ref_thrusts, rtol=tol, atol=tol)
-        np.testing.assert_allclose(moments, ref_moments, rtol=tol, atol=tol)
-        np.testing.assert_allclose(model.mu_prev, ref_mu, rtol=tol_mu, atol=tol_mu)
+        # Both sides round differently in the last bits (numpy's 3x3 products
+        # fuse multiply-adds; the null-space step solves least squares), so
+        # the allocated forces differ by a few ulps (4e-16 relative at most
+        # over 3000 draws), and so do the unit directions made from them.
+        # Only the backward difference of the desired direction amplifies
+        # that: it divides by dt (1/dt = 500).  Allow the two directions of
+        # the difference to sit 8 eps apart in all, 4 eps each for a few ulps
+        # of force and the normalizing division.  The desired rate is then
+        # off by 8 eps / dt, and the force command u = u_par + u_perp by
+        # m_k l_k |K_omega| 8 eps / dt through the rate term of u_perp; the
+        # thrust, u along the body axis, by as much.  The thrust direction
+        # u / |u| turns by at most 2 |du| / |u|, and the attitude error and
+        # the moment follow it through K_R.  Every other term of the tick
+        # rounds at eps of its own size, below 1e-14.  Over 3000 draws the
+        # differences reach a quarter of these bounds.
+        params, eps = config.params, np.finfo(float).eps
+        du = params.m_i * params.l_i * np.linalg.norm(config.gains.K_omega, 2) * 8 * eps
+        du /= config.dt_lowlevel
+        dM = np.linalg.norm(config.gains.K_R, 2) * 2 * du / u_norms
+        assert np.all(np.abs(np.array(thrusts) - ref_thrusts) <= du)
+        assert np.all(np.abs(np.array(moments) - ref_moments) <= dM[:, None])
+        np.testing.assert_allclose(model.mu_prev, ref_mu, rtol=1e-12, atol=1e-12)
 
         readings = plant.cable_closure(y, config.params)
         assert cables == readings

@@ -188,7 +188,7 @@ class TestRun:
         config = write(tmp_path, text)
         assert cli.main(["run", "--config", config, "--out-dir", str(tmp_path)]) == 0
 
-    @pytest.mark.parametrize("name", ["sub/run", '"../x"', "[1, 2]"])
+    @pytest.mark.parametrize("name", ["sub/run", '"../x"', "[1, 2]", '"a\\0b"'])
     def test_name_that_is_not_one_file_name_is_a_config_error(self, tmp_path, capsys, name):
         """The name becomes the output file name, so anything but one
         file-name component is refused before the run writes anything."""
@@ -201,6 +201,27 @@ class TestRun:
         assert cli.main(["run", "--config", config, "--out-dir", str(out_dir)]) == 2
         assert "'name'" in capsys.readouterr().err
         assert not list(tmp_path.rglob("*.csv"))
+
+    @pytest.mark.parametrize("command, spare", [("run", 1), ("sweep", 0)])
+    def test_name_too_long_for_its_files_is_a_config_error(
+        self, tmp_path, capsys, monkeypatch, command, spare
+    ):
+        """A run name whose <name>_summary.txt the file system cannot hold is
+        refused before any run.  The sweep's base name fits exactly, so only
+        its grid-point names, which add a label, are too long."""
+
+        def never(config):
+            raise AssertionError("simulated a run whose files cannot be written")
+
+        monkeypatch.setattr(harness, "run_closed_loop", never)
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        length = os.pathconf(out_dir, "PC_NAME_MAX") - len("_summary.txt") + spare
+        config = write(tmp_path, f"schema_version: 1\npreset: hover-nominal\nname: {'n' * length}\n")
+        assert cli.main([command, "--config", config, "--out-dir", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "'name'" in err
+        assert not list(out_dir.iterdir())
 
     @pytest.mark.parametrize(
         "text",
@@ -370,3 +391,26 @@ class TestSweep:
         assert len(table) == 4
         names = [row.split(",")[0] for row in table[1:]]
         assert names == ["quick_loose", "quick_medium", "quick_tight"]
+
+    @pytest.mark.parametrize("text", [FAST_CONFIG, SWEEP_CONFIG], ids=["default-grid", "file-grid"])
+    def test_rows_hold_the_summary_text(self, tmp_path, capsys, text):
+        """Each sweep.csv value after name, alpha and beta is the text its key
+        has in that grid point's summary file."""
+        out_dir = tmp_path / "out"
+        assert cli.main(["sweep", "--config", write(tmp_path, text), "--out-dir", str(out_dir)]) == 0
+        header, *rows = (out_dir / "sweep.csv").read_text().splitlines()
+        keys = header.split(",")
+        assert keys[:3] == ["name", "alpha", "beta"] and len(keys) > 3
+        assert len(rows) == (3 if text == FAST_CONFIG else 2)
+        for row in rows:
+            cells = dict(zip(keys, row.split(",")))
+            lines = (out_dir / f"{cells['name']}_summary.txt").read_text().splitlines()
+            summary = dict(line.split(" = ", 1) for line in lines)
+            assert [cells[key] for key in keys[3:]] == [summary[key] for key in keys[3:]]
+            # the base names, quick and grid, hold no underscore
+            label = cells["name"].split("_", 1)[1]
+            if text == FAST_CONFIG:
+                alpha, beta = harness.TRIGGER_PRESETS[label]
+                assert (cells["alpha"], cells["beta"]) == (repr(alpha), repr(beta))
+            else:
+                assert label == f"a{cells['alpha']}_b{cells['beta']}"

@@ -253,22 +253,22 @@ class TestShrinkHorizon:
 class TestRecordTrigger:
     def test_initialization(self):
         sol = make_solution([make_state() for _ in range(5)])
-        ts = et.record_trigger(None, 0, sol, 4)
+        ts = et.record_trigger(0, sol, 4)
         assert ts.k_j == 0
         assert ts.N_kj == 4
 
     def test_second_trigger(self):
         sol = make_solution([make_state() for _ in range(5)])
-        ts = et.record_trigger(None, 0, sol, 4)
+        ts = et.record_trigger(0, sol, 4)
         sol2 = make_solution([make_state() for _ in range(4)])
-        ts2 = et.record_trigger(ts, 3, sol2, 3)
+        ts2 = et.record_trigger(3, sol2, 3)
         assert ts2.k_j == 3
         assert ts2.predicted is sol2
 
     def test_horizon_mismatch_rejected(self):
         sol = make_solution([make_state() for _ in range(5)])
         with pytest.raises(ValueError):
-            et.record_trigger(None, 0, sol, 6)
+            et.record_trigger(0, sol, 6)
 
 
 class TestMonotoneSensitivity:

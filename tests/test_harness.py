@@ -36,51 +36,62 @@ def hover_state(p=(0.0, 0.0, 1.0)):
 # references
 
 
+def circle_at(t, radius=1.0, period=15.0, height=0.5):
+    """(x_ref, u_ref) on the circle of the given geometry at time t."""
+    spec = ReferenceSpec(kind="circle", radius=radius, period=period, height=height)
+    return spec.at(t, m_L=0.232, g=9.81)
+
+
+def hover_at(p):
+    return ReferenceSpec(kind="hover", position=p).at(0.0, m_L=0.232, g=9.81)
+
+
 class TestCircleReference:
     def test_start_point(self):
-        ref, _ = harness.reference_circle(0.0, r=1.0, T_c=15.0, h=0.5, m_L=0.232)
+        ref, _ = circle_at(0.0)
         np.testing.assert_allclose(ref[0:3], [1.0, 0.0, 0.5], atol=1e-15)
         np.testing.assert_allclose(ref[3:6], [0.0, TWO_PI_OVER_15, 0.0], atol=1e-15)
 
     def test_quarter_period(self):
-        ref, _ = harness.reference_circle(3.75, r=1.0, T_c=15.0, h=0.5, m_L=0.232)
+        ref, _ = circle_at(3.75)
         np.testing.assert_allclose(ref[0:3], [0.0, 1.0, 0.5], atol=1e-12)
         np.testing.assert_allclose(ref[3:6], [-TWO_PI_OVER_15, 0.0, 0.0], atol=1e-12)
 
     def test_speed_is_constant(self):
         # |v| = 2 pi r / T everywhere on the loop
         for t in (0.0, 1.3, 7.2, 14.9):
-            ref, _ = harness.reference_circle(t, r=1.0, T_c=15.0, h=0.5, m_L=0.232)
+            ref, _ = circle_at(t)
             assert abs(np.linalg.norm(ref[3:6]) - 0.41887902047863906) < 1e-12
 
     def test_periodic(self):
-        a, _ = harness.reference_circle(2.0, 1.0, 15.0, 0.5, 0.232)
-        b, _ = harness.reference_circle(17.0, 1.0, 15.0, 0.5, 0.232)
+        a, _ = circle_at(2.0)
+        b, _ = circle_at(17.0)
         np.testing.assert_allclose(a[0:3], b[0:3], atol=1e-9)
         np.testing.assert_allclose(a[3:6], b[3:6], atol=1e-9)
 
     def test_feedforward_is_hover_wrench(self):
-        ref, u_ref = harness.reference_circle(4.0, 1.0, 15.0, 0.5, 0.232)
+        ref, u_ref = circle_at(4.0)
         np.testing.assert_allclose(u_ref[0:3], [0.0, 0.0, 0.232 * 9.81])
         np.testing.assert_allclose(u_ref[3:6], np.zeros(3))
         np.testing.assert_allclose(ref[6:10], so3.quat_identity())
         np.testing.assert_allclose(ref[10:13], np.zeros(3))
 
     def test_nonpositive_period_rejected(self):
-        with pytest.raises(ValueError):
-            harness.reference_circle(0.0, 1.0, 0.0, 0.5, 0.232)
+        for period in (0.0, -15.0):
+            with pytest.raises(ConfigError, match="period_s"):
+                circle_at(0.0, period=period)
 
 
 class TestHoverReference:
     def test_fields(self):
-        ref, u_ref = harness.reference_hover(np.array([0.1, -0.2, 1.0]), m_L=0.232)
+        ref, u_ref = hover_at(np.array([0.1, -0.2, 1.0]))
         np.testing.assert_allclose(ref[0:3], [0.1, -0.2, 1.0])
         assert np.all(ref[3:6] == 0.0) and np.all(ref[10:13] == 0.0)
         np.testing.assert_allclose(u_ref[0:3], [0.0, 0.0, 0.232 * 9.81])
 
     def test_position_copied(self):
         p = np.array([0.0, 0.0, 1.0])
-        ref, _ = harness.reference_hover(p, m_L=0.232)
+        ref, _ = hover_at(p)
         p[0] = 99.0
         assert ref[0] == 0.0
 
@@ -118,10 +129,6 @@ class TestDefaultSystem:
         # 0.6 m sides
         assert abs(np.linalg.norm(params.r_i[0] - params.r_i[1]) - 0.6) < 1e-12
         assert params.m_L == 0.232
-
-    def test_other_sizes_rejected(self):
-        with pytest.raises(ConfigError):
-            harness.default_system(n=3)
 
 
 class TestScenarioConfig:
@@ -325,8 +332,7 @@ class TestTriggerLoop:
         loop = trigger_loop(config)
         loop.step(k, t, config.reference_at(t)[0])
         rows = [config.reference_at(t + i * dt) for i in range(config.ocp.N + 1)]
-        assert np.array_equal(loop.ref_x, np.array([x for x, _ in rows]))
-        assert np.array_equal(loop.problem.ref_x, loop.ref_x)
+        assert np.array_equal(loop.problem.ref_x, np.array([x for x, _ in rows]))
         assert np.array_equal(loop.problem.ref_u, np.array([u for _, u in rows]))
 
     def test_no_terminal_region_means_no_shrink_source(self):
