@@ -20,9 +20,7 @@ a . b: another grouping rounds differently and moves the runs' bytes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 
 class DegenerateThrust(RuntimeError):
@@ -34,32 +32,30 @@ class NotSkew(ValueError):
     is not skew-symmetric; as computed, only a non-finite entry makes it so."""
 
 
-def _diagonal_positive(name: str, M: np.ndarray) -> np.ndarray:
-    M = np.asarray(M, dtype=np.float64)
-    if M.shape != (3, 3):
-        raise ValueError(f"{name} must be 3x3")
-    if np.any(M - np.diag(np.diagonal(M)) != 0.0):
-        raise ValueError(f"{name} must be diagonal")
-    if np.any(np.diagonal(M) <= 0.0):
-        raise ValueError(f"{name} diagonal entries must be positive")
-    return M
-
-
 @dataclass
 class GainSet:
-    """Diagonal gain matrices; K @ e is applied as the diagonal (kept as the
-    float 3-tuples `_k_R` etc.) times e elementwise, which rounds the same."""
+    """Gains of the attitude (K_R, K_Omega) and cable-direction (K_xi,
+    K_omega) loops, each one positive float acting alike on all three axes.
 
-    K_R: np.ndarray = field(default_factory=lambda: 8.0 * np.eye(3))
-    K_Omega: np.ndarray = field(default_factory=lambda: 1.2 * np.eye(3))
-    K_xi: np.ndarray = field(default_factory=lambda: 30.0 * np.eye(3))
-    K_omega: np.ndarray = field(default_factory=lambda: 8.0 * np.eye(3))
+    The values are tuned for closed-loop runs on the full plant: under the
+    payload controller the attitude and cable loops must respond well above
+    the wrench-command bandwidth and absorb replan steps without ringing,
+    otherwise the layers trade energy in a growing swing.  They put the
+    attitude poles near 75 rad/s and make the cable-direction loop slightly
+    overdamped around 12 rad/s.
+    """
+
+    K_R: float = 15.0
+    K_Omega: float = 0.37
+    K_xi: float = 150.0
+    K_omega: float = 30.0
 
     def __post_init__(self):
         for name in ("K_R", "K_Omega", "K_xi", "K_omega"):
-            M = _diagonal_positive(name, getattr(self, name))
-            setattr(self, name, M)
-            setattr(self, "_k" + name[1:], tuple(np.diagonal(M).tolist()))
+            value = getattr(self, name)
+            if not (isinstance(value, (int, float)) and 0.0 < value < math.inf):
+                raise ValueError(f"{name} must be a positive finite number, got {value!r}")
+            setattr(self, name, float(value))
 
 
 @dataclass
@@ -124,7 +120,7 @@ def control_components(mu_k, state: CableTrackingState, a_kc, mass, length, gain
     component along the actual cable, so the raw allocation and its
     projection give the same result.  u_perp is one cross product with xi,
     which pins it to the tangent plane regardless of operand alignment."""
-    (kx, ky, kz), (wx, wy, wz) = gains._k_xi, gains._k_omega
+    k, w = gains.K_xi, gains.K_omega
     u_par, u_perp = [], []
     rows = zip(state.xi, mu_k, state.omega_cable, a_kc, mass, length, *cable_errors(state))
     for (x, y, z), mu, (ox, oy, oz), (ax, ay, az), m, l, (ex, ey, ez), (fx, fy, fz) in rows:
@@ -137,9 +133,9 @@ def control_components(mu_k, state: CableTrackingState, a_kc, mass, length, gain
                       z * d1 + r2 * z + m * z * d3))
         # xi x (m l (-K_xi e_xi - K_omega e_omega) - m (xi x a))
         cx, cy, cz = y * az - z * ay, z * ax - x * az, x * ay - y * ax
-        bx = ml * (-kx * ex - wx * fx) - m * cx
-        by = ml * (-ky * ey - wy * fy) - m * cy
-        bz = ml * (-kz * ez - wz * fz) - m * cz
+        bx = ml * (-k * ex - w * fx) - m * cx
+        by = ml * (-k * ey - w * fy) - m * cy
+        bz = ml * (-k * ez - w * fz) - m * cz
         u_perp.append((y * bz - z * by, z * bx - x * bz, x * by - y * bx))
     return u_par, u_perp
 
@@ -195,7 +191,7 @@ def moment_command(errors, omega_k, J_k, gains: GainSet):
     9-tuple per vehicle.  Feedback enters with negative sign (e_R grows as
     the body rotates past the target, so the restoring moment opposes it),
     plus the gyroscopic term omega x J omega."""
-    (kx, ky, kz), (wx, wy, wz) = gains._k_R, gains._k_Omega
+    k, w = gains.K_R, gains.K_Omega
     out = []
     for (ex, ey, ez), (fx, fy, fz), (ox, oy, oz), J in zip(*errors, omega_k, J_k):
         j0, j1, j2, j3, j4, j5, j6, j7, j8 = J
@@ -203,8 +199,8 @@ def moment_command(errors, omega_k, J_k, gains: GainSet):
         hx, hy, hz = (j0 * ox + j1 * oy + j2 * oz, j3 * ox + j4 * oy + j5 * oz,
                       j6 * ox + j7 * oy + j8 * oz)
         out.append((
-            -kx * ex - wx * fx + (oy * hz - oz * hy),
-            -ky * ey - wy * fy + (oz * hx - ox * hz),
-            -kz * ez - wz * fz + (ox * hy - oy * hx),
+            -k * ex - w * fx + (oy * hz - oz * hy),
+            -k * ey - w * fy + (oz * hx - ox * hz),
+            -k * ez - w * fz + (ox * hy - oy * hx),
         ))
     return out

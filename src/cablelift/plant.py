@@ -50,10 +50,10 @@ class CableOverload(RuntimeError):
 class SystemParams:
     """Physical parameters of the rig.
 
-    Scalar per-MAV entries broadcast to all n vehicles.
+    The vehicle count n is the number of attachment offsets r_i; scalar
+    per-MAV entries broadcast to all n vehicles.
     """
 
-    n: int
     m_i: np.ndarray  # (n,) kg
     J_i: np.ndarray  # (n, 3, 3) kg m^2
     m_L: float
@@ -67,6 +67,8 @@ class SystemParams:
     cable_damping: float = 50.0  # N s/m
 
     def __post_init__(self):
+        self.r_i = np.asarray(self.r_i, dtype=np.float64).reshape(-1, 3)
+        self.n = len(self.r_i)
         if self.n < 3:
             raise ValueError("need at least 3 vehicles")
         self.m_i = np.broadcast_to(np.asarray(self.m_i, dtype=np.float64), (self.n,)).copy()
@@ -75,7 +77,6 @@ class SystemParams:
             J = np.broadcast_to(J, (self.n, 3, 3))
         self.J_i = J.reshape(self.n, 3, 3).copy()
         self.J_L = np.asarray(self.J_L, dtype=np.float64).reshape(3, 3)
-        self.r_i = np.asarray(self.r_i, dtype=np.float64).reshape(self.n, 3)
         self.l_i = np.broadcast_to(np.asarray(self.l_i, dtype=np.float64), (self.n,)).copy()
         if np.any(self.m_i <= 0) or self.m_L <= 0:
             raise ValueError("masses must be positive")
@@ -128,12 +129,9 @@ class DisturbanceModel:
 
     eta: float = 0.0
     seed: int = 0
-    kind: str = "none"  # none | uniform-bounded
     _rng: np.random.Generator | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        if self.kind not in ("none", "uniform-bounded"):
-            raise ValueError(f"unknown disturbance kind {self.kind!r}")
         if not 0.0 <= self.eta < math.inf:
             raise ValueError("eta must be finite and nonnegative")
         # an inactive model never draws, so it leaves numpy.random unimported
@@ -142,7 +140,7 @@ class DisturbanceModel:
 
     @property
     def active(self) -> bool:
-        return self.kind != "none" and self.eta > 0.0
+        return self.eta > 0.0
 
     def draw_block(self) -> tuple:
         """(D, E) for the next DISTURBANCE_BLOCK ticks: tangent rows D (B, 12) of

@@ -98,7 +98,6 @@ def default_weights() -> CostWeights:
 def default_system() -> SystemParams:
     """Four-vehicle square rig: 0.6 m sides, 1 m cables, 232 g payload."""
     return SystemParams(
-        n=4,
         m_i=0.12,
         J_i=np.diag([2.5e-3, 2.5e-3, 4.0e-3]),
         m_L=0.232,
@@ -137,8 +136,8 @@ class ScenarioConfig:
     terminal_epsilon: Optional[float] = 0.05
     solver: SolverConfig = field(default_factory=SolverConfig)
     gains: GainSet = field(default_factory=GainSet)
+    # the per-step disturbance bound; the disturbance is on exactly when it is > 0
     disturbance_eta: float = 0.0
-    disturbance_kind: str = "none"
     initial_offset: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self):
@@ -150,8 +149,6 @@ class ScenarioConfig:
             raise ConfigError(f"'seed' must be a nonnegative integer, got {self.seed!r}")
         if self.plant_model not in ("full", "payload_only"):
             raise ConfigError(f"unknown 'plant_model' {self.plant_model!r}")
-        if self.disturbance_kind not in ("none", "uniform-bounded"):
-            raise ConfigError(f"unknown disturbance 'kind' {self.disturbance_kind!r}")
         self.initial_offset = np.asarray(self.initial_offset, dtype=np.float64)
         if self.plant_model == "full":
             ratio = self.ocp.dt / self.dt_lowlevel
@@ -217,24 +214,6 @@ def preset_names() -> List[str]:
     return sorted(_PRESETS)
 
 
-def tracking_gains() -> GainSet:
-    """Stiffened inner-loop gains for closed-loop runs on the full plant.
-
-    The library defaults favor gentle, well-damped stand-alone behavior.
-    Under the payload controller the attitude and cable loops must respond
-    well above the wrench-command bandwidth and absorb replan steps without
-    ringing, otherwise the layers trade energy in a growing swing; these
-    values put the attitude poles near 75 rad/s and make the
-    cable-direction loop slightly overdamped around 12 rad/s.
-    """
-    return GainSet(
-        K_R=15.0 * np.eye(3),
-        K_Omega=0.37 * np.eye(3),
-        K_xi=150.0 * np.eye(3),
-        K_omega=30.0 * np.eye(3),
-    )
-
-
 def _circle(condition: str) -> ScenarioConfig:
     alpha, beta = TRIGGER_PRESETS[condition]
     return ScenarioConfig(
@@ -244,16 +223,13 @@ def _circle(condition: str) -> ScenarioConfig:
         plant_model="full",
         trigger=TriggerConfig(alpha=alpha, beta=beta),
         disturbance_eta=1.15e-3,
-        disturbance_kind="uniform-bounded",
         # a moving reference is followed, never reached: disable horizon
         # shrinking so replans come from the deviation test alone
         terminal_epsilon=None,
-        gains=tracking_gains(),
     )
 
 
 def _hover(plant_model: str, offset, name: str, terminal_epsilon: float = 0.05) -> ScenarioConfig:
-    gains = tracking_gains() if plant_model == "full" else GainSet()
     return ScenarioConfig(
         name=name,
         duration=10.0,
@@ -261,7 +237,6 @@ def _hover(plant_model: str, offset, name: str, terminal_epsilon: float = 0.05) 
         reference=ReferenceSpec(kind="hover", position=np.array([0.0, 0.0, 1.0])),
         trigger=TriggerConfig(alpha=0.10, beta=0.05),
         initial_offset=np.asarray(offset, dtype=np.float64),
-        gains=gains,
         terminal_epsilon=terminal_epsilon,
     )
 
@@ -292,9 +267,8 @@ VECTOR = np.ndarray
 
 # (section, key) -> (kind, range, field): every key of every section of a
 # scenario file.  The field is a dotted path from ScenarioConfig.  A float
-# key for a per-vehicle field sets it for every vehicle, and a gain sets its
-# matrix to the value times the identity.  A key without a field sets more or
-# less than one field, and build_scenario handles it.
+# key for a per-vehicle field sets it for every vehicle.  A key without a
+# field sets more or less than one field, and build_scenario handles it.
 FIELDS = {
     ("scenario", "duration_s"): (float, POSITIVE, "duration"),
     ("scenario", "seed"): (int, NONNEGATIVE, "seed"),
@@ -327,7 +301,6 @@ FIELDS = {
     ("solver", "kkt_tol"): (float, POSITIVE, "solver.kkt_tol"),
     ("solver", "feas_tol"): (float, POSITIVE, "solver.feas_tol"),
     ("disturbance", "eta"): (float, NONNEGATIVE, "disturbance_eta"),
-    ("disturbance", "kind"): (str, None, "disturbance_kind"),
     ("weights", "position"): (float, POSITIVE, None),
     ("weights", "velocity"): (float, POSITIVE, None),
     ("weights", "attitude"): (float, POSITIVE, None),
@@ -499,7 +472,6 @@ def build_scenario(data: dict):
         changes["trigger"] = {"alpha": alpha, "beta": beta, **changes["trigger"]}
     if "weights" in given:
         changes["ocp"]["weights"] = _override_weights(config.ocp.weights, values)
-    changes["gains"] = {attr: gain * np.eye(3) for attr, gain in changes["gains"].items()}
     if "obstacle" in given and ("obstacle", "center_m") not in values:
         raise ConfigError("section 'obstacle' needs center_m")
 

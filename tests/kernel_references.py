@@ -206,7 +206,7 @@ def attachment_accel(accel_des, R_L, Omega_L, Omega_dot_des, r, g: float = 9.81)
 
 
 def control_components(mu_k, state, a_kc, mass, length, gains):
-    (kx, ky, kz), (wx, wy, wz) = gains._k_xi, gains._k_omega
+    (kx, ky, kz), (wx, wy, wz) = (gains.K_xi,) * 3, (gains.K_omega,) * 3
     e_xi, e_omega = cable_errors(state)
     u_par, u_perp = [], []
     for k, xi in enumerate(state.xi):
@@ -255,7 +255,7 @@ def attitude_errors(R_k, R_des, omega_k):
 
 
 def moment_command(errors, omega_k, J_k, gains):
-    (kx, ky, kz), (wx, wy, wz) = gains._k_R, gains._k_Omega
+    (kx, ky, kz), (wx, wy, wz) = (gains.K_R,) * 3, (gains.K_Omega,) * 3
     out = []
     for (ex, ey, ez), (fx, fy, fz), omega, J in zip(*errors, omega_k, J_k):
         gx, gy, gz = cross(omega, rotate(J, omega))

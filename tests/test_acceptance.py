@@ -94,7 +94,6 @@ def recovery_disturbed_run():
     config = dataclasses.replace(
         harness.scenario_preset("hover-recovery"),
         disturbance_eta=1.15e-3,
-        disturbance_kind="uniform-bounded",
         seed=10,
     )
     return harness.run_closed_loop(config)

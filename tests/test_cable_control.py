@@ -87,7 +87,7 @@ def desired_attitude(u, yaw):
 class TestValidation:
     def test_gain_set_defaults_pass(self):
         gains = GainSet()
-        assert gains.K_xi[0, 0] > 0
+        assert gains.K_xi > 0
 
     def test_gain_set_rejects_non_diagonal(self):
         K = np.eye(3)
@@ -97,7 +97,7 @@ class TestValidation:
 
     def test_gain_set_rejects_non_positive_diagonal(self):
         with pytest.raises(ValueError):
-            GainSet(K_omega=np.diag([1.0, -2.0, 1.0]))
+            GainSet(K_omega=-2.0)
 
     def test_tracking_state_rejects_non_unit_direction(self):
         with pytest.raises(ValueError):
@@ -277,7 +277,7 @@ class TestMomentCommand:
         gains = GainSet()
         e_Omega = np.array([0.1, 0.0, 0.0])
         M = moment((np.zeros(3), e_Omega), np.zeros(3), gains)
-        np.testing.assert_allclose(M, -gains.K_Omega @ e_Omega, atol=1e-15)
+        np.testing.assert_allclose(M, -gains.K_Omega * e_Omega, atol=1e-15)
 
     def test_gyroscopic_term_isolated(self):
         # zero errors leave only the omega x J omega cross term
@@ -319,7 +319,6 @@ class TestAttitudeLoopStability:
 
 def hover_rig():
     params = plant.SystemParams(
-        n=4,
         m_i=M_I,
         J_i=J_I,
         m_L=M_L,
@@ -471,7 +470,8 @@ def reference_tick(config, Y, wrench_cmd, mu_prev):
     allocated forces.  Returns (thrusts, moments, allocated forces, whether
     the null-space step moved them, the norm of each vehicle's force command u).
     """
-    params, gains, dt = config.params, config.gains, config.dt_lowlevel
+    params, dt = config.params, config.dt_lowlevel
+    K_R, K_Omega, K_xi, K_omega = (gain * np.eye(3) for gain in dataclasses.astuple(config.gains))
     amap = allocation.build_allocation(params.r_i)
     p_L, v_L, omega_l = Y[0, 0:3], Y[0, 3:6], Y[0, 10:13]
     R_L = so3.quat_to_rotation(Y[0, 6:10])
@@ -512,7 +512,7 @@ def reference_tick(config, Y, wrench_cmd, mu_prev):
         e_xi = np.cross(xi_des, xi)
         e_omega = om_c + np.cross(xi, np.cross(xi, om_des))
         u_par = xi * (xi @ mu[k]) + m_k * l_k * (om_c @ om_c) * xi + m_k * xi * (xi @ a_kc)
-        bracket = -gains.K_xi @ e_xi - gains.K_omega @ e_omega
+        bracket = -K_xi @ e_xi - K_omega @ e_omega
         u_perp = m_k * l_k * np.cross(xi, bracket) - m_k * np.cross(xi, np.cross(xi, a_kc))
         u = u_par + u_perp
         R_k = so3.quat_to_rotation(Y[1 + k, 6:10])
@@ -526,7 +526,7 @@ def reference_tick(config, Y, wrench_cmd, mu_prev):
         e_R = 0.5 * np.array([S[2, 1], S[0, 2], S[1, 0]])
         J_k = params.J_i[k]
         gyro = np.cross(omega_k, J_k @ omega_k)
-        moments.append(-gains.K_R @ e_R - gains.K_Omega @ omega_k + gyro)
+        moments.append(-K_R @ e_R - K_Omega @ omega_k + gyro)
     return np.array(thrusts), np.array(moments), mu, shifted, np.array(u_norms)
 
 
@@ -616,16 +616,16 @@ class TestFloatTick:
         # the difference to sit 8 eps apart in all, 4 eps each for a few ulps
         # of force and the normalizing division.  The desired rate is then
         # off by 8 eps / dt, and the force command u = u_par + u_perp by
-        # m_k l_k |K_omega| 8 eps / dt through the rate term of u_perp; the
+        # m_k l_k K_omega 8 eps / dt through the rate term of u_perp; the
         # thrust, u along the body axis, by as much.  The thrust direction
         # u / |u| turns by at most 2 |du| / |u|, and the attitude error and
         # the moment follow it through K_R.  Every other term of the tick
         # rounds at eps of its own size, below 1e-14.  Over 3000 draws the
         # differences reach a quarter of these bounds.
         params, eps = config.params, np.finfo(float).eps
-        du = params.m_i * params.l_i * np.linalg.norm(config.gains.K_omega, 2) * 8 * eps
+        du = params.m_i * params.l_i * config.gains.K_omega * 8 * eps
         du /= config.dt_lowlevel
-        dM = np.linalg.norm(config.gains.K_R, 2) * 2 * du / u_norms
+        dM = config.gains.K_R * 2 * du / u_norms
         assert np.all(np.abs(np.array(thrusts) - ref_thrusts) <= du)
         assert np.all(np.abs(np.array(moments) - ref_moments) <= dM[:, None])
         np.testing.assert_allclose(model.mu_prev, ref_mu, rtol=1e-12, atol=1e-12)

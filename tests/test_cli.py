@@ -291,7 +291,7 @@ class TestRun:
         config = write(
             tmp_path,
             FAST_CONFIG
-            + "disturbance:\n  eta: 1.0e-3\n  kind: uniform-bounded\n",
+            + "disturbance:\n  eta: 1.0e-3\n",
         )
         for seed, name in ((3, "a"), (3, "b"), (4, "c")):
             out_dir = tmp_path / name

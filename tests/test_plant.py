@@ -156,7 +156,7 @@ class TestSystemParams:
 
     def test_too_few_vehicles_rejected(self):
         with pytest.raises(ValueError):
-            make_params(n=2, r_i=np.array([[0.3, 0, 0], [-0.3, 0, 0]]))
+            make_params(r_i=np.array([[0.3, 0, 0], [-0.3, 0, 0]]))
 
     def test_nonpositive_mass_rejected(self):
         with pytest.raises(ValueError):
@@ -734,7 +734,7 @@ def parent_disturbance(eta, seed, pose_scale, ticks, x):
 
 class TestDisturbanceModel:
     def test_none_kind_returns_zeros(self):
-        d = DisturbanceModel(eta=0.5, kind="none")
+        d = DisturbanceModel(eta=0.0)
         D, E = d.draw_block()
         np.testing.assert_array_equal(D, np.zeros((plant.DISTURBANCE_BLOCK, 12)))
         np.testing.assert_array_equal(E, np.tile(so3.quat_identity(), (len(E), 1)))
@@ -744,26 +744,22 @@ class TestDisturbanceModel:
         assert y == before
 
     def test_samples_respect_bound(self):
-        d = DisturbanceModel(eta=0.03, seed=11, kind="uniform-bounded")
+        d = DisturbanceModel(eta=0.03, seed=11)
         for _ in range(2):
             D, _ = d.draw_block()
             assert np.all(np.linalg.norm(D, axis=1) <= 0.03 + 1e-15)
 
     def test_seed_reproducibility(self):
-        a = DisturbanceModel(eta=0.02, seed=4, kind="uniform-bounded")
-        b = DisturbanceModel(eta=0.02, seed=4, kind="uniform-bounded")
+        a = DisturbanceModel(eta=0.02, seed=4)
+        b = DisturbanceModel(eta=0.02, seed=4)
         for _ in range(3):
             for x, y in zip(a.draw_block(), b.draw_block()):
                 np.testing.assert_array_equal(x, y)
 
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            DisturbanceModel(kind="gaussian")
-
     @pytest.mark.parametrize("eta", [-1e-3, float("nan"), float("inf")])
     def test_bad_eta_rejected(self, eta):
         with pytest.raises(ValueError, match="eta"):
-            DisturbanceModel(eta=eta, kind="uniform-bounded")
+            DisturbanceModel(eta=eta)
 
     @pytest.mark.parametrize("eta, pose_scale", [(1.15e-3, 0.002), (0.05, 1.0)])
     def test_block_stream_matches_per_tick_draws(self, monkeypatch, eta, pose_scale):
@@ -776,7 +772,7 @@ class TestDisturbanceModel:
         x0[W] = [0.3, -0.1, 0.2]
         expect = parent_disturbance(eta, 7, pose_scale, ticks, x0)
         monkeypatch.setattr(plant, "POSE_SCALE", pose_scale)
-        d = DisturbanceModel(eta=eta, seed=7, kind="uniform-bounded")
+        d = DisturbanceModel(eta=eta, seed=7)
         y = flat(hover_state(make_params()))
         y[0:13] = x0.tolist()
         vehicles = y[13:]
