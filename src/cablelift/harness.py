@@ -33,8 +33,8 @@ from .event_trigger import TerminalRegion
 from .plant import DisturbanceModel
 # the scenario names the runner uses, and those its callers reach through here
 from .scenario import (  # noqa: F401
-    TRIGGER_PRESETS, ConfigError, ReferenceSpec, ScenarioConfig, build_scenario, default_system,
-    default_weights, equilibrium_state, load_config, preset_names, scenario_preset,
+    TRIGGER_PRESETS, ConfigError, ReferenceSpec, ScenarioConfig, build_scenario, equilibrium_state,
+    load_config, preset_names, scenario_preset,
 )
 
 

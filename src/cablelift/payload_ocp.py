@@ -22,7 +22,8 @@ the solver evaluates each iterate once and builds its QP from that.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+import math
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Optional, Tuple
 
@@ -44,26 +45,46 @@ class DimensionMismatch(ValueError):
 
 @dataclass
 class CostWeights:
-    Q_X: np.ndarray  # (12, 12) stage state weight
-    Q_U: np.ndarray  # (6, 6) input weight
-    Q_XN: np.ndarray  # (12, 12) terminal weight
+    """Tracking weights, one float per block, named as a scenario file's
+    `weights:` keys: the stage state weight Q_X is diagonal with position,
+    velocity, attitude and rate on its four 3-blocks, the input weight Q_U
+    with force and moment on its two, and the terminal weight is
+    Q_XN = terminal_scale * Q_X.
+
+    The cables produce a moment only once the vehicles have moved to tilt
+    them, far slower than one 50 ms stage.  The moment weight keeps a plan
+    from closing the body-rate error with a one-stage moment impulse; such
+    impulses go mostly unrealized, and replanning every sigma steps then
+    pumps the payload's rotation into an event storm.
+    """
+
+    position: float = 60.0
+    velocity: float = 8.0
+    attitude: float = 30.0
+    rate: float = 2.0
+    force: float = 0.8
+    moment: float = 40.0
+    terminal_scale: float = 4.0
 
     def __post_init__(self):
-        self.Q_X = np.asarray(self.Q_X, dtype=np.float64).reshape(NX, NX)
-        self.Q_U = np.asarray(self.Q_U, dtype=np.float64).reshape(NU, NU)
-        self.Q_XN = np.asarray(self.Q_XN, dtype=np.float64).reshape(NX, NX)
-        for M, name, strict in [
-            (self.Q_X, "Q_X", False),
-            (self.Q_U, "Q_U", False),
-            (self.Q_XN, "Q_XN", True),
-        ]:
-            if not np.all(np.isfinite(M)):
-                raise ConfigError(f"{name} must be finite")
-            if np.linalg.norm(M - M.T) > 1e-9:
-                raise ConfigError(f"{name} must be symmetric")
-            lo = np.min(np.linalg.eigvalsh(M))
-            if lo < -1e-12 or (strict and lo <= 0):
-                raise ConfigError(f"{name} eigenvalues out of range")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not (isinstance(value, (int, float)) and math.isfinite(value)):
+                raise ConfigError(f"{f.name!r} must be a finite number, got {value!r}")
+            setattr(self, f.name, float(value))
+        for key, value in (("force", self.force), ("moment", self.moment)):
+            if value < 0.0:
+                raise ConfigError(f"{key!r} must be nonnegative, got {value!r}")
+        state = (self.position, self.velocity, self.attitude, self.rate)
+        for key, value in zip(("position", "velocity", "attitude", "rate"), state):
+            if not (value > 0.0 and 0.0 < self.terminal_scale * value < math.inf):
+                raise ConfigError(
+                    f"{key!r} and 'terminal_scale' must be positive with a positive finite "
+                    f"product, got {value!r} and {self.terminal_scale!r}"
+                )
+        self.Q_X = np.diag(np.repeat(state, 3))
+        self.Q_U = np.diag(np.repeat([self.force, self.moment], 3))
+        self.Q_XN = self.terminal_scale * self.Q_X
 
 
 @dataclass
@@ -71,7 +92,7 @@ class OcpConfig:
     """The solver settings of the problem around one reference window; the
     payload model it predicts with is the rig's SystemParams."""
 
-    weights: CostWeights
+    weights: CostWeights = field(default_factory=CostWeights)
     N: int = 20
     dt: float = 0.05
     obstacle_center: Optional[np.ndarray] = None
@@ -90,10 +111,6 @@ class OcpProblem(OcpConfig):
     ref_u: np.ndarray  # (N+1, 6) reference wrench rows
     params: plant.SystemParams
     amap: allocation.AllocationMap
-
-    @cached_property
-    def _J_L_inv(self) -> np.ndarray:
-        return np.linalg.inv(self.params.J_L)
 
     @cached_property
     def share_maps(self) -> np.ndarray:
@@ -175,7 +192,7 @@ def payload_dynamics(Y: np.ndarray, U: np.ndarray, problem) -> np.ndarray:
     out[..., 3:6] = U[..., 0:3] / problem.params.m_L + problem.params.g_vec
     out[..., 6:10] = so3.omega_to_quat_dot(Y[..., 6:10], w)
     Jw = w @ problem.params.J_L.T
-    out[..., 10:13] = (U[..., 3:6] - so3.cross3_rows(w, Jw)) @ problem._J_L_inv.T
+    out[..., 10:13] = (U[..., 3:6] - so3.cross3_rows(w, Jw)) @ problem.params.J_L_inv.T
     return out
 
 
@@ -196,7 +213,7 @@ def _dynamics_tangent(Y: np.ndarray, dY: np.ndarray, dU: np.ndarray, problem) ->
     J = problem.params.J_L.T
     out[..., 10:13] = (
         dU[:, 3:6] - so3.cross3_rows(dw, w @ J) - so3.cross3_rows(w, dw @ J)
-    ) @ problem._J_L_inv.T
+    ) @ problem.params.J_L_inv.T
     return out
 
 

@@ -48,20 +48,25 @@ class CableOverload(RuntimeError):
 
 @dataclass
 class SystemParams:
-    """Physical parameters of the rig.
+    """Physical parameters of the rig; the defaults are the four-vehicle
+    square rig of every preset: 0.6 m sides, 1 m cables, 232 g payload.
 
-    The vehicle count n is the number of attachment offsets r_i; scalar
-    per-MAV entries broadcast to all n vehicles.
+    The vehicle count n is the number of attachment offsets r_i; a per-MAV
+    entry is one value for every vehicle or one per vehicle.
     """
 
-    m_i: np.ndarray  # (n,) kg
-    J_i: np.ndarray  # (n, 3, 3) kg m^2
-    m_L: float
-    J_L: np.ndarray  # (3, 3) kg m^2
-    r_i: np.ndarray  # (n, 3) attachment offsets, payload frame, m
-    l_i: np.ndarray  # (n,) cable rest lengths, m
-    F_max: float  # thrust ceiling per MAV, N
-    f_max: float  # cable tension bound, N
+    m_i: np.ndarray = 0.12  # (n,) kg
+    # (n, 3, 3) kg m^2
+    J_i: np.ndarray = field(default_factory=lambda: np.diag([2.5e-3, 2.5e-3, 4.0e-3]))
+    m_L: float = 0.232
+    J_L: np.ndarray = field(default_factory=lambda: np.diag([0.007, 0.007, 0.013]))  # (3, 3)
+    # (n, 3) attachment offsets, payload frame, m
+    r_i: np.ndarray = field(
+        default_factory=lambda: 0.3 * np.array([[1, 1, 0], [1, -1, 0], [-1, -1, 0], [-1, 1, 0]])
+    )
+    l_i: np.ndarray = 1.0  # (n,) cable rest lengths, m
+    F_max: float = 2.5  # thrust ceiling per MAV, N
+    f_max: float = 1.2  # cable tension bound, N
     g: float = 9.81
     cable_stiffness: float = 5000.0  # N/m
     cable_damping: float = 50.0  # N s/m
@@ -71,13 +76,16 @@ class SystemParams:
         self.n = len(self.r_i)
         if self.n < 3:
             raise ValueError("need at least 3 vehicles")
-        self.m_i = np.broadcast_to(np.asarray(self.m_i, dtype=np.float64), (self.n,)).copy()
-        J = np.asarray(self.J_i, dtype=np.float64)
-        if J.shape == (3, 3):
-            J = np.broadcast_to(J, (self.n, 3, 3))
-        self.J_i = J.reshape(self.n, 3, 3).copy()
+        for name, shape in (("m_i", ()), ("J_i", (3, 3)), ("l_i", ())):
+            value = np.asarray(getattr(self, name), dtype=np.float64)
+            if value.shape == shape:
+                value = np.broadcast_to(value, (self.n,) + shape)
+            elif value.shape != (self.n,) + shape:
+                raise ValueError(
+                    f"{name!r} needs one value or one per vehicle, got shape {value.shape}"
+                )
+            setattr(self, name, value.copy())
         self.J_L = np.asarray(self.J_L, dtype=np.float64).reshape(3, 3)
-        self.l_i = np.broadcast_to(np.asarray(self.l_i, dtype=np.float64), (self.n,)).copy()
         if np.any(self.m_i <= 0) or self.m_L <= 0:
             raise ValueError("masses must be positive")
         if np.any(self.l_i <= 0):
@@ -87,13 +95,14 @@ class SystemParams:
         for M, name in [(self.J_L, "J_L")] + [(self.J_i[k], "J_i") for k in range(self.n)]:
             if np.linalg.norm(M - M.T) > 1e-12 or np.min(np.linalg.eigvalsh(M)) <= 0:
                 raise ValueError(f"{name} must be symmetric positive definite")
+        self.J_L_inv = np.linalg.inv(self.J_L)
         # plain-float copies for the scalar kernels, each 3x3 matrix a row-major
         # 9-list, and gravity (0, 0, -g) as a float 3-tuple
         self._m_i, self._l_i, self._r_i = self.m_i.tolist(), self.l_i.tolist(), self.r_i.tolist()
         self._J_i = self.J_i.reshape(self.n, 9).tolist()
         self._J_i_inv = np.linalg.inv(self.J_i).reshape(self.n, 9).tolist()
         self._J_L = self.J_L.ravel().tolist()
-        self._J_L_inv = np.linalg.inv(self.J_L).ravel().tolist()
+        self._J_L_inv = self.J_L_inv.ravel().tolist()
         self.g_vec = (0.0, 0.0, -self.g)
 
 

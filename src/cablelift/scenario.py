@@ -14,7 +14,7 @@ import numpy as np
 from . import so3
 from .cable_control import GainSet
 from .event_trigger import TriggerConfig
-from .payload_ocp import ConfigError as OcpConfigError, CostWeights, OcpConfig
+from .payload_ocp import ConfigError as OcpConfigError, OcpConfig
 from .plant import SystemParams
 from .sqp import SolverConfig
 
@@ -82,41 +82,6 @@ class ReferenceSpec:
 # scenario configuration
 
 
-def default_weights() -> CostWeights:
-    """Tracking weights shared by every preset.
-
-    The cables produce a moment only once the vehicles have moved to tilt
-    them, far slower than one 50 ms stage.  The moment weight keeps a plan
-    from closing the body-rate error with a one-stage moment impulse; such
-    impulses go mostly unrealized, and replanning every sigma steps then
-    pumps the payload's rotation into an event storm.
-    """
-    Q_X = np.diag([60.0] * 3 + [8.0] * 3 + [30.0] * 3 + [2.0] * 3)
-    return CostWeights(Q_X=Q_X, Q_U=np.diag([0.8] * 3 + [40.0] * 3), Q_XN=4.0 * Q_X)
-
-
-def default_system() -> SystemParams:
-    """Four-vehicle square rig: 0.6 m sides, 1 m cables, 232 g payload."""
-    return SystemParams(
-        m_i=0.12,
-        J_i=np.diag([2.5e-3, 2.5e-3, 4.0e-3]),
-        m_L=0.232,
-        J_L=np.diag([0.007, 0.007, 0.013]),
-        r_i=np.array(
-            [
-                [0.3, 0.3, 0.0],
-                [0.3, -0.3, 0.0],
-                [-0.3, -0.3, 0.0],
-                [-0.3, 0.3, 0.0],
-            ]
-        ),
-        l_i=1.0,
-        F_max=2.5,
-        f_max=1.2,
-        g=9.81,
-    )
-
-
 @dataclass
 class ScenarioConfig:
     """Everything one closed-loop run needs, fully resolved."""
@@ -126,11 +91,11 @@ class ScenarioConfig:
     seed: int = 0
     plant_model: str = "full"  # full | payload_only
     dt_lowlevel: float = 0.002
-    params: SystemParams = field(default_factory=default_system)
+    params: SystemParams = field(default_factory=SystemParams)
     reference: ReferenceSpec = field(default_factory=ReferenceSpec)
     # the solver settings; the solver predicts with the payload of params
-    ocp: OcpConfig = field(default_factory=lambda: OcpConfig(weights=default_weights()))
-    trigger: TriggerConfig = field(default_factory=lambda: TriggerConfig(alpha=0.10, beta=0.05))
+    ocp: OcpConfig = field(default_factory=OcpConfig)
+    trigger: TriggerConfig = field(default_factory=TriggerConfig)
     # convergence gate for horizon shrinking; None disables shrinking, the
     # right choice for references that are followed rather than reached
     terminal_epsilon: Optional[float] = 0.05
@@ -218,9 +183,7 @@ def _circle(condition: str) -> ScenarioConfig:
     alpha, beta = TRIGGER_PRESETS[condition]
     return ScenarioConfig(
         name=f"circle-{condition}",
-        duration=15.0,
         seed=10,
-        plant_model="full",
         trigger=TriggerConfig(alpha=alpha, beta=beta),
         disturbance_eta=1.15e-3,
         # a moving reference is followed, never reached: disable horizon
@@ -229,16 +192,9 @@ def _circle(condition: str) -> ScenarioConfig:
     )
 
 
-def _hover(plant_model: str, offset, name: str, terminal_epsilon: float = 0.05) -> ScenarioConfig:
-    return ScenarioConfig(
-        name=name,
-        duration=10.0,
-        plant_model=plant_model,
-        reference=ReferenceSpec(kind="hover", position=np.array([0.0, 0.0, 1.0])),
-        trigger=TriggerConfig(alpha=0.10, beta=0.05),
-        initial_offset=np.asarray(offset, dtype=np.float64),
-        terminal_epsilon=terminal_epsilon,
-    )
+def _hover(name: str, **changes) -> ScenarioConfig:
+    hover = ReferenceSpec(kind="hover", position=np.array([0.0, 0.0, 1.0]))
+    return ScenarioConfig(name=name, duration=10.0, reference=hover, **changes)
 
 
 # preset name -> a function building a fresh config
@@ -247,13 +203,16 @@ _PRESETS = {
     "circle-loose": lambda: _circle("loose"),
     "circle-medium": lambda: _circle("medium"),
     "circle-tight": lambda: _circle("tight"),
-    "hover": lambda: _hover("full", np.zeros(3), "hover"),
-    "hover-nominal": lambda: _hover("payload_only", np.zeros(3), "hover-nominal"),
+    "hover": lambda: _hover("hover"),
+    "hover-nominal": lambda: _hover("hover-nominal", plant_model="payload_only"),
     # the tighter convergence gate keeps several consecutive forced
     # replans outside the terminal region, where the optimal cost is
     # expected to decrease monotonically
     "hover-recovery": lambda: _hover(
-        "payload_only", [0.3, 0.0, 0.0], "hover-recovery", terminal_epsilon=0.005
+        "hover-recovery",
+        plant_model="payload_only",
+        initial_offset=[0.3, 0.0, 0.0],
+        terminal_epsilon=0.005,
     ),
 }
 
@@ -301,13 +260,13 @@ FIELDS = {
     ("solver", "kkt_tol"): (float, POSITIVE, "solver.kkt_tol"),
     ("solver", "feas_tol"): (float, POSITIVE, "solver.feas_tol"),
     ("disturbance", "eta"): (float, NONNEGATIVE, "disturbance_eta"),
-    ("weights", "position"): (float, POSITIVE, None),
-    ("weights", "velocity"): (float, POSITIVE, None),
-    ("weights", "attitude"): (float, POSITIVE, None),
-    ("weights", "rate"): (float, POSITIVE, None),
-    ("weights", "force"): (float, NONNEGATIVE, None),
-    ("weights", "moment"): (float, NONNEGATIVE, None),
-    ("weights", "terminal_scale"): (float, POSITIVE, None),
+    ("weights", "position"): (float, POSITIVE, "ocp.weights.position"),
+    ("weights", "velocity"): (float, POSITIVE, "ocp.weights.velocity"),
+    ("weights", "attitude"): (float, POSITIVE, "ocp.weights.attitude"),
+    ("weights", "rate"): (float, POSITIVE, "ocp.weights.rate"),
+    ("weights", "force"): (float, NONNEGATIVE, "ocp.weights.force"),
+    ("weights", "moment"): (float, NONNEGATIVE, "ocp.weights.moment"),
+    ("weights", "terminal_scale"): (float, POSITIVE, "ocp.weights.terminal_scale"),
     # GainSet takes exactly the positive gains
     ("gains", "attitude"): (float, POSITIVE, "gains.K_R"),
     ("gains", "attitude_rate"): (float, POSITIVE, "gains.K_Omega"),
@@ -322,10 +281,6 @@ FIELDS = {
 }
 SECTIONS = {section: {key for name, key in FIELDS if name == section} for section, _ in FIELDS}
 _TOP_KEYS = {"schema_version", "preset", "name", *SECTIONS}
-
-# weights key -> first index of its 3-block on the diagonals of Q_X (12) and Q_U (6), end to end
-_WEIGHT_BLOCKS = {"position": 0, "velocity": 3, "attitude": 6, "rate": 9, "force": 12, "moment": 15}
-
 
 def _check_keys(section: dict, allowed: set, where: str) -> None:
     if not isinstance(section, dict):
@@ -369,34 +324,6 @@ def _number(value, key: str, kind=float, bound=None):
     if (bound == POSITIVE and value <= 0) or (bound == NONNEGATIVE and value < 0):
         raise ConfigError(f"{key!r} must be {bound}, got {value!r}")
     return value
-
-
-def _override_weights(base: CostWeights, values: dict) -> CostWeights:
-    """The preset's weights with the blocks named in `values` replaced.
-
-    Preset weights are diagonal with one value per 3-block, and the terminal
-    weight is Q_XN = terminal_scale * Q_X; every block the file leaves out,
-    and the terminal scale, keep the preset's values.
-    """
-    diag = np.concatenate([np.diag(base.Q_X), np.diag(base.Q_U)])
-    scale = values.get(("weights", "terminal_scale"), float(base.Q_XN[0, 0] / base.Q_X[0, 0]))
-    for key, start in _WEIGHT_BLOCKS.items():
-        if ("weights", key) in values:
-            diag[start : start + 3] = values["weights", key]
-    Q_X = np.diag(diag[:12])
-    with np.errstate(over="ignore"):
-        Q_XN = scale * Q_X
-    try:
-        return CostWeights(Q_X=Q_X, Q_U=np.diag(diag[12:]), Q_XN=Q_XN)
-    except OcpConfigError as exc:
-        given = {k: values[s, k] for s, k in values if s == "weights"}
-        if np.all(np.isfinite(Q_XN)):
-            # the preset's weights pass, so blame the smallest weight the file gives
-            key = min(given, key=given.get)
-        else:
-            # terminal_scale * Q_X overflowed: blame its largest factor the file gives
-            key = max((k for k in given if k not in ("force", "moment")), key=given.get)
-        raise ConfigError(f"{key!r} in section 'weights' is out of range: {exc}") from exc
 
 
 def load_config(path):
@@ -452,8 +379,9 @@ def build_scenario(data: dict):
                 value = _number(value, key, kind, bound)
             values[name, key] = value
 
-    # ScenarioConfig attribute ("" for the config itself) -> {field: value}
-    changes = {obj: {} for obj in ("", "reference", "params", "trigger", "ocp", "solver", "gains")}
+    # ScenarioConfig attribute or dotted path ("" for the config itself) -> {field: value}
+    objs = ("", "reference", "params", "trigger", "ocp", "ocp.weights", "solver", "gains")
+    changes = {obj: {} for obj in objs}
     for (name, key), value in values.items():
         path = FIELDS[name, key][2]
         if path:
@@ -461,7 +389,6 @@ def build_scenario(data: dict):
             changes[obj][attr] = value
     if "name" in data:
         changes[""]["name"] = _file_name(data["name"])
-    given = {name for name, _ in values}  # the sections that set anything
     if ("trigger", "preset") in values:
         preset = values["trigger", "preset"]
         if preset not in TRIGGER_PRESETS:
@@ -470,12 +397,15 @@ def build_scenario(data: dict):
         alpha, beta = TRIGGER_PRESETS[preset]
         # an explicit alpha or beta overrides the trigger preset's
         changes["trigger"] = {"alpha": alpha, "beta": beta, **changes["trigger"]}
-    if "weights" in given:
-        changes["ocp"]["weights"] = _override_weights(config.ocp.weights, values)
-    if "obstacle" in given and ("obstacle", "center_m") not in values:
+    if ("obstacle", "clearance_m") in values and ("obstacle", "center_m") not in values:
         raise ConfigError("section 'obstacle' needs center_m")
 
     # each object rebuilt once, so that its own checks run on the final values
+    try:
+        weights = dataclasses.replace(config.ocp.weights, **changes.pop("ocp.weights"))
+    except OcpConfigError as exc:
+        raise ConfigError(f"section 'weights': {exc}") from exc
+    changes["ocp"]["weights"] = weights
     top = changes.pop("")
     objects = {obj: dataclasses.replace(getattr(config, obj), **kw) for obj, kw in changes.items()}
     config = dataclasses.replace(config, **objects, **top)

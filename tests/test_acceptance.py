@@ -189,7 +189,7 @@ def test_hover_clamps_nothing(hover_run):
 
 
 def test_criterion_06_allocation_exact_and_minimal():
-    params = harness.default_system()
+    params = plant.SystemParams()
     amap = allocation.build_allocation(params.r_i)
     rng = np.random.default_rng(2024)
     worst_recon = worst_null = 0.0
@@ -212,7 +212,7 @@ def test_criterion_06_allocation_exact_and_minimal():
 def test_criterion_07_integrator_order():
     """Whole-rig convergence ratio against a dt=1e-6 forward-Euler reference
     on a slack-cable tumble; an ideal fourth-order pair would give 16."""
-    params = harness.default_system()
+    params = plant.SystemParams()
     # world rows [p, v, q, omega], payload first
     payload = np.concatenate([
         np.array([0.0, 0.0, 2.0]),
@@ -251,8 +251,8 @@ def test_criterion_07_integrator_order():
 
 
 def test_criterion_08_optimizer_matches_independent_oracles():
-    params = harness.default_system()
-    weights = harness.default_weights()
+    params = plant.SystemParams()
+    weights = po.CostWeights()
 
     def hover_refs(points):
         """(ref_x, ref_u) rows of hover references at the given points."""

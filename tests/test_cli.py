@@ -151,8 +151,8 @@ class TestRun:
     def test_overflowing_terminal_weight_is_a_config_error(
         self, tmp_path, capsys, position, terminal_scale, key
     ):
-        """terminal_scale * Q_X overflows to inf: exit 2 naming the factor
-        that overflowed it, not a linear-algebra traceback."""
+        """terminal_scale * position overflows to inf: exit 2 naming the
+        key, not a traceback."""
         text = (
             "schema_version: 1\npreset: hover\n"
             f"weights:\n  position: {position}\n  terminal_scale: {terminal_scale}\n"

@@ -123,7 +123,7 @@ class TestReferenceSpec:
 
 class TestDefaultSystem:
     def test_square_rig(self):
-        params = harness.default_system()
+        params = plant.SystemParams()
         assert params.n == 4
         np.testing.assert_allclose(params.l_i, 1.0)
         # 0.6 m sides
@@ -1134,12 +1134,8 @@ class TestLoadConfig:
         # a preset whose weights and solver settings all differ from the
         # library defaults
         preset = harness.scenario_preset("hover-recovery")
-        Q_X = np.diag([20.0] * 3 + [5.0] * 3 + [10.0] * 3 + [1.0] * 3)
         preset.ocp = dataclasses.replace(
-            preset.ocp,
-            weights=payload_ocp.CostWeights(
-                Q_X=Q_X, Q_U=np.diag([1.0] * 3 + [2.0] * 3), Q_XN=2.0 * Q_X
-            ),
+            preset.ocp, weights=payload_ocp.CostWeights(20.0, 5.0, 10.0, 1.0, 1.0, 2.0, 2.0)
         )
         preset.solver = dataclasses.replace(preset.solver, max_sqp_iters=12, feas_tol=1e-5)
         text = (
@@ -1149,11 +1145,7 @@ class TestLoadConfig:
         )
         with mock.patch.object(scenario, "scenario_preset", return_value=preset):
             config, _ = harness.load_config(write_config(tmp_path, text))
-        expected_x = np.diag(preset.ocp.weights.Q_X).copy()
-        expected_x[3:6] = 3.0
-        np.testing.assert_array_equal(np.diag(config.ocp.weights.Q_X), expected_x)
-        np.testing.assert_array_equal(config.ocp.weights.Q_U, preset.ocp.weights.Q_U)
-        np.testing.assert_array_equal(config.ocp.weights.Q_XN, 2.0 * config.ocp.weights.Q_X)
+        assert config.ocp.weights == dataclasses.replace(preset.ocp.weights, velocity=3.0)
         assert config.solver.kkt_tol == 1e-7
         assert config.solver.max_sqp_iters == 12
         assert config.solver.feas_tol == 1e-5

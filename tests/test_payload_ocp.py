@@ -11,7 +11,7 @@ import pytest
 
 from cablelift import payload_ocp as po
 from cablelift import so3
-from rig_helpers import rig
+from cablelift.plant import SystemParams
 from rotation_helpers import quat_from_axis_angle
 
 # the preset rig's attachments, listed counterclockwise from (0.3, 0.3) where
@@ -24,7 +24,7 @@ R_I = np.array(
         [0.3, -0.3, 0.0],
     ]
 )
-RIG = rig(r_i=R_I)
+RIG = SystemParams(r_i=R_I)
 M_L, G, J_L = RIG.m_L, RIG.g, RIG.J_L
 
 HOVER_F = np.array([0.0, 0.0, M_L * G])
@@ -49,9 +49,14 @@ def hover_ref(p=(0.0, 0.0, 0.5)) -> np.ndarray:
     return state(p)
 
 
+def unit_weights(terminal_scale=1.0) -> po.CostWeights:
+    """Weight 1 on every block."""
+    return po.CostWeights(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, terminal_scale)
+
+
 def make_problem(N=4, dt=0.05, weights=None, **cfg_over) -> po.OcpProblem:
     if weights is None:
-        weights = po.CostWeights(np.eye(12), np.eye(6), 2 * np.eye(12))
+        weights = unit_weights(terminal_scale=2.0)
     cfg = po.OcpConfig(weights=weights, N=N, dt=dt, **cfg_over)
     x0 = state([0.0, 0.0, 0.5])
     ref_x = np.array([hover_ref() for _ in range(N + 1)])
@@ -247,8 +252,7 @@ class TestBuildOcp:
         assert len(prob.ref_x) == 4
 
     def test_reference_count_mismatch(self):
-        weights = po.CostWeights(np.eye(12), np.eye(6), np.eye(12))
-        cfg = po.OcpConfig(weights=weights, N=3)
+        cfg = po.OcpConfig(weights=unit_weights(), N=3)
         with pytest.raises(po.ConfigError):
             po.build_ocp(
                 state(), np.array([hover_ref()] * 3), np.array([hover_wrench()] * 3), cfg, RIG
@@ -266,12 +270,8 @@ class TestBuildOcp:
         np.testing.assert_allclose(c, -(1.2 - M_L * G / 4), atol=1e-12)
 
     def test_bad_weights_rejected(self):
-        asym = np.eye(12)
-        asym[0, 1] = 0.5
         with pytest.raises(po.ConfigError):
-            po.CostWeights(asym, np.eye(6), np.eye(12))
-        with pytest.raises(po.ConfigError):
-            po.CostWeights(np.eye(12), np.eye(6), np.zeros((12, 12)))
+            po.CostWeights(terminal_scale=0.0)
 
 
 class TestObstacleRows:

@@ -6,6 +6,8 @@ with those oracles first and then frozen here.  The per-body derivative
 formulas below are the reference the fused world derivative is pinned to.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,7 +21,6 @@ from cablelift.plant import (
     NonFiniteState,
     SystemParams,
 )
-from rig_helpers import rig
 from rotation_helpers import quat_from_axis_angle
 
 G = 9.81
@@ -96,7 +97,7 @@ def make_params(**over) -> SystemParams:
             [SIDE / 2, -SIDE / 2, 0.0],
         ]
     )
-    return rig(**{"r_i": r_i, **over})
+    return SystemParams(**{"r_i": r_i, **over})
 
 
 def hover_state(params: SystemParams) -> np.ndarray:
@@ -153,6 +154,24 @@ class TestSystemParams:
 
     def test_gravity_vector_points_down(self):
         np.testing.assert_array_equal(make_params().g_vec, [0.0, 0.0, -G])
+
+    def test_three_attachments_make_a_three_vehicle_rig(self):
+        p = SystemParams(r_i=np.array([[0.3, 0, 0], [-0.15, 0.26, 0], [-0.15, -0.26, 0]]))
+        assert p.n == 3
+        assert p.m_i.shape == p.l_i.shape == (3,)
+        assert p.J_i.shape == (3, 3, 3)
+        np.testing.assert_array_equal(p.J_i, np.broadcast_to(SystemParams().J_i[0], (3, 3, 3)))
+
+    def test_per_vehicle_entries_must_match_the_attachments(self):
+        """A rig rebuilt with fewer attachments keeps one mass per old
+        vehicle: refused naming the field, not a numpy broadcast error."""
+        three = np.array([[0.3, 0, 0], [-0.15, 0.26, 0], [-0.15, -0.26, 0]])
+        with pytest.raises(ValueError, match="'m_i'"):
+            dataclasses.replace(SystemParams(), r_i=three)
+        with pytest.raises(ValueError, match="'J_i'"):
+            SystemParams(r_i=three, J_i=np.zeros((4, 3, 3)))
+        with pytest.raises(ValueError, match="'l_i'"):
+            SystemParams(r_i=three, l_i=[1.0, 1.0])
 
     def test_too_few_vehicles_rejected(self):
         with pytest.raises(ValueError):
@@ -636,8 +655,7 @@ class TestStepWorld:
 def payload_problem(params: SystemParams) -> payload_ocp.OcpProblem:
     """A one-stage problem on the rig's payload: the mass, inertia and
     gravity that payload_ocp.discretize reads."""
-    eye = payload_ocp.CostWeights(np.eye(12), np.eye(6), np.eye(12))
-    cfg = payload_ocp.OcpConfig(weights=eye, N=1)
+    cfg = payload_ocp.OcpConfig(N=1)
     x0 = body(np.zeros(3), np.zeros(3), so3.quat_identity(), np.zeros(3))
     return payload_ocp.build_ocp(x0, np.array([x0, x0]), np.zeros((2, 6)), cfg, params)
 

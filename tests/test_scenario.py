@@ -24,17 +24,8 @@ from hypothesis import strategies as st
 
 from cablelift import cli, harness, payload_ocp, plant, scenario
 from cablelift.cable_control import GainSet
+from cablelift.payload_ocp import CostWeights
 from cablelift.scenario import NONNEGATIVE, POSITIVE, VECTOR
-
-# weights key -> (CostWeights matrix, diagonal index of its block)
-WEIGHT_ENTRIES = {
-    "position": ("Q_X", 0),
-    "velocity": ("Q_X", 3),
-    "attitude": ("Q_X", 6),
-    "rate": ("Q_X", 9),
-    "force": ("Q_U", 0),
-    "moment": ("Q_U", 3),
-}
 
 # an obstacle far from every preset's path, so that its keys can be overridden
 OBSTACLE = {"center_m": [5.0, 5.0, 5.0], "clearance_m": 0.25}
@@ -52,21 +43,14 @@ def read_back(config) -> dict:
         if kind is VECTOR and value is not None:
             value = value.tolist()
         elif isinstance(value, np.ndarray):
-            # a per-vehicle field holds the value once per vehicle, a gain
-            # the value times the identity
+            # a per-vehicle field holds the value once per vehicle
             one = float(value.flat[0])
-            expected = one * np.eye(3) if path.startswith("gains.") else np.full(value.shape, one)
-            np.testing.assert_array_equal(value, expected, err_msg=path)
+            np.testing.assert_array_equal(value, np.full(value.shape, one), err_msg=path)
             value = one
         data.setdefault(section, {})[key] = value
     if config.ocp.obstacle_center is None:
         # no obstacle is no section; a clearance alone is refused
         assert data.pop("obstacle") == {"center_m": None, "clearance_m": 0.0}
-    weights = config.ocp.weights
-    data["weights"] = {
-        key: float(getattr(weights, matrix)[i, i]) for key, (matrix, i) in WEIGHT_ENTRIES.items()
-    }
-    data["weights"]["terminal_scale"] = float(weights.Q_XN[0, 0] / weights.Q_X[0, 0])
     return data
 
 
@@ -131,8 +115,6 @@ VALID |= {
     ("nmpc", "dt_s"): st.sampled_from([0.002, 0.01, 0.02, 0.04, 0.1, 0.2]),
     ("solver", "max_sqp_iters"): st.integers(1, 100),
     ("obstacle", "center_m"): vectors,
-    # Q_XN = terminal_scale * Q_X is read back as a ratio, exact for whole numbers
-    ("weights", "terminal_scale"): st.integers(1, 100).map(float),
 }
 
 
@@ -237,24 +219,19 @@ def _builds_or_names(data: dict, key: str, accepted: bool):
         assert repr(key) in str(err.value)
 
 
-@pytest.mark.parametrize("value", EDGE_VALUES)
-@pytest.mark.parametrize("key", [*WEIGHT_ENTRIES, "terminal_scale"])
+@pytest.mark.parametrize("value", [*EDGE_VALUES, math.nan, math.inf])
+@pytest.mark.parametrize("key", sorted(scenario.SECTIONS["weights"]))
 def test_a_weight_is_refused_exactly_when_cost_weights_refuses_it(key, value):
     """A weight outside README's range (force and moment nonnegative, the
     state blocks and the terminal scale positive) or outside what
     CostWeights takes is a config error naming the key, and every other
     weight builds."""
     in_range = value >= 0.0 if key in ("force", "moment") else value > 0.0
-    base = scenario.scenario_preset("hover").ocp.weights
-    diag = {"Q_X": np.diag(base.Q_X).copy(), "Q_U": np.diag(base.Q_U).copy()}
-    scale = base.Q_XN[0, 0] / base.Q_X[0, 0]
-    if key == "terminal_scale":
-        scale = value
-    else:
-        matrix, i = WEIGHT_ENTRIES[key]
-        diag[matrix][i : i + 3] = value
-    Q_X, Q_U = np.diag(diag["Q_X"]), np.diag(diag["Q_U"])
-    accepted = in_range and _accepts(lambda: payload_ocp.CostWeights(Q_X, Q_U, scale * Q_X))
+    accepted = _accepts(lambda: CostWeights(**{key: value}))
+    assert accepted == (in_range and math.isfinite(value))
+    if not accepted:
+        with pytest.raises(ValueError, match=key):
+            CostWeights(**{key: value})
     data = {"schema_version": 1, "preset": "hover", "weights": {key: value}}
     _builds_or_names(data, key, accepted)
 
@@ -276,11 +253,23 @@ def test_readme_example_parses_and_names_exactly_the_table_keys():
     data = yaml.safe_load(re.search(r"```yaml\n(.*?)```", files, re.S).group(1))
     config, sweep = scenario.build_scenario(data)
     assert config.name == data["name"]
+    assert config.ocp.weights == CostWeights()
     assert config.gains == GainSet()
     assert sweep == (data["sweep"]["alphas"], data["sweep"]["betas"])
     assert set(data) == {"schema_version", "preset", "name", *scenario.SECTIONS}
     for name, keys in scenario.SECTIONS.items():
         assert set(data[name]) == keys, name
+
+
+@pytest.mark.parametrize("preset", scenario.preset_names())
+def test_every_preset_runs_the_tuned_weights_and_gains(preset):
+    """The tuning has one home, the defaults of CostWeights and GainSet,
+    whose fields are the scenario file's weights and gains."""
+    config = scenario.scenario_preset(preset)
+    assert config.ocp.weights == CostWeights()
+    assert config.gains == GainSet()
+    weights = [f.name for f in dataclasses.fields(CostWeights)]
+    assert weights == [key for section, key in scenario.FIELDS if section == "weights"]
 
 
 def test_the_payload_model_has_one_home():

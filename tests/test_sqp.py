@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 
 from cablelift import payload_ocp as ocp
 from cablelift import harness, plant, so3, sqp
-from rig_helpers import rig
+from cablelift.plant import SystemParams
 
-RIG = rig()
+RIG = SystemParams()
 M_L, GRAV = RIG.m_L, RIG.g
+# the presets' weights with a tenth of their moment weight
+WEIGHTS = ocp.CostWeights(moment=4.0)
 
 
 def state(p, v=(0.0, 0.0, 0.0)):
@@ -29,23 +31,17 @@ def hover_refs(N, p=(0.0, 0.0, 1.0)):
     return np.array([state(p)] * (N + 1)), np.array([HOVER_U] * (N + 1))
 
 
-def default_weights():
-    Q_X = np.diag([60.0] * 3 + [8.0] * 3 + [30.0] * 3 + [2.0] * 3)
-    Q_U = np.diag([0.8] * 3 + [4.0] * 3)
-    return ocp.CostWeights(Q_X=Q_X, Q_U=Q_U, Q_XN=4.0 * Q_X)
-
-
 def make_problem(p0, N=20, f_max=1.2, obstacle=None, funnel_radius=0.2, v0=None):
     x0 = state(p0, (0.0, 0.0, 0.0) if v0 is None else v0)
     config = ocp.OcpConfig(
-        weights=default_weights(),
+        weights=WEIGHTS,
         N=N,
         dt=0.05,
         obstacle_center=None if obstacle is None else np.asarray(obstacle[0], dtype=float),
         obstacle_clearance=0.0 if obstacle is None else obstacle[1],
         funnel_radius=funnel_radius,
     )
-    return ocp.build_ocp(x0, *hover_refs(N), config, rig(f_max=f_max))
+    return ocp.build_ocp(x0, *hover_refs(N), config, SystemParams(f_max=f_max))
 
 
 def peak_tension_excess(solution, problem):
@@ -834,7 +830,7 @@ class TestSolve:
         advanced = ocp.build_ocp(
             cold.X[1],
             *hover_refs(20),
-            ocp.OcpConfig(weights=default_weights(), N=20, dt=0.05, funnel_radius=0.2),
+            ocp.OcpConfig(weights=WEIGHTS, N=20, dt=0.05, funnel_radius=0.2),
             RIG,
         )
         shifted = sqp.solve(advanced, warm=sqp.shift_warm_start(cold, 1, 20))
@@ -889,8 +885,8 @@ def _tilted_problem(N, seed=0):
     ref_x[:, 6:10] = so3.quat_normalize(
         so3.quat_identity() + 0.2 * rng.standard_normal((N + 1, 4))
     )
-    config = ocp.OcpConfig(weights=default_weights(), N=N, dt=0.05)
-    return ocp.build_ocp(state((0.1, -0.1, 1.0)), ref_x, ref_u, config, rig(f_max=0.7))
+    config = ocp.OcpConfig(weights=WEIGHTS, N=N, dt=0.05)
+    return ocp.build_ocp(state((0.1, -0.1, 1.0)), ref_x, ref_u, config, SystemParams(f_max=0.7))
 
 
 def _random_trajectory(problem, seed=1):
