@@ -66,8 +66,8 @@ class TerminalRegion:
     weight: np.ndarray
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("terminal radius must be positive")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError("terminal radius must be positive and finite")
         self.weight = np.asarray(self.weight, dtype=np.float64)
 
     def contains(self, error: np.ndarray) -> bool:

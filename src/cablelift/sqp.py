@@ -60,9 +60,11 @@ class SolverConfig:
     feas_tol: float = 1e-6
 
     def __post_init__(self):
+        if not isinstance(self.max_sqp_iters, (int, np.integer)) or self.max_sqp_iters < 1:
+            raise ValueError("max_sqp_iters must be an integer of at least 1")
         for name in ("kkt_tol", "feas_tol"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite")
 
 
 def shift_warm_start(previous: ocp.OcpSolution, elapsed_steps: int, new_horizon: int):
@@ -183,8 +185,6 @@ class QpResult:
     iterations: int
     status: str  # optimal | max_iter
     reg: float  # Hessian regularization the factorizations succeeded at
-    Cx_lam: np.ndarray  # (N+1, nx) per-stage sums of Cx^T lam_x
-    Cu_lam: np.ndarray  # (N, nu) per-stage sums of Cu^T lam_u
 
 
 def _mv(M: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -276,13 +276,13 @@ def _riccati_solve(fac: _Riccati, g_x, g_u, c, z0):
     return z, w, nu
 
 
-def _stationarity(data: QpData, z, w, nu, Cx_lam, Cu_lam):
-    """Lagrangian gradients in z (N+1, nx) and w (N, nu); the C^T lambda
-    terms come in already summed per stage."""
-    r_x = _mv(data.H_x, z) + data.g_x + Cx_lam
+def _stationarity(data: QpData, z, w, nu, lam_x, lam_u):
+    """Lagrangian gradients in z (N+1, nx) and w (N, nu), with the row
+    multipliers lam_x and lam_u."""
+    r_x = _mv(data.H_x, z) + data.g_x + data.rows_x.scatter(lam_x)
     r_x[:-1] += _mtv(data.A, nu)
     r_x[1:] -= nu
-    r_u = _mv(data.H_u, w) + data.g_u + _mtv(data.B, nu) + Cu_lam
+    r_u = _mv(data.H_u, w) + data.g_u + _mtv(data.B, nu) + data.rows_u.scatter(lam_u)
     return r_x, r_u
 
 
@@ -303,10 +303,7 @@ def _equality_qp(data: QpData, H_x: np.ndarray, H_u: np.ndarray, reg: float) -> 
     definite."""
     fac = _riccati_factor(data.A, data.B, H_x, H_u, np.concatenate([data.A, data.B], axis=2))
     z, w, nu = _riccati_solve(fac, data.g_x, data.g_u, data.c, data.z0)
-    return QpResult(
-        z, w, nu, np.zeros(data.rows_x.m), np.zeros(data.rows_u.m),
-        1, "optimal", reg, np.zeros_like(data.g_x), np.zeros_like(data.g_u),
-    )
+    return QpResult(z, w, nu, np.zeros(data.rows_x.m), np.zeros(data.rows_u.m), 1, "optimal", reg)
 
 
 def _equality_certificate(data: QpData) -> Optional[QpResult]:
@@ -379,20 +376,13 @@ def _qp_interior_point(data: QpData, H_x, H_u, reg: float) -> QpResult:
     AB = np.concatenate([data.A, data.B], axis=2)
 
     def residuals():
-        Cx_lam, Cu_lam = rows_x.scatter(lam[:mx]), rows_u.scatter(lam[mx:])
-        r_x, r_u = _stationarity(data, z, w, nu, Cx_lam, Cu_lam)
+        r_x, r_u = _stationarity(data, z, w, nu, lam[:mx], lam[mx:])
         r_eq = _mv(data.A, z[:N]) + _mv(data.B, w) + data.c - z[1:]
         r_in = np.concatenate([rows_x.apply(z), rows_u.apply(w)]) + c_rows + s
-        return r_x, r_u, r_eq, r_in, Cx_lam, Cu_lam
-
-    def result(iterations: int, status: str, Cx_lam, Cu_lam) -> QpResult:
-        return QpResult(
-            z, w, nu, lam[:mx], lam[mx:],
-            iterations, status, reg, Cx_lam, Cu_lam,
-        )
+        return r_x, r_u, r_eq, r_in
 
     for it in range(1, QP_MAX_ITERS + 1):
-        r_x, r_u, r_eq, r_in, Cx_lam, Cu_lam = residuals()
+        r_x, r_u, r_eq, r_in = residuals()
         mu = float(lam @ s) / m
         if (
             mu <= QP_TOL
@@ -400,7 +390,7 @@ def _qp_interior_point(data: QpData, H_x, H_u, reg: float) -> QpResult:
             and _max_abs(r_eq) <= QP_TOL
             and _max_abs(r_in) <= QP_TOL
         ):
-            return result(it, "optimal", Cx_lam, Cu_lam)
+            return QpResult(z, w, nu, lam[:mx], lam[mx:], it, "optimal", reg)
         if np.max(lam) > 1e8 and _max_abs(r_in) > 1e-6:
             raise Infeasible("inequality rows inconsistent: duals diverged")
 
@@ -437,10 +427,10 @@ def _qp_interior_point(data: QpData, H_x, H_u, reg: float) -> QpResult:
         lam = lam + alpha * dlam
 
     # out of iterations: distinguish infeasibility from slow convergence
-    _, _, _, r_in, Cx_lam, Cu_lam = residuals()
+    r_in = residuals()[3]
     if _max_abs(r_in) > 1e-6 and np.max(lam) > 1e6:
         raise Infeasible("inequality rows inconsistent: primal residual stalled")
-    return result(QP_MAX_ITERS, "max_iter", Cx_lam, Cu_lam)
+    return QpResult(z, w, nu, lam[:mx], lam[mx:], QP_MAX_ITERS, "max_iter", reg)
 
 
 # ---------------------------------------------------------------------------
@@ -525,18 +515,27 @@ def _build_qp_data(point: _Iterate, problem, lam_u_prev=None) -> QpData:
 def _nonlinear_kkt(data: QpData, result: QpResult) -> float:
     """Stationarity of the nonlinear problem at the current nominal, using
     the freshest QP duals (all primal steps evaluated at zero)."""
-    r_x, r_u = _stationarity(
-        data, np.zeros_like(data.g_x), np.zeros_like(data.g_u), result.nu,
-        result.Cx_lam, result.Cu_lam,
-    )
+    zero_x, zero_u = np.zeros_like(data.g_x), np.zeros_like(data.g_u)
+    r_x, r_u = _stationarity(data, zero_x, zero_u, result.nu, result.lam_x, result.lam_u)
     return _max_abs(r_x[1:], r_u)
 
 
-def _solution(point: _Iterate, kkt: float, iterations: int, status: str) -> ocp.OcpSolution:
-    return ocp.OcpSolution(
-        X=point.X, U=point.U, cost=point.cost, kkt_residual=kkt,
-        iterations=iterations, status=status,
-    )
+def _price(point: _Iterate, problem, lam_u_prev, config: SolverConfig):
+    """An iterate's QP data, QP result, stationarity and feasibility.
+
+    At a feasible iterate the QP without rows is tried first
+    (`_equality_certificate`); otherwise, or when it does not reach kkt_tol,
+    `qp_subproblem` runs.  Both price the same QP, lagged tension curvature
+    included.
+    """
+    data = _build_qp_data(point, problem, lam_u_prev)
+    feasible = point.defect_max <= config.feas_tol and point.viol_max <= config.feas_tol
+    result = _equality_certificate(data) if feasible else None
+    kkt = np.nan if result is None else _nonlinear_kkt(data, result)
+    if not kkt <= config.kkt_tol:
+        result = qp_subproblem(data)
+        kkt = _nonlinear_kkt(data, result)
+    return data, result, kkt, feasible
 
 
 def solve(
@@ -545,7 +544,7 @@ def solve(
     config: Optional[SolverConfig] = None,
     trace: Optional[list] = None,
 ) -> ocp.OcpSolution:
-    """Solve the tracking problem; returns the best iterate found.
+    """Solve the tracking problem; returns the iterate the solve stands on.
 
     warm is an initial guess (X, U) of N + 1 state rows and N wrench rows,
     as shift_warm_start returns it; without one the reference wrench is
@@ -553,12 +552,14 @@ def solve(
 
     status is "converged" when stationarity reaches kkt_tol with defects and
     hard constraints inside feas_tol, "stalled" when the line search accepts
-    no step down to MIN_STEP, and otherwise "max_iter".  At a feasible
-    iterate, stationarity is first priced with the QP solved without its
-    rows (one Riccati factorization, `_equality_certificate`); when no row
-    binds there and it reaches kkt_tol, the solve ends without running the
-    interior point.  Every step still comes from `qp_subproblem`, so the
-    iterates are those of a solve that always runs it.  Raises
+    no step down to MIN_STEP (the iterate that step left from is returned),
+    and otherwise "max_iter" (the iterate the last accepted step reached is
+    returned).  Every returned kkt_residual is priced as each pass prices
+    its iterate (`_price`): at a feasible iterate with the QP solved without
+    its rows first (one Riccati factorization, `_equality_certificate`);
+    when no row binds there and it reaches kkt_tol, the interior point is
+    not run.  Every step still comes from `qp_subproblem`, so the iterates
+    are those of a solve that always runs it.  Raises
     Infeasible when the constraint rows are inconsistent (including an
     initial state already violating a hard row, which no control can undo).
     When trace is a list, one dict per outer iteration is appended: the
@@ -584,26 +585,14 @@ def solve(
     point = _evaluate(X, U, problem)
 
     mu_merit = MERIT_WEIGHT
-    best = None
-    it = 0
     status = "max_iter"
     lam_u_prev = None
     for it in range(1, config.max_sqp_iters + 1):
-        data = _build_qp_data(point, problem, lam_u_prev)
-        feasible = point.defect_max <= config.feas_tol and point.viol_max <= config.feas_tol
-        # a feasible iterate may already be the answer: certify it from the
-        # QP without rows before paying for the interior point
-        result = _equality_certificate(data) if feasible else None
-        kkt = np.nan if result is None else _nonlinear_kkt(data, result)
-        if not kkt <= config.kkt_tol:
-            result = qp_subproblem(data)
-            kkt = _nonlinear_kkt(data, result)
+        data, result, kkt, feasible = _price(point, problem, lam_u_prev, config)
         lam_u_prev = result.lam_u
         mu_merit = max(mu_merit, 1.1 * _max_abs(result.nu, result.lam_x, result.lam_u))
 
         phi0 = point.merit(mu_merit)
-        if best is None or phi0 < best[0]:
-            best = (phi0, point, kkt)
         record = {
             "merit": phi0, "cost": point.cost, "kkt": kkt, "alpha": 0.0,
             "qp_iters": result.iterations, "qp_status": result.status,
@@ -612,7 +601,8 @@ def solve(
         if trace is not None:
             trace.append(record)
         if kkt <= config.kkt_tol and feasible:
-            return _solution(point, kkt, it, "converged")
+            status = "converged"
+            break
 
         # L1 merit line search along the QP step.  From an exactly feasible
         # iterate the step is a descent direction for the cost model, so cost
@@ -636,8 +626,6 @@ def solve(
                 ok = cand.cost <= point.cost + slack
             if ok:
                 point = cand
-                if phi < best[0]:
-                    best = (phi, point, None)
                 accepted = True
                 break
             alpha *= BACKTRACK
@@ -646,10 +634,7 @@ def solve(
         if not accepted:
             status = "stalled"  # no descent at the minimum step
             break
-
-    _, best_point, best_kkt = best
-    if best_kkt is None:
-        # best iterate was accepted on the final pass; price its stationarity
-        data = _build_qp_data(best_point, problem)
-        best_kkt = _nonlinear_kkt(data, qp_subproblem(data))
-    return _solution(best_point, best_kkt, it, status)
+    else:
+        # out of budget on an accepted step: price it like any pass, untraced
+        kkt = _price(point, problem, lam_u_prev, config)[2]
+    return ocp.OcpSolution(point.X, point.U, point.cost, kkt, it, status)

@@ -169,8 +169,9 @@ class TestFirstEntryIndex:
         )
 
     def test_bad_epsilon(self):
-        with pytest.raises(ValueError):
-            et.TerminalRegion(epsilon=0.0, weight=np.eye(12))
+        for epsilon in (0.0, np.nan):
+            with pytest.raises(ValueError):
+                et.TerminalRegion(epsilon=epsilon, weight=np.eye(12))
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(2, 21), st.integers(0, 2**32 - 1))

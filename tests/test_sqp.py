@@ -61,8 +61,14 @@ class TestSolverConfig:
 
     @pytest.mark.parametrize("field", ["kkt_tol", "feas_tol"])
     def test_tolerances_positive(self, field):
+        for value in (-1e-6, 0.0, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                sqp.SolverConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [0, -1, 2.0])
+    def test_max_sqp_iters_positive_integer(self, value):
         with pytest.raises(ValueError):
-            sqp.SolverConfig(**{field: -1e-6})
+            sqp.SolverConfig(max_sqp_iters=value)
 
 
 class TestShiftWarmStart:
@@ -784,7 +790,7 @@ class TestSolve:
         assert solution.iterations <= 2
         assert solution.kkt_residual <= 1e-6
 
-    def test_max_iter_returns_best_iterate(self):
+    def test_max_iter_returns_a_full_horizon_iterate(self):
         config = sqp.SolverConfig(max_sqp_iters=2)
         problem = make_problem((1.5, 0.0, 1.0), funnel_radius=10.0)
         solution = sqp.solve(problem, config=config)
@@ -796,6 +802,19 @@ class TestSolve:
         full = sqp.solve(problem)
         assert full.status == "converged"
         assert full.cost <= solution.cost + 1e-9
+
+    @pytest.mark.parametrize("cap", [1, 2, 3, 4])
+    def test_capped_solve_returns_the_iterate_it_reached(self, cap):
+        """A solve out of budget returns the point its last step reached,
+        priced as the next pass of an uncapped solve prices it."""
+        problem = make_problem((-1.2, 0.8, 1.5), N=12, f_max=0.8, v0=(0.0, 0.5, 0.0))
+        trace = []
+        sqp.solve(problem, trace=trace)
+        assert len(trace) > cap
+        capped = sqp.solve(problem, config=sqp.SolverConfig(max_sqp_iters=cap))
+        assert (capped.status, capped.iterations) == ("max_iter", cap)
+        assert capped.cost == trace[cap]["cost"]
+        assert capped.kkt_residual == trace[cap]["kkt"]
 
     def test_line_search_stall_reads_stalled(self, monkeypatch):
         # a minimum step above the full step leaves the line search nothing
@@ -980,8 +999,9 @@ class TestIterateReuse:
         each = sqp.qp_subproblem(data)
         assert len(handed) > 1 and all(AB is handed[0] for AB in handed)
         assert (shared.iterations, shared.status, shared.reg) == (each.iterations, each.status, each.reg)
-        for name in ("z", "w", "nu", "Cx_lam", "Cu_lam", "lam_x", "lam_u"):
+        for name in ("z", "w", "nu", "lam_x", "lam_u"):
             assert np.array_equal(getattr(shared, name), getattr(each, name)), name
+        assert sqp._nonlinear_kkt(data, shared) == sqp._nonlinear_kkt(data, each)
 
     def test_backtracking_solve_matches_one_that_recomputes(self, monkeypatch):
         """The line search evaluates candidates it rejects; only the accepted
