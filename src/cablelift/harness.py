@@ -443,7 +443,7 @@ def run_closed_loop(config: ScenarioConfig) -> RunLog:
     amap = allocation.build_allocation(params.r_i)
     model = (_FullPlant if config.plant_model == "full" else _PayloadOnly)(config, amap)
     trigger = _TriggerLoop(config, amap)
-    disturbance = DisturbanceModel(eta=config.disturbance_eta, seed=config.seed)
+    disturbance = DisturbanceModel(config.disturbance_eta, config.seed, config.dt_tick)
     bounds = metrics.default_bounds(
         _formation_targets(config, config.reference_at(0.0)[0]),
         params.f_max,

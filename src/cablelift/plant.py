@@ -125,7 +125,9 @@ class CableReading:
 
 @dataclass
 class DisturbanceModel:
-    """Per-step additive payload-state disturbance, norm-bounded by eta.
+    """Per-tick additive payload-state disturbance, norm-bounded by eta per
+    sqrt(2 ms): a tick of dt draws within eta sqrt(dt / 2 ms), the
+    Euler-Maruyama scaling of a Wiener-driven disturbance (Kloeden & Platen, 1992).
 
     The sample lives in the 12-dimensional tangent of the payload state
     (position, velocity, attitude rotation-vector, body rate).  Pose
@@ -138,6 +140,7 @@ class DisturbanceModel:
 
     eta: float = 0.0
     seed: int = 0
+    dt: float = 0.002  # the tick, s; eta is stated for 2 ms
     _rng: np.random.Generator | None = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -153,8 +156,8 @@ class DisturbanceModel:
 
     def draw_block(self) -> tuple:
         """(D, E) for the next DISTURBANCE_BLOCK ticks: tangent rows D (B, 12) of
-        norm at most eta and the unit quaternions E (B, 4) of their attitude
-        parts; zero rows, without a draw, when the model is not active."""
+        norm at most eta sqrt(dt / 2 ms) and the unit quaternions E (B, 4) of
+        their attitude parts; zero rows, without a draw, when not active."""
         u = np.zeros((DISTURBANCE_BLOCK, 12))
         if self.active:
             u = self._rng.uniform(-1.0, 1.0, u.shape)
@@ -162,7 +165,7 @@ class DisturbanceModel:
             u = np.where(norm > 1.0, u / norm, u)
             u[:, 0:3] *= POSE_SCALE
             u[:, 6:9] *= POSE_SCALE
-        D = self.eta * u
+        D = self.eta * math.sqrt(self.dt / 0.002) * u
         return D, so3.quat_exp(D[:, 6:9])
 
     def _ticks(self):

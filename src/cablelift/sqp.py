@@ -12,10 +12,10 @@ The QP itself is solved in-repo by a Mehrotra predictor-corrector interior
 point method (Rao, Wright & Rawlings, JOTA 1998).  Each iteration factors
 one Riccati recursion of the condensed Newton matrix and back-solves it
 twice, once for the affine predictor and once for the centred corrector,
-so the cost per iteration stays linear in the horizon length.  An iteration
-that ends the solve skips it: at a feasible iterate the QP without its rows
-is solved first, and when no row binds there and its stationarity is within
-tolerance, that certifies convergence.
+so the cost per iteration stays linear in the horizon length.  At a
+feasible iterate the QP without its rows is solved first, by one Riccati
+factorization; when no row binds at that minimizer it is the QP optimum and
+gives the step, and the interior point runs only otherwise.
 
 The stagewise QP data layout is dimension-generic on purpose; the unit tests
 drive it with scalar problems whose KKT systems are solved by hand.
@@ -126,17 +126,19 @@ class _Rows:
         return (self.C[:, :, None] * self.C[:, None, :]).reshape(self.m, dim * dim)
 
     def apply(self, y: np.ndarray) -> np.ndarray:
-        """C_r @ y_{stage(r)} for every row."""
-        return np.einsum("rj,rj->r", self.C, y[self.stage])
+        """C_r @ y_{stage(r)} for every row (without rows, the empty c)."""
+        return np.einsum("rj,rj->r", self.C, y[self.stage]) if self.m else self.c
 
-    def scatter(self, v: np.ndarray) -> np.ndarray:
-        """sum over a stage's rows of C_r^T v_r, per stage."""
-        return self._onehot @ (self.C * v[:, None])
+    def scatter(self, v: np.ndarray):
+        """sum over a stage's rows of C_r^T v_r, per stage (without rows, a
+        scalar 0.0, which adds bit for bit like the all-zero stage array)."""
+        return self._onehot @ (self.C * v[:, None]) if self.m else 0.0
 
-    def curvature(self, weight: np.ndarray) -> np.ndarray:
-        """sum over a stage's rows of weight_r C_r^T C_r, per stage."""
+    def curvature(self, weight: np.ndarray):
+        """sum over a stage's rows of weight_r C_r^T C_r, per stage (without
+        rows, 0.0 as in scatter)."""
         dim = self.C.shape[1]
-        return (self._onehot @ (weight[:, None] * self._outer)).reshape(-1, dim, dim)
+        return (self._onehot @ (weight[:, None] * self._outer)).reshape(-1, dim, dim) if self.m else 0.0
 
 
 @dataclass
@@ -312,8 +314,9 @@ def _equality_certificate(data: QpData) -> Optional[QpResult]:
     Solves the QP without its rows at reg 0.  When that minimizer satisfies
     every row, C y + c <= 0, it is also the optimum of the full convex QP,
     with zero row multipliers (Nocedal & Wright, Numerical Optimization,
-    2nd ed., ch. 16).  None when a row is violated or the factorization
-    fails; the caller then runs the interior point.
+    2nd ed., ch. 16), and `_price` takes it as the pass's QP answer.  None
+    when a row is violated or the factorization fails; the caller then runs
+    the interior point.
     """
     try:
         result = _equality_qp(data, data.H_x, data.H_u, 0.0)
@@ -331,9 +334,9 @@ def qp_subproblem(data: QpData) -> QpResult:
     Without rows one Riccati factorization and back-solve give the optimum.
     Raises Infeasible when the rows cannot be satisfied (duals diverge while
     primal infeasibility stalls) and QpNumericalFailure when factorizations
-    fail at every regularization level.  `solve` calls it for every SQP step
-    but skips it on the iteration that certifies convergence (see
-    `_equality_certificate`).
+    fail at every regularization level.  `solve` calls it only for a pass
+    the certificate does not answer: an infeasible iterate, a row violated at
+    the row-free minimizer, or a failed reg-0 factorization (see `_price`).
     """
     levels = [0.0, REG, 1e-6, 1e-4, 1e-2]
     nx, nu = data.H_x.shape[-1], data.H_u.shape[-1]
@@ -523,19 +526,19 @@ def _nonlinear_kkt(data: QpData, result: QpResult) -> float:
 def _price(point: _Iterate, problem, lam_u_prev, config: SolverConfig):
     """An iterate's QP data, QP result, stationarity and feasibility.
 
-    At a feasible iterate the QP without rows is tried first
-    (`_equality_certificate`); otherwise, or when it does not reach kkt_tol,
-    `qp_subproblem` runs.  Both price the same QP, lagged tension curvature
-    included.
+    At a feasible iterate the QP without rows is solved first
+    (`_equality_certificate`); when no row binds there, that is the pass's
+    QP answer, its step and multipliers.  Otherwise (an infeasible iterate,
+    a row violated at the row-free minimizer, or a failed reg-0
+    factorization) `qp_subproblem` answers.  Both solve the same QP, lagged
+    tension curvature included.
     """
     data = _build_qp_data(point, problem, lam_u_prev)
     feasible = point.defect_max <= config.feas_tol and point.viol_max <= config.feas_tol
     result = _equality_certificate(data) if feasible else None
-    kkt = np.nan if result is None else _nonlinear_kkt(data, result)
-    if not kkt <= config.kkt_tol:
+    if result is None:
         result = qp_subproblem(data)
-        kkt = _nonlinear_kkt(data, result)
-    return data, result, kkt, feasible
+    return data, result, _nonlinear_kkt(data, result), feasible
 
 
 def solve(
@@ -557,9 +560,10 @@ def solve(
     returned).  Every returned kkt_residual is priced as each pass prices
     its iterate (`_price`): at a feasible iterate with the QP solved without
     its rows first (one Riccati factorization, `_equality_certificate`);
-    when no row binds there and it reaches kkt_tol, the interior point is
-    not run.  Every step still comes from `qp_subproblem`, so the iterates
-    are those of a solve that always runs it.  Raises
+    when no row binds there, that solve gives the step and the interior
+    point is not run.  Otherwise the step comes from `qp_subproblem`.  Both
+    solve the same convex QP, so the iterates match an interior-point-only
+    solve to its QP_TOL, not bit for bit.  Raises
     Infeasible when the constraint rows are inconsistent (including an
     initial state already violating a hard row, which no control can undo).
     When trace is a list, one dict per outer iteration is appended: the

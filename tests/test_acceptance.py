@@ -399,12 +399,12 @@ def test_criterion_10_cost_decreases_between_forced_replans(
 # preset -> sha256 prefixes of its CSV and of its summary without the
 # wall-clock mean_solve_time_ms line
 PRESET_DIGESTS = {
-    "circle-medium": ("531df3af360c11b4", "8d481a3774497d2c"),
-    "circle-loose": ("d314094f96cae9ff", "d7a5a1383616d587"),
-    "circle-tight": ("94582742b62b97b1", "fb96c511c8501e25"),
+    "circle-medium": ("27dd2497e9105499", "4bf1c87709915e7b"),
+    "circle-loose": ("096ab11ff1f2ffa4", "8ad166eeed16fa18"),
+    "circle-tight": ("1b5d3aefa5cae151", "1154b4ae5e0e5ea7"),
     "hover": ("a7d1f29daeb413cb", "6f79a337c73136c7"),
     "hover-nominal": ("445885d3f3fd5953", "6f79a337c73136c7"),
-    "hover-recovery": ("5253e9ffe4b3a7d7", "3ea852bc11b3fb2e"),
+    "hover-recovery": ("695c55dcc4bcf0bb", "f194d0f2c097ffc2"),
 }
 
 
@@ -419,7 +419,8 @@ def test_preset_outputs_match_their_digests(
     the shared runs, hash to PRESET_DIGESTS.
 
     A change that moves these bytes on purpose (say, taking SQP steps from
-    another solve) updates the digests here and says so in CHANGES.md.
+    another solve) updates the digests here and says so in CHANGES.md; a
+    mismatch prints the whole measured mapping, ready to paste.
     The digests were taken with numpy 2.4.6 (Python 3.11, x86-64); another
     numpy or BLAS may round the solver's products differently.
     """
@@ -434,4 +435,9 @@ def test_preset_outputs_match_their_digests(
         lines = summary.read_bytes().splitlines(keepends=True)
         kept = b"".join(line for line in lines if not line.startswith(b"mean_solve_time_ms"))
         digests[name] = (_digest(csv.read_bytes()), _digest(kept))
-    assert digests == PRESET_DIGESTS
+    # on a mismatch, print every measured entry in PRESET_DIGESTS' layout,
+    # since pytest's own diff omits the entries that agree
+    measured = "".join(
+        f'    "{name}": ("{csv}", "{summary}"),\n' for name, (csv, summary) in digests.items()
+    )
+    assert digests == PRESET_DIGESTS, f"measured:\nPRESET_DIGESTS = {{\n{measured}}}"

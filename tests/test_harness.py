@@ -642,6 +642,21 @@ class TestDisturbance:
         assert dev <= eta + 1e-9
         assert dev > 0.0  # the sample actually fired
 
+    def test_payload_only_tick_draws_per_root_tick(self):
+        """On the payload-only model's 50 ms tick the one sample may move the
+        payload by 5 eta, sqrt(50 ms / 2 ms) times the 2 ms tick's bound."""
+        eta = 0.01
+        config = dataclasses.replace(harness.scenario_preset("hover-nominal"), duration=0.1)
+        clean = harness.run_closed_loop(config).ticks[1].payload
+        noisy = harness.run_closed_loop(
+            dataclasses.replace(config, disturbance_eta=eta)
+        ).ticks[1].payload
+        dev = np.linalg.norm(
+            np.concatenate([noisy[0:6] - clean[0:6], noisy[10:13] - clean[10:13]])
+        )
+        assert config.dt_tick == 0.05
+        assert eta < dev <= 5.0 * eta * (1.0 + 1e-9)
+
 
 # ---------------------------------------------------------------------------
 # summaries

@@ -774,6 +774,20 @@ class TestDisturbanceModel:
             for x, y in zip(a.draw_block(), b.draw_block()):
                 np.testing.assert_array_equal(x, y)
 
+    @pytest.mark.parametrize("dt, scale", [(0.002, 1.0), (0.05, 5.0)])
+    def test_bound_is_eta_per_root_two_milliseconds(self, dt, scale):
+        """A tick of dt draws the 2 ms tick's samples times sqrt(dt / 2 ms):
+        exactly them at 2 ms, five times them at 50 ms, so the bound is eta
+        and 5 eta."""
+        eta = 0.03
+        D_2ms = DisturbanceModel(eta=eta, seed=3).draw_block()[0]
+        D = DisturbanceModel(eta=eta, seed=3, dt=dt).draw_block()[0]
+        np.testing.assert_allclose(D, scale * D_2ms, rtol=1e-15, atol=0.0)
+        assert np.all(np.linalg.norm(D, axis=1) <= scale * eta * (1.0 + 1e-15))
+        assert np.max(np.linalg.norm(D, axis=1)) > 0.5 * scale * eta  # the draws come near it
+        if dt == 0.002:
+            assert np.array_equal(D, D_2ms)
+
     @pytest.mark.parametrize("eta", [-1e-3, float("nan"), float("inf")])
     def test_bad_eta_rejected(self, eta):
         with pytest.raises(ValueError, match="eta"):
