@@ -232,31 +232,20 @@ def project_tension(mu_des, xi) -> list:
     return out
 
 
-def desired_cable_direction(mu_des_now, mu_des_prev, dt: float) -> Tuple[list, list]:
-    """Desired cable direction and its angular velocity of each force, from
-    consecutive ticks.
-
-    The direction rate comes from a backward difference of the unit
-    directions; the first tick (mu_des_prev None) and a previous force at or
-    below the floor give zero rate.  Raises ZeroTension when a current force
-    cannot define a direction.
-    """
-    prev = [None] * len(mu_des_now) if mu_des_prev is None else mu_des_prev
-    xi_des, omega_des = [], []
-    for (mx, my, mz), mu_prev in zip(mu_des_now, prev):
+def desired_cable_direction(mu_des_now, xi_prev, dt: float) -> Tuple[list, list]:
+    """Desired cable direction of each force and its angular velocity, a
+    backward difference against xi_prev, the directions returned the tick
+    before (None on a first tick: zero rate).  Raises ZeroTension when a
+    current force cannot define a direction."""
+    xi_des = []
+    for mx, my, mz in mu_des_now:
         norm = math.sqrt(mx * mx + my * my + mz * mz)
         if not norm > TENSION_FLOOR:
             raise ZeroTension(f"desired tension {norm:.2e} N below floor")
-        x, y, z = -mx / norm, -my / norm, -mz / norm
-        xi_des.append((x, y, z))
-        dx = dy = dz = 0.0
-        if mu_prev is not None:
-            px, py, pz = mu_prev
-            norm_prev = math.sqrt(px * px + py * py + pz * pz)
-            if norm_prev > TENSION_FLOOR:
-                # xi_des minus the previous direction -mu_prev / |mu_prev|
-                dx = (x + px / norm_prev) / dt
-                dy = (y + py / norm_prev) / dt
-                dz = (z + pz / norm_prev) / dt
+        xi_des.append((-mx / norm, -my / norm, -mz / norm))
+    # the first tick differences each direction with itself
+    omega_des = []
+    for (x, y, z), (px, py, pz) in zip(xi_des, xi_des if xi_prev is None else xi_prev):
+        dx, dy, dz = (x - px) / dt, (y - py) / dt, (z - pz) / dt
         omega_des.append((y * dz - z * dy, z * dx - x * dz, x * dy - y * dx))
     return xi_des, omega_des

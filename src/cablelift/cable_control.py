@@ -166,9 +166,8 @@ def desired_attitude(u_k, yaw_des: float) -> list:
     return out
 
 
-def attitude_errors(R_k, R_des, omega_k):
-    """Rotation error (vee form) and body-rate error; the desired body rate
-    is zero, so the rate error is the measured rate."""
+def attitude_errors(R_k, R_des) -> list:
+    """Rotation error of each vehicle, in vee form."""
     e_R = []
     for R, D in zip(R_k, R_des):
         r00, r01, r02, r10, r11, r12, r20, r21, r22 = R
@@ -183,24 +182,24 @@ def attitude_errors(R_k, R_des, omega_k):
         if not (x - x) + (y - y) + (z - z) == 0.0:
             raise NotSkew("attitude error R_des^T R - R^T R_des is not skew-symmetric")
         e_R.append((0.5 * x, 0.5 * y, 0.5 * z))
-    return e_R, [tuple(omega) for omega in omega_k]
+    return e_R
 
 
-def moment_command(errors, omega_k, J_k, gains: GainSet):
+def moment_command(e_R, omega_k, J_k, gains: GainSet):
     """Body moment closing the attitude loop; J_k holds one row-major inertia
-    9-tuple per vehicle.  Feedback enters with negative sign (e_R grows as
-    the body rotates past the target, so the restoring moment opposes it),
-    plus the gyroscopic term omega x J omega."""
+    9-tuple per vehicle.  Feedback enters with negative sign on the rotation
+    errors e_R (they grow as the body rotates past the target) and on the
+    body rates omega_k (the desired rate is zero), plus omega x J omega."""
     k, w = gains.K_R, gains.K_Omega
     out = []
-    for (ex, ey, ez), (fx, fy, fz), (ox, oy, oz), J in zip(*errors, omega_k, J_k):
+    for (ex, ey, ez), (ox, oy, oz), J in zip(e_R, omega_k, J_k):
         j0, j1, j2, j3, j4, j5, j6, j7, j8 = J
         # omega x J omega
         hx, hy, hz = (j0 * ox + j1 * oy + j2 * oz, j3 * ox + j4 * oy + j5 * oz,
                       j6 * ox + j7 * oy + j8 * oz)
         out.append((
-            -k * ex - w * fx + (oy * hz - oz * hy),
-            -k * ey - w * fy + (oz * hx - ox * hz),
-            -k * ez - w * fz + (ox * hy - oy * hx),
+            -k * ex - w * ox + (oy * hz - oz * hy),
+            -k * ey - w * oy + (oz * hx - ox * hz),
+            -k * ez - w * oz + (ox * hy - oy * hx),
         ))
     return out

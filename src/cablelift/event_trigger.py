@@ -40,12 +40,12 @@ class TriggerConfig:
     sigma: int = 2
 
     def __post_init__(self):
-        if not self.alpha >= 0:
-            raise ValueError("alpha must be nonnegative")
-        if not self.beta > 0:
-            raise ValueError("beta must be positive")
-        if self.sigma < 1:
-            raise ValueError("sigma must be at least one step")
+        if not 0 <= self.alpha < math.inf:
+            raise ValueError("alpha must be finite and nonnegative")
+        if not 0 < self.beta < math.inf:
+            raise ValueError("beta must be positive and finite")
+        if isinstance(self.sigma, bool) or not isinstance(self.sigma, int) or self.sigma < 1:
+            raise ValueError("sigma must be an integer of at least one step")
 
     @property
     def horizon_floor(self) -> int:

@@ -311,7 +311,7 @@ class _FullPlant:
     def __init__(self, config: ScenarioConfig, amap: allocation.AllocationMap):
         self.config = config
         self.amap = amap
-        self.mu_prev: Optional[list] = None
+        self.xi_prev: Optional[list] = None
         self.thrust_clamps = 0
         self.omega_des_clips = 0
         self.slack_cable_ticks = 0
@@ -320,13 +320,12 @@ class _FullPlant:
         """(tensions, directions, vehicle positions, advance's input) this tick."""
         config, params, gains = self.config, self.config.params, self.config.gains
         if new_stage:
-            # the held wrench just changed, so differencing the allocated
-            # tensions across this tick would read the jump as a physical
+            # the held wrench just changed, so differencing the desired
+            # directions across this tick would read the jump as a physical
             # cable rotation; restart the direction-rate estimate instead
-            self.mu_prev = None
+            self.xi_prev = None
         cables = plant.cable_closure(y, params)
-        R_L = cables.rotation
-        p_L, v_L, omega_l = y[0:3], y[3:6], y[10:13]
+        R_L, p_L, omega_l = cables.rotation, y[0:3], y[10:13]
         bodies = range(13, len(y), 13)
         R_k = [plant._rotation(*y[b + 6 : b + 10]) for b in bodies]
         omega_k = [y[b + 10 : b + 13] for b in bodies]
@@ -341,8 +340,8 @@ class _FullPlant:
         payload_rates = plant._payload_derivative(y[0:13], wrench, params)
         accel_des, omega_dot_des = payload_rates[3:6], payload_rates[10:13]
 
-        xi_des, om_des = allocation.desired_cable_direction(mu, self.mu_prev, config.dt_lowlevel)
-        self.mu_prev = mu
+        xi_des, om_des = allocation.desired_cable_direction(mu, self.xi_prev, config.dt_lowlevel)
+        self.xi_prev = xi_des
         # guard against direction flips when an allocated tension passes
         # near zero: the backward difference then reports a rotation rate
         # far beyond anything the vehicles could follow
@@ -353,20 +352,12 @@ class _FullPlant:
                 om_des[k] = (ox * s, oy * s, oz * s)
                 self.omega_des_clips += 1
 
-        # taut cables are measured; a slack cable is steered toward the
+        # taut cables are measured, their rate from the attachment's velocity
+        # u relative to the vehicle; a slack cable is steered toward the
         # commanded direction with zero tracking error, feedforward only
         xi, om_c = list(xi_des), list(om_des)
-        (vx, vy, vz), (wx, wy, wz) = v_L, omega_l
-        r00, r01, r02, r10, r11, r12, r20, r21, r22 = R_L
-        for k, ((ex, ey, ez), stretch, (rx, ry, rz), b) in enumerate(
-            zip(cables.direction, cables.stretch, params._r_i, bodies)
-        ):
+        for k, (ex, ey, ez, stretch, _, (ux, uy, uz)) in enumerate(cables.law):
             if stretch > 0.0:
-                # the attachment's velocity relative to the vehicle, v_L + R_L (omega_L x r) - v_k
-                cx, cy, cz = wy * rz - wz * ry, wz * rx - wx * rz, wx * ry - wy * rx
-                ux = vx + (r00 * cx + r01 * cy + r02 * cz) - y[b + 3]
-                uy = vy + (r10 * cx + r11 * cy + r12 * cz) - y[b + 4]
-                uz = vz + (r20 * cx + r21 * cy + r22 * cz) - y[b + 5]
                 dist = params._l_i[k] + stretch
                 d = ex * ux + ey * uy + ez * uz
                 dx, dy, dz = (ux - ex * d) / dist, (uy - ey * d) / dist, (uz - ez * d) / dist
@@ -383,8 +374,8 @@ class _FullPlant:
         u = [(a + d, b + e, c + f) for (a, b, c), (d, e, f) in zip(u_par, u_perp)]
         thrust = cable_control.thrust_command(u, R_k)
         R_des = cable_control.desired_attitude(u, 0.0)
-        errors = cable_control.attitude_errors(R_k, R_des, omega_k)
-        moment = cable_control.moment_command(errors, omega_k, params._J_i, gains)
+        e_R = cable_control.attitude_errors(R_k, R_des)
+        moment = cable_control.moment_command(e_R, omega_k, params._J_i, gains)
 
         self.thrust_clamps += sum(1 for f in thrust if f < 0.0 or f > params.F_max)
         self.slack_cable_ticks += sum(1 for stretch in cables.stretch if not stretch > 0.0)

@@ -10,6 +10,7 @@ each body [p, v, q, omega] (position, velocity, unit quaternion scalar first,
 body rates).  `cable_closure` reads the cables off it and `step_world` returns
 it one Runge-Kutta step later, all on floats, from one derivative fused over
 all bodies; both take the cables from one spring-damper law (`_cable_law`),
+which also gives each taut cable's attachment velocity relative to its MAV,
 and a reading of the state being stepped serves the step's first stage.
 `step_payload` steps the payload row alone under a held wrench, for the
 payload-only model, with the same Runge-Kutta body (`_rk4_flat`) and the
@@ -86,12 +87,15 @@ class SystemParams:
                 )
             setattr(self, name, value.copy())
         self.J_L = np.asarray(self.J_L, dtype=np.float64).reshape(3, 3)
-        if np.any(self.m_i <= 0) or self.m_L <= 0:
-            raise ValueError("masses must be positive")
-        if np.any(self.l_i <= 0):
-            raise ValueError("cable lengths must be positive")
-        if self.F_max <= 0 or self.f_max <= 0:
+        for name in ("m_i", "m_L", "l_i", "cable_stiffness", "g"):
+            value = np.asarray(getattr(self, name))
+            if not 0 < value.min() <= value.max() < math.inf:
+                raise ValueError(f"{name!r} must be positive and finite")
+        # an infinite bound is no bound
+        if not (self.F_max > 0 and self.f_max > 0):
             raise ValueError("force bounds must be positive")
+        if not 0 <= self.cable_damping < math.inf:
+            raise ValueError("'cable_damping' must be finite and nonnegative")
         for M, name in [(self.J_L, "J_L")] + [(self.J_i[k], "J_i") for k in range(self.n)]:
             if np.linalg.norm(M - M.T) > 1e-12 or np.min(np.linalg.eigvalsh(M)) <= 0:
                 raise ValueError(f"{name} must be symmetric positive definite")
@@ -194,7 +198,7 @@ class DisturbanceModel:
 
 def saturate_thrust(F: float, F_max: float) -> float:
     """Clamp a thrust command into [0, F_max]; NaN stays NaN."""
-    if F_max <= 0:
+    if not F_max > 0:
         raise ValueError("F_max must be positive")
     return min(max(F, 0.0), F_max)
 
@@ -212,8 +216,10 @@ def _rotation(w: float, x: float, y: float, z: float) -> tuple:
 def _cable_law(y: list, R: tuple, params: SystemParams) -> list:
     """The spring-damper law of every cable of the flat world state y (a list
     of floats), whose payload rotation R comes from `_rotation`.  One
-    (e_x, e_y, e_z, stretch, tension) per cable, e the unit vector from the
-    MAV toward its attachment; the cable is taut when stretch > 0."""
+    (e_x, e_y, e_z, stretch, tension, u) per cable, e the unit vector from the
+    MAV toward its attachment and u the attachment's velocity relative to the
+    MAV, v_L + R_L (omega_L x r) - v_k, zeros while slack; the cable is taut
+    when stretch > 0."""
     px, py, pz, vx, vy, vz = y[0:6]
     wx, wy, wz = y[10:13]
     r00, r01, r02, r10, r11, r12, r20, r21, r22 = R
@@ -221,24 +227,24 @@ def _cable_law(y: list, R: tuple, params: SystemParams) -> list:
     out = []
     b = 13
     for k, ((rx, ry, rz), rest) in enumerate(zip(params._r_i, params._l_i)):
-        # attachment point p_L + R_L r and its velocity v_L + R_L (omega_L x r)
+        # attachment point p_L + R_L r
         dx = px + (r00 * rx + r01 * ry + r02 * rz) - y[b]
         dy = py + (r10 * rx + r11 * ry + r12 * rz) - y[b + 1]
         dz = pz + (r20 * rx + r21 * ry + r22 * rz) - y[b + 2]
-        cx, cy, cz = wy * rz - wz * ry, wz * rx - wx * rz, wx * ry - wy * rx
-        ux = vx + (r00 * cx + r01 * cy + r02 * cz) - y[b + 3]
-        uy = vy + (r10 * cx + r11 * cy + r12 * cz) - y[b + 4]
-        uz = vz + (r20 * cx + r21 * cy + r22 * cz) - y[b + 5]
         dist = math.sqrt(dx * dx + dy * dy + dz * dz)
         if dist < 1e-9:
             raise DegenerateGeometry(f"MAV {k} coincides with its attachment point")
         ex, ey, ez = dx / dist, dy / dist, dz / dist
         stretch = dist - rest
-        tension = 0.0
+        tension, u = 0.0, (0.0, 0.0, 0.0)
         if stretch > 0.0:
+            cx, cy, cz = wy * rz - wz * ry, wz * rx - wx * rz, wx * ry - wy * rx
+            u = ux, uy, uz = (vx + (r00 * cx + r01 * cy + r02 * cz) - y[b + 3],
+                              vy + (r10 * cx + r11 * cy + r12 * cz) - y[b + 4],
+                              vz + (r20 * cx + r21 * cy + r22 * cz) - y[b + 5])
             sdot = ex * ux + ey * uy + ez * uz
             tension = stiffness * stretch + damping * (sdot if sdot > 0.0 else 0.0)
-        out.append((ex, ey, ez, stretch, tension))
+        out.append((ex, ey, ez, stretch, tension, u))
         b += 13
     return out
 
@@ -249,7 +255,7 @@ def cable_closure(y: list, params: SystemParams) -> CableReading:
     R = _rotation(*y[6:10])
     law = _cable_law(y, R, params)
     directions, stretches, tensions = [], [], []
-    for k, (ex, ey, ez, stretch, tension) in enumerate(law):
+    for k, (ex, ey, ez, stretch, tension, _) in enumerate(law):
         if tension > 10.0 * params.f_max:
             raise CableOverload(f"cable {k} tension {tension:.3f} N past sanity ceiling")
         directions.append((ex, ey, ez) if stretch > 0.0 else (0.0, 0.0, 0.0))
@@ -308,23 +314,22 @@ def _payload_derivative(s: list, wrench, params: SystemParams) -> list:
     ]
 
 
-def _world_derivative_flat(s: list, inputs, params: SystemParams, law=None) -> list:
+def _world_derivative_flat(s: list, inputs, params: SystemParams, cables=None) -> list:
     """Fused derivative of the flat world state s, as a list.  inputs =
-    (thrusts, torques): one float and one 3-vector per MAV.  law, when given,
-    is `_cable_law`'s output at s.
+    (thrusts, torques): one float and one 3-vector per MAV.  cables, when
+    given, is `cable_closure`'s reading of s, whose rotation and law it takes.
 
     Evaluated on Python floats with every product written out: on 4-5 bodies
     numpy's per-call cost, or a helper call per vehicle, would outweigh the
     arithmetic."""
-    R = _rotation(*s[6:10])
+    R = _rotation(*s[6:10]) if cables is None else cables.rotation
+    law = _cable_law(s, R, params) if cables is None else cables.law
     r00, r01, r02, r10, r11, r12, r20, r21, r22 = R
-    if law is None:
-        law = _cable_law(s, R, params)
     g = params.g
     out = []  # the vehicle rows; the payload row goes in front at the end
     fx = fy = fz = mx = my = mz = 0.0
     b = 13
-    for (ex, ey, ez, _, t), (rx, ry, rz), thrust, (tx, ty, tz), m, J, Ji in zip(
+    for (ex, ey, ez, _, t, _), (rx, ry, rz), thrust, (tx, ty, tz), m, J, Ji in zip(
         law, params._r_i, inputs[0], inputs[1], params._m_i, params._J_i, params._J_i_inv,
     ):
         # the cable pulls the MAV toward its attachment and the payload back
@@ -398,7 +403,7 @@ def step_world(
 
     commands: (thrusts, torques), one float and one 3-vector per MAV; thrust
     is saturated here.  cables, `cable_closure`'s reading of y if the caller
-    has it, serves the first stage with the floats it would compute again.
+    has it, gives the first stage its payload rotation and cable law.
     """
     thrusts, torques = commands
     n = params.n
@@ -406,5 +411,5 @@ def step_world(
     if not shapes_ok or any(len(t) != 3 for t in torques):
         raise ValueError("need one thrust and one torque row per MAV")
     inputs = ([saturate_thrust(float(f), params.F_max) for f in thrusts], torques)
-    k1 = None if cables is None else _world_derivative_flat(y, inputs, params, cables.law)
+    k1 = None if cables is None else _world_derivative_flat(y, inputs, params, cables)
     return _rk4_flat(_world_derivative_flat, y, (inputs, params), dt, k1)

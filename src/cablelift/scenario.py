@@ -54,8 +54,8 @@ class ReferenceSpec:
         if self.kind not in ("circle", "hover"):
             raise ConfigError(f"unknown reference 'kind' {self.kind!r}")
         for key, value in (("radius_m", self.radius), ("period_s", self.period)):
-            if self.kind == "circle" and value <= 0:
-                raise ConfigError(f"circle {key!r} must be positive, got {value!r}")
+            if self.kind == "circle" and not 0 < value < math.inf:
+                raise ConfigError(f"circle {key!r} must be positive and finite, got {value!r}")
         self.position = np.asarray(self.position, dtype=np.float64)
 
     def at(self, t: float, m_L: float, g: float):

@@ -115,16 +115,15 @@ def payload_derivative(s: list, wrench, params) -> list:
     ]
 
 
-def world_derivative_flat(s: list, inputs, params, law=None) -> list:
-    R = plant._rotation(*s[6:10])
+def world_derivative_flat(s: list, inputs, params, cables=None) -> list:
+    R = plant._rotation(*s[6:10]) if cables is None else cables.rotation
+    law = plant._cable_law(s, R, params) if cables is None else cables.law
     r00, r01, r02, r10, r11, r12, r20, r21, r22 = R
-    if law is None:
-        law = plant._cable_law(s, R, params)
     g = params.g
     out = []
     fx = fy = fz = mx = my = mz = 0.0
     b = 13
-    for (ex, ey, ez, _, t), (rx, ry, rz), thrust, (tx, ty, tz), m, J, Ji in zip(
+    for (ex, ey, ez, _, t, _), (rx, ry, rz), thrust, (tx, ty, tz), m, J, Ji in zip(
         law, params._r_i, inputs[0], inputs[1], params._m_i, params._J_i, params._J_i_inv,
     ):
         cfx, cfy, cfz = t * ex, t * ey, t * ez
@@ -148,7 +147,7 @@ def world_derivative_flat(s: list, inputs, params, law=None) -> list:
 def step_world(y: list, commands, dt: float, params, cables=None) -> list:
     thrusts, torques = commands
     inputs = ([plant.saturate_thrust(float(f), params.F_max) for f in thrusts], torques)
-    k1 = None if cables is None else world_derivative_flat(y, inputs, params, cables.law)
+    k1 = None if cables is None else world_derivative_flat(y, inputs, params, cables)
     return plant._rk4_flat(world_derivative_flat, y, (inputs, params), dt, k1)
 
 
@@ -243,21 +242,21 @@ def desired_attitude(u_k, yaw_des: float) -> list:
     return out
 
 
-def attitude_errors(R_k, R_des, omega_k):
+def attitude_errors(R_k, R_des):
     transports = [relative(R, D) for R, D in zip(R_k, R_des)]
     skew = [
         (t00 - t00, t10 - t01, t20 - t02, t01 - t10, t11 - t11, t21 - t12,
          t02 - t20, t12 - t21, t22 - t22)
         for t00, t01, t02, t10, t11, t12, t20, t21, t22 in transports
     ]
-    e_R = [(0.5 * x, 0.5 * y, 0.5 * z) for x, y, z in vee(skew)]
-    return e_R, [tuple(omega) for omega in omega_k]
+    return [(0.5 * x, 0.5 * y, 0.5 * z) for x, y, z in vee(skew)]
 
 
-def moment_command(errors, omega_k, J_k, gains):
+def moment_command(e_R, omega_k, J_k, gains):
     (kx, ky, kz), (wx, wy, wz) = (gains.K_R,) * 3, (gains.K_Omega,) * 3
     out = []
-    for (ex, ey, ez), (fx, fy, fz), omega, J in zip(*errors, omega_k, J_k):
+    for (ex, ey, ez), omega, J in zip(e_R, omega_k, J_k):
+        fx, fy, fz = omega  # the rate error at zero desired rate
         gx, gy, gz = cross(omega, rotate(J, omega))
         out.append((-kx * ex - wx * fx + gx, -ky * ey - wy * fy + gy, -kz * ez - wz * fz + gz))
     return out
@@ -269,12 +268,12 @@ def moment_command(errors, omega_k, J_k, gains):
 
 def full_plant_realize(model, y: list, wrench: list, new_stage: bool):
     """harness._FullPlant.realize on the references above, acting on model
-    (its mu_prev and counters) the same way.  Returns realize's tuple and a
+    (its xi_prev and counters) the same way.  Returns realize's tuple and a
     dict of every kernel's inputs and outputs, by kernel name."""
     config, params, gains = model.config, model.config.params, model.config.gains
     seen = {}
     if new_stage:
-        model.mu_prev = None
+        model.xi_prev = None
     cables = plant.cable_closure(y, params)
     R_L = plant._rotation(*y[6:10])
     p_L, v_L, omega_l = y[0:3], y[3:6], y[10:13]
@@ -292,8 +291,8 @@ def full_plant_realize(model, y: list, wrench: list, new_stage: bool):
     payload_rates = payload_derivative(y[0:13], wrench, params)
     accel_des, omega_dot_des = payload_rates[3:6], payload_rates[10:13]
 
-    xi_des, om_des = allocation.desired_cable_direction(mu, model.mu_prev, config.dt_lowlevel)
-    model.mu_prev = mu
+    xi_des, om_des = allocation.desired_cable_direction(mu, model.xi_prev, config.dt_lowlevel)
+    model.xi_prev = xi_des
     for k, (ox, oy, oz) in enumerate(om_des):
         om_norm = math.sqrt(ox * ox + oy * oy + oz * oz)
         if om_norm > OMEGA_DES_LIMIT:
@@ -327,10 +326,10 @@ def full_plant_realize(model, y: list, wrench: list, new_stage: bool):
     thrust = cable_control.thrust_command(u, R_k)
     R_des = desired_attitude(u, 0.0)
     seen["desired_attitude"] = ((u, 0.0), R_des)
-    errors = attitude_errors(R_k, R_des, omega_k)
-    seen["attitude_errors"] = ((R_k, R_des, omega_k), errors)
-    moment = moment_command(errors, omega_k, params._J_i, gains)
-    seen["moment_command"] = ((errors, omega_k, params._J_i, gains), moment)
+    e_R = attitude_errors(R_k, R_des)
+    seen["attitude_errors"] = ((R_k, R_des), e_R)
+    moment = moment_command(e_R, omega_k, params._J_i, gains)
+    seen["moment_command"] = ((e_R, omega_k, params._J_i, gains), moment)
 
     model.thrust_clamps += sum(1 for f in thrust if f < 0.0 or f > params.F_max)
     model.slack_cable_ticks += sum(1 for stretch in cables.stretch if not stretch > 0.0)

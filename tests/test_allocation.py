@@ -19,8 +19,9 @@ def flat(R) -> tuple:
 
 
 def direction(mu_now, mu_prev, dt):
-    """desired_cable_direction of one force, as arrays."""
-    prev = None if mu_prev is None else [mu_prev]
+    """desired_cable_direction of one force after the tick that allocated
+    mu_prev (None: no tick before), as arrays."""
+    prev = None if mu_prev is None else allocation.desired_cable_direction([mu_prev], None, dt)[0]
     xi, omega = allocation.desired_cable_direction([mu_now], prev, dt)
     return np.array(xi[0]), np.array(omega[0])
 

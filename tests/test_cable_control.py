@@ -67,17 +67,15 @@ def components(mu, state, a_kc, **kw):
     return np.array(u_par[0]), np.array(u_perp[0])
 
 
-def moment(errors, omega, gains=None):
+def moment(e_R, omega, gains=None):
     """moment_command of one vehicle with inertia J_I."""
-    e_R, e_Omega = errors
-    out = cc.moment_command(([e_R], [e_Omega]), [omega], [flat(J_I)], gains or GainSet())
+    out = cc.moment_command([e_R], [omega], [flat(J_I)], gains or GainSet())
     return np.array(out[0])
 
 
-def attitude_errors(R, R_des, omega):
-    """attitude_errors of one vehicle, as arrays."""
-    e_R, e_Omega = cc.attitude_errors([flat(R)], [flat(R_des)], [omega])
-    return np.array(e_R[0]), np.array(e_Omega[0])
+def attitude_errors(R, R_des):
+    """attitude_errors of one vehicle, as an array."""
+    return np.array(cc.attitude_errors([flat(R)], [flat(R_des)])[0])
 
 
 def desired_attitude(u, yaw):
@@ -256,40 +254,46 @@ class TestThrustAndAttitude:
 
 class TestAttitudeErrors:
     def test_aligned_reduces_to_rate_difference(self):
-        # the desired body rate is zero, so the rate error is the rate itself
+        # aligned, only the rate error acts, and the desired body rate is
+        # zero, so that error is the rate itself
+        gains = GainSet()
         omega = np.array([0.1, 0.2, -0.3])
-        e_R, e_Omega = attitude_errors(np.eye(3), np.eye(3), omega)
+        e_R = attitude_errors(np.eye(3), np.eye(3))
         np.testing.assert_allclose(e_R, np.zeros(3), atol=1e-15)
-        np.testing.assert_array_equal(e_Omega, omega)
+        expected = -gains.K_Omega * omega + np.cross(omega, J_I @ omega)
+        np.testing.assert_allclose(moment(e_R, omega, gains), expected, atol=1e-15)
 
     def test_small_yaw_offset(self):
         R = so3.quat_to_rotation(quat_from_axis_angle(np.array([0.0, 0.0, 1.0]), 0.1))
-        e_R, _ = attitude_errors(R, np.eye(3), np.zeros(3))
+        e_R = attitude_errors(R, np.eye(3))
         np.testing.assert_allclose(e_R, np.array([0.0, 0.0, np.sin(0.1)]), atol=1e-12)
 
 
 class TestMomentCommand:
     def test_rest_at_target_needs_no_moment(self):
-        M = moment((np.zeros(3), np.zeros(3)), np.zeros(3))
+        M = moment(np.zeros(3), np.zeros(3))
         np.testing.assert_allclose(M, np.zeros(3), atol=1e-15)
 
     def test_rate_error_damped_by_gain(self):
+        # a rate about a principal axis has no gyroscopic term, so the rate
+        # error, the rate itself, is damped by the gain alone
         gains = GainSet()
-        e_Omega = np.array([0.1, 0.0, 0.0])
-        M = moment((np.zeros(3), e_Omega), np.zeros(3), gains)
-        np.testing.assert_allclose(M, -gains.K_Omega * e_Omega, atol=1e-15)
+        omega = np.array([0.1, 0.0, 0.0])
+        M = moment(np.zeros(3), omega, gains)
+        np.testing.assert_allclose(M, -gains.K_Omega * omega, atol=1e-15)
 
     def test_gyroscopic_term_isolated(self):
-        # zero errors leave only the omega x J omega cross term
+        # zero rotation error leaves the rate damping and the omega x J omega
+        # cross term
+        gains = GainSet()
         omega = np.array([0.2, -0.1, 0.5])
-        M = moment((np.zeros(3), np.zeros(3)), omega)
-        np.testing.assert_allclose(M, np.cross(omega, J_I @ omega), atol=1e-15)
+        M = moment(np.zeros(3), omega, gains)
+        np.testing.assert_allclose(M + gains.K_Omega * omega, np.cross(omega, J_I @ omega), atol=1e-15)
 
     def test_restoring_direction(self):
         # body yawed past the target: the commanded moment must pull it back
         R = so3.quat_to_rotation(quat_from_axis_angle(np.array([0.0, 0.0, 1.0]), 0.3))
-        errors = attitude_errors(R, np.eye(3), np.zeros(3))
-        M = moment(errors, np.zeros(3))
+        M = moment(attitude_errors(R, np.eye(3)), np.zeros(3))
         assert M[2] < 0.0
 
 
@@ -303,8 +307,7 @@ class TestAttitudeLoopStability:
         def deriv(x):
             theta, omega = x[:3], x[3:]
             R = so3.quat_to_rotation(so3.quat_exp(theta))
-            errors = attitude_errors(R, np.eye(3), omega)
-            M = moment(errors, omega, gains)
+            M = moment(attitude_errors(R, np.eye(3)), omega, gains)
             return np.concatenate([omega, J_inv @ (M - np.cross(omega, J_I @ omega))])
 
         h = 1e-6
@@ -351,15 +354,14 @@ def run_hover_loop(n_steps, dt=0.002):
     gains = GainSet()
     wrench = [0.0, 0.0, M_L * G, 0.0, 0.0, 0.0]
     target = full[0, 0:3].copy()
-    xi_prev = mu_prev = None
+    xi_prev = xi_des = None  # the previous tick's measured and desired directions
     first_commands = None
     worst = 0.0
     for step in range(n_steps):
         readings = plant.cable_closure(full.ravel().tolist(), params)
         R_L = flat(so3.quat_to_rotation(full[0, 6:10]))
         mu = allocation.allocate(wrench, R_L, amap)
-        xi_des, om_des = allocation.desired_cable_direction(mu, mu_prev, dt)
-        mu_prev = mu
+        xi_des, om_des = allocation.desired_cable_direction(mu, xi_des, dt)
         xi = [
             tuple(direction) if stretch > 0.0 else xi_des[k]
             for k, (direction, stretch) in enumerate(zip(readings.direction, readings.stretch))
@@ -377,9 +379,9 @@ def run_hover_loop(n_steps, dt=0.002):
         omega_k = full[1:, 10:13].tolist()
         thrusts = cc.thrust_command(u, R_k)
         R_des = cc.desired_attitude(u, 0.0)
-        errors = cc.attitude_errors(R_k, R_des, omega_k)
+        e_R = cc.attitude_errors(R_k, R_des)
         J_k = [flat(J) for J in params.J_i]
-        moments = cc.moment_command(errors, omega_k, J_k, gains)
+        moments = cc.moment_command(e_R, omega_k, J_k, gains)
         if first_commands is None:
             first_commands = list(zip(thrusts, moments))
         y = plant.step_world(full.ravel().tolist(), (thrusts, moments), dt, params)
@@ -587,6 +589,14 @@ def full_plant(config):
     return harness._FullPlant(config, allocation.build_allocation(config.params.r_i))
 
 
+def kept_directions(config, mu_prev):
+    """The desired directions a tick that allocated mu_prev keeps for the
+    next one; None without a previous tick."""
+    if mu_prev is None:
+        return None
+    return allocation.desired_cable_direction(mu_prev.tolist(), None, config.dt_lowlevel)[0]
+
+
 class TestFloatTick:
     """The float tick of `_FullPlant.realize` against the numpy oracle."""
 
@@ -597,7 +607,7 @@ class TestFloatTick:
     def test_matches_numpy_reference(self, tick):
         config, Y, wrench, slack, mu_prev, prev, new_stage, crowded = tick
         model = full_plant(config)
-        model.mu_prev = None if mu_prev is None else [tuple(row) for row in mu_prev.tolist()]
+        model.xi_prev = kept_directions(config, mu_prev)
         y = Y.ravel().tolist()
         tensions, directions, mav_p, ((thrusts, moments), cables) = model.realize(
             y, wrench.tolist(), new_stage
@@ -628,7 +638,8 @@ class TestFloatTick:
         dM = config.gains.K_R * 2 * du / u_norms
         assert np.all(np.abs(np.array(thrusts) - ref_thrusts) <= du)
         assert np.all(np.abs(np.array(moments) - ref_moments) <= dM[:, None])
-        np.testing.assert_allclose(model.mu_prev, ref_mu, rtol=1e-12, atol=1e-12)
+        ref_xi = -ref_mu / np.linalg.norm(ref_mu, axis=1, keepdims=True)
+        np.testing.assert_allclose(model.xi_prev, ref_xi, rtol=1e-12, atol=1e-12)
 
         readings = plant.cable_closure(y, config.params)
         assert cables == readings
@@ -673,9 +684,7 @@ class TestWrittenOutKernels:
         config, Y, wrench, slack, mu_prev, prev, new_stage, crowded = tick
         params, y, wrench = config.params, Y.ravel().tolist(), wrench.tolist()
         model, ref_model = full_plant(config), full_plant(config)
-        model.mu_prev = ref_model.mu_prev = (
-            None if mu_prev is None else [tuple(row) for row in mu_prev.tolist()]
-        )
+        model.xi_prev = ref_model.xi_prev = kept_directions(config, mu_prev)
         out = model.realize(y, wrench, new_stage)
         ref_out, seen = refs.full_plant_realize(ref_model, y, wrench, new_stage)
         tensions, directions, mav_p, ((thrust, moment), cables) = out
@@ -683,7 +692,7 @@ class TestWrittenOutKernels:
                                  (*ref_out[0:3], *ref_out[3][0])):
             assert_same_floats(got, expected)
         assert cables == ref_out[3][1]
-        assert_same_floats(model.mu_prev, ref_model.mu_prev)
+        assert_same_floats(model.xi_prev, ref_model.xi_prev)
         for counter in ("thrust_clamps", "omega_des_clips", "slack_cable_ticks"):
             assert getattr(model, counter) == getattr(ref_model, counter)
         clipped = prev == "far" and not new_stage
@@ -696,8 +705,9 @@ class TestWrittenOutKernels:
         moved = seen["nullspace_redistribute"][1] is not seen["nullspace_redistribute"][0][0]
         assert moved == crowded
         R_L = plant._rotation(*y[6:10])
-        stacked = refs.stack_body(model.mu_prev, R_L)
-        assert_same_floats(allocation.stack_body(model.mu_prev, R_L), stacked)
+        mu = seen["nullspace_redistribute"][1]
+        stacked = refs.stack_body(mu, R_L)
+        assert_same_floats(allocation.stack_body(mu, R_L), stacked)
         assert_same_floats(allocation._unstack(stacked, R_L), refs.unstack(stacked, R_L))
 
         # the plant under the tick's commands, with and without its reading
@@ -706,12 +716,11 @@ class TestWrittenOutKernels:
             refs.payload_derivative(y[0:13], wrench, params),
         )
         inputs = ([plant.saturate_thrust(f, params.F_max) for f in thrust], moment)
-        for law in (None, cables.law):
-            assert_same_floats(
-                plant._world_derivative_flat(y, inputs, params, law),
-                refs.world_derivative_flat(y, inputs, params, law),
-            )
         for reading in (None, cables):
+            assert_same_floats(
+                plant._world_derivative_flat(y, inputs, params, reading),
+                refs.world_derivative_flat(y, inputs, params, reading),
+            )
             assert_same_floats(
                 plant.step_world(y, (thrust, moment), config.dt_lowlevel, params, reading),
                 refs.step_world(y, (thrust, moment), config.dt_lowlevel, params, reading),
@@ -836,13 +845,13 @@ def _inf_attitude():
     inf_rotation = np.eye(3)
     inf_rotation[0, 1] = np.inf
     R_k = _rows(inf_rotation, np.eye(3))
-    cc.attitude_errors(R_k, _rows(np.eye(3), np.eye(3)), _rows(np.zeros(3), np.zeros(3)))
+    cc.attitude_errors(R_k, _rows(np.eye(3), np.eye(3)))
 
 
 def _nan_attitude():
     nan_rotation = np.full((3, 3), np.nan)
     R_k = _rows(nan_rotation, np.eye(3))
-    cc.attitude_errors(R_k, _rows(np.eye(3), np.eye(3)), _rows(np.zeros(3), np.zeros(3)))
+    cc.attitude_errors(R_k, _rows(np.eye(3), np.eye(3)))
 
 
 SAFETY_CASES = {

@@ -47,6 +47,10 @@ class TestTriggerConfig:
             {"alpha": -0.01},
             {"alpha": float("nan")},
             {"beta": float("nan")},
+            {"alpha": float("inf")},
+            {"beta": float("inf")},
+            {"sigma": 2.5},
+            {"sigma": True},
         ],
     )
     def test_invalid_rejected(self, kwargs):

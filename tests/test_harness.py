@@ -106,6 +106,9 @@ class TestReferenceSpec:
             ReferenceSpec(kind="circle", radius=-1.0)
         with pytest.raises(ConfigError):
             ReferenceSpec(kind="circle", period=0.0)
+        for bad in ({"radius": np.nan}, {"period": np.nan}, {"radius": np.inf}):
+            with pytest.raises(ConfigError):
+                ReferenceSpec(kind="circle", **bad)
 
     def test_dispatch(self):
         circle = ReferenceSpec(kind="circle", radius=2.0, period=10.0, height=0.7)
@@ -525,6 +528,19 @@ class TestRunFull:
             log = harness.run_closed_loop(config)
         assert len(log.ticks) == 50
         assert closure.call_count == len(log.ticks)
+
+    def test_one_tick_takes_eight_rotations_and_four_cable_laws(self):
+        """Per full-plant tick: the payload's and four vehicles' rotations,
+        then one payload rotation in each Runge-Kutta stage after the first,
+        which reuses the tick's cable reading; the cable law once for the
+        reading and once per later stage."""
+        config = dataclasses.replace(harness.scenario_preset("hover"), duration=0.1)
+        with mock.patch.object(plant, "_rotation", wraps=plant._rotation) as rotation, \
+                mock.patch.object(plant, "_cable_law", wraps=plant._cable_law) as law:
+            log = harness.run_closed_loop(config)
+        ticks = len(log.ticks)
+        assert ticks == 50
+        assert (rotation.call_count, law.call_count) == (8 * ticks, 4 * ticks)
 
 
 NUMPY_DIR = os.path.dirname(np.__file__) + os.sep

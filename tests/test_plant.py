@@ -182,6 +182,19 @@ class TestSystemParams:
             make_params(m_L=0.0)
         with pytest.raises(ValueError):
             make_params(m_i=-0.1)
+        # and what a scenario file refuses: a NaN or infinite mass, length,
+        # stiffness or gravity, a NaN force bound, a NaN, infinite or
+        # negative damping, a negative stiffness
+        bad = [(name, value) for name in ("m_i", "m_L", "l_i", "cable_stiffness", "g")
+               for value in (np.nan, np.inf)]
+        bad += [("m_i", [0.12, 0.12, np.nan, 0.12]), ("F_max", np.nan), ("f_max", np.nan),
+                ("cable_damping", np.nan), ("cable_damping", np.inf), ("cable_damping", -1.0),
+                ("cable_stiffness", -5000.0)]
+        for name, value in bad:
+            with pytest.raises(ValueError):
+                make_params(**{name: value})
+        # an infinite tension bound is no bound
+        assert make_params(f_max=np.inf).f_max == np.inf
 
     def test_indefinite_inertia_rejected(self):
         with pytest.raises(ValueError):
@@ -233,6 +246,9 @@ class TestSaturateThrust:
     def test_nonpositive_ceiling_rejected(self):
         with pytest.raises(ValueError):
             plant.saturate_thrust(1.0, 0.0)
+        # a NaN ceiling would leave every command unclamped
+        with pytest.raises(ValueError):
+            plant.saturate_thrust(5.0, np.nan)
 
 
 class TestCableClosure:
