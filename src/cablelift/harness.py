@@ -316,8 +316,9 @@ class _FullPlant:
         self.omega_des_clips = 0
         self.slack_cable_ticks = 0
 
-    def realize(self, y: list, wrench: list, new_stage: bool):
-        """(tensions, directions, vehicle positions, advance's input) this tick."""
+    def tick(self, y: list, wrench: list, new_stage: bool):
+        """(tensions, directions, vehicle positions) at the tick's start, and
+        the world state one tick later."""
         config, params, gains = self.config, self.config.params, self.config.gains
         if new_stage:
             # the held wrench just changed, so differencing the desired
@@ -380,11 +381,8 @@ class _FullPlant:
         self.thrust_clamps += sum(1 for f in thrust if f < 0.0 or f > params.F_max)
         self.slack_cable_ticks += sum(1 for stretch in cables.stretch if not stretch > 0.0)
         mav_p = [y[b : b + 3] for b in bodies]
-        return cables.tension, cables.direction, mav_p, ((thrust, moment), cables)
-
-    def advance(self, y: list, step_input, wrench: list) -> list:
-        commands, cables = step_input
-        return plant.step_world(y, commands, self.config.dt_lowlevel, self.config.params, cables)
+        y_next = plant.step_world(y, (thrust, moment), config.dt_lowlevel, params, cables)
+        return cables.tension, cables.direction, mav_p, y_next
 
 
 class _PayloadOnly:
@@ -402,11 +400,11 @@ class _PayloadOnly:
         self.config = config
         self.amap = amap
 
-    def realize(self, y: list, wrench: list, new_stage: bool):
-        """(tensions, directions, vehicle positions, None) of the minimal-norm
+    def tick(self, y: list, wrench: list, new_stage: bool):
+        """(tensions, directions, vehicle positions) of the minimal-norm
         allocation (the full plant's float `allocation.allocate`), vehicles
         placed one cable length along each tension, or straight above their
-        attachments where it is zero."""
+        attachments where it is zero; and the next world state."""
         params = self.config.params
         R_L = plant._rotation(*y[6:10])
         tensions, directions, mav_p = [], [], []
@@ -420,10 +418,8 @@ class _PayloadOnly:
             tensions.append(tension)
             directions.append((-ux, -uy, -uz) if taut else (0.0, 0.0, 0.0))
             mav_p.append((ax + length * ux, ay + length * uy, az + length * uz))
-        return tensions, directions, mav_p, None
-
-    def advance(self, y: list, step_input, wrench: list) -> list:
-        return plant.step_payload(y[0:13], wrench, self.config.ocp.dt, self.config.params) + y[13:]
+        y_next = plant.step_payload(y[0:13], wrench, self.config.ocp.dt, params) + y[13:]
+        return tensions, directions, mav_p, y_next
 
 
 def run_closed_loop(config: ScenarioConfig) -> RunLog:
@@ -462,9 +458,12 @@ def run_closed_loop(config: ScenarioConfig) -> RunLog:
         else:
             decision = ""
         try:
-            tensions, directions, mav_p, step_input = model.realize(y, wrench, new_stage)
-        except (plant.CableOverload, plant.DegenerateGeometry) as exc:
-            raise HarnessAbort(f"cable failure at t={t:.3f} s: {exc}") from exc
+            tensions, directions, mav_p, y = model.tick(y, wrench, new_stage)
+        except (  # every failure of the plant and the controllers ends the run
+            plant.NonFiniteState, plant.CableOverload, plant.DegenerateGeometry,
+            allocation.ZeroTension, cable_control.DegenerateThrust, cable_control.NotSkew,
+        ) as exc:
+            raise HarnessAbort(f"plant failure at t={t:.3f} s: {exc}") from exc
 
         log.payload[tick] = x_now
         log.wrench[tick] = wrench
@@ -477,10 +476,6 @@ def run_closed_loop(config: ScenarioConfig) -> RunLog:
             log.decision[tick] = decision
             if decision in ("forced", "event"):
                 log.event[tick] = len(trigger.events) - 1
-        try:
-            y = model.advance(y, step_input, wrench)
-        except (plant.NonFiniteState, plant.CableOverload, plant.DegenerateGeometry) as exc:
-            raise HarnessAbort(f"plant failure at t={t:.3f} s: {exc}") from exc
         disturbance.perturb(y)
 
     # every derived column, for the whole run at once

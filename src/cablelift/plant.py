@@ -293,9 +293,9 @@ def _unit_quaternion(w: float, x: float, y: float, z: float) -> tuple:
 
 def _payload_derivative(s: list, wrench, params: SystemParams) -> list:
     """Derivative of the payload row s alone under the wrench [F, M] on it:
-    payload_ocp.payload_dynamics on floats, with its groupings; the
-    quaternion rate is so3.omega_to_quat_dot's, the body angular acceleration
-    J^-1 (M - omega x J omega) with J and J^-1 as row-major 9-sequences."""
+    payload_ocp.payload_dynamics on floats, with its groupings and
+    so3.omega_to_quat_dot's zero terms, so the two agree in every bit, signed
+    zeros included, when J_L is diagonal; J and J^-1 are row-major 9-sequences."""
     _, _, _, vx, vy, vz, qw, qx, qy, qz, wx, wy, wz = s[0:13]
     fx, fy, fz, mx, my, mz = wrench
     m_L, (gx, gy, gz) = params.m_L, params.g_vec
@@ -306,10 +306,10 @@ def _payload_derivative(s: list, wrench, params: SystemParams) -> list:
     j0, j1, j2, j3, j4, j5, j6, j7, j8 = params._J_L_inv
     return [
         vx, vy, vz, fx / m_L + gx, fy / m_L + gy, fz / m_L + gz,
-        -0.5 * (qx * wx + qy * wy + qz * wz),
-        0.5 * (qw * wx + (qy * wz - qz * wy)),
-        0.5 * (qw * wy + (qz * wx - qx * wz)),
-        0.5 * (qw * wz + (qx * wy - qy * wx)),
+        0.5 * (((qw * 0.0 - qx * wx) - qy * wy) - qz * wz),
+        0.5 * ((qw * wx + qx * 0.0) + (qy * wz - qz * wy)),
+        0.5 * ((qw * wy + qy * 0.0) + (qz * wx - qx * wz)),
+        0.5 * ((qw * wz + qz * 0.0) + (qx * wy - qy * wx)),
         j0 * ux + j1 * uy + j2 * uz, j3 * ux + j4 * uy + j5 * uz, j6 * ux + j7 * uy + j8 * uz,
     ]
 
@@ -390,8 +390,9 @@ def _rk4_flat(derivative, y: list, args: tuple, dt: float, k1: list | None = Non
 
 def step_payload(x: list, wrench, dt: float, params: SystemParams) -> list:
     """The payload row x (13 floats) one step later under the held wrench
-    [F, M], as a new list: payload_ocp.discretize's floats, bit for bit when
-    J_L is diagonal (BLAS may round off-diagonal inertia products apart)."""
+    [F, M], as a new list: payload_ocp.discretize's floats, in every bit,
+    signed zeros included, when J_L is diagonal (BLAS may round off-diagonal
+    inertia products apart)."""
     return _rk4_flat(_payload_derivative, x, (wrench, params), dt)
 
 

@@ -117,8 +117,8 @@ class ScenarioConfig:
         self.initial_offset = np.asarray(self.initial_offset, dtype=np.float64)
         if self.plant_model == "full":
             ratio = self.ocp.dt / self.dt_lowlevel
-            if abs(ratio - round(ratio)) > 1e-9:
-                raise ConfigError("NMPC period must be an integer multiple of the low-level step")
+            if round(ratio) < 1 or abs(ratio - round(ratio)) > 1e-9:
+                raise ConfigError("'dt_s' must be a positive integer multiple of 'dt_lowlevel_s'")
         if self.terminal_epsilon is not None and not 0.0 < self.terminal_epsilon < math.inf:
             raise ConfigError(
                 f"'terminal_epsilon' must be positive and finite, got {self.terminal_epsilon!r}"

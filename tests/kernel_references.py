@@ -5,9 +5,11 @@ derivative, the cable and attitude controllers, the allocation's stacking
 and the full-plant tick made one call to a small float helper (`cross`,
 `dot`, `rotate`, `rotate_back`, `relative`, `vee`, and the plant's
 `_quat_rate` and `_euler_rate`) per 3-vector or 3x3 product.  The bodies
-below are that form, kept verbatim; the tests pin the written-out kernels
-to them bit for bit, also on paths the preset digests do not reach (slack
-cables, a clipped desired cable rate, the null-space step).
+below are that form, kept verbatim but for the payload row's quaternion
+rate, which keeps so3.omega_to_quat_dot's zero terms as the plant's does;
+the tests pin the written-out kernels to them bit for bit, also on paths the
+preset digests do not reach (slack cables, a clipped desired cable rate, the
+null-space step).
 """
 
 import math
@@ -105,12 +107,17 @@ def euler_rate(J, J_inv, ox, oy, oz, tx, ty, tz) -> tuple:
 
 
 def payload_derivative(s: list, wrench, params) -> list:
+    """The payload row's derivative; its quaternion rate keeps the zero terms
+    of so3.omega_to_quat_dot's product with (0, omega), as the predictor."""
     qw, qx, qy, qz, wx, wy, wz = s[6:13]
     fx, fy, fz, mx, my, mz = wrench
     m_L, (gx, gy, gz) = params.m_L, params.g_vec
     return [
         *s[3:6], fx / m_L + gx, fy / m_L + gy, fz / m_L + gz,
-        *quat_rate(qw, qx, qy, qz, wx, wy, wz),
+        0.5 * (((qw * 0.0 - qx * wx) - qy * wy) - qz * wz),
+        0.5 * ((qw * wx + qx * 0.0) + (qy * wz - qz * wy)),
+        0.5 * ((qw * wy + qy * 0.0) + (qz * wx - qx * wz)),
+        0.5 * ((qw * wz + qz * 0.0) + (qx * wy - qy * wx)),
         *euler_rate(params._J_L, params._J_L_inv, wx, wy, wz, mx, my, mz),
     ]
 
@@ -266,10 +273,11 @@ def moment_command(e_R, omega_k, J_k, gains):
 # harness
 
 
-def full_plant_realize(model, y: list, wrench: list, new_stage: bool):
-    """harness._FullPlant.realize on the references above, acting on model
-    (its xi_prev and counters) the same way.  Returns realize's tuple and a
-    dict of every kernel's inputs and outputs, by kernel name."""
+def full_plant_tick(model, y: list, wrench: list, new_stage: bool):
+    """harness._FullPlant.tick on the references above, acting on model
+    (its xi_prev and counters) the same way, and stepping the world with
+    `step_world` above.  Returns tick's tuple and a dict of every kernel's
+    inputs and outputs, by kernel name."""
     config, params, gains = model.config, model.config.params, model.config.gains
     seen = {}
     if new_stage:
@@ -334,11 +342,15 @@ def full_plant_realize(model, y: list, wrench: list, new_stage: bool):
     model.thrust_clamps += sum(1 for f in thrust if f < 0.0 or f > params.F_max)
     model.slack_cable_ticks += sum(1 for stretch in cables.stretch if not stretch > 0.0)
     mav_p = [y[b : b + 3] for b in bodies]
-    return (cables.tension, cables.direction, mav_p, ((thrust, moment), cables)), seen
+    args = (y, (thrust, moment), config.dt_lowlevel, params, cables)
+    y_next = step_world(*args)
+    seen["step_world"] = (args, y_next)
+    return (cables.tension, cables.direction, mav_p, y_next), seen
 
 
-def payload_only_realize(model, y: list, wrench: list):
-    """harness._PayloadOnly.realize on the references above."""
+def payload_only_tick(model, y: list, wrench: list):
+    """harness._PayloadOnly.tick on the references above, stepping the
+    payload row with `payload_derivative` above."""
     params = model.config.params
     R_L = plant._rotation(*y[6:10])
     tensions, directions, mav_p = [], [], []
@@ -350,4 +362,6 @@ def payload_only_realize(model, y: list, wrench: list):
         directions.append((-unit[0], -unit[1], -unit[2]) if taut else (0.0, 0.0, 0.0))
         attachment = _add(y[0:3], rotate(R_L, r))
         mav_p.append(_add(attachment, (length * unit[0], length * unit[1], length * unit[2])))
-    return tensions, directions, mav_p, None
+    dt = model.config.ocp.dt
+    y_next = plant._rk4_flat(payload_derivative, y[0:13], (wrench, params), dt) + y[13:]
+    return tensions, directions, mav_p, y_next

@@ -39,6 +39,29 @@ def test_run_checks_read_the_run_log(tmp_path, workload, preset, duration):
     assert set(harness.invariant_counters(log)) == {"m_bounds", "horizon_chain"}
 
 
+def test_benchmark_tests_doctor_the_run_log_by_replace():
+    """perfbench/tests/test_checks.py doctors a run with dataclasses.replace
+    on its tick records, its trigger events and the run log itself; each
+    field it replaces reads back from the copy."""
+    config = dataclasses.replace(harness.scenario_preset("hover-recovery"), duration=0.5)
+    log = harness.run_closed_loop(config)
+    record = log.ticks[-1]
+    tensions = 0.5 * record.tensions
+    doctored = dataclasses.replace(
+        record, payload_err=0.01, tensions=tensions, t=record.t + 3.0, max_sep=1.2
+    )
+    assert (doctored.payload_err, doctored.t, doctored.max_sep) == (0.01, record.t + 3.0, 1.2)
+    assert doctored.tensions is tensions
+    event = dataclasses.replace(log.events[0], cost=10.0, m_k=0)
+    assert (event.cost, event.m_k) == (10.0, 0)
+
+    ticks = [doctored] * len(log.t)
+    copy = dataclasses.replace(log, events=[event], ticks=ticks, solver_failures=1)
+    assert copy.events == [event] and copy.ticks is ticks and copy.solver_failures == 1
+    # without its own records, a copy reads its ticks from its columns
+    assert dataclasses.replace(log, solver_failures=1).ticks[-1].payload_err == record.payload_err
+
+
 def _traced_run(preset: str, duration: float):
     """A short run of a preset under the benchmark's tracer: (log, spans)."""
     config = dataclasses.replace(harness.scenario_preset(preset), duration=duration)

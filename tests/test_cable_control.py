@@ -13,6 +13,7 @@ again in numpy, vehicle by vehicle, as the oracle of the float tick.
 """
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -464,9 +465,10 @@ def reference_redistribute(stacked0, attachments, R_L, amap, l_i, d_safe=0.4, la
 
 
 def reference_tick(config, Y, wrench_cmd, mu_prev):
-    """The controller tick of `harness._FullPlant.realize`, vehicle by vehicle
-    in numpy (`@`, np.cross, np.linalg): the oracle the float tick is pinned
-    to.  Only the matrices of `allocation.build_allocation` are shared.
+    """The controller tick of `harness._FullPlant.tick`, up to its plant
+    step, vehicle by vehicle in numpy (`@`, np.cross, np.linalg): the oracle
+    the float tick is pinned to.  Only the matrices of
+    `allocation.build_allocation` are shared.
 
     mu_prev is None (first tick of a stage) or the previous tick's (n, 3)
     allocated forces.  Returns (thrusts, moments, allocated forces, whether
@@ -597,8 +599,17 @@ def kept_directions(config, mu_prev):
     return allocation.desired_cable_direction(mu_prev.tolist(), None, config.dt_lowlevel)[0]
 
 
+def tick_with_commands(model, y, wrench, new_stage):
+    """model.tick's tuple and the (thrusts, moments) and cable reading it
+    stepped the world with, read from its `plant.step_world` call."""
+    with mock.patch.object(plant, "step_world", wraps=plant.step_world) as step:
+        out = model.tick(y, wrench, new_stage)
+    _, commands, _, _, cables = step.call_args.args
+    return out, commands, cables
+
+
 class TestFloatTick:
-    """The float tick of `_FullPlant.realize` against the numpy oracle."""
+    """The float tick of `_FullPlant.tick` against the numpy oracle."""
 
     @settings(max_examples=80, deadline=None)
     @given(rig_ticks())
@@ -609,8 +620,8 @@ class TestFloatTick:
         model = full_plant(config)
         model.xi_prev = kept_directions(config, mu_prev)
         y = Y.ravel().tolist()
-        tensions, directions, mav_p, ((thrusts, moments), cables) = model.realize(
-            y, wrench.tolist(), new_stage
+        (tensions, directions, mav_p, y_next), (thrusts, moments), cables = tick_with_commands(
+            model, y, wrench.tolist(), new_stage
         )
 
         ref_thrusts, ref_moments, ref_mu, shifted, u_norms = reference_tick(
@@ -647,6 +658,9 @@ class TestFloatTick:
         np.testing.assert_array_equal(tensions, readings.tension)
         np.testing.assert_array_equal(directions, readings.direction)
         np.testing.assert_array_equal(mav_p, Y[1:, 0:3])
+        assert y_next == plant.step_world(
+            y, (thrusts, moments), config.dt_lowlevel, config.params, readings
+        )
         assert model.slack_cable_ticks == int(np.count_nonzero(slack))
         clipped = prev == "far" and not new_stage
         assert (model.omega_des_clips > 0) == clipped
@@ -685,13 +699,12 @@ class TestWrittenOutKernels:
         params, y, wrench = config.params, Y.ravel().tolist(), wrench.tolist()
         model, ref_model = full_plant(config), full_plant(config)
         model.xi_prev = ref_model.xi_prev = kept_directions(config, mu_prev)
-        out = model.realize(y, wrench, new_stage)
-        ref_out, seen = refs.full_plant_realize(ref_model, y, wrench, new_stage)
-        tensions, directions, mav_p, ((thrust, moment), cables) = out
-        for got, expected in zip((tensions, directions, mav_p, thrust, moment),
-                                 (*ref_out[0:3], *ref_out[3][0])):
+        out, (thrust, moment), cables = tick_with_commands(model, y, wrench, new_stage)
+        ref_out, seen = refs.full_plant_tick(ref_model, y, wrench, new_stage)
+        _, ref_commands, _, _, ref_cables = seen["step_world"][0]
+        for got, expected in zip((*out, thrust, moment), (*ref_out, *ref_commands)):
             assert_same_floats(got, expected)
-        assert cables == ref_out[3][1]
+        assert cables == ref_cables
         assert_same_floats(model.xi_prev, ref_model.xi_prev)
         for counter in ("thrust_clamps", "omega_des_clips", "slack_cable_ticks"):
             assert getattr(model, counter) == getattr(ref_model, counter)
@@ -728,9 +741,9 @@ class TestWrittenOutKernels:
 
         # the payload-only model's split of the same wrench
         payload_only = harness._PayloadOnly(config, model.amap)
-        got = payload_only.realize(y, wrench, new_stage)
-        expected = refs.payload_only_realize(payload_only, y, wrench)
-        for a, b in zip(got[0:3], expected[0:3]):
+        got = payload_only.tick(y, wrench, new_stage)
+        expected = refs.payload_only_tick(payload_only, y, wrench)
+        for a, b in zip(got, expected):
             assert_same_floats(a, b)
 
 
@@ -794,13 +807,14 @@ def _hover_wrench(config):
     return np.array([0.0, 0.0, config.params.m_L * config.params.g, 0.0, 0.0, 0.0])
 
 
-def _realize_with(mutate=None, wrench=None):
+def _tick_with(mutate=None, wrench=None):
+    """One full-plant tick of the hover rig after mutate(config, Y), under
+    the hover wrench or the given one."""
     config, Y = _hover_rig()
     if mutate is not None:
         mutate(config, Y)
-    model = full_plant(config)
     wrench = _hover_wrench(config) if wrench is None else wrench
-    model.realize(Y.ravel().tolist(), wrench.tolist(), True)
+    full_plant(config).tick(Y.ravel().tolist(), wrench.tolist(), True)
 
 
 def _rows(bad, good, k=2):
@@ -820,17 +834,7 @@ def _nonfinite_step():
     config, Y = _hover_rig()
     thrusts = [1.7] * 4
     torques = _rows([0.0, np.inf, 0.0], np.zeros(3), k=3)
-    full_plant(config).advance(
-        Y.ravel().tolist(), ((thrusts, torques), None), _hover_wrench(config).tolist()
-    )
-
-
-def _tick_with(mutate):
-    """One tick of the hover rig, realized and advanced, after mutate(config, Y)."""
-    config, Y = _hover_rig()
-    mutate(config, Y)
-    model, y, wrench = full_plant(config), Y.ravel().tolist(), _hover_wrench(config).tolist()
-    model.advance(y, model.realize(y, wrench, True)[3], wrench)
+    plant.step_world(Y.ravel().tolist(), (thrusts, torques), config.dt_lowlevel, config.params)
 
 
 def _nan_vehicle_quaternion(config, Y):
@@ -858,7 +862,7 @@ SAFETY_CASES = {
     "zero-tension": (
         allocation.ZeroTension,
         None,
-        lambda: _realize_with(wrench=np.zeros(6)),
+        lambda: _tick_with(wrench=np.zeros(6)),
     ),
     "unit-direction": (
         ValueError,
@@ -889,12 +893,12 @@ SAFETY_CASES = {
     "degenerate-geometry": (
         plant.DegenerateGeometry,
         "MAV 2",
-        lambda: _realize_with(_coincident_mav),
+        lambda: _tick_with(_coincident_mav),
     ),
     "cable-overload": (
         plant.CableOverload,
         "cable 1",
-        lambda: _realize_with(_overstretched_cable),
+        lambda: _tick_with(_overstretched_cable),
     ),
     "non-finite-state": (plant.NonFiniteState, None, _nonfinite_step),
     # every comparison is written so that it must hold, and NaN makes it false

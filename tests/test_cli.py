@@ -40,6 +40,16 @@ obstacle:
   clearance_m: 0.5
 """
 
+# a payload this light asks for tensions below the floor that points a
+# cable, so the first tick's cable controller fails and the run aborts
+TINY_PAYLOAD_CONFIG = """\
+schema_version: 1
+preset: hover
+name: feather
+system:
+  payload_mass_kg: 1.0e-9
+"""
+
 
 def write(tmp_path, text, name="scenario.yaml"):
     path = tmp_path / name
@@ -117,6 +127,8 @@ class TestRun:
             ("hover", "system", "cable_length_m", "0"),
             ("hover", "nmpc", "horizon", "0"),
             ("hover", "scenario", "dt_lowlevel_s", "0"),
+            # within the multiple check's 1e-9 of the ratio 0
+            ("hover", "nmpc", "dt_s", "1.0e-12"),
             ("hover", "trigger", "sigma", "0"),
             ("hover", "trigger", "alpha", "-1"),
             ("hover", "system", "cable_stiffness_Npm", "0"),
@@ -261,6 +273,15 @@ class TestRun:
         config = write(tmp_path, ABORT_CONFIG)
         assert cli.main(["run", "--config", config, "--out-dir", str(tmp_path)]) == 1
         assert "run aborted" in capsys.readouterr().err
+
+    def test_failing_controller_aborts_the_run(self, tmp_path, capsys):
+        """A failure inside a tick exits 1 as an aborted run, not with a
+        traceback."""
+        config = write(tmp_path, TINY_PAYLOAD_CONFIG)
+        assert cli.main(["run", "--config", config, "--out-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("run aborted")
+        assert "Traceback" not in err
 
     def test_preset_run_loads_neither_scipy_nor_yaml(self, tmp_path):
         """A preset run needs numpy and the standard library only; scipy and

@@ -14,7 +14,9 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from cablelift import allocation, harness, metrics, payload_ocp, plant, scenario, so3
+from cablelift import (
+    allocation, cable_control, harness, metrics, payload_ocp, plant, scenario, so3,
+)
 from cablelift.harness import (
     ConfigError,
     EmptyLog,
@@ -177,6 +179,12 @@ class TestScenarioConfig:
     def test_nmpc_period_must_divide(self):
         with pytest.raises(ConfigError):
             ScenarioConfig(dt_lowlevel=0.003)
+
+    def test_nmpc_period_below_half_the_low_level_step_rejected(self):
+        # the ratio 5e-10 lies within the multiple check's 1e-9 of its rounding, 0
+        base = ScenarioConfig()
+        with pytest.raises(ConfigError, match="'dt_s'"):
+            dataclasses.replace(base, ocp=dataclasses.replace(base.ocp, dt=1e-12))
 
     def test_terminal_epsilon_none_allowed(self):
         config = ScenarioConfig(terminal_epsilon=None)
@@ -481,17 +489,18 @@ class TestPayloadOnlyRealize:
             y[6:10] = q / np.linalg.norm(q)
             wrench = rng.uniform(-5.0, 5.0, 6)
             wrench[2] += config.params.m_L * config.params.g
-            got = model.realize(y.tolist(), wrench.tolist(), True)
+            got = model.tick(y.tolist(), wrench.tolist(), True)
             for value, expected in zip(got[:3], payload_only_split(config, y, wrench)):
                 np.testing.assert_allclose(value, expected, rtol=0.0, atol=1e-12)
-            assert got[3] is None
+            step = plant.step_payload(y.tolist(), wrench.tolist(), config.ocp.dt, config.params)
+            assert got[3] == step
 
     def test_zero_wrench_hangs_the_vehicles_above_their_attachments(self):
         config, model = self.model()
         params = config.params
         y = hover_state((0.3, -0.2, 1.0))
         y[6:10] = [math.cos(0.2), 0.0, 0.0, math.sin(0.2)]  # yawed 0.4 rad
-        tensions, directions, mav_p, _ = model.realize(y.tolist(), [0.0] * 6, True)
+        tensions, directions, mav_p, _ = model.tick(y.tolist(), [0.0] * 6, True)
         assert tensions == [0.0] * params.n
         assert directions == [(0.0, 0.0, 0.0)] * params.n
         attachments = y[0:3] + params.r_i @ so3.quat_to_rotation(y[6:10]).T
@@ -566,10 +575,10 @@ def _floats(values):
 @pytest.mark.parametrize("preset", ["hover", "circle-medium"])
 def test_the_full_plant_tick_stays_on_python_floats(preset):
     """Between solves the full-plant tick runs on Python floats: inside
-    `_FullPlant.realize` and `advance` no call enters numpy, and every
-    thrust, moment, tension, direction, vehicle position and next-state
-    entry is exactly a float.  A numpy scalar leaking in would keep every
-    byte and only cost time, so nothing else would notice."""
+    `_FullPlant.tick` no call enters numpy, and every thrust, moment,
+    tension, direction, vehicle position and next-state entry is exactly a
+    float.  A numpy scalar leaking in would keep every byte and only cost
+    time, so nothing else would notice."""
     numpy_calls, leaks, calls = [], [], []
 
     def profile(frame, event, arg):
@@ -591,18 +600,53 @@ def test_the_full_plant_tick_stays_on_python_floats(preset):
             return out
         return wrapper
 
-    def realized(out):
-        tensions, directions, mav_p, ((thrusts, moments), _) = out
-        return tensions, directions, mav_p, thrusts, moments
-
     full = harness._FullPlant
     config = dataclasses.replace(harness.scenario_preset(preset), duration=0.5)
-    with mock.patch.object(full, "realize", watched(full.realize, realized)), \
-            mock.patch.object(full, "advance", watched(full.advance, lambda y: y)):
+    with mock.patch.object(full, "tick", watched(full.tick, lambda out: out)), \
+            mock.patch.object(plant, "step_world", wraps=plant.step_world) as step:
         log = harness.run_closed_loop(config)
-    assert calls.count("realize") == calls.count("advance") == len(log.t) == 250
+    assert calls.count("tick") == step.call_count == len(log.t) == 250
+    # the thrusts and moments each tick stepped the world with
+    commands = [call.args[1] for call in step.call_args_list]
+    leaks.extend(type(v) for v in _floats(commands) if type(v) is not float)
     assert numpy_calls == []
     assert leaks == []
+
+
+# the failures a plant model's tick raises, each from one callee called once
+# per tick: (preset, module, callee, exception)
+TICK_FAILURES = [
+    ("hover", plant, "step_world", plant.NonFiniteState),
+    ("hover-recovery", plant, "step_payload", plant.NonFiniteState),
+    ("hover", plant, "cable_closure", plant.CableOverload),
+    ("hover", plant, "cable_closure", plant.DegenerateGeometry),
+    ("hover", allocation, "desired_cable_direction", allocation.ZeroTension),
+    ("hover", cable_control, "desired_attitude", cable_control.DegenerateThrust),
+    ("hover", cable_control, "attitude_errors", cable_control.NotSkew),
+]
+
+
+@pytest.mark.parametrize(
+    "preset, module, callee, failure", TICK_FAILURES,
+    ids=[f"{case[2]}-{case[3].__name__}" for case in TICK_FAILURES],
+)
+def test_a_failure_inside_a_tick_aborts_the_run(preset, module, callee, failure):
+    """Whichever callee of a tick fails, the run ends as one HarnessAbort
+    naming the tick's time and the failure, never as the bare exception."""
+    original, calls = getattr(module, callee), []
+
+    def fails_on_the_third_tick(*args):
+        calls.append(args)
+        if len(calls) == 3:
+            raise failure("injected")
+        return original(*args)
+
+    config = dataclasses.replace(harness.scenario_preset(preset), duration=0.5)
+    t = 2 * config.dt_tick
+    with mock.patch.object(module, callee, fails_on_the_third_tick), \
+            pytest.raises(harness.HarnessAbort, match=rf"t={t:.3f} s: injected") as aborted:
+        harness.run_closed_loop(config)
+    assert isinstance(aborted.value.__cause__, failure)
 
 
 class TestClampCounters:

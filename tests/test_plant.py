@@ -10,7 +10,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cablelift import payload_ocp, plant, so3
@@ -703,6 +703,8 @@ def payload_steps(draw):
 class TestStepPayload:
     @settings(max_examples=300, deadline=None)
     @given(payload_steps())
+    # signed zeros: the quaternion rate's zero terms decide the signs
+    @example((make_params(), [0.0] * 6 + [-0.0, -0.0, -0.0, 1.0] + [0.0] * 3, [0.0] * 6, 0.05))
     def test_equals_discretize_bit_for_bit(self, case):
         """step_payload computes the numpy predictor's floats: the solver's
         discretize is the oracle.  Bitwise for a diagonal payload inertia,
