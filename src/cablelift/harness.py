@@ -245,7 +245,7 @@ class _TriggerLoop:
             began = time.perf_counter()
             try:
                 solution = sqp.solve(problem, warm, cfg.solver)
-            except (sqp.Infeasible, sqp.QpNumericalFailure) as exc:
+            except (sqp.Infeasible, sqp.QpNumericalFailure, plant.NonFiniteState) as exc:
                 if self.state is None or decision == "forced":
                     raise HarnessAbort(
                         f"solver failed at a forced trigger (t={t:.3f} s, step {k}): {exc}"
@@ -276,13 +276,6 @@ class _TriggerLoop:
                 self.problem = problem
         idx = k - self.state.k_j
         return decision, self.state.predicted.U[idx], idx
-
-
-def _formation_targets(config: ScenarioConfig, x_ref: np.ndarray) -> np.ndarray:
-    """Desired vehicle positions (..., n, 3): level formation above the
-    attachments, at the reference state rows x_ref (..., 13)."""
-    params = config.params
-    return x_ref[..., None, 0:3] + params.r_i + params.l_i[:, None] * np.array([0.0, 0.0, 1.0])
 
 
 def _attachments(p_L, R_L: tuple, r_i: list) -> list:
@@ -424,17 +417,14 @@ class _PayloadOnly:
 
 def run_closed_loop(config: ScenarioConfig) -> RunLog:
     """Simulate one scenario end to end and return the complete log."""
-    params = config.params
     # the attachment geometry is fixed, so one map serves the plant model
     # and every NMPC problem
-    amap = allocation.build_allocation(params.r_i)
+    amap = allocation.build_allocation(config.params.r_i)
     model = (_FullPlant if config.plant_model == "full" else _PayloadOnly)(config, amap)
     trigger = _TriggerLoop(config, amap)
     disturbance = DisturbanceModel(config.disturbance_eta, config.seed, config.dt_tick)
     bounds = metrics.default_bounds(
-        _formation_targets(config, config.reference_at(0.0)[0]),
-        params.f_max,
-        payload_radius=config.ocp.funnel_radius,
+        config.ocp.funnel_radius,
         obstacle_center=config.ocp.obstacle_center,
         obstacle_clearance=config.ocp.obstacle_clearance,
     )
@@ -485,8 +475,7 @@ def run_closed_loop(config: ScenarioConfig) -> RunLog:
     separations = metrics.pair_separations(log.mav_p)
     log.min_sep, log.max_sep = separations.min(axis=1), separations.max(axis=1)
     del separations
-    targets = _formation_targets(config, log.reference)
-    log.constraints = metrics.check_all(p, p_ref, log.mav_p, targets, log.tensions, bounds)
+    log.constraints = metrics.check_all(p, p_ref, bounds)
     log.events = trigger.events
     log.solver_failures = trigger.failures
     log.thrust_clamps = model.thrust_clamps

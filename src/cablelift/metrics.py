@@ -1,10 +1,11 @@
 """Tracking errors, formation separations, and constraint checking.
 
-Everything here is pure geometry on snapshots: line-of-sight distances for the
-payload and each vehicle, pairwise separation errors for the formation,
-obstacle clearance, and cable-tension bounds.  Violations are reported as
-signed margins, never raised.  Snapshots are stacked along a leading axis,
-so a whole run is checked in one call.
+Everything here is pure geometry on snapshots: line-of-sight distances, pair
+separations of the formation, and the table of the bounds the planner
+imposes on the payload (its tracking funnel and, when an obstacle is set,
+its clearance).  Violations are reported as signed margins, never raised.
+Snapshots are stacked along a leading axis, so a whole run is checked in
+one call.
 """
 
 from __future__ import annotations
@@ -64,87 +65,44 @@ def pair_separations(P: np.ndarray) -> np.ndarray:
 
 @dataclass
 class ConstraintBounds:
-    """Bound set consumed by check_all.
+    """Bound set consumed by check_all: the payload funnel radius and, when
+    obstacle_center is set, the payload's clearance from it."""
 
-    Every bound is one constant: the payload and vehicle funnel radii, and
-    pair_width, the (n(n-1)/2,) allowed shrink or stretch of each pair's
-    separation relative to desired, in row-major pair order.
-    """
-
-    f_max: float
     payload_radius: float
-    mav_radius: float
-    pair_width: np.ndarray
     obstacle_center: Optional[np.ndarray] = None
     obstacle_clearance: float = 0.0
 
 
-# default_bounds' vehicle funnel radius (m), and its pair bounds as a
-# fraction of each pair's desired separation
-MAV_RADIUS = 0.2
-PAIR_FRACTION = 0.3
-
-
 def default_bounds(
-    mav_p_des0: np.ndarray,
-    f_max: float,
     payload_radius: float = 0.2,
     obstacle_center: Optional[np.ndarray] = None,
     obstacle_clearance: float = 0.0,
 ) -> ConstraintBounds:
-    """Constant bounds sized off the initial desired formation.
-
-    Vehicles get a MAV_RADIUS funnel, and each pair may shrink or stretch
-    by PAIR_FRACTION times its desired separation.
-    """
+    """The planner's bounds: its funnel radius and its obstacle, if any."""
     return ConstraintBounds(
-        f_max=f_max,
         payload_radius=payload_radius,
-        mav_radius=MAV_RADIUS,
-        pair_width=PAIR_FRACTION * pair_separations(np.asarray(mav_p_des0, dtype=np.float64)),
         obstacle_center=None if obstacle_center is None else np.asarray(obstacle_center),
         obstacle_clearance=obstacle_clearance,
     )
 
 
-def check_all(
-    payload_p: np.ndarray,
-    payload_p_des: np.ndarray,
-    mav_p: np.ndarray,
-    mav_p_des: np.ndarray,
-    tensions: np.ndarray,
-    bounds: ConstraintBounds,
-):
-    """Evaluate every tracking, formation, obstacle, and tension constraint
-    of T snapshots.
+def check_all(payload_p: np.ndarray, payload_p_des: np.ndarray, bounds: ConstraintBounds):
+    """Evaluate the payload funnel and, with an obstacle, its clearance over
+    T snapshots.
 
     Margins, read off the table, are signed distances to the nearest bound;
     a violated constraint shows up with margin < 0, nothing raises.  The
-    snapshots are stacked along a leading axis (payload_p (T, 3), mav_p
-    (T, n, 3), tensions (T, n)) and give a ConstraintTable with one row each;
-    the desired positions may be stacked or shared by every snapshot.
+    positions are stacked along a leading axis (T, 3), or one (3,) snapshot,
+    and give a ConstraintTable with one row each; the desired position may
+    be stacked or shared by every snapshot.
     """
-    n = np.shape(mav_p)[-2]
     payload_p, payload_p_des = (np.reshape(p, (-1, 3)) for p in (payload_p, payload_p_des))
-    mav_p, mav_p_des = (np.reshape(p, (-1, n, 3)) for p in (mav_p, mav_p_des))
-    pairs = list(itertools.combinations(range(n), 2))
-    w = bounds.pair_width
-    ids = ["payload_funnel", *(f"mav{i}_funnel" for i in range(n))]
-    ids += [f"separation_{i}_{j}" for i, j in pairs] + [f"tension_{i}" for i in range(n)]
-    lower = [np.nan] * (1 + n) + (-w).tolist() + [np.nan] * n
-    upper = [bounds.payload_radius] + [bounds.mav_radius] * n + w.tolist() + [bounds.f_max] * n
+    ids, lower, upper = ["payload_funnel"], [np.nan], [bounds.payload_radius]
+    columns = [so3.norm_rows(payload_p - payload_p_des)]
     if bounds.obstacle_center is not None:
         ids.append("obstacle")
         lower.append(bounds.obstacle_clearance)
         upper.append(np.nan)
-
-    # each group of columns written in place, in ids order
-    value = np.empty((len(mav_p), len(ids)))
-    value[:, 0] = so3.norm_rows(payload_p - payload_p_des)
-    value[:, 1 : 1 + n] = so3.norm_rows(mav_p - mav_p_des)
-    s = 1 + n + len(pairs)  # the first tension column
-    np.subtract(pair_separations(mav_p_des), pair_separations(mav_p), out=value[:, 1 + n : s])
-    value[:, s : s + n] = np.asarray(tensions, dtype=np.float64)[..., :n]
-    if bounds.obstacle_center is not None:
-        value[:, -1] = so3.norm_rows(payload_p - bounds.obstacle_center)
+        columns.append(so3.norm_rows(payload_p - bounds.obstacle_center))
+    value = np.stack(columns, axis=1)
     return ConstraintTable(tuple(ids), value, np.array(lower), np.array(upper))

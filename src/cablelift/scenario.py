@@ -6,6 +6,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import os
+import re
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -335,9 +336,18 @@ def load_config(path):
     # never pays for loading the parser
     import yaml
 
+    class Loader(yaml.SafeLoader):
+        """The safe loader, plus the exponent forms (1e-3, 1.0e6, 1e+3) that
+        YAML 1.1 leaves as text, read as floats."""
+
+    Loader.add_implicit_resolver(
+        "tag:yaml.org,2002:float",
+        re.compile(r"^[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+$"),
+        list("-+0123456789."),
+    )
     try:
         with open(path) as f:
-            data = yaml.safe_load(f)
+            data = yaml.load(f, Loader)
     except OSError as exc:
         raise ConfigError(f"cannot read scenario file {str(path)!r}: {exc.strerror}") from exc
     except (yaml.YAMLError, UnicodeDecodeError) as exc:

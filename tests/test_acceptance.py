@@ -132,17 +132,20 @@ def test_criterion_02_tighter_triggering_tracks_no_worse(circle_runs):
 def test_criterion_03_formation_stays_together(circle_runs):
     runs, _ = circle_runs
     worst_sep = max(max(r.max_sep for r in log.ticks) for log in runs.values())
+    closest = min(min(r.min_sep for r in log.ticks) for log in runs.values())
     worst_drift = 0.0
     for log in runs.values():
         initial = _pair_distances(log.ticks[0].mav_p)
         final = _pair_distances(log.ticks[-1].mav_p)
         worst_drift = max(worst_drift, float(np.max(np.abs(final - initial) / initial)))
-    ok = worst_sep <= 1.0 + 0.05 and worst_drift <= 0.10
+    # 0.4 m is the separation hinge's D_SAFE
+    ok = 0.4 <= closest and worst_sep <= 1.0 + 0.05 and worst_drift <= 0.10
     _verdict(
         3,
         ok,
-        f"max pairwise separation {worst_sep:.4f} m <= 1.05 m, final "
-        f"separations within {100 * worst_drift:.2f}% of initial (<= 10%)",
+        f"pairwise separation in [{closest:.4f}, {worst_sep:.4f}] m within "
+        f"[0.4, 1.05] m, final separations within {100 * worst_drift:.2f}% of "
+        "initial (<= 10%)",
     )
 
 

@@ -79,8 +79,9 @@ def test_traced_tick_calls_each_layer_function_once():
     function, the allocation stages and the plant's step and cable reading
     once per tick for the whole rig, on the allocation map being built
     exactly once per run, shared by the controllers and every NMPC problem,
-    and on the disturbance touching no payload_ocp function: a retraction
-    outside a solve would land in the solver's layer."""
+    on the constraint table being built once per run, and on the
+    disturbance touching no payload_ocp function: a retraction outside a
+    solve would land in the solver's layer."""
     log, arrays = _traced_run("hover", 0.02)
     table = tracer.SpanTable(**arrays)
     ticks = len(log.t)
@@ -93,6 +94,7 @@ def test_traced_tick_calls_each_layer_function_once():
     solves = table.calls("sqp.solve")
     assert solves == log.nmpc_executions > 0
     assert table.calls("allocation.build_allocation") == 1
+    assert table.calls("metrics.default_bounds") == table.calls("metrics.check_all") == 1
 
     log, arrays = _traced_run("circle-medium", 0.1)
     assert log.config.disturbance_eta > 0.0

@@ -50,6 +50,16 @@ system:
   payload_mass_kg: 1.0e-9
 """
 
+# a payload this heavy drives the predictor's integrator past the float
+# range, so the first forced solve fails and the run aborts
+HEAVY_PAYLOAD_CONFIG = """\
+schema_version: 1
+preset: hover-recovery
+name: anvil
+system:
+  payload_mass_kg: 1.0e+200
+"""
+
 
 def write(tmp_path, text, name="scenario.yaml"):
     path = tmp_path / name
@@ -278,6 +288,18 @@ class TestRun:
         """A failure inside a tick exits 1 as an aborted run, not with a
         traceback."""
         config = write(tmp_path, TINY_PAYLOAD_CONFIG)
+        assert cli.main(["run", "--config", config, "--out-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("run aborted")
+        assert "Traceback" not in err
+
+    # the overflow on the way to the non-finite state warns as it happens
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_failing_solve_aborts_the_run(self, tmp_path, capsys):
+        """A failure inside the first forced solve exits 1 as an aborted run,
+        not with a traceback."""
+        config = write(tmp_path, HEAVY_PAYLOAD_CONFIG)
         assert cli.main(["run", "--config", config, "--out-dir", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("run aborted")

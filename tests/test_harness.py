@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 
 from cablelift import (
-    allocation, cable_control, harness, metrics, payload_ocp, plant, scenario, so3,
+    allocation, cable_control, event_trigger, harness, metrics, payload_ocp, plant, scenario, so3,
+    sqp,
 )
 from cablelift.harness import (
     ConfigError,
@@ -649,6 +650,47 @@ def test_a_failure_inside_a_tick_aborts_the_run(preset, module, callee, failure)
     assert isinstance(aborted.value.__cause__, failure)
 
 
+# what a solve raises: an inconsistent constraint set, a failed Riccati
+# factorization, and the predictor's integrator leaving the floats
+SOLVE_FAILURES = [sqp.Infeasible, sqp.QpNumericalFailure, plant.NonFiniteState]
+
+
+@pytest.mark.parametrize("failure", SOLVE_FAILURES, ids=lambda f: f.__name__)
+def test_a_failure_inside_a_solve_aborts_a_forced_trigger_and_skips_an_event(failure):
+    """A forced solve that fails ends the run as one HarnessAbort naming the
+    tick's time; an event solve that fails is counted, its tick marked
+    event-failed, and the held plan played on."""
+    config = dataclasses.replace(harness.scenario_preset("hover-nominal"), duration=0.5)
+
+    def fails(*args):
+        raise failure("injected")
+
+    with mock.patch.object(sqp, "solve", fails), pytest.raises(
+        harness.HarnessAbort, match=r"forced trigger \(t=0\.000 s, step 0\): injected"
+    ) as aborted:
+        harness.run_closed_loop(config)
+    assert isinstance(aborted.value.__cause__, failure)
+
+    original_solve, original_trigger, solves = sqp.solve, event_trigger.should_trigger, []
+
+    def fails_after_the_first(*args):
+        solves.append(args)
+        if len(solves) > 1:
+            raise failure("injected")
+        return original_solve(*args)
+
+    def event_at_step_3(k, *args):
+        return "event" if k == 3 else original_trigger(k, *args)
+
+    with mock.patch.object(sqp, "solve", fails_after_the_first), \
+            mock.patch.object(event_trigger, "should_trigger", event_at_step_3):
+        log = harness.run_closed_loop(config)
+    assert log.decision.tolist() == ["forced", "none", "none", "event-failed"] + ["none"] * 6
+    assert log.solver_failures == 1
+    assert log.nmpc_executions == 1
+    assert log.pred_index.tolist() == list(range(10))
+
+
 class TestClampCounters:
     def test_low_thrust_ceiling_is_counted(self):
         """Below the hover thrust (1.746 N) every vehicle saturates; the count
@@ -723,17 +765,12 @@ class TestDisturbance:
 
 
 def tiny_report(errs):
-    """The constraint table of hover snapshots offset by errs along x."""
+    """The constraint table of hover snapshots offset by errs along x, under
+    the default bounds."""
     config = harness.scenario_preset("hover-nominal")
     ref, _ = config.reference_at(0.0)
-    targets = harness._formation_targets(config, ref)
-    bounds = metrics.default_bounds(targets, config.params.f_max)
-    T = len(errs)
     p = ref[0:3] + np.outer(errs, [1.0, 0.0, 0.0])
-    mav_p = np.broadcast_to(targets, (T, 4, 3))
-    return metrics.check_all(
-        p, np.tile(ref[0:3], (T, 1)), mav_p, targets, np.full((T, 4), 0.5), bounds
-    )
+    return metrics.check_all(p, ref[0:3], metrics.default_bounds())
 
 
 def synthetic_log(errs, min_seps, max_seps):
@@ -743,7 +780,9 @@ def synthetic_log(errs, min_seps, max_seps):
     ref, _ = config.reference_at(0.0)
     log.t[:] = 0.05 * np.arange(T)
     log.payload[:] = hover_state()
-    log.mav_p[:] = harness._formation_targets(config, ref)
+    # a level formation, each vehicle one cable length above its attachment
+    params = config.params
+    log.mav_p[:] = ref[0:3] + params.r_i + params.l_i[:, None] * np.array([0.0, 0.0, 1.0])
     log.reference[:] = ref
     log.tensions[:] = 0.5
     log.directions[:] = [0.0, 0.0, -1.0]
@@ -1204,6 +1243,32 @@ class TestLoadConfig:
         )
         config, _ = harness.load_config(write_config(tmp_path, text))
         assert np.max(harness.run_closed_loop(config).payload_err) > 0.0
+
+    @pytest.mark.parametrize(
+        "text, value",
+        [("1e-3", 1e-3), ("1.0e6", 1e6), ("1e+3", 1e3), ("-2E5", -2e5), (".5e1", 5.0)],
+    )
+    def test_exponent_forms_are_numbers(self, tmp_path, text, value):
+        """YAML 1.1 reads an exponent without a dot, or with a sign-less
+        exponent, as text; a scenario file reads every such form as a
+        float."""
+        text = f"schema_version: 1\nobstacle:\n  center_m: [{text}, 0.0, 0.5]\n"
+        config, _ = harness.load_config(write_config(tmp_path, text))
+        assert config.ocp.obstacle_center[0] == value
+
+    def test_exponent_forms_in_integer_and_scalar_keys(self, tmp_path):
+        text = "schema_version: 1\nscenario:\n  seed: 1e3\ndisturbance:\n  eta: 1e-3\n"
+        config, _ = harness.load_config(write_config(tmp_path, text))
+        assert config.disturbance_eta == 0.001
+        assert config.seed == 1000 and isinstance(config.seed, int)
+
+    @pytest.mark.parametrize(
+        "text, error", [(".inf", "must be finite"), ("1e", "must be a number")]
+    )
+    def test_infinity_and_text_are_still_refused(self, tmp_path, text, error):
+        path = write_config(tmp_path, f"schema_version: 1\ndisturbance:\n  eta: {text}\n")
+        with pytest.raises(ConfigError, match=error):
+            harness.load_config(path)
 
     def test_partial_weights_and_solver_keep_the_preset_values(self, tmp_path):
         # a preset whose weights and solver settings all differ from the
