@@ -1,10 +1,11 @@
 """Allocation of the payload wrench to cable tensions.
 
 The payload wrench commanded by the optimizer is split across cables by a
-minimal-norm pseudo-inverse of the attachment geometry, optionally shifted
-inside the null space to keep vehicles apart, then projected onto the actual
-cable directions.  Per-cable force vectors are expressed in the world frame;
-the allocation itself happens in the payload frame.
+minimal-norm pseudo-inverse of the attachment geometry, then projected onto
+the actual cable directions; the plan, not the allocation, keeps the vehicles
+apart, and the tick never calls `nullspace_redistribute`.  Per-cable force
+vectors are expressed in the world frame; the allocation itself happens in
+the payload frame.
 
 Sign convention: mu_k is the force cable k exerts on the payload, so a
 hovering rig gets mu_k pointing up and the desired cable direction
@@ -190,11 +191,12 @@ def _hinge_jacobian(stacked_body, attachments_world, R_L, l_i, amap: AllocationM
 def nullspace_redistribute(mu_des, attachments_world, R_L, amap: AllocationMap, l_i) -> list:
     """Shift the allocation inside the null space to open up vehicle spacing.
 
-    Minimizes LAM_SEP * sum of squared pairwise-separation hinges plus |c|^2
-    with one Gauss-Newton step from c = 0, its Jacobian in closed form
-    (`_hinge_jacobian`); the realized wrench is untouched because the shift
-    lives in the null space of the stacked-force map.  Returns the input
-    unchanged whenever no pair is predicted inside D_SAFE.
+    The tick does not call it; it stays only as a name the benchmark's
+    tracer wraps.  Minimizes LAM_SEP * sum of squared pairwise-separation
+    hinges plus |c|^2 with one Gauss-Newton step from c = 0, its Jacobian in
+    closed form (`_hinge_jacobian`); the realized wrench is untouched because
+    the shift lives in the null space of the stacked-force map.  Returns the
+    input unchanged whenever no pair is predicted inside D_SAFE.
     """
     def surrogate(stacked):
         return _separation_surrogate(stacked, attachments_world, R_L, l_i)

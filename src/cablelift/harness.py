@@ -319,13 +319,11 @@ class _FullPlant:
             # cable rotation; restart the direction-rate estimate instead
             self.xi_prev = None
         cables = plant.cable_closure(y, params)
-        R_L, p_L, omega_l = cables.rotation, y[0:3], y[10:13]
+        R_L, omega_l = cables.rotation, y[10:13]
         bodies = range(13, len(y), 13)
         R_k = [plant._rotation(*y[b + 6 : b + 10]) for b in bodies]
         omega_k = [y[b + 10 : b + 13] for b in bodies]
         mu = allocation.allocate(wrench, R_L, self.amap)
-        attachments = _attachments(p_L, R_L, params._r_i)
-        mu = allocation.nullspace_redistribute(mu, attachments, R_L, self.amap, params._l_i)
 
         # the commanded wrench implies the payload acceleration the cables
         # must realize (the payload row's own derivative under it); feeding it
@@ -504,6 +502,7 @@ def summarize(log: RunLog) -> dict:
         "forced_triggers": sum(1 for e in log.events if e.kind == "forced"),
         "rms_payload_error_m": float(np.sqrt(np.mean(errs**2))),
         "max_payload_error_m": float(np.max(errs)),
+        "final_payload_error_m": float(errs[-1]),
         "min_separation_m": float(np.min(log.min_sep)),
         "max_separation_m": float(np.max(log.max_sep)),
         "funnel_violations": violations,

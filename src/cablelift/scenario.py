@@ -12,7 +12,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from . import so3
+from . import allocation, so3
 from .cable_control import GainSet
 from .event_trigger import TriggerConfig
 from .payload_ocp import ConfigError as OcpConfigError, OcpConfig
@@ -128,6 +128,12 @@ class ScenarioConfig:
             raise ConfigError(
                 f"disturbance 'eta' must be nonnegative and finite, got {self.disturbance_eta!r}"
             )
+        # below a cable's share of the hover wrench the plan can only let the payload fall
+        lift = allocation.build_allocation(self.params.r_i).P_pinv[:, 2].reshape(-1, 3)
+        share = self.params.m_L * self.params.g * float(np.linalg.norm(lift, axis=1).max())
+        if self.params.f_max < share:
+            raise ConfigError(f"'tension_max_N' must be at least the hover share {share:.3f} N, "
+                              f"got {self.params.f_max!r}")
         # a replan comes sigma to N steps into a plan, and its horizon is
         # at least max(2, sigma) but no longer than N
         floor = self.trigger.horizon_floor

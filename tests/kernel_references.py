@@ -8,8 +8,8 @@ and the full-plant tick made one call to a small float helper (`cross`,
 below are that form, kept verbatim but for the payload row's quaternion
 rate, which keeps so3.omega_to_quat_dot's zero terms as the plant's does;
 the tests pin the written-out kernels to them bit for bit, also on paths the
-preset digests do not reach (slack cables, a clipped desired cable rate, the
-null-space step).
+preset digests do not reach (slack cables, a clipped desired cable rate, and
+the null-space step, which the tick does not call).
 """
 
 import math
@@ -180,6 +180,10 @@ def allocate(wrench, R_L, amap) -> list:
     return unstack(stacked, R_L)
 
 
+def attachments(p_L, R_L, r_i) -> list:
+    return [_add(p_L, rotate(R_L, r)) for r in r_i]
+
+
 def nullspace_redistribute(mu_des, attachments_world, R_L, amap, l_i) -> list:
     """allocation.nullspace_redistribute, stacking and unstacking with the
     references above."""
@@ -284,17 +288,12 @@ def full_plant_tick(model, y: list, wrench: list, new_stage: bool):
         model.xi_prev = None
     cables = plant.cable_closure(y, params)
     R_L = plant._rotation(*y[6:10])
-    p_L, v_L, omega_l = y[0:3], y[3:6], y[10:13]
+    v_L, omega_l = y[3:6], y[10:13]
     bodies = range(13, len(y), 13)
     R_k = [plant._rotation(*y[b + 6 : b + 10]) for b in bodies]
     omega_k = [y[b + 10 : b + 13] for b in bodies]
     mu = allocate(wrench, R_L, model.amap)
     seen["allocate"] = ((wrench, R_L, model.amap), mu)
-    attachments = [_add(p_L, rotate(R_L, r)) for r in params._r_i]
-    seen["_attachments"] = ((p_L, R_L, params._r_i), attachments)
-    args = (mu, attachments, R_L, model.amap, params._l_i)
-    mu = nullspace_redistribute(*args)
-    seen["nullspace_redistribute"] = (args, mu)
 
     payload_rates = payload_derivative(y[0:13], wrench, params)
     accel_des, omega_dot_des = payload_rates[3:6], payload_rates[10:13]

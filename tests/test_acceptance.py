@@ -402,12 +402,12 @@ def test_criterion_10_cost_decreases_between_forced_replans(
 # preset -> sha256 prefixes of its CSV and of its summary without the
 # wall-clock mean_solve_time_ms line
 PRESET_DIGESTS = {
-    "circle-medium": ("27dd2497e9105499", "4bf1c87709915e7b"),
-    "circle-loose": ("096ab11ff1f2ffa4", "8ad166eeed16fa18"),
-    "circle-tight": ("1b5d3aefa5cae151", "1154b4ae5e0e5ea7"),
-    "hover": ("a7d1f29daeb413cb", "6f79a337c73136c7"),
-    "hover-nominal": ("445885d3f3fd5953", "6f79a337c73136c7"),
-    "hover-recovery": ("695c55dcc4bcf0bb", "f194d0f2c097ffc2"),
+    "circle-medium": ("27dd2497e9105499", "67702964e2f2be02"),
+    "circle-loose": ("096ab11ff1f2ffa4", "64b8d603558c8435"),
+    "circle-tight": ("1b5d3aefa5cae151", "fa491cb92961af95"),
+    "hover": ("a7d1f29daeb413cb", "a038ae86fdbf83d9"),
+    "hover-nominal": ("445885d3f3fd5953", "a038ae86fdbf83d9"),
+    "hover-recovery": ("695c55dcc4bcf0bb", "9b7923900a52eb7c"),
 }
 
 

@@ -471,8 +471,8 @@ def reference_tick(config, Y, wrench_cmd, mu_prev):
     `allocation.build_allocation` are shared.
 
     mu_prev is None (first tick of a stage) or the previous tick's (n, 3)
-    allocated forces.  Returns (thrusts, moments, allocated forces, whether
-    the null-space step moved them, the norm of each vehicle's force command u).
+    allocated forces.  Returns (thrusts, moments, the minimal-norm allocated
+    forces, the norm of each vehicle's force command u).
     """
     params, dt = config.params, config.dt_lowlevel
     K_R, K_Omega, K_xi, K_omega = (gain * np.eye(3) for gain in dataclasses.astuple(config.gains))
@@ -482,7 +482,6 @@ def reference_tick(config, Y, wrench_cmd, mu_prev):
     F, M = wrench_cmd[0:3], wrench_cmd[3:6]
     stacked = amap.P_pinv @ np.concatenate([R_L.T @ F, M])
     attachments = p_L + params.r_i @ R_L.T
-    stacked, shifted = reference_redistribute(stacked, attachments, R_L, amap, params.l_i)
     mu = stacked.reshape(-1, 3) @ R_L.T
     accel_des = F / params.m_L - np.array([0.0, 0.0, params.g])
     omega_dot_des = np.linalg.solve(params.J_L, M - np.cross(omega_l, params.J_L @ omega_l))
@@ -531,7 +530,7 @@ def reference_tick(config, Y, wrench_cmd, mu_prev):
         J_k = params.J_i[k]
         gyro = np.cross(omega_k, J_k @ omega_k)
         moments.append(-K_R @ e_R - K_Omega @ omega_k + gyro)
-    return np.array(thrusts), np.array(moments), mu, shifted, np.array(u_norms)
+    return np.array(thrusts), np.array(moments), mu, np.array(u_norms)
 
 
 def rig_tick(crowded, seed, slack, prev, new_stage):
@@ -539,7 +538,8 @@ def rig_tick(crowded, seed, slack, prev, new_stage):
     wrench, and the previous tick's forces: none, nearby (small desired
     cable rates) or far off (rates past OMEGA_DES_LIMIT).  On a crowded rig,
     its attachments at half the preset spacing, the predicted vehicle pairs
-    sit inside the allocator's 0.4 m separation and its null-space step runs.
+    sit inside the 0.4 m separation that `allocation.nullspace_redistribute`
+    acts on; the tick allocates it by the minimal-norm map like any other.
     The state and forces are drawn from an rng seeded with `seed`."""
     config = harness.scenario_preset("circle-medium")
     if crowded:
@@ -624,13 +624,11 @@ class TestFloatTick:
             model, y, wrench.tolist(), new_stage
         )
 
-        ref_thrusts, ref_moments, ref_mu, shifted, u_norms = reference_tick(
+        ref_thrusts, ref_moments, ref_mu, u_norms = reference_tick(
             config, Y, wrench, None if new_stage else mu_prev
         )
-        assert shifted == crowded
         # Both sides round differently in the last bits (numpy's 3x3 products
-        # fuse multiply-adds; the null-space step solves least squares), so
-        # the allocated forces differ by a few ulps (4e-16 relative at most
+        # fuse multiply-adds), so the allocated forces differ by a few ulps (4e-16 relative at most
         # over 3000 draws), and so do the unit directions made from them.
         # Only the backward difference of the desired direction amplifies
         # that: it divides by dt (1/dt = 500).  Allow the two directions of
@@ -682,8 +680,6 @@ class TestWrittenOutKernels:
 
     KERNELS = {
         "allocate": allocation.allocate,
-        "_attachments": harness._attachments,
-        "nullspace_redistribute": allocation.nullspace_redistribute,
         "cable_errors": cc.cable_errors,
         "attachment_accel": cc.attachment_accel,
         "control_components": cc.control_components,
@@ -715,11 +711,23 @@ class TestWrittenOutKernels:
         for name, kernel in self.KERNELS.items():
             args, expected = seen[name]
             assert_same_floats(kernel(*args), expected)
-        moved = seen["nullspace_redistribute"][1] is not seen["nullspace_redistribute"][0][0]
+        # the null-space step, which the tick does not call, on the tick's
+        # minimal-norm forces and the rig's attachment points
+        R_L, mu = plant._rotation(*y[6:10]), seen["allocate"][1]
+        attachments = harness._attachments(y[0:3], R_L, params._r_i)
+        assert_same_floats(attachments, refs.attachments(y[0:3], R_L, params._r_i))
+        args = (mu, attachments, R_L, model.amap, params._l_i)
+        mu = allocation.nullspace_redistribute(*args)
+        assert_same_floats(mu, refs.nullspace_redistribute(*args))
+        moved = mu is not args[0]
         assert moved == crowded
-        R_L = plant._rotation(*y[6:10])
-        mu = seen["nullspace_redistribute"][1]
+        ref_stacked, shifted = reference_redistribute(
+            np.array(allocation.stack_body(args[0], R_L)), np.array(attachments),
+            np.reshape(R_L, (3, 3)), model.amap, params.l_i,
+        )
+        assert shifted == moved
         stacked = refs.stack_body(mu, R_L)
+        np.testing.assert_allclose(stacked, ref_stacked, rtol=1e-12, atol=1e-12)
         assert_same_floats(allocation.stack_body(mu, R_L), stacked)
         assert_same_floats(allocation._unstack(stacked, R_L), refs.unstack(stacked, R_L))
 
@@ -745,6 +753,66 @@ class TestWrittenOutKernels:
         expected = refs.payload_only_tick(payload_only, y, wrench)
         for a, b in zip(got, expected):
             assert_same_floats(a, b)
+
+
+def run_ticks(preset, duration=1.5, every=45):
+    """The config of a preset run cut to `duration`, and every `every`-th of
+    its full-plant ticks as (world state, held wrench, new_stage, the
+    model's kept desired directions) the way the tick received them."""
+    config = dataclasses.replace(harness.scenario_preset(preset), duration=duration)
+    tick, seen = harness._FullPlant.tick, []
+
+    def spy(model, y, wrench, new_stage):
+        if len(seen) % every == 0:
+            captured.append((list(y), list(wrench), new_stage, model.xi_prev))
+        seen.append(None)
+        return tick(model, y, wrench, new_stage)
+
+    captured = []
+    with mock.patch.object(harness._FullPlant, "tick", spy):
+        harness.run_closed_loop(config)
+    return config, captured
+
+
+class TestCommandLocality:
+    """Each vehicle's thrust and moment read only the broadcast wrench, the
+    payload state and the vehicle's own body and cable, so that each vehicle
+    could compute its own: nudging vehicle j's velocity and body rate moves
+    j's command and leaves every other vehicle's bit for bit.  Positions are
+    left alone, since a 1 cm push overloads a 5000 N/m cable."""
+
+    @staticmethod
+    def commands(config, y, wrench, new_stage, xi_prev):
+        model = full_plant(config)
+        model.xi_prev = xi_prev
+        return tick_with_commands(model, y, wrench, new_stage)[1]
+
+    def assert_local(self, config, y, wrench, new_stage, xi_prev):
+        thrust, moment = self.commands(config, y, wrench, new_stage, xi_prev)
+        for j in range(config.params.n):
+            b, nudged = 13 * (1 + j), list(y)
+            for axis in range(3):
+                nudged[b + 3 + axis] += 1e-3  # m/s
+                nudged[b + 10 + axis] += 1e-2  # rad/s
+            thrust_j, moment_j = self.commands(config, nudged, wrench, new_stage, xi_prev)
+            others = [k for k in range(config.params.n) if k != j]
+            assert_same_floats([thrust_j[k] for k in others], [thrust[k] for k in others])
+            assert_same_floats([moment_j[k] for k in others], [moment[k] for k in others])
+            assert (thrust_j[j], moment_j[j]) != (thrust[j], moment[j])
+
+    @pytest.mark.parametrize("preset", ["hover", "circle-medium"])
+    def test_mid_run_states(self, preset):
+        config, ticks = run_ticks(preset)
+        assert len(ticks) == 17 and any(t[2] for t in ticks) and not all(t[2] for t in ticks)
+        for y, wrench, new_stage, xi_prev in ticks:
+            self.assert_local(config, y, wrench, new_stage, xi_prev)
+
+    @settings(max_examples=40, deadline=None)
+    @given(rig_ticks())
+    def test_rigs(self, tick):
+        config, Y, wrench, _, mu_prev, _, new_stage, _ = tick
+        xi_prev = kept_directions(config, mu_prev)
+        self.assert_local(config, Y.ravel().tolist(), wrench.tolist(), new_stage, xi_prev)
 
 
 @st.composite

@@ -51,13 +51,15 @@ system:
 """
 
 # a payload this heavy drives the predictor's integrator past the float
-# range, so the first forced solve fails and the run aborts
+# range, so the first forced solve fails and the run aborts; the tension
+# bound is raised past its cables' hover share, which a config refuses below
 HEAVY_PAYLOAD_CONFIG = """\
 schema_version: 1
 preset: hover-recovery
 name: anvil
 system:
   payload_mass_kg: 1.0e+200
+  tension_max_N: 1.0e+300
 """
 
 
@@ -200,6 +202,17 @@ class TestRun:
         config = write(tmp_path, text)
         assert cli.main(["run", "--config", config, "--out-dir", str(tmp_path)]) == 2
         assert "'horizon'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bound", ["0.01", "0.5"])
+    def test_tension_bound_below_the_hover_share_is_a_config_error(self, tmp_path, capsys, bound):
+        """A bound under a cable's hover share used to drop the payload or
+        abort on a cable overload; it exits 2 before the run instead."""
+        text = f"schema_version: 1\npreset: circle\nsystem:\n  tension_max_N: {bound}\n"
+        config = write(tmp_path, text)
+        assert cli.main(["run", "--config", config, "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "'tension_max_N'" in err and "0.569 N" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("sigma", [1, 2])
     def test_horizon_two_runs(self, tmp_path, capsys, sigma):

@@ -827,6 +827,13 @@ class TestSummarize:
         assert summary["min_separation_m"] == 0.58
         assert summary["max_separation_m"] == 0.86
 
+    def test_final_error_is_the_last_ticks(self):
+        """A run that ends far off says so, however small its worst error
+        was before the end."""
+        summary = harness.summarize(synthetic_log([0.5, 0.2, 0.3], [0.6] * 3, [0.85] * 3))
+        assert summary["max_payload_error_m"] == 0.5
+        assert summary["final_payload_error_m"] == 0.3
+
     def test_event_bookkeeping(self):
         log = synthetic_log([0.0], [0.6], [0.85])
         log.events = [
@@ -1085,10 +1092,10 @@ class TestCsvBlocks:
 # the summary file's keys, in order
 SUMMARY_KEYS = [
     "nmpc_executions", "event_triggers", "forced_triggers", "rms_payload_error_m",
-    "max_payload_error_m", "min_separation_m", "max_separation_m", "funnel_violations",
-    "mean_inter_execution_steps", "horizon_trace", "solver_failures", "thrust_clamps",
-    "omega_des_clips", "slack_cable_ticks", "solves_converged", "solves_max_iter",
-    "solves_stalled", "mean_solve_time_ms",
+    "max_payload_error_m", "final_payload_error_m", "min_separation_m", "max_separation_m",
+    "funnel_violations", "mean_inter_execution_steps", "horizon_trace", "solver_failures",
+    "thrust_clamps", "omega_des_clips", "slack_cable_ticks", "solves_converged",
+    "solves_max_iter", "solves_stalled", "mean_solve_time_ms",
 ]
 
 
@@ -1204,13 +1211,13 @@ class TestLoadConfig:
         np.testing.assert_allclose(config.reference_at(0.0)[0][0:3], [0.0, 0.0, 2.0])
 
     def test_system_overrides_flow_into_the_ocp(self, tmp_path):
-        text = "schema_version: 1\nsystem:\n  payload_mass_kg: 0.5\n"
+        text = "schema_version: 1\nsystem:\n  payload_mass_kg: 0.4\n"
         config, _ = harness.load_config(write_config(tmp_path, text))
-        assert config.params.m_L == 0.5
+        assert config.params.m_L == 0.4
         # the solver predicts with the rig's payload
         loop = trigger_loop(config)
         loop.step(0, 0.0, harness.equilibrium_state(config)[0])
-        assert loop.problem.params.m_L == 0.5
+        assert loop.problem.params.m_L == 0.4
 
     def test_nmpc_and_weights_sections(self, tmp_path):
         text = (

@@ -115,6 +115,10 @@ VALID |= {
     ("nmpc", "dt_s"): st.sampled_from([0.002, 0.01, 0.02, 0.04, 0.1, 0.2]),
     ("solver", "max_sqp_iters"): st.integers(1, 100),
     ("obstacle", "center_m"): vectors,
+    # a tension bound at least each cable's hover share (0.569 N on every
+    # preset), and payloads whose share stays within the presets' 1.2 N
+    ("system", "tension_max_N"): st.floats(0.57, 1e3),
+    ("system", "payload_mass_kg"): st.floats(1e-3, 0.48),
 }
 
 
@@ -245,6 +249,25 @@ def test_a_gain_is_refused_exactly_when_gain_set_refuses_it(key, value):
         with pytest.raises(ValueError, match=attr):
             GainSet(**{attr: value})
     _builds_or_names({"schema_version": 1, "preset": "hover", "gains": {key: value}}, key, accepted)
+
+
+@pytest.mark.parametrize("preset", ["circle", "hover-recovery"])
+@pytest.mark.parametrize("bound", [0.01, 0.5, 0.57])
+def test_a_tension_bound_below_the_hover_share_is_refused(preset, bound):
+    """Each cable carries m_L g / 4 = 0.569 N of the hovering payload; below
+    that bound the plan meets every tension row only by letting the payload
+    fall, so the config is refused instead of run."""
+    data = {"schema_version": 1, "preset": preset, "system": {"tension_max_N": bound}}
+    if bound > 0.569:
+        assert scenario.build_scenario(data)[0].params.f_max == bound
+    else:
+        with pytest.raises(scenario.ConfigError, match="'tension_max_N'.* 0.569 N"):
+            scenario.build_scenario(data)
+
+
+def test_an_infinite_tension_bound_is_no_bound():
+    config = scenario.ScenarioConfig(params=plant.SystemParams(f_max=math.inf))
+    assert config.params.f_max == math.inf
 
 
 def test_readme_example_parses_and_names_exactly_the_table_keys():
