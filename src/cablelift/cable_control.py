@@ -9,12 +9,13 @@ that force with thrust along the body z-axis plus a moment command.
 
 Every function takes and returns one entry per vehicle (float 3-tuples for
 vectors, floats for scalars, row-major 9-tuples for 3x3 matrices, rotations
-as `plant._rotation` gives them), so a tick for the whole rig is one call of
-each, on Python floats: on four vehicles numpy's per-call cost would
-outweigh the arithmetic.  Inside, each 3-vector and 3x3 product is written
-out on local floats, because a helper call per product costs more than its
-few multiplies; every sum keeps the left-to-right grouping of R v, a x b and
-a . b: another grouping rounds differently and moves the runs' bytes.
+as `plant._rotation` gives them), and one vehicle model for them all, so a
+tick for the whole rig is one call of each, on Python floats: on four
+vehicles numpy's per-call cost would outweigh the arithmetic.  Inside, each
+3-vector and 3x3 product is written out on local floats, because a helper
+call per product costs more than its few multiplies; every sum keeps the
+left-to-right grouping of R v, a x b and a . b: another grouping rounds
+differently and moves the runs' bytes.
 """
 
 from __future__ import annotations
@@ -114,17 +115,16 @@ def attachment_accel(accel_des, R_L, Omega_L, Omega_dot_des, r, g: float = 9.81)
     return out
 
 
-def control_components(mu_k, state: CableTrackingState, a_kc, mass, length, gains: GainSet):
-    """Commanded force split along and across the cable, (u_parallel, u_perp);
-    mass and length hold one entry per vehicle.  mu_k acts through its
+def control_components(mu_k, state: CableTrackingState, a_kc, m, l, gains: GainSet):
+    """Commanded force split along and across the cable, (u_parallel, u_perp),
+    of vehicles of mass m on cables of length l.  mu_k acts through its
     component along the actual cable, so the raw allocation and its
     projection give the same result.  u_perp is one cross product with xi,
     which pins it to the tangent plane regardless of operand alignment."""
-    k, w = gains.K_xi, gains.K_omega
+    k, w, ml = gains.K_xi, gains.K_omega, m * l
     u_par, u_perp = [], []
-    rows = zip(state.xi, mu_k, state.omega_cable, a_kc, mass, length, *cable_errors(state))
-    for (x, y, z), mu, (ox, oy, oz), (ax, ay, az), m, l, (ex, ey, ez), (fx, fy, fz) in rows:
-        (mx, my, mz), ml = mu, m * l
+    rows = zip(state.xi, mu_k, state.omega_cable, a_kc, *cable_errors(state))
+    for (x, y, z), (mx, my, mz), (ox, oy, oz), (ax, ay, az), (ex, ey, ez), (fx, fy, fz) in rows:
         # grouped as xi (xi.mu) + (m l |omega|^2) xi + (m xi) (xi.a); another
         # grouping rounds differently and re-draws the circle runs' events
         d1, r2 = x * mx + y * my + z * mz, ml * (ox * ox + oy * oy + oz * oz)
@@ -185,15 +185,15 @@ def attitude_errors(R_k, R_des) -> list:
     return e_R
 
 
-def moment_command(e_R, omega_k, J_k, gains: GainSet):
-    """Body moment closing the attitude loop; J_k holds one row-major inertia
-    9-tuple per vehicle.  Feedback enters with negative sign on the rotation
+def moment_command(e_R, omega_k, J, gains: GainSet):
+    """Body moment closing the attitude loop of vehicles of the row-major
+    inertia 9-sequence J.  Feedback enters with negative sign on the rotation
     errors e_R (they grow as the body rotates past the target) and on the
     body rates omega_k (the desired rate is zero), plus omega x J omega."""
     k, w = gains.K_R, gains.K_Omega
+    j0, j1, j2, j3, j4, j5, j6, j7, j8 = J
     out = []
-    for (ex, ey, ez), (ox, oy, oz), J in zip(e_R, omega_k, J_k):
-        j0, j1, j2, j3, j4, j5, j6, j7, j8 = J
+    for (ex, ey, ez), (ox, oy, oz) in zip(e_R, omega_k):
         # omega x J omega
         hx, hy, hz = (j0 * ox + j1 * oy + j2 * oz, j3 * ox + j4 * oy + j5 * oz,
                       j6 * ox + j7 * oy + j8 * oz)

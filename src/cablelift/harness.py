@@ -62,7 +62,6 @@ class TriggerEvent:
     kind: str  # forced | event
     m_k: Optional[int]  # None for the initial solve
     horizon: int
-    horizon_before: Optional[int]
     cost: float
     kkt_residual: float
     iterations: int
@@ -263,7 +262,6 @@ class _TriggerLoop:
                         kind=decision,
                         m_k=m_k,
                         horizon=N_new,
-                        horizon_before=None if self.state is None else self.state.N_kj,
                         cost=solution.cost,
                         kkt_residual=solution.kkt_residual,
                         iterations=solution.iterations,
@@ -350,7 +348,7 @@ class _FullPlant:
         xi, om_c = list(xi_des), list(om_des)
         for k, (ex, ey, ez, stretch, _, (ux, uy, uz)) in enumerate(cables.law):
             if stretch > 0.0:
-                dist = params._l_i[k] + stretch
+                dist = params.l_i + stretch
                 d = ex * ux + ey * uy + ez * uz
                 dx, dy, dz = (ux - ex * d) / dist, (uy - ey * d) / dist, (uz - ez * d) / dist
                 xi[k] = (ex, ey, ez)
@@ -361,7 +359,7 @@ class _FullPlant:
             accel_des, R_L, omega_l, omega_dot_des, params._r_i, params.g
         )
         u_par, u_perp = cable_control.control_components(
-            allocation.project_tension(mu, xi), state, a_kc, params._m_i, params._l_i, gains
+            allocation.project_tension(mu, xi), state, a_kc, params.m_i, params.l_i, gains
         )
         u = [(a + d, b + e, c + f) for (a, b, c), (d, e, f) in zip(u_par, u_perp)]
         thrust = cable_control.thrust_command(u, R_k)
@@ -397,11 +395,10 @@ class _PayloadOnly:
         placed one cable length along each tension, or straight above their
         attachments where it is zero; and the next world state."""
         params = self.config.params
-        R_L = plant._rotation(*y[6:10])
+        R_L, length = plant._rotation(*y[6:10]), params.l_i
         tensions, directions, mav_p = [], [], []
-        for (mx, my, mz), (ax, ay, az), length in zip(
-            allocation.allocate(wrench, R_L, self.amap),
-            _attachments(y[0:3], R_L, params._r_i), params._l_i,
+        for (mx, my, mz), (ax, ay, az) in zip(
+            allocation.allocate(wrench, R_L, self.amap), _attachments(y[0:3], R_L, params._r_i)
         ):
             tension = math.sqrt(mx * mx + my * my + mz * mz)
             taut = tension > 1e-12
@@ -429,7 +426,7 @@ def run_closed_loop(config: ScenarioConfig) -> RunLog:
     y = equilibrium_state(config).ravel().tolist()
     dt = config.dt_tick
     ratio = int(round(config.ocp.dt / dt))
-    n_ticks = math.ceil(config.duration / dt - 1e-12)
+    n_ticks = config.n_ticks
     log = RunLog(config, n_ticks)
     log.t[:] = np.arange(n_ticks) * dt
     decision, wrench, idx = "", None, 0

@@ -52,20 +52,20 @@ class SystemParams:
     """Physical parameters of the rig; the defaults are the four-vehicle
     square rig of every preset: 0.6 m sides, 1 m cables, 232 g payload.
 
-    The vehicle count n is the number of attachment offsets r_i; a per-MAV
-    entry is one value for every vehicle or one per vehicle.
+    The vehicle count n is the number of attachment offsets r_i.  The
+    vehicles are identical: one mass m_i, inertia J_i and cable length l_i
+    serve every one of them.
     """
 
-    m_i: np.ndarray = 0.12  # (n,) kg
-    # (n, 3, 3) kg m^2
-    J_i: np.ndarray = field(default_factory=lambda: np.diag([2.5e-3, 2.5e-3, 4.0e-3]))
+    m_i: float = 0.12  # kg
+    J_i: np.ndarray = field(default_factory=lambda: np.diag([2.5e-3, 2.5e-3, 4.0e-3]))  # (3, 3)
     m_L: float = 0.232
     J_L: np.ndarray = field(default_factory=lambda: np.diag([0.007, 0.007, 0.013]))  # (3, 3)
     # (n, 3) attachment offsets, payload frame, m
     r_i: np.ndarray = field(
         default_factory=lambda: 0.3 * np.array([[1, 1, 0], [1, -1, 0], [-1, -1, 0], [-1, 1, 0]])
     )
-    l_i: np.ndarray = 1.0  # (n,) cable rest lengths, m
+    l_i: float = 1.0  # cable rest length, m
     F_max: float = 2.5  # thrust ceiling per MAV, N
     f_max: float = 1.2  # cable tension bound, N
     g: float = 9.81
@@ -77,34 +77,28 @@ class SystemParams:
         self.n = len(self.r_i)
         if self.n < 3:
             raise ValueError("need at least 3 vehicles")
-        for name, shape in (("m_i", ()), ("J_i", (3, 3)), ("l_i", ())):
-            value = np.asarray(getattr(self, name), dtype=np.float64)
-            if value.shape == shape:
-                value = np.broadcast_to(value, (self.n,) + shape)
-            elif value.shape != (self.n,) + shape:
-                raise ValueError(
-                    f"{name!r} needs one value or one per vehicle, got shape {value.shape}"
-                )
-            setattr(self, name, value.copy())
-        self.J_L = np.asarray(self.J_L, dtype=np.float64).reshape(3, 3)
         for name in ("m_i", "m_L", "l_i", "cable_stiffness", "g"):
-            value = np.asarray(getattr(self, name))
-            if not 0 < value.min() <= value.max() < math.inf:
-                raise ValueError(f"{name!r} must be positive and finite")
+            value = getattr(self, name)
+            if np.ndim(value) != 0 or not 0 < value < math.inf:
+                raise ValueError(f"{name!r} must be one positive finite number, got {value!r}")
+            setattr(self, name, float(value))
         # an infinite bound is no bound
         if not (self.F_max > 0 and self.f_max > 0):
             raise ValueError("force bounds must be positive")
         if not 0 <= self.cable_damping < math.inf:
             raise ValueError("'cable_damping' must be finite and nonnegative")
-        for M, name in [(self.J_L, "J_L")] + [(self.J_i[k], "J_i") for k in range(self.n)]:
-            if np.linalg.norm(M - M.T) > 1e-12 or np.min(np.linalg.eigvalsh(M)) <= 0:
-                raise ValueError(f"{name} must be symmetric positive definite")
+        for name in ("J_i", "J_L"):
+            M = np.array(getattr(self, name), dtype=np.float64)
+            if (M.shape != (3, 3) or not np.isfinite(M).all() or np.linalg.norm(M - M.T) > 1e-12
+                    or np.linalg.eigvalsh(M).min() <= 0):
+                raise ValueError(f"{name!r} must be one symmetric positive definite (3, 3) matrix")
+            setattr(self, name, M)
         self.J_L_inv = np.linalg.inv(self.J_L)
         # plain-float copies for the scalar kernels, each 3x3 matrix a row-major
         # 9-list, and gravity (0, 0, -g) as a float 3-tuple
-        self._m_i, self._l_i, self._r_i = self.m_i.tolist(), self.l_i.tolist(), self.r_i.tolist()
-        self._J_i = self.J_i.reshape(self.n, 9).tolist()
-        self._J_i_inv = np.linalg.inv(self.J_i).reshape(self.n, 9).tolist()
+        self._r_i = self.r_i.tolist()
+        self._J_i = self.J_i.ravel().tolist()
+        self._J_i_inv = np.linalg.inv(self.J_i).ravel().tolist()
         self._J_L = self.J_L.ravel().tolist()
         self._J_L_inv = self.J_L_inv.ravel().tolist()
         self.g_vec = (0.0, 0.0, -self.g)
@@ -223,10 +217,10 @@ def _cable_law(y: list, R: tuple, params: SystemParams) -> list:
     px, py, pz, vx, vy, vz = y[0:6]
     wx, wy, wz = y[10:13]
     r00, r01, r02, r10, r11, r12, r20, r21, r22 = R
-    stiffness, damping = params.cable_stiffness, params.cable_damping
+    rest, stiffness, damping = params.l_i, params.cable_stiffness, params.cable_damping
     out = []
     b = 13
-    for k, ((rx, ry, rz), rest) in enumerate(zip(params._r_i, params._l_i)):
+    for k, (rx, ry, rz) in enumerate(params._r_i):
         # attachment point p_L + R_L r
         dx = px + (r00 * rx + r01 * ry + r02 * rz) - y[b]
         dy = py + (r10 * rx + r11 * ry + r12 * rz) - y[b + 1]
@@ -325,12 +319,15 @@ def _world_derivative_flat(s: list, inputs, params: SystemParams, cables=None) -
     R = _rotation(*s[6:10]) if cables is None else cables.rotation
     law = _cable_law(s, R, params) if cables is None else cables.law
     r00, r01, r02, r10, r11, r12, r20, r21, r22 = R
-    g = params.g
+    m, g = params.m_i, params.g
+    # the vehicles' inertia J and its inverse K, row-major
+    j0, j1, j2, j3, j4, j5, j6, j7, j8 = params._J_i
+    k0, k1, k2, k3, k4, k5, k6, k7, k8 = params._J_i_inv
     out = []  # the vehicle rows; the payload row goes in front at the end
     fx = fy = fz = mx = my = mz = 0.0
     b = 13
-    for (ex, ey, ez, _, t, _), (rx, ry, rz), thrust, (tx, ty, tz), m, J, Ji in zip(
-        law, params._r_i, inputs[0], inputs[1], params._m_i, params._J_i, params._J_i_inv,
+    for (ex, ey, ez, _, t, _), (rx, ry, rz), thrust, (tx, ty, tz) in zip(
+        law, params._r_i, inputs[0], inputs[1]
     ):
         # the cable pulls the MAV toward its attachment and the payload back
         cfx, cfy, cfz = t * ex, t * ey, t * ez
@@ -344,11 +341,9 @@ def _world_derivative_flat(s: list, inputs, params: SystemParams, cables=None) -
         _, _, _, vx, vy, vz, q0, q1, q2, q3, ox, oy, oz = s[b : b + 13]
         # the rates as the payload row's in _payload_derivative: J omega,
         # then tau - omega x J omega
-        j0, j1, j2, j3, j4, j5, j6, j7, j8 = J
         hx, hy, hz = (j0 * ox + j1 * oy + j2 * oz, j3 * ox + j4 * oy + j5 * oz,
                       j6 * ox + j7 * oy + j8 * oz)
         ux, uy, uz = tx - (oy * hz - oz * hy), ty - (oz * hx - ox * hz), tz - (ox * hy - oy * hx)
-        j0, j1, j2, j3, j4, j5, j6, j7, j8 = Ji
         # thrust along the body z axis, the last column of the rotation
         out += (
             vx, vy, vz,
@@ -359,7 +354,7 @@ def _world_derivative_flat(s: list, inputs, params: SystemParams, cables=None) -
             0.5 * (q0 * ox + (q2 * oz - q3 * oy)),
             0.5 * (q0 * oy + (q3 * ox - q1 * oz)),
             0.5 * (q0 * oz + (q1 * oy - q2 * ox)),
-            j0 * ux + j1 * uy + j2 * uz, j3 * ux + j4 * uy + j5 * uz, j6 * ux + j7 * uy + j8 * uz,
+            k0 * ux + k1 * uy + k2 * uz, k3 * ux + k4 * uy + k5 * uz, k6 * ux + k7 * uy + k8 * uz,
         )
         b += 13
 

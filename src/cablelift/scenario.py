@@ -120,6 +120,9 @@ class ScenarioConfig:
             ratio = self.ocp.dt / self.dt_lowlevel
             if round(ratio) < 1 or abs(ratio - round(ratio)) > 1e-9:
                 raise ConfigError("'dt_s' must be a positive integer multiple of 'dt_lowlevel_s'")
+        if self.n_ticks < 1:
+            raise ConfigError(f"'duration_s' must hold at least one tick of {self.dt_tick!r} s, "
+                              f"got {self.duration!r}")
         if self.terminal_epsilon is not None and not 0.0 < self.terminal_epsilon < math.inf:
             raise ConfigError(
                 f"'terminal_epsilon' must be positive and finite, got {self.terminal_epsilon!r}"
@@ -148,6 +151,11 @@ class ScenarioConfig:
         only the payload rigid body is simulated."""
         return self.dt_lowlevel if self.plant_model == "full" else self.ocp.dt
 
+    @property
+    def n_ticks(self) -> int:
+        """Ticks the run logs: the duration in ticks, rounded up."""
+        return math.ceil(self.duration / self.dt_tick - 1e-12)
+
     def reference_at(self, t: float):
         return self.reference.at(t, self.params.m_L, self.params.g)
 
@@ -165,14 +173,13 @@ def equilibrium_state(config: ScenarioConfig) -> np.ndarray:
     params = config.params
     x_ref, _ = config.reference_at(0.0)
     p0 = x_ref[0:3] + config.initial_offset
-    tension = params.m_L * params.g / params.n
+    # each cable carries m_L g / n
+    stretch = params.m_L * params.g / params.n / params.cable_stiffness
     Y = np.zeros((params.n + 1, 13))
     Y[0, 0:3] = p0
     Y[:, 3:6] = x_ref[3:6]
     Y[:, 6:10] = so3.quat_identity()
-    for k in range(params.n):
-        stretch = tension / params.cable_stiffness
-        Y[1 + k, 0:3] = p0 + params.r_i[k] + np.array([0.0, 0.0, params.l_i[k] + stretch])
+    Y[1:, 0:3] = p0 + params.r_i + np.array([0.0, 0.0, params.l_i + stretch])
     return Y
 
 
@@ -232,8 +239,8 @@ POSITIVE, NONNEGATIVE = "positive", "nonnegative"
 VECTOR = np.ndarray
 
 # (section, key) -> (kind, range, field): every key of every section of a
-# scenario file.  The field is a dotted path from ScenarioConfig.  A float
-# key for a per-vehicle field sets it for every vehicle.  A key without a
+# scenario file.  The field is a dotted path from ScenarioConfig.  The
+# vehicle keys set one value shared by every vehicle.  A key without a
 # field sets more or less than one field, and build_scenario handles it.
 FIELDS = {
     ("scenario", "duration_s"): (float, POSITIVE, "duration"),

@@ -126,12 +126,12 @@ def world_derivative_flat(s: list, inputs, params, cables=None) -> list:
     R = plant._rotation(*s[6:10]) if cables is None else cables.rotation
     law = plant._cable_law(s, R, params) if cables is None else cables.law
     r00, r01, r02, r10, r11, r12, r20, r21, r22 = R
-    g = params.g
+    m, g, J, Ji = params.m_i, params.g, params._J_i, params._J_i_inv
     out = []
     fx = fy = fz = mx = my = mz = 0.0
     b = 13
-    for (ex, ey, ez, _, t, _), (rx, ry, rz), thrust, (tx, ty, tz), m, J, Ji in zip(
-        law, params._r_i, inputs[0], inputs[1], params._m_i, params._J_i, params._J_i_inv,
+    for (ex, ey, ez, _, t, _), (rx, ry, rz), thrust, (tx, ty, tz) in zip(
+        law, params._r_i, inputs[0], inputs[1]
     ):
         cfx, cfy, cfz = t * ex, t * ey, t * ez
         fx, fy, fz = fx + cfx, fy + cfy, fz + cfz
@@ -215,14 +215,14 @@ def attachment_accel(accel_des, R_L, Omega_L, Omega_dot_des, r, g: float = 9.81)
     return out
 
 
-def control_components(mu_k, state, a_kc, mass, length, gains):
+def control_components(mu_k, state, a_kc, m, length, gains):
     (kx, ky, kz), (wx, wy, wz) = (gains.K_xi,) * 3, (gains.K_omega,) * 3
     e_xi, e_omega = cable_errors(state)
     u_par, u_perp = [], []
     for k, xi in enumerate(state.xi):
         x, y, z = xi
-        m, a, omega = mass[k], a_kc[k], state.omega_cable[k]
-        ml = m * length[k]
+        a, omega = a_kc[k], state.omega_cable[k]
+        ml = m * length
         d1, r2, d3 = dot(xi, mu_k[k]), ml * dot(omega, omega), dot(xi, a)
         u_par.append((x * d1 + r2 * x + m * x * d3, y * d1 + r2 * y + m * y * d3,
                       z * d1 + r2 * z + m * z * d3))
@@ -263,10 +263,10 @@ def attitude_errors(R_k, R_des):
     return [(0.5 * x, 0.5 * y, 0.5 * z) for x, y, z in vee(skew)]
 
 
-def moment_command(e_R, omega_k, J_k, gains):
+def moment_command(e_R, omega_k, J, gains):
     (kx, ky, kz), (wx, wy, wz) = (gains.K_R,) * 3, (gains.K_Omega,) * 3
     out = []
-    for (ex, ey, ez), omega, J in zip(e_R, omega_k, J_k):
+    for (ex, ey, ez), omega in zip(e_R, omega_k):
         fx, fy, fz = omega  # the rate error at zero desired rate
         gx, gy, gz = cross(omega, rotate(J, omega))
         out.append((-kx * ex - wx * fx + gx, -ky * ey - wy * fy + gy, -kz * ez - wz * fz + gz))
@@ -315,7 +315,7 @@ def full_plant_tick(model, y: list, wrench: list, new_stage: bool):
         if stretch > 0.0:
             cx, cy, cz = rotate(R_L, cross(omega_l, r))
             ux, uy, uz = vx + cx - y[b + 3], vy + cy - y[b + 4], vz + cz - y[b + 5]
-            dist = params._l_i[k] + stretch
+            dist = params.l_i + stretch
             d = ex * ux + ey * uy + ez * uz
             dx, dy, dz = (ux - ex * d) / dist, (uy - ey * d) / dist, (uz - ez * d) / dist
             xi[k] = (ex, ey, ez)
@@ -326,7 +326,7 @@ def full_plant_tick(model, y: list, wrench: list, new_stage: bool):
     args = (accel_des, R_L, omega_l, omega_dot_des, params._r_i, params.g)
     a_kc = attachment_accel(*args)
     seen["attachment_accel"] = (args, a_kc)
-    args = (allocation.project_tension(mu, xi), state, a_kc, params._m_i, params._l_i, gains)
+    args = (allocation.project_tension(mu, xi), state, a_kc, params.m_i, params.l_i, gains)
     u_par, u_perp = control_components(*args)
     seen["control_components"] = (args, (u_par, u_perp))
     u = [_add(a, b) for a, b in zip(u_par, u_perp)]
@@ -353,7 +353,8 @@ def payload_only_tick(model, y: list, wrench: list):
     params = model.config.params
     R_L = plant._rotation(*y[6:10])
     tensions, directions, mav_p = [], [], []
-    for mu, r, length in zip(allocate(wrench, R_L, model.amap), params._r_i, params._l_i):
+    length = params.l_i
+    for mu, r in zip(allocate(wrench, R_L, model.amap), params._r_i):
         tension = math.sqrt(dot(mu, mu))
         taut = tension > 1e-12
         unit = (mu[0] / tension, mu[1] / tension, mu[2] / tension) if taut else (0.0, 0.0, 1.0)

@@ -64,13 +64,13 @@ def tracking_state(xi=DOWN, omega_cable=None, xi_des=None, omega_des=None):
 
 def components(mu, state, a_kc, **kw):
     """control_components of one vehicle with the test rig's mass and length."""
-    u_par, u_perp = cc.control_components([mu], state, [a_kc], [M_I], [LEN], GainSet(), **kw)
+    u_par, u_perp = cc.control_components([mu], state, [a_kc], M_I, LEN, GainSet(), **kw)
     return np.array(u_par[0]), np.array(u_perp[0])
 
 
 def moment(e_R, omega, gains=None):
     """moment_command of one vehicle with inertia J_I."""
-    out = cc.moment_command([e_R], [omega], [flat(J_I)], gains or GainSet())
+    out = cc.moment_command([e_R], [omega], flat(J_I), gains or GainSet())
     return np.array(out[0])
 
 
@@ -373,7 +373,7 @@ def run_hover_loop(n_steps, dt=0.002):
         state = CableTrackingState(xi, om_c, xi_des, om_des)
         a_kc = cc.attachment_accel(np.zeros(3), R_L, full[0, 10:13], np.zeros(3), R_ATTACH)
         u_par, u_perp = cc.control_components(
-            allocation.project_tension(mu, xi), state, a_kc, [M_I] * 4, [LEN] * 4, gains
+            allocation.project_tension(mu, xi), state, a_kc, M_I, LEN, gains
         )
         u = (np.array(u_par) + np.array(u_perp)).tolist()
         R_k = [flat(so3.quat_to_rotation(full[1 + k, 6:10])) for k in range(4)]
@@ -381,8 +381,7 @@ def run_hover_loop(n_steps, dt=0.002):
         thrusts = cc.thrust_command(u, R_k)
         R_des = cc.desired_attitude(u, 0.0)
         e_R = cc.attitude_errors(R_k, R_des)
-        J_k = [flat(J) for J in params.J_i]
-        moments = cc.moment_command(e_R, omega_k, J_k, gains)
+        moments = cc.moment_command(e_R, omega_k, flat(params.J_i), gains)
         if first_commands is None:
             first_commands = list(zip(thrusts, moments))
         y = plant.step_world(full.ravel().tolist(), (thrusts, moments), dt, params)
@@ -488,7 +487,7 @@ def reference_tick(config, Y, wrench_cmd, mu_prev):
     thrusts, moments, u_norms = [], [], []
     for k in range(params.n):
         p_k, v_k, omega_k = Y[1 + k, 0:3], Y[1 + k, 3:6], Y[1 + k, 10:13]
-        r_k, l_k, m_k = params.r_i[k], params.l_i[k], params.m_i[k]
+        r_k, l_k, m_k = params.r_i[k], params.l_i, params.m_i
         xi_des = -mu[k] / np.linalg.norm(mu[k])
         xi_dot_des = np.zeros(3)
         if mu_prev is not None:
@@ -527,8 +526,7 @@ def reference_tick(config, Y, wrench_cmd, mu_prev):
         R_des = np.column_stack([b1, np.cross(b3, b1), b3])
         S = R_des.T @ R_k - R_k.T @ R_des
         e_R = 0.5 * np.array([S[2, 1], S[0, 2], S[1, 0]])
-        J_k = params.J_i[k]
-        gyro = np.cross(omega_k, J_k @ omega_k)
+        gyro = np.cross(omega_k, params.J_i @ omega_k)
         moments.append(-K_R @ e_R - K_Omega @ omega_k + gyro)
     return np.array(thrusts), np.array(moments), mu, np.array(u_norms)
 
@@ -558,7 +556,7 @@ def rig_tick(crowded, seed, slack, prev, new_stage):
         up = np.array([0.0, 0.0, 1.0]) + 0.2 * rng.standard_normal(3)
         # taut cables stretch 0.1 mm and separate slowly, so the tension
         # stays far below the overload ceiling
-        length = params.l_i[k] * (0.95 if slack[k] else 1.0001)
+        length = params.l_i * (0.95 if slack[k] else 1.0001)
         Y[1 + k, 0:3] = Y[0, 0:3] + R_L @ params.r_i[k] + length * up / np.linalg.norm(up)
         v_attach = Y[0, 3:6] + R_L @ np.cross(Y[0, 10:13], params.r_i[k])
         Y[1 + k, 3:6] = v_attach + 0.01 * rng.standard_normal(3)
@@ -716,14 +714,14 @@ class TestWrittenOutKernels:
         R_L, mu = plant._rotation(*y[6:10]), seen["allocate"][1]
         attachments = harness._attachments(y[0:3], R_L, params._r_i)
         assert_same_floats(attachments, refs.attachments(y[0:3], R_L, params._r_i))
-        args = (mu, attachments, R_L, model.amap, params._l_i)
+        args = (mu, attachments, R_L, model.amap, [params.l_i] * params.n)
         mu = allocation.nullspace_redistribute(*args)
         assert_same_floats(mu, refs.nullspace_redistribute(*args))
         moved = mu is not args[0]
         assert moved == crowded
         ref_stacked, shifted = reference_redistribute(
             np.array(allocation.stack_body(args[0], R_L)), np.array(attachments),
-            np.reshape(R_L, (3, 3)), model.amap, params.l_i,
+            np.reshape(R_L, (3, 3)), model.amap, np.array(args[4]),
         )
         assert shifted == moved
         stacked = refs.stack_body(mu, R_L)
@@ -822,7 +820,7 @@ def crowded_allocations(draw):
     its kink, where central differences of the hinges are no oracle."""
     config = harness.scenario_preset("circle-medium")
     params = config.params
-    r_i = 0.5 * params.r_i
+    r_i, l_i = 0.5 * params.r_i, np.full(params.n, params.l_i)
     amap = allocation.build_allocation(r_i)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     R_L = so3.quat_to_rotation(so3.quat_normalize([1.0, 0.0, 0.0, 0.0] + 0.2 * rng.standard_normal(4)))
@@ -830,10 +828,10 @@ def crowded_allocations(draw):
     M = 0.02 * rng.standard_normal(3)
     stacked = amap.P_pinv @ np.concatenate([R_L.T @ F, M])
     attachments = rng.uniform(-1.0, 1.0, 3) + r_i @ R_L.T
-    _, pos = reference_hinges(stacked, attachments, R_L, params.l_i)
+    _, pos = reference_hinges(stacked, attachments, R_L, l_i)
     gaps = [0.4 - np.linalg.norm(pos[i] - pos[j]) for i in range(4) for j in range(i + 1, 4)]
     assume(min(abs(g) for g in gaps) > 1e-4 and max(gaps) > 0.0)
-    return stacked, attachments, R_L, amap, params.l_i
+    return stacked, attachments, R_L, amap, l_i
 
 
 class TestHingeJacobian:

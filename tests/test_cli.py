@@ -203,6 +203,22 @@ class TestRun:
         assert cli.main(["run", "--config", config, "--out-dir", str(tmp_path)]) == 2
         assert "'horizon'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "preset, settings",
+        [
+            ("hover", "scenario:\n  duration_s: 1.0e-300\n"),
+            ("hover-recovery", "scenario:\n  duration_s: 0.1\nnmpc:\n  dt_s: 1.0e+300\n"),
+        ],
+    )
+    def test_duration_without_a_tick_is_a_config_error(self, tmp_path, capsys, preset, settings):
+        """A duration shorter than one tick used to end in an empty-log
+        traceback after the run; it exits 2 before the run instead."""
+        config = write(tmp_path, f"schema_version: 1\npreset: {preset}\n{settings}")
+        assert cli.main(["run", "--config", config, "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "'duration_s'" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("bound", ["0.01", "0.5"])
     def test_tension_bound_below_the_hover_share_is_a_config_error(self, tmp_path, capsys, bound):
         """A bound under a cable's hover share used to drop the payload or

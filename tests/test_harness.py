@@ -378,8 +378,8 @@ class TestRunPayloadOnly:
         # plan runs out of stages
         config = dataclasses.replace(harness.scenario_preset("hover-nominal"), duration=3.0)
         log = harness.run_closed_loop(config)
-        for event in log.events[1:]:
-            assert event.m_k == event.horizon_before
+        for prev, event in zip(log.events, log.events[1:]):
+            assert event.m_k == prev.horizon
 
     def test_nominal_hover_stays_put(self):
         config = dataclasses.replace(harness.scenario_preset("hover-nominal"), duration=2.0)
@@ -470,7 +470,7 @@ def payload_only_split(config, y, wrench):
     tensions = np.linalg.norm(mu, axis=1)
     directions = np.where(tensions[:, None] > 1e-12, -mu / np.maximum(tensions, 1e-12)[:, None], 0.0)
     attachments = x[0:3] + (R_L @ params.r_i.T).T
-    mav_p = attachments + params.l_i[:, None] * np.where(
+    mav_p = attachments + params.l_i * np.where(
         tensions[:, None] > 1e-12, mu / np.maximum(tensions, 1e-12)[:, None], [[0.0, 0.0, 1.0]]
     )
     return tensions, directions, mav_p
@@ -505,7 +505,7 @@ class TestPayloadOnlyRealize:
         assert tensions == [0.0] * params.n
         assert directions == [(0.0, 0.0, 0.0)] * params.n
         attachments = y[0:3] + params.r_i @ so3.quat_to_rotation(y[6:10]).T
-        expected = attachments + params.l_i[:, None] * [0.0, 0.0, 1.0]
+        expected = attachments + params.l_i * np.array([0.0, 0.0, 1.0])
         np.testing.assert_allclose(mav_p, expected, rtol=0.0, atol=1e-15)
 
 
@@ -782,7 +782,7 @@ def synthetic_log(errs, min_seps, max_seps):
     log.payload[:] = hover_state()
     # a level formation, each vehicle one cable length above its attachment
     params = config.params
-    log.mav_p[:] = ref[0:3] + params.r_i + params.l_i[:, None] * np.array([0.0, 0.0, 1.0])
+    log.mav_p[:] = ref[0:3] + params.r_i + params.l_i * np.array([0.0, 0.0, 1.0])
     log.reference[:] = ref
     log.tensions[:] = 0.5
     log.directions[:] = [0.0, 0.0, -1.0]
@@ -796,14 +796,13 @@ def synthetic_log(errs, min_seps, max_seps):
     return log
 
 
-def synthetic_event(k, kind, m_k, horizon, horizon_before, cost=1.0, status="converged"):
+def synthetic_event(k, kind, m_k, horizon, cost=1.0, status="converged"):
     return TriggerEvent(
         k=k,
         t=0.05 * k,
         kind=kind,
         m_k=m_k,
         horizon=horizon,
-        horizon_before=horizon_before,
         cost=cost,
         kkt_residual=1e-9,
         iterations=3,
@@ -837,9 +836,9 @@ class TestSummarize:
     def test_event_bookkeeping(self):
         log = synthetic_log([0.0], [0.6], [0.85])
         log.events = [
-            synthetic_event(0, "forced", None, 20, None),
-            synthetic_event(4, "event", 4, 18, 20),
-            synthetic_event(10, "forced", 6, 16, 18),
+            synthetic_event(0, "forced", None, 20),
+            synthetic_event(4, "event", 4, 18),
+            synthetic_event(10, "forced", 6, 16),
         ]
         summary = harness.summarize(log)
         assert summary["nmpc_executions"] == 3
@@ -851,10 +850,10 @@ class TestSummarize:
     def test_solver_outcomes_counted(self):
         log = synthetic_log([0.0], [0.6], [0.85])
         log.events = [
-            synthetic_event(0, "forced", None, 20, None),
-            synthetic_event(4, "event", 4, 18, 20, status="max_iter"),
-            synthetic_event(8, "event", 4, 16, 18, status="stalled"),
-            synthetic_event(12, "forced", 4, 14, 16, status="max_iter"),
+            synthetic_event(0, "forced", None, 20),
+            synthetic_event(4, "event", 4, 18, status="max_iter"),
+            synthetic_event(8, "event", 4, 16, status="stalled"),
+            synthetic_event(12, "forced", 4, 14, status="max_iter"),
         ]
         summary = harness.summarize(log)
         assert summary["solves_converged"] == 1
@@ -871,25 +870,25 @@ class TestInvariantCounters:
     def test_clean_chain(self):
         log = RunLog(harness.scenario_preset("hover-nominal"))
         log.events = [
-            synthetic_event(0, "forced", None, 20, None),
-            synthetic_event(5, "event", 5, 17, 20),
-            synthetic_event(9, "event", 4, 15, 17),
+            synthetic_event(0, "forced", None, 20),
+            synthetic_event(5, "event", 5, 17),
+            synthetic_event(9, "event", 4, 15),
         ]
         assert harness.invariant_counters(log) == {"m_bounds": 0, "horizon_chain": 0}
 
     def test_bad_inter_execution_flagged(self):
         log = RunLog(harness.scenario_preset("hover-nominal"))
         log.events = [
-            synthetic_event(0, "forced", None, 20, None),
-            synthetic_event(1, "event", 1, 20, 20),  # below sigma
+            synthetic_event(0, "forced", None, 20),
+            synthetic_event(1, "event", 1, 20),  # below sigma
         ]
         assert harness.invariant_counters(log)["m_bounds"] == 1
 
     def test_grown_horizon_flagged(self):
         log = RunLog(harness.scenario_preset("hover-nominal"))
         log.events = [
-            synthetic_event(0, "forced", None, 18, None),
-            synthetic_event(5, "event", 5, 20, 18),  # horizon grew
+            synthetic_event(0, "forced", None, 18),
+            synthetic_event(5, "event", 5, 20),  # horizon grew
         ]
         assert harness.invariant_counters(log)["horizon_chain"] == 1
 
@@ -1071,7 +1070,7 @@ def random_log(T):
     log.pred_index[:] = rng.integers(0, 20, T)
     solved = sorted({0, T // 2, T - 1})
     costs = [float(rng.uniform()), float("nan"), float(rng.uniform())]
-    log.events = [synthetic_event(k, "forced", None, 20, None, cost=c) for k, c in zip(solved, costs)]
+    log.events = [synthetic_event(k, "forced", None, 20, cost=c) for k, c in zip(solved, costs)]
     log.event[solved] = np.arange(len(solved))
     return log
 
@@ -1102,7 +1101,7 @@ SUMMARY_KEYS = [
 class TestEmitSummary:
     def test_fixed_order_wall_clock_last(self, tmp_path):
         log = synthetic_log([0.1], [0.6], [0.85])
-        log.events = [synthetic_event(0, "forced", None, 20, None)]
+        log.events = [synthetic_event(0, "forced", None, 20)]
         path = tmp_path / "summary.txt"
         harness.emit_summary(harness.summarize(log), path)
         lines = path.read_text().splitlines()

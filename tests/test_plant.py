@@ -51,7 +51,7 @@ def resting_world(mav_positions, mav_v=np.zeros(3)) -> np.ndarray:
 SLACK = (np.zeros(3), 0.0)
 
 
-def mav_derivative(y, thrust, torque, direction, tension, params, i):
+def mav_derivative(y, thrust, torque, direction, tension, params):
     """Time derivative of one vehicle row; thrust must already be saturated.
 
     The cable pulls the vehicle toward the attachment point with the cable
@@ -59,11 +59,11 @@ def mav_derivative(y, thrust, torque, direction, tension, params, i):
     body z axis.
     """
     R = so3.quat_to_rotation(y[Q])
-    force = thrust * R[:, 2] + params.m_i[i] * np.array(params.g_vec)
+    force = thrust * R[:, 2] + params.m_i * np.array(params.g_vec)
     force = force + tension * np.asarray(direction)
     omega = y[W]
-    omega_dot = np.linalg.inv(params.J_i[i]) @ (torque - np.cross(omega, params.J_i[i] @ omega))
-    return body(y[V], force / params.m_i[i], so3.omega_to_quat_dot(y[Q], omega), omega_dot)
+    omega_dot = np.linalg.inv(params.J_i) @ (torque - np.cross(omega, params.J_i @ omega))
+    return body(y[V], force / params.m_i, so3.omega_to_quat_dot(y[Q], omega), omega_dot)
 
 
 def payload_derivative(y, directions, tensions, params):
@@ -108,7 +108,7 @@ def hover_state(params: SystemParams) -> np.ndarray:
     payload = body(np.array([0.0, 0.0, 0.5]), np.zeros(3), so3.quat_identity(), np.zeros(3))
     mavs = [
         body(
-            payload[P] + params.r_i[k] + np.array([0.0, 0.0, params.l_i[k] + stretch]),
+            payload[P] + params.r_i[k] + np.array([0.0, 0.0, params.l_i + stretch]),
             np.zeros(3),
             so3.quat_identity(),
             np.zeros(3),
@@ -120,7 +120,7 @@ def hover_state(params: SystemParams) -> np.ndarray:
 
 def hover_commands(params: SystemParams):
     """(thrusts, torques) rows: every vehicle carries itself and its share."""
-    thrust = params.m_i[0] * params.g + params.m_L * params.g / params.n
+    thrust = params.m_i * params.g + params.m_L * params.g / params.n
     return np.full(params.n, thrust), np.zeros((params.n, 3))
 
 
@@ -145,12 +145,13 @@ def random_full_state(rng, params: SystemParams, spread: float = 0.3) -> np.ndar
 
 
 class TestSystemParams:
-    def test_scalar_broadcast(self):
+    def test_one_model_serves_every_vehicle(self):
         p = make_params()
-        assert p.m_i.shape == (4,)
-        assert p.J_i.shape == (4, 3, 3)
-        assert p.l_i.shape == (4,)
-        np.testing.assert_array_equal(p.m_i, np.full(4, 0.12))
+        assert (p.m_i, p.l_i) == (0.12, 1.0)
+        assert type(p.m_i) is type(p.l_i) is float
+        np.testing.assert_array_equal(p.J_i, np.diag([2.5e-3, 2.5e-3, 4.0e-3]))
+        assert p._J_i == np.ravel(p.J_i).tolist()
+        assert p._J_i_inv == np.ravel(np.linalg.inv(p.J_i)).tolist()
 
     def test_gravity_vector_points_down(self):
         np.testing.assert_array_equal(make_params().g_vec, [0.0, 0.0, -G])
@@ -158,20 +159,20 @@ class TestSystemParams:
     def test_three_attachments_make_a_three_vehicle_rig(self):
         p = SystemParams(r_i=np.array([[0.3, 0, 0], [-0.15, 0.26, 0], [-0.15, -0.26, 0]]))
         assert p.n == 3
-        assert p.m_i.shape == p.l_i.shape == (3,)
-        assert p.J_i.shape == (3, 3, 3)
-        np.testing.assert_array_equal(p.J_i, np.broadcast_to(SystemParams().J_i[0], (3, 3, 3)))
+        default = SystemParams()
+        assert (p.m_i, p.l_i) == (default.m_i, default.l_i)
+        np.testing.assert_array_equal(p.J_i, default.J_i)
+        # the four-vehicle rig rebuilt on three attachments keeps its model
+        assert dataclasses.replace(default, r_i=p.r_i).n == 3
 
-    def test_per_vehicle_entries_must_match_the_attachments(self):
-        """A rig rebuilt with fewer attachments keeps one mass per old
-        vehicle: refused naming the field, not a numpy broadcast error."""
-        three = np.array([[0.3, 0, 0], [-0.15, 0.26, 0], [-0.15, -0.26, 0]])
-        with pytest.raises(ValueError, match="'m_i'"):
-            dataclasses.replace(SystemParams(), r_i=three)
-        with pytest.raises(ValueError, match="'J_i'"):
-            SystemParams(r_i=three, J_i=np.zeros((4, 3, 3)))
-        with pytest.raises(ValueError, match="'l_i'"):
-            SystemParams(r_i=three, l_i=[1.0, 1.0])
+    @pytest.mark.parametrize("name", ["m_i", "l_i", "J_i"])
+    def test_vehicle_model_is_one_value(self, name):
+        """A per-vehicle list, or a NaN, is refused naming the field, not
+        with a bare comparison's TypeError."""
+        one = getattr(SystemParams(), name)
+        for value in ([one] * 4, np.nan, np.full_like(one, np.nan)):
+            with pytest.raises(ValueError, match=f"'{name}'"):
+                SystemParams(**{name: value})
 
     def test_too_few_vehicles_rejected(self):
         with pytest.raises(ValueError):
@@ -255,7 +256,7 @@ class TestCableClosure:
     def test_zero_stretch_is_slack(self):
         """A cable at exactly its rest length transmits nothing."""
         params = make_params()
-        Y = resting_world([params.r_i[k] + np.array([0, 0, params.l_i[k]]) for k in range(4)])
+        Y = resting_world([params.r_i[k] + np.array([0, 0, params.l_i]) for k in range(4)])
         readings = plant.cable_closure(flat(Y), params)
         assert all(s <= 0.0 for s in readings.stretch)
         assert readings.tension == [0.0] * 4
@@ -263,7 +264,7 @@ class TestCableClosure:
     def test_one_millimeter_stretch(self):
         # k * s = 10000 * 0.001 = 10 N, direction straight down toward the load
         params = make_params(cable_stiffness=10000.0, f_max=2.0)
-        Y = resting_world([params.r_i[k] + np.array([0, 0, params.l_i[k] + 1e-3]) for k in range(4)])
+        Y = resting_world([params.r_i[k] + np.array([0, 0, params.l_i + 1e-3]) for k in range(4)])
         readings = plant.cable_closure(flat(Y), params)
         assert all(s > 0.0 for s in readings.stretch)
         for tension, direction in zip(readings.tension, readings.direction):
@@ -273,7 +274,7 @@ class TestCableClosure:
 
     def test_slack_cable(self):
         params = make_params()
-        Y = resting_world([params.r_i[k] + np.array([0, 0, 0.5 * params.l_i[k]]) for k in range(4)])
+        Y = resting_world([params.r_i[k] + np.array([0, 0, 0.5 * params.l_i]) for k in range(4)])
         readings = plant.cable_closure(flat(Y), params)
         assert all(s <= 0.0 for s in readings.stretch)
         assert readings.tension == [0.0] * 4
@@ -285,7 +286,7 @@ class TestCableClosure:
 
         def rig(mav_vz):
             return resting_world(
-                [params.r_i[k] + np.array([0, 0, params.l_i[k] + stretch]) for k in range(4)],
+                [params.r_i[k] + np.array([0, 0, params.l_i + stretch]) for k in range(4)],
                 np.array([0.0, 0.0, mav_vz]),
             )
 
@@ -306,7 +307,7 @@ class TestCableClosure:
 
     def test_overload_raises(self):
         params = make_params()
-        Y = resting_world([params.r_i[k] + np.array([0, 0, params.l_i[k] + 1.0]) for k in range(4)])
+        Y = resting_world([params.r_i[k] + np.array([0, 0, params.l_i + 1.0]) for k in range(4)])
         with pytest.raises(CableOverload):
             plant.cable_closure(flat(Y), params)
 
@@ -346,7 +347,7 @@ class TestCableLawOracle:
                 attach = Y[0, P] + R_L @ params.r_i[k]
                 v_attach = Y[0, V] + R_L @ np.cross(Y[0, W], params.r_i[k])
                 d = attach - Y[1 + k, P]
-                s = np.linalg.norm(d) - params.l_i[k]
+                s = np.linalg.norm(d) - params.l_i
                 e = d / np.linalg.norm(d)
                 sdot = e @ (v_attach - Y[1 + k, V])
                 if s > 0:
@@ -366,7 +367,7 @@ class TestMavDerivative:
     def test_free_fall(self):
         params = make_params()
         state = body(np.zeros(3), np.zeros(3), so3.quat_identity(), np.zeros(3))
-        d = mav_derivative(state, 0.0, np.zeros(3), *SLACK, params, 0)
+        d = mav_derivative(state, 0.0, np.zeros(3), *SLACK, params)
         np.testing.assert_array_equal(d[V], params.g_vec)
         np.testing.assert_array_equal(d[P], np.zeros(3))
 
@@ -374,15 +375,15 @@ class TestMavDerivative:
         """Thrust = weight + cable pull (cable hangs the load below the MAV)."""
         params = make_params()
         tension = params.m_L * G / 4
-        thrust = params.m_i[0] * G + tension
+        thrust = params.m_i * G + tension
         state = body(np.array([0, 0, 1.5]), np.zeros(3), so3.quat_identity(), np.zeros(3))
-        d = mav_derivative(state, thrust, np.zeros(3), [0.0, 0.0, -1.0], tension, params, 0)
+        d = mav_derivative(state, thrust, np.zeros(3), [0.0, 0.0, -1.0], tension, params)
         np.testing.assert_allclose(d[V], np.zeros(3), atol=1e-12)
 
     def test_principal_axis_spin(self):
         params = make_params()
         state = body(np.zeros(3), np.zeros(3), so3.quat_identity(), np.array([1.0, 0.0, 0.0]))
-        d = mav_derivative(state, 0.0, np.zeros(3), *SLACK, params, 0)
+        d = mav_derivative(state, 0.0, np.zeros(3), *SLACK, params)
         np.testing.assert_allclose(d[W], np.zeros(3), atol=1e-15)
 
     def test_gyroscopic_term_oracle(self):
@@ -390,8 +391,8 @@ class TestMavDerivative:
         w = np.array([2.0, -1.0, 3.0])
         state = body(np.zeros(3), np.zeros(3), so3.quat_identity(), w)
         tau = np.array([0.01, -0.02, 0.005])
-        d = mav_derivative(state, 0.0, tau, *SLACK, params, 0)
-        expected = np.linalg.solve(params.J_i[0], tau - np.cross(w, params.J_i[0] @ w))
+        d = mav_derivative(state, 0.0, tau, *SLACK, params)
+        expected = np.linalg.solve(params.J_i, tau - np.cross(w, params.J_i @ w))
         np.testing.assert_allclose(d[W], expected, atol=1e-14)
 
     def test_attitude_rate_is_quaternion_kinematics(self):
@@ -400,7 +401,7 @@ class TestMavDerivative:
         q = so3.quat_normalize(rng.standard_normal(4))
         w = rng.standard_normal(3)
         state = body(np.zeros(3), np.zeros(3), q, w)
-        d = mav_derivative(state, 0.0, np.zeros(3), *SLACK, params, 0)
+        d = mav_derivative(state, 0.0, np.zeros(3), *SLACK, params)
         np.testing.assert_allclose(d[Q], so3.omega_to_quat_dot(q, w), atol=1e-15)
 
 
@@ -561,7 +562,7 @@ class TestFusedDerivative:
             for k in range(4):
                 typed.append(
                     mav_derivative(
-                        full[1 + k], thrusts[k], torques[k], directions[k], tensions[k], params, k
+                        full[1 + k], thrusts[k], torques[k], directions[k], tensions[k], params
                     )
                 )
             np.testing.assert_allclose(fused, np.ravel(typed), atol=1e-12)
@@ -584,7 +585,7 @@ class TestMomentumBalance:
             rows = np.reshape(d, (5, 13))
             net = params.m_L * (rows[0, 3:6] - params.g_vec)
             for k in range(4):
-                net = net + params.m_i[k] * (rows[1 + k, 3:6] - params.g_vec)
+                net = net + params.m_i * (rows[1 + k, 3:6] - params.g_vec)
             assert np.linalg.norm(net) < 1e-9
 
 
