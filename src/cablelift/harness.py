@@ -83,7 +83,7 @@ class RunLog:
 
     The closed loop writes `payload` down to `event` but `reference`; before
     it run_closed_loop fills `t`, after it `reference`, the rest and the
-    constraint table, for every tick at once.  `ticks` reads the log back one
+    constraint margins, for every tick at once.  `ticks` reads the log back one
     TickRecord per tick (a caller may pass its own records, say a doctored
     copy for a check).
     """
@@ -104,7 +104,7 @@ class RunLog:
     payload_err: np.ndarray = _column()
     min_sep: np.ndarray = _column()
     max_sep: np.ndarray = _column()
-    constraints: Optional[metrics.ConstraintTable] = field(default=None, repr=False)
+    constraints: Optional[dict[str, np.ndarray]] = field(default=None, repr=False)
     events: List[TriggerEvent] = field(default_factory=list)
     solver_failures: int = 0
     # vehicle-ticks with the thrust command outside [0, F_max], with the
@@ -491,7 +491,7 @@ def summarize(log: RunLog) -> dict:
     errs = log.payload_err
     inter = [e.m_k for e in log.events if e.m_k is not None]
     solve_times = [e.solve_time for e in log.events]
-    violations = int(np.count_nonzero(log.constraints.margins("payload_funnel") < 0))
+    violations = int(np.count_nonzero(log.constraints["payload_funnel"] < 0))
     statuses = [e.status for e in log.events]
     return {
         "nmpc_executions": log.nmpc_executions,

@@ -1,7 +1,7 @@
 """Tracking errors, formation separations, and constraint checking.
 
 Everything here is pure geometry on snapshots: line-of-sight distances, pair
-separations of the formation, and the table of the bounds the planner
+separations of the formation, and the margins of the bounds the planner
 imposes on the payload (its tracking funnel and, when an obstacle is set,
 its clearance).  Violations are reported as signed margins, never raised.
 Snapshots are stacked along a leading axis, so a whole run is checked in
@@ -12,36 +12,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
 from . import so3
-
-
-@dataclass(frozen=True)
-class ConstraintTable:
-    """check_all over stacked snapshots: row k of value (T, m) is snapshot
-    k, column c is constraint ids[c], whose bounds are lower[c] and upper[c]
-    (nan where the constraint has no such bound).  Margins are computed on
-    read, never stored."""
-
-    ids: Tuple[str, ...]
-    value: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
-
-    @property
-    def margin(self) -> np.ndarray:
-        """(T, m) signed distance of every value to its nearest bound."""
-        return np.fmin(self.upper - self.value, self.value - self.lower)
-
-    def margins(self, id: str) -> np.ndarray:
-        """(T,) margin of one constraint over every snapshot."""
-        if id not in self.ids:
-            raise KeyError(f"no constraint {id!r} in the table; it has {', '.join(self.ids)}")
-        c = self.ids.index(id)
-        return np.fmin(self.upper[c] - self.value[:, c], self.value[:, c] - self.lower[c])
 
 
 def payload_los_error(p_L: np.ndarray, p_des: np.ndarray) -> float:
@@ -86,23 +61,21 @@ def default_bounds(
     )
 
 
-def check_all(payload_p: np.ndarray, payload_p_des: np.ndarray, bounds: ConstraintBounds):
-    """Evaluate the payload funnel and, with an obstacle, its clearance over
-    T snapshots.
+def check_all(
+    payload_p: np.ndarray, payload_p_des: np.ndarray, bounds: ConstraintBounds
+) -> dict[str, np.ndarray]:
+    """Signed margins of the payload funnel and, with an obstacle, its
+    clearance over T snapshots.
 
-    Margins, read off the table, are signed distances to the nearest bound;
-    a violated constraint shows up with margin < 0, nothing raises.  The
-    positions are stacked along a leading axis (T, 3), or one (3,) snapshot,
-    and give a ConstraintTable with one row each; the desired position may
-    be stacked or shared by every snapshot.
+    Each constraint id maps to its (T,) margin, the signed distance to its
+    bound: a violated constraint shows up with margin < 0, nothing raises.
+    The positions are stacked along a leading axis (T, 3), or one (3,)
+    snapshot, and give one margin each; the desired position may be stacked
+    or shared by every snapshot.
     """
     payload_p, payload_p_des = (np.reshape(p, (-1, 3)) for p in (payload_p, payload_p_des))
-    ids, lower, upper = ["payload_funnel"], [np.nan], [bounds.payload_radius]
-    columns = [so3.norm_rows(payload_p - payload_p_des)]
+    margins = {"payload_funnel": bounds.payload_radius - so3.norm_rows(payload_p - payload_p_des)}
     if bounds.obstacle_center is not None:
-        ids.append("obstacle")
-        lower.append(bounds.obstacle_clearance)
-        upper.append(np.nan)
-        columns.append(so3.norm_rows(payload_p - bounds.obstacle_center))
-    value = np.stack(columns, axis=1)
-    return ConstraintTable(tuple(ids), value, np.array(lower), np.array(upper))
+        distance = so3.norm_rows(payload_p - bounds.obstacle_center)
+        margins["obstacle"] = distance - bounds.obstacle_clearance
+    return margins

@@ -77,16 +77,18 @@ class SystemParams:
         self.n = len(self.r_i)
         if self.n < 3:
             raise ValueError("need at least 3 vehicles")
-        for name in ("m_i", "m_L", "l_i", "cable_stiffness", "g"):
-            value = getattr(self, name)
-            if np.ndim(value) != 0 or not 0 < value < math.inf:
-                raise ValueError(f"{name!r} must be one positive finite number, got {value!r}")
-            setattr(self, name, float(value))
-        # an infinite bound is no bound
-        if not (self.F_max > 0 and self.f_max > 0):
-            raise ValueError("force bounds must be positive")
-        if not 0 <= self.cable_damping < math.inf:
-            raise ValueError("'cable_damping' must be finite and nonnegative")
+        # an infinite force bound is no bound
+        for names, rule, holds in (
+            (("m_i", "m_L", "l_i", "cable_stiffness", "g"), "positive finite",
+             lambda v: 0 < v < math.inf),
+            (("F_max", "f_max"), "positive", lambda v: v > 0),
+            (("cable_damping",), "nonnegative finite", lambda v: 0 <= v < math.inf),
+        ):
+            for name in names:
+                value = getattr(self, name)
+                if np.ndim(value) != 0 or not holds(value):
+                    raise ValueError(f"{name!r} must be one {rule} number, got {value!r}")
+                setattr(self, name, float(value))
         for name in ("J_i", "J_L"):
             M = np.array(getattr(self, name), dtype=np.float64)
             if (M.shape != (3, 3) or not np.isfinite(M).all() or np.linalg.norm(M - M.T) > 1e-12

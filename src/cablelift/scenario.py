@@ -7,6 +7,7 @@ import dataclasses
 import math
 import os
 import re
+import sys
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -118,8 +119,12 @@ class ScenarioConfig:
         self.initial_offset = np.asarray(self.initial_offset, dtype=np.float64)
         if self.plant_model == "full":
             ratio = self.ocp.dt / self.dt_lowlevel
-            if round(ratio) < 1 or abs(ratio - round(ratio)) > 1e-9:
+            if not math.isfinite(ratio) or round(ratio) < 1 or abs(ratio - round(ratio)) > 1e-9:
                 raise ConfigError("'dt_s' must be a positive integer multiple of 'dt_lowlevel_s'")
+        # a count no array can hold
+        if not self.duration / self.dt_tick < sys.maxsize:
+            raise ConfigError(f"'duration_s' must hold at most {sys.maxsize} ticks of "
+                              f"{self.dt_tick!r} s, got {self.duration!r}")
         if self.n_ticks < 1:
             raise ConfigError(f"'duration_s' must hold at least one tick of {self.dt_tick!r} s, "
                               f"got {self.duration!r}")

@@ -219,6 +219,30 @@ class TestRun:
         assert err.startswith("config error:") and "'duration_s'" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "preset, settings, key",
+        [
+            # the ratio dt_s / dt_lowlevel_s overflows to inf
+            ("hover", "scenario:\n  dt_lowlevel_s: 1.0e-310\n", "'dt_s'"),
+            # the tick count overflows to inf
+            ("hover-recovery", "scenario:\n  duration_s: 1.0e+300\nnmpc:\n  dt_s: 1.0e-10\n",
+             "'duration_s'"),
+            # 1e301 ticks, past any array's length
+            ("hover", "scenario:\n  dt_lowlevel_s: 1.0e-300\nnmpc:\n  dt_s: 1.0e-300\n",
+             "'duration_s'"),
+        ],
+    )
+    def test_tick_count_no_array_holds_is_a_config_error(
+        self, tmp_path, capsys, preset, settings, key
+    ):
+        """A tick ratio or count past the float or index range used to end
+        in an overflow traceback; it exits 2 naming the key instead."""
+        config = write(tmp_path, f"schema_version: 1\npreset: {preset}\n{settings}")
+        assert cli.main(["run", "--config", config, "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and key in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("bound", ["0.01", "0.5"])
     def test_tension_bound_below_the_hover_share_is_a_config_error(self, tmp_path, capsys, bound):
         """A bound under a cable's hover share used to drop the payload or

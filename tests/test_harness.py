@@ -416,8 +416,7 @@ class TestRunPayloadOnly:
         )
         assert config.ocp.funnel_radius == 0.35
         log = harness.run_closed_loop(config)
-        column = log.constraints.ids.index("payload_funnel")
-        assert log.constraints.upper[column] == 0.35
+        np.testing.assert_array_equal(log.constraints["payload_funnel"], 0.35 - log.payload_err)
 
     def test_obstacle_in_constraint_report(self):
         config, _ = harness.build_scenario(
@@ -429,9 +428,7 @@ class TestRunPayloadOnly:
             }
         )
         log = harness.run_closed_loop(config)
-        column = log.constraints.ids.index("obstacle")
-        assert log.constraints.value[0, column] == pytest.approx(2.0)
-        assert log.constraints.margins("obstacle")[0] == pytest.approx(1.7)
+        assert log.constraints["obstacle"][0] == pytest.approx(2.0 - 0.3)
 
     def test_moving_reference_starts_at_reference_velocity(self, tmp_path):
         config = dataclasses.replace(
@@ -765,8 +762,8 @@ class TestDisturbance:
 
 
 def tiny_report(errs):
-    """The constraint table of hover snapshots offset by errs along x, under
-    the default bounds."""
+    """The constraint margins of hover snapshots offset by errs along x,
+    under the default bounds."""
     config = harness.scenario_preset("hover-nominal")
     ref, _ = config.reference_at(0.0)
     p = ref[0:3] + np.outer(errs, [1.0, 0.0, 0.0])
@@ -864,6 +861,26 @@ class TestSummarize:
         log = synthetic_log([0.3, 0.1], [0.6, 0.6], [0.85, 0.85])
         # the default payload funnel radius is 0.2, so 0.3 violates it
         assert harness.summarize(log)["funnel_violations"] == 1
+
+    def test_funnel_violations_count_the_csv_error_column(self):
+        """The funnel margin is the funnel radius less the payload_err
+        column in every bit, so the summary's count is the count of ticks
+        whose error is past the radius; a 2 cm funnel puts a short circle
+        run on both sides of it."""
+        config, _ = harness.build_scenario(
+            {
+                "schema_version": 1,
+                "preset": "circle-medium",
+                "scenario": {"duration_s": 1.0},
+                "nmpc": {"funnel_epsilon_m": 0.02},
+            }
+        )
+        log = harness.run_closed_loop(config)
+        radius = config.ocp.funnel_radius
+        np.testing.assert_array_equal(log.constraints["payload_funnel"], radius - log.payload_err)
+        outside = int(np.count_nonzero(log.payload_err > radius))
+        assert 0 < outside < len(log.t)
+        assert harness.summarize(log)["funnel_violations"] == outside
 
 
 class TestInvariantCounters:
@@ -1027,8 +1044,7 @@ class TestColumnarCsv:
 
     def test_obstacle_run_reports_the_obstacle_every_tick(self):
         log = harness.run_closed_loop(_obstacle_circle())
-        assert "obstacle" in log.constraints.ids
-        assert np.all(log.constraints.margins("obstacle") > 0.0)
+        assert np.all(log.constraints["obstacle"] > 0.0)
 
 
 def emit_csv_whole_run(log, path):

@@ -1,4 +1,4 @@
-"""Distance metrics, constant bounds, and the constraint table."""
+"""Distance metrics, constant bounds, and the constraint margins."""
 
 import numpy as np
 import pytest
@@ -11,14 +11,6 @@ from cablelift.metrics import ConstraintBounds
 vec3 = st.lists(
     st.floats(min_value=-50, max_value=50, allow_nan=False), min_size=3, max_size=3
 ).map(np.array)
-
-
-def entry(table, id):
-    """(value, lower, upper, margin) of one constraint in the first row."""
-    c = table.ids.index(id)
-    return tuple(
-        float(a) for a in (table.value[0, c], table.lower[c], table.upper[c], table.margin[0, c])
-    )
 
 
 class TestLosErrors:
@@ -73,9 +65,10 @@ class TestSeparations:
 
 
 def obstacle_distance(p_L, p_O) -> float:
-    """Payload-to-obstacle distance, as check_all reports it."""
-    table = metrics.check_all(p_L, p_L, metrics.default_bounds(obstacle_center=p_O))
-    return entry(table, "obstacle")[0]
+    """Payload-to-obstacle distance, as check_all reports it: the obstacle
+    margin under a zero clearance."""
+    margins = metrics.check_all(p_L, p_L, metrics.default_bounds(obstacle_center=p_O))
+    return float(margins["obstacle"][0])
 
 
 class TestObstacleDistance:
@@ -98,56 +91,59 @@ def hover_snapshot():
 class TestCheckAll:
     def test_hover_all_satisfied(self):
         snap = hover_snapshot()
-        table = metrics.check_all(bounds=metrics.default_bounds(), **snap)
-        assert np.all(table.margin >= 0.0)
-        assert table.ids == ("payload_funnel",)
+        margins = metrics.check_all(bounds=metrics.default_bounds(), **snap)
+        assert list(margins) == ["payload_funnel"]
+        assert all(np.all(m >= 0.0) for m in margins.values())
         far = metrics.default_bounds(obstacle_center=[5.0, 0.0, 0.5], obstacle_clearance=0.3)
-        table = metrics.check_all(bounds=far, **snap)
-        assert np.all(table.margin >= 0.0)
-        assert table.ids == ("payload_funnel", "obstacle")
+        margins = metrics.check_all(bounds=far, **snap)
+        assert list(margins) == ["payload_funnel", "obstacle"]
+        assert all(np.all(m >= 0.0) for m in margins.values())
 
     def test_payload_funnel_violation_margin(self):
         snap = hover_snapshot()
         snap["payload_p"] = snap["payload_p_des"] + np.array([0.3, 0.0, 0.0])
-        table = metrics.check_all(bounds=metrics.default_bounds(payload_radius=0.2), **snap)
-        assert table.margins("payload_funnel")[0] == pytest.approx(-0.1)
-        assert np.any(table.margin < 0.0)
+        margins = metrics.check_all(bounds=metrics.default_bounds(payload_radius=0.2), **snap)
+        assert margins["payload_funnel"][0] == pytest.approx(-0.1)
 
     def test_obstacle_entry(self):
         snap = hover_snapshot()
         bounds = metrics.default_bounds()
         bounds.obstacle_center = np.array([0.0, 0.0, 0.5])
         bounds.obstacle_clearance = 0.4
-        margin = metrics.check_all(bounds=bounds, **snap).margins("obstacle")[0]
+        margin = metrics.check_all(bounds=bounds, **snap)["obstacle"][0]
         assert margin == pytest.approx(-0.4)
         bounds.obstacle_center = np.array([5.0, 0.0, 0.5])
-        assert metrics.check_all(bounds=bounds, **snap).margins("obstacle")[0] >= 0.0
+        assert metrics.check_all(bounds=bounds, **snap)["obstacle"][0] >= 0.0
 
     def test_pure_identical_reports(self):
         snap = hover_snapshot()
         bounds = metrics.default_bounds(obstacle_center=[0.3, 0.0, 0.5], obstacle_clearance=0.2)
         a = metrics.check_all(bounds=bounds, **snap)
         b = metrics.check_all(bounds=bounds, **snap)
-        assert a.ids == b.ids
-        for part in ("value", "lower", "upper", "margin"):
-            np.testing.assert_array_equal(getattr(a, part), getattr(b, part))
+        assert list(a) == list(b)
+        for id in a:
+            np.testing.assert_array_equal(a[id], b[id])
 
     def test_satisfied_iff_margin_nonnegative(self):
-        """A margin is nonnegative exactly when the value lies inside its
-        bounds (nan: no bound on that side): the funnel's upper bound and
-        the obstacle's lower bound, each met and missed."""
+        """A margin is nonnegative exactly when its bound holds: the payload
+        within the funnel radius of its desired position, and at least the
+        clearance away from the obstacle, each met and missed."""
         rng = np.random.default_rng(8)
-        bounds = metrics.default_bounds(obstacle_center=[0.2, 0.0, 0.5], obstacle_clearance=0.25)
+        center, clearance, radius = np.array([0.2, 0.0, 0.5]), 0.25, 0.2
+        bounds = metrics.default_bounds(radius, center, clearance)
         inside_seen = set()
         for _ in range(50):
             snap = hover_snapshot()
-            snap["payload_p"] = snap["payload_p"] + 0.3 * rng.standard_normal(3)
-            table = metrics.check_all(bounds=bounds, **snap)
-            inside = (np.isnan(table.lower) | (table.value >= table.lower)) & (
-                np.isnan(table.upper) | (table.value <= table.upper)
-            )
-            np.testing.assert_array_equal(inside, table.margin >= 0.0)
-            inside_seen.update(zip(table.ids, inside[0].tolist()))
+            p = snap["payload_p"] = snap["payload_p"] + 0.3 * rng.standard_normal(3)
+            margins = metrics.check_all(bounds=bounds, **snap)
+            inside = {
+                "payload_funnel": np.linalg.norm(p - snap["payload_p_des"]) <= radius,
+                "obstacle": np.linalg.norm(p - center) >= clearance,
+            }
+            assert list(margins) == list(inside)
+            for id, margin in margins.items():
+                assert bool(margin[0] >= 0.0) == inside[id]
+                inside_seen.add((id, inside[id]))
         assert len(inside_seen) == 4
 
     def test_default_pair_widths_follow_the_desired_formation(self):
@@ -174,43 +170,34 @@ class TestCheckAll:
         # and 0.3 m from an obstacle that asks for 0.4 m
         snap["payload_p"] = snap["payload_p_des"] + np.array([0.1, 0.0, 0.0])
         bounds = metrics.default_bounds(obstacle_center=[0.4, 0.0, 0.5], obstacle_clearance=0.4)
-        table = metrics.check_all(bounds=bounds, **snap)
-        assert table.ids[int(np.argmin(table.margin[0]))] == "obstacle"
+        margins = metrics.check_all(bounds=bounds, **snap)
+        assert min(margins, key=lambda id: margins[id][0]) == "obstacle"
         # 0.3 m off, 0.1 m outside the funnel, and clear of the obstacle
         snap["payload_p"] = snap["payload_p_des"] + np.array([-0.3, 0.0, 0.0])
-        table = metrics.check_all(bounds=bounds, **snap)
-        assert table.ids[int(np.argmin(table.margin[0]))] == "payload_funnel"
+        margins = metrics.check_all(bounds=bounds, **snap)
+        assert min(margins, key=lambda id: margins[id][0]) == "payload_funnel"
 
 
 # ---------------------------------------------------------------------------
-# whole-run constraint table
+# whole-run constraint margins
 
 
 def check_snapshot(payload_p, payload_p_des, bounds):
-    """One snapshot's (id, value, lower, upper, margin) entries, computed one
-    by one: the oracle for the stacked check_all.  nan stands for a missing
-    bound."""
-    nan = float("nan")
+    """One snapshot's margin per constraint id, computed one by one: the
+    oracle for the stacked check_all."""
     e_L = float(np.linalg.norm(payload_p - payload_p_des))
-    eps = bounds.payload_radius
-    entries = [("payload_funnel", e_L, nan, eps, eps - e_L)]
+    margins = {"payload_funnel": bounds.payload_radius - e_L}
     if bounds.obstacle_center is not None:
         e_LO = float(np.linalg.norm(payload_p - bounds.obstacle_center))
-        clearance = bounds.obstacle_clearance
-        entries.append(("obstacle", e_LO, clearance, nan, e_LO - clearance))
-    return entries
+        margins["obstacle"] = e_LO - bounds.obstacle_clearance
+    return margins
 
 
-def table_row(table, k):
-    """Snapshot k of a table as check_snapshot's entries."""
-    parts = (table.value[k], table.lower, table.upper, table.margin[k])
-    return [(id, *map(float, values)) for id, *values in zip(table.ids, *parts)]
-
-
-def assert_same_entries(got, want):
-    """Equal ids and numbers, nan matching nan."""
-    assert [e[0] for e in got] == [e[0] for e in want]
-    np.testing.assert_array_equal([e[1:] for e in got], [e[1:] for e in want])
+def assert_same_margins(margins, k, want):
+    """Snapshot k of stacked margins equals one snapshot's, id for id."""
+    assert list(margins) == list(want)
+    for id, margin in want.items():
+        assert margins[id][k] == margin
 
 
 class TestConstraintTable:
@@ -221,8 +208,8 @@ class TestConstraintTable:
         obstacle=st.booleans(),
     )
     def test_rows_match_single_snapshots(self, T, seed, obstacle):
-        """Every id, value, bound and margin of the stacked table equals the
-        single-snapshot oracle exactly, and the table of that one snapshot,
+        """Every id and margin of the stacked check equals the
+        single-snapshot oracle exactly, and the check of that one snapshot,
         for a random funnel radius and an obstacle."""
         rng = np.random.default_rng(seed)
         bounds = ConstraintBounds(
@@ -232,17 +219,13 @@ class TestConstraintTable:
         )
         payload_p = rng.normal(size=(T, 3))
         payload_p_des = rng.normal(size=(T, 3))
-        table = metrics.check_all(payload_p, payload_p_des, bounds)
-        m = len(table.ids)
-        assert table.value.shape == table.margin.shape == (T, m)
-        assert table.lower.shape == table.upper.shape == (m,)
+        margins = metrics.check_all(payload_p, payload_p_des, bounds)
+        assert all(m.shape == (T,) for m in margins.values())
         for k in range(T):
             snapshot = (payload_p[k], payload_p_des[k])
             oracle = check_snapshot(*snapshot, bounds)
-            assert_same_entries(table_row(table, k), oracle)
-            assert_same_entries(table_row(metrics.check_all(*snapshot, bounds), 0), oracle)
-        for c, id in enumerate(table.ids):
-            np.testing.assert_array_equal(table.margins(id), table.margin[:, c])
+            assert_same_margins(margins, k, oracle)
+            assert_same_margins(metrics.check_all(*snapshot, bounds), 0, oracle)
 
     def test_shared_desired_positions_broadcast(self):
         snap = hover_snapshot()
@@ -251,13 +234,12 @@ class TestConstraintTable:
         payload_p = np.stack([snap["payload_p"]] * 2)
         stacked = metrics.check_all(payload_p, snap["payload_p_des"], bounds)
         single = metrics.check_all(bounds=bounds, **snap)
-        assert_same_entries(table_row(stacked, 1), table_row(single, 0))
-        np.testing.assert_array_equal(stacked.margins("payload_funnel"), [0.2 - 0.05] * 2)
+        assert_same_margins(stacked, 1, {id: m[0] for id, m in single.items()})
+        np.testing.assert_array_equal(stacked["payload_funnel"], [0.2 - 0.05] * 2)
 
-    def test_unknown_id_is_a_key_error_listing_the_ids(self):
+    def test_no_obstacle_margin_without_an_obstacle(self):
         snap = hover_snapshot()
-        table = metrics.check_all(bounds=metrics.default_bounds(), **snap)
-        assert "obstacle" not in table.ids
-        with pytest.raises(KeyError, match="'obstacle'") as caught:
-            table.margins("obstacle")
-        assert all(id in str(caught.value) for id in table.ids)
+        margins = metrics.check_all(bounds=metrics.default_bounds(), **snap)
+        assert list(margins) == ["payload_funnel"]
+        with pytest.raises(KeyError, match="'obstacle'"):
+            margins["obstacle"]

@@ -191,8 +191,10 @@ class TestSystemParams:
         bad += [("m_i", [0.12, 0.12, np.nan, 0.12]), ("F_max", np.nan), ("f_max", np.nan),
                 ("cable_damping", np.nan), ("cable_damping", np.inf), ("cable_damping", -1.0),
                 ("cable_stiffness", -5000.0)]
+        # one number per field, not a list
+        bad += [("F_max", [1.0, 2.0]), ("f_max", [1.0]), ("cable_damping", [1.0])]
         for name, value in bad:
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=repr(name)):
                 make_params(**{name: value})
         # an infinite tension bound is no bound
         assert make_params(f_max=np.inf).f_max == np.inf
