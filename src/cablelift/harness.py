@@ -68,6 +68,7 @@ class TriggerEvent:
     status: str
     solve_time: float
     outside_terminal: bool
+    trace: list = field(default_factory=list)  # the solve's per-pass records (sqp.solve)
 
 
 def _column(*shape, dtype=np.float64, fill=0):
@@ -241,9 +242,9 @@ class _TriggerLoop:
             warm = None
             if self.state is not None:
                 warm = sqp.shift_warm_start(self.state.predicted, m_k, N_new)
-            began = time.perf_counter()
+            began, trace = time.perf_counter(), []
             try:
-                solution = sqp.solve(problem, warm, cfg.solver)
+                solution = sqp.solve(problem, warm, cfg.solver, trace=trace)
             except (sqp.Infeasible, sqp.QpNumericalFailure, plant.NonFiniteState) as exc:
                 if self.state is None or decision == "forced":
                     raise HarnessAbort(
@@ -268,6 +269,7 @@ class _TriggerLoop:
                         status=solution.status,
                         solve_time=time.perf_counter() - began,
                         outside_terminal=outside,
+                        trace=trace,
                     )
                 )
                 self.state = event_trigger.record_trigger(k, solution, N_new)
@@ -493,6 +495,7 @@ def summarize(log: RunLog) -> dict:
     solve_times = [e.solve_time for e in log.events]
     violations = int(np.count_nonzero(log.constraints["payload_funnel"] < 0))
     statuses = [e.status for e in log.events]
+    passes = [record for e in log.events for record in e.trace]
     return {
         "nmpc_executions": log.nmpc_executions,
         "event_triggers": sum(1 for e in log.events if e.kind == "event"),
@@ -512,6 +515,10 @@ def summarize(log: RunLog) -> dict:
         "solves_converged": statuses.count("converged"),
         "solves_max_iter": statuses.count("max_iter"),
         "solves_stalled": statuses.count("stalled"),
+        # over every SQP pass: QPs out of interior-point iterations, and QPs
+        # factorized only with Hessian regularization
+        "qp_max_iter": sum(r["qp_status"] == "max_iter" for r in passes),
+        "qp_regularized": sum(r["reg"] > 0.0 for r in passes),
         "mean_solve_time_ms": 1e3 * float(np.mean(solve_times)) if solve_times else 0.0,
     }
 

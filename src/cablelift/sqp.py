@@ -6,7 +6,10 @@ as defect equalities, and each iteration solves one structured convex QP
 (Gauss-Newton Hessian, linearized constraint rows) followed by an L1 merit
 line search.  Every stage quantity of an iteration (exact dynamics
 Jacobians, defects, cost expansion, constraint rows, merit) is computed on
-stage-stacked arrays.
+stage-stacked arrays.  A solve starts from one wrench plan (a replan's is
+the previous plan shifted) rolled out from the measured state, so its first
+iterate has no dynamics defect (Diehl, Bock & Schlöder, SIAM J. Control
+Optim. 2005).
 
 The QP itself is solved in-repo by a Mehrotra predictor-corrector interior
 point method (Rao, Wright & Rawlings, JOTA 1998).  Each iteration factors
@@ -25,11 +28,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
 from . import payload_ocp as ocp
+from . import plant
 
 
 class Infeasible(RuntimeError):
@@ -68,23 +72,15 @@ class SolverConfig:
 
 
 def shift_warm_start(previous: ocp.OcpSolution, elapsed_steps: int, new_horizon: int):
-    """Reuse a solution after elapsed_steps have passed: (X, U) rows.
-
-    Drops the consumed prefix, then repeats the final row (or truncates)
-    until the trajectory fits the new horizon.
+    """The wrench plan of a solution after elapsed_steps have passed: a copy of
+    its remaining rows, the final row repeated (or the rows cut) to
+    new_horizon rows.  `solve` rolls it out from the measured state.
     """
     if elapsed_steps < 1:
         raise ValueError("elapsed_steps must be at least 1")
-    return (
-        _fit(previous.X[elapsed_steps:], previous.X[-1], new_horizon + 1),
-        _fit(previous.U[elapsed_steps:], previous.U[-1], new_horizon),
-    )
-
-
-def _fit(rows: np.ndarray, last: np.ndarray, length: int) -> np.ndarray:
-    """A copy of rows followed by repeats of last, cut to length rows."""
-    pad = np.repeat(last[None], max(length - len(rows), 0), axis=0)
-    return np.concatenate([rows, pad])[:length]
+    rows = previous.U[elapsed_steps:]
+    pad = np.repeat(previous.U[-1:], max(new_horizon - len(rows), 0), axis=0)
+    return np.concatenate([rows, pad])[:new_horizon]
 
 
 # ---------------------------------------------------------------------------
@@ -483,14 +479,15 @@ def _evaluate(X: np.ndarray, U: np.ndarray, problem) -> _Iterate:
     )
 
 
-def _cold_start(problem):
-    """Roll the reference feedforward wrench out from the initial state."""
-    X = np.empty((problem.N + 1, len(problem.x0)))
-    X[0] = problem.x0
-    U = problem.ref_u[:-1].copy()
-    for i, u in enumerate(U):
-        X[i + 1] = ocp.discretize(X[i], u, problem.dt, problem)
-    return X, U
+def _rollout(problem, U: np.ndarray) -> np.ndarray:
+    """The state rows of the wrench rows U rolled out from the initial state,
+    one `plant.step_payload` per stage: discretize's floats when J_L is
+    diagonal, so the start has no dynamics defect.  Raises
+    plant.NonFiniteState when the rollout leaves the floats."""
+    X = [problem.x0.tolist()]
+    for u in U.tolist():
+        X.append(plant.step_payload(X[-1], u, problem.dt, problem.params))
+    return np.array(X)
 
 
 def _build_qp_data(point: _Iterate, problem, lam_u_prev=None) -> QpData:
@@ -543,15 +540,19 @@ def _price(point: _Iterate, problem, lam_u_prev, config: SolverConfig):
 
 def solve(
     problem,
-    warm: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+    warm: Optional[np.ndarray] = None,
     config: Optional[SolverConfig] = None,
     trace: Optional[list] = None,
 ) -> ocp.OcpSolution:
     """Solve the tracking problem; returns the iterate the solve stands on.
 
-    warm is an initial guess (X, U) of N + 1 state rows and N wrench rows,
-    as shift_warm_start returns it; without one the reference wrench is
-    rolled out from the initial state.
+    warm is a guess of the N wrench rows, as shift_warm_start returns it;
+    without one the reference wrenches ref_u[:-1] are the guess.  The solve
+    starts from that guess rolled out from the initial state, which has no
+    dynamics defect, so a guess that meets every hard row starts at a
+    feasible iterate and its first pass is priced without the interior
+    point when no row binds.  Raises plant.NonFiniteState when the rollout
+    leaves the finite range.
 
     status is "converged" when stationarity reaches kkt_tol with defects and
     hard constraints inside feas_tol, "stalled" when the line search accepts
@@ -579,14 +580,10 @@ def solve(
             f"initial state violates obstacle clearance by {float(np.max(v0)):.3g} m"
         )
 
-    if warm is None:
-        X, U = _cold_start(problem)
-    else:
-        X, U = (np.array(rows, dtype=np.float64) for rows in warm)
-        if len(X) != problem.N + 1 or len(U) != problem.N:
-            raise ocp.DimensionMismatch("warm start does not match the horizon")
-    X[0] = problem.x0
-    point = _evaluate(X, U, problem)
+    U = np.array(problem.ref_u[:-1] if warm is None else warm, dtype=np.float64)
+    if U.shape != (problem.N, ocp.NU):
+        raise ocp.DimensionMismatch("warm start does not match the horizon")
+    point = _evaluate(_rollout(problem, U), U, problem)
 
     mu_merit = MERIT_WEIGHT
     status = "max_iter"

@@ -402,12 +402,12 @@ def test_criterion_10_cost_decreases_between_forced_replans(
 # preset -> sha256 prefixes of its CSV and of its summary without the
 # wall-clock mean_solve_time_ms line
 PRESET_DIGESTS = {
-    "circle-medium": ("27dd2497e9105499", "67702964e2f2be02"),
-    "circle-loose": ("096ab11ff1f2ffa4", "64b8d603558c8435"),
-    "circle-tight": ("1b5d3aefa5cae151", "fa491cb92961af95"),
-    "hover": ("a7d1f29daeb413cb", "a038ae86fdbf83d9"),
-    "hover-nominal": ("445885d3f3fd5953", "a038ae86fdbf83d9"),
-    "hover-recovery": ("695c55dcc4bcf0bb", "9b7923900a52eb7c"),
+    "circle-medium": ("59a25144302f2da3", "dc640c5fe4f83752"),
+    "circle-loose": ("193cd8eceb2c2f20", "4d02c3a3fecd0a21"),
+    "circle-tight": ("a17e23c49ca0d049", "3b169622343922fe"),
+    "hover": ("165a32523560e26e", "aa80ac5c5019a7e3"),
+    "hover-nominal": ("445885d3f3fd5953", "aa80ac5c5019a7e3"),
+    "hover-recovery": ("3b69fe003612d17c", "500248610a9c143d"),
 }
 
 

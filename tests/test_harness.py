@@ -319,6 +319,9 @@ class TestTriggerLoop:
         assert idx == 0
         assert loop.state.N_kj == config.ocp.N
         np.testing.assert_array_equal(wrench, loop.state.predicted.U[0])
+        # the solve's per-pass records stay on its event, one per SQP pass
+        (event,) = loop.events
+        assert len(event.trace) == event.iterations >= 1
 
     def test_open_loop_replay_between_triggers(self):
         """Held plan: the wrench at step k is exactly U[k - k_j]."""
@@ -631,17 +634,27 @@ TICK_FAILURES = [
 def test_a_failure_inside_a_tick_aborts_the_run(preset, module, callee, failure):
     """Whichever callee of a tick fails, the run ends as one HarnessAbort
     naming the tick's time and the failure, never as the bare exception."""
-    original, calls = getattr(module, callee), []
+    original, calls, solve, solving = getattr(module, callee), [], sqp.solve, []
 
     def fails_on_the_third_tick(*args):
+        if solving:  # a solve's rollout steps the payload too; only ticks count
+            return original(*args)
         calls.append(args)
         if len(calls) == 3:
             raise failure("injected")
         return original(*args)
 
+    def marked_solve(*args, **kwargs):
+        solving.append(True)
+        try:
+            return solve(*args, **kwargs)
+        finally:
+            solving.pop()
+
     config = dataclasses.replace(harness.scenario_preset(preset), duration=0.5)
     t = 2 * config.dt_tick
     with mock.patch.object(module, callee, fails_on_the_third_tick), \
+            mock.patch.object(sqp, "solve", marked_solve), \
             pytest.raises(harness.HarnessAbort, match=rf"t={t:.3f} s: injected") as aborted:
         harness.run_closed_loop(config)
     assert isinstance(aborted.value.__cause__, failure)
@@ -659,7 +672,7 @@ def test_a_failure_inside_a_solve_aborts_a_forced_trigger_and_skips_an_event(fai
     event-failed, and the held plan played on."""
     config = dataclasses.replace(harness.scenario_preset("hover-nominal"), duration=0.5)
 
-    def fails(*args):
+    def fails(*args, **kwargs):
         raise failure("injected")
 
     with mock.patch.object(sqp, "solve", fails), pytest.raises(
@@ -670,11 +683,11 @@ def test_a_failure_inside_a_solve_aborts_a_forced_trigger_and_skips_an_event(fai
 
     original_solve, original_trigger, solves = sqp.solve, event_trigger.should_trigger, []
 
-    def fails_after_the_first(*args):
+    def fails_after_the_first(*args, **kwargs):
         solves.append(args)
         if len(solves) > 1:
             raise failure("injected")
-        return original_solve(*args)
+        return original_solve(*args, **kwargs)
 
     def event_at_step_3(k, *args):
         return "event" if k == 3 else original_trigger(k, *args)
@@ -686,6 +699,39 @@ def test_a_failure_inside_a_solve_aborts_a_forced_trigger_and_skips_an_event(fai
     assert log.solver_failures == 1
     assert log.nmpc_executions == 1
     assert log.pred_index.tolist() == list(range(10))
+
+
+# the overflow on the way to the non-finite state warns as it happens
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_an_event_solve_whose_rollout_overflows_is_skipped():
+    """The solver rolls a replan's shifted plan out from the measured state;
+    when that leaves the floats, the solve raises plant.NonFiniteState, and
+    an event solve is counted as failed and the held plan played on."""
+    config = dataclasses.replace(harness.scenario_preset("hover-nominal"), duration=0.5)
+    original_trigger, original_solve, raised = event_trigger.should_trigger, sqp.solve, []
+
+    def event_at_step_3(k, *args):
+        return "event" if k == 3 else original_trigger(k, *args)
+
+    def overflowing_plan(previous, elapsed_steps, new_horizon):
+        return np.full((new_horizon, 6), 1e300)
+
+    def spied_solve(*args, **kwargs):
+        try:
+            return original_solve(*args, **kwargs)
+        except Exception as exc:
+            raised.append(type(exc))
+            raise
+
+    with mock.patch.object(event_trigger, "should_trigger", event_at_step_3), \
+            mock.patch.object(sqp, "shift_warm_start", overflowing_plan), \
+            mock.patch.object(sqp, "solve", spied_solve):
+        log = harness.run_closed_loop(config)
+    assert raised == [plant.NonFiniteState]
+    assert log.decision.tolist() == ["forced", "none", "none", "event-failed"] + ["none"] * 6
+    assert log.solver_failures == 1
+    assert log.nmpc_executions == 1
 
 
 class TestClampCounters:
@@ -856,6 +902,16 @@ class TestSummarize:
         assert summary["solves_converged"] == 1
         assert summary["solves_max_iter"] == 2
         assert summary["solves_stalled"] == 1
+
+    def test_qp_outcomes_counted_over_every_pass(self):
+        log = synthetic_log([0.0], [0.6], [0.85])
+        log.events = [synthetic_event(0, "forced", None, 20), synthetic_event(4, "event", 4, 18)]
+        log.events[0].trace = [
+            {"qp_status": "max_iter", "reg": 0.0}, {"qp_status": "optimal", "reg": 1e-8},
+        ]
+        log.events[1].trace = [{"qp_status": "max_iter", "reg": 1e-6}]
+        summary = harness.summarize(log)
+        assert (summary["qp_max_iter"], summary["qp_regularized"]) == (2, 2)
 
     def test_funnel_violations_counted(self):
         log = synthetic_log([0.3, 0.1], [0.6, 0.6], [0.85, 0.85])
@@ -1110,7 +1166,7 @@ SUMMARY_KEYS = [
     "max_payload_error_m", "final_payload_error_m", "min_separation_m", "max_separation_m",
     "funnel_violations", "mean_inter_execution_steps", "horizon_trace", "solver_failures",
     "thrust_clamps", "omega_des_clips", "slack_cable_ticks", "solves_converged",
-    "solves_max_iter", "solves_stalled", "mean_solve_time_ms",
+    "solves_max_iter", "solves_stalled", "qp_max_iter", "qp_regularized", "mean_solve_time_ms",
 ]
 
 

@@ -81,23 +81,18 @@ class TestShiftWarmStart:
 
     def test_one_step_same_horizon(self):
         prev = self._fake_solution(4)
-        X, U = sqp.shift_warm_start(prev, 1, 4)
-        assert len(X) == 5 and len(U) == 4
-        for i in range(4):
-            assert X[i, 0] == pytest.approx(float(i + 1))
-        assert X[4, 0] == pytest.approx(4.0)  # duplicated terminal
-        assert list(U[:, 0]) == [1.0, 2.0, 3.0, 3.0]
+        U = sqp.shift_warm_start(prev, 1, 4)
+        assert U.shape == (4, 6)
+        assert list(U[:, 0]) == [1.0, 2.0, 3.0, 3.0]  # duplicated final row
 
     def test_two_steps_shrunk_horizon_exact_suffix(self):
         prev = self._fake_solution(4)
-        X, U = sqp.shift_warm_start(prev, 2, 2)
-        assert list(X[:, 0]) == [2.0, 3.0, 4.0]
+        U = sqp.shift_warm_start(prev, 2, 2)
         assert list(U[:, 0]) == [2.0, 3.0]
 
     def test_elapsed_full_horizon_pads_from_terminal(self):
         prev = self._fake_solution(4)
-        X, U = sqp.shift_warm_start(prev, 4, 4)
-        assert list(X[:, 0]) == [4.0] * 5
+        U = sqp.shift_warm_start(prev, 4, 4)
         assert list(U[:, 0]) == [3.0] * 4
 
     def test_elapsed_below_one_rejected(self):
@@ -107,10 +102,8 @@ class TestShiftWarmStart:
 
     def test_returns_copies(self):
         prev = self._fake_solution(3)
-        X, U = sqp.shift_warm_start(prev, 1, 3)
-        X[0, 0] = -99.0
+        U = sqp.shift_warm_start(prev, 1, 3)
         U[0, 0] = -99.0
-        assert prev.X[1, 0] == 1.0
         assert prev.U[1, 0] == 1.0
 
 
@@ -669,7 +662,8 @@ class TestStackedRows:
     def test_obstacle_rows_on_stages_1_to_N_and_tension_rows_on_0_to_N_minus_1(self):
         N = 6
         problem = _obstacle_problem(N)
-        point = sqp._evaluate(*sqp._cold_start(problem), problem)
+        U = problem.ref_u[:-1]
+        point = sqp._evaluate(sqp._rollout(problem, U), U, problem)
         data = sqp._build_qp_data(point, problem)
         J_x, c_x = point.obstacle
         J_u, c_u = point.tension
@@ -786,6 +780,8 @@ class TestSolve:
         third = sqp.solve(problem, warm=warm)
         fourth = sqp.solve(problem, warm=sqp.shift_warm_start(first, 1, 10))
         assert third.cost == fourth.cost
+        assert np.array_equal(third.X, fourth.X)
+        assert np.array_equal(third.U, fourth.U)
 
     def test_tension_bound_binds_and_is_respected(self):
         # a 1 m lateral offset demands cable shares past f_max when unbounded
@@ -889,8 +885,8 @@ class TestSolve:
         problem = make_problem((0.5, 0.0, 1.0), N=20)
         cold = sqp.solve(problem)
         assert cold.status == "converged"
-        # restarting at the optimum certifies in one pass
-        warm = (cold.X, cold.U)
+        # restarting at the optimal wrench plan certifies in one pass
+        warm = cold.U
         resolved = sqp.solve(problem, warm=warm)
         assert resolved.status == "converged"
         assert resolved.iterations <= 2
@@ -906,6 +902,54 @@ class TestSolve:
         assert shifted.status == "converged"
         assert shifted.iterations <= 4
 
+    @staticmethod
+    def _replan(params, x0):
+        """A cold solve from the state row x0 toward hover at 1 m, then the
+        replan one step later: (first solution, new problem, shifted plan)."""
+        config = ocp.OcpConfig(weights=WEIGHTS, N=20, dt=0.05, funnel_radius=0.2)
+        first = sqp.solve(ocp.build_ocp(x0, *hover_refs(20), config, params))
+        advanced = ocp.build_ocp(first.X[1], *hover_refs(20), config, params)
+        return first, advanced, sqp.shift_warm_start(first, 1, 20)
+
+    def test_warm_start_is_dynamically_feasible(self):
+        """The shifted plan rolled out from the new state has no defect: none
+        at all on the preset rig, whose diagonal J_L makes the rollout
+        discretize's floats, and within feas_tol for a tilted inertia."""
+        x0 = state((0.5, 0.0, 1.0))
+        x0[10:13] = (0.3, -0.2, 0.1)
+        R = so3.quat_to_rotation(so3.quat_normalize(np.array([0.9, 0.2, -0.3, 0.1])))
+        tilted = SystemParams(J_L=R @ RIG.J_L @ R.T)
+        for params, bound in ((RIG, 0.0), (tilted, sqp.SolverConfig().feas_tol)):
+            first, advanced, U = self._replan(params, x0)
+            assert first.status == "converged"
+            assert sqp._evaluate(sqp._rollout(advanced, U), U, advanced).defect_max <= bound
+
+    def test_feasible_replan_skips_the_interior_point_on_its_first_pass(self, monkeypatch):
+        """A shifted plan meeting every tension row starts at a feasible
+        iterate, so the row-free certificate answers the first pass."""
+        _, advanced, U = self._replan(RIG, state((0.5, 0.0, 1.0)))
+        assert np.max(ocp.tension_rows(U, advanced)[1]) <= 0.0
+        trace, first_pass_qps = [], []
+        qp_subproblem = sqp.qp_subproblem
+
+        def counted(data):
+            first_pass_qps.append(not trace)  # no pass recorded yet
+            return qp_subproblem(data)
+
+        monkeypatch.setattr(sqp, "qp_subproblem", counted)
+        assert sqp.solve(advanced, warm=U, trace=trace).status == "converged"
+        assert trace and not any(first_pass_qps)
+
+    def test_warm_and_cold_solves_agree(self):
+        """Oracle: from the shifted plan and from the reference wrenches the
+        solver reaches the same optimum, to its tolerance."""
+        _, advanced, U = self._replan(RIG, state((0.5, 0.0, 1.0)))
+        warm, cold = sqp.solve(advanced, warm=U), sqp.solve(advanced)
+        assert warm.status == cold.status == "converged"
+        tol = sqp.SolverConfig().feas_tol
+        np.testing.assert_allclose(warm.X, cold.X, rtol=0.0, atol=tol)
+        np.testing.assert_allclose(warm.U, cold.U, rtol=0.0, atol=tol)
+
     def test_converged_solution_has_tiny_defects(self):
         problem = make_problem((0.7, 0.3, 1.2), N=12)
         solution = sqp.solve(problem)
@@ -916,9 +960,11 @@ class TestSolve:
     def test_wrong_warm_start_length_rejected(self):
         problem = make_problem((0.1, 0.0, 1.0), N=5)
         other = sqp.solve(make_problem((0.1, 0.0, 1.0), N=3))
-        warm = sqp.shift_warm_start(other, 1, 3)
+        warm = sqp.shift_warm_start(other, 1, 3)  # three wrench rows for five stages
         with pytest.raises(ocp.DimensionMismatch):
             sqp.solve(problem, warm=warm)
+        with pytest.raises(ocp.DimensionMismatch):
+            sqp.solve(problem, warm=sqp.shift_warm_start(other, 1, 5)[:, :3])
 
     def test_trace_marks_qp_max_iter_and_reports_the_qp(self, monkeypatch):
         # the binding tension row: the cold start's step comes from the
