@@ -71,6 +71,17 @@ class TriggerEvent:
     trace: list = field(default_factory=list)  # the solve's per-pass records (sqp.solve)
 
 
+@dataclass
+class FailedSolve:
+    """An event solve that raised, after which the held plan played on."""
+
+    k: int
+    t: float
+    error: str  # the exception's class name
+    message: str
+    trace: list  # the passes recorded before the raise
+
+
 def _column(*shape, dtype=np.float64, fill=0):
     """A RunLog column: one row of `shape` per tick, "n" standing for the
     vehicle count."""
@@ -107,7 +118,8 @@ class RunLog:
     max_sep: np.ndarray = _column()
     constraints: Optional[dict[str, np.ndarray]] = field(default=None, repr=False)
     events: List[TriggerEvent] = field(default_factory=list)
-    solver_failures: int = 0
+    failed_solves: List[FailedSolve] = field(default_factory=list)
+    solver_failures: int = 0  # len(failed_solves)
     # vehicle-ticks with the thrust command outside [0, F_max], with the
     # desired cable rate clipped to OMEGA_DES_LIMIT, and cable-ticks slack
     thrust_clamps: int = 0
@@ -215,7 +227,7 @@ class _TriggerLoop:
         self.state: Optional[event_trigger.TriggerState] = None
         self.problem = None
         self.events: List[TriggerEvent] = []
-        self.failures = 0
+        self.failed: List[FailedSolve] = []
 
     def step(self, k: int, t: float, x_now: np.ndarray):
         """Run the trigger at NMPC step k with the state row x_now; returns
@@ -250,7 +262,7 @@ class _TriggerLoop:
                     raise HarnessAbort(
                         f"solver failed at a forced trigger (t={t:.3f} s, step {k}): {exc}"
                     ) from exc
-                self.failures += 1
+                self.failed.append(FailedSolve(k, t, type(exc).__name__, str(exc), trace))
                 decision = "event-failed"
             else:
                 outside = self.region is None or not self.region.contains(
@@ -474,7 +486,8 @@ def run_closed_loop(config: ScenarioConfig) -> RunLog:
     del separations
     log.constraints = metrics.check_all(p, p_ref, bounds)
     log.events = trigger.events
-    log.solver_failures = trigger.failures
+    log.failed_solves = trigger.failed
+    log.solver_failures = len(trigger.failed)
     log.thrust_clamps = model.thrust_clamps
     log.omega_des_clips = model.omega_des_clips
     log.slack_cable_ticks = model.slack_cable_ticks

@@ -15,10 +15,10 @@ The QP itself is solved in-repo by a Mehrotra predictor-corrector interior
 point method (Rao, Wright & Rawlings, JOTA 1998).  Each iteration factors
 one Riccati recursion of the condensed Newton matrix and back-solves it
 twice, once for the affine predictor and once for the centred corrector,
-so the cost per iteration stays linear in the horizon length.  At a
-feasible iterate the QP without its rows is solved first, by one Riccati
-factorization; when no row binds at that minimizer it is the QP optimum and
-gives the step, and the interior point runs only otherwise.
+so the cost per iteration stays linear in the horizon length.  At every
+iterate, feasible or not, the QP without its rows is solved first, by one
+Riccati factorization; when no row binds at that minimizer it is the QP
+optimum and gives the step, and the interior point runs only otherwise.
 
 The stagewise QP data layout is dimension-generic on purpose; the unit tests
 drive it with scalar problems whose KKT systems are solved by hand.
@@ -310,9 +310,10 @@ def _equality_certificate(data: QpData) -> Optional[QpResult]:
     Solves the QP without its rows at reg 0.  When that minimizer satisfies
     every row, C y + c <= 0, it is also the optimum of the full convex QP,
     with zero row multipliers (Nocedal & Wright, Numerical Optimization,
-    2nd ed., ch. 16), and `_price` takes it as the pass's QP answer.  None
-    when a row is violated or the factorization fails; the caller then runs
-    the interior point.
+    2nd ed., ch. 16), and `_price` takes it as the pass's QP answer.  The
+    test holds at an infeasible iterate too: the dynamics defects sit in
+    the QP's equality rows.  None when a row is violated or the
+    factorization fails; the caller then runs the interior point.
     """
     try:
         result = _equality_qp(data, data.H_x, data.H_u, 0.0)
@@ -331,8 +332,8 @@ def qp_subproblem(data: QpData) -> QpResult:
     Raises Infeasible when the rows cannot be satisfied (duals diverge while
     primal infeasibility stalls) and QpNumericalFailure when factorizations
     fail at every regularization level.  `solve` calls it only for a pass
-    the certificate does not answer: an infeasible iterate, a row violated at
-    the row-free minimizer, or a failed reg-0 factorization (see `_price`).
+    the certificate does not answer: a row violated at the row-free
+    minimizer, or a failed reg-0 factorization (see `_price`).
     """
     levels = [0.0, REG, 1e-6, 1e-4, 1e-2]
     nx, nu = data.H_x.shape[-1], data.H_u.shape[-1]
@@ -523,18 +524,16 @@ def _nonlinear_kkt(data: QpData, result: QpResult) -> float:
 def _price(point: _Iterate, problem, lam_u_prev, config: SolverConfig):
     """An iterate's QP data, QP result, stationarity and feasibility.
 
-    At a feasible iterate the QP without rows is solved first
+    At every iterate, feasible or not, the QP without rows is solved first
     (`_equality_certificate`); when no row binds there, that is the pass's
-    QP answer, its step and multipliers.  Otherwise (an infeasible iterate,
-    a row violated at the row-free minimizer, or a failed reg-0
-    factorization) `qp_subproblem` answers.  Both solve the same QP, lagged
-    tension curvature included.
+    QP answer, its step and multipliers.  Otherwise (a row violated at the
+    row-free minimizer, or a failed reg-0 factorization) `qp_subproblem`
+    answers.  Both solve the same QP, lagged tension curvature included.
+    Feasibility only feeds the convergence test.
     """
     data = _build_qp_data(point, problem, lam_u_prev)
+    result = _equality_certificate(data) or qp_subproblem(data)
     feasible = point.defect_max <= config.feas_tol and point.viol_max <= config.feas_tol
-    result = _equality_certificate(data) if feasible else None
-    if result is None:
-        result = qp_subproblem(data)
     return data, result, _nonlinear_kkt(data, result), feasible
 
 
@@ -549,22 +548,20 @@ def solve(
     warm is a guess of the N wrench rows, as shift_warm_start returns it;
     without one the reference wrenches ref_u[:-1] are the guess.  The solve
     starts from that guess rolled out from the initial state, which has no
-    dynamics defect, so a guess that meets every hard row starts at a
-    feasible iterate and its first pass is priced without the interior
-    point when no row binds.  Raises plant.NonFiniteState when the rollout
-    leaves the finite range.
+    dynamics defect.  Raises plant.NonFiniteState when the rollout leaves
+    the finite range.
 
     status is "converged" when stationarity reaches kkt_tol with defects and
     hard constraints inside feas_tol, "stalled" when the line search accepts
     no step down to MIN_STEP (the iterate that step left from is returned),
     and otherwise "max_iter" (the iterate the last accepted step reached is
     returned).  Every returned kkt_residual is priced as each pass prices
-    its iterate (`_price`): at a feasible iterate with the QP solved without
-    its rows first (one Riccati factorization, `_equality_certificate`);
-    when no row binds there, that solve gives the step and the interior
-    point is not run.  Otherwise the step comes from `qp_subproblem`.  Both
-    solve the same convex QP, so the iterates match an interior-point-only
-    solve to its QP_TOL, not bit for bit.  Raises
+    its iterate (`_price`): with the QP solved without its rows first (one
+    Riccati factorization, `_equality_certificate`), feasible iterate or
+    not; when no row binds there, that solve gives the step and the
+    interior point is not run.  Otherwise the step comes from
+    `qp_subproblem`.  Both solve the same convex QP, so the iterates match
+    an interior-point-only solve to its QP_TOL, not bit for bit.  Raises
     Infeasible when the constraint rows are inconsistent (including an
     initial state already violating a hard row, which no control can undo).
     When trace is a list, one dict per outer iteration is appended: the

@@ -402,9 +402,9 @@ def test_criterion_10_cost_decreases_between_forced_replans(
 # preset -> sha256 prefixes of its CSV and of its summary without the
 # wall-clock mean_solve_time_ms line
 PRESET_DIGESTS = {
-    "circle-medium": ("59a25144302f2da3", "dc640c5fe4f83752"),
-    "circle-loose": ("193cd8eceb2c2f20", "4d02c3a3fecd0a21"),
-    "circle-tight": ("a17e23c49ca0d049", "3b169622343922fe"),
+    "circle-medium": ("61f51cf707770b1b", "dcc8eab0294732c1"),
+    "circle-loose": ("ffe152dd730551c8", "90068e544158a101"),
+    "circle-tight": ("baa3a44f95e0c5cd", "92dfa7162280b340"),
     "hover": ("165a32523560e26e", "aa80ac5c5019a7e3"),
     "hover-nominal": ("445885d3f3fd5953", "aa80ac5c5019a7e3"),
     "hover-recovery": ("3b69fe003612d17c", "500248610a9c143d"),

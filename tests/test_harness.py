@@ -734,6 +734,33 @@ def test_an_event_solve_whose_rollout_overflows_is_skipped():
     assert log.nmpc_executions == 1
 
 
+def test_a_failed_event_solve_keeps_its_record():
+    """An event solve that raises after some passes leaves one FailedSolve:
+    its step, time, exception class and message, and the passes it recorded;
+    the run goes on and counts it in solver_failures."""
+    config = dataclasses.replace(harness.scenario_preset("circle-tight"), duration=1.0)
+    original_solve, solves = sqp.solve, []
+
+    def fails_at_the_second_solve(*args, trace=None, **kwargs):
+        solves.append(args)
+        solution = original_solve(*args, trace=trace, **kwargs)
+        if len(solves) == 2:
+            raise sqp.QpNumericalFailure("injected")
+        return solution
+
+    with mock.patch.object(sqp, "solve", fails_at_the_second_solve):
+        log = harness.run_closed_loop(config)
+    assert len(log.failed_solves) == log.solver_failures == 1
+    failed = log.failed_solves[0]
+    (tick,) = np.flatnonzero(log.decision == "event-failed")
+    k = tick // round(config.ocp.dt / config.dt_tick)
+    assert (failed.k, failed.t) == (k, log.t[tick])
+    assert (failed.error, failed.message) == ("QpNumericalFailure", "injected")
+    assert failed.trace and all(set(r) == set(log.events[0].trace[0]) for r in failed.trace)
+    assert failed.k not in [e.k for e in log.events]
+    assert log.nmpc_executions == len(log.events) >= 2
+
+
 class TestClampCounters:
     def test_low_thrust_ceiling_is_counted(self):
         """Below the hover thrust (1.746 N) every vehicle saturates; the count

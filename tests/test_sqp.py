@@ -479,6 +479,16 @@ def _converged_qp(problem):
     return sqp._build_qp_data(sqp._evaluate(solution.X, solution.U, problem), problem)
 
 
+def _defective_iterate(problem, scale=1e-3, seed=0):
+    """A converged solution with X[1:] retracted by a small random tangent
+    step: dynamics defects far past feas_tol, every hard row still slack."""
+    solution = sqp.solve(problem)
+    X = solution.X.copy()
+    step = scale * np.random.default_rng(seed).standard_normal((problem.N, ocp.NX))
+    X[1:] = ocp.retract(solution.X[1:], step)
+    return sqp._evaluate(X, solution.U, problem)
+
+
 def _declining(monkeypatch, calls=None):
     """Replace the certificate by one that never certifies; calls, when a
     list, records what the real certificate would have returned."""
@@ -534,6 +544,63 @@ class TestConvergenceCertificate:
         kkt = sqp._nonlinear_kkt(data, cert)
         assert kkt == pytest.approx(sqp._nonlinear_kkt(data, ipm), rel=1e-8, abs=1e-8)
         assert kkt <= sqp.SolverConfig().kkt_tol
+
+    def test_answers_an_infeasible_iterate_where_no_row_binds(self, monkeypatch):
+        """Dynamics defects sit in the QP's equality rows, so at an
+        infeasible iterate the row-free minimizer is still the QP optimum
+        when it meets every row, and `_price` takes it."""
+        problem = make_problem((0.3, -0.2, 1.1), N=10)
+        point = _defective_iterate(problem)
+        config = sqp.SolverConfig()
+        assert point.defect_max > 100 * config.feas_tol and point.viol_max == 0.0
+        calls = []
+        with monkeypatch.context() as patch:
+            patch.setattr(sqp, "qp_subproblem", calls.append)
+            data, result, _, feasible = sqp._price(point, problem, None, config)
+        assert not feasible and not calls
+        assert data.row_count() > 0 and result.iterations == 1
+        assert np.all(result.lam_x == 0.0) and np.all(result.lam_u == 0.0)
+        ipm = _oracle_qp(data)
+        assert ipm.status == "optimal" and ipm.iterations > 1
+        for got, want in ((result.z, ipm.z), (result.w, ipm.w), (result.nu, ipm.nu)):
+            np.testing.assert_allclose(got, want, rtol=1e-8, atol=1e-8)
+
+    def test_an_infeasible_iterate_with_a_violated_row_takes_the_interior_point(
+        self, monkeypatch
+    ):
+        """The same iterate, its tension row nearest to binding pushed 1e-9
+        past the row-free minimizer: `_price` falls back to qp_subproblem."""
+        problem = make_problem((0.3, -0.2, 1.1), N=10)
+        point = _defective_iterate(problem)
+        build, subproblem, calls = sqp._build_qp_data, sqp.qp_subproblem, []
+
+        def pushed(*args):
+            data = build(*args)
+            rows, w = data.rows_u, sqp._equality_certificate(data).w
+            r = int(np.argmax(rows.apply(w) + rows.c))
+            rows.c[r] = 1e-9 - rows.C[r] @ w[rows.stage[r]]
+            return data
+
+        def spy(data):
+            calls.append(data)
+            return subproblem(data)
+
+        monkeypatch.setattr(sqp, "_build_qp_data", pushed)
+        monkeypatch.setattr(sqp, "qp_subproblem", spy)
+        data, result, _, feasible = sqp._price(point, problem, None, sqp.SolverConfig())
+        assert not feasible and len(calls) == 1 and calls[0] is data
+        assert result.status == "optimal" and result.iterations > 1
+
+    def test_circle_medium_runs_no_interior_point(self, monkeypatch):
+        """Circle-medium's replans from 3 s on (steps 60 and 80 here) reach
+        infeasible iterates, where no row binds either: the row-free solve
+        prices every pass of the run."""
+        config = dataclasses.replace(harness.scenario_preset("circle-medium"), duration=4.5)
+        calls = []
+        monkeypatch.setattr(sqp, "qp_subproblem", calls.append)
+        log = harness.run_closed_loop(config)
+        assert [e.k for e in log.events] == [0, 20, 40, 60, 80]
+        assert not calls and log.solver_failures == 0
 
     def test_declines_on_a_binding_tension_row(self, monkeypatch):
         problem = make_problem((1.0, 0.0, 1.0), N=10, f_max=1.2, funnel_radius=10.0)
@@ -609,6 +676,8 @@ class TestConvergenceCertificate:
             log = harness.run_closed_loop(config)
         assert any(p["certified"] for p in passes)
         assert all(p["qp_calls"] == (0 if p["certified"] else 1) for p in passes)
+        # no row binds on either run, so no pass runs the interior point
+        assert not any(p["qp_calls"] for p in passes)
         _declining(monkeypatch)
         ipm_log = harness.run_closed_loop(config)
         assert len(log.events) == len(ipm_log.events) >= 2
