@@ -268,22 +268,12 @@ class _TriggerLoop:
                 outside = self.region is None or not self.region.contains(
                     payload_ocp.state_error(x_now, ref_x[0])
                 )
-                self.events.append(
-                    TriggerEvent(
-                        k=k,
-                        t=t,
-                        kind=decision,
-                        m_k=m_k,
-                        horizon=N_new,
-                        cost=solution.cost,
-                        kkt_residual=solution.kkt_residual,
-                        iterations=solution.iterations,
-                        status=solution.status,
-                        solve_time=time.perf_counter() - began,
-                        outside_terminal=outside,
-                        trace=trace,
-                    )
-                )
+                self.events.append(TriggerEvent(
+                    k=k, t=t, kind=decision, m_k=m_k, horizon=N_new, cost=solution.cost,
+                    kkt_residual=solution.kkt_residual, iterations=solution.iterations,
+                    status=solution.status, solve_time=time.perf_counter() - began,
+                    outside_terminal=outside, trace=trace,
+                ))
                 self.state = event_trigger.record_trigger(k, solution, N_new)
                 self.problem = problem
         idx = k - self.state.k_j
@@ -538,9 +528,7 @@ def summarize(log: RunLog) -> dict:
 
 def fmt(value) -> str:
     """A summary or CSV value as text: floats by repr, anything else by str."""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 CSV_COLUMNS = (

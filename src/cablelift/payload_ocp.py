@@ -8,7 +8,8 @@ per stage.
 
 States live on R^3 x S^3 x R^6; all derivatives are taken in the 12-d tangent
 (position, velocity, attitude rotation-vector, body rate) around a nominal
-trajectory, with right-multiplicative quaternion retraction.
+trajectory, with right-multiplicative quaternion retraction.  The dynamics
+Jacobians are exact, their rotational block taken in forward mode.
 
 A state is one row [p, v, q, omega] of 13 numbers and a wrench one row
 [F, M] of 6; a trajectory is a (K, 13) array of state rows and a (K, 6)
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Optional, Tuple
 
 import numpy as np
@@ -33,6 +34,8 @@ from . import allocation, plant, so3
 
 NX = 12  # tangent dimension of the payload state
 NU = 6  # wrench dimension
+# linearize_dynamics' columns (dp, dv, dtheta, domega, dF, dM): translational, rotational
+_TRANSLATION, _ROTATION = np.r_[0:6, 12:15], np.r_[6:12, 15:18]
 
 
 class ConfigError(ValueError):
@@ -196,24 +199,21 @@ def payload_dynamics(Y: np.ndarray, U: np.ndarray, problem) -> np.ndarray:
     return out
 
 
-def _dynamics_tangent(Y: np.ndarray, dY: np.ndarray, dU: np.ndarray, problem) -> np.ndarray:
-    """Directional derivatives of payload_dynamics at the (B, 13) rows Y
-    along the (B, T, 13) state tangents dY and the (T, 6) wrench tangents dU.
+def _dynamics_tangent(Y: np.ndarray, dY: np.ndarray, dM: np.ndarray, problem) -> np.ndarray:
+    """Directional derivatives of the (q, omega) part of payload_dynamics at
+    the (B, 13) rows Y along the (B, T, 7) tangents dY of (q, omega) and the
+    (T, 3) moment tangents dM.
 
-    The derivative is linear in (v, F, M), bilinear in (q, omega) and
-    quadratic in omega, so the product rule below is exact.
+    The derivative is bilinear in (q, omega) and quadratic in omega, so the
+    product rule below is exact.
     """
     q = Y[:, None, 6:10]
     w = Y[:, None, 10:13]
-    dw = dY[..., 10:13]
+    dw = dY[..., 4:7]
     out = np.empty_like(dY)
-    out[..., 0:3] = dY[..., 3:6]
-    out[..., 3:6] = dU[:, 0:3] / problem.params.m_L
-    out[..., 6:10] = so3.omega_to_quat_dot(dY[..., 6:10], w) + so3.omega_to_quat_dot(q, dw)
-    J = problem.params.J_L.T
-    out[..., 10:13] = (
-        dU[:, 3:6] - so3.cross3_rows(dw, w @ J) - so3.cross3_rows(w, dw @ J)
-    ) @ problem.params.J_L_inv.T
+    out[..., 0:4] = so3.omega_to_quat_dot(dY[..., 0:4], w) + so3.omega_to_quat_dot(q, dw)
+    J, J_inv = problem.params.J_L.T, problem.params.J_L_inv.T
+    out[..., 4:7] = (dM - so3.cross3_rows(dw, w @ J) - so3.cross3_rows(w, dw @ J)) @ J_inv
     return out
 
 
@@ -262,6 +262,15 @@ def local_coords(base: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=None)
+def _translation_block(dt: float, m_L: float) -> np.ndarray:
+    """The (p, v) entries of the step's tangents in the columns (dp, dv, dF),
+    (9, 6).  The double integrator p' = v, v' = F / m_L does not depend on
+    the state, so one Runge-Kutta step serves every stage and state."""
+    derivative = lambda dy, df: np.hstack([dy[:, 3:6], df / m_L])  # noqa: E731
+    return plant.rk4_step(derivative, np.eye(9, 6), np.eye(9, 3, -6), dt)
+
+
 def linearize_dynamics(
     X: np.ndarray, U: np.ndarray, dt: float, problem, rollout=None
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -270,38 +279,43 @@ def linearize_dynamics(
     X holds (K, 13) state rows and U (K, 6) wrench rows.  Returns A (K, 12, 12)
     and B (K, 12, 6): the derivatives of
     local_coords(x_next, discretize(retract(x, dx), u + du)) in dx and du at
-    zero, with x_next = discretize(x, u).  Forward mode: 18 tangent columns
-    (12 state, 6 wrench directions) are carried through the retraction, the
-    four RK4 stages, the quaternion renormalization and local_coords, for all
-    K stages at once.
+    zero, with x_next = discretize(x, u).  The translation is a double
+    integrator that attitude does not enter: its block in (dp, dv, dF) is
+    one constant per (dt, m_L), and the cross blocks are zero.  Forward mode
+    carries the 9 rotational columns (dtheta, domega, dM) on (q, omega)
+    through the retraction, the four RK4 stages, the quaternion
+    renormalization and local_coords, for all K stages at once.
     """
     X = np.asarray(X, dtype=np.float64)
     U = np.asarray(U, dtype=np.float64)
     K = len(X)
     eye3 = np.eye(3)
-    dX = np.zeros((K, NX + NU, 13))
-    dX[:, 0:6, 0:6] = np.eye(6)
-    dX[:, 6:9, 6:10] = so3.omega_to_quat_dot(X[:, None, 6:10], eye3)  # d retract / d dtheta
-    dX[:, 9:12, 10:13] = eye3
-    dU = np.zeros((NX + NU, NU))
-    dU[NX:] = np.eye(NU)
+    dX = np.zeros((K, 9, 7))
+    dX[:, 0:3, 0:4] = so3.omega_to_quat_dot(X[:, None, 6:10], eye3)  # d retract / d dtheta
+    dX[:, 3:6, 4:7] = eye3
+    dM = np.eye(9, 3, -6)
 
     stages, end = rk4_stages(X, U, dt, problem) if rollout is None else rollout
     # the same step on the tangents, each stage along its stage state
     stage = iter(stages)
-    dY = plant.rk4_step(lambda dy, du: _dynamics_tangent(next(stage), dy, du, problem), dX, dU, dt)
+    dY = plant.rk4_step(lambda dy, dm: _dynamics_tangent(next(stage), dy, dm, problem), dX, dM, dt)
 
     # renormalization q -> q/|q|; the hemisphere sign multiplies the base and
     # its tangent alike and cancels in local_coords, whose attitude block at
-    # the base is 2 * vec(conj(q_next) * dq_next)
+    # the base is 2 * vec(conj(q_next) * dq_next).  Row 9 stands for the
+    # translational columns, whose dq_next is +0: their attitude entries are
+    # zeros signed by q_next.
     norm = np.linalg.norm(end[:, 6:10], axis=-1)[:, None, None]
     qh = end[:, None, 6:10] / norm
-    dq = dY[..., 6:10]
-    dqh = (dq - qh * np.sum(qh * dq, axis=-1, keepdims=True)) / norm
-    D = np.empty((K, NX + NU, NX))
-    D[..., 0:6] = dY[..., 0:6]
-    D[..., 6:9] = 2.0 * so3.quat_mul(so3.quat_conj(qh), dqh)[..., 1:4]
-    D[..., 9:12] = dY[..., 10:13]
+    dq = dY[..., 0:4]
+    dqh = np.zeros((K, 10, 4))
+    dqh[:, :9] = (dq - qh * np.sum(qh * dq, axis=-1, keepdims=True)) / norm
+    attitude = 2.0 * so3.quat_mul(so3.quat_conj(qh), dqh)[..., 1:4]
+    D = np.zeros((K, NX + NU, NX))
+    D[:, _TRANSLATION, 0:6] = _translation_block(dt, problem.params.m_L)
+    D[:, _TRANSLATION, 6:9] = attitude[:, 9:]
+    D[:, _ROTATION, 6:9] = attitude[:, :9]
+    D[:, _ROTATION, 9:12] = dY[..., 4:7]
     D = D.transpose(0, 2, 1)
     return np.ascontiguousarray(D[:, :, :NX]), np.ascontiguousarray(D[:, :, NX:])
 
@@ -346,9 +360,7 @@ def _error_jacobians(X: np.ndarray, E: np.ndarray) -> np.ndarray:
     """Exact tangent Jacobians of state_error at the rows X (K x 12 x 12,
     block diagonal); E holds the errors themselves."""
     J = np.zeros((len(X), NX, NX))
-    for block in (0, 3, 9):
-        for j in range(block, block + 3):
-            J[:, j, j] = -1.0
+    J[:, np.r_[0:6, 9:12], np.r_[0:6, 9:12]] = -1.0  # the plain differences
     J[:, 6:9, 6:9] = so3.left_jacobian_inverse(E[:, 6:9]) @ so3.quat_to_rotation(X[:, 6:10])
     return J
 

@@ -10,12 +10,21 @@ rate, which keeps so3.omega_to_quat_dot's zero terms as the plant's does;
 the tests pin the written-out kernels to them bit for bit, also on paths the
 preset digests do not reach (slack cables, a clipped desired cable rate, and
 the null-space step, which the tick does not call).
+
+The solver's dynamics linearization is kept here in its 18-column forward
+mode, verbatim: every state and wrench tangent column carried through all 13
+state components of the four RK4 stages.  `payload_ocp.linearize_dynamics`
+carries only the 9 rotational columns and takes the translational block once;
+the tests pin it to this form bit for bit, signed zeros included, and on a
+solve where the interior point runs.
 """
 
 import math
 from unittest import mock
 
-from cablelift import allocation, cable_control, plant
+import numpy as np
+
+from cablelift import allocation, cable_control, payload_ocp, plant, so3
 from cablelift.cable_control import CableTrackingState
 from cablelift.harness import OMEGA_DES_LIMIT
 from cablelift.cable_control import NotSkew
@@ -365,3 +374,71 @@ def payload_only_tick(model, y: list, wrench: list):
     dt = model.config.ocp.dt
     y_next = plant._rk4_flat(payload_derivative, y[0:13], (wrench, params), dt) + y[13:]
     return tensions, directions, mav_p, y_next
+
+
+# ---------------------------------------------------------------------------
+# the solver's forward-mode linearization with all 18 tangent columns
+
+
+def dynamics_tangent(Y, dY, dU, problem):
+    """Directional derivatives of payload_dynamics at the (B, 13) rows Y
+    along the (B, T, 13) state tangents dY and the (T, 6) wrench tangents dU.
+
+    The derivative is linear in (v, F, M), bilinear in (q, omega) and
+    quadratic in omega, so the product rule below is exact.
+    """
+    q = Y[:, None, 6:10]
+    w = Y[:, None, 10:13]
+    dw = dY[..., 10:13]
+    out = np.empty_like(dY)
+    out[..., 0:3] = dY[..., 3:6]
+    out[..., 3:6] = dU[:, 0:3] / problem.params.m_L
+    out[..., 6:10] = so3.omega_to_quat_dot(dY[..., 6:10], w) + so3.omega_to_quat_dot(q, dw)
+    J = problem.params.J_L.T
+    out[..., 10:13] = (
+        dU[:, 3:6] - so3.cross3_rows(dw, w @ J) - so3.cross3_rows(w, dw @ J)
+    ) @ problem.params.J_L_inv.T
+    return out
+
+
+def linearize_dynamics(X, U, dt, problem, rollout=None):
+    """Exact tangent-space Jacobians of the discrete step at every stage.
+
+    X holds (K, 13) state rows and U (K, 6) wrench rows.  Returns A (K, 12, 12)
+    and B (K, 12, 6): the derivatives of
+    local_coords(x_next, discretize(retract(x, dx), u + du)) in dx and du at
+    zero, with x_next = discretize(x, u).  Forward mode: 18 tangent columns
+    (12 state, 6 wrench directions) are carried through the retraction, the
+    four RK4 stages, the quaternion renormalization and local_coords, for all
+    K stages at once.
+    """
+    NX, NU = payload_ocp.NX, payload_ocp.NU
+    X = np.asarray(X, dtype=np.float64)
+    U = np.asarray(U, dtype=np.float64)
+    K = len(X)
+    eye3 = np.eye(3)
+    dX = np.zeros((K, NX + NU, 13))
+    dX[:, 0:6, 0:6] = np.eye(6)
+    dX[:, 6:9, 6:10] = so3.omega_to_quat_dot(X[:, None, 6:10], eye3)  # d retract / d dtheta
+    dX[:, 9:12, 10:13] = eye3
+    dU = np.zeros((NX + NU, NU))
+    dU[NX:] = np.eye(NU)
+
+    stages, end = payload_ocp.rk4_stages(X, U, dt, problem) if rollout is None else rollout
+    # the same step on the tangents, each stage along its stage state
+    stage = iter(stages)
+    dY = plant.rk4_step(lambda dy, du: dynamics_tangent(next(stage), dy, du, problem), dX, dU, dt)
+
+    # renormalization q -> q/|q|; the hemisphere sign multiplies the base and
+    # its tangent alike and cancels in local_coords, whose attitude block at
+    # the base is 2 * vec(conj(q_next) * dq_next)
+    norm = np.linalg.norm(end[:, 6:10], axis=-1)[:, None, None]
+    qh = end[:, None, 6:10] / norm
+    dq = dY[..., 6:10]
+    dqh = (dq - qh * np.sum(qh * dq, axis=-1, keepdims=True)) / norm
+    D = np.empty((K, NX + NU, NX))
+    D[..., 0:6] = dY[..., 0:6]
+    D[..., 6:9] = 2.0 * so3.quat_mul(so3.quat_conj(qh), dqh)[..., 1:4]
+    D[..., 9:12] = dY[..., 10:13]
+    D = D.transpose(0, 2, 1)
+    return np.ascontiguousarray(D[:, :, :NX]), np.ascontiguousarray(D[:, :, NX:])

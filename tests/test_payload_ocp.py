@@ -8,7 +8,10 @@ dt=1e-6 reference first and then frozen.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import kernel_references as refs
 from cablelift import payload_ocp as po
 from cablelift import so3
 from cablelift.plant import SystemParams
@@ -54,14 +57,14 @@ def unit_weights(terminal_scale=1.0) -> po.CostWeights:
     return po.CostWeights(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, terminal_scale)
 
 
-def make_problem(N=4, dt=0.05, weights=None, **cfg_over) -> po.OcpProblem:
+def make_problem(N=4, dt=0.05, weights=None, params=RIG, **cfg_over) -> po.OcpProblem:
     if weights is None:
         weights = unit_weights(terminal_scale=2.0)
     cfg = po.OcpConfig(weights=weights, N=N, dt=dt, **cfg_over)
     x0 = state([0.0, 0.0, 0.5])
     ref_x = np.array([hover_ref() for _ in range(N + 1)])
     ref_u = np.array([hover_wrench() for _ in range(N + 1)])
-    return po.build_ocp(x0, ref_x, ref_u, cfg, RIG)
+    return po.build_ocp(x0, ref_x, ref_u, cfg, params)
 
 
 def on_reference_trajectory(problem):
@@ -402,6 +405,86 @@ class TestDerivatives:
         A, B = linearize_one(state([0, 0, 0.5]), hover_wrench(), 0.05, prob)
         np.testing.assert_allclose(A[0:3, 3:6], 0.05 * np.eye(3), atol=1e-6)
         np.testing.assert_allclose(B[3:6, 0:3], (0.05 / M_L) * np.eye(3), atol=1e-6)
+
+
+def random_stages(rng, K):
+    """K state rows at unit attitudes with rates up to 4 rad/s, and K wrench
+    rows around hover."""
+    X = np.empty((K, 13))
+    X[:, 0:6] = rng.standard_normal((K, 6))
+    X[:, 6:10] = so3.quat_normalize(rng.standard_normal((K, 4)))
+    omega = rng.standard_normal((K, 3))
+    X[:, 10:13] = omega * (rng.uniform(0.0, 4.0, (K, 1)) / np.linalg.norm(omega, axis=1)[:, None])
+    U = np.hstack([HOVER_F + 2.0 * rng.standard_normal((K, 3)), 0.1 * rng.standard_normal((K, 3))])
+    return X, U
+
+
+def translation_block(dt, m_L):
+    """The (p, v) rows of A in (dp, dv) and of B in dF: the double
+    integrator's exact step."""
+    eye = np.eye(3)
+    A = np.block([[eye, dt * eye], [np.zeros((3, 3)), eye]])
+    return A, np.vstack([dt * dt / (2.0 * m_L) * eye, dt / m_L * eye])
+
+
+class TestRotationalLinearization:
+    """linearize_dynamics carries only the rotational tangent columns and
+    takes the translational block once: the same floats as the 18-column
+    forward mode (`kernel_references.linearize_dynamics`)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([1, 2, 20]), st.sampled_from([0.02, 0.05]), st.integers(0, 2**32 - 1))
+    def test_bit_identical_to_the_18_column_mode(self, K, dt, seed):
+        """Signed zeros included, with a diagonal J_L."""
+        rng = np.random.default_rng(seed)
+        params = SystemParams(r_i=R_I, J_L=np.diag(rng.uniform(0.003, 0.02, 3)))
+        prob = make_problem(N=K, dt=dt, params=params)
+        X, U = random_stages(rng, K)
+        oracle = refs.linearize_dynamics(X, U, dt, prob)
+        for new, old in zip(po.linearize_dynamics(X, U, dt, prob), oracle):
+            assert np.array_equal(new, old)
+            assert np.array_equal(np.signbit(new), np.signbit(old))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from([1, 2, 20]), st.integers(0, 2**32 - 1))
+    def test_equal_to_the_18_column_mode_with_a_tilted_inertia(self, K, seed):
+        """A non-diagonal J_L mixes the rate columns in BLAS products, which
+        may give a zero another sign; the values are equal."""
+        rng = np.random.default_rng(seed)
+        R = so3.quat_to_rotation(so3.quat_normalize(rng.standard_normal(4)))
+        prob = make_problem(N=K, params=SystemParams(r_i=R_I, J_L=R @ J_L @ R.T))
+        X, U = random_stages(rng, K)
+        oracle = refs.linearize_dynamics(X, U, 0.05, prob)
+        for new, old in zip(po.linearize_dynamics(X, U, 0.05, prob), oracle):
+            assert np.array_equal(new, old)
+
+    def test_translational_block_is_the_double_integrator_at_every_stage(self):
+        rng = np.random.default_rng(3)
+        prob = make_problem(N=20)
+        A_T, B_T = translation_block(0.05, M_L)
+        for _ in range(2):
+            X, U = random_stages(rng, 20)
+            A, B = po.linearize_dynamics(X, U, 0.05, prob)
+            assert np.array_equal(A[:, 0:6, 0:6], np.broadcast_to(A[0, 0:6, 0:6], (20, 6, 6)))
+            assert np.array_equal(B[:, 0:6, 0:3], np.broadcast_to(B[0, 0:6, 0:3], (20, 6, 3)))
+            np.testing.assert_allclose(A[0, 0:6, 0:6], A_T, rtol=1e-15, atol=0.0)
+            np.testing.assert_allclose(B[0, 0:6, 0:3], B_T, rtol=1e-15, atol=0.0)
+            # the cross blocks
+            for block in (A[:, 0:6, 6:12], A[:, 6:12, 0:6], B[:, 0:6, 3:6], B[:, 6:12, 0:3]):
+                assert np.all(block == 0.0)
+
+    def test_each_step_and_payload_mass_gets_its_own_block(self):
+        """The block is cached per (dt, m_L); a second pair in the same
+        process is not served the first one's."""
+        rng = np.random.default_rng(4)
+        X, U = random_stages(rng, 2)
+        heavy = SystemParams(r_i=R_I, m_L=0.5)
+        for dt, params in ((0.05, RIG), (0.02, RIG), (0.05, heavy), (0.02, heavy), (0.05, RIG)):
+            A, B = po.linearize_dynamics(X, U, dt, make_problem(N=2, dt=dt, params=params))
+            A_T, B_T = translation_block(dt, params.m_L)
+            for i in range(2):
+                np.testing.assert_allclose(A[i, 0:6, 0:6], A_T, rtol=1e-15, atol=0.0)
+                np.testing.assert_allclose(B[i, 0:6, 0:3], B_T, rtol=1e-15, atol=0.0)
 
 
 class TestRetraction:

@@ -2,12 +2,14 @@
 
 import dataclasses
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kernel_references as refs
 from cablelift import payload_ocp as ocp
 from cablelift import harness, plant, so3, sqp
 from cablelift.plant import SystemParams
@@ -1205,3 +1207,30 @@ class TestIterateReuse:
             _assert_same_qp(a, b)
         for f in dataclasses.fields(ocp.OcpSolution):
             assert np.array_equal(getattr(solution, f.name), getattr(solution_r, f.name)), f.name
+
+
+class TestLinearizationOnBindingRows:
+    def test_solve_through_the_interior_point_matches_the_18_column_mode(self):
+        """The preset runs never bind a row, so their digests do not reach
+        the interior point.  On circle-medium with an obstacle on the circle
+        (0.15 m clearance at (-1, 0, 0.5)), a window ending inside it binds
+        the clearance row; the solve takes the same steps with the
+        18-column linearization patched in, bit for bit."""
+        config, _ = harness.build_scenario({
+            "schema_version": 1,
+            "preset": "circle-medium",
+            "obstacle": {"center_m": [-1.0, 0.0, 0.5], "clearance_m": 0.15},
+        })
+        N = config.ocp.N
+        ref_x, ref_u = config.reference_at(6.6 + np.arange(N + 1) * config.ocp.dt)
+        ref_u = np.array(np.broadcast_to(ref_u, (N + 1, ocp.NU)))
+        problem = ocp.build_ocp(ref_x[0], ref_x, ref_u, config.ocp, config.params)
+        with mock.patch.object(sqp, "qp_subproblem", wraps=sqp.qp_subproblem) as spy:
+            new = sqp.solve(problem, None, config.solver)
+        assert spy.call_count > 0
+        with mock.patch.object(ocp, "linearize_dynamics", wraps=refs.linearize_dynamics) as oracle:
+            old = sqp.solve(problem, None, config.solver)
+        assert oracle.call_count > 0
+        assert np.array_equal(new.X, old.X) and np.array_equal(new.U, old.U)
+        assert new.kkt_residual == old.kkt_residual
+        assert new.iterations == old.iterations
