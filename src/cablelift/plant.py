@@ -289,15 +289,14 @@ def _unit_quaternion(w: float, x: float, y: float, z: float) -> tuple:
 
 def _payload_derivative(s: list, wrench, params: SystemParams) -> list:
     """Derivative of the payload row s alone under the wrench [F, M] on it:
-    payload_ocp.payload_dynamics on floats, with its groupings and
-    so3.omega_to_quat_dot's zero terms, so the two agree in every bit, signed
-    zeros included, when J_L is diagonal; J and J^-1 are row-major 9-sequences."""
+    payload_ocp.payload_dynamics on floats, with its groupings, the zero terms
+    of so3.omega_to_quat_dot and the +0.0 each matmul sum starts from, so the
+    two agree in every bit, signed zeros included, when J_L is diagonal."""
     _, _, _, vx, vy, vz, qw, qx, qy, qz, wx, wy, wz = s[0:13]
-    fx, fy, fz, mx, my, mz = wrench
-    m_L, (gx, gy, gz) = params.m_L, params.g_vec
+    (fx, fy, fz, mx, my, mz), m_L, (gx, gy, gz) = wrench, params.m_L, params.g_vec
     j0, j1, j2, j3, j4, j5, j6, j7, j8 = params._J_L
-    hx, hy, hz = (j0 * wx + j1 * wy + j2 * wz, j3 * wx + j4 * wy + j5 * wz,
-                  j6 * wx + j7 * wy + j8 * wz)
+    hx, hy, hz = (0.0 + j0 * wx + j1 * wy + j2 * wz, 0.0 + j3 * wx + j4 * wy + j5 * wz,
+                  0.0 + j6 * wx + j7 * wy + j8 * wz)
     ux, uy, uz = mx - (wy * hz - wz * hy), my - (wz * hx - wx * hz), mz - (wx * hy - wy * hx)
     j0, j1, j2, j3, j4, j5, j6, j7, j8 = params._J_L_inv
     return [
@@ -306,7 +305,8 @@ def _payload_derivative(s: list, wrench, params: SystemParams) -> list:
         0.5 * ((qw * wx + qx * 0.0) + (qy * wz - qz * wy)),
         0.5 * ((qw * wy + qy * 0.0) + (qz * wx - qx * wz)),
         0.5 * ((qw * wz + qz * 0.0) + (qx * wy - qy * wx)),
-        j0 * ux + j1 * uy + j2 * uz, j3 * ux + j4 * uy + j5 * uz, j6 * ux + j7 * uy + j8 * uz,
+        0.0 + j0 * ux + j1 * uy + j2 * uz, 0.0 + j3 * ux + j4 * uy + j5 * uz,
+        0.0 + j6 * ux + j7 * uy + j8 * uz,
     ]
 
 

@@ -708,6 +708,8 @@ class TestStepPayload:
     @given(payload_steps())
     # signed zeros: the quaternion rate's zero terms decide the signs
     @example((make_params(), [0.0] * 6 + [-0.0, -0.0, -0.0, 1.0] + [0.0] * 3, [0.0] * 6, 0.05))
+    # and matmul's sums, which start from +0.0: -0.0 rates and moments step to +0.0
+    @example((make_params(), [0.0] * 6 + [1.0, 0.0, 0.0, 0.0] + [-0.0] * 3, [0.0] * 3 + [-0.0] * 3, 0.05))
     def test_equals_discretize_bit_for_bit(self, case):
         """step_payload computes the numpy predictor's floats: the solver's
         discretize is the oracle.  Bitwise for a diagonal payload inertia,
