@@ -69,6 +69,8 @@ class TriggerEvent:
     solve_time: float
     outside_terminal: bool
     trace: list = field(default_factory=list)  # the solve's per-pass records (sqp.solve)
+    # local_coords(predicted X[m_k], x_now), 12 floats; None for the initial solve
+    prediction_error: Optional[np.ndarray] = None
 
 
 @dataclass
@@ -251,9 +253,10 @@ class _TriggerLoop:
             problem = payload_ocp.build_ocp(
                 x_now, ref_x, ref_u, dataclasses.replace(cfg.ocp, N=N_new), cfg.params, self.amap
             )
-            warm = None
+            warm = error = None
             if self.state is not None:
                 warm = sqp.shift_warm_start(self.state.predicted, m_k, N_new)
+                error = payload_ocp.local_coords(self.state.predicted.X[m_k], x_now)
             began, trace = time.perf_counter(), []
             try:
                 solution = sqp.solve(problem, warm, cfg.solver, trace=trace)
@@ -272,7 +275,7 @@ class _TriggerLoop:
                     k=k, t=t, kind=decision, m_k=m_k, horizon=N_new, cost=solution.cost,
                     kkt_residual=solution.kkt_residual, iterations=solution.iterations,
                     status=solution.status, solve_time=time.perf_counter() - began,
-                    outside_terminal=outside, trace=trace,
+                    outside_terminal=outside, trace=trace, prediction_error=error,
                 ))
                 self.state = event_trigger.record_trigger(k, solution, N_new)
                 self.problem = problem

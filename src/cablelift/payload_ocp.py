@@ -36,6 +36,9 @@ NX = 12  # tangent dimension of the payload state
 NU = 6  # wrench dimension
 # linearize_dynamics' columns (dp, dv, dtheta, domega, dF, dM): translational, rotational
 _TRANSLATION, _ROTATION = np.r_[0:6, 12:15], np.r_[6:12, 15:18]
+# the input parts (9, 3) of 9 tangent columns whose last 3 move the input,
+# and state_error's plain differences (p, v, omega) in the tangent
+_INPUT_TANGENTS, _EYE3, _PLAIN = np.eye(9, 3, -6), np.eye(3), np.r_[0:6, 9:12]
 
 
 class ConfigError(ValueError):
@@ -268,7 +271,7 @@ def _translation_block(dt: float, m_L: float) -> np.ndarray:
     (9, 6).  The double integrator p' = v, v' = F / m_L does not depend on
     the state, so one Runge-Kutta step serves every stage and state."""
     derivative = lambda dy, df: np.hstack([dy[:, 3:6], df / m_L])  # noqa: E731
-    return plant.rk4_step(derivative, np.eye(9, 6), np.eye(9, 3, -6), dt)
+    return plant.rk4_step(derivative, np.eye(9, 6), _INPUT_TANGENTS, dt)
 
 
 def linearize_dynamics(
@@ -289,16 +292,15 @@ def linearize_dynamics(
     X = np.asarray(X, dtype=np.float64)
     U = np.asarray(U, dtype=np.float64)
     K = len(X)
-    eye3 = np.eye(3)
     dX = np.zeros((K, 9, 7))
-    dX[:, 0:3, 0:4] = so3.omega_to_quat_dot(X[:, None, 6:10], eye3)  # d retract / d dtheta
-    dX[:, 3:6, 4:7] = eye3
-    dM = np.eye(9, 3, -6)
+    dX[:, 0:3, 0:4] = so3.omega_to_quat_dot(X[:, None, 6:10], _EYE3)  # d retract / d dtheta
+    dX[:, 3:6, 4:7] = _EYE3
 
     stages, end = rk4_stages(X, U, dt, problem) if rollout is None else rollout
     # the same step on the tangents, each stage along its stage state
     stage = iter(stages)
-    dY = plant.rk4_step(lambda dy, dm: _dynamics_tangent(next(stage), dy, dm, problem), dX, dM, dt)
+    tangent = lambda dy, dm: _dynamics_tangent(next(stage), dy, dm, problem)  # noqa: E731
+    dY = plant.rk4_step(tangent, dX, _INPUT_TANGENTS, dt)
 
     # renormalization q -> q/|q|; the hemisphere sign multiplies the base and
     # its tangent alike and cancels in local_coords, whose attitude block at
@@ -360,7 +362,7 @@ def _error_jacobians(X: np.ndarray, E: np.ndarray) -> np.ndarray:
     """Exact tangent Jacobians of state_error at the rows X (K x 12 x 12,
     block diagonal); E holds the errors themselves."""
     J = np.zeros((len(X), NX, NX))
-    J[:, np.r_[0:6, 9:12], np.r_[0:6, 9:12]] = -1.0  # the plain differences
+    J[:, _PLAIN, _PLAIN] = -1.0
     J[:, 6:9, 6:9] = so3.left_jacobian_inverse(E[:, 6:9]) @ so3.quat_to_rotation(X[:, 6:10])
     return J
 

@@ -467,9 +467,11 @@ class _Iterate:
         return self.cost + mu_merit * (self.defect_l1 + self.viol_l1)
 
 
-def _evaluate(X: np.ndarray, U: np.ndarray, problem) -> _Iterate:
+def _evaluate(X: np.ndarray, U: np.ndarray, problem, rollout=None) -> _Iterate:
+    """The iterate at (X, U); rollout is rk4_stages of (X[:-1], U) when
+    already computed, as `_rollout` records it."""
     errors = ocp.state_error(X, problem.ref_x)
-    rollout = ocp.rk4_stages(X[:-1], U, problem.dt, problem)
+    rollout = ocp.rk4_stages(X[:-1], U, problem.dt, problem) if rollout is None else rollout
     shares = ocp.tension_shares(U, problem)
     return _Iterate(
         X=X, U=U, rollout=rollout, errors=errors, shares=shares,
@@ -480,15 +482,25 @@ def _evaluate(X: np.ndarray, U: np.ndarray, problem) -> _Iterate:
     )
 
 
-def _rollout(problem, U: np.ndarray) -> np.ndarray:
-    """The state rows of the wrench rows U rolled out from the initial state,
-    one `plant.step_payload` per stage: discretize's floats when J_L is
-    diagonal, so the start has no dynamics defect.  Raises
+def _rollout(problem, U: np.ndarray):
+    """The wrench rows U rolled out from the initial state by the RK4 body and
+    derivative of `plant.step_payload`: the state rows X, and the step as
+    rk4_stages of (X[:-1], U) gives it (in every bit when J_L is diagonal),
+    from the recorded stages and rk4_step's end formula.  Raises
     plant.NonFiniteState when the rollout leaves the floats."""
+    rows = []
+
+    def derivative(s, u, params):
+        ds = plant._payload_derivative(s, u, params)
+        rows.extend((s, ds))
+        return ds
     X = [problem.x0.tolist()]
     for u in U.tolist():
-        X.append(plant.step_payload(X[-1], u, problem.dt, problem.params))
-    return np.array(X)
+        X.append(plant._rk4_flat(derivative, X[-1], (u, problem.params), problem.dt))
+    # (state or derivative, RK4 stage, step, 13), each stage's rows contiguous
+    Y, k = np.array(rows).reshape(len(U), 4, 2, -1).transpose(2, 1, 0, 3).copy()
+    end = Y[0] + (problem.dt / 6.0) * (k[0] + 2.0 * k[1] + 2.0 * k[2] + k[3])
+    return np.array(X), (list(Y), end)
 
 
 def _build_qp_data(point: _Iterate, problem, lam_u_prev=None) -> QpData:
@@ -514,10 +526,12 @@ def _build_qp_data(point: _Iterate, problem, lam_u_prev=None) -> QpData:
 
 
 def _nonlinear_kkt(data: QpData, result: QpResult) -> float:
-    """Stationarity of the nonlinear problem at the current nominal, using
-    the freshest QP duals (all primal steps evaluated at zero)."""
-    zero_x, zero_u = np.zeros_like(data.g_x), np.zeros_like(data.g_u)
-    r_x, r_u = _stationarity(data, zero_x, zero_u, result.nu, result.lam_x, result.lam_u)
+    """Stationarity of the nonlinear problem at the current nominal, using the
+    freshest QP duals: `_stationarity` at zero steps less its zero Hessian terms."""
+    r_x = data.g_x + data.rows_x.scatter(result.lam_x)
+    r_x[:-1] += _mtv(data.A, result.nu)
+    r_x[1:] -= result.nu
+    r_u = data.g_u + _mtv(data.B, result.nu) + data.rows_u.scatter(result.lam_u)
     return _max_abs(r_x[1:], r_u)
 
 
@@ -547,9 +561,9 @@ def solve(
 
     warm is a guess of the N wrench rows, as shift_warm_start returns it;
     without one the reference wrenches ref_u[:-1] are the guess.  The solve
-    starts from that guess rolled out from the initial state, which has no
-    dynamics defect.  Raises plant.NonFiniteState when the rollout leaves
-    the finite range.
+    starts from that guess rolled out from the initial state (`_rollout`),
+    whose recorded RK4 step prices the first iterate, so it has no dynamics
+    defect.  Raises plant.NonFiniteState when the rollout leaves the floats.
 
     status is "converged" when stationarity reaches kkt_tol with defects and
     hard constraints inside feas_tol, "stalled" when the line search accepts
@@ -580,7 +594,8 @@ def solve(
     U = np.array(problem.ref_u[:-1] if warm is None else warm, dtype=np.float64)
     if U.shape != (problem.N, ocp.NU):
         raise ocp.DimensionMismatch("warm start does not match the horizon")
-    point = _evaluate(_rollout(problem, U), U, problem)
+    X, rollout = _rollout(problem, U)
+    point = _evaluate(X, U, problem, rollout)
 
     mu_merit = MERIT_WEIGHT
     status = "max_iter"

@@ -357,6 +357,49 @@ class TestTriggerLoop:
         loop = trigger_loop(config)
         assert loop.region is None
 
+    @pytest.mark.parametrize("preset, duration, kind", [
+        ("circle-tight", 1.0, "event"), ("hover-nominal", 1.5, "forced"),
+    ])
+    def test_each_replan_records_the_prediction_error_its_trigger_read(
+        self, preset, duration, kind
+    ):
+        """prediction_error is local_coords(predicted X[m_k], x_now): at an
+        event, the deviation should_trigger compared; at a forced replan,
+        m_k is the previous horizon, the prediction's last row."""
+        trigger, coords = event_trigger.should_trigger, payload_ocp.local_coords
+        calls, read, inside = {}, {}, []
+
+        def spied_coords(base, Y):
+            out = coords(base, Y)
+            if inside:
+                read[inside[-1]] = out
+            return out
+
+        def spied_trigger(k, current, state, config):
+            calls[k] = (current, state)
+            inside.append(k)
+            try:
+                return trigger(k, current, state, config)
+            finally:
+                inside.pop()
+
+        config = dataclasses.replace(harness.scenario_preset(preset), duration=duration)
+        with mock.patch.object(event_trigger, "should_trigger", spied_trigger), \
+                mock.patch.object(payload_ocp, "local_coords", spied_coords):
+            log = harness.run_closed_loop(config)
+        assert log.events[0].prediction_error is None
+        assert any(e.kind == kind for e in log.events[1:])
+        for prev, e in zip(log.events, log.events[1:]):
+            assert e.prediction_error.shape == (payload_ocp.NX,)
+            if e.kind == "event":
+                deviation = float(np.linalg.norm(read[e.k]))
+                assert float(np.linalg.norm(e.prediction_error)) == deviation
+            else:
+                current, state = calls[e.k]
+                assert e.m_k == prev.horizon == state.N_kj
+                expected = coords(state.predicted.X[e.m_k], current)
+                assert np.array_equal(e.prediction_error, expected)
+
 
 # ---------------------------------------------------------------------------
 # closed-loop runs, nominal prediction plant
@@ -637,7 +680,7 @@ def test_a_failure_inside_a_tick_aborts_the_run(preset, module, callee, failure)
     original, calls, solve, solving = getattr(module, callee), [], sqp.solve, []
 
     def fails_on_the_third_tick(*args):
-        if solving:  # a solve's rollout steps the payload too; only ticks count
+        if solving:  # only the tick's own calls count, none a solve might make
             return original(*args)
         calls.append(args)
         if len(calls) == 3:

@@ -734,7 +734,8 @@ class TestStackedRows:
         N = 6
         problem = _obstacle_problem(N)
         U = problem.ref_u[:-1]
-        point = sqp._evaluate(sqp._rollout(problem, U), U, problem)
+        X, rollout = sqp._rollout(problem, U)
+        point = sqp._evaluate(X, U, problem, rollout)
         data = sqp._build_qp_data(point, problem)
         J_x, c_x = point.obstacle
         J_u, c_u = point.tension
@@ -993,7 +994,8 @@ class TestSolve:
         for params, bound in ((RIG, 0.0), (tilted, sqp.SolverConfig().feas_tol)):
             first, advanced, U = self._replan(params, x0)
             assert first.status == "converged"
-            assert sqp._evaluate(sqp._rollout(advanced, U), U, advanced).defect_max <= bound
+            X, _ = sqp._rollout(advanced, U)
+            assert sqp._evaluate(X, U, advanced).defect_max <= bound
 
     def test_feasible_replan_skips_the_interior_point_on_its_first_pass(self, monkeypatch):
         """A shifted plan meeting every tension row starts at a feasible
@@ -1194,7 +1196,7 @@ class TestIterateReuse:
         real = sqp._evaluate
         monkeypatch.setattr(
             sqp, "_evaluate",
-            lambda X, U, problem: dataclasses.replace(
+            lambda X, U, problem, rollout=None: dataclasses.replace(
                 real(X, U, problem), rollout=None, errors=None, shares=None
             ),
         )
@@ -1207,6 +1209,139 @@ class TestIterateReuse:
             _assert_same_qp(a, b)
         for f in dataclasses.fields(ocp.OcpSolution):
             assert np.array_equal(getattr(solution, f.name), getattr(solution_r, f.name)), f.name
+
+    @pytest.mark.parametrize("start", ["cold", "warm"])
+    def test_solve_from_the_recorded_rollout_matches_one_that_recomputes(
+        self, start, monkeypatch
+    ):
+        """The first iterate takes its RK4 step from the rollout that built
+        it; a solve whose first evaluation recomputes rk4_stages instead
+        takes the same steps, bit for bit."""
+        problem = make_problem((1.0, 0.0, 1.0), N=10, f_max=1.2, funnel_radius=10.0)
+        warm = None
+        if start == "warm":
+            first = sqp.solve(problem)
+            x1 = first.X[1].copy()
+            x1[3:6] += 0.05  # a measured state off the prediction
+            problem = ocp.build_ocp(x1, problem.ref_x, problem.ref_u, problem, problem.params)
+            warm = sqp.shift_warm_start(first, 1, problem.N)
+        real, given = sqp._evaluate, []
+
+        def run(evaluate):
+            trace = []
+            with monkeypatch.context() as patch:
+                patch.setattr(sqp, "_evaluate", evaluate)
+                return sqp.solve(problem, warm, trace=trace), trace
+
+        def spied(X, U, problem, rollout=None):
+            given.append(rollout is not None)
+            return real(X, U, problem, rollout)
+
+        reused, trace = run(spied)
+        assert given[0] and not any(given[1:])  # only the first iterate had one
+        recomputed, trace_r = run(lambda X, U, problem, rollout=None: real(X, U, problem))
+        assert trace == trace_r
+        for f in dataclasses.fields(ocp.OcpSolution):
+            assert np.array_equal(getattr(reused, f.name), getattr(recomputed, f.name)), f.name
+
+
+def _drawn_rollout_problem(rng, K, J_L, dt=0.05):
+    """A horizon-K problem on a payload of inertia J_L, from a random state
+    row (unit attitude, rates up to 4 rad/s), and K random wrench rows."""
+    x0 = np.empty(13)
+    x0[0:6] = rng.standard_normal(6)
+    x0[6:10] = so3.quat_normalize(rng.standard_normal(4))
+    omega = rng.standard_normal(3)
+    x0[10:13] = omega * (rng.uniform(0.0, 4.0) / np.linalg.norm(omega))
+    F = HOVER_U[:3] + 2.0 * rng.standard_normal((K, 3))
+    U = np.hstack([F, 0.1 * rng.standard_normal((K, 3))])
+    config = ocp.OcpConfig(weights=WEIGHTS, N=K, dt=dt)
+    return ocp.build_ocp(x0, *hover_refs(K), config, SystemParams(J_L=J_L)), U
+
+
+class TestRecordedRollout:
+    """`_rollout` keeps the RK4 step its float rollout took, in rk4_stages'
+    layout ([Y1, Y2, Y3, Y4], end), for the solve's first iterate."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([1, 2, 20]), st.sampled_from([0.02, 0.05]), st.integers(0, 2**32 - 1))
+    def test_bit_identical_to_rk4_stages(self, K, dt, seed):
+        """Signed zeros included, with a diagonal J_L; the state rows are
+        those of one plant.step_payload per stage."""
+        rng = np.random.default_rng(seed)
+        problem, U = _drawn_rollout_problem(rng, K, np.diag(rng.uniform(0.003, 0.02, 3)), dt)
+        X, (stages, end) = sqp._rollout(problem, U)
+        steps = [problem.x0.tolist()]
+        for u in U.tolist():
+            steps.append(plant.step_payload(steps[-1], u, dt, problem.params))
+        ref_stages, ref_end = ocp.rk4_stages(X[:-1], U, dt, problem)
+        assert len(stages) == 4
+        for new, old in zip([X, *stages, end], [np.array(steps), *ref_stages, ref_end]):
+            assert np.array_equal(new, old)
+            assert np.array_equal(np.signbit(new), np.signbit(old))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from([1, 2, 20]), st.integers(0, 2**32 - 1))
+    def test_equal_to_rk4_stages_with_a_tilted_inertia(self, K, seed):
+        """A non-diagonal J_L rounds the float and numpy derivatives apart,
+        so only the values agree; the first iterate, priced along the steps
+        the rollout took, has no defect at all."""
+        rng = np.random.default_rng(seed)
+        R = so3.quat_to_rotation(so3.quat_normalize(rng.standard_normal(4)))
+        problem, U = _drawn_rollout_problem(rng, K, R @ RIG.J_L @ R.T)
+        X, rollout = sqp._rollout(problem, U)
+        ref_stages, ref_end = ocp.rk4_stages(X[:-1], U, problem.dt, problem)
+        for new, old in zip([*rollout[0], rollout[1]], [*ref_stages, ref_end]):
+            np.testing.assert_allclose(new, old, rtol=1e-12, atol=1e-12)
+        assert sqp._evaluate(X, U, problem, rollout).defect_max == 0.0
+
+
+def _kkt_at_zero_steps(data: sqp.QpData, result: sqp.QpResult) -> float:
+    """The nonlinear stationarity as `_stationarity` at zero primal steps."""
+    zero_x, zero_u = np.zeros_like(data.g_x), np.zeros_like(data.g_u)
+    r_x, r_u = sqp._stationarity(data, zero_x, zero_u, result.nu, result.lam_x, result.lam_u)
+    return sqp._max_abs(r_x[1:], r_u)
+
+
+def _binding_obstacle_window():
+    """circle-medium with an obstacle on the circle (0.15 m clearance at
+    (-1, 0, 0.5)): the window at t = 6.6 s binds the clearance row."""
+    config, _ = harness.build_scenario({
+        "schema_version": 1,
+        "preset": "circle-medium",
+        "obstacle": {"center_m": [-1.0, 0.0, 0.5], "clearance_m": 0.15},
+    })
+    N = config.ocp.N
+    ref_x, ref_u = config.reference_at(6.6 + np.arange(N + 1) * config.ocp.dt)
+    ref_u = np.array(np.broadcast_to(ref_u, (N + 1, ocp.NU)))
+    return ocp.build_ocp(ref_x[0], ref_x, ref_u, config.ocp, config.params), config.solver
+
+
+class TestNonlinearKkt:
+    def test_equals_the_stationarity_at_zero_steps(self):
+        """Bit for bit on every pass, both on passes the row-free certificate
+        answers and on interior-point passes with a binding row."""
+        passes, interior = [], []
+        kkt, qp = sqp._nonlinear_kkt, sqp.qp_subproblem
+
+        def priced(data, result):
+            passes.append((data, result, kkt(data, result)))
+            return passes[-1][2]
+
+        def solved(data):
+            interior.append(qp(data))
+            return interior[-1]
+
+        window, solver = _binding_obstacle_window()
+        with mock.patch.object(sqp, "_nonlinear_kkt", priced), \
+                mock.patch.object(sqp, "qp_subproblem", solved):
+            sqp.solve(make_problem((0.4, 0.0, 1.0), N=6))
+            sqp.solve(window, None, solver)
+        for data, result, value in passes:
+            assert value == _kkt_at_zero_steps(data, result)
+        by_ipm = [result for _, result, _ in passes if any(result is r for r in interior)]
+        assert len(by_ipm) < len(passes)  # some passes the certificate answered
+        assert any(result.lam_x.size and np.max(result.lam_x) > 1e-6 for result in by_ipm)
 
 
 class TestLinearizationOnBindingRows:
