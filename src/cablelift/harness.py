@@ -521,7 +521,7 @@ def summarize(log: RunLog) -> dict:
         "solves_converged": statuses.count("converged"),
         "solves_max_iter": statuses.count("max_iter"),
         "solves_stalled": statuses.count("stalled"),
-        # over every SQP pass: QPs out of interior-point iterations, and QPs
+        # over every SQP pass: QPs out of active-set steps, and QPs
         # factorized only with Hessian regularization
         "qp_max_iter": sum(r["qp_status"] == "max_iter" for r in passes),
         "qp_regularized": sum(r["reg"] > 0.0 for r in passes),

@@ -11,14 +11,12 @@ the previous plan shifted) rolled out from the measured state, so its first
 iterate has no dynamics defect (Diehl, Bock & Schlöder, SIAM J. Control
 Optim. 2005).
 
-The QP itself is solved in-repo by a Mehrotra predictor-corrector interior
-point method (Rao, Wright & Rawlings, JOTA 1998).  Each iteration factors
-one Riccati recursion of the condensed Newton matrix and back-solves it
-twice, once for the affine predictor and once for the centred corrector,
-so the cost per iteration stays linear in the horizon length.  At every
-iterate, feasible or not, the QP without its rows is solved first, by one
-Riccati factorization; when no row binds at that minimizer it is the QP
-optimum and gives the step, and the interior point runs only otherwise.
+The QP itself is solved in-repo on one Riccati factorization of the QP
+without its inequality rows, so its cost stays linear in the horizon
+length.  Its back-solve is the QP optimum when no row is violated there;
+otherwise the Goldfarb-Idnani dual active-set method (Math. Program. 27,
+1983) adds violated rows one at a time on the same factorization, each at
+the price of one more back-solve, until every row holds.
 
 The stagewise QP data layout is dimension-generic on purpose; the unit tests
 drive it with scalar problems whose KKT systems are solved by hand.
@@ -50,10 +48,9 @@ MERIT_WEIGHT = 10.0
 BACKTRACK = 0.5
 MIN_STEP = 1e-4
 ARMIJO = 1e-4
-# interior point: iteration cap, stopping tolerance, and the first nonzero
-# Hessian regularization tried when a factorization fails
+# QP: cap on the active-set steps, and the first nonzero Hessian
+# regularization tried when the factorization fails
 QP_MAX_ITERS = 100
-QP_TOL = 1e-9
 REG = 1e-8
 
 
@@ -115,12 +112,6 @@ class _Rows:
         """(stages, m): 1 where row r sits on the stage."""
         return (np.arange(self.stages)[:, None] == self.stage[None, :]).astype(np.float64)
 
-    @cached_property
-    def _outer(self) -> np.ndarray:
-        """(m, dim * dim): each row's C_r^T C_r, flattened."""
-        dim = self.C.shape[1]
-        return (self.C[:, :, None] * self.C[:, None, :]).reshape(self.m, dim * dim)
-
     def apply(self, y: np.ndarray) -> np.ndarray:
         """C_r @ y_{stage(r)} for every row (without rows, the empty c)."""
         return np.einsum("rj,rj->r", self.C, y[self.stage]) if self.m else self.c
@@ -129,12 +120,6 @@ class _Rows:
         """sum over a stage's rows of C_r^T v_r, per stage (without rows, a
         scalar 0.0, which adds bit for bit like the all-zero stage array)."""
         return self._onehot @ (self.C * v[:, None]) if self.m else 0.0
-
-    def curvature(self, weight: np.ndarray):
-        """sum over a stage's rows of weight_r C_r^T C_r, per stage (without
-        rows, 0.0 as in scatter)."""
-        dim = self.C.shape[1]
-        return (self._onehot @ (weight[:, None] * self._outer)).reshape(-1, dim, dim) if self.m else 0.0
 
 
 @dataclass
@@ -168,9 +153,6 @@ class QpData:
     @property
     def N(self) -> int:
         return len(self.H_u)
-
-    def row_count(self) -> int:
-        return self.rows_x.m + self.rows_u.m
 
 
 @dataclass
@@ -211,12 +193,9 @@ class _Riccati:
     Acl: np.ndarray
 
     def solve_uu(self, r: np.ndarray) -> np.ndarray:
-        """Q_uu^{-1} r_i at every stage, through the triangular factors.
-
-        The interior point condenses rows with weights up to lam^2 / mu into
-        Q_uu; applying the factors in turn keeps those directions accurate
-        where a formed inverse L_inv^T L_inv loses them.
-        """
+        """Q_uu^{-1} r_i at every stage, as L_inv^T (L_inv r_i): the
+        triangular factors applied in turn, not a formed inverse
+        L_inv^T L_inv, which rounds differently."""
         return _mtv(self.L_inv, _mv(self.L_inv, r))
 
 
@@ -274,163 +253,109 @@ def _riccati_solve(fac: _Riccati, g_x, g_u, c, z0):
     return z, w, nu
 
 
-def _stationarity(data: QpData, z, w, nu, lam_x, lam_u):
-    """Lagrangian gradients in z (N+1, nx) and w (N, nu), with the row
-    multipliers lam_x and lam_u."""
-    r_x = _mv(data.H_x, z) + data.g_x + data.rows_x.scatter(lam_x)
-    r_x[:-1] += _mtv(data.A, nu)
-    r_x[1:] -= nu
-    r_u = _mv(data.H_u, w) + data.g_u + _mtv(data.B, nu) + data.rows_u.scatter(lam_u)
-    return r_x, r_u
-
-
 def _max_abs(*arrays) -> float:
     return max((float(np.max(np.abs(a))) for a in arrays if np.size(a)), default=0.0)
 
 
-def _max_step(value: np.ndarray, step: np.ndarray) -> float:
-    """Largest a with value + a * step >= 0 (inf when nothing decreases)."""
-    neg = step < 0
-    return float(np.min(-value[neg] / step[neg])) if np.any(neg) else np.inf
-
-
-def _equality_qp(data: QpData, H_x: np.ndarray, H_u: np.ndarray, reg: float) -> QpResult:
-    """The QP without its inequality rows, from one Riccati factorization and
-    one back-solve; zero multipliers on every row.  Raises
-    numpy.linalg.LinAlgError when an input Hessian block is not positive
-    definite."""
-    fac = _riccati_factor(data.A, data.B, H_x, H_u, np.concatenate([data.A, data.B], axis=2))
-    z, w, nu = _riccati_solve(fac, data.g_x, data.g_u, data.c, data.z0)
-    return QpResult(z, w, nu, np.zeros(data.rows_x.m), np.zeros(data.rows_u.m), 1, "optimal", reg)
-
-
-def _equality_certificate(data: QpData) -> Optional[QpResult]:
-    """The QP optimum when no inequality row binds at it, else None.
-
-    Solves the QP without its rows at reg 0.  When that minimizer satisfies
-    every row, C y + c <= 0, it is also the optimum of the full convex QP,
-    with zero row multipliers (Nocedal & Wright, Numerical Optimization,
-    2nd ed., ch. 16), and `_price` takes it as the pass's QP answer.  The
-    test holds at an infeasible iterate too: the dynamics defects sit in
-    the QP's equality rows.  None when a row is violated or the
-    factorization fails; the caller then runs the interior point.
-    """
-    try:
-        result = _equality_qp(data, data.H_x, data.H_u, 0.0)
-    except np.linalg.LinAlgError:
-        return None
-    for rows, y in ((data.rows_x, result.z), (data.rows_u, result.w)):
-        if rows.m and np.max(rows.apply(y) + rows.c) > 0.0:
-            return None
-    return result
-
-
 def qp_subproblem(data: QpData) -> QpResult:
-    """Solve the stagewise QP; interior point when inequality rows exist.
+    """Solve the stagewise QP on one Riccati factorization of it without rows.
 
-    Without rows one Riccati factorization and back-solve give the optimum.
-    Raises Infeasible when the rows cannot be satisfied (duals diverge while
-    primal infeasibility stalls) and QpNumericalFailure when factorizations
-    fail at every regularization level.  `solve` calls it only for a pass
-    the certificate does not answer: a row violated at the row-free
-    minimizer, or a failed reg-0 factorization (see `_price`).
+    At reg 0 the factorization takes the stage Hessians as they are, and its
+    back-solve gives the row-free minimizer.  When no row is violated there
+    (C y + c <= 1e-12 on every row) that is the optimum of the full convex
+    QP, with zero row multipliers and iterations 1 (Nocedal & Wright,
+    Numerical Optimization, 2nd ed., ch. 16); the dynamics defects sit in
+    the QP's equality rows, so this holds at an infeasible iterate too.
+    Otherwise `_dual_active_set` adds the violated rows on the same
+    factorization, each of its steps adding one to iterations; status is
+    "max_iter" when QP_MAX_ITERS is reached first.  Raises Infeasible when
+    the rows cannot hold together and QpNumericalFailure when the
+    factorization fails at every regularization level.
     """
     levels = [0.0, REG, 1e-6, 1e-4, 1e-2]
     nx, nu = data.H_x.shape[-1], data.H_u.shape[-1]
+    AB = np.concatenate([data.A, data.B], axis=2)
     last_error: Optional[Exception] = None
     for reg in levels:
-        H_x = data.H_x + reg * np.eye(nx)
-        H_u = data.H_u + reg * np.eye(nu)
+        H_x = data.H_x + reg * np.eye(nx) if reg else data.H_x
+        H_u = data.H_u + reg * np.eye(nu) if reg else data.H_u
         try:
-            if data.row_count() == 0:
-                return _equality_qp(data, H_x, H_u, reg)
-            return _qp_interior_point(data, H_x, H_u, reg)
+            fac = _riccati_factor(data.A, data.B, H_x, H_u, AB)
         except np.linalg.LinAlgError as err:
             last_error = err
             continue
+        return _dual_active_set(data, fac, reg)
     raise QpNumericalFailure(f"Riccati factorization failed at reg {levels[-1]}: {last_error}")
 
 
-def _qp_interior_point(data: QpData, H_x, H_u, reg: float) -> QpResult:
-    """Mehrotra predictor-corrector on C y + c + s = 0, s >= 0, lam >= 0.
+def _dual_active_set(data: QpData, fac: _Riccati, reg: float) -> QpResult:
+    """The Goldfarb-Idnani dual active-set method (Math. Program. 27, 1983)
+    on the factorization of the QP without rows.
 
-    Each iteration condenses the rows into the stage Hessians with weights
-    lam / s, factors the Riccati recursion once, and solves it for the
-    affine direction (sigma = 0) and then for the corrector, centred at
-    sigma = (mu_aff / mu)^3 and carrying the second-order term
-    ds_aff * dlam_aff.
+    The KKT point with multipliers lam on the rows, its z, w and nu, is the
+    row-free one plus sum_j lam_j times row j's response: the back-solve of
+    a unit multiplier on row j.  So the rows read v = v0 + M lam, M negative
+    semidefinite, and only a row that enters costs a back-solve.  From
+    lam = 0, each step raises the multiplier of the most violated row q and
+    moves the active rows' multipliers so that they stay at equality: a
+    full step brings row q to equality and makes it active, a partial step
+    stops where an active multiplier reaches zero and that row leaves.  A
+    row whose response depends on the active rows' (Schur complement of M
+    at least -1e-10 |M_qq|) cannot enter; when no active multiplier can
+    fall either, the rows cannot hold together and Infeasible is raised.
     """
-    N = data.N
-    nx = len(data.z0)
     rows_x, rows_u = data.rows_x, data.rows_u
     mx = rows_x.m
-    m = mx + rows_u.m
-    z = np.zeros((N + 1, nx))
-    z[0] = data.z0
-    w = np.zeros_like(data.g_u)
-    nu = np.zeros((N, nx))
-    c_rows = np.concatenate([rows_x.c, rows_u.c])
-    lam = np.ones(m)
-    s = np.maximum(1.0, np.abs(c_rows))
-    ftb = 0.995
-    AB = np.concatenate([data.A, data.B], axis=2)
+    z, w, nu = _riccati_solve(fac, data.g_x, data.g_u, data.c, data.z0)
+    v = np.concatenate([rows_x.apply(z) + rows_x.c, rows_u.apply(w) + rows_u.c])
+    lam = np.zeros(len(v))
+    active: list = []
+    responses: dict = {}  # row -> (dz, dw, dnu, the rows' readings of them)
 
-    def residuals():
-        r_x, r_u = _stationarity(data, z, w, nu, lam[:mx], lam[mx:])
-        r_eq = _mv(data.A, z[:N]) + _mv(data.B, w) + data.c - z[1:]
-        r_in = np.concatenate([rows_x.apply(z), rows_u.apply(w)]) + c_rows + s
-        return r_x, r_u, r_eq, r_in
+    def response(j):
+        g_x, g_u = np.zeros_like(data.g_x), np.zeros_like(data.g_u)
+        if j < mx:
+            g_x[rows_x.stage[j]] = rows_x.C[j]
+        else:
+            g_u[rows_u.stage[j - mx]] = rows_u.C[j - mx]
+        dz, dw, dnu = _riccati_solve(fac, g_x, g_u, np.zeros_like(data.c), np.zeros_like(data.z0))
+        return dz, dw, dnu, np.concatenate([rows_x.apply(dz), rows_u.apply(dw)])
 
+    status, q = "max_iter", None
     for it in range(1, QP_MAX_ITERS + 1):
-        r_x, r_u, r_eq, r_in = residuals()
-        mu = float(lam @ s) / m
-        if (
-            mu <= QP_TOL
-            and _max_abs(r_x[1:], r_u) <= QP_TOL * 10  # stage 0 is pinned
-            and _max_abs(r_eq) <= QP_TOL
-            and _max_abs(r_in) <= QP_TOL
-        ):
-            return QpResult(z, w, nu, lam[:mx], lam[mx:], it, "optimal", reg)
-        if np.max(lam) > 1e8 and _max_abs(r_in) > 1e-6:
-            raise Infeasible("inequality rows inconsistent: duals diverged")
-
-        # condensed Newton matrix: absorb each row block into its stage Hessian
-        weight = lam / s
-        fac = _riccati_factor(
-            data.A, data.B, H_x + rows_x.curvature(weight[:mx]),
-            H_u + rows_u.curvature(weight[mx:]), AB,
-        )
-        sl = np.concatenate([s, lam])
-
-        def direction(r_comp):
-            # slack and multiplier steps eliminated; the new iterate must
-            # close the equality residual: dz_+ = A dz + B dw + r_eq
-            v = (lam * r_in - r_comp) / s
-            dz, dw, dnu = _riccati_solve(
-                fac, r_x + rows_x.scatter(v[:mx]), r_u + rows_u.scatter(v[mx:]), r_eq, np.zeros(nx)
-            )
-            ds = -r_in - np.concatenate([rows_x.apply(dz), rows_u.apply(dw)])
-            dlam = -(r_comp + lam * ds) / s
-            # one ratio test over slacks and multipliers together
-            return dz, dw, dnu, ds, dlam, _max_step(sl, np.concatenate([ds, dlam]))
-
-        _, _, _, ds, dlam, step = direction(lam * s)
-        alpha = min(1.0, step)
-        mu_aff = float((s + alpha * ds) @ (lam + alpha * dlam)) / m
-        sigma = (mu_aff / mu) ** 3
-        dz, dw, dnu, ds, dlam, step = direction(lam * s + ds * dlam - sigma * mu)
-        alpha = min(1.0, ftb * step)
-        z = z + alpha * dz
-        w = w + alpha * dw
-        nu = nu + alpha * dnu
-        s = s + alpha * ds
-        lam = lam + alpha * dlam
-
-    # out of iterations: distinguish infeasibility from slow convergence
-    r_in = residuals()[3]
-    if _max_abs(r_in) > 1e-6 and np.max(lam) > 1e6:
-        raise Infeasible("inequality rows inconsistent: primal residual stalled")
-    return QpResult(z, w, nu, lam[:mx], lam[mx:], QP_MAX_ITERS, "max_iter", reg)
+        if q is None:
+            q = int(np.argmax(v)) if v.size else None
+            if q is None or v[q] <= 1e-12:
+                status = "optimal"
+                break
+        if q not in responses:
+            responses[q] = response(q)
+        M_q = responses[q][3]
+        M_A = np.array([responses[j][3] for j in active]).reshape(len(active), len(v))
+        # active multipliers per unit of lam_q, keeping the active rows at equality
+        u = np.linalg.solve(M_A[:, active].T, -M_q[active]) if active else np.zeros(0)
+        dv = M_q + u @ M_A
+        # dv_q, a Schur complement of M, is about 0 when row q depends on the active rows
+        t_full = v[q] / -dv[q] if dv[q] < -1e-10 * abs(M_q[q]) else np.inf
+        falling = np.flatnonzero(u < 0.0)
+        ratios = lam[active][falling] / -u[falling]
+        t_part = float(np.min(ratios)) if falling.size else np.inf
+        if t_full == t_part == np.inf:
+            raise Infeasible("inequality rows inconsistent: a violated row depends on the active ones")
+        t = min(t_full, t_part)
+        v = v + t * dv
+        lam[active] = np.maximum(lam[active] + t * u, 0.0)
+        lam[q] += t
+        if t_full <= t_part:
+            active.append(q)
+            q = None
+        else:
+            dropped = active.pop(int(falling[np.argmin(ratios)]))
+            lam[dropped] = 0.0
+        v[active] = 0.0
+    for j, (dz, dw, dnu, _) in responses.items():
+        z, w, nu = z + lam[j] * dz, w + lam[j] * dw, nu + lam[j] * dnu
+    return QpResult(z, w, nu, lam[:mx], lam[mx:], it, status, reg)
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +452,8 @@ def _build_qp_data(point: _Iterate, problem, lam_u_prev=None) -> QpData:
 
 def _nonlinear_kkt(data: QpData, result: QpResult) -> float:
     """Stationarity of the nonlinear problem at the current nominal, using the
-    freshest QP duals: `_stationarity` at zero steps less its zero Hessian terms."""
+    freshest QP duals: the QP's Lagrangian gradient at zero steps, g plus the
+    dynamics and row multiplier terms, over stages 1..N of z and all of w."""
     r_x = data.g_x + data.rows_x.scatter(result.lam_x)
     r_x[:-1] += _mtv(data.A, result.nu)
     r_x[1:] -= result.nu
@@ -538,15 +464,14 @@ def _nonlinear_kkt(data: QpData, result: QpResult) -> float:
 def _price(point: _Iterate, problem, lam_u_prev, config: SolverConfig):
     """An iterate's QP data, QP result, stationarity and feasibility.
 
-    At every iterate, feasible or not, the QP without rows is solved first
-    (`_equality_certificate`); when no row binds there, that is the pass's
-    QP answer, its step and multipliers.  Otherwise (a row violated at the
-    row-free minimizer, or a failed reg-0 factorization) `qp_subproblem`
-    answers.  Both solve the same QP, lagged tension curvature included.
-    Feasibility only feeds the convergence test.
+    Every pass, feasible iterate or not, solves its QP, lagged tension
+    curvature included, by `qp_subproblem`: one Riccati factorization, whose
+    back-solve answers when no row is violated at it, and active-set steps
+    on the same factorization otherwise.  Feasibility only feeds the
+    convergence test.
     """
     data = _build_qp_data(point, problem, lam_u_prev)
-    result = _equality_certificate(data) or qp_subproblem(data)
+    result = qp_subproblem(data)
     feasible = point.defect_max <= config.feas_tol and point.viol_max <= config.feas_tol
     return data, result, _nonlinear_kkt(data, result), feasible
 
@@ -570,19 +495,17 @@ def solve(
     no step down to MIN_STEP (the iterate that step left from is returned),
     and otherwise "max_iter" (the iterate the last accepted step reached is
     returned).  Every returned kkt_residual is priced as each pass prices
-    its iterate (`_price`): with the QP solved without its rows first (one
-    Riccati factorization, `_equality_certificate`), feasible iterate or
-    not; when no row binds there, that solve gives the step and the
-    interior point is not run.  Otherwise the step comes from
-    `qp_subproblem`.  Both solve the same convex QP, so the iterates match
-    an interior-point-only solve to its QP_TOL, not bit for bit.  Raises
-    Infeasible when the constraint rows are inconsistent (including an
-    initial state already violating a hard row, which no control can undo).
-    When trace is a list, one dict per outer iteration is appended: the
-    incumbent merit, cost and stationarity, the accepted step length, the
-    QP's iteration count, status ("optimal" or "max_iter") and Hessian
-    regularization, and whether the line search stalled (no step accepted
-    down to MIN_STEP, which ends the solve).
+    its iterate (`_price`), by the exact QP optimum of `qp_subproblem`: the
+    row-free Riccati solve when no row is violated there, dual active-set
+    steps on the same factorization otherwise.  Raises Infeasible when the
+    constraint rows are inconsistent (including an initial state already
+    violating a hard row, which no control can undo).  When trace is a
+    list, one dict per outer iteration is appended: the incumbent merit,
+    cost and stationarity, the accepted step length, the QP's iteration
+    count (1 for the row-free solve, plus one per active-set step), status
+    ("optimal" or "max_iter") and Hessian regularization, and whether the
+    line search stalled (no step accepted down to MIN_STEP, which ends the
+    solve).
     """
     config = config or SolverConfig()
     _, v0 = ocp.obstacle_rows(problem.x0[None, :], problem)

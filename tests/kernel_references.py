@@ -16,7 +16,14 @@ mode, verbatim: every state and wrench tangent column carried through all 13
 state components of the four RK4 stages.  `payload_ocp.linearize_dynamics`
 carries only the 9 rotational columns and takes the translational block once;
 the tests pin it to this form bit for bit, signed zeros included, and on a
-solve where the interior point runs.
+solve where a row binds.
+
+The QP oracle is the Mehrotra predictor-corrector interior point that solved
+the SQP's QPs with binding rows before the dual active set on the row-free
+Riccati factorization replaced it, kept verbatim with its stationarity,
+ratio test, row curvature and stopping tolerance.  Being an independent
+method on the same QP, it checks `sqp.qp_subproblem`'s optimum, and its
+multipliers where they are unique.
 """
 
 import math
@@ -24,7 +31,7 @@ from unittest import mock
 
 import numpy as np
 
-from cablelift import allocation, cable_control, payload_ocp, plant, so3
+from cablelift import allocation, cable_control, payload_ocp, plant, so3, sqp
 from cablelift.cable_control import CableTrackingState
 from cablelift.harness import OMEGA_DES_LIMIT
 from cablelift.cable_control import NotSkew
@@ -442,3 +449,133 @@ def linearize_dynamics(X, U, dt, problem, rollout=None):
     D[..., 9:12] = dY[..., 10:13]
     D = D.transpose(0, 2, 1)
     return np.ascontiguousarray(D[:, :, :NX]), np.ascontiguousarray(D[:, :, NX:])
+
+
+# ---------------------------------------------------------------------------
+# the QP oracle: the interior point on the condensed Riccati recursion
+
+# stopping tolerance on mu and on the residuals
+QP_TOL = 1e-9
+
+
+def stationarity(data, z, w, nu, lam_x, lam_u):
+    """Lagrangian gradients in z (N+1, nx) and w (N, nu), with the row
+    multipliers lam_x and lam_u."""
+    r_x = sqp._mv(data.H_x, z) + data.g_x + data.rows_x.scatter(lam_x)
+    r_x[:-1] += sqp._mtv(data.A, nu)
+    r_x[1:] -= nu
+    r_u = sqp._mv(data.H_u, w) + data.g_u + sqp._mtv(data.B, nu) + data.rows_u.scatter(lam_u)
+    return r_x, r_u
+
+
+def _max_step(value: np.ndarray, step: np.ndarray) -> float:
+    """Largest a with value + a * step >= 0 (inf when nothing decreases)."""
+    neg = step < 0
+    return float(np.min(-value[neg] / step[neg])) if np.any(neg) else np.inf
+
+
+def curvature(rows, weight: np.ndarray):
+    """sum over a stage's rows of weight_r C_r^T C_r, per stage (without
+    rows, 0.0 as in scatter)."""
+    dim = rows.C.shape[1]
+    outer = (rows.C[:, :, None] * rows.C[:, None, :]).reshape(rows.m, dim * dim)
+    return (rows._onehot @ (weight[:, None] * outer)).reshape(-1, dim, dim) if rows.m else 0.0
+
+
+def qp_oracle(data):
+    """The stagewise QP solved by the interior point, escalating the Hessian
+    regularization as `sqp.qp_subproblem` does."""
+    levels = [0.0, sqp.REG, 1e-6, 1e-4, 1e-2]
+    nx, nu = data.H_x.shape[-1], data.H_u.shape[-1]
+    last_error = None
+    for reg in levels:
+        H_x = data.H_x + reg * np.eye(nx)
+        H_u = data.H_u + reg * np.eye(nu)
+        try:
+            return qp_interior_point(data, H_x, H_u, reg)
+        except np.linalg.LinAlgError as err:
+            last_error = err
+            continue
+    raise sqp.QpNumericalFailure(f"Riccati factorization failed at reg {levels[-1]}: {last_error}")
+
+
+def qp_interior_point(data, H_x, H_u, reg: float):
+    """Mehrotra predictor-corrector on C y + c + s = 0, s >= 0, lam >= 0.
+
+    Each iteration condenses the rows into the stage Hessians with weights
+    lam / s, factors the Riccati recursion once, and solves it for the
+    affine direction (sigma = 0) and then for the corrector, centred at
+    sigma = (mu_aff / mu)^3 and carrying the second-order term
+    ds_aff * dlam_aff.
+    """
+    N = data.N
+    nx = len(data.z0)
+    rows_x, rows_u = data.rows_x, data.rows_u
+    mx = rows_x.m
+    m = mx + rows_u.m
+    z = np.zeros((N + 1, nx))
+    z[0] = data.z0
+    w = np.zeros_like(data.g_u)
+    nu = np.zeros((N, nx))
+    c_rows = np.concatenate([rows_x.c, rows_u.c])
+    lam = np.ones(m)
+    s = np.maximum(1.0, np.abs(c_rows))
+    ftb = 0.995
+    AB = np.concatenate([data.A, data.B], axis=2)
+
+    def residuals():
+        r_x, r_u = stationarity(data, z, w, nu, lam[:mx], lam[mx:])
+        r_eq = sqp._mv(data.A, z[:N]) + sqp._mv(data.B, w) + data.c - z[1:]
+        r_in = np.concatenate([rows_x.apply(z), rows_u.apply(w)]) + c_rows + s
+        return r_x, r_u, r_eq, r_in
+
+    for it in range(1, sqp.QP_MAX_ITERS + 1):
+        r_x, r_u, r_eq, r_in = residuals()
+        mu = float(lam @ s) / m
+        if (
+            mu <= QP_TOL
+            and sqp._max_abs(r_x[1:], r_u) <= QP_TOL * 10  # stage 0 is pinned
+            and sqp._max_abs(r_eq) <= QP_TOL
+            and sqp._max_abs(r_in) <= QP_TOL
+        ):
+            return sqp.QpResult(z, w, nu, lam[:mx], lam[mx:], it, "optimal", reg)
+        if np.max(lam) > 1e8 and sqp._max_abs(r_in) > 1e-6:
+            raise sqp.Infeasible("inequality rows inconsistent: duals diverged")
+
+        # condensed Newton matrix: absorb each row block into its stage Hessian
+        weight = lam / s
+        fac = sqp._riccati_factor(
+            data.A, data.B, H_x + curvature(rows_x, weight[:mx]),
+            H_u + curvature(rows_u, weight[mx:]), AB,
+        )
+        sl = np.concatenate([s, lam])
+
+        def direction(r_comp):
+            # slack and multiplier steps eliminated; the new iterate must
+            # close the equality residual: dz_+ = A dz + B dw + r_eq
+            v = (lam * r_in - r_comp) / s
+            dz, dw, dnu = sqp._riccati_solve(
+                fac, r_x + rows_x.scatter(v[:mx]), r_u + rows_u.scatter(v[mx:]), r_eq, np.zeros(nx)
+            )
+            ds = -r_in - np.concatenate([rows_x.apply(dz), rows_u.apply(dw)])
+            dlam = -(r_comp + lam * ds) / s
+            # one ratio test over slacks and multipliers together
+            return dz, dw, dnu, ds, dlam, _max_step(sl, np.concatenate([ds, dlam]))
+
+        _, _, _, ds, dlam, step = direction(lam * s)
+        alpha = min(1.0, step)
+        mu_aff = float((s + alpha * ds) @ (lam + alpha * dlam)) / m
+        sigma = (mu_aff / mu) ** 3
+        dz, dw, dnu, ds, dlam, step = direction(lam * s + ds * dlam - sigma * mu)
+        alpha = min(1.0, ftb * step)
+        z = z + alpha * dz
+        w = w + alpha * dw
+        nu = nu + alpha * dnu
+        s = s + alpha * ds
+        lam = lam + alpha * dlam
+
+    # out of iterations: distinguish infeasibility from slow convergence
+    r_in = residuals()[3]
+    if sqp._max_abs(r_in) > 1e-6 and np.max(lam) > 1e6:
+        raise sqp.Infeasible("inequality rows inconsistent: primal residual stalled")
+    return sqp.QpResult(z, w, nu, lam[:mx], lam[mx:], sqp.QP_MAX_ITERS, "max_iter", reg)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -255,7 +256,7 @@ class TestQpSubproblem:
 
 
 # ---------------------------------------------------------------------------
-# interior point against dense oracles
+# the dual active set and the interior-point oracle against dense oracles
 
 
 def _dense_form(data):
@@ -302,9 +303,9 @@ def _dense_form(data):
     return H, g, E, d, np.reshape(G_rows, (-1, n)), np.array(h)
 
 
-def _dense_active_set_solution(H, g, E, d, G, h):
+def _dense_active_set_solution(H, g, E, d, G, h, tol=1e-9):
     """Exact optimum by enumerating active sets: the first set whose
-    equality-constrained KKT point is primal and dual feasible."""
+    equality-constrained KKT point is primal and dual feasible to tol."""
     n, p = len(g), len(d)
     for size in range(len(h) + 1):
         for active in itertools.combinations(range(len(h)), size):
@@ -316,7 +317,7 @@ def _dense_active_set_solution(H, g, E, d, G, h):
             except np.linalg.LinAlgError:
                 continue  # dependent rows: a smaller set carries the optimum
             y, lam_S = sol[:n], sol[n + p :]
-            if np.all(G @ y + h <= 1e-9) and np.all(lam_S >= -1e-9):
+            if np.all(G @ y + h <= tol) and np.all(lam_S >= -tol):
                 lam = np.zeros(len(h))
                 lam[S] = lam_S
                 return y, sol[n : n + p], lam
@@ -326,7 +327,7 @@ def _dense_active_set_solution(H, g, E, d, G, h):
 def _fixed_sigma_iterations(H, g, E, d, G, h, tol=1e-9, sigma=0.1, max_iter=100):
     """Iteration count of the primal-dual interior point with fixed
     centring sigma = 0.1, on the dense form, from the start point and with
-    the stopping rule of sqp.qp_subproblem."""
+    the stopping rule of the interior-point oracle."""
     n, p, m = len(g), len(d), len(h)
     y, nu, lam, s = np.zeros(n), np.zeros(p), np.ones(m), np.maximum(1.0, np.abs(h))
     for it in range(1, max_iter + 1):
@@ -408,6 +409,14 @@ def _random_qp_with_cut_rows(seed, N, nx, nu):
     return data
 
 
+def _binding_tension_qp():
+    """The QP of a tension-bound solve after two SQP iterations: 40 wrench
+    rows, the four of stage 0 binding, and linearly dependent there."""
+    problem = make_problem((1.0, 0.0, 1.0), N=10, f_max=1.2, funnel_radius=10.0)
+    early = sqp.solve(problem, config=sqp.SolverConfig(max_sqp_iters=2))
+    return sqp._build_qp_data(sqp._evaluate(early.X, early.U, problem), problem)
+
+
 class TestInteriorPointOracles:
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(
@@ -420,32 +429,36 @@ class TestInteriorPointOracles:
         data = _random_qp_with_cut_rows(seed, N, nx, nu)
         y, nu_dense, lam_dense = _dense_active_set_solution(*_dense_form(data))
         assert np.any(lam_dense > 1e-6)  # some row binds
-        result = sqp.qp_subproblem(data)
-        assert result.status == "optimal"
-        y_ipm = np.concatenate([result.z[1:].ravel(), result.w.ravel()])
-        lam_ipm = np.concatenate([result.lam_x, result.lam_u])
-        np.testing.assert_allclose(result.z[0], data.z0)
-        np.testing.assert_allclose(y_ipm, y, rtol=1e-6, atol=1e-6)
-        np.testing.assert_allclose(result.nu.ravel(), nu_dense, rtol=1e-6, atol=1e-6)
-        np.testing.assert_allclose(lam_ipm, lam_dense, rtol=1e-6, atol=1e-6)
+        # the solver's dual active set, and the interior point the tests
+        # keep as the QP oracle
+        for result in (sqp.qp_subproblem(data), _oracle_qp(data)):
+            assert result.status == "optimal" and result.iterations > 1
+            y_qp = np.concatenate([result.z[1:].ravel(), result.w.ravel()])
+            lam_qp = np.concatenate([result.lam_x, result.lam_u])
+            np.testing.assert_allclose(result.z[0], data.z0)
+            np.testing.assert_allclose(y_qp, y, rtol=1e-6, atol=1e-6)
+            np.testing.assert_allclose(result.nu.ravel(), nu_dense, rtol=1e-6, atol=1e-6)
+            np.testing.assert_allclose(lam_qp, lam_dense, rtol=1e-6, atol=1e-6)
 
     def test_no_more_iterations_than_fixed_centring(self):
         # a QP of a tension-bound solve after two SQP iterations: 40 wrench
         # rows, several of them active at the QP optimum
-        problem = make_problem((1.0, 0.0, 1.0), N=10, f_max=1.2, funnel_radius=10.0)
-        early = sqp.solve(problem, config=sqp.SolverConfig(max_sqp_iters=2))
-        point = sqp._evaluate(early.X, early.U, problem)
-        data = sqp._build_qp_data(point, problem)
-        result = sqp.qp_subproblem(data)
-        assert result.status == "optimal"
-        assert np.sum(result.lam_u > 1e-6) >= 4
+        data = _binding_tension_qp()
+        ipm = refs.qp_oracle(data)
+        assert ipm.status == "optimal"
+        assert np.sum(ipm.lam_u > 1e-6) >= 4
         fixed = _fixed_sigma_iterations(*_dense_form(data))
         assert fixed < 100
-        assert result.iterations <= fixed
+        assert ipm.iterations <= fixed
+        # the dual active set reaches the oracle's optimum in fewer steps
+        result = sqp.qp_subproblem(data)
+        assert result.status == "optimal" and 1 < result.iterations < ipm.iterations
+        for got, want in ((result.z, ipm.z), (result.w, ipm.w)):
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-8)
 
 
 # ---------------------------------------------------------------------------
-# the convergence certificate: the QP without rows, when no row binds
+# the convergence certificate: the QP without rows answers when no row binds
 
 
 def _random_qp_with_slack_rows(seed, N, nx, nu):
@@ -491,26 +504,63 @@ def _defective_iterate(problem, scale=1e-3, seed=0):
     return sqp._evaluate(X, solution.U, problem)
 
 
-def _declining(monkeypatch, calls=None):
-    """Replace the certificate by one that never certifies; calls, when a
-    list, records what the real certificate would have returned."""
-    real = sqp._equality_certificate
-
-    def decline(data):
-        if calls is not None:
-            calls.append(real(data))
-        return None
-
-    monkeypatch.setattr(sqp, "_equality_certificate", decline)
-
-
 def _oracle_qp(data):
-    """The interior point stops at QP_TOL = 1e-9 on mu and on its residuals,
-    which leaves it up to about 2e-8 from the exact optimum on these QPs; run
-    it far closer as the oracle, so a 1e-8 match tests the certificate."""
+    """The interior-point oracle stops at QP_TOL = 1e-9 on mu and on its
+    residuals, which leaves it up to about 2e-8 from the exact optimum on
+    these QPs; run it far closer, so a 1e-8 match tests qp_subproblem."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(sqp, "QP_TOL", 1e-12)
-        return sqp.qp_subproblem(data)
+        patch.setattr(refs, "QP_TOL", 1e-12)
+        return refs.qp_oracle(data)
+
+
+def _kkt_errors(data, result) -> dict:
+    """The largest error of each KKT condition of a QP result: stationarity
+    (stages 1..N of z and all of w), the dynamics, the rows, the sign of the
+    multipliers and complementarity."""
+    r_x, r_u = refs.stationarity(data, result.z, result.w, result.nu, result.lam_x, result.lam_u)
+    rows = np.concatenate([
+        data.rows_x.apply(result.z) + data.rows_x.c, data.rows_u.apply(result.w) + data.rows_u.c
+    ])
+    lam = np.concatenate([result.lam_x, result.lam_u])
+    return {
+        "stationarity": sqp._max_abs(r_x[1:], r_u),
+        "dynamics": sqp._max_abs(
+            sqp._mv(data.A, result.z[:-1]) + sqp._mv(data.B, result.w) + data.c - result.z[1:],
+            result.z[0] - data.z0,
+        ),
+        "rows": max(float(np.max(rows, initial=0.0)), 0.0),
+        "sign": max(float(np.max(-lam, initial=0.0)), 0.0),
+        "complementarity": sqp._max_abs(lam * rows),
+    }
+
+
+def _assert_dense_optimum(data, result, tol=1e-8):
+    """result holds the dense active-set oracle's primal and dual optimum
+    (on QPs whose multipliers are unique), and meets every KKT condition to
+    1e-9.  The oracle takes rows as met to 1e-12, so that a row violated by
+    1e-9 is active in it."""
+    y, nu_dense, lam_dense = _dense_active_set_solution(*_dense_form(data), tol=1e-12)
+    np.testing.assert_allclose(result.z[0], data.z0)
+    np.testing.assert_allclose(
+        np.concatenate([result.z[1:].ravel(), result.w.ravel()]), y, rtol=0.0, atol=tol
+    )
+    # the costates reach 1e3 on the tracking QPs; the dense solve rounds them
+    # to about 1e-10 relative
+    np.testing.assert_allclose(result.nu.ravel(), nu_dense, rtol=tol, atol=tol)
+    lam = np.concatenate([result.lam_x, result.lam_u])
+    np.testing.assert_allclose(lam, lam_dense, rtol=0.0, atol=tol)
+    assert max(_kkt_errors(data, result).values()) <= 1e-9
+
+
+def _counting_factorizations(patch, counts: list):
+    """Make sqp._riccati_factor append to counts on every call."""
+    factor = sqp._riccati_factor
+
+    def counted(*args):
+        counts.append(1)
+        return factor(*args)
+
+    patch.setattr(sqp, "_riccati_factor", counted)
 
 
 class TestConvergenceCertificate:
@@ -523,10 +573,11 @@ class TestConvergenceCertificate:
     )
     def test_matches_interior_point_with_inactive_rows(self, seed, N, nx, nu):
         data = _random_qp_with_slack_rows(seed, N, nx, nu)
-        assert data.row_count() > 0
-        cert = sqp._equality_certificate(data)
+        assert data.rows_x.m + data.rows_u.m > 0
+        cert = sqp.qp_subproblem(data)
         ipm = _oracle_qp(data)
-        assert cert is not None and ipm.status == "optimal" and ipm.iterations > 1
+        assert (cert.iterations, cert.status) == (1, "optimal")  # the row-free solve
+        assert ipm.status == "optimal" and ipm.iterations > 1
         for got, want in ((cert.z, ipm.z), (cert.w, ipm.w), (cert.nu, ipm.nu)):
             np.testing.assert_allclose(got, want, rtol=1e-8, atol=1e-8)
         assert np.all(cert.lam_x == 0.0) and np.all(cert.lam_u == 0.0)
@@ -537,10 +588,10 @@ class TestConvergenceCertificate:
     @pytest.mark.parametrize("p0", [(0.0, 0.0, 1.0), (0.3, -0.2, 1.1)])
     def test_matches_interior_point_on_a_converged_tracking_qp(self, p0):
         data = _converged_qp(make_problem(p0, N=10))
-        assert data.row_count() > 0  # tension rows, all slack
-        cert = sqp._equality_certificate(data)
+        assert data.rows_x.m + data.rows_u.m > 0  # tension rows, all slack
+        cert = sqp.qp_subproblem(data)
         ipm = _oracle_qp(data)
-        assert cert is not None and ipm.status == "optimal"
+        assert (cert.iterations, cert.status) == (1, "optimal") and ipm.status == "optimal"
         for got, want in ((cert.z, ipm.z), (cert.w, ipm.w), (cert.nu, ipm.nu)):
             np.testing.assert_allclose(got, want, rtol=1e-8, atol=1e-8)
         kkt = sqp._nonlinear_kkt(data, cert)
@@ -550,73 +601,88 @@ class TestConvergenceCertificate:
     def test_answers_an_infeasible_iterate_where_no_row_binds(self, monkeypatch):
         """Dynamics defects sit in the QP's equality rows, so at an
         infeasible iterate the row-free minimizer is still the QP optimum
-        when it meets every row, and `_price` takes it."""
+        when it meets every row, and `_price` takes it: one factorization,
+        no active-set step."""
         problem = make_problem((0.3, -0.2, 1.1), N=10)
         point = _defective_iterate(problem)
         config = sqp.SolverConfig()
         assert point.defect_max > 100 * config.feas_tol and point.viol_max == 0.0
-        calls = []
+        factored = []
         with monkeypatch.context() as patch:
-            patch.setattr(sqp, "qp_subproblem", calls.append)
+            _counting_factorizations(patch, factored)
             data, result, _, feasible = sqp._price(point, problem, None, config)
-        assert not feasible and not calls
-        assert data.row_count() > 0 and result.iterations == 1
+        assert not feasible and len(factored) == 1
+        assert data.rows_x.m + data.rows_u.m > 0 and result.iterations == 1
         assert np.all(result.lam_x == 0.0) and np.all(result.lam_u == 0.0)
         ipm = _oracle_qp(data)
         assert ipm.status == "optimal" and ipm.iterations > 1
         for got, want in ((result.z, ipm.z), (result.w, ipm.w), (result.nu, ipm.nu)):
             np.testing.assert_allclose(got, want, rtol=1e-8, atol=1e-8)
 
-    def test_an_infeasible_iterate_with_a_violated_row_takes_the_interior_point(
-        self, monkeypatch
-    ):
+    def test_an_infeasible_iterate_with_a_violated_row_steps(self, monkeypatch):
         """The same iterate, its tension row nearest to binding pushed 1e-9
-        past the row-free minimizer: `_price` falls back to qp_subproblem."""
+        past the row-free minimizer: `_price` takes an active-set step on
+        the same factorization, to the dense oracle's optimum."""
         problem = make_problem((0.3, -0.2, 1.1), N=10)
         point = _defective_iterate(problem)
-        build, subproblem, calls = sqp._build_qp_data, sqp.qp_subproblem, []
+        build, pushed_rows, factored = sqp._build_qp_data, [], []
 
         def pushed(*args):
             data = build(*args)
-            rows, w = data.rows_u, sqp._equality_certificate(data).w
+            rows, w = data.rows_u, sqp.qp_subproblem(data).w  # the row-free minimizer
             r = int(np.argmax(rows.apply(w) + rows.c))
             rows.c[r] = 1e-9 - rows.C[r] @ w[rows.stage[r]]
+            pushed_rows.append(r)
+            factored.clear()
             return data
 
-        def spy(data):
-            calls.append(data)
-            return subproblem(data)
-
         monkeypatch.setattr(sqp, "_build_qp_data", pushed)
-        monkeypatch.setattr(sqp, "qp_subproblem", spy)
-        data, result, _, feasible = sqp._price(point, problem, None, sqp.SolverConfig())
-        assert not feasible and len(calls) == 1 and calls[0] is data
-        assert result.status == "optimal" and result.iterations > 1
+        with monkeypatch.context() as patch:
+            _counting_factorizations(patch, factored)
+            data, result, _, feasible = sqp._price(point, problem, None, sqp.SolverConfig())
+        assert not feasible and len(factored) == 1
+        assert (result.iterations, result.status) == (2, "optimal")
+        (r,) = pushed_rows
+        assert result.lam_u[r] > 0.0 and np.count_nonzero(result.lam_u) == 1
+        assert abs(data.rows_u.C[r] @ result.w[data.rows_u.stage[r]] + data.rows_u.c[r]) <= 1e-12
+        _assert_dense_optimum(data, result)
 
     def test_circle_medium_runs_no_interior_point(self, monkeypatch):
         """Circle-medium's replans from 3 s on (steps 60 and 80 here) reach
         infeasible iterates, where no row binds either: the row-free solve
-        prices every pass of the run."""
+        prices every pass of the run, one factorization each and no
+        active-set step."""
         config = dataclasses.replace(harness.scenario_preset("circle-medium"), duration=4.5)
-        calls = []
-        monkeypatch.setattr(sqp, "qp_subproblem", calls.append)
+        results, factored = [], []
+        subproblem = sqp.qp_subproblem
+
+        def spy(data):
+            results.append(subproblem(data))
+            return results[-1]
+
+        monkeypatch.setattr(sqp, "qp_subproblem", spy)
+        _counting_factorizations(monkeypatch, factored)
         log = harness.run_closed_loop(config)
         assert [e.k for e in log.events] == [0, 20, 40, 60, 80]
-        assert not calls and log.solver_failures == 0
+        assert log.solver_failures == 0
+        assert len(results) >= sum(len(e.trace) for e in log.events) > len(log.events)
+        assert len(factored) == len(results)
+        assert all((r.iterations, r.status) == (1, "optimal") for r in results)
 
     def test_declines_on_a_binding_tension_row(self, monkeypatch):
         problem = make_problem((1.0, 0.0, 1.0), N=10, f_max=1.2, funnel_radius=10.0)
         data = _converged_qp(problem)
-        assert np.max(sqp.qp_subproblem(data).lam_u) > 1e-3  # a row binds
-        assert sqp._equality_certificate(data) is None
-        # so the solve's last passes take the interior point's steps, and it
-        # ends where an interior-point-only solve ends, to well inside the
-        # interior point's own QP_TOL (measured: 1.2e-15 on X)
+        ipm = _oracle_qp(data)
+        assert np.max(ipm.lam_u) > 1e-3  # a row binds
+        result = sqp.qp_subproblem(data)
+        assert result.status == "optimal" and result.iterations > 1  # active-set steps
+        for got, want in ((result.z, ipm.z), (result.w, ipm.w)):
+            np.testing.assert_allclose(got, want, rtol=1e-8, atol=1e-8)
+        # the solve ends where a solve whose every QP the interior-point
+        # oracle answers, run to 1e-12, ends
         solution = sqp.solve(problem)
-        calls = []
-        _declining(monkeypatch, calls)
+        monkeypatch.setattr(sqp, "qp_subproblem", _oracle_qp)
         ipm_only = sqp.solve(problem)
-        assert calls and calls[-1] is None
         assert (solution.status, solution.iterations) == (ipm_only.status, ipm_only.iterations)
         assert solution.status == "converged"
         np.testing.assert_allclose(solution.X, ipm_only.X, rtol=0.0, atol=1e-9)
@@ -627,7 +693,7 @@ class TestConvergenceCertificate:
     def test_trace_keeps_one_record_per_iteration(self):
         # on the binding tension row the feasible cold start's step comes
         # from the row-free solve, and every later one, with the row binding,
-        # from the interior point
+        # from active-set steps
         problem = make_problem((1.0, 0.0, 1.0), N=10, f_max=1.2, funnel_radius=10.0)
         trace = []
         solution = sqp.solve(problem, trace=trace)
@@ -650,37 +716,25 @@ class TestConvergenceCertificate:
         ids=["hover-recovery-3.0", "circle-medium-1.5"],
     )
     def test_closed_loop_is_unchanged_without_it(self, monkeypatch, preset, duration, payload_tol):
-        """A closed loop taking the certificate's steps makes the events of
-        one that runs only the interior point, and its payload path agrees
-        to payload_tol; no pass the certificate answers runs the interior
-        point."""
+        """A closed loop whose passes the row-free solve answers makes the
+        events of one whose every QP the interior-point oracle solves, and
+        its payload path agrees to payload_tol; no row binds on either run,
+        so no pass takes an active-set step."""
         config = dataclasses.replace(harness.scenario_preset(preset), duration=duration)
-        passes = []
-        price, certificate, subproblem = sqp._price, sqp._equality_certificate, sqp.qp_subproblem
-
-        def pass_spy(*args):
-            passes.append({"certified": False, "qp_calls": 0})
-            return price(*args)
-
-        def certificate_spy(data):
-            result = certificate(data)
-            passes[-1]["certified"] = result is not None
-            return result
+        results, factored = [], []
+        subproblem = sqp.qp_subproblem
 
         def subproblem_spy(data):
-            passes[-1]["qp_calls"] += 1
-            return subproblem(data)
+            results.append(subproblem(data))
+            return results[-1]
 
         with monkeypatch.context() as patch:
-            patch.setattr(sqp, "_price", pass_spy)
-            patch.setattr(sqp, "_equality_certificate", certificate_spy)
             patch.setattr(sqp, "qp_subproblem", subproblem_spy)
+            _counting_factorizations(patch, factored)
             log = harness.run_closed_loop(config)
-        assert any(p["certified"] for p in passes)
-        assert all(p["qp_calls"] == (0 if p["certified"] else 1) for p in passes)
-        # no row binds on either run, so no pass runs the interior point
-        assert not any(p["qp_calls"] for p in passes)
-        _declining(monkeypatch)
+        assert results and len(factored) == len(results)
+        assert all((r.iterations, r.status) == (1, "optimal") for r in results)
+        monkeypatch.setattr(sqp, "qp_subproblem", refs.qp_oracle)
         ipm_log = harness.run_closed_loop(config)
         assert len(log.events) == len(ipm_log.events) >= 2
         for e, e_ipm in zip(log.events, ipm_log.events):
@@ -694,9 +748,9 @@ class TestConvergenceCertificate:
         )
 
     def test_empty_rows_add_like_the_general_expressions(self):
-        """Without rows, apply, scatter and curvature skip their numpy work;
-        what they return adds bit for bit like the zero-row expressions'
-        results, signed zeros included."""
+        """Without rows, apply and scatter skip their numpy work; what they
+        return adds bit for bit like the zero-row expressions' results,
+        signed zeros included."""
         rng = np.random.default_rng(6)
         dim, stages = 3, 4
         rows = no_rows(dim, stages)
@@ -704,19 +758,151 @@ class TestConvergenceCertificate:
         empty = np.zeros(0)
         general_apply = np.einsum("rj,rj->r", rows.C, y[rows.stage])
         general_scatter = rows._onehot @ (rows.C * empty[:, None])
-        general_curvature = (rows._onehot @ (empty[:, None] * rows._outer)).reshape(-1, dim, dim)
         base = rng.standard_normal((stages, dim))
         base[0] = [-0.0, 0.0, np.nan]
-        hess = rng.standard_normal((stages, dim, dim))
-        hess[0, 0] = [-0.0, 0.0, -np.inf]
         for got, want in (
             (rows.apply(y) + rows.c, general_apply + rows.c),
             (np.concatenate([base[0], rows.apply(y)]), np.concatenate([base[0], general_apply])),
             (base + rows.scatter(empty), base + general_scatter),
-            (hess + rows.curvature(empty), hess + general_curvature),
         ):
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# dependent and contradictory rows
+
+
+def _objective(data, result) -> float:
+    H, g = _dense_form(data)[:2]
+    y = np.concatenate([result.z[1:].ravel(), result.w.ravel()])
+    return float(0.5 * y @ H @ y + g @ y)
+
+
+def _with_row(rows, C, c, stage):
+    """rows with one more row C y + c <= 0 on the given stage."""
+    return sqp._Rows(
+        np.vstack([rows.C, C]), np.append(rows.c, c), np.append(rows.stage, stage), rows.stages
+    )
+
+
+def _contradicting(data, weights):
+    """data with an input row that contradicts rows j of weights_j > 0, all
+    on one stage: -sum_j weights_j (C_j w + c_j) + 1e-3 <= 0, where each
+    row j must read at most 0.  Scaled and combined rows leave the Schur
+    complement of the new row at rounding level, of either sign."""
+    rows = data.rows_u
+    (stage,) = set(rows.stage[weights > 0])
+    return dataclasses.replace(
+        data, rows_u=_with_row(rows, -(weights @ rows.C), 1e-3 - weights @ rows.c, stage)
+    )
+
+
+class TestDependentRows:
+    """Rows whose gradients depend on the active rows' have no unique
+    multipliers: the active set takes a vertex of the multiplier set, with
+    the primal optimum of any other method."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        N=st.integers(1, 3),
+        nx=st.integers(1, 3),
+        nu=st.integers(1, 2),
+    )
+    def test_duplicated_and_scaled_rows_match_the_dense_oracle(self, seed, N, nx, nu):
+        data = _random_qp_with_cut_rows(seed, N, nx, nu)
+        rng = np.random.default_rng(seed + 2)
+        for kind in ("rows_x", "rows_u"):
+            rows = getattr(data, kind)
+            for r in rng.choice(rows.m, size=min(rows.m, 2), replace=False):
+                k = rng.choice([1.0, rng.uniform(0.3, 3.0)])  # a copy or a scaled copy
+                rows = _with_row(rows, k * rows.C[r], k * rows.c[r], rows.stage[r])
+            setattr(data, kind, rows)
+        y, _, lam_dense = _dense_active_set_solution(*_dense_form(data))
+        assert np.any(lam_dense > 1e-6)
+        result = sqp.qp_subproblem(data)
+        assert result.status == "optimal"
+        np.testing.assert_allclose(result.z[0], data.z0)
+        np.testing.assert_allclose(
+            np.concatenate([result.z[1:].ravel(), result.w.ravel()]), y, rtol=1e-6, atol=1e-6
+        )
+        H, g = _dense_form(data)[:2]
+        assert _objective(data, result) == pytest.approx(0.5 * y @ H @ y + g @ y, rel=1e-8, abs=1e-8)
+        assert max(_kkt_errors(data, result).values()) <= 1e-9
+        weights = np.zeros(data.rows_u.m)
+        weights[np.argmax(result.lam_u)] = rng.uniform(0.3, 3.0)
+        with pytest.raises(sqp.Infeasible):
+            sqp.qp_subproblem(_contradicting(data, weights))
+
+    def test_the_four_tension_rows_of_a_binding_stage(self):
+        """The four tension rows of one wrench stage are linearly dependent
+        (rows 0 + 2 = rows 1 + 3 here): the oracle spreads the multiplier
+        evenly over them, the active set puts it on two, and both give the
+        same primal optimum, costates and row force sum_r lam_r C_r."""
+        data = _binding_tension_qp()
+        rows = data.rows_u
+        np.testing.assert_allclose(rows.C[0] + rows.C[2], rows.C[1] + rows.C[3], atol=1e-14)
+        result, ipm = sqp.qp_subproblem(data), _oracle_qp(data)
+        assert result.status == ipm.status == "optimal"
+        assert np.all(ipm.lam_u[:4] > 1.0)
+        assert np.count_nonzero(result.lam_u[:4]) == 2
+        for got, want in ((result.z, ipm.z), (result.w, ipm.w), (result.nu, ipm.nu)):
+            np.testing.assert_allclose(got, want, rtol=1e-8, atol=1e-8)
+        np.testing.assert_allclose(
+            rows.scatter(result.lam_u), rows.scatter(ipm.lam_u), rtol=0.0, atol=1e-8
+        )
+        assert _objective(data, result) == pytest.approx(_objective(data, ipm), rel=1e-12)
+        assert max(_kkt_errors(data, result).values()) <= 1e-9
+        # a row against the two active rows, alone or combined
+        for k in (0.5, 0.7, 1.3, 2.0):
+            for weights in ((k, 0.0, 0.0, 0.0), (0.0, 0.0, k, 0.0), (1.0, 0.0, k, 0.0)):
+                with pytest.raises(sqp.Infeasible):
+                    sqp.qp_subproblem(_contradicting(data, np.pad(weights, (0, rows.m - 4))))
+
+
+# ---------------------------------------------------------------------------
+# a QP on which the interior point fails
+
+
+FULL_RECOVERY_QP = Path(__file__).parent / "fixtures" / "full_recovery_qp_step176.npz"
+
+
+def _fixture_qp(path) -> sqp.QpData:
+    arrays = np.load(path)
+    rows = {
+        kind: sqp._Rows(
+            arrays[f"{kind}_C"], arrays[f"{kind}_c"], arrays[f"{kind}_stage"], stages
+        )
+        for kind, stages in (("rows_x", len(arrays["H_x"])), ("rows_u", len(arrays["H_u"])))
+    }
+    fields = ("H_x", "g_x", "H_u", "g_u", "A", "B", "c", "z0")
+    return sqp.QpData(**{name: arrays[name] for name in fields}, **rows)
+
+
+class TestFullRecoveryQp:
+    """The first QP of the event solve at NMPC step 176 of `hover-recovery`
+    with `plant_model: full` (the preset's 0.30 m offset) that failed while
+    an interior point solved the binding QPs: 20 stages, 80 tension rows.
+    The interior point condenses the binding rows into input Hessians with
+    entries up to about 5e19, which read indefinite in floats, and raises
+    QpNumericalFailure at every regularization level."""
+
+    def test_the_dual_active_set_solves_it_at_reg_0(self):
+        data = _fixture_qp(FULL_RECOVERY_QP)
+        assert (data.N, data.rows_x.m, data.rows_u.m) == (20, 0, 80)
+        result = sqp.qp_subproblem(data)
+        assert (result.status, result.reg) == ("optimal", 0.0)
+        assert result.iterations > 1 and np.count_nonzero(result.lam_u) > 1
+        errors = _kkt_errors(data, result)
+        assert max(errors.values()) <= 1e-9, errors
+        # a row that left the active set keeps no multiplier at all
+        slack = data.rows_u.apply(result.w) + data.rows_u.c < -1e-9
+        assert np.all(result.lam_u[slack] == 0.0)
+
+    def test_the_interior_point_oracle_fails_on_it(self):
+        with pytest.raises(sqp.QpNumericalFailure):
+            refs.qp_oracle(_fixture_qp(FULL_RECOVERY_QP))
 
 
 # ---------------------------------------------------------------------------
@@ -766,17 +952,26 @@ class TestStackedRows:
 
     @pytest.mark.parametrize("kind", ["rows_x", "rows_u"])
     def test_certificate_declines_one_violated_mid_horizon_row(self, kind):
+        """The row-free solve answers while every row is slack; one row
+        violated by 1e-9 takes one active-set step, which holds that row at
+        equality, to the dense oracle's optimum."""
         N = 6
         data = _converged_qp(_obstacle_problem(N))
-        cert = sqp._equality_certificate(data)
-        assert cert is not None  # every row slack
+        cert = sqp.qp_subproblem(data)
+        assert cert.iterations == 1  # every row slack
         block = getattr(data, kind)
         y = cert.z if kind == "rows_x" else cert.w
         r = int(np.flatnonzero(block.stage == N // 2)[-1])
         reading = block.C[r] @ y[N // 2]
         assert reading + block.c[r] < 0.0
         block.c[r] = 1e-9 - reading  # violated by 1e-9 at the equality minimizer
-        assert sqp._equality_certificate(data) is None
+        result = sqp.qp_subproblem(data)
+        assert (result.iterations, result.status) == (2, "optimal")
+        lam = result.lam_x if kind == "rows_x" else result.lam_u
+        assert lam[r] > 0.0 and np.count_nonzero(lam) == 1
+        y = result.z if kind == "rows_x" else result.w
+        assert abs(block.C[r] @ y[N // 2] + block.c[r]) <= 1e-12
+        _assert_dense_optimum(data, result)
 
 
 # ---------------------------------------------------------------------------
@@ -999,19 +1194,20 @@ class TestSolve:
 
     def test_feasible_replan_skips_the_interior_point_on_its_first_pass(self, monkeypatch):
         """A shifted plan meeting every tension row starts at a feasible
-        iterate, so the row-free certificate answers the first pass."""
+        iterate, so the row-free solve answers the first pass: one
+        factorization, no active-set step."""
         _, advanced, U = self._replan(RIG, state((0.5, 0.0, 1.0)))
         assert np.max(ocp.tension_rows(U, advanced)[1]) <= 0.0
-        trace, first_pass_qps = [], []
-        qp_subproblem = sqp.qp_subproblem
+        trace, first_pass = [], []
+        factor = sqp._riccati_factor
 
-        def counted(data):
-            first_pass_qps.append(not trace)  # no pass recorded yet
-            return qp_subproblem(data)
+        def counted(*args):
+            first_pass.append(not trace)  # no pass recorded yet
+            return factor(*args)
 
-        monkeypatch.setattr(sqp, "qp_subproblem", counted)
+        monkeypatch.setattr(sqp, "_riccati_factor", counted)
         assert sqp.solve(advanced, warm=U, trace=trace).status == "converged"
-        assert trace and not any(first_pass_qps)
+        assert first_pass.count(True) == 1 and trace[0]["qp_iters"] == 1
 
     def test_warm_and_cold_solves_agree(self):
         """Oracle: from the shifted plan and from the reference wrenches the
@@ -1041,7 +1237,7 @@ class TestSolve:
 
     def test_trace_marks_qp_max_iter_and_reports_the_qp(self, monkeypatch):
         # the binding tension row: the cold start's step comes from the
-        # row-free solve, the next two from the capped interior point
+        # row-free solve, the next two from the capped active set
         problem = make_problem((1.0, 0.0, 1.0), N=10, f_max=1.2, funnel_radius=10.0)
         trace = []
         with monkeypatch.context() as patch:
@@ -1154,11 +1350,14 @@ class TestIterateReuse:
             ocp.tension_row_hessians(U, problem, shares), ocp.tension_row_hessians(U, problem)
         )
 
-    def test_interior_point_stacks_AB_once(self, monkeypatch):
-        problem = make_problem((1.0, 0.0, 1.0), N=10, f_max=1.2, funnel_radius=10.0)
-        early = sqp.solve(problem, config=sqp.SolverConfig(max_sqp_iters=2))
-        data = sqp._build_qp_data(sqp._evaluate(early.X, early.U, problem), problem)
+    def test_qp_subproblem_stacks_AB_once(self, monkeypatch):
+        """Every regularization level factors with the same stacked [A B];
+        here reg 0 fails on an input Hessian of -5e-9 and REG succeeds."""
+        data = _scalar_qp([[-5e-9]], [-1.0], [[1.0]], [-0.5])
+        data.B[0] = np.eye(1)
         shared = sqp.qp_subproblem(data)
+        assert (shared.reg, shared.iterations, shared.status) == (sqp.REG, 2, "optimal")
+        assert shared.w[0][0] == pytest.approx(0.5, abs=1e-12)
         real = sqp._riccati_factor
         handed = []
 
@@ -1297,9 +1496,10 @@ class TestRecordedRollout:
 
 
 def _kkt_at_zero_steps(data: sqp.QpData, result: sqp.QpResult) -> float:
-    """The nonlinear stationarity as `_stationarity` at zero primal steps."""
+    """The nonlinear stationarity as the QP's Lagrangian gradient at zero
+    primal steps (the oracle's stationarity)."""
     zero_x, zero_u = np.zeros_like(data.g_x), np.zeros_like(data.g_u)
-    r_x, r_u = sqp._stationarity(data, zero_x, zero_u, result.nu, result.lam_x, result.lam_u)
+    r_x, r_u = refs.stationarity(data, zero_x, zero_u, result.nu, result.lam_x, result.lam_u)
     return sqp._max_abs(r_x[1:], r_u)
 
 
@@ -1319,35 +1519,30 @@ def _binding_obstacle_window():
 
 class TestNonlinearKkt:
     def test_equals_the_stationarity_at_zero_steps(self):
-        """Bit for bit on every pass, both on passes the row-free certificate
-        answers and on interior-point passes with a binding row."""
-        passes, interior = [], []
-        kkt, qp = sqp._nonlinear_kkt, sqp.qp_subproblem
+        """Bit for bit on every pass, both on passes the row-free solve
+        answers and on passes whose active-set steps hold a binding row."""
+        passes = []
+        kkt = sqp._nonlinear_kkt
 
         def priced(data, result):
             passes.append((data, result, kkt(data, result)))
             return passes[-1][2]
 
-        def solved(data):
-            interior.append(qp(data))
-            return interior[-1]
-
         window, solver = _binding_obstacle_window()
-        with mock.patch.object(sqp, "_nonlinear_kkt", priced), \
-                mock.patch.object(sqp, "qp_subproblem", solved):
+        with mock.patch.object(sqp, "_nonlinear_kkt", priced):
             sqp.solve(make_problem((0.4, 0.0, 1.0), N=6))
             sqp.solve(window, None, solver)
         for data, result, value in passes:
             assert value == _kkt_at_zero_steps(data, result)
-        by_ipm = [result for _, result, _ in passes if any(result is r for r in interior)]
-        assert len(by_ipm) < len(passes)  # some passes the certificate answered
-        assert any(result.lam_x.size and np.max(result.lam_x) > 1e-6 for result in by_ipm)
+        stepped = [result for _, result, _ in passes if result.iterations > 1]
+        assert len(stepped) < len(passes)  # some passes the row-free solve answered
+        assert any(result.lam_x.size and np.max(result.lam_x) > 1e-6 for result in stepped)
 
 
 class TestLinearizationOnBindingRows:
-    def test_solve_through_the_interior_point_matches_the_18_column_mode(self):
-        """The preset runs never bind a row, so their digests do not reach
-        the interior point.  On circle-medium with an obstacle on the circle
+    def test_active_set_solve_matches_the_18_column_mode(self):
+        """The preset runs never bind a row, so their digests take no
+        active-set step.  On circle-medium with an obstacle on the circle
         (0.15 m clearance at (-1, 0, 0.5)), a window ending inside it binds
         the clearance row; the solve takes the same steps with the
         18-column linearization patched in, bit for bit."""
@@ -1360,9 +1555,9 @@ class TestLinearizationOnBindingRows:
         ref_x, ref_u = config.reference_at(6.6 + np.arange(N + 1) * config.ocp.dt)
         ref_u = np.array(np.broadcast_to(ref_u, (N + 1, ocp.NU)))
         problem = ocp.build_ocp(ref_x[0], ref_x, ref_u, config.ocp, config.params)
-        with mock.patch.object(sqp, "qp_subproblem", wraps=sqp.qp_subproblem) as spy:
-            new = sqp.solve(problem, None, config.solver)
-        assert spy.call_count > 0
+        trace = []
+        new = sqp.solve(problem, None, config.solver, trace)
+        assert any(entry["qp_iters"] > 1 for entry in trace)
         with mock.patch.object(ocp, "linearize_dynamics", wraps=refs.linearize_dynamics) as oracle:
             old = sqp.solve(problem, None, config.solver)
         assert oracle.call_count > 0
