@@ -13,10 +13,12 @@ Optim. 2005).
 
 The QP itself is solved in-repo on one Riccati factorization of the QP
 without its inequality rows, so its cost stays linear in the horizon
-length.  Its back-solve is the QP optimum when no row is violated there;
-otherwise the Goldfarb-Idnani dual active-set method (Math. Program. 27,
-1983) adds violated rows one at a time on the same factorization, each at
-the price of one more back-solve, until every row holds.
+length; it takes the stage Hessians as they are, since the input Hessians
+it inverts are positive definite by construction.  Its back-solve is the QP
+optimum when no row is violated there; otherwise the Goldfarb-Idnani dual
+active-set method (Math. Program. 27, 1983) adds violated rows one at a
+time on the same factorization, each at the price of one more back-solve,
+until every row holds.
 
 The stagewise QP data layout is dimension-generic on purpose; the unit tests
 drive it with scalar problems whose KKT systems are solved by hand.
@@ -39,7 +41,7 @@ class Infeasible(RuntimeError):
 
 
 class QpNumericalFailure(RuntimeError):
-    """Riccati factorization failed at every regularization level."""
+    """Riccati factorization of the stage QP failed."""
 
 
 # line search: initial L1 merit weight, step shrink factor, smallest step
@@ -48,10 +50,8 @@ MERIT_WEIGHT = 10.0
 BACKTRACK = 0.5
 MIN_STEP = 1e-4
 ARMIJO = 1e-4
-# QP: cap on the active-set steps, and the first nonzero Hessian
-# regularization tried when the factorization fails
+# QP: cap on the active-set steps
 QP_MAX_ITERS = 100
-REG = 1e-8
 
 
 @dataclass
@@ -164,7 +164,6 @@ class QpResult:
     lam_u: np.ndarray  # (m_u,) multipliers of rows_u
     iterations: int
     status: str  # optimal | max_iter
-    reg: float  # Hessian regularization the factorizations succeeded at
 
 
 def _mv(M: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -199,15 +198,15 @@ class _Riccati:
         return _mtv(self.L_inv, _mv(self.L_inv, r))
 
 
-def _riccati_factor(A, B, H_x, H_u, AB) -> _Riccati:
+def _riccati_factor(A, B, H_x, H_u) -> _Riccati:
     """Factor the equality-constrained stage QP by backward value recursion.
 
-    AB is [A B] stacked along the columns.  Raises numpy.linalg.LinAlgError
-    when an input Hessian block is not positive definite; the caller
-    escalates regularization.
+    Raises numpy.linalg.LinAlgError when an input Hessian block Q_uu is not
+    positive definite.
     """
     N, nx = A.shape[0], A.shape[1]
     nu = B.shape[2]
+    AB = np.concatenate([A, B], axis=2)
     ABt = AB.transpose(0, 2, 1)
     P = np.empty((N + 1, nx, nx))
     K = np.empty((N, nu, nx))
@@ -260,7 +259,7 @@ def _max_abs(*arrays) -> float:
 def qp_subproblem(data: QpData) -> QpResult:
     """Solve the stagewise QP on one Riccati factorization of it without rows.
 
-    At reg 0 the factorization takes the stage Hessians as they are, and its
+    The factorization takes the stage Hessians as they are, and its
     back-solve gives the row-free minimizer.  When no row is violated there
     (C y + c <= 1e-12 on every row) that is the optimum of the full convex
     QP, with zero row multipliers and iterations 1 (Nocedal & Wright,
@@ -269,26 +268,21 @@ def qp_subproblem(data: QpData) -> QpResult:
     Otherwise `_dual_active_set` adds the violated rows on the same
     factorization, each of its steps adding one to iterations; status is
     "max_iter" when QP_MAX_ITERS is reached first.  Raises Infeasible when
-    the rows cannot hold together and QpNumericalFailure when the
-    factorization fails at every regularization level.
+    the rows cannot hold together and QpNumericalFailure when an input
+    Hessian Q_uu = H_u + B^T P B is not positive definite.  The SQP's stage
+    QPs have Q_uu positive definite by construction: CostWeights keeps Q_X
+    positive definite, so are H_x and every value Hessian P; H_u, lagged
+    tension curvature included, is positive semidefinite; and B has full
+    column rank.
     """
-    levels = [0.0, REG, 1e-6, 1e-4, 1e-2]
-    nx, nu = data.H_x.shape[-1], data.H_u.shape[-1]
-    AB = np.concatenate([data.A, data.B], axis=2)
-    last_error: Optional[Exception] = None
-    for reg in levels:
-        H_x = data.H_x + reg * np.eye(nx) if reg else data.H_x
-        H_u = data.H_u + reg * np.eye(nu) if reg else data.H_u
-        try:
-            fac = _riccati_factor(data.A, data.B, H_x, H_u, AB)
-        except np.linalg.LinAlgError as err:
-            last_error = err
-            continue
-        return _dual_active_set(data, fac, reg)
-    raise QpNumericalFailure(f"Riccati factorization failed at reg {levels[-1]}: {last_error}")
+    try:
+        fac = _riccati_factor(data.A, data.B, data.H_x, data.H_u)
+    except np.linalg.LinAlgError as err:
+        raise QpNumericalFailure(f"Riccati factorization failed: {err}") from err
+    return _dual_active_set(data, fac)
 
 
-def _dual_active_set(data: QpData, fac: _Riccati, reg: float) -> QpResult:
+def _dual_active_set(data: QpData, fac: _Riccati) -> QpResult:
     """The Goldfarb-Idnani dual active-set method (Math. Program. 27, 1983)
     on the factorization of the QP without rows.
 
@@ -355,7 +349,7 @@ def _dual_active_set(data: QpData, fac: _Riccati, reg: float) -> QpResult:
         v[active] = 0.0
     for j, (dz, dw, dnu, _) in responses.items():
         z, w, nu = z + lam[j] * dz, w + lam[j] * dw, nu + lam[j] * dnu
-    return QpResult(z, w, nu, lam[:mx], lam[mx:], it, status, reg)
+    return QpResult(z, w, nu, lam[:mx], lam[mx:], it, status)
 
 
 # ---------------------------------------------------------------------------
@@ -502,10 +496,10 @@ def solve(
     violating a hard row, which no control can undo).  When trace is a
     list, one dict per outer iteration is appended: the incumbent merit,
     cost and stationarity, the accepted step length, the QP's iteration
-    count (1 for the row-free solve, plus one per active-set step), status
-    ("optimal" or "max_iter") and Hessian regularization, and whether the
-    line search stalled (no step accepted down to MIN_STEP, which ends the
-    solve).
+    count (1 for the row-free solve, plus one per active-set step) and
+    status ("optimal" or "max_iter"), and whether the line search stalled
+    (no step accepted down to MIN_STEP, which ends the solve).  Raises
+    QpNumericalFailure when a QP's factorization fails (`qp_subproblem`).
     """
     config = config or SolverConfig()
     _, v0 = ocp.obstacle_rows(problem.x0[None, :], problem)
@@ -531,8 +525,7 @@ def solve(
         phi0 = point.merit(mu_merit)
         record = {
             "merit": phi0, "cost": point.cost, "kkt": kkt, "alpha": 0.0,
-            "qp_iters": result.iterations, "qp_status": result.status,
-            "reg": result.reg, "stalled": False,
+            "qp_iters": result.iterations, "qp_status": result.status, "stalled": False,
         }
         if trace is not None:
             trace.append(record)

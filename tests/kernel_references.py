@@ -8,8 +8,7 @@ and the full-plant tick made one call to a small float helper (`cross`,
 below are that form, kept verbatim but for the payload row's quaternion
 rate, which keeps so3.omega_to_quat_dot's zero terms as the plant's does;
 the tests pin the written-out kernels to them bit for bit, also on paths the
-preset digests do not reach (slack cables, a clipped desired cable rate, and
-the null-space step, which the tick does not call).
+preset digests do not reach (slack cables and a clipped desired cable rate).
 
 The solver's dynamics linearization is kept here in its 18-column forward
 mode, verbatim: every state and wrench tangent column carried through all 13
@@ -21,13 +20,13 @@ solve where a row binds.
 The QP oracle is the Mehrotra predictor-corrector interior point that solved
 the SQP's QPs with binding rows before the dual active set on the row-free
 Riccati factorization replaced it, kept verbatim with its stationarity,
-ratio test, row curvature and stopping tolerance.  Being an independent
-method on the same QP, it checks `sqp.qp_subproblem`'s optimum, and its
-multipliers where they are unique.
+ratio test, row curvature, stopping tolerance and Hessian regularization
+ladder (`qp_subproblem` needs none).  Being an independent method on the
+same QP, it checks `sqp.qp_subproblem`'s optimum, and its multipliers where
+they are unique.
 """
 
 import math
-from unittest import mock
 
 import numpy as np
 
@@ -198,14 +197,6 @@ def allocate(wrench, R_L, amap) -> list:
 
 def attachments(p_L, R_L, r_i) -> list:
     return [_add(p_L, rotate(R_L, r)) for r in r_i]
-
-
-def nullspace_redistribute(mu_des, attachments_world, R_L, amap, l_i) -> list:
-    """allocation.nullspace_redistribute, stacking and unstacking with the
-    references above."""
-    with mock.patch.object(allocation, "_unstack", unstack), \
-            mock.patch.object(allocation, "stack_body", stack_body):
-        return allocation.nullspace_redistribute(mu_des, attachments_world, R_L, amap, l_i)
 
 
 # ---------------------------------------------------------------------------
@@ -454,8 +445,10 @@ def linearize_dynamics(X, U, dt, problem, rollout=None):
 # ---------------------------------------------------------------------------
 # the QP oracle: the interior point on the condensed Riccati recursion
 
-# stopping tolerance on mu and on the residuals
+# stopping tolerance on mu and on the residuals, and the first nonzero
+# Hessian regularization qp_oracle tries
 QP_TOL = 1e-9
+REG = 1e-8
 
 
 def stationarity(data, z, w, nu, lam_x, lam_u):
@@ -483,23 +476,24 @@ def curvature(rows, weight: np.ndarray):
 
 
 def qp_oracle(data):
-    """The stagewise QP solved by the interior point, escalating the Hessian
-    regularization as `sqp.qp_subproblem` does."""
-    levels = [0.0, sqp.REG, 1e-6, 1e-4, 1e-2]
+    """The stagewise QP solved by the interior point, adding a Hessian
+    regularization of 0, then REG, 1e-6, 1e-4 and 1e-2 while its condensed
+    factorization fails."""
+    levels = [0.0, REG, 1e-6, 1e-4, 1e-2]
     nx, nu = data.H_x.shape[-1], data.H_u.shape[-1]
     last_error = None
     for reg in levels:
         H_x = data.H_x + reg * np.eye(nx)
         H_u = data.H_u + reg * np.eye(nu)
         try:
-            return qp_interior_point(data, H_x, H_u, reg)
+            return qp_interior_point(data, H_x, H_u)
         except np.linalg.LinAlgError as err:
             last_error = err
             continue
     raise sqp.QpNumericalFailure(f"Riccati factorization failed at reg {levels[-1]}: {last_error}")
 
 
-def qp_interior_point(data, H_x, H_u, reg: float):
+def qp_interior_point(data, H_x, H_u):
     """Mehrotra predictor-corrector on C y + c + s = 0, s >= 0, lam >= 0.
 
     Each iteration condenses the rows into the stage Hessians with weights
@@ -521,7 +515,6 @@ def qp_interior_point(data, H_x, H_u, reg: float):
     lam = np.ones(m)
     s = np.maximum(1.0, np.abs(c_rows))
     ftb = 0.995
-    AB = np.concatenate([data.A, data.B], axis=2)
 
     def residuals():
         r_x, r_u = stationarity(data, z, w, nu, lam[:mx], lam[mx:])
@@ -538,7 +531,7 @@ def qp_interior_point(data, H_x, H_u, reg: float):
             and sqp._max_abs(r_eq) <= QP_TOL
             and sqp._max_abs(r_in) <= QP_TOL
         ):
-            return sqp.QpResult(z, w, nu, lam[:mx], lam[mx:], it, "optimal", reg)
+            return sqp.QpResult(z, w, nu, lam[:mx], lam[mx:], it, "optimal")
         if np.max(lam) > 1e8 and sqp._max_abs(r_in) > 1e-6:
             raise sqp.Infeasible("inequality rows inconsistent: duals diverged")
 
@@ -546,7 +539,7 @@ def qp_interior_point(data, H_x, H_u, reg: float):
         weight = lam / s
         fac = sqp._riccati_factor(
             data.A, data.B, H_x + curvature(rows_x, weight[:mx]),
-            H_u + curvature(rows_u, weight[mx:]), AB,
+            H_u + curvature(rows_u, weight[mx:]),
         )
         sl = np.concatenate([s, lam])
 
@@ -578,4 +571,4 @@ def qp_interior_point(data, H_x, H_u, reg: float):
     r_in = residuals()[3]
     if sqp._max_abs(r_in) > 1e-6 and np.max(lam) > 1e6:
         raise sqp.Infeasible("inequality rows inconsistent: primal residual stalled")
-    return sqp.QpResult(z, w, nu, lam[:mx], lam[mx:], sqp.QP_MAX_ITERS, "max_iter", reg)
+    return sqp.QpResult(z, w, nu, lam[:mx], lam[mx:], sqp.QP_MAX_ITERS, "max_iter")

@@ -138,7 +138,8 @@ def test_criterion_03_formation_stays_together(circle_runs):
         initial = _pair_distances(log.ticks[0].mav_p)
         final = _pair_distances(log.ticks[-1].mav_p)
         worst_drift = max(worst_drift, float(np.max(np.abs(final - initial) / initial)))
-    # 0.4 m is the separation hinge's D_SAFE
+    # criterion 3's own bounds: no pair closer than 0.4 m nor farther than
+    # 1.05 m, and no pair's final spacing off its initial one by over 10%
     ok = 0.4 <= closest and worst_sep <= 1.0 + 0.05 and worst_drift <= 0.10
     _verdict(
         3,
@@ -402,12 +403,12 @@ def test_criterion_10_cost_decreases_between_forced_replans(
 # preset -> sha256 prefixes of its CSV and of its summary without the
 # wall-clock mean_solve_time_ms line
 PRESET_DIGESTS = {
-    "circle-medium": ("61f51cf707770b1b", "dcc8eab0294732c1"),
-    "circle-loose": ("ffe152dd730551c8", "90068e544158a101"),
-    "circle-tight": ("baa3a44f95e0c5cd", "92dfa7162280b340"),
-    "hover": ("165a32523560e26e", "aa80ac5c5019a7e3"),
-    "hover-nominal": ("445885d3f3fd5953", "aa80ac5c5019a7e3"),
-    "hover-recovery": ("3b69fe003612d17c", "500248610a9c143d"),
+    "circle-medium": ("61f51cf707770b1b", "629bb08a90390eef"),
+    "circle-loose": ("ffe152dd730551c8", "4e9e5922ae2dc2ed"),
+    "circle-tight": ("baa3a44f95e0c5cd", "7c19bcc914054187"),
+    "hover": ("165a32523560e26e", "25ce8d85c54dec6f"),
+    "hover-nominal": ("445885d3f3fd5953", "25ce8d85c54dec6f"),
+    "hover-recovery": ("3b69fe003612d17c", "b29bf35a5da865b2"),
 }
 
 

@@ -154,7 +154,7 @@ class TestNullspaceRedistribute:
         """Forces whose implied static geometry clusters the vehicles."""
         center = np.array([0.0, 0.0, 0.5])
         targets = center + 0.25 * SQUARE / 0.3 * 0.3 + np.array([0, 0, 1.0])
-        targets[:, :2] *= 0.5  # pull horizontal spread inside d_safe
+        targets[:, :2] *= 0.5  # pull the horizontal spread in
         mu = np.zeros((4, 3))
         for k in range(4):
             xi = self.attach[k] - targets[k]
@@ -162,34 +162,12 @@ class TestNullspaceRedistribute:
             mu[k] = -0.6 * xi
         return [tuple(row) for row in mu.tolist()]
 
-    def test_crowded_pair_pushed_apart(self):
+    def test_crowded_forces_returned_as_given(self):
+        """The step is an identity: even where the implied vehicle positions
+        crowd together, the very input object comes back."""
         mu = self.crowded_mu()
-
-        def min_sep(m):
-            pos = np.array(allocation._predicted_positions(
-                allocation.stack_body(m, EYE), self.attach, EYE, self.l_i
-            ))
-            n = len(pos)
-            return min(
-                np.linalg.norm(pos[i] - pos[j]) for i in range(n) for j in range(i + 1, n)
-            )
-
-        before = min_sep(mu)
-        assert before < allocation.D_SAFE  # the setup really is crowded
-        out = allocation.nullspace_redistribute(
-            mu, self.attach, EYE, self.amap, self.l_i
-        )
-        assert min_sep(out) > before
-
-    def test_wrench_preserved(self):
-        mu = self.crowded_mu()
-        out = allocation.nullspace_redistribute(
-            mu, self.attach, EYE, self.amap, self.l_i
-        )
-        assert out != mu  # the step was taken
-        w_in = self.amap.P @ np.array(allocation.stack_body(mu, EYE))
-        w_out = self.amap.P @ np.array(allocation.stack_body(out, EYE))
-        np.testing.assert_allclose(w_out, w_in, atol=1e-9)
+        out = allocation.nullspace_redistribute(mu, self.attach, EYE, self.amap, self.l_i)
+        assert out is mu
 
     def test_any_null_shift_preserves_wrench(self):
         rng = np.random.default_rng(5)

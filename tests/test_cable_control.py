@@ -17,7 +17,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cablelift import allocation, cable_control as cc, harness, plant, so3
@@ -406,63 +406,6 @@ class TestFullStackHover:
 # the independent numpy oracle of the whole tick
 
 
-def reference_hinges(stacked, attachments, R_L, l_i, d_safe=0.4, lam_sep=10.0):
-    """The separation hinges of a stacked payload-frame allocation and the
-    predicted vehicle positions, in numpy; None when a force is at the floor."""
-    mu = stacked.reshape(-1, 3) @ R_L.T
-    norms = np.linalg.norm(mu, axis=1)
-    if (norms <= allocation.TENSION_FLOOR).any():
-        return None
-    pos = attachments + l_i[:, None] * mu / norms[:, None]
-    n = len(pos)
-    gaps = [d_safe - np.linalg.norm(pos[i] - pos[j]) for i in range(n) for j in range(i + 1, n)]
-    return np.sqrt(lam_sep) * np.maximum(0.0, gaps), pos
-
-
-def reference_hinge_jacobian(stacked, attachments, R_L, amap, l_i, d_safe=0.4, lam_sep=10.0):
-    """d hinges / d c of stacked + Z c at c = 0, pair by pair: the gradient
-    of sqrt(lam) (d_safe - |p_i - p_j|) through p_k = a_k + l_k mu_k / |mu_k|."""
-    r0, pos = reference_hinges(stacked, attachments, R_L, l_i, d_safe, lam_sep)
-    mu = stacked.reshape(-1, 3) @ R_L.T
-    n = len(pos)
-
-    def dpos(k):
-        # d(mu / |mu|) / d mu = (I - u u^T) / |mu|, and mu_k = R_L s_k
-        u = mu[k] / np.linalg.norm(mu[k])
-        return l_i[k] * (np.eye(3) - np.outer(u, u)) / np.linalg.norm(mu[k]) @ R_L @ amap.Z[3 * k : 3 * k + 3]
-
-    rows = []
-    for (i, j), r in zip([(i, j) for i in range(n) for j in range(i + 1, n)], r0):
-        if r > 0.0:
-            e = (pos[i] - pos[j]) / np.linalg.norm(pos[i] - pos[j])
-            rows.append(-np.sqrt(lam_sep) * e @ (dpos(i) - dpos(j)))
-        else:
-            rows.append(np.zeros(amap.Z.shape[1]))
-    return np.array(rows)
-
-
-def reference_redistribute(stacked0, attachments, R_L, amap, l_i, d_safe=0.4, lam_sep=10.0):
-    """The null-space Gauss-Newton step on a stacked payload-frame allocation,
-    in numpy; returns (stacked forces, whether the step was taken)."""
-
-    def hinges(stacked):
-        out = reference_hinges(stacked, attachments, R_L, l_i, d_safe, lam_sep)
-        return None if out is None else out[0]
-
-    r0 = hinges(stacked0)
-    if r0 is None or not (r0 > 0.0).any():
-        return stacked0, False
-    J = reference_hinge_jacobian(stacked0, attachments, R_L, amap, l_i, d_safe, lam_sep)
-    m = J.shape[1]
-    A, b = np.vstack([J, np.eye(m)]), -np.concatenate([r0, np.zeros(m)])
-    c = np.linalg.lstsq(A, b, rcond=None)[0]
-    cand = stacked0 + amap.Z @ c
-    r_new = hinges(cand)
-    if r_new is None or r_new @ r_new + c @ c >= r0 @ r0:
-        return stacked0, False
-    return cand, True
-
-
 def reference_tick(config, Y, wrench_cmd, mu_prev):
     """The controller tick of `harness._FullPlant.tick`, up to its plant
     step, vehicle by vehicle in numpy (`@`, np.cross, np.linalg): the oracle
@@ -534,10 +477,9 @@ def reference_tick(config, Y, wrench_cmd, mu_prev):
 def rig_tick(crowded, seed, slack, prev, new_stage):
     """A random rig state around hover with each cable taut or slack, a held
     wrench, and the previous tick's forces: none, nearby (small desired
-    cable rates) or far off (rates past OMEGA_DES_LIMIT).  On a crowded rig,
-    its attachments at half the preset spacing, the predicted vehicle pairs
-    sit inside the 0.4 m separation that `allocation.nullspace_redistribute`
-    acts on; the tick allocates it by the minimal-norm map like any other.
+    cable rates) or far off (rates past OMEGA_DES_LIMIT).  A crowded rig has
+    its attachments at half the preset spacing; the tick allocates it by the
+    minimal-norm map like any other.
     The state and forces are drawn from an rng seeded with `seed`."""
     config = harness.scenario_preset("circle-medium")
     if crowded:
@@ -689,7 +631,7 @@ class TestWrittenOutKernels:
     @settings(max_examples=80, deadline=None)
     @given(rig_ticks())
     def test_tick_matches_helper_form(self, tick):
-        config, Y, wrench, slack, mu_prev, prev, new_stage, crowded = tick
+        config, Y, wrench, slack, mu_prev, prev, new_stage, _ = tick
         params, y, wrench = config.params, Y.ravel().tolist(), wrench.tolist()
         model, ref_model = full_plant(config), full_plant(config)
         model.xi_prev = ref_model.xi_prev = kept_directions(config, mu_prev)
@@ -709,23 +651,13 @@ class TestWrittenOutKernels:
         for name, kernel in self.KERNELS.items():
             args, expected = seen[name]
             assert_same_floats(kernel(*args), expected)
-        # the null-space step, which the tick does not call, on the tick's
-        # minimal-norm forces and the rig's attachment points
+        # the rig's attachment points, and the stacking of the tick's
+        # minimal-norm forces into the payload frame and back
         R_L, mu = plant._rotation(*y[6:10]), seen["allocate"][1]
-        attachments = harness._attachments(y[0:3], R_L, params._r_i)
-        assert_same_floats(attachments, refs.attachments(y[0:3], R_L, params._r_i))
-        args = (mu, attachments, R_L, model.amap, [params.l_i] * params.n)
-        mu = allocation.nullspace_redistribute(*args)
-        assert_same_floats(mu, refs.nullspace_redistribute(*args))
-        moved = mu is not args[0]
-        assert moved == crowded
-        ref_stacked, shifted = reference_redistribute(
-            np.array(allocation.stack_body(args[0], R_L)), np.array(attachments),
-            np.reshape(R_L, (3, 3)), model.amap, np.array(args[4]),
+        assert_same_floats(
+            harness._attachments(y[0:3], R_L, params._r_i), refs.attachments(y[0:3], R_L, params._r_i)
         )
-        assert shifted == moved
         stacked = refs.stack_body(mu, R_L)
-        np.testing.assert_allclose(stacked, ref_stacked, rtol=1e-12, atol=1e-12)
         assert_same_floats(allocation.stack_body(mu, R_L), stacked)
         assert_same_floats(allocation._unstack(stacked, R_L), refs.unstack(stacked, R_L))
 
@@ -811,53 +743,6 @@ class TestCommandLocality:
         config, Y, wrench, _, mu_prev, _, new_stage, _ = tick
         xi_prev = kept_directions(config, mu_prev)
         self.assert_local(config, Y.ravel().tolist(), wrench.tolist(), new_stage, xi_prev)
-
-
-@st.composite
-def crowded_allocations(draw):
-    """A wrench allocated on the crowded rig (attachments at half the preset
-    spacing) under a random payload attitude, with no hinge within 1e-4 m of
-    its kink, where central differences of the hinges are no oracle."""
-    config = harness.scenario_preset("circle-medium")
-    params = config.params
-    r_i, l_i = 0.5 * params.r_i, np.full(params.n, params.l_i)
-    amap = allocation.build_allocation(r_i)
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    R_L = so3.quat_to_rotation(so3.quat_normalize([1.0, 0.0, 0.0, 0.0] + 0.2 * rng.standard_normal(4)))
-    F = np.array([0.0, 0.0, params.m_L * params.g]) + 0.5 * rng.standard_normal(3)
-    M = 0.02 * rng.standard_normal(3)
-    stacked = amap.P_pinv @ np.concatenate([R_L.T @ F, M])
-    attachments = rng.uniform(-1.0, 1.0, 3) + r_i @ R_L.T
-    _, pos = reference_hinges(stacked, attachments, R_L, l_i)
-    gaps = [0.4 - np.linalg.norm(pos[i] - pos[j]) for i in range(4) for j in range(i + 1, 4)]
-    assume(min(abs(g) for g in gaps) > 1e-4 and max(gaps) > 0.0)
-    return stacked, attachments, R_L, amap, l_i
-
-
-class TestHingeJacobian:
-    """The closed-form hinge Jacobian of the null-space step."""
-
-    @settings(max_examples=60, deadline=None)
-    @given(crowded_allocations())
-    def test_matches_central_differences(self, case):
-        stacked, attachments, R_L, amap, l_i = case
-        h = 1e-6
-        fd = np.column_stack([
-            (reference_hinges(stacked + h * z, attachments, R_L, l_i)[0]
-             - reference_hinges(stacked - h * z, attachments, R_L, l_i)[0]) / (2 * h)
-            for z in amap.Z.T
-        ])
-        r0 = reference_hinges(stacked, attachments, R_L, l_i)[0]
-        J = allocation._hinge_jacobian(
-            stacked.tolist(), [tuple(a) for a in attachments.tolist()],
-            tuple(R_L.ravel().tolist()), l_i.tolist(), amap, r0.tolist(),
-        )
-        J_ref = reference_hinge_jacobian(stacked, attachments, R_L, amap, l_i)
-        # central differences: O(h^2) truncation plus 1e-16 / h rounding
-        np.testing.assert_allclose(J, fd, rtol=1e-6, atol=1e-7)
-        np.testing.assert_allclose(J_ref, fd, rtol=1e-6, atol=1e-7)
-        np.testing.assert_allclose(J, J_ref, rtol=1e-12, atol=1e-12)
-        assert np.any(J != 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -976,12 +976,10 @@ class TestSummarize:
     def test_qp_outcomes_counted_over_every_pass(self):
         log = synthetic_log([0.0], [0.6], [0.85])
         log.events = [synthetic_event(0, "forced", None, 20), synthetic_event(4, "event", 4, 18)]
-        log.events[0].trace = [
-            {"qp_status": "max_iter", "reg": 0.0}, {"qp_status": "optimal", "reg": 1e-8},
-        ]
-        log.events[1].trace = [{"qp_status": "max_iter", "reg": 1e-6}]
+        log.events[0].trace = [{"qp_status": "max_iter"}, {"qp_status": "optimal"}]
+        log.events[1].trace = [{"qp_status": "max_iter"}]
         summary = harness.summarize(log)
-        assert (summary["qp_max_iter"], summary["qp_regularized"]) == (2, 2)
+        assert summary["qp_max_iter"] == 2
 
     def test_funnel_violations_counted(self):
         log = synthetic_log([0.3, 0.1], [0.6, 0.6], [0.85, 0.85])
@@ -1236,7 +1234,7 @@ SUMMARY_KEYS = [
     "max_payload_error_m", "final_payload_error_m", "min_separation_m", "max_separation_m",
     "funnel_violations", "mean_inter_execution_steps", "horizon_trace", "solver_failures",
     "thrust_clamps", "omega_des_clips", "slack_cable_ticks", "solves_converged",
-    "solves_max_iter", "solves_stalled", "qp_max_iter", "qp_regularized", "mean_solve_time_ms",
+    "solves_max_iter", "solves_stalled", "qp_max_iter", "mean_solve_time_ms",
 ]
 
 

@@ -699,9 +699,10 @@ class TestConvergenceCertificate:
         solution = sqp.solve(problem, trace=trace)
         assert solution.status == "converged"
         assert len(trace) == solution.iterations >= 3
-        assert all(set(entry) == set(trace[0]) for entry in trace)
+        keys = {"merit", "cost", "kkt", "alpha", "qp_iters", "qp_status", "stalled"}
+        assert all(set(entry) == keys for entry in trace)
         first = trace[0]
-        assert (first["qp_iters"], first["qp_status"], first["reg"]) == (1, "optimal", 0.0)
+        assert (first["qp_iters"], first["qp_status"]) == (1, "optimal")
         assert first["alpha"] > 0.0
         assert all(entry["qp_iters"] > 1 for entry in trace[1:])
         last = trace[-1]
@@ -892,7 +893,7 @@ class TestFullRecoveryQp:
         data = _fixture_qp(FULL_RECOVERY_QP)
         assert (data.N, data.rows_x.m, data.rows_u.m) == (20, 0, 80)
         result = sqp.qp_subproblem(data)
-        assert (result.status, result.reg) == ("optimal", 0.0)
+        assert result.status == "optimal"
         assert result.iterations > 1 and np.count_nonzero(result.lam_u) > 1
         errors = _kkt_errors(data, result)
         assert max(errors.values()) <= 1e-9, errors
@@ -903,6 +904,62 @@ class TestFullRecoveryQp:
     def test_the_interior_point_oracle_fails_on_it(self):
         with pytest.raises(sqp.QpNumericalFailure):
             refs.qp_oracle(_fixture_qp(FULL_RECOVERY_QP))
+
+
+def _stage_qp(N, weights, seed):
+    """The QP `_build_qp_data` builds at a random iterate of a horizon-N
+    tension-bound problem under weights: random reference and iterate
+    attitudes, rates up to 4 rad/s, wrenches some of which overload a cable,
+    and random nonnegative lagged tension multipliers, about half of them 0."""
+    rng = np.random.default_rng(seed)
+
+    def rows(K):
+        Y = np.empty((K, 13))
+        Y[:, 0:6] = rng.standard_normal((K, 6))
+        Y[:, 6:10] = so3.quat_normalize(rng.standard_normal((K, 4)))
+        omega = rng.standard_normal((K, 3))
+        Y[:, 10:13] = omega * (rng.uniform(0.0, 4.0, (K, 1)) / np.linalg.norm(omega, axis=1, keepdims=True))
+        return Y
+
+    ref_x, ref_u = hover_refs(N)
+    ref_x[:, 6:10] = rows(N + 1)[:, 6:10]
+    config = ocp.OcpConfig(weights=weights, N=N, dt=0.05)
+    X = rows(N + 1)
+    problem = ocp.build_ocp(X[0], ref_x, ref_u, config, SystemParams(f_max=0.7))
+    U = ref_u[:-1] + np.hstack([2.0 * rng.standard_normal((N, 3)), 0.1 * rng.standard_normal((N, 3))])
+    point = sqp._evaluate(X, U, problem)
+    m = point.tension[1].size
+    lam_u_prev = np.where(rng.random(m) < 0.5, 0.0, rng.exponential(10.0, m))
+    return sqp._build_qp_data(point, problem, lam_u_prev)
+
+
+STATE_WEIGHT = st.floats(1e-3, 1e3)
+INPUT_WEIGHT = st.one_of(st.just(0.0), st.floats(0.0, 1e3))
+
+
+class TestStageQpIsPositiveDefinite:
+    """`qp_subproblem` factors once, at the Hessians as they are, because the
+    SQP's stage QPs need no regularization: Q_uu = H_u + B^T P B is positive
+    definite, since CostWeights keeps Q_X positive definite (so H_x and every
+    value Hessian P are), H_u is positive semidefinite, lagged tension
+    curvature included, and B has full column rank."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        N=st.sampled_from([1, 2, 20]),
+        weights=st.builds(
+            ocp.CostWeights, position=STATE_WEIGHT, velocity=STATE_WEIGHT, attitude=STATE_WEIGHT,
+            rate=STATE_WEIGHT, force=INPUT_WEIGHT, moment=INPUT_WEIGHT,
+            terminal_scale=st.floats(0.1, 10.0),
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_every_stage_qp_factors_at_reg_0(self, N, weights, seed):
+        data = _stage_qp(N, weights, seed)
+        assert data.N == N and data.rows_u.m == 4 * N
+        fac = sqp._riccati_factor(data.A, data.B, data.H_x, data.H_u)
+        Q_uu = data.H_u + data.B.transpose(0, 2, 1) @ fac.P[1:] @ data.B
+        assert np.all(np.linalg.eigvalsh(0.5 * (Q_uu + Q_uu.transpose(0, 2, 1)))[:, 0] > 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -1253,7 +1310,6 @@ class TestSolve:
         for entry in full:
             assert entry["qp_status"] == "optimal"
             assert 1 <= entry["qp_iters"] < 100
-            assert entry["reg"] == 0.0
             assert entry["stalled"] is False
 
 
@@ -1351,27 +1407,17 @@ class TestIterateReuse:
         )
 
     def test_qp_subproblem_stacks_AB_once(self, monkeypatch):
-        """Every regularization level factors with the same stacked [A B];
-        here reg 0 fails on an input Hessian of -5e-9 and REG succeeds."""
+        """A QP is factored, [A B] stacked with it, once, at its Hessians as
+        they are: an input Hessian of -5e-9, which a 1e-8 regularization
+        would make positive, raises QpNumericalFailure after that single
+        factorization."""
         data = _scalar_qp([[-5e-9]], [-1.0], [[1.0]], [-0.5])
         data.B[0] = np.eye(1)
-        shared = sqp.qp_subproblem(data)
-        assert (shared.reg, shared.iterations, shared.status) == (sqp.REG, 2, "optimal")
-        assert shared.w[0][0] == pytest.approx(0.5, abs=1e-12)
-        real = sqp._riccati_factor
-        handed = []
-
-        def stack_each_time(A, B, H_x, H_u, AB):
-            handed.append(AB)
-            return real(A, B, H_x, H_u, np.concatenate([A, B], axis=2))
-
-        monkeypatch.setattr(sqp, "_riccati_factor", stack_each_time)
-        each = sqp.qp_subproblem(data)
-        assert len(handed) > 1 and all(AB is handed[0] for AB in handed)
-        assert (shared.iterations, shared.status, shared.reg) == (each.iterations, each.status, each.reg)
-        for name in ("z", "w", "nu", "lam_x", "lam_u"):
-            assert np.array_equal(getattr(shared, name), getattr(each, name)), name
-        assert sqp._nonlinear_kkt(data, shared) == sqp._nonlinear_kkt(data, each)
+        factored = []
+        _counting_factorizations(monkeypatch, factored)
+        with pytest.raises(sqp.QpNumericalFailure):
+            sqp.qp_subproblem(data)
+        assert len(factored) == 1
 
     def test_backtracking_solve_matches_one_that_recomputes(self, monkeypatch):
         """The line search evaluates candidates it rejects; only the accepted
