@@ -54,7 +54,8 @@ class GainSet:
     def __post_init__(self):
         for name in ("K_R", "K_Omega", "K_xi", "K_omega"):
             value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and 0.0 < value < math.inf):
+            number = isinstance(value, (int, float)) and not isinstance(value, bool)
+            if not (number and 0.0 < value < math.inf):
                 raise ValueError(f"{name} must be a positive finite number, got {value!r}")
             setattr(self, name, float(value))
 

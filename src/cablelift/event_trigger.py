@@ -105,14 +105,10 @@ def should_trigger(
     return "event" if deviation > threshold else "none"
 
 
-def first_entry_index(
-    predicted: ocp.OcpSolution, region: TerminalRegion, ref_x: np.ndarray
-) -> Optional[int]:
-    """Smallest index in [0, N_kj - 1] whose error against the reference rows
-    ref_x sits inside the region.  The errors are taken in one stacked call;
-    each row rounds as its one-row call does."""
-    last = len(predicted.X) - 1
-    for i, error in enumerate(ocp.state_error(predicted.X[:last], ref_x[:last])):
+def first_entry_index(errors: np.ndarray, region: TerminalRegion) -> Optional[int]:
+    """Smallest index in [0, N_kj - 1] whose row of a prediction's N_kj + 1
+    state errors (OcpSolution.errors) sits inside the region."""
+    for i, error in enumerate(errors[:-1]):
         if region.contains(error):
             return i
     return None

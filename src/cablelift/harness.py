@@ -227,7 +227,6 @@ class _TriggerLoop:
             else TerminalRegion(config.terminal_epsilon, config.ocp.weights.Q_XN)
         )
         self.state: Optional[event_trigger.TriggerState] = None
-        self.problem = None
         self.events: List[TriggerEvent] = []
         self.failed: List[FailedSolve] = []
 
@@ -244,7 +243,7 @@ class _TriggerLoop:
                 N_hat = None
                 if self.region is not None:
                     N_hat = event_trigger.first_entry_index(
-                        self.state.predicted, self.region, self.problem.ref_x
+                        self.state.predicted.errors, self.region
                     )
                 N_new = event_trigger.shrink_horizon(self.state, m_k, N_hat, cfg.trigger)
         if decision != "none":
@@ -268,9 +267,7 @@ class _TriggerLoop:
                 self.failed.append(FailedSolve(k, t, type(exc).__name__, str(exc), trace))
                 decision = "event-failed"
             else:
-                outside = self.region is None or not self.region.contains(
-                    payload_ocp.state_error(x_now, ref_x[0])
-                )
+                outside = self.region is None or not self.region.contains(solution.errors[0])
                 self.events.append(TriggerEvent(
                     k=k, t=t, kind=decision, m_k=m_k, horizon=N_new, cost=solution.cost,
                     kkt_residual=solution.kkt_residual, iterations=solution.iterations,
@@ -278,7 +275,6 @@ class _TriggerLoop:
                     outside_terminal=outside, trace=trace, prediction_error=error,
                 ))
                 self.state = event_trigger.record_trigger(k, solution, N_new)
-                self.problem = problem
         idx = k - self.state.k_j
         return decision, self.state.predicted.U[idx], idx
 

@@ -75,7 +75,8 @@ class CostWeights:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if not (isinstance(value, (int, float)) and math.isfinite(value)):
+            number = isinstance(value, (int, float)) and not isinstance(value, bool)
+            if not (number and math.isfinite(value)):
                 raise ConfigError(f"{f.name!r} must be a finite number, got {value!r}")
             setattr(self, f.name, float(value))
         for key, value in (("force", self.force), ("moment", self.moment)):
@@ -132,6 +133,7 @@ class OcpSolution:
     kkt_residual: float
     iterations: int
     status: str  # converged | stalled | max_iter
+    errors: np.ndarray  # (N+1, 12) state_error of X against the reference rows
 
 
 def build_ocp(

@@ -52,6 +52,10 @@ MIN_STEP = 1e-4
 ARMIJO = 1e-4
 # QP: cap on the active-set steps
 QP_MAX_ITERS = 100
+# the longest horizon whose line-search candidates step on floats: an RK4
+# step of K stages takes 41 us on floats and 101 us in numpy at K = 2, 345
+# and 121 us at K = 20, and about 106 us each at K = 6 (timeit, x86 core)
+FLOAT_STEP_HORIZON = 6
 
 
 @dataclass
@@ -61,7 +65,8 @@ class SolverConfig:
     feas_tol: float = 1e-6
 
     def __post_init__(self):
-        if not isinstance(self.max_sqp_iters, (int, np.integer)) or self.max_sqp_iters < 1:
+        iters = self.max_sqp_iters
+        if isinstance(iters, bool) or not isinstance(iters, (int, np.integer)) or iters < 1:
             raise ValueError("max_sqp_iters must be an integer of at least 1")
         for name in ("kkt_tol", "feas_tol"):
             if not 0 < getattr(self, name) < np.inf:
@@ -116,10 +121,12 @@ class _Rows:
         """C_r @ y_{stage(r)} for every row (without rows, the empty c)."""
         return np.einsum("rj,rj->r", self.C, y[self.stage]) if self.m else self.c
 
-    def scatter(self, v: np.ndarray):
-        """sum over a stage's rows of C_r^T v_r, per stage (without rows, a
-        scalar 0.0, which adds bit for bit like the all-zero stage array)."""
-        return self._onehot @ (self.C * v[:, None]) if self.m else 0.0
+    def scatter(self, v: np.ndarray) -> np.ndarray:
+        """sum over a stage's rows of C_r^T v_r, per stage (zeros when v is
+        all zero or empty: they add like the product's, up to zero signs)."""
+        if not v.any():
+            return np.zeros((self.stages, self.C.shape[1]))
+        return self._onehot @ (self.C * v[:, None])
 
 
 @dataclass
@@ -388,9 +395,13 @@ class _Iterate:
 
 def _evaluate(X: np.ndarray, U: np.ndarray, problem, rollout=None) -> _Iterate:
     """The iterate at (X, U); rollout is rk4_stages of (X[:-1], U) when
-    already computed, as `_rollout` records it."""
+    already computed, as `_rollout` records it, and is otherwise stepped on
+    floats up to FLOAT_STEP_HORIZON stages, in numpy above."""
     errors = ocp.state_error(X, problem.ref_x)
-    rollout = ocp.rk4_stages(X[:-1], U, problem.dt, problem) if rollout is None else rollout
+    if rollout is None and len(U) <= FLOAT_STEP_HORIZON:
+        rollout = _rollout(problem, U, X)[1]
+    elif rollout is None:
+        rollout = ocp.rk4_stages(X[:-1], U, problem.dt, problem)
     shares = ocp.tension_shares(U, problem)
     return _Iterate(
         X=X, U=U, rollout=rollout, errors=errors, shares=shares,
@@ -401,34 +412,37 @@ def _evaluate(X: np.ndarray, U: np.ndarray, problem, rollout=None) -> _Iterate:
     )
 
 
-def _rollout(problem, U: np.ndarray):
-    """The wrench rows U rolled out from the initial state by the RK4 body and
-    derivative of `plant.step_payload`: the state rows X, and the step as
-    rk4_stages of (X[:-1], U) gives it (in every bit when J_L is diagonal),
-    from the recorded stages and rk4_step's end formula.  Raises
-    plant.NonFiniteState when the rollout leaves the floats."""
+def _rollout(problem, U: np.ndarray, X: Optional[np.ndarray] = None):
+    """U stepped by `plant.step_payload`'s RK4 body and derivative from each
+    start row X[:-1], or rolled out from the initial state without X: the
+    state rows X, and the step as rk4_stages of (X[:-1], U) gives it (in every
+    bit when J_L is diagonal), from the recorded stages and rk4_step's end
+    formula.  Raises plant.NonFiniteState when a step leaves the floats."""
     rows = []
 
     def derivative(s, u, params):
         ds = plant._payload_derivative(s, u, params)
         rows.extend((s, ds))
         return ds
-    X = [problem.x0.tolist()]
-    for u in U.tolist():
-        X.append(plant._rk4_flat(derivative, X[-1], (u, problem.params), problem.dt))
+    starts = [problem.x0.tolist()] if X is None else X[:-1].tolist()
+    for i, u in enumerate(U.tolist()):
+        stepped = plant._rk4_flat(derivative, starts[i], (u, problem.params), problem.dt)
+        if X is None:
+            starts.append(stepped)
     # (state or derivative, RK4 stage, step, 13), each stage's rows contiguous
     Y, k = np.array(rows).reshape(len(U), 4, 2, -1).transpose(2, 1, 0, 3).copy()
     end = Y[0] + (problem.dt / 6.0) * (k[0] + 2.0 * k[1] + 2.0 * k[2] + k[3])
-    return np.array(X), (list(Y), end)
+    return np.array(starts) if X is None else X, (list(Y), end)
 
 
 def _build_qp_data(point: _Iterate, problem, lam_u_prev=None) -> QpData:
     H_x, g_x, H_u, g_u = ocp.cost_expansion(point.X, point.U, problem, point.errors)
     A, B = ocp.linearize_dynamics(point.X[:-1], point.U, problem.dt, problem, point.rollout)
     J_u, c_u = point.tension
-    if lam_u_prev is not None and c_u.size:
+    if lam_u_prev is not None and np.any(lam_u_prev > 1e-12):
         # lagged-multiplier curvature of the active rows keeps the outer
-        # loop from stalling at the Gauss-Newton accuracy floor
+        # loop from stalling at the Gauss-Newton accuracy floor (without
+        # one, a zero sum would add to H_u = 2 Q_U, which has no -0.0)
         lam = lam_u_prev.reshape(c_u.shape)
         blocks = ocp.tension_row_hessians(point.U, problem, point.shares)
         H_u = H_u + np.einsum("kr,krij->kij", np.where(lam > 1e-12, lam, 0.0), blocks)
@@ -566,4 +580,4 @@ def solve(
     else:
         # out of budget on an accepted step: price it like any pass, untraced
         kkt = _price(point, problem, lam_u_prev, config)[2]
-    return ocp.OcpSolution(point.X, point.U, point.cost, kkt, it, status)
+    return ocp.OcpSolution(point.X, point.U, point.cost, kkt, it, status, point.errors)

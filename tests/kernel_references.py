@@ -469,7 +469,7 @@ def _max_step(value: np.ndarray, step: np.ndarray) -> float:
 
 def curvature(rows, weight: np.ndarray):
     """sum over a stage's rows of weight_r C_r^T C_r, per stage (without
-    rows, 0.0 as in scatter)."""
+    rows, 0.0, which adds like scatter's zeros)."""
     dim = rows.C.shape[1]
     outer = (rows.C[:, :, None] * rows.C[:, None, :]).reshape(rows.m, dim * dim)
     return (rows._onehot @ (weight[:, None] * outer)).reshape(-1, dim, dim) if rows.m else 0.0

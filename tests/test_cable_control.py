@@ -98,6 +98,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             GainSet(K_omega=-2.0)
 
+    @pytest.mark.parametrize("name", ["K_R", "K_Omega", "K_xi", "K_omega"])
+    def test_gain_set_rejects_a_bool(self, name):
+        """True is an int, but no gain: it is refused, not read as 1.0."""
+        with pytest.raises(ValueError):
+            GainSet(**{name: True})
+
     def test_tracking_state_rejects_non_unit_direction(self):
         with pytest.raises(ValueError):
             tracking_state(xi=np.array([0.0, 0.0, -1.1]), xi_des=DOWN)

@@ -18,6 +18,8 @@ def make_state(p=(0.0, 0.0, 0.0), q=None, v=(0.0, 0.0, 0.0), omega=(0.0, 0.0, 0.
 
 
 def make_solution(states):
+    """A prediction through the state rows, planned against references on
+    them: its errors are zero."""
     n = len(states) - 1
     return ocp.OcpSolution(
         X=np.array(states),
@@ -26,6 +28,7 @@ def make_solution(states):
         kkt_residual=0.0,
         iterations=1,
         status="converged",
+        errors=np.zeros((n + 1, ocp.NX)),
     )
 
 
@@ -127,50 +130,40 @@ class TestShouldTrigger:
         )
 
 class TestFirstEntryIndex:
-    def _prediction_with_errors(self, norms):
-        # references at the origin, states at distance |norm| along x
-        states = [make_state(p=(r, 0.0, 0.0)) for r in norms]
-        refs = np.array([make_state() for _ in norms])
-        return make_solution(states), refs
+    def _errors(self, norms):
+        """A prediction's errors: references at the origin, states at
+        distance |norm| along x."""
+        states = np.array([make_state(p=(r, 0.0, 0.0)) for r in norms])
+        return ocp.state_error(states, np.array([make_state() for _ in norms]))
 
     def test_starts_inside(self):
-        sol, refs = self._prediction_with_errors([0.01, 0.5, 0.5, 0.5])
+        errors = self._errors([0.01, 0.5, 0.5, 0.5])
         region = et.TerminalRegion(epsilon=0.05, weight=np.eye(12))
-        assert et.first_entry_index(sol, region, refs) == 0
+        assert et.first_entry_index(errors, region) == 0
 
     def test_entry_at_index_two(self):
-        sol, refs = self._prediction_with_errors([0.5, 0.3, 0.04, 0.01, 0.01])
+        errors = self._errors([0.5, 0.3, 0.04, 0.01, 0.01])
         region = et.TerminalRegion(epsilon=0.05, weight=np.eye(12))
-        assert et.first_entry_index(sol, region, refs) == 2
+        assert et.first_entry_index(errors, region) == 2
 
     def test_no_entry(self):
-        sol, refs = self._prediction_with_errors([0.5, 0.4, 0.3, 0.2])
+        errors = self._errors([0.5, 0.4, 0.3, 0.2])
         region = et.TerminalRegion(epsilon=0.05, weight=np.eye(12))
-        assert et.first_entry_index(sol, region, refs) is None
+        assert et.first_entry_index(errors, region) is None
 
     def test_terminal_state_excluded_from_search(self):
-        sol, refs = self._prediction_with_errors([0.5, 0.4, 0.3, 0.01])
+        errors = self._errors([0.5, 0.4, 0.3, 0.01])
         region = et.TerminalRegion(epsilon=0.05, weight=np.eye(12))
-        assert et.first_entry_index(sol, region, refs) is None
+        assert et.first_entry_index(errors, region) is None
 
     def test_weight_matters(self):
         # error 0.04 in position squeaks under epsilon with identity weight
         # but not when position is weighted by 4 (norm doubles to 0.08)
-        sol, refs = self._prediction_with_errors([0.5, 0.04, 0.01, 0.01])
+        errors = self._errors([0.5, 0.04, 0.01, 0.01])
         heavy = np.eye(12)
         heavy[0:3, 0:3] *= 4.0
-        assert (
-            et.first_entry_index(
-                sol, et.TerminalRegion(epsilon=0.05, weight=np.eye(12)), refs
-            )
-            == 1
-        )
-        assert (
-            et.first_entry_index(
-                sol, et.TerminalRegion(epsilon=0.05, weight=heavy), refs
-            )
-            == 2
-        )
+        assert et.first_entry_index(errors, et.TerminalRegion(0.05, np.eye(12))) == 1
+        assert et.first_entry_index(errors, et.TerminalRegion(0.05, heavy)) == 2
 
     def test_bad_epsilon(self):
         for epsilon in (0.0, np.nan):
@@ -180,10 +173,10 @@ class TestFirstEntryIndex:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(2, 21), st.integers(0, 2**32 - 1))
     def test_stacked_errors_match_one_row_calls(self, rows, seed):
-        """The errors taken over the stacked prediction have each row's bits
-        of a one-row state_error call, so the entry index is the one a
-        row-by-row search finds, on predictions near the region's edge and
-        with attitudes of both hemispheres."""
+        """The errors a solve takes over its stacked prediction have each
+        row's bits of a one-row state_error call, so the entry index in them
+        is the one a row-by-row search finds, on predictions near the
+        region's edge and with attitudes of both hemispheres."""
         rng = np.random.default_rng(seed)
         q = rng.standard_normal((rows, 4))
         q /= np.linalg.norm(q, axis=1, keepdims=True)
@@ -198,7 +191,7 @@ class TestFirstEntryIndex:
         by_row = next(
             (i for i in range(rows - 1) if region.contains(ocp.state_error(X[i], refs[i]))), None
         )
-        assert et.first_entry_index(make_solution(list(X)), region, refs) == by_row
+        assert et.first_entry_index(stacked, region) == by_row
 
 
 class TestShrinkHorizon:

@@ -310,6 +310,17 @@ def trigger_loop(config):
     return harness._TriggerLoop(config, allocation.build_allocation(config.params.r_i))
 
 
+def solved_problems(monkeypatch):
+    """The problems sqp.solve is given from now on, in order."""
+    problems, solve = [], sqp.solve
+
+    def spied(problem, *args, **kwargs):
+        problems.append(problem)
+        return solve(problem, *args, **kwargs)
+    monkeypatch.setattr(sqp, "solve", spied)
+    return problems
+
+
 class TestTriggerLoop:
     def test_initial_solve_is_forced_full_horizon(self):
         config = harness.scenario_preset("hover-nominal")
@@ -323,10 +334,10 @@ class TestTriggerLoop:
         (event,) = loop.events
         assert len(event.trace) == event.iterations >= 1
 
-    def test_open_loop_replay_between_triggers(self):
+    def test_open_loop_replay_between_triggers(self, monkeypatch):
         """Held plan: the wrench at step k is exactly U[k - k_j]."""
         config = harness.scenario_preset("hover-nominal")
-        loop = trigger_loop(config)
+        loop, problems = trigger_loop(config), solved_problems(monkeypatch)
         x = hover_state()
         for k in range(6):
             decision, wrench, idx = loop.step(k, k * config.ocp.dt, x)
@@ -334,21 +345,22 @@ class TestTriggerLoop:
             if k > 0:
                 assert decision == "none"
             np.testing.assert_array_equal(wrench, loop.state.predicted.U[idx])
-            x = payload_ocp.discretize(x, wrench, config.ocp.dt, loop.problem)
+            x = payload_ocp.discretize(x, wrench, config.ocp.dt, problems[-1])
 
     @pytest.mark.parametrize("preset", ["circle", "hover"])
     @pytest.mark.parametrize("k", [0, 147])
-    def test_reference_window_is_the_per_stage_rows(self, preset, k):
+    def test_reference_window_is_the_per_stage_rows(self, preset, k, monkeypatch):
         """The solve's N + 1 reference rows, read in one reference_at call on
         the stage times, are bitwise the rows read one stage at a time."""
         config = harness.scenario_preset(preset)
         dt = config.ocp.dt
         t = k * dt
-        loop = trigger_loop(config)
+        loop, problems = trigger_loop(config), solved_problems(monkeypatch)
         loop.step(k, t, config.reference_at(t)[0])
         rows = [config.reference_at(t + i * dt) for i in range(config.ocp.N + 1)]
-        assert np.array_equal(loop.problem.ref_x, np.array([x for x, _ in rows]))
-        assert np.array_equal(loop.problem.ref_u, np.array([u for _, u in rows]))
+        (problem,) = problems
+        assert np.array_equal(problem.ref_x, np.array([x for x, _ in rows]))
+        assert np.array_equal(problem.ref_u, np.array([u for _, u in rows]))
 
     def test_no_terminal_region_means_no_shrink_source(self):
         config = dataclasses.replace(
@@ -399,6 +411,40 @@ class TestTriggerLoop:
                 assert e.m_k == prev.horizon == state.N_kj
                 expected = coords(state.predicted.X[e.m_k], current)
                 assert np.array_equal(e.prediction_error, expected)
+
+
+    def test_each_replan_reads_the_stage_errors_its_solves_returned(self, monkeypatch):
+        """A solve's errors give its outside_terminal (row 0) and the next
+        replan's terminal-entry index N_hat.  Recomputed by one-row
+        state_error calls, of the measured state against the window's first
+        reference row and of the previous prediction against its reference
+        rows, every one matches what the loop used.  4.5 s takes the loop
+        into the terminal region and the horizon down to 2."""
+        config = dataclasses.replace(harness.scenario_preset("hover-recovery"), duration=4.5)
+        solves, entries = [], []
+        solve, first_entry = sqp.solve, event_trigger.first_entry_index
+
+        def spied_solve(problem, *args, **kwargs):
+            solves.append((problem, solve(problem, *args, **kwargs)))
+            return solves[-1][1]
+
+        def spied_entry(errors, region):
+            entries.append(first_entry(errors, region))
+            return entries[-1]
+        monkeypatch.setattr(sqp, "solve", spied_solve)
+        monkeypatch.setattr(event_trigger, "first_entry_index", spied_entry)
+        log = harness.run_closed_loop(config)
+        region = event_trigger.TerminalRegion(config.terminal_epsilon, config.ocp.weights.Q_XN)
+        assert len(solves) == len(log.events) == len(entries) + 1 and not log.failed_solves
+        error = payload_ocp.state_error
+        outside = [not region.contains(error(p.x0, p.ref_x[0])) for p, _ in solves]
+        assert [e.outside_terminal for e in log.events] == outside
+        assert True in outside and False in outside
+        for (problem, solution), N_hat in zip(solves, entries):
+            inside = [region.contains(error(x, r)) for x, r in zip(solution.X, problem.ref_x)]
+            assert N_hat == next((i for i in range(problem.N) if inside[i]), None)
+        assert any(N_hat is None for N_hat in entries)
+        assert any(N_hat is not None for N_hat in entries)
 
 
 # ---------------------------------------------------------------------------
@@ -1349,14 +1395,14 @@ class TestLoadConfig:
         assert config.reference.kind == "hover"
         np.testing.assert_allclose(config.reference_at(0.0)[0][0:3], [0.0, 0.0, 2.0])
 
-    def test_system_overrides_flow_into_the_ocp(self, tmp_path):
+    def test_system_overrides_flow_into_the_ocp(self, tmp_path, monkeypatch):
         text = "schema_version: 1\nsystem:\n  payload_mass_kg: 0.4\n"
         config, _ = harness.load_config(write_config(tmp_path, text))
         assert config.params.m_L == 0.4
         # the solver predicts with the rig's payload
-        loop = trigger_loop(config)
+        loop, problems = trigger_loop(config), solved_problems(monkeypatch)
         loop.step(0, 0.0, harness.equilibrium_state(config)[0])
-        assert loop.problem.params.m_L == 0.4
+        assert problems[0].params.m_L == 0.4
 
     def test_nmpc_and_weights_sections(self, tmp_path):
         text = (

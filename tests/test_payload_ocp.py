@@ -276,6 +276,12 @@ class TestBuildOcp:
         with pytest.raises(po.ConfigError):
             po.CostWeights(terminal_scale=0.0)
 
+    @pytest.mark.parametrize("name", ["position", "force", "terminal_scale"])
+    def test_a_bool_weight_rejected(self, name):
+        """True is an int, but no weight: it is refused, not read as 1.0."""
+        with pytest.raises(po.ConfigError):
+            po.CostWeights(**{name: True})
+
 
 class TestObstacleRows:
     def test_matches_closed_form_distance(self):

@@ -68,7 +68,8 @@ class TestSolverConfig:
             with pytest.raises(ValueError):
                 sqp.SolverConfig(**{field: value})
 
-    @pytest.mark.parametrize("value", [0, -1, 2.0])
+    # True is an int, but no iteration count: it is refused, not run as one
+    @pytest.mark.parametrize("value", [0, -1, 2.0, True])
     def test_max_sqp_iters_positive_integer(self, value):
         with pytest.raises(ValueError):
             sqp.SolverConfig(max_sqp_iters=value)
@@ -80,6 +81,7 @@ class TestShiftWarmStart:
         U = np.array([[float(i), 0.0, 0.0, 0.0, 0.0, 0.0] for i in range(N)])
         return ocp.OcpSolution(
             X=X, U=U, cost=0.0, kkt_residual=0.0, iterations=1, status="converged",
+            errors=np.zeros((N + 1, ocp.NX)),
         )
 
     def test_one_step_same_horizon(self):
@@ -1205,6 +1207,19 @@ class TestSolve:
         assert solution.status == "converged"
         assert not any(entry["stalled"] for entry in trace)
 
+    @pytest.mark.parametrize("N", [2, 20])
+    @pytest.mark.parametrize("status", ["converged", "stalled", "max_iter"])
+    def test_errors_are_the_returned_iterates_state_errors(self, status, N, monkeypatch):
+        """OcpSolution.errors is state_error of the returned X against the
+        reference rows, bit for bit, however the solve ends."""
+        if status == "stalled":
+            monkeypatch.setattr(sqp, "MIN_STEP", 1.5)
+        config = sqp.SolverConfig(max_sqp_iters=1 if status == "max_iter" else 30)
+        problem = make_problem((1.5, 0.0, 1.0), N=N, funnel_radius=10.0)
+        solution = sqp.solve(problem, config=config)
+        assert solution.status == status
+        assert solution.errors.tobytes() == ocp.state_error(solution.X, problem.ref_x).tobytes()
+
     def test_warm_started_resolve_converges_fast(self):
         problem = make_problem((0.5, 0.0, 1.0), N=20)
         cold = sqp.solve(problem)
@@ -1406,6 +1421,26 @@ class TestIterateReuse:
             ocp.tension_row_hessians(U, problem, shares), ocp.tension_row_hessians(U, problem)
         )
 
+    def test_zero_lagged_multipliers_add_no_curvature(self):
+        """Lagged tension multipliers all at most 1e-12 skip the curvature
+        blocks; H_u keeps the bits the zero-weighted sum leaves it, signed
+        zeros included.  A positive one adds its block."""
+        problem = _tilted_problem(8)
+        point = sqp._evaluate(*_random_trajectory(problem), problem)
+        blocks = ocp.tension_row_hessians(point.U, problem, point.shares)
+        lam = np.full(point.tension[1].size, 1e-12)
+        lam[::3] = 0.0
+        weighted = sqp._build_qp_data(point, problem, None).H_u + np.einsum(
+            "kr,krij->kij", np.zeros(point.tension[1].shape), blocks
+        )
+        for lagged in (None, lam):
+            H_u = sqp._build_qp_data(point, problem, lagged).H_u
+            assert H_u.tobytes() == weighted.tobytes()
+        lam[5] = 0.5
+        stage, row = divmod(5, point.tension[1].shape[1])
+        weighted[stage] += 0.5 * blocks[stage, row]
+        assert np.array_equal(sqp._build_qp_data(point, problem, lam).H_u, weighted)
+
     def test_qp_subproblem_stacks_AB_once(self, monkeypatch):
         """A QP is factored, [A B] stacked with it, once, at its Hessians as
         they are: an input Hessian of -5e-9, which a 1e-8 regularization
@@ -1419,75 +1454,110 @@ class TestIterateReuse:
             sqp.qp_subproblem(data)
         assert len(factored) == 1
 
-    def test_backtracking_solve_matches_one_that_recomputes(self, monkeypatch):
+    def test_backtracking_solve_matches_one_that_recomputes(self):
         """The line search evaluates candidates it rejects; only the accepted
         iterate's values may reach the next QP."""
         problem = make_problem((1.0, 0.0, 1.0), N=10, f_max=1.2, funnel_radius=10.0)
-
-        def run():
-            qps, trace = [], []
-            build = sqp._build_qp_data
-
-            def recording(point, problem, lam_u_prev=None):
-                qps.append(build(point, problem, lam_u_prev))
-                return qps[-1]
-
-            with monkeypatch.context() as patch:
-                patch.setattr(sqp, "_build_qp_data", recording)
-                solution = sqp.solve(problem, trace=trace)
-            return solution, qps, trace
-
-        reused = run()
-        real = sqp._evaluate
-        monkeypatch.setattr(
-            sqp, "_evaluate",
-            lambda X, U, problem, rollout=None: dataclasses.replace(
-                real(X, U, problem), rollout=None, errors=None, shares=None
-            ),
-        )
-        recomputed = run()
-        (solution, qps, trace), (solution_r, qps_r, trace_r) = reused, recomputed
-        assert any(0.0 < entry["alpha"] < 1.0 for entry in trace)  # it backtracked
-        assert trace == trace_r
-        assert len(qps) == len(qps_r)
-        for a, b in zip(qps, qps_r):
-            _assert_same_qp(a, b)
-        for f in dataclasses.fields(ocp.OcpSolution):
-            assert np.array_equal(getattr(solution, f.name), getattr(solution_r, f.name)), f.name
+        reused = _solve_and_record(problem)
+        recomputed = _solve_and_record(problem, recompute=True)
+        assert any(0.0 < entry["alpha"] < 1.0 for entry in reused[2])  # it backtracked
+        _assert_same_solve(reused, recomputed, problem)
 
     @pytest.mark.parametrize("start", ["cold", "warm"])
     def test_solve_from_the_recorded_rollout_matches_one_that_recomputes(
         self, start, monkeypatch
     ):
         """The first iterate takes its RK4 step from the rollout that built
-        it; a solve whose first evaluation recomputes rk4_stages instead
+        it; above FLOAT_STEP_HORIZON the line search's candidates step in
+        numpy.  A solve that recomputes every step and QP input instead
         takes the same steps, bit for bit."""
         problem = make_problem((1.0, 0.0, 1.0), N=10, f_max=1.2, funnel_radius=10.0)
+        assert problem.N > sqp.FLOAT_STEP_HORIZON
         warm = None
         if start == "warm":
-            first = sqp.solve(problem)
-            x1 = first.X[1].copy()
-            x1[3:6] += 0.05  # a measured state off the prediction
-            problem = ocp.build_ocp(x1, problem.ref_x, problem.ref_u, problem, problem.params)
-            warm = sqp.shift_warm_start(first, 1, problem.N)
+            problem, warm = _replan(problem)
         real, given = sqp._evaluate, []
-
-        def run(evaluate):
-            trace = []
-            with monkeypatch.context() as patch:
-                patch.setattr(sqp, "_evaluate", evaluate)
-                return sqp.solve(problem, warm, trace=trace), trace
 
         def spied(X, U, problem, rollout=None):
             given.append(rollout is not None)
             return real(X, U, problem, rollout)
 
-        reused, trace = run(spied)
+        with monkeypatch.context() as patch:
+            patch.setattr(sqp, "_evaluate", spied)
+            reused = _solve_and_record(problem, warm)
         assert given[0] and not any(given[1:])  # only the first iterate had one
-        recomputed, trace_r = run(lambda X, U, problem, rollout=None: real(X, U, problem))
-        assert trace == trace_r
-        for f in dataclasses.fields(ocp.OcpSolution):
-            assert np.array_equal(getattr(reused, f.name), getattr(recomputed, f.name)), f.name
+        _assert_same_solve(reused, _solve_and_record(problem, warm, True), problem)
+
+    @pytest.mark.parametrize("start", ["cold", "warm"])
+    def test_short_horizon_solve_matches_one_that_recomputes(self, start, monkeypatch):
+        """Up to FLOAT_STEP_HORIZON the line search's candidates step on
+        floats, each start row on its own; the backtracking solve takes the
+        steps of one that recomputes every step in numpy, bit for bit."""
+        problem = make_problem((1.0, 0.0, 1.0), N=2, f_max=1.2, funnel_radius=0.2)
+        warm = None
+        if start == "warm":
+            problem, warm = _replan(problem)
+        rollout, stepped = sqp._rollout, []
+
+        def spied(problem, U, X=None):
+            stepped.append(X is not None)
+            return rollout(problem, U, X)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(sqp, "_rollout", spied)
+            reused = _solve_and_record(problem, warm)
+        # after the rollout, every candidate stepped from its own start rows
+        assert not stepped[0] and len(stepped) > 1 and all(stepped[1:])
+        assert any(0.0 < entry["alpha"] < 1.0 for entry in reused[2])  # it backtracked
+        _assert_same_solve(reused, _solve_and_record(problem, warm, True), problem)
+
+
+def _replan(problem):
+    """(problem, warm start) of a replan one step into the solution of
+    problem, from a measured state off its prediction."""
+    first = sqp.solve(problem)
+    x1 = first.X[1].copy()
+    x1[3:6] += 0.05
+    replan = ocp.build_ocp(x1, problem.ref_x, problem.ref_u, problem, problem.params)
+    return replan, sqp.shift_warm_start(first, 1, problem.N)
+
+
+def _solve_and_record(problem, warm=None, recompute=False):
+    """(solution, QP data of every pass, trace) of a solve.  With recompute,
+    every iterate, the first included, takes its RK4 step from rk4_stages,
+    and every QP is built from the iterate stripped of its rollout, errors
+    and shares, which _build_qp_data then recomputes in numpy."""
+    qps, trace = [], []
+    build, evaluate = sqp._build_qp_data, sqp._evaluate
+
+    def recording(point, problem, lam_u_prev=None):
+        if recompute:
+            point = dataclasses.replace(point, rollout=None, errors=None, shares=None)
+        qps.append(build(point, problem, lam_u_prev))
+        return qps[-1]
+
+    def numpy_stepped(X, U, problem, rollout=None):
+        return evaluate(X, U, problem, ocp.rk4_stages(X[:-1], U, problem.dt, problem))
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sqp, "_build_qp_data", recording)
+        if recompute:
+            patch.setattr(sqp, "_evaluate", numpy_stepped)
+        solution = sqp.solve(problem, warm, trace=trace)
+    return solution, qps, trace
+
+
+def _assert_same_solve(a, b, problem):
+    """Two _solve_and_record results agree in trace, every QP's data and
+    every OcpSolution field, and the errors are the returned X's."""
+    (solution, qps, trace), (solution_r, qps_r, trace_r) = a, b
+    assert trace == trace_r
+    assert len(qps) == len(qps_r)
+    for x, y in zip(qps, qps_r):
+        _assert_same_qp(x, y)
+    for f in dataclasses.fields(ocp.OcpSolution):
+        assert np.array_equal(getattr(solution, f.name), getattr(solution_r, f.name)), f.name
+    assert solution.errors.tobytes() == ocp.state_error(solution.X, problem.ref_x).tobytes()
 
 
 def _drawn_rollout_problem(rng, K, J_L, dt=0.05):
@@ -1541,6 +1611,77 @@ class TestRecordedRollout:
         assert sqp._evaluate(X, U, problem, rollout).defect_max == 0.0
 
 
+def _drawn_candidate(rng, problem, U):
+    """State rows (K + 1, 13) that no rollout links, as a line-search
+    candidate's are: random positions, unit attitudes and rates up to
+    4 rad/s, with some velocity and rate rows exactly zero."""
+    K = len(U)
+    X = np.empty((K + 1, 13))
+    X[:, 0:6] = rng.standard_normal((K + 1, 6))
+    X[:, 6:10] = so3.quat_normalize(rng.standard_normal((K + 1, 4)))
+    omega = rng.standard_normal((K + 1, 3))
+    speed = rng.uniform(0.0, 4.0, K + 1) / np.linalg.norm(omega, axis=1)
+    X[:, 10:13] = omega * speed[:, None]
+    X[rng.random(K + 1) < 0.3, 3:6] = 0.0
+    X[rng.random(K + 1) < 0.3, 10:13] = 0.0
+    X[0] = problem.x0
+    return X
+
+
+class TestCandidateSteps:
+    """Up to FLOAT_STEP_HORIZON stages a line-search candidate takes its RK4
+    step from `_rollout` on floats, each start row stepped on its own, and
+    above it from rk4_stages; both give rk4_stages' layout and values."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([1, 2, sqp.FLOAT_STEP_HORIZON, sqp.FLOAT_STEP_HORIZON + 1]),
+        st.sampled_from([0.02, 0.05]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_bit_identical_to_rk4_stages(self, K, dt, seed):
+        """Signed zeros included, with a diagonal J_L, from _rollout itself
+        and from the candidate evaluation on either side of the crossover."""
+        rng = np.random.default_rng(seed)
+        problem, U = _drawn_rollout_problem(rng, K, np.diag(rng.uniform(0.003, 0.02, 3)), dt)
+        X = _drawn_candidate(rng, problem, U)
+        ref_stages, ref_end = ocp.rk4_stages(X[:-1], U, dt, problem)
+        same_X, (stages, end) = sqp._rollout(problem, U, X)
+        assert same_X is X
+        candidate_stages, candidate_end = sqp._evaluate(X, U, problem).rollout
+        for got in ([*stages, end], [*candidate_stages, candidate_end]):
+            assert len(got) == 5
+            for new, old in zip(got, [*ref_stages, ref_end]):
+                assert np.array_equal(new, old)
+                assert np.array_equal(np.signbit(new), np.signbit(old))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from([1, 2, sqp.FLOAT_STEP_HORIZON]), st.integers(0, 2**32 - 1))
+    def test_equal_to_rk4_stages_with_a_tilted_inertia(self, K, seed):
+        """A non-diagonal J_L rounds the float and numpy derivatives apart,
+        so only the values agree."""
+        rng = np.random.default_rng(seed)
+        R = so3.quat_to_rotation(so3.quat_normalize(rng.standard_normal(4)))
+        problem, U = _drawn_rollout_problem(rng, K, R @ RIG.J_L @ R.T)
+        X = _drawn_candidate(rng, problem, U)
+        stages, end = sqp._evaluate(X, U, problem).rollout
+        ref_stages, ref_end = ocp.rk4_stages(X[:-1], U, problem.dt, problem)
+        for new, old in zip([*stages, end], [*ref_stages, ref_end]):
+            np.testing.assert_allclose(new, old, rtol=1e-12, atol=1e-12)
+
+    # the numpy step warns of its overflow on the way to the raise
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("K", [2, sqp.FLOAT_STEP_HORIZON + 1])
+    def test_an_overflowing_candidate_raises_non_finite_state(self, K):
+        rng = np.random.default_rng(K)
+        problem, U = _drawn_rollout_problem(rng, K, RIG.J_L)
+        X = _drawn_candidate(rng, problem, U)
+        U[-1, 0:3] = 1e308  # F / m_L leaves the floats
+        with pytest.raises(plant.NonFiniteState):
+            sqp._evaluate(X, U, problem)
+
+
 def _kkt_at_zero_steps(data: sqp.QpData, result: sqp.QpResult) -> float:
     """The nonlinear stationarity as the QP's Lagrangian gradient at zero
     primal steps (the oracle's stationarity)."""
@@ -1583,6 +1724,24 @@ class TestNonlinearKkt:
         stepped = [result for _, result, _ in passes if result.iterations > 1]
         assert len(stepped) < len(passes)  # some passes the row-free solve answered
         assert any(result.lam_x.size and np.max(result.lam_x) > 1e-6 for result in stepped)
+
+    def test_all_zero_multipliers_skip_the_scatter(self):
+        """At a QP whose rows are all slack the multipliers are zero, and the
+        residual equals the one with the rows' general products added."""
+        data = _converged_qp(_obstacle_problem())
+        result = sqp.qp_subproblem(data)
+        assert data.rows_x.m and data.rows_u.m
+        assert not result.lam_x.any() and not result.lam_u.any()
+
+        def general(rows, v):
+            return rows._onehot @ (rows.C * v[:, None])
+        for rows, v in ((data.rows_x, result.lam_x), (data.rows_u, result.lam_u)):
+            assert np.array_equal(rows.scatter(v), general(rows, v))
+        r_x = data.g_x + general(data.rows_x, result.lam_x)
+        r_x[:-1] += sqp._mtv(data.A, result.nu)
+        r_x[1:] -= result.nu
+        r_u = data.g_u + sqp._mtv(data.B, result.nu) + general(data.rows_u, result.lam_u)
+        assert sqp._nonlinear_kkt(data, result) == sqp._max_abs(r_x[1:], r_u)
 
 
 class TestLinearizationOnBindingRows:
