@@ -187,17 +187,16 @@ def attitude_errors(R_k, R_des) -> list:
 
 
 def moment_command(e_R, omega_k, J, gains: GainSet):
-    """Body moment closing the attitude loop of vehicles of the row-major
-    inertia 9-sequence J.  Feedback enters with negative sign on the rotation
-    errors e_R (they grow as the body rotates past the target) and on the
-    body rates omega_k (the desired rate is zero), plus omega x J omega."""
+    """Body moment closing the attitude loop of vehicles of principal moments
+    of inertia J (3 floats).  Feedback enters with negative sign on the
+    rotation errors e_R (they grow as the body rotates past the target) and
+    on the body rates omega_k (the desired rate is zero), plus omega x J omega."""
     k, w = gains.K_R, gains.K_Omega
-    j0, j1, j2, j3, j4, j5, j6, j7, j8 = J
+    jx, jy, jz = J
     out = []
     for (ex, ey, ez), (ox, oy, oz) in zip(e_R, omega_k):
         # omega x J omega
-        hx, hy, hz = (j0 * ox + j1 * oy + j2 * oz, j3 * ox + j4 * oy + j5 * oz,
-                      j6 * ox + j7 * oy + j8 * oz)
+        hx, hy, hz = jx * ox, jy * oy, jz * oz
         out.append((
             -k * ex - w * ox + (oy * hz - oz * hy),
             -k * ey - w * oy + (oz * hx - ox * hz),

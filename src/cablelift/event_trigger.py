@@ -40,9 +40,9 @@ class TriggerConfig:
     sigma: int = 2
 
     def __post_init__(self):
-        if not 0 <= self.alpha < math.inf:
+        if isinstance(self.alpha, bool) or not 0 <= self.alpha < math.inf:
             raise ValueError("alpha must be finite and nonnegative")
-        if not 0 < self.beta < math.inf:
+        if isinstance(self.beta, bool) or not 0 < self.beta < math.inf:
             raise ValueError("beta must be positive and finite")
         if isinstance(self.sigma, bool) or not isinstance(self.sigma, int) or self.sigma < 1:
             raise ValueError("sigma must be an integer of at least one step")
@@ -57,7 +57,11 @@ class TriggerConfig:
 class TriggerState:
     k_j: int
     predicted: ocp.OcpSolution
-    N_kj: int
+
+    @property
+    def N_kj(self) -> int:
+        """The prediction's horizon: its wrench row count."""
+        return len(self.predicted.U)
 
 
 @dataclass
@@ -66,7 +70,7 @@ class TerminalRegion:
     weight: np.ndarray
 
     def __post_init__(self):
-        if not 0 < self.epsilon < math.inf:
+        if isinstance(self.epsilon, bool) or not 0 < self.epsilon < math.inf:
             raise ValueError("terminal radius must be positive and finite")
         self.weight = np.asarray(self.weight, dtype=np.float64)
 
@@ -142,10 +146,6 @@ def shrink_horizon(
     return new_horizon
 
 
-def record_trigger(k: int, solution: ocp.OcpSolution, new_horizon: int) -> TriggerState:
+def record_trigger(k: int, solution: ocp.OcpSolution) -> TriggerState:
     """Bookkeeping after a solve at step k."""
-    if len(solution.X) - 1 != new_horizon:
-        raise ValueError(
-            f"solution spans {len(solution.X) - 1} steps, expected {new_horizon}"
-        )
-    return TriggerState(k_j=k, predicted=solution, N_kj=new_horizon)
+    return TriggerState(k_j=k, predicted=solution)

@@ -260,7 +260,7 @@ class _TriggerLoop:
             try:
                 solution = sqp.solve(problem, warm, cfg.solver, trace=trace)
             except (sqp.Infeasible, sqp.QpNumericalFailure, plant.NonFiniteState) as exc:
-                if self.state is None or decision == "forced":
+                if decision == "forced":
                     raise HarnessAbort(
                         f"solver failed at a forced trigger (t={t:.3f} s, step {k}): {exc}"
                     ) from exc
@@ -274,7 +274,7 @@ class _TriggerLoop:
                     status=solution.status, solve_time=time.perf_counter() - began,
                     outside_terminal=outside, trace=trace, prediction_error=error,
                 ))
-                self.state = event_trigger.record_trigger(k, solution, N_new)
+                self.state = event_trigger.record_trigger(k, solution)
         idx = k - self.state.k_j
         return decision, self.state.predicted.U[idx], idx
 
@@ -437,8 +437,6 @@ def run_closed_loop(config: ScenarioConfig) -> RunLog:
     for tick in range(n_ticks):
         t = tick * dt
         x_now = y[0:13]
-        if not all(map(math.isfinite, x_now)):
-            raise HarnessAbort(f"non-finite payload state at t={t:.3f} s")
         new_stage = tick % ratio == 0
         if new_stage:
             decision, wrench, idx = trigger.step(tick // ratio, t, np.array(x_now))

@@ -193,14 +193,14 @@ def state_error(X: np.ndarray, R: np.ndarray) -> np.ndarray:
 
 def payload_dynamics(Y: np.ndarray, U: np.ndarray, problem) -> np.ndarray:
     """Continuous-time rigid-body derivative of the state rows Y under the
-    wrench rows U."""
-    w = Y[..., 10:13]
+    wrench rows U.  Each inertia product starts from +0.0, the start of a
+    matmul sum, so a -0.0 product reads +0.0 as in plant._payload_derivative."""
+    w, J, J_inv = Y[..., 10:13], problem.params.J_L, problem.params.J_L_inv
     out = np.empty_like(Y)
     out[..., 0:3] = Y[..., 3:6]
     out[..., 3:6] = U[..., 0:3] / problem.params.m_L + problem.params.g_vec
     out[..., 6:10] = so3.omega_to_quat_dot(Y[..., 6:10], w)
-    Jw = w @ problem.params.J_L.T
-    out[..., 10:13] = (U[..., 3:6] - so3.cross3_rows(w, Jw)) @ problem.params.J_L_inv.T
+    out[..., 10:13] = 0.0 + (U[..., 3:6] - so3.cross3_rows(w, 0.0 + w * J)) * J_inv
     return out
 
 
@@ -217,8 +217,9 @@ def _dynamics_tangent(Y: np.ndarray, dY: np.ndarray, dM: np.ndarray, problem) ->
     dw = dY[..., 4:7]
     out = np.empty_like(dY)
     out[..., 0:4] = so3.omega_to_quat_dot(dY[..., 0:4], w) + so3.omega_to_quat_dot(q, dw)
-    J, J_inv = problem.params.J_L.T, problem.params.J_L_inv.T
-    out[..., 4:7] = (dM - so3.cross3_rows(dw, w @ J) - so3.cross3_rows(w, dw @ J)) @ J_inv
+    J, J_inv = problem.params.J_L, problem.params.J_L_inv
+    Jw, Jdw = 0.0 + w * J, 0.0 + dw * J
+    out[..., 4:7] = 0.0 + (dM - so3.cross3_rows(dw, Jw) - so3.cross3_rows(w, Jdw)) * J_inv
     return out
 
 
@@ -439,11 +440,8 @@ def tension_rows(U: np.ndarray, problem, shares=None) -> tuple:
     mu_ik is cable k's minimal-norm share of the wrench at the stage's
     reference attitude.  Returns J (N, n, 6) and c (N, n).  A row with
     vanishing share gets a zero gradient (it sits at -f_max, inactive by
-    that margin); an infinite bound gives n = 0 rows.
+    that margin).
     """
-    K = len(U)
-    if not np.isfinite(problem.params.f_max):
-        return np.zeros((K, 0, NU)), np.zeros((K, 0))
     y, ny, GT = tension_shares(U, problem) if shares is None else shares
     unit = np.where(ny[..., None] < 1e-9, 0.0, y / np.maximum(ny, 1e-9)[..., None])
     J = np.einsum("kni,knij->knj", unit, GT)
@@ -457,9 +455,6 @@ def tension_row_hessians(U: np.ndarray, problem, shares=None) -> np.ndarray:
     curvature of |mu_ik| in the wrench variable, used by the solver to weight
     active-constraint curvature into its Hessian; zero for a vanishing share.
     """
-    K = len(U)
-    if not np.isfinite(problem.params.f_max):
-        return np.zeros((K, 0, NU, NU))
     y, ny, GT = tension_shares(U, problem) if shares is None else shares
     live = ny >= 1e-9
     safe = np.where(live, ny, 1.0)

@@ -54,13 +54,14 @@ class SystemParams:
 
     The vehicle count n is the number of attachment offsets r_i.  The
     vehicles are identical: one mass m_i, inertia J_i and cable length l_i
-    serve every one of them.
+    serve every one of them.  An inertia is its three principal moments, the
+    body axes being the principal axes.
     """
 
     m_i: float = 0.12  # kg
-    J_i: np.ndarray = field(default_factory=lambda: np.diag([2.5e-3, 2.5e-3, 4.0e-3]))  # (3, 3)
+    J_i: np.ndarray = field(default_factory=lambda: np.array([2.5e-3, 2.5e-3, 4.0e-3]))  # kg m^2
     m_L: float = 0.232
-    J_L: np.ndarray = field(default_factory=lambda: np.diag([0.007, 0.007, 0.013]))  # (3, 3)
+    J_L: np.ndarray = field(default_factory=lambda: np.array([0.007, 0.007, 0.013]))
     # (n, 3) attachment offsets, payload frame, m
     r_i: np.ndarray = field(
         default_factory=lambda: 0.3 * np.array([[1, 1, 0], [1, -1, 0], [-1, -1, 0], [-1, 1, 0]])
@@ -77,32 +78,30 @@ class SystemParams:
         self.n = len(self.r_i)
         if self.n < 3:
             raise ValueError("need at least 3 vehicles")
-        # an infinite force bound is no bound
         for names, rule, holds in (
-            (("m_i", "m_L", "l_i", "cable_stiffness", "g"), "positive finite",
+            (("m_i", "m_L", "l_i", "cable_stiffness", "g", "F_max", "f_max"), "positive finite",
              lambda v: 0 < v < math.inf),
-            (("F_max", "f_max"), "positive", lambda v: v > 0),
             (("cable_damping",), "nonnegative finite", lambda v: 0 <= v < math.inf),
         ):
             for name in names:
                 value = getattr(self, name)
-                if np.ndim(value) != 0 or not holds(value):
+                if np.ndim(value) != 0 or isinstance(value, (bool, np.bool_)) or not holds(value):
                     raise ValueError(f"{name!r} must be one {rule} number, got {value!r}")
                 setattr(self, name, float(value))
         for name in ("J_i", "J_L"):
-            M = np.array(getattr(self, name), dtype=np.float64)
-            if (M.shape != (3, 3) or not np.isfinite(M).all() or np.linalg.norm(M - M.T) > 1e-12
-                    or np.linalg.eigvalsh(M).min() <= 0):
-                raise ValueError(f"{name!r} must be one symmetric positive definite (3, 3) matrix")
-            setattr(self, name, M)
-        self.J_L_inv = np.linalg.inv(self.J_L)
-        # plain-float copies for the scalar kernels, each 3x3 matrix a row-major
-        # 9-list, and gravity (0, 0, -g) as a float 3-tuple
+            moments = np.array(getattr(self, name), dtype=np.float64)
+            if moments.shape != (3,) or not ((0 < moments) & (moments < math.inf)).all():
+                raise ValueError(f"{name!r} must be three positive finite principal moments, "
+                                 f"got {getattr(self, name)!r}")
+            setattr(self, name, moments)
+        self.J_L_inv = 1.0 / self.J_L
+        # plain-float copies for the scalar kernels, each inertia and inverse a
+        # 3-list, and gravity (0, 0, -g) as a float 3-tuple
         self._r_i = self.r_i.tolist()
-        self._J_i = self.J_i.ravel().tolist()
-        self._J_i_inv = np.linalg.inv(self.J_i).ravel().tolist()
-        self._J_L = self.J_L.ravel().tolist()
-        self._J_L_inv = self.J_L_inv.ravel().tolist()
+        self._J_i = self.J_i.tolist()
+        self._J_i_inv = (1.0 / self.J_i).tolist()
+        self._J_L = self.J_L.tolist()
+        self._J_L_inv = self.J_L_inv.tolist()
         self.g_vec = (0.0, 0.0, -self.g)
 
 
@@ -144,7 +143,7 @@ class DisturbanceModel:
     _rng: np.random.Generator | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        if not 0.0 <= self.eta < math.inf:
+        if isinstance(self.eta, bool) or not 0.0 <= self.eta < math.inf:
             raise ValueError("eta must be finite and nonnegative")
         # an inactive model never draws, so it leaves numpy.random unimported
         self._rng = np.random.default_rng(self.seed) if self.active else None
@@ -290,23 +289,21 @@ def _unit_quaternion(w: float, x: float, y: float, z: float) -> tuple:
 def _payload_derivative(s: list, wrench, params: SystemParams) -> list:
     """Derivative of the payload row s alone under the wrench [F, M] on it:
     payload_ocp.payload_dynamics on floats, with its groupings, the zero terms
-    of so3.omega_to_quat_dot and the +0.0 each matmul sum starts from, so the
-    two agree in every bit, signed zeros included, when J_L is diagonal."""
+    of so3.omega_to_quat_dot and the +0.0 each inertia product starts from,
+    so the two agree in every bit, signed zeros included."""
     _, _, _, vx, vy, vz, qw, qx, qy, qz, wx, wy, wz = s[0:13]
     (fx, fy, fz, mx, my, mz), m_L, (gx, gy, gz) = wrench, params.m_L, params.g_vec
-    j0, j1, j2, j3, j4, j5, j6, j7, j8 = params._J_L
-    hx, hy, hz = (0.0 + j0 * wx + j1 * wy + j2 * wz, 0.0 + j3 * wx + j4 * wy + j5 * wz,
-                  0.0 + j6 * wx + j7 * wy + j8 * wz)
+    jx, jy, jz = params._J_L
+    hx, hy, hz = 0.0 + jx * wx, 0.0 + jy * wy, 0.0 + jz * wz
     ux, uy, uz = mx - (wy * hz - wz * hy), my - (wz * hx - wx * hz), mz - (wx * hy - wy * hx)
-    j0, j1, j2, j3, j4, j5, j6, j7, j8 = params._J_L_inv
+    kx, ky, kz = params._J_L_inv
     return [
         vx, vy, vz, fx / m_L + gx, fy / m_L + gy, fz / m_L + gz,
         0.5 * (((qw * 0.0 - qx * wx) - qy * wy) - qz * wz),
         0.5 * ((qw * wx + qx * 0.0) + (qy * wz - qz * wy)),
         0.5 * ((qw * wy + qy * 0.0) + (qz * wx - qx * wz)),
         0.5 * ((qw * wz + qz * 0.0) + (qx * wy - qy * wx)),
-        0.0 + j0 * ux + j1 * uy + j2 * uz, 0.0 + j3 * ux + j4 * uy + j5 * uz,
-        0.0 + j6 * ux + j7 * uy + j8 * uz,
+        0.0 + kx * ux, 0.0 + ky * uy, 0.0 + kz * uz,
     ]
 
 
@@ -322,9 +319,9 @@ def _world_derivative_flat(s: list, inputs, params: SystemParams, cables=None) -
     law = _cable_law(s, R, params) if cables is None else cables.law
     r00, r01, r02, r10, r11, r12, r20, r21, r22 = R
     m, g = params.m_i, params.g
-    # the vehicles' inertia J and its inverse K, row-major
-    j0, j1, j2, j3, j4, j5, j6, j7, j8 = params._J_i
-    k0, k1, k2, k3, k4, k5, k6, k7, k8 = params._J_i_inv
+    # the vehicles' principal moments J and their inverses K
+    jx, jy, jz = params._J_i
+    kx, ky, kz = params._J_i_inv
     out = []  # the vehicle rows; the payload row goes in front at the end
     fx = fy = fz = mx = my = mz = 0.0
     b = 13
@@ -343,8 +340,7 @@ def _world_derivative_flat(s: list, inputs, params: SystemParams, cables=None) -
         _, _, _, vx, vy, vz, q0, q1, q2, q3, ox, oy, oz = s[b : b + 13]
         # the rates as the payload row's in _payload_derivative: J omega,
         # then tau - omega x J omega
-        hx, hy, hz = (j0 * ox + j1 * oy + j2 * oz, j3 * ox + j4 * oy + j5 * oz,
-                      j6 * ox + j7 * oy + j8 * oz)
+        hx, hy, hz = jx * ox, jy * oy, jz * oz
         ux, uy, uz = tx - (oy * hz - oz * hy), ty - (oz * hx - ox * hz), tz - (ox * hy - oy * hx)
         # thrust along the body z axis, the last column of the rotation
         out += (
@@ -356,7 +352,7 @@ def _world_derivative_flat(s: list, inputs, params: SystemParams, cables=None) -
             0.5 * (q0 * ox + (q2 * oz - q3 * oy)),
             0.5 * (q0 * oy + (q3 * ox - q1 * oz)),
             0.5 * (q0 * oz + (q1 * oy - q2 * ox)),
-            k0 * ux + k1 * uy + k2 * uz, k3 * ux + k4 * uy + k5 * uz, k6 * ux + k7 * uy + k8 * uz,
+            kx * ux, ky * uy, kz * uz,
         )
         b += 13
 
@@ -388,8 +384,7 @@ def _rk4_flat(derivative, y: list, args: tuple, dt: float, k1: list | None = Non
 def step_payload(x: list, wrench, dt: float, params: SystemParams) -> list:
     """The payload row x (13 floats) one step later under the held wrench
     [F, M], as a new list: payload_ocp.discretize's floats, in every bit,
-    signed zeros included, when J_L is diagonal (BLAS may round off-diagonal
-    inertia products apart)."""
+    signed zeros included."""
     return _rk4_flat(_payload_derivative, x, (wrench, params), dt)
 
 

@@ -108,12 +108,14 @@ class ScenarioConfig:
     initial_offset: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self):
-        if not 0.0 < self.duration < math.inf:
+        # a bool is no number here, though Python compares it as one
+        if isinstance(self.duration, bool) or not 0.0 < self.duration < math.inf:
             raise ConfigError("duration must be positive and finite")
-        if not 0.0 < self.dt_lowlevel < math.inf:
+        if isinstance(self.dt_lowlevel, bool) or not 0.0 < self.dt_lowlevel < math.inf:
             raise ConfigError("low-level step must be positive and finite")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
-            raise ConfigError(f"'seed' must be a nonnegative integer, got {self.seed!r}")
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise ConfigError(f"'seed' must be a nonnegative integer, got {seed!r}")
         if self.plant_model not in ("full", "payload_only"):
             raise ConfigError(f"unknown 'plant_model' {self.plant_model!r}")
         self.initial_offset = np.asarray(self.initial_offset, dtype=np.float64)
@@ -128,14 +130,12 @@ class ScenarioConfig:
         if self.n_ticks < 1:
             raise ConfigError(f"'duration_s' must hold at least one tick of {self.dt_tick!r} s, "
                               f"got {self.duration!r}")
-        if self.terminal_epsilon is not None and not 0.0 < self.terminal_epsilon < math.inf:
-            raise ConfigError(
-                f"'terminal_epsilon' must be positive and finite, got {self.terminal_epsilon!r}"
-            )
-        if not 0.0 <= self.disturbance_eta < math.inf:
-            raise ConfigError(
-                f"disturbance 'eta' must be nonnegative and finite, got {self.disturbance_eta!r}"
-            )
+        epsilon = self.terminal_epsilon
+        if epsilon is not None and (isinstance(epsilon, bool) or not 0.0 < epsilon < math.inf):
+            raise ConfigError(f"'terminal_epsilon' must be positive and finite, got {epsilon!r}")
+        eta = self.disturbance_eta
+        if isinstance(eta, bool) or not 0.0 <= eta < math.inf:
+            raise ConfigError(f"disturbance 'eta' must be nonnegative and finite, got {eta!r}")
         # below a cable's share of the hover wrench the plan can only let the payload fall
         lift = allocation.build_allocation(self.params.r_i).P_pinv[:, 2].reshape(-1, 3)
         share = self.params.m_L * self.params.g * float(np.linalg.norm(lift, axis=1).max())

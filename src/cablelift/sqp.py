@@ -69,7 +69,8 @@ class SolverConfig:
         if isinstance(iters, bool) or not isinstance(iters, (int, np.integer)) or iters < 1:
             raise ValueError("max_sqp_iters must be an integer of at least 1")
         for name in ("kkt_tol", "feas_tol"):
-            if not 0 < getattr(self, name) < np.inf:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not 0 < value < np.inf:
                 raise ValueError(f"{name} must be positive and finite")
 
 
@@ -415,9 +416,9 @@ def _evaluate(X: np.ndarray, U: np.ndarray, problem, rollout=None) -> _Iterate:
 def _rollout(problem, U: np.ndarray, X: Optional[np.ndarray] = None):
     """U stepped by `plant.step_payload`'s RK4 body and derivative from each
     start row X[:-1], or rolled out from the initial state without X: the
-    state rows X, and the step as rk4_stages of (X[:-1], U) gives it (in every
-    bit when J_L is diagonal), from the recorded stages and rk4_step's end
-    formula.  Raises plant.NonFiniteState when a step leaves the floats."""
+    state rows X, and the step as rk4_stages of (X[:-1], U) gives it, in every
+    bit, from the recorded stages and rk4_step's end formula.  Raises
+    plant.NonFiniteState when a step leaves the floats."""
     rows = []
 
     def derivative(s, u, params):

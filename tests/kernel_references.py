@@ -9,6 +9,8 @@ below are that form, kept verbatim but for the payload row's quaternion
 rate, which keeps so3.omega_to_quat_dot's zero terms as the plant's does;
 the tests pin the written-out kernels to them bit for bit, also on paths the
 preset digests do not reach (slack cables and a clipped desired cable rate).
+They take each inertia as the full matrix of the rig's principal moments
+(`inertia_matrices`), as they did before the rig kept only the moments.
 
 The solver's dynamics linearization is kept here in its 18-column forward
 mode, verbatim: every state and wrench tangent column carried through all 13
@@ -111,6 +113,12 @@ def quat_rate(w, x, y, z, ox, oy, oz) -> tuple:
     )
 
 
+def inertia_matrices(moments) -> tuple:
+    """Row-major 9-lists of the inertia matrix diag(moments) and its inverse."""
+    J = np.diag(moments)
+    return J.ravel().tolist(), np.linalg.inv(J).ravel().tolist()
+
+
 def euler_rate(J, J_inv, ox, oy, oz, tx, ty, tz) -> tuple:
     """Body angular acceleration J^-1 (tau - omega x J omega), J and J_inv as
     row-major 9-sequences."""
@@ -133,7 +141,7 @@ def payload_derivative(s: list, wrench, params) -> list:
         0.5 * ((qw * wx + qx * 0.0) + (qy * wz - qz * wy)),
         0.5 * ((qw * wy + qy * 0.0) + (qz * wx - qx * wz)),
         0.5 * ((qw * wz + qz * 0.0) + (qx * wy - qy * wx)),
-        *euler_rate(params._J_L, params._J_L_inv, wx, wy, wz, mx, my, mz),
+        *euler_rate(*inertia_matrices(params.J_L), wx, wy, wz, mx, my, mz),
     ]
 
 
@@ -141,7 +149,7 @@ def world_derivative_flat(s: list, inputs, params, cables=None) -> list:
     R = plant._rotation(*s[6:10]) if cables is None else cables.rotation
     law = plant._cable_law(s, R, params) if cables is None else cables.law
     r00, r01, r02, r10, r11, r12, r20, r21, r22 = R
-    m, g, J, Ji = params.m_i, params.g, params._J_i, params._J_i_inv
+    (m, g), (J, Ji) = (params.m_i, params.g), inertia_matrices(params.J_i)
     out = []
     fx = fy = fz = mx = my = mz = 0.0
     b = 13
@@ -342,7 +350,7 @@ def full_plant_tick(model, y: list, wrench: list, new_stage: bool):
     seen["desired_attitude"] = ((u, 0.0), R_des)
     e_R = attitude_errors(R_k, R_des)
     seen["attitude_errors"] = ((R_k, R_des), e_R)
-    moment = moment_command(e_R, omega_k, params._J_i, gains)
+    moment = moment_command(e_R, omega_k, inertia_matrices(params.J_i)[0], gains)
     seen["moment_command"] = ((e_R, omega_k, params._J_i, gains), moment)
 
     model.thrust_clamps += sum(1 for f in thrust if f < 0.0 or f > params.F_max)
@@ -392,10 +400,10 @@ def dynamics_tangent(Y, dY, dU, problem):
     out[..., 0:3] = dY[..., 3:6]
     out[..., 3:6] = dU[:, 0:3] / problem.params.m_L
     out[..., 6:10] = so3.omega_to_quat_dot(dY[..., 6:10], w) + so3.omega_to_quat_dot(q, dw)
-    J = problem.params.J_L.T
+    J = np.diag(problem.params.J_L)
     out[..., 10:13] = (
-        dU[:, 3:6] - so3.cross3_rows(dw, w @ J) - so3.cross3_rows(w, dw @ J)
-    ) @ problem.params.J_L_inv.T
+        dU[:, 3:6] - so3.cross3_rows(dw, w @ J.T) - so3.cross3_rows(w, dw @ J.T)
+    ) @ np.linalg.inv(J).T
     return out
 
 

@@ -29,7 +29,9 @@ G = 9.81
 M_I = 0.12
 M_L = 0.232
 LEN = 1.0
-J_I = np.diag([2.5e-3, 2.5e-3, 4.0e-3])
+# the vehicles' principal moments of inertia, and the inertia matrix they make
+J_I = np.array([2.5e-3, 2.5e-3, 4.0e-3])
+J_I_MATRIX = np.diag(J_I)
 R_ATTACH = np.array(
     [
         [0.3, 0.3, 0.0],
@@ -70,7 +72,7 @@ def components(mu, state, a_kc, **kw):
 
 def moment(e_R, omega, gains=None):
     """moment_command of one vehicle with inertia J_I."""
-    out = cc.moment_command([e_R], [omega], flat(J_I), gains or GainSet())
+    out = cc.moment_command([e_R], [omega], J_I.tolist(), gains or GainSet())
     return np.array(out[0])
 
 
@@ -267,7 +269,7 @@ class TestAttitudeErrors:
         omega = np.array([0.1, 0.2, -0.3])
         e_R = attitude_errors(np.eye(3), np.eye(3))
         np.testing.assert_allclose(e_R, np.zeros(3), atol=1e-15)
-        expected = -gains.K_Omega * omega + np.cross(omega, J_I @ omega)
+        expected = -gains.K_Omega * omega + np.cross(omega, J_I_MATRIX @ omega)
         np.testing.assert_allclose(moment(e_R, omega, gains), expected, atol=1e-15)
 
     def test_small_yaw_offset(self):
@@ -295,7 +297,8 @@ class TestMomentCommand:
         gains = GainSet()
         omega = np.array([0.2, -0.1, 0.5])
         M = moment(np.zeros(3), omega, gains)
-        np.testing.assert_allclose(M + gains.K_Omega * omega, np.cross(omega, J_I @ omega), atol=1e-15)
+        gyro = np.cross(omega, J_I_MATRIX @ omega)
+        np.testing.assert_allclose(M + gains.K_Omega * omega, gyro, atol=1e-15)
 
     def test_restoring_direction(self):
         # body yawed past the target: the commanded moment must pull it back
@@ -309,13 +312,13 @@ class TestAttitudeLoopStability:
         """Finite-difference the closed attitude loop about hover and check
         every eigenvalue sits strictly in the left half plane."""
         gains = GainSet()
-        J_inv = np.linalg.inv(J_I)
+        J_inv = np.linalg.inv(J_I_MATRIX)
 
         def deriv(x):
             theta, omega = x[:3], x[3:]
             R = so3.quat_to_rotation(so3.quat_exp(theta))
             M = moment(attitude_errors(R, np.eye(3)), omega, gains)
-            return np.concatenate([omega, J_inv @ (M - np.cross(omega, J_I @ omega))])
+            return np.concatenate([omega, J_inv @ (M - np.cross(omega, J_I_MATRIX @ omega))])
 
         h = 1e-6
         A = np.zeros((6, 6))
@@ -332,7 +335,7 @@ def hover_rig():
         m_i=M_I,
         J_i=J_I,
         m_L=M_L,
-        J_L=np.diag([0.007, 0.007, 0.013]),
+        J_L=np.array([0.007, 0.007, 0.013]),
         r_i=R_ATTACH,
         l_i=LEN,
         F_max=2.5,
@@ -387,7 +390,7 @@ def run_hover_loop(n_steps, dt=0.002):
         thrusts = cc.thrust_command(u, R_k)
         R_des = cc.desired_attitude(u, 0.0)
         e_R = cc.attitude_errors(R_k, R_des)
-        moments = cc.moment_command(e_R, omega_k, flat(params.J_i), gains)
+        moments = cc.moment_command(e_R, omega_k, params.J_i.tolist(), gains)
         if first_commands is None:
             first_commands = list(zip(thrusts, moments))
         y = plant.step_world(full.ravel().tolist(), (thrusts, moments), dt, params)
@@ -432,7 +435,8 @@ def reference_tick(config, Y, wrench_cmd, mu_prev):
     attachments = p_L + params.r_i @ R_L.T
     mu = stacked.reshape(-1, 3) @ R_L.T
     accel_des = F / params.m_L - np.array([0.0, 0.0, params.g])
-    omega_dot_des = np.linalg.solve(params.J_L, M - np.cross(omega_l, params.J_L @ omega_l))
+    J_L = np.diag(params.J_L)
+    omega_dot_des = np.linalg.solve(J_L, M - np.cross(omega_l, J_L @ omega_l))
     thrusts, moments, u_norms = [], [], []
     for k in range(params.n):
         p_k, v_k, omega_k = Y[1 + k, 0:3], Y[1 + k, 3:6], Y[1 + k, 10:13]
@@ -475,7 +479,7 @@ def reference_tick(config, Y, wrench_cmd, mu_prev):
         R_des = np.column_stack([b1, np.cross(b3, b1), b3])
         S = R_des.T @ R_k - R_k.T @ R_des
         e_R = 0.5 * np.array([S[2, 1], S[0, 2], S[1, 0]])
-        gyro = np.cross(omega_k, params.J_i @ omega_k)
+        gyro = np.cross(omega_k, np.diag(params.J_i) @ omega_k)
         moments.append(-K_R @ e_R - K_Omega @ omega_k + gyro)
     return np.array(thrusts), np.array(moments), mu, np.array(u_norms)
 

@@ -33,7 +33,7 @@ def make_solution(states):
 
 
 def make_trigger_state(states, k_j=0):
-    return et.TriggerState(k_j=k_j, predicted=make_solution(states), N_kj=len(states) - 1)
+    return et.TriggerState(k_j=k_j, predicted=make_solution(states))
 
 
 class TestTriggerConfig:
@@ -59,6 +59,12 @@ class TestTriggerConfig:
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
             et.TriggerConfig(**kwargs)
+
+    @pytest.mark.parametrize("name", ["alpha", "beta"])
+    def test_a_bool_is_no_threshold(self, name):
+        with pytest.raises(ValueError, match=name):
+            et.TriggerConfig(**{name: True})
+
 
 class TestShouldTrigger:
     def test_exact_prediction_no_trigger(self):
@@ -170,6 +176,10 @@ class TestFirstEntryIndex:
             with pytest.raises(ValueError):
                 et.TerminalRegion(epsilon=epsilon, weight=np.eye(12))
 
+    def test_a_bool_is_no_radius(self):
+        with pytest.raises(ValueError, match="terminal radius"):
+            et.TerminalRegion(epsilon=True, weight=np.eye(12))
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(2, 21), st.integers(0, 2**32 - 1))
     def test_stacked_errors_match_one_row_calls(self, rows, seed):
@@ -251,22 +261,25 @@ class TestShrinkHorizon:
 class TestRecordTrigger:
     def test_initialization(self):
         sol = make_solution([make_state() for _ in range(5)])
-        ts = et.record_trigger(0, sol, 4)
+        ts = et.record_trigger(0, sol)
         assert ts.k_j == 0
         assert ts.N_kj == 4
 
     def test_second_trigger(self):
         sol = make_solution([make_state() for _ in range(5)])
-        ts = et.record_trigger(0, sol, 4)
+        ts = et.record_trigger(0, sol)
         sol2 = make_solution([make_state() for _ in range(4)])
-        ts2 = et.record_trigger(3, sol2, 3)
+        ts2 = et.record_trigger(3, sol2)
         assert ts2.k_j == 3
         assert ts2.predicted is sol2
+        assert (ts.N_kj, ts2.N_kj) == (4, 3)
 
-    def test_horizon_mismatch_rejected(self):
-        sol = make_solution([make_state() for _ in range(5)])
-        with pytest.raises(ValueError):
-            et.record_trigger(0, sol, 6)
+    def test_horizon_is_the_plan_length(self):
+        """The horizon is read off the stored plan, so it cannot disagree
+        with it: its wrench row count."""
+        for n in (2, 7):
+            sol = make_solution([make_state() for _ in range(n + 1)])
+            assert et.record_trigger(5, sol).N_kj == len(sol.U) == n
 
 
 class TestMonotoneSensitivity:
@@ -292,7 +305,7 @@ class TestMonotoneSensitivity:
                     # recorded prediction: deviation devs[k] along x at a
                     # state of norm norms[k]
                     states = [make_state(p=(norms[k] - devs[k], 0.0, 0.0))] * (N + 1)
-                    ts = et.TriggerState(k_j=k_j, predicted=make_solution(states), N_kj=N)
+                    ts = et.TriggerState(k_j=k_j, predicted=make_solution(states))
                     current = make_state(p=(norms[k], 0.0, 0.0))
                     if et.should_trigger(k, current, ts, cfg) != "none":
                         count += 1

@@ -850,6 +850,46 @@ def test_a_failed_event_solve_keeps_its_record():
     assert log.nmpc_executions == len(log.events) >= 2
 
 
+def _float_step_horizon_run(config, horizon, monkeypatch, path):
+    """The run of config with sqp.FLOAT_STEP_HORIZON set to horizon, and its
+    CSV bytes."""
+    monkeypatch.setattr(sqp, "FLOAT_STEP_HORIZON", horizon)
+    log = harness.run_closed_loop(config)
+    harness.emit_csv(log, path)
+    return log, path.read_bytes()
+
+
+@pytest.mark.parametrize("preset, duration", [("hover-recovery", None), ("circle-medium", 2.0)])
+def test_the_float_step_horizon_moves_no_output(preset, duration, monkeypatch, tmp_path):
+    """A line-search candidate steps on floats up to FLOAT_STEP_HORIZON stages
+    and in numpy above, with the same bits: a run whose candidates all step
+    in numpy (0) and one whose candidates all step on floats (64) log the
+    same columns, counters, events (but their solve times) and CSV bytes."""
+    config = harness.scenario_preset(preset)
+    if duration is not None:
+        config = dataclasses.replace(config, duration=duration)
+    numpy_log, numpy_csv = _float_step_horizon_run(config, 0, monkeypatch, tmp_path / "a.csv")
+    float_log, float_csv = _float_step_horizon_run(config, 64, monkeypatch, tmp_path / "b.csv")
+    assert numpy_csv == float_csv
+    for name in harness._COLUMNS:
+        assert getattr(numpy_log, name).tobytes() == getattr(float_log, name).tobytes(), name
+    assert numpy_log.constraints.keys() == float_log.constraints.keys()
+    for key, margins in numpy_log.constraints.items():
+        assert margins.tobytes() == float_log.constraints[key].tobytes(), key
+    for name in ("solver_failures", "thrust_clamps", "omega_des_clips", "slack_cable_ticks"):
+        assert getattr(numpy_log, name) == getattr(float_log, name), name
+    assert numpy_log.nmpc_executions == float_log.nmpc_executions > 1
+    for a, b in zip(numpy_log.events + numpy_log.failed_solves,
+                    float_log.events + float_log.failed_solves):
+        for f in dataclasses.fields(a):
+            if f.name != "solve_time":
+                u, v = getattr(a, f.name), getattr(b, f.name)
+                if isinstance(u, np.ndarray):
+                    assert u.tobytes() == v.tobytes(), f.name
+                else:  # repr spells every float exactly, signed zeros and NaN included
+                    assert repr(u) == repr(v), f.name
+
+
 class TestClampCounters:
     def test_low_thrust_ceiling_is_counted(self):
         """Below the hover thrust (1.746 N) every vehicle saturates; the count

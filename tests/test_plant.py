@@ -61,8 +61,8 @@ def mav_derivative(y, thrust, torque, direction, tension, params):
     R = so3.quat_to_rotation(y[Q])
     force = thrust * R[:, 2] + params.m_i * np.array(params.g_vec)
     force = force + tension * np.asarray(direction)
-    omega = y[W]
-    omega_dot = np.linalg.inv(params.J_i) @ (torque - np.cross(omega, params.J_i @ omega))
+    omega, J = y[W], np.diag(params.J_i)
+    omega_dot = np.linalg.inv(J) @ (torque - np.cross(omega, J @ omega))
     return body(y[V], force / params.m_i, so3.omega_to_quat_dot(y[Q], omega), omega_dot)
 
 
@@ -81,8 +81,8 @@ def payload_derivative(y, directions, tensions, params):
         f_world = -tension * np.asarray(direction)
         force = force + f_world
         moment = moment + np.cross(params.r_i[k], R_L.T @ f_world)
-    omega = y[W]
-    omega_dot = np.linalg.inv(params.J_L) @ (moment - np.cross(omega, params.J_L @ omega))
+    omega, J = y[W], np.diag(params.J_L)
+    omega_dot = np.linalg.inv(J) @ (moment - np.cross(omega, J @ omega))
     return body(y[V], force / params.m_L, so3.omega_to_quat_dot(y[Q], omega), omega_dot)
 
 
@@ -149,9 +149,21 @@ class TestSystemParams:
         p = make_params()
         assert (p.m_i, p.l_i) == (0.12, 1.0)
         assert type(p.m_i) is type(p.l_i) is float
-        np.testing.assert_array_equal(p.J_i, np.diag([2.5e-3, 2.5e-3, 4.0e-3]))
-        assert p._J_i == np.ravel(p.J_i).tolist()
-        assert p._J_i_inv == np.ravel(np.linalg.inv(p.J_i)).tolist()
+        np.testing.assert_array_equal(p.J_i, [2.5e-3, 2.5e-3, 4.0e-3])
+        assert p._J_i == p.J_i.tolist()
+        assert p._J_i_inv == np.diag(np.linalg.inv(np.diag(p.J_i))).tolist()
+
+    def test_inverse_moments_are_the_inverse_matrix_diagonal(self):
+        """1 / J rounds as the diagonal of the inverse inertia matrix, on the
+        defaults and on random moments."""
+        rng = np.random.default_rng(5)
+        draws = [SystemParams().J_L, SystemParams().J_i]
+        draws += list(rng.uniform(1e-4, 1.0, (2000, 3)) * 10.0 ** rng.uniform(-3, 3, (2000, 1)))
+        for moments in draws:
+            p = make_params(J_L=moments, J_i=moments)
+            inverse = np.diag(np.linalg.inv(np.diag(moments)))
+            assert p.J_L_inv.tobytes() == inverse.tobytes()
+            assert p._J_L_inv == p._J_i_inv == inverse.tolist()
 
     def test_gravity_vector_points_down(self):
         np.testing.assert_array_equal(make_params().g_vec, [0.0, 0.0, -G])
@@ -196,18 +208,46 @@ class TestSystemParams:
         for name, value in bad:
             with pytest.raises(ValueError, match=repr(name)):
                 make_params(**{name: value})
-        # an infinite tension bound is no bound
-        assert make_params(f_max=np.inf).f_max == np.inf
 
     def test_indefinite_inertia_rejected(self):
-        with pytest.raises(ValueError):
-            make_params(J_L=np.diag([0.007, -0.007, 0.013]))
+        """A negative principal moment is refused, naming the field."""
+        with pytest.raises(ValueError, match="'J_L'"):
+            make_params(J_L=[0.007, -0.007, 0.013])
 
     def test_asymmetric_inertia_rejected(self):
+        """An inertia is its three principal moments: a (3, 3) matrix is
+        refused, asymmetric or not."""
         J = np.diag([1e-3, 1e-3, 2e-3])
-        J[0, 1] = 1e-4
-        with pytest.raises(ValueError):
-            make_params(J_i=J)
+        for matrix in (J, J + 1e-4 * np.eye(3, k=1)):
+            with pytest.raises(ValueError, match="'J_i'"):
+                make_params(J_i=matrix)
+
+    @pytest.mark.parametrize("name", ["J_i", "J_L"])
+    @pytest.mark.parametrize("moments", [
+        np.diag([0.007, 0.007, 0.013]), [0.007, 0.013], [0.007, 0.007, 0.013, 0.01],
+        [0.007, 0.0, 0.013], [-0.007, 0.007, 0.013], [0.007, np.nan, 0.013],
+        [0.007, 0.007, np.inf],
+    ], ids=["matrix", "two", "four", "zero", "negative", "nan", "inf"])
+    def test_inertia_is_three_positive_finite_moments(self, name, moments):
+        """Three positive finite moments build a rig; each case is refused
+        naming the field."""
+        built = make_params(**{name: [1.0, 2.0, 3.0]})
+        np.testing.assert_array_equal(getattr(built, name), [1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match=f"'{name}'"):
+            make_params(**{name: moments})
+
+    @pytest.mark.parametrize("name", ["F_max", "f_max"])
+    def test_force_bounds_are_finite(self, name):
+        with pytest.raises(ValueError, match=f"'{name}'"):
+            make_params(**{name: np.inf})
+
+    @pytest.mark.parametrize("name", [
+        "m_i", "m_L", "l_i", "F_max", "f_max", "g", "cable_stiffness", "cable_damping",
+    ])
+    def test_a_bool_is_no_number(self, name):
+        for value in (True, np.bool_(True)):
+            with pytest.raises(ValueError, match=f"'{name}'"):
+                make_params(**{name: value})
 
 
 class TestStateVectors:
@@ -394,7 +434,8 @@ class TestMavDerivative:
         state = body(np.zeros(3), np.zeros(3), so3.quat_identity(), w)
         tau = np.array([0.01, -0.02, 0.005])
         d = mav_derivative(state, 0.0, tau, *SLACK, params)
-        expected = np.linalg.solve(params.J_i, tau - np.cross(w, params.J_i @ w))
+        J = np.diag(params.J_i)
+        expected = np.linalg.solve(J, tau - np.cross(w, J @ w))
         np.testing.assert_allclose(d[W], expected, atol=1e-14)
 
     def test_attitude_rate_is_quaternion_kinematics(self):
@@ -414,7 +455,8 @@ class TestPayloadDerivative:
         state = body(np.zeros(3), np.zeros(3), so3.quat_identity(), w)
         d = payload_derivative(state, [np.zeros(3)] * 4, [0.0] * 4, params)
         np.testing.assert_array_equal(d[V], params.g_vec)
-        expected = -np.linalg.solve(params.J_L, np.cross(w, params.J_L @ w))
+        J = np.diag(params.J_L)
+        expected = -np.linalg.solve(J, np.cross(w, J @ w))
         np.testing.assert_allclose(d[W], expected, atol=1e-14)
 
     def test_four_symmetric_cables_balance(self):
@@ -433,7 +475,7 @@ class TestPayloadDerivative:
         down = np.array([0.0, 0.0, -1.0])
         d = payload_derivative(state, [down] + [np.zeros(3)] * 3, [1.0, 0.0, 0.0, 0.0], params)
         torque = np.cross(np.array([0.1, 0, 0]), -1.0 * down)
-        np.testing.assert_allclose(params.J_L @ d[W], torque, atol=1e-14)
+        np.testing.assert_allclose(params.J_L * d[W], torque, atol=1e-14)
 
     def test_tilted_payload_uses_body_frame_moment_arm(self):
         params = make_params()
@@ -443,7 +485,7 @@ class TestPayloadDerivative:
         e_world = np.array([0.0, 0.0, -1.0])
         d = payload_derivative(state, [e_world] + [np.zeros(3)] * 3, [0.8, 0.0, 0.0, 0.0], params)
         moment = np.cross(params.r_i[0], R.T @ (-0.8 * e_world))
-        np.testing.assert_allclose(params.J_L @ d[W], moment, atol=1e-14)
+        np.testing.assert_allclose(params.J_L * d[W], moment, atol=1e-14)
 
 
 class TestRk4Step:
@@ -683,8 +725,8 @@ def payload_problem(params: SystemParams) -> payload_ocp.OcpProblem:
 def payload_steps(draw):
     """(params, x, wrench, dt): a payload row with a unit quaternion of either
     sign of scalar part, body rates zero or up to 50 rad/s, an arbitrary
-    wrench, a diagonal payload inertia (the rig's or a random one) and the
-    NMPC or the low-level step."""
+    wrench, random principal moments of the payload and the NMPC or the
+    low-level step."""
     finite = lambda bound: st.floats(-bound, bound, allow_nan=False)
     q = np.array(draw(st.lists(finite(1.0), min_size=4, max_size=4)))
     norm = np.linalg.norm(q)
@@ -695,12 +737,9 @@ def payload_steps(draw):
     rates = draw(st.one_of(st.just([0.0] * 3), st.lists(finite(50.0), min_size=3, max_size=3)))
     p_v = draw(st.lists(finite(10.0), min_size=6, max_size=6))
     wrench = draw(st.lists(finite(100.0), min_size=6, max_size=6))
-    inertia = {}
-    if draw(st.booleans()):
-        diag = draw(st.lists(st.floats(1e-3, 0.1), min_size=3, max_size=3))
-        inertia = {"J_L": np.diag(diag)}
+    moments = draw(st.lists(st.floats(1e-3, 0.1), min_size=3, max_size=3))
     dt = draw(st.sampled_from([0.05, 0.002]))
-    return make_params(**inertia), [*p_v, *(q / norm).tolist(), *rates], wrench, dt
+    return make_params(J_L=moments), [*p_v, *(q / norm).tolist(), *rates], wrench, dt
 
 
 class TestStepPayload:
@@ -708,30 +747,16 @@ class TestStepPayload:
     @given(payload_steps())
     # signed zeros: the quaternion rate's zero terms decide the signs
     @example((make_params(), [0.0] * 6 + [-0.0, -0.0, -0.0, 1.0] + [0.0] * 3, [0.0] * 6, 0.05))
-    # and matmul's sums, which start from +0.0: -0.0 rates and moments step to +0.0
+    # and the inertia products, which start from +0.0: -0.0 rates and moments step to +0.0
     @example((make_params(), [0.0] * 6 + [1.0, 0.0, 0.0, 0.0] + [-0.0] * 3, [0.0] * 3 + [-0.0] * 3, 0.05))
     def test_equals_discretize_bit_for_bit(self, case):
         """step_payload computes the numpy predictor's floats: the solver's
-        discretize is the oracle.  Bitwise for a diagonal payload inertia,
-        which every scenario has; with off-diagonal terms BLAS may fuse the
-        inertia products differently (see the test below)."""
+        discretize is the oracle, in every bit, signed zeros included."""
         params, x, wrench, dt = case
         expected = payload_ocp.discretize(np.array([x]), np.array(wrench), dt, payload_problem(params))
-        got = plant.step_payload(x, wrench, dt, params)
-        assert np.array(got).tobytes() == expected[0].tobytes()
-
-    def test_full_inertia_agrees_to_rounding(self):
-        J_L = np.array([[0.007, 0.001, -4e-4], [0.001, 0.009, 7e-4], [-4e-4, 7e-4, 0.013]])
-        params = make_params(J_L=J_L)
-        problem = payload_problem(params)
-        rng = np.random.default_rng(12)
-        for _ in range(50):
-            q = rng.standard_normal(4)
-            x = np.concatenate([rng.standard_normal(6), q / np.linalg.norm(q), 5.0 * rng.standard_normal(3)])
-            wrench = 10.0 * rng.standard_normal(6)
-            expected = payload_ocp.discretize(x, wrench, 0.05, problem)
-            got = plant.step_payload(x.tolist(), wrench.tolist(), 0.05, params)
-            np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
+        got = np.array(plant.step_payload(x, wrench, dt, params))
+        assert got.tobytes() == expected[0].tobytes()
+        assert np.array_equal(np.signbit(got), np.signbit(expected[0]))
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_wrench_raises(self, bad):
@@ -783,6 +808,10 @@ class TestDisturbanceModel:
         before = list(y)
         d.perturb(y)
         assert y == before
+
+    def test_a_bool_is_no_eta(self):
+        with pytest.raises(ValueError, match="eta"):
+            DisturbanceModel(eta=True)
 
     def test_samples_respect_bound(self):
         d = DisturbanceModel(eta=0.03, seed=11)

@@ -265,9 +265,14 @@ def test_a_tension_bound_below_the_hover_share_is_refused(preset, bound):
             scenario.build_scenario(data)
 
 
-def test_an_infinite_tension_bound_is_no_bound():
-    config = scenario.ScenarioConfig(params=plant.SystemParams(f_max=math.inf))
-    assert config.params.f_max == math.inf
+@pytest.mark.parametrize("name, message", [
+    ("seed", "'seed'"), ("duration", "duration"), ("dt_lowlevel", "low-level step"),
+    ("terminal_epsilon", "'terminal_epsilon'"), ("disturbance_eta", "'eta'"),
+])
+def test_a_bool_is_refused_where_a_number_is_due(name, message):
+    """True compares as 1 but is no seed, duration, step, radius or bound."""
+    with pytest.raises(scenario.ConfigError, match=message):
+        scenario.ScenarioConfig(**{name: True})
 
 
 def test_readme_example_parses_and_names_exactly_the_table_keys():
